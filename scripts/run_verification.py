@@ -18,6 +18,9 @@ import time
 
 from ffhyper import identities
 
+GATE_QS = identities.GATE_EXHAUSTIVE_QS + identities.GATE_SAMPLED_QS
+EXHAUSTIVE_MAX_Q = max(identities.GATE_EXHAUSTIVE_QS)
+
 
 def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -57,8 +60,9 @@ def main():
                 continue
         else:
             n_list = [n for n in (0, 1, 2) if desc.allows_n(n)]
-        grid = [(q, args.mode or ("exhaustive" if q <= 5 else "sampled"))
-                for q in (qs or [3, 4, 5, 7, 8, 9, 11, 13])]
+        grid = [(q, args.mode or
+                 ("exhaustive" if q <= EXHAUSTIVE_MAX_Q else "sampled"))
+                for q in (qs or GATE_QS)]
         for q, mode in grid:
             reports = identities.verify(
                 desc.id, [q], mode=mode, n_list=n_list, seed=args.seed,

@@ -3,9 +3,13 @@
 Character values and all hypergeometric character sums over F_q live here with
 n = q-1.  Elements are kept in canonical form: the residue modulo the n-th
 cyclotomic polynomial Phi_n, on the power basis 1, z, ..., z^(phi(n)-1).  Two
-elements of the same order are equal iff their coefficient tuples are equal,
-so every theorem check is an exact yes/no with no tolerance.  Coefficients are
-Python ints, hence never overflow.
+elements of the same order are equal iff their coefficient tuples are equal.
+Coefficients are Python ints, hence never overflow.
+
+Deciding equality does not need canonical form: `vanishes` tests whether a
+group-ring vector (a sum of n-th roots of unity) is zero in O(omega(n) * n),
+so every theorem check is an exact yes/no with no tolerance, and canonical
+reduction is left to values that are printed or returned.
 """
 
 from __future__ import annotations
@@ -14,23 +18,30 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OrderMismatch
+from .errors import InexactDivision, OrderMismatch
 
 MAX_ORDER = 4096
 
 
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
 def _totient(n: int) -> int:
     out = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for p in _prime_divisors(n):
+        out -= out // p
     return out
 
 
@@ -45,7 +56,8 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         if c:
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    assert not any(num[:dd]), "inexact cyclotomic division"
+    if any(num[:dd]):
+        raise InexactDivision(den)
     return out
 
 
@@ -77,6 +89,24 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
     coeffs = coeffs[:deg]
     coeffs += [0] * (deg - len(coeffs))
     return tuple(coeffs)
+
+
+def vanishes(n: int, vec) -> bool:
+    """Exact zero test for sum_i vec[i] * zeta_n^i, vec of length n.
+
+    v(zeta_n) = 0  <=>  v * prod_{p | n} (x^(n/p) - 1) = 0 in Z[x]/(x^n - 1):
+    the product vanishes at exactly the non-primitive n-th roots of unity, and
+    x^n - 1 is squarefree, so the product is divisible by x^n - 1 iff v
+    vanishes at the primitive ones (de Bruijn 1953; Lam & Leung 2000).  Each
+    factor is one cyclic shift-and-subtract, O(n).
+    """
+    v = list(vec)
+    if len(v) != n:
+        raise ValueError(f"expected a length-{n} vector, got length {len(v)}")
+    for p in _prime_divisors(n):
+        s = n // p
+        v = [a - b for a, b in zip(v[-s:] + v[:-s], v)]
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -116,6 +146,13 @@ def from_int(n: int, m: int) -> CycInt:
 def from_coeffs(n: int, coeffs) -> CycInt:
     """CycInt from an arbitrary-length power-basis coefficient sequence."""
     return CycInt(n, _reduce(list(coeffs), n))
+
+
+def div_exact(a: CycInt, d: int) -> CycInt:
+    """a / d for a rational integer d that divides every canonical coefficient."""
+    if any(c % d for c in a.coeffs):
+        raise InexactDivision(d)
+    return CycInt(a.order, tuple(c // d for c in a.coeffs))
 
 
 def zero(n: int) -> CycInt:

@@ -45,7 +45,7 @@ class FieldMismatch(FFHyperError):
 class InexactDivision(FFHyperError):
     def __init__(self, divisor):
         super().__init__(
-            f"character sum not divisible by {divisor}; this indicates a bug"
+            f"not exactly divisible by {divisor}; this indicates a bug"
         )
 
 

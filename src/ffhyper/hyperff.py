@@ -14,8 +14,10 @@ stay exact; gauss_2f1 can also return the 1/q-rescaled variant behind a flag.
 Internally every value is accumulated in the group ring Z[Z_N] (N = q-1): an
 integer vector indexed by power of zeta_N.  Products of character values are
 exponent additions, sums are vector increments, and general products are
-cyclic convolutions; reduction modulo Phi_N to a canonical CycInt happens once
-at the end.  This keeps the inner loops integer-only and exact.
+cyclic convolutions.  This keeps the inner loops integer-only and exact.  The
+public ops reduce modulo Phi_N to a canonical CycInt once, at the end; the
+verifier never does, because it decides equality of raw vectors with
+cyclo.vanishes and builds canonical form only for output.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import product as iproduct
 from . import cyclo
 from .charset import Char
 from .cyclo import CycInt
-from .errors import DomainViolation, FieldMismatch, InexactDivision, ZeroInverse
+from .errors import DomainViolation, FieldMismatch, ZeroInverse
 from .ff_core import FieldTable
 
 # -- per-field kit: flat tables the inner loops index directly -----------------
@@ -267,11 +269,7 @@ def lauricella_def(inst: FdInstance) -> CycInt:
 def lauricella_charsum(inst: FdInstance) -> CycInt:
     kit = _kit(inst.field)
     raw = _charsum_vec(kit, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x)
-    canonical = cyclo.from_coeffs(kit.N, raw).coeffs
-    d = kit.N ** inst.n
-    if any(c % d for c in canonical):
-        raise InexactDivision(d)
-    return CycInt(kit.N, tuple(c // d for c in canonical))
+    return cyclo.div_exact(_to_cyc(kit.N, raw), kit.N ** inst.n)
 
 
 def char_line_sum(A: Char, B: Char, x: int) -> CycInt:

@@ -1,11 +1,16 @@
 """Identity registry and verification engine.
 
-Each registered identity is an equation between two CycInt-valued expressions
-in a tuple of character exponents (`chars`) and field elements (`elems`,
-points first, then any extra scalars such as a shared evaluation point or a
-generating-function variable).  The engine enumerates or samples assignments,
-skips those violating the identity's stated domain constraints, and compares
-both sides exactly.
+Each registered identity is an equation lhs = rhs / d in Z[zeta_{q-1}], in a
+tuple of character exponents (`chars`) and field elements (`elems`, points
+first, then any extra scalars such as a shared evaluation point or a
+generating-function variable).  Both sides return raw group-ring vectors: a
+length-(q-1) integer vector indexed by power of zeta_{q-1}.  The denominator
+d(q, n) is a rational integer carried by the descriptor (1 for most
+identities), so no side divides.  The engine enumerates or samples
+assignments, skips those violating the identity's stated domain constraints,
+and decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
+Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
+output: failure entries and `replay`.
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -27,11 +32,16 @@ from typing import Callable
 
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
-from .errors import CapExceeded, FFHyperError, InexactDivision, UnknownIdentity
+from .errors import CapExceeded, FFHyperError, UnknownIdentity
 from .ff_core import FieldTable
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_SAMPLES = 500
+
+# The standard gate grid: exhaustive at small q, DEFAULT_SAMPLES seeded
+# samples above.
+GATE_EXHAUSTIVE_QS = (3, 4, 5)
+GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 
 
 # -- evaluation context -------------------------------------------------------------
@@ -103,14 +113,6 @@ def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
         out[e % len(out)] += scale
 
 
-def _div_exact(ev: _Ev, vec, d: int) -> CycInt:
-    """Reduce to canonical form, then divide every coordinate exactly by d."""
-    c = hyperff._to_cyc(ev.N, list(vec))
-    if any(x % d for x in c.coeffs):
-        raise InexactDivision(d)
-    return CycInt(c.order, tuple(x // d for x in c.coeffs))
-
-
 # -- identity descriptors -------------------------------------------------------------
 
 
@@ -127,6 +129,7 @@ class IdentityDescriptor:
     constraints: tuple[tuple[str, Callable], ...]
     lhs: Callable
     rhs: Callable
+    den: Callable[[int, int], int]  # d(q, n) in lhs = rhs / d
 
     def allows_n(self, n: int) -> bool:
         return n >= self.n_min and (self.n_max is None or n <= self.n_max)
@@ -140,11 +143,11 @@ _REGISTRY: dict[str, IdentityDescriptor] = {}
 
 def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None, heavy=False,
          chars=lambda n: n + 2, points=lambda n: n, extras=lambda n: 0,
-         constraints=()):
+         constraints=(), den=lambda q, n: 1):
     _REGISTRY[id] = IdentityDescriptor(
         id=id, note=note, n_min=n_min, n_max=n_max, heavy=heavy,
         chars=chars, points=points, extras=extras,
-        constraints=tuple(constraints), lhs=lhs, rhs=rhs)
+        constraints=tuple(constraints), lhs=lhs, rhs=rhs, den=den)
 
 
 # constraint predicates (cs = character exponents, es = elements)
@@ -178,12 +181,11 @@ def _t21_lhs(ev, n, cs, es):
 
 
 def _t21_rhs(ev, n, cs, es):
-    vec = hyperff._charsum_vec(ev.kit, cs[0], cs[2:], cs[1], es)
-    return _div_exact(ev, vec, (ev.q - 1) ** n)
+    return hyperff._charsum_vec(ev.kit, cs[0], cs[2:], cs[1], es)
 
 
 _reg("t2.1", "series form of F_D agrees with its full character-sum expansion",
-     _t21_lhs, _t21_rhs, heavy=True)
+     _t21_lhs, _t21_rhs, heavy=True, den=lambda q, n: (q - 1) ** n)
 
 
 def _ffbeta_lhs(ev, n, cs, es):
@@ -235,11 +237,11 @@ def _ksum_rhs(ev, n, cs, es):
             term = hyperff._conv(ev.binom(Bs[-1] + ch, ch),
                                  ev.fd(A + ch, Bs[:-1], C + ch, es[:-1]), N)
             _addv(out, term, ch * lx)
-    return _div_exact(ev, out, ev.q - 1)
+    return out
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
-     _ksum_lhs, _ksum_rhs, heavy=True)
+     _ksum_lhs, _ksum_rhs, heavy=True, den=lambda q, n: q - 1)
 
 
 def _epsred_lhs(ev, n, cs, es):
@@ -696,27 +698,30 @@ class TheoremReport:
         return d
 
 
-def _canon(ev: _Ev, val) -> CycInt:
-    if isinstance(val, CycInt):
-        return val
-    return hyperff._to_cyc(ev.N, list(val))
+def _check(desc, ev, n, cs, es, corrupt: bool):
+    """Decide d * lhs = rhs; returns (equal?, lhs, rhs) with the raw sides.
+    `corrupt` adds d to the rhs, i.e. 1 to rhs / d."""
+    lv = list(desc.lhs(ev, n, cs, es))
+    rv = list(desc.rhs(ev, n, cs, es))
+    d = desc.den(ev.q, n)
+    if corrupt:
+        rv[0] += d
+    dl = [d * x for x in lv] if d != 1 else lv
+    if dl == rv:
+        return True, lv, rv
+    return cyclo.vanishes(ev.N, [a - b for a, b in zip(dl, rv)]), lv, rv
 
 
-def _fail_entry(ev, n, cs, es, lc, rc) -> dict:
+def _canonical(desc, ev, n, lv, rv) -> tuple[CycInt, CycInt]:
+    """Canonical lhs and rhs / d of raw sides, for output only."""
+    return (cyclo.from_coeffs(ev.N, lv),
+            cyclo.div_exact(cyclo.from_coeffs(ev.N, rv), desc.den(ev.q, n)))
+
+
+def _fail_entry(desc, ev, n, cs, es, lv, rv) -> dict:
+    lc, rc = _canonical(desc, ev, n, lv, rv)
     return {"q": ev.q, "n": n, "chars": list(cs), "elems": list(es),
             "lhs": cyclo.render(lc), "rhs": cyclo.render(rc)}
-
-
-def _check(desc, ev, n, cs, es, corrupt: bool):
-    lv = desc.lhs(ev, n, cs, es)
-    rv = desc.rhs(ev, n, cs, es)
-    if not corrupt and not isinstance(lv, CycInt) and not isinstance(rv, CycInt):
-        if list(lv) == list(rv):
-            return True, None, None
-    lc, rc = _canon(ev, lv), _canon(ev, rv)
-    if corrupt:
-        rc = rc + cyclo.one(ev.N)
-    return (lc - rc).is_zero(), lc, rc
 
 
 def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
@@ -743,9 +748,9 @@ def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
                     excluded += 1
                     continue
                 tested += 1
-                ok, lc, rc = _check(desc, ev, n, cs, es, corrupt_rhs)
+                ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
                 if not ok:
-                    failures.append(_fail_entry(ev, n, cs, es, lc, rc))
+                    failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
     elif mode == "sampled":
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         attempts_cap = count * 1000 + 1000
@@ -760,9 +765,9 @@ def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
                 excluded += 1
                 continue
             tested += 1
-            ok, lc, rc = _check(desc, ev, n, cs, es, corrupt_rhs)
+            ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
             if not ok:
-                failures.append(_fail_entry(ev, n, cs, es, lc, rc))
+                failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
     elif mode == "boundary":
         # complement domain: only constraint-violating assignments; mismatches
         # and evaluation errors are recorded, never failed on.
@@ -821,8 +826,6 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     es = tuple(int(e) % q for e in assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.points(n) + desc.extras(n):
         raise ValueError("assignment shape does not match identity arity")
-    lc = _canon(ev, desc.lhs(ev, n, cs, es))
-    rc = _canon(ev, desc.rhs(ev, n, cs, es))
-    if corrupt_rhs:
-        rc = rc + cyclo.one(f.n_chars)
-    return lc, rc, (lc - rc).is_zero()
+    equal, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
+    lc, rc = _canonical(desc, ev, n, lv, rv)
+    return lc, rc, equal

@@ -7,6 +7,8 @@ import random
 import time
 
 from ffhyper import charset, classical, cli, cyclo, ff_core, hyperff, identities
+from ffhyper.identities import GATE_EXHAUSTIVE_QS as EXHAUSTIVE_QS
+from ffhyper.identities import GATE_SAMPLED_QS as SAMPLED_QS
 
 
 def _report(capfd, name: str, ok: bool, detail: str = "") -> None:
@@ -23,11 +25,11 @@ def _field(q):
 
 def test_criterion_1_definition_equals_character_sum(capfd):
     t0 = time.perf_counter()
-    reports = identities.verify("t2.1", [3, 4, 5], n_list=[1, 2])
+    reports = identities.verify("t2.1", EXHAUSTIVE_QS, n_list=[1, 2])
     elapsed = time.perf_counter() - t0
     total = sum(r.tested for r in reports)
     want = sum((q - 1) ** (n + 2) * q ** n
-               for q in (3, 4, 5) for n in (1, 2))
+               for q in EXHAUSTIVE_QS for n in (1, 2))
     ok = (all(r.ok for r in reports) and total == want
           and all(r.excluded == 0 for r in reports) and elapsed < 300)
     _report(capfd, "dual-path agreement, exhaustive q=3,4,5 n=1,2", ok,
@@ -40,10 +42,10 @@ def test_criterion_2_full_registry(capfd):
     runs = 0
     for desc in identities.list_identities():
         n_ex = [n for n in (0, 1, 2) if desc.allows_n(n)]
-        for r in identities.verify(desc.id, [3, 4, 5], n_list=n_ex):
+        for r in identities.verify(desc.id, EXHAUSTIVE_QS, n_list=n_ex):
             failures += len(r.failures)
             runs += 1
-        for r in identities.verify(desc.id, [7, 8, 9, 11, 13],
+        for r in identities.verify(desc.id, SAMPLED_QS,
                                    mode="sampled", seed=42, count=500):
             failures += len(r.failures)
             assert r.tested == 500, (desc.id, r.q, r.tested)

@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,3 +109,70 @@ def test_from_coeffs_reduces():
     assert a == cyclo.from_int(4, -1)
     b = cyclo.from_coeffs(3, [5, 5, 5])  # 5 * (1 + z + z^2) = 0
     assert b.is_zero()
+
+
+def test_exact_div_raises_on_remainder():
+    # x^2 + 1 = (x - 1)(x + 1) + 2; must raise even under python -O
+    with pytest.raises(errors.InexactDivision):
+        cyclo._exact_div([1, 0, 1], (-1, 1))
+
+
+def test_div_exact():
+    a = cyclo.from_coeffs(8, [6, 0, -4])
+    assert cyclo.div_exact(a, 2) == cyclo.from_coeffs(8, [3, 0, -2])
+    with pytest.raises(errors.InexactDivision):
+        cyclo.div_exact(a, 4)
+
+
+def _reduces_to_zero(n, vec):
+    """Oracle: canonical reduction mod Phi_n."""
+    return not any(cyclo._reduce(list(vec), n))
+
+
+def test_vanishes_exhaustive_small_orders():
+    # every vector in {-1, 0, 1}^n for n <= 4, i.e. q <= 5
+    for n in (1, 2, 3, 4):
+        for vec in itertools.product((-1, 0, 1), repeat=n):
+            assert cyclo.vanishes(n, vec) == _reduces_to_zero(n, vec), (n, vec)
+
+
+def _vanishing_vec(rng, n):
+    """Random Z-combination of shifted Phi_n and of shifted regular p-gons
+    sum_j x^(k + j*n/p), all zero at zeta_n."""
+    out = [0] * n
+    phi = cyclo.cyclotomic_poly(n)
+    gons = [[j * (n // p) for j in range(p)] for p in cyclo._prime_divisors(n)]
+    for _ in range(3):
+        c, k = rng.randint(-5, 5), rng.randrange(n)
+        for j, a in enumerate(phi):
+            out[(j + k) % n] += c * a
+        c, k = rng.randint(-5, 5), rng.randrange(n)
+        for j in rng.choice(gons):
+            out[(j + k) % n] += c
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 12, 15, 63, 255, 1023, 4095])
+def test_vanishes_matches_reduce_oracle(n):
+    rng = random.Random(f"vanishes:{n}")
+    # the oracle costs seconds per dense vector at n = 4095
+    rounds = 1 if n > 1023 else 12
+    for _ in range(rounds):
+        dense = [rng.randint(-3, 3) for _ in range(n)]
+        sparse = [0] * n
+        for _ in range(5):
+            sparse[rng.randrange(n)] += rng.randint(-3, 3)
+        zero = _vanishing_vec(rng, n)
+        cases = [sparse, zero] if n > 1023 else [dense, sparse, zero]
+        for vec in cases:
+            assert cyclo.vanishes(n, vec) == _reduces_to_zero(n, vec)
+        assert cyclo.vanishes(n, zero)
+        assert not cyclo.vanishes(n, dense)
+        # negative control: one perturbed coefficient breaks a vanishing sum
+        zero[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        assert not cyclo.vanishes(n, zero)
+
+
+def test_vanishes_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        cyclo.vanishes(4, [1, 2, 3])

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from ffhyper import errors, identities
+from ffhyper import cyclo, errors, identities
 
 ALL_IDS = [d.id for d in identities.list_identities()]
 
@@ -75,16 +78,30 @@ def test_corrupt_rhs_is_detected_everywhere():
     assert len(r.failures) == 16
     entry = r.failures[0]
     assert set(entry) == {"q", "n", "chars", "elems", "lhs", "rhs"}
+    # rhs denominator q-1, and large N where the vanishing test decides
+    for ident, q, n, mode in [("t3.ksum", 4, 1, "exhaustive"),
+                              ("p2.f4-eps", 4096, 0, "sampled"),
+                              ("t4.eps-reduce", 4096, 2, "sampled")]:
+        (r,) = identities.verify(ident, [q], mode=mode, n_list=[n], count=2,
+                                 corrupt_rhs=True)
+        assert r.tested > 0 and len(r.failures) == r.tested, (ident, q)
 
 
 def test_failure_replay_round_trip():
     (r,) = identities.verify("t2.1", [5], n_list=[1], corrupt_rhs=True)
-    bad = dict(r.failures[0])
-    lhs, rhs, equal = identities.replay("t2.1", bad)
-    assert equal  # honest evaluation agrees
-    lhs2, rhs2, equal2 = identities.replay("t2.1", bad, corrupt_rhs=True)
-    assert not equal2
-    assert str(lhs) == bad["lhs"]
+    assert len(r.failures) == r.tested == 320
+    # failure text is canonical lhs and rhs / (q-1)^n + 1; pinned byte for byte
+    text = json.dumps([dict(x) for x in r.failures], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ebc2559a13c6c82fe00c90460ccadcdb5b4ad2a015c57d8120757066ea8c145e")
+    for bad in (dict(r.failures[0]), dict(r.failures[-1])):
+        lhs, rhs, equal = identities.replay("t2.1", bad)
+        assert equal  # honest evaluation agrees
+        lhs2, rhs2, equal2 = identities.replay("t2.1", bad, corrupt_rhs=True)
+        assert not equal2
+        assert str(lhs) == str(lhs2) == bad["lhs"]
+        assert str(rhs2) == bad["rhs"]
+        assert rhs2 == rhs + cyclo.one(4)
 
 
 def test_replay_validates_shape():
