@@ -193,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="verify registered identities")
     vf.add_argument("--id", required=True, help='identity id(s), comma-separated, or "all"')
-    vf.add_argument("--q", default="3,4,5", help="field orders, comma-separated")
+    vf.add_argument("--q", default=",".join(map(str, identities.GATE_EXHAUSTIVE_QS)),
+                    help="field orders, comma-separated")
     vf.add_argument("--mode", choices=["exhaustive", "sampled", "boundary"],
                     default="exhaustive")
     vf.add_argument("--n", default=None, help="slot counts, comma-separated")

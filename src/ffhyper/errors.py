@@ -65,6 +65,18 @@ class CapExceeded(FFHyperError):
         self.cap = cap
 
 
+class SamplingGaveUp(CapExceeded):
+    """Sampled mode reached its attempt cap: the constraints reject most draws."""
+
+    def __init__(self, attempts, accepted, count, constraint, rejected):
+        FFHyperError.__init__(
+            self,
+            f"sampling gave up after {attempts} attempts with {accepted} of "
+            f"{count} draws accepted; {rejected} draws violated {constraint!r}",
+        )
+        self.size = self.cap = attempts
+
+
 class DomainViolation(FFHyperError):
     pass
 

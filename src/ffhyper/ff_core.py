@@ -10,16 +10,19 @@ degree k over Z_p, comparing coefficient tuples (a_{k-1}, ..., a_1, a_0) —
 leading coefficients first, constant term last.  The generator is the smallest
 element index of multiplicative order q-1.  Both choices are deterministic, so
 character labels and discrete logs are reproducible across runs and machines.
+
+After construction, arithmetic uses three tables and no digit arithmetic:
+exp/log for products, and Zech's logarithm Z(i) = log(1 - g^i) for sums, since
+x - y = x (1 - y/x).  The same table turns every "1 - something" in a
+character sum into an exponent lookup (Lidl & Niederreiter, Finite Fields,
+ch. 10).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
 
 DEFAULT_MAX_Q = 4096
-_ADD_TABLE_MAX_Q = 256
 
 
 def _is_prime(m: int) -> bool:
@@ -150,7 +153,14 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 class FieldTable:
-    """F_q with exp/log tables.  Immutable after construction; do not mutate."""
+    """F_q with exp, log and Zech-log tables.  Immutable after construction;
+    do not mutate.
+
+    exp_table[i] = g^i and log_table[x] = log_g x (log_table[0] = -1).
+    zech_table[i] = log_g(1 - g^i), Zech's logarithm, with the same -1 at
+    i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
+    through these tables: x - y = x (1 - y/x).
+    """
 
     def __init__(self, p: int, k: int):
         self.p = p
@@ -160,7 +170,6 @@ class FieldTable:
         self.modulus = _smallest_modulus(p, k)
 
         powers = tuple(p**i for i in range(k))
-        self._powers = powers
 
         def digits(i: int) -> list[int]:
             return [(i // pw) % p for pw in powers]
@@ -168,15 +177,16 @@ class FieldTable:
         def index(dv: list[int]) -> int:
             return sum(d * pw for d, pw in zip(dv, powers))
 
-        self._digits = digits
-        self._index = index
-
         mod = list(self.modulus)
 
         def mul_raw(a: int, b: int) -> int:
             if a == 0 or b == 0:
                 return 0
             return index(_pmul_mod(digits(a), digits(b), mod, p))
+
+        def one_sub(x: int) -> int:  # 1 - x, digit by digit
+            dv = digits(x)
+            return index([(1 - dv[0]) % p] + [(-d) % p for d in dv[1:]])
 
         N = q - 1
         fac = set(_prime_factors(N)) if N > 1 else set()
@@ -203,23 +213,27 @@ class FieldTable:
             log[v] = j
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
+        self.zech_table = tuple(log[one_sub(v)] for v in exp)
+        self.log_neg1 = log[p - 1]  # -1 has base-p digits (p-1, 0, ..., 0)
 
     # -- arithmetic ------------------------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        if self.k == 1:
-            return (x + y) % self.p
-        p = self.p
-        return self._index([(a + b) % p for a, b in zip(self._digits(x), self._digits(y))])
+    def sub(self, x: int, y: int) -> int:
+        if y == 0:
+            return x
+        if x == 0:
+            return self.neg(y)
+        N, L = self.n_chars, self.log_table
+        z = self.zech_table[(L[y] - L[x]) % N]
+        return 0 if z < 0 else self.exp_table[(L[x] + z) % N]
 
     def neg(self, x: int) -> int:
-        if self.k == 1:
-            return (-x) % self.p
-        p = self.p
-        return self._index([(-a) % p for a in self._digits(x)])
+        if x == 0:
+            return 0
+        return self.exp_table[(self.log_table[x] + self.log_neg1) % self.n_chars]
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+    def add(self, x: int, y: int) -> int:
+        return self.sub(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -239,18 +253,6 @@ class FieldTable:
         if x == 0:
             raise ZeroLog()
         return self.log_table[x]
-
-    @cached_property
-    def add_table(self) -> tuple[tuple[int, ...], ...]:
-        if self.q > _ADD_TABLE_MAX_Q:
-            raise TooLarge(self.q, _ADD_TABLE_MAX_Q)
-        return tuple(tuple(self.add(x, y) for y in range(self.q)) for x in range(self.q))
-
-    @cached_property
-    def mul_table(self) -> tuple[tuple[int, ...], ...]:
-        if self.q > _ADD_TABLE_MAX_Q:
-            raise TooLarge(self.q, _ADD_TABLE_MAX_Q)
-        return tuple(tuple(self.mul(x, y) for y in range(self.q)) for x in range(self.q))
 
     def __eq__(self, other):
         return (
@@ -293,22 +295,3 @@ def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
         raise TooLarge(p**k, max_q)
     return FieldTable(p, k)
 
-
-def add(f: FieldTable, x: int, y: int) -> int:
-    return f.add(x, y)
-
-
-def mul(f: FieldTable, x: int, y: int) -> int:
-    return f.mul(x, y)
-
-
-def neg(f: FieldTable, x: int) -> int:
-    return f.neg(x)
-
-
-def inv(f: FieldTable, x: int) -> int:
-    return f.inv(x)
-
-
-def dlog(f: FieldTable, x: int) -> int:
-    return f.dlog(x)

@@ -14,9 +14,15 @@ stay exact; gauss_2f1 can also return the 1/q-rescaled variant behind a flag.
 Internally every value is accumulated in the group ring Z[Z_N] (N = q-1): an
 integer vector indexed by power of zeta_N.  Products of character values are
 exponent additions, sums are vector increments, and general products are
-cyclic convolutions.  This keeps the inner loops integer-only and exact.  The
-public ops reduce modulo Phi_N to a canonical CycInt once, at the end; the
-verifier never does, because it decides equality of raw vectors with
+cyclic convolutions.  The sums over u run over exponents: with u = g^i,
+1 - u = g^Z[i] for the field's Zech table Z, so each term of the F_D sum is
+one exponent e0 + A i + (C - A) Z[i] - sum_j B_j Z[(log x_j + i) mod N] and
+the inner loops stay integer-only and exact.
+
+A per-field context (_Ev) carries the tables and the binomial and F_D memos.
+The public ops build a fresh one per call and reduce modulo Phi_N to a
+canonical CycInt once, at the end; the verifier keeps one context per field
+and never reduces, because it decides equality of raw vectors with
 cyclo.vanishes and builds canonical form only for output.
 """
 
@@ -28,56 +34,42 @@ from itertools import product as iproduct
 from . import cyclo
 from .charset import Char
 from .cyclo import CycInt
-from .errors import DomainViolation, FieldMismatch, ZeroInverse
+from .errors import DomainViolation, FieldMismatch
 from .ff_core import FieldTable
 
-# -- per-field kit: flat tables the inner loops index directly -----------------
+# -- per-field context --------------------------------------------------------
 
 
-class _Kit:
+class _Ev:
+    """Evaluation context of one field: its tables as flat attributes, a
+    binomial-vector memo and an F_D-vector memo.  The memos live as long as
+    the context: one call for the public ops below, one process for the
+    identities engine."""
+
     def __init__(self, f: FieldTable):
         self.f = f
-        self.q = q = f.q
-        self.N = q - 1
+        self.q = f.q
+        self.N = f.n_chars
         self.L = f.log_table
-        self.E = f.exp_table
+        self.Z = f.zech_table
         self.neg1 = f.neg(1)
-        self.negt = tuple(f.neg(x) for x in range(q))
-        self.one_minus = tuple(f.sub(1, x) for x in range(q))
-        if q <= 256:
-            self.addt = tuple(tuple(f.add(x, y) for y in range(q)) for x in range(q))
-        else:
-            self.addt = None
         self.binoms: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._fd: dict = {}
 
-    def add(self, x: int, y: int) -> int:
-        if self.addt is not None:
-            return self.addt[x][y]
-        return self.f.add(x, y)
+    def fd(self, mA, mBs, mC, xs):
+        N = self.N
+        key = (mA % N, tuple(m % N for m in mBs), mC % N, tuple(xs))
+        v = self._fd.get(key)
+        if v is None:
+            v = _fd_vec(self, key[0], key[1], key[2], key[3])
+            self._fd[key] = v
+        return v
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.negt[y])
+    def binom(self, ma, mb):
+        return _binom_vec(self, ma, mb)
 
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self.E[(self.L[x] + self.L[y]) % self.N]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroInverse()
-        return self.E[-self.L[x] % self.N]
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-
-def _kit(f: FieldTable) -> _Kit:
-    kit = getattr(f, "_hyperff_kit", None)
-    if kit is None:
-        kit = _Kit(f)
-        f._hyperff_kit = kit
-    return kit
+    def mono(self, pairs):
+        return _mono_exp(self, pairs)
 
 
 # -- group-ring vector helpers --------------------------------------------------
@@ -93,84 +85,104 @@ def _conv(a: list[int], b, N: int) -> list[int]:
     return out
 
 
-def _rot(vec, e: int, N: int) -> list[int]:
+def _addv(out: list[int], vec, e: int | None, scale: int = 1) -> None:
+    """out += scale * zeta^e * vec; no-op when the monomial prefactor is zero."""
+    if e is None:
+        return
+    N = len(out)
     e %= N
-    if e == 0:
-        return list(vec)
-    return [vec[(i - e) % N] for i in range(N)]
+    for i, v in enumerate(vec):
+        if v:
+            out[(i + e) % N] += scale * v
 
 
-def _to_cyc(N: int, vec) -> CycInt:
-    return cyclo.from_coeffs(N, vec)
+def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
+    """out += scale * zeta^e; no-op when the monomial is zero."""
+    if e is not None:
+        out[e % len(out)] += scale
 
 
-def _jacobi_vec(kit: _Kit, ma: int, mb: int) -> list[int]:
-    N, L, one_minus = kit.N, kit.L, kit.one_minus
+def _mono_exp(ev: _Ev, pairs) -> int | None:
+    """Exponent of a product of character values chi_m(x); None if any x is 0."""
+    e = 0
+    for m, x in pairs:
+        if x == 0:
+            return None
+        e += (m % ev.N) * ev.L[x]
+    return e
+
+
+# -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
+
+
+def _jacobi_vec(ev: _Ev, ma: int, mb: int) -> list[int]:
+    N, Z = ev.N, ev.Z
     out = [0] * N
     ma %= N
     mb %= N
-    for u in range(2, kit.q):
-        out[(ma * L[u] + mb * L[one_minus[u]]) % N] += 1
+    for i in range(1, N):  # u = 0 and u = 1 contribute chi(0) = 0
+        out[(ma * i + mb * Z[i]) % N] += 1
     return out
 
 
-def _binom_vec(kit: _Kit, ma: int, mb: int) -> tuple[int, ...]:
-    key = (ma % kit.N, mb % kit.N)
-    v = kit.binoms.get(key)
+def _binom_vec(ev: _Ev, ma: int, mb: int) -> tuple[int, ...]:
+    key = (ma % ev.N, mb % ev.N)
+    v = ev.binoms.get(key)
     if v is None:
         ma, mb = key
-        v = tuple(_rot(_jacobi_vec(kit, ma, -mb), mb * kit.L[kit.neg1], kit.N))
-        kit.binoms[key] = v
+        out = [0] * ev.N
+        _addv(out, _jacobi_vec(ev, ma, -mb), mb * ev.f.log_neg1)
+        v = ev.binoms[key] = tuple(out)
     return v
 
 
-def _fd_vec(kit: _Kit, mA: int, mBs, mC: int, xs) -> list[int]:
+def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
     """F_D as a group-ring vector.  n=0 is the empty instance, which the
     character-sum expression pins to {A choose C}."""
-    N, L, q = kit.N, kit.L, kit.q
+    N, Z = ev.N, ev.Z
     if len(mBs) == 0:
-        return list(_binom_vec(kit, mA, mC))
+        return list(_binom_vec(ev, mA, mC))
     out = [0] * N
     if any(x == 0 for x in xs):
         return out
     mA %= N
     mAC = (mC - mA) % N
-    mBneg = [-m % N for m in mBs]
-    one_minus = kit.one_minus
-    e0 = (mA + mC) * L[kit.neg1]
-    xlogs = [L[x] for x in xs]
-    E = kit.E
-    for u in range(2, q):
-        lu = L[u]
-        e = e0 + mA * lu + mAC * L[one_minus[u]]
-        skip = False
-        for mb, lx in zip(mBneg, xlogs):
-            w = E[(lx + lu) % N]  # x_j * u, never 0 here
-            if w == 1:
-                skip = True
+    e0 = (mA + mC) * ev.f.log_neg1
+    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    for i in range(1, N):
+        e = e0 + mA * i + mAC * Z[i]
+        for mb, lx in slots:
+            z = Z[(lx + i) % N]  # log(1 - x_j u); -1 where x_j u = 1
+            if z < 0:
                 break
-            e += mb * L[one_minus[w]]
-        if not skip:
+            e += mb * z
+        else:
             out[e % N] += 1
     return out
 
 
-def _charsum_vec(kit: _Kit, mA: int, mBs, mC: int, xs) -> list[int]:
-    N, L = kit.N, kit.L
+def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
+    out = [0] * ev.N
+    if x != 0:
+        for ch in range(ev.N):
+            _addv(out, _binom_vec(ev, ma + ch, mb + ch), ch * ev.L[x])
+    return out
+
+
+def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
+    N, L = ev.N, ev.L
     out = [0] * N
     if any(x == 0 for x in xs):
         return out
     xlogs = [L[x] for x in xs]
     for chs in iproduct(range(N), repeat=len(mBs)):
         s = sum(chs)
-        term = list(_binom_vec(kit, mA + s, mC + s))
+        term = list(_binom_vec(ev, mA + s, mC + s))
         e = 0
         for mb, ch, lx in zip(mBs, chs, xlogs):
-            term = _conv(term, _binom_vec(kit, mb + ch, ch), N)
+            term = _conv(term, _binom_vec(ev, mb + ch, ch), N)
             e += ch * lx
-        vec = _rot(term, e, N)
-        for i in range(N):
-            out[i] += vec[i]
+        _addv(out, term, e)
     return out
 
 
@@ -231,60 +243,48 @@ def _same_field(*chars: Char) -> FieldTable:
 
 
 def jacobi(chi: Char, lam: Char) -> CycInt:
-    f = _same_field(chi, lam)
-    kit = _kit(f)
-    return _to_cyc(kit.N, _jacobi_vec(kit, chi.m, lam.m))
+    ev = _Ev(_same_field(chi, lam))
+    return cyclo.from_coeffs(ev.N, _jacobi_vec(ev, chi.m, lam.m))
 
 
 def binom(A: Char, B: Char) -> CycInt:
-    f = _same_field(A, B)
-    kit = _kit(f)
-    return _to_cyc(kit.N, _binom_vec(kit, A.m, B.m))
+    ev = _Ev(_same_field(A, B))
+    return cyclo.from_coeffs(ev.N, _binom_vec(ev, A.m, B.m))
 
 
 def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"):
     """2F1(A,B;C|x) = F_D^(1)(B;A;C|x).  normalization="greene" returns the
     1/q-rescaled value as an exact (CycInt, q) numerator/denominator pair."""
-    f = _same_field(A, B, C)
-    kit = _kit(f)
-    val = _to_cyc(kit.N, _fd_vec(kit, B.m, (A.m,), C.m, (x,)))
+    ev = _Ev(_same_field(A, B, C))
+    val = cyclo.from_coeffs(ev.N, _fd_vec(ev, B.m, (A.m,), C.m, (x,)))
     if normalization == "unscaled":
         return val
     if normalization == "greene":
-        return (val, f.q)
+        return (val, ev.q)
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
 def appell_f1(A: Char, B: Char, B2: Char, C: Char, x: int, y: int) -> CycInt:
-    f = _same_field(A, B, B2, C)
-    kit = _kit(f)
-    return _to_cyc(kit.N, _fd_vec(kit, A.m, (B.m, B2.m), C.m, (x, y)))
+    ev = _Ev(_same_field(A, B, B2, C))
+    return cyclo.from_coeffs(ev.N, _fd_vec(ev, A.m, (B.m, B2.m), C.m, (x, y)))
 
 
 def lauricella_def(inst: FdInstance) -> CycInt:
-    kit = _kit(inst.field)
-    return _to_cyc(kit.N, _fd_vec(kit, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x))
+    ev = _Ev(inst.field)
+    return cyclo.from_coeffs(ev.N, _fd_vec(ev, inst.A.m, [c.m for c in inst.B],
+                                           inst.C.m, inst.x))
 
 
 def lauricella_charsum(inst: FdInstance) -> CycInt:
-    kit = _kit(inst.field)
-    raw = _charsum_vec(kit, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x)
-    return cyclo.div_exact(_to_cyc(kit.N, raw), kit.N ** inst.n)
+    ev = _Ev(inst.field)
+    raw = _charsum_vec(ev, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x)
+    return cyclo.div_exact(cyclo.from_coeffs(ev.N, raw), ev.N ** inst.n)
 
 
 def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
     """sum over all chi of {A chi choose B chi} chi(x), by direct summation."""
-    f = _same_field(A, B)
-    kit = _kit(f)
-    N = kit.N
-    out = [0] * N
-    if x != 0:
-        lx = kit.L[x]
-        for ch in range(N):
-            vec = _rot(_binom_vec(kit, A.m + ch, B.m + ch), ch * lx, N)
-            for i in range(N):
-                out[i] += vec[i]
-    return _to_cyc(N, out)
+    ev = _Ev(_same_field(A, B))
+    return cyclo.from_coeffs(ev.N, _line_vec(ev, A.m, B.m, x))
 
 
 # -- generating-function sums ------------------------------------------------------
@@ -312,107 +312,87 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 #         + [t = -1] (q-1) eps(x_1..x_n) sum_y C(y) prod_j B_j^-1(1-x_j y)
 
 
-def _mono_exp(kit: _Kit, pairs) -> int | None:
-    """Exponent of a product of character values chi_m(x); None if any x is 0."""
-    e = 0
-    for m, x in pairs:
-        if x == 0:
-            return None
-        e += (m % kit.N) * kit.L[x]
-    return e
-
-
-def _genfn_lhs_vec(kit: _Kit, mA, mBs, mC, xs, t, variant) -> list[int]:
-    N, L = kit.N, kit.L
+def _genfn_lhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
+    N = ev.N
     out = [0] * N
     if t == 0:
         return out  # every summand carries theta(0) = 0
-    lt = L[t]
+    lt = ev.L[t]
     for th in range(N):
         if variant == "T41":
-            term = _conv(_binom_vec(kit, mA - mC + th, th),
-                         _fd_vec(kit, mA + th, mBs, mC, xs), N)
+            term = _conv(_binom_vec(ev, mA - mC + th, th),
+                         _fd_vec(ev, mA + th, mBs, mC, xs), N)
         elif variant == "T42":
-            term = _conv(_binom_vec(kit, mBs[-1] + th, th),
-                         _fd_vec(kit, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
+            term = _conv(_binom_vec(ev, mBs[-1] + th, th),
+                         _fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
         else:
-            term = _conv(_binom_vec(kit, mA - mC + th, th),
-                         _fd_vec(kit, mA, mBs, mC - th, xs), N)
-        vec = _rot(term, th * lt, N)
-        for i in range(N):
-            out[i] += vec[i]
+            term = _conv(_binom_vec(ev, mA - mC + th, th),
+                         _fd_vec(ev, mA, mBs, mC - th, xs), N)
+        _addv(out, term, th * lt)
     return out
 
 
-def _genfn_rhs_vec(kit: _Kit, mA, mBs, mC, xs, t, variant) -> list[int]:
-    N, q = kit.N, kit.q
+def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
+    f, N, q = ev.f, ev.N, ev.q
     out = [0] * N
 
-    def add_scaled(vec, e, scale):
-        e %= N
-        for i, v in enumerate(vec):
-            if v:
-                out[(i + e) % N] += scale * v
-
     if variant == "T41":
-        if t != 0 and kit.one_minus[t] != 0:  # eps(t), and chi_A(1-t) kills t = 1
-            inv1t = kit.inv(kit.one_minus[t])
-            v = _fd_vec(kit, mA, mBs, mC, [kit.mul(x, inv1t) for x in xs])
-            add_scaled(v, _mono_exp(kit, [(-mA, kit.one_minus[t])]), q - 1)
-        e = _mono_exp(kit, [(mC - mA, kit.negt[t]),
-                            *((-mb, kit.one_minus[x]) for mb, x in zip(mBs, xs))])
-        if e is not None and all(x != 0 for x in xs):
-            out[e % N] -= q - 1
+        if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
+            inv1t = f.inv(f.sub(1, t))
+            v = _fd_vec(ev, mA, mBs, mC, [f.mul(x, inv1t) for x in xs])
+            _addv(out, v, _mono_exp(ev, [(-mA, f.sub(1, t))]), q - 1)
+        e = _mono_exp(ev, [(mC - mA, f.neg(t)),
+                           *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+        if all(x != 0 for x in xs):
+            _addm(out, e, -(q - 1))
         return out
 
     if variant == "T42":
         xn = xs[-1]
         if t != 0 and t != 1:
-            v = _fd_vec(kit, mA, mBs, mC, (*xs[:-1], kit.div(xn, kit.one_minus[t])))
-            add_scaled(v, _mono_exp(kit, [(-mBs[-1], kit.one_minus[t])]), q - 1)
-        e = _mono_exp(kit, [(-mBs[-1], kit.negt[t]),
-                            (sum(mBs[:-1]) - mC, xn),
-                            (mC - mA, kit.one_minus[xn]),
-                            *((-mb, kit.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
-        if e is not None and all(x != 0 for x in xs[:-1]):
-            out[e % N] -= q - 1
+            v = _fd_vec(ev, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))))
+            _addv(out, v, _mono_exp(ev, [(-mBs[-1], f.sub(1, t))]), q - 1)
+        e = _mono_exp(ev, [(-mBs[-1], f.neg(t)),
+                           (sum(mBs[:-1]) - mC, xn),
+                           (mC - mA, f.sub(1, xn)),
+                           *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
+        if all(x != 0 for x in xs[:-1]):
+            _addm(out, e, -(q - 1))
         if t == 1 and xn != 0:
-            v = _fd_vec(kit, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1])
-            add_scaled(v, _mono_exp(kit, [(-mBs[-1], kit.negt[xn])]), q - 1)
+            v = _fd_vec(ev, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1])
+            _addv(out, v, _mono_exp(ev, [(-mBs[-1], f.neg(xn))]), q - 1)
         return out
 
     # T43
-    onept = kit.add(1, t)
+    onept = f.add(1, t)
     if t != 0 and onept != 0:
-        v = _fd_vec(kit, mA, mBs, mC, [kit.mul(x, onept) for x in xs])
-        add_scaled(v, _mono_exp(kit, [(mC, onept)]), q - 1)
-    e = _mono_exp(kit, [(mC - mA, kit.negt[t]),
-                        *((-mb, kit.one_minus[x]) for mb, x in zip(mBs, xs))])
-    if e is not None and all(x != 0 for x in xs):
-        out[e % N] -= q - 1
-    if t == kit.neg1 and all(x != 0 for x in xs):
+        v = _fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs])
+        _addv(out, v, _mono_exp(ev, [(mC, onept)]), q - 1)
+    e = _mono_exp(ev, [(mC - mA, f.neg(t)),
+                       *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+    if all(x != 0 for x in xs):
+        _addm(out, e, -(q - 1))
+    if t == ev.neg1 and all(x != 0 for x in xs):
         for y in range(1, q):
-            e = _mono_exp(kit, [(mC, y),
-                                *((-mb, kit.one_minus[kit.mul(x, y)])
-                                  for mb, x in zip(mBs, xs))])
-            if e is not None:
-                out[e % N] += q - 1
+            e = _mono_exp(ev, [(mC, y),
+                               *((-mb, f.sub(1, f.mul(x, y))) for mb, x in zip(mBs, xs))])
+            _addm(out, e, q - 1)
     return out
 
 
 def genfn_lhs(g: GenFnInstance) -> CycInt:
     if g.variant == "T41" and g.t == 1:
         raise DomainViolation("T41 requires t != 1")
-    kit = _kit(g.base.field)
+    ev = _Ev(g.base.field)
     b = g.base
-    return _to_cyc(kit.N, _genfn_lhs_vec(kit, b.A.m, tuple(c.m for c in b.B), b.C.m,
-                                         b.x, g.t, g.variant))
+    return cyclo.from_coeffs(ev.N, _genfn_lhs_vec(ev, b.A.m, tuple(c.m for c in b.B),
+                                                  b.C.m, b.x, g.t, g.variant))
 
 
 def genfn_rhs(g: GenFnInstance) -> CycInt:
     if g.variant == "T41" and g.t == 1:
         raise DomainViolation("T41 requires t != 1")
-    kit = _kit(g.base.field)
+    ev = _Ev(g.base.field)
     b = g.base
-    return _to_cyc(kit.N, _genfn_rhs_vec(kit, b.A.m, tuple(c.m for c in b.B), b.C.m,
-                                         b.x, g.t, g.variant))
+    return cyclo.from_coeffs(ev.N, _genfn_rhs_vec(ev, b.A.m, tuple(c.m for c in b.B),
+                                                  b.C.m, b.x, g.t, g.variant))

@@ -12,9 +12,15 @@ and decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
 Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
+Sides are evaluated against one context per field order (hyperff._Ev: the
+field's tables plus binomial and F_D memos), kept for the life of the
+process so every report on that field shares its memos.
+
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
-  sampled    -- `count` seeded-uniform draws that satisfy the constraints;
+  sampled    -- `count` seeded-uniform draws that satisfy the constraints
+                (gives up with SamplingGaveUp, naming the constraint that
+                rejected most draws, after 1000 * count + 1000 draws);
   boundary   -- the complement: only constraint-violating assignments, where
                 mismatches and evaluation errors are recorded, not failed on.
 
@@ -32,8 +38,8 @@ from typing import Callable
 
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
-from .errors import CapExceeded, FFHyperError, UnknownIdentity
-from .ff_core import FieldTable
+from .errors import CapExceeded, FFHyperError, SamplingGaveUp, TooLarge, UnknownIdentity
+from .hyperff import _addm, _addv, _Ev
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_SAMPLES = 500
@@ -44,73 +50,21 @@ GATE_EXHAUSTIVE_QS = (3, 4, 5)
 GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 
 
-# -- evaluation context -------------------------------------------------------------
+# -- evaluation contexts ------------------------------------------------------------
+
+_EVS: dict[int, _Ev] = {}
 
 
-class _Ev:
-    """Per-field scratch: kit tables plus an F_D vector memo."""
-
-    def __init__(self, f: FieldTable):
-        self.f = f
-        self.kit = hyperff._kit(f)
-        self.N = f.n_chars
-        self.q = f.q
-        self.neg1 = self.kit.neg1
-        self._fd: dict = {}
-
-    def fd(self, mA, mBs, mC, xs):
-        N = self.N
-        key = (mA % N, tuple(m % N for m in mBs), mC % N, tuple(xs))
-        v = self._fd.get(key)
-        if v is None:
-            v = hyperff._fd_vec(self.kit, key[0], key[1], key[2], key[3])
-            self._fd[key] = v
-        return v
-
-    def binom(self, ma, mb):
-        return hyperff._binom_vec(self.kit, ma, mb)
-
-    def mono(self, pairs):
-        return hyperff._mono_exp(self.kit, pairs)
-
-
-_EVS: dict[FieldTable, _Ev] = {}
-
-
-def _ev_for(f: FieldTable) -> _Ev:
-    ev = _EVS.get(f)
+def _ev_for_q(q: int, max_q: int | None = None) -> _Ev:
+    """The context of F_q, built on first use; `max_q` is checked on every call."""
+    p, k = ff_core.split_prime_power(q)
+    cap = max_q or ff_core.DEFAULT_MAX_Q
+    if q > cap:
+        raise TooLarge(q, cap)
+    ev = _EVS.get(q)
     if ev is None:
-        ev = _Ev(f)
-        _EVS[f] = ev
+        ev = _EVS[q] = _Ev(ff_core.build_field(p, k, cap))
     return ev
-
-
-_FIELDS: dict[tuple[int, int | None], FieldTable] = {}
-
-
-def _field_for_q(q: int, max_q: int | None = None) -> FieldTable:
-    f = _FIELDS.get((q, max_q))
-    if f is None:
-        p, k = ff_core.split_prime_power(q)
-        f = ff_core.build_field(p, k, max_q) if max_q else ff_core.build_field(p, k)
-        _FIELDS[(q, max_q)] = f
-    return f
-
-
-def _addv(out: list[int], vec, e: int | None, scale: int = 1) -> None:
-    """out += scale * zeta^e * vec; no-op when the monomial prefactor is zero."""
-    if e is None:
-        return
-    N = len(out)
-    e %= N
-    for i, v in enumerate(vec):
-        if v:
-            out[(i + e) % N] += scale * v
-
-
-def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
-    if e is not None:
-        out[e % len(out)] += scale
 
 
 # -- identity descriptors -------------------------------------------------------------
@@ -122,7 +76,6 @@ class IdentityDescriptor:
     note: str
     n_min: int
     n_max: int | None  # None = no intrinsic bound
-    heavy: bool  # inner character/theta loop: exhaustive n should stay <= 2
     chars: Callable[[int], int]
     points: Callable[[int], int]
     extras: Callable[[int], int]
@@ -141,11 +94,11 @@ class IdentityDescriptor:
 _REGISTRY: dict[str, IdentityDescriptor] = {}
 
 
-def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None, heavy=False,
+def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
          chars=lambda n: n + 2, points=lambda n: n, extras=lambda n: 0,
          constraints=(), den=lambda q, n: 1):
     _REGISTRY[id] = IdentityDescriptor(
-        id=id, note=note, n_min=n_min, n_max=n_max, heavy=heavy,
+        id=id, note=note, n_min=n_min, n_max=n_max,
         chars=chars, points=points, extras=extras,
         constraints=tuple(constraints), lhs=lhs, rhs=rhs, den=den)
 
@@ -181,38 +134,38 @@ def _t21_lhs(ev, n, cs, es):
 
 
 def _t21_rhs(ev, n, cs, es):
-    return hyperff._charsum_vec(ev.kit, cs[0], cs[2:], cs[1], es)
+    return hyperff._charsum_vec(ev, cs[0], cs[2:], cs[1], es)
 
 
 _reg("t2.1", "series form of F_D agrees with its full character-sum expansion",
-     _t21_lhs, _t21_rhs, heavy=True, den=lambda q, n: (q - 1) ** n)
+     _t21_lhs, _t21_rhs, den=lambda q, n: (q - 1) ** n)
 
 
 def _ffbeta_lhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     x1, x2 = es[0], es[1]
-    N, kit = ev.N, ev.kit
+    f, N, Z = ev.f, ev.N, ev.Z
     out = [0] * N
     if x1 == 0 or x2 == 0:
         return out
+    E, l1, l2 = f.exp_table, ev.L[x1], ev.L[x2]
     merged = (Bs[0] + Bs[1],) + Bs[2:]
-    for u in range(2, ev.q):  # chi(0) = 0 kills u = 0 and u = 1
-        e = Bs[0] * kit.L[u] + Bs[1] * kit.L[kit.one_minus[u]]
-        xm = kit.add(kit.mul(u, x1), kit.mul(kit.one_minus[u], x2))
-        _addv(out, ev.fd(A, merged, C, (xm,) + es[2:]), e)
+    for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
+        xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
+        _addv(out, ev.fd(A, merged, C, (xm,) + es[2:]), Bs[0] * i + Bs[1] * Z[i])
     return out
 
 
 def _ffbeta_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     x1, x2 = es[0], es[1]
-    N, kit = ev.N, ev.kit
+    f, N = ev.f, ev.N
     m12 = -(Bs[0] + Bs[1])
     out = hyperff._conv(ev.binom(m12, -Bs[0]), ev.fd(A, Bs, C, es), N)
     if x1 != 0 and x2 != 0:
-        e = ev.mono([(Bs[0], ev.neg1), (m12, kit.sub(x1, x2))])
+        e = ev.mono([(Bs[0], ev.neg1), (m12, f.sub(x1, x2))])
         _addv(out, ev.fd(A + m12, Bs[2:], C + m12, es[2:]), e, -1)
-    e = ev.mono([(Bs[0], x2), (Bs[1], kit.negt[x1]), (m12, kit.sub(x2, x1))])
+    e = ev.mono([(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
     _addv(out, ev.fd(A, Bs[2:], C, es[2:]), e, -1)
     return out
 
@@ -232,7 +185,7 @@ def _ksum_rhs(ev, n, cs, es):
     N = ev.N
     out = [0] * N
     if xn != 0:
-        lx = ev.kit.L[xn]
+        lx = ev.L[xn]
         for ch in range(N):
             term = hyperff._conv(ev.binom(Bs[-1] + ch, ch),
                                  ev.fd(A + ch, Bs[:-1], C + ch, es[:-1]), N)
@@ -241,7 +194,7 @@ def _ksum_rhs(ev, n, cs, es):
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
-     _ksum_lhs, _ksum_rhs, heavy=True, den=lambda q, n: q - 1)
+     _ksum_lhs, _ksum_rhs, den=lambda q, n: q - 1)
 
 
 def _epsred_lhs(ev, n, cs, es):
@@ -252,12 +205,12 @@ def _epsred_lhs(ev, n, cs, es):
 def _epsred_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     out = [0] * N
     if xn != 0:
         _addv(out, ev.fd(A, Bs, C, es[:-1]), 0)
-    e = ev.mono([(sum(Bs) - C, xn), (C - A, kit.one_minus[xn]),
-                 *((-mb, kit.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
+    e = ev.mono([(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
+                 *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
                  *((0, x) for x in es[:-1])])
     _addm(out, e, -1)
     return out
@@ -275,16 +228,16 @@ def _ceqa_lhs(ev, n, cs, es):
 def _ceqa_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     out = [0] * N
-    e = ev.mono([*((-mb, kit.one_minus[x]) for mb, x in zip(Bs, es)),
+    e = ev.mono([*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
                  *((0, x) for x in es)])
     _addm(out, e, -1)
     if xn != 0:
-        inv = kit.inv(xn)
+        inv = f.inv(xn)
         e = ev.mono([(Bs[-1], ev.neg1), (-A, xn)])
         _addv(out, ev.fd(A, Bs[:-1], A - Bs[-1],
-                         tuple(kit.mul(x, inv) for x in es[:-1])), e)
+                         tuple(f.mul(x, inv) for x in es[:-1])), e)
     return out
 
 
@@ -293,19 +246,18 @@ _reg("t4.c-eq-a", "C = A evaluation: the last B-slot is shifted out of C",
 
 
 def _oneminus_lhs(ev, n, cs, es):
-    kit = ev.kit
-    if any(kit.one_minus[x] == 0 for x in es):
+    if 1 in es:
         return [0] * ev.N
     return ev.fd(cs[0], cs[2:], cs[1], es)
 
 
 def _oneminus_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     out = [0] * N
     e = ev.mono([(sum(Bs), ev.neg1), *((0, x) for x in es)])
     _addv(out, ev.fd(A, Bs, A + sum(Bs) - C,
-                     tuple(kit.one_minus[x] for x in es)), e)
+                     tuple(f.sub(1, x) for x in es)), e)
     return out
 
 
@@ -319,11 +271,11 @@ def _pfaff_lhs(ev, n, cs, es):
 
 def _pfaff_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     out = [0] * N
     e = ev.mono([(C, ev.neg1),
-                 *((-mb, kit.one_minus[x]) for mb, x in zip(Bs, es))])
-    args = tuple(kit.div(x, kit.sub(x, 1)) for x in es)
+                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
+    args = tuple(f.div(x, f.sub(x, 1)) for x in es)
     _addv(out, ev.fd(C - A, Bs, C, args), e)
     return out
 
@@ -333,21 +285,19 @@ _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial 
 
 
 def _lastpivot_lhs(ev, n, cs, es):
-    kit = ev.kit
-    xn = es[-1]
-    if any(kit.sub(xn, x) == 0 for x in es[:-1]):
+    if es[-1] in es[:-1]:
         return [0] * ev.N
     return ev.fd(cs[0], cs[2:], cs[1], es)
 
 
 def _lastpivot_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(-A, kit.one_minus[xn]), *((0, x) for x in es[:-1])])
-    d = kit.inv(kit.sub(xn, 1))
-    args = tuple(kit.mul(kit.sub(xn, x), d) for x in es[:-1]) + (kit.mul(xn, d),)
+    e = ev.mono([(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
+    d = f.inv(f.sub(xn, 1))
+    args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1]) + (f.mul(xn, d),)
     _addv(out, ev.fd(A, Bs[:-1] + (C - sum(Bs),), C, args), e)
     return out
 
@@ -358,24 +308,22 @@ _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
 
 def _c35_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    kit = ev.kit
-    xn = es[-1]
-    if any(kit.sub(xn, x) == 0 for x in es[:-1]):
+    if es[-1] in es[:-1]:
         return [0] * ev.N
     return ev.fd(A, Bs, sum(Bs), es)
 
 
 def _c35_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(-A, kit.one_minus[xn]), *((0, x) for x in es)])
-    d = kit.inv(kit.sub(xn, 1))
-    args = tuple(kit.mul(kit.sub(xn, x), d) for x in es[:-1])
+    e = ev.mono([(-A, f.sub(1, xn)), *((0, x) for x in es)])
+    d = f.inv(f.sub(xn, 1))
+    args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1])
     _addv(out, ev.fd(A, Bs[:-1], sum(Bs), args), e)
-    e = ev.mono([*((-mb, kit.negt[x]) for mb, x in zip(Bs, es)),
-                 *((0, kit.sub(xn, x)) for x in es[:-1])])
+    e = ev.mono([*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                 *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -386,22 +334,20 @@ _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a mo
 
 
 def _pivot2_lhs(ev, n, cs, es):
-    kit = ev.kit
-    xn = es[-1]
-    if any(kit.sub(xn, x) == 0 for x in es[:-1]):
+    if es[-1] in es[:-1]:
         return [0] * ev.N
     return ev.fd(cs[0], cs[2:], cs[1], es)
 
 
 def _pivot2_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(C, ev.neg1), (C - A - Bs[-1], kit.one_minus[xn]),
-                 *((-mb, kit.one_minus[x]) for mb, x in zip(Bs[:-1], es[:-1])),
+    e = ev.mono([(C, ev.neg1), (C - A - Bs[-1], f.sub(1, xn)),
+                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
                  *((0, x) for x in es[:-1])])
-    args = tuple(kit.div(kit.sub(xn, x), kit.one_minus[x]) for x in es[:-1]) + (xn,)
+    args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1]) + (xn,)
     _addv(out, ev.fd(C - A, Bs[:-1] + (C - sum(Bs),), C, args), e)
     return out
 
@@ -412,27 +358,25 @@ _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
 
 def _c37_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    kit = ev.kit
-    xn = es[-1]
-    if any(kit.sub(xn, x) == 0 for x in es[:-1]):
+    if es[-1] in es[:-1]:
         return [0] * ev.N
     return ev.fd(A, Bs, sum(Bs), es)
 
 
 def _c37_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     SB = sum(Bs)
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(SB, ev.neg1), (SB - Bs[-1] - A, kit.one_minus[xn]),
-                 *((-mb, kit.one_minus[x]) for mb, x in zip(Bs[:-1], es[:-1])),
+    e = ev.mono([(SB, ev.neg1), (SB - Bs[-1] - A, f.sub(1, xn)),
+                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
                  *((0, x) for x in es)])
-    args = tuple(kit.div(kit.sub(xn, x), kit.one_minus[x]) for x in es[:-1])
+    args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1])
     _addv(out, ev.fd(SB - A, Bs[:-1], SB, args), e)
-    e = ev.mono([(0, kit.sub(xn, 1)),
-                 *((-mb, kit.negt[x]) for mb, x in zip(Bs, es)),
-                 *((0, kit.sub(xn, x)) for x in es[:-1])])
+    e = ev.mono([(0, f.sub(xn, 1)),
+                 *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                 *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -462,7 +406,7 @@ def _evalxn1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     out = [0] * ev.N
     _addv(out, ev.fd(A, Bs[:-1], C - Bs[-1], es),
-          (Bs[-1] % ev.N) * ev.kit.L[ev.neg1])
+          (Bs[-1] % ev.N) * ev.f.log_neg1)
     return out
 
 
@@ -477,7 +421,7 @@ def _evalall1_lhs(ev, n, cs, es):
 def _evalall1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     out = [0] * ev.N
-    _addv(out, ev.binom(A, C - sum(Bs)), (sum(Bs) % ev.N) * ev.kit.L[ev.neg1])
+    _addv(out, ev.binom(A, C - sum(Bs)), (sum(Bs) % ev.N) * ev.f.log_neg1)
     return out
 
 
@@ -493,10 +437,10 @@ def _c62_lhs(ev, n, cs, es):
 def _c62_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     SB = sum(Bs)
     out = [0] * N
-    _addm(out, ev.mono([(0, x), (-SB, kit.one_minus[x])]), -1)
+    _addm(out, ev.mono([(0, x), (-SB, f.sub(1, x))]), -1)
     _addv(out, ev.binom(A, SB), ev.mono([(SB, ev.neg1), (-A, x)]))
     return out
 
@@ -514,13 +458,13 @@ def _c63_lhs(ev, n, cs, es):
 def _c63_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
-    kit, N = ev.kit, ev.N
+    f, N = ev.f, ev.N
     SB = sum(Bs)
     out = [0] * N
-    _addv(out, ev.binom(A, SB), ev.mono([(0, x), (-A, kit.one_minus[x])]))
-    _addm(out, ev.mono([(-SB, kit.negt[x])]), -1)
+    _addv(out, ev.binom(A, SB), ev.mono([(0, x), (-A, f.sub(1, x))]))
+    _addm(out, ev.mono([(-SB, f.neg(x))]), -1)
     if x == 1 and A % N == 0:
-        _addm(out, (SB % N) * kit.L[ev.neg1], ev.q - 1)
+        _addm(out, (SB % N) * ev.f.log_neg1, ev.q - 1)
     return out
 
 
@@ -531,23 +475,23 @@ _reg("t4.c63", "C = B_1..B_n with equal points: closed form plus delta at x = 1,
 
 def _gf_lhs(variant):
     def lhs(ev, n, cs, es):
-        return hyperff._genfn_lhs_vec(ev.kit, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
+        return hyperff._genfn_lhs_vec(ev, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
     return lhs
 
 
 def _gf_rhs(variant):
     def rhs(ev, n, cs, es):
-        return hyperff._genfn_rhs_vec(ev.kit, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
+        return hyperff._genfn_rhs_vec(ev, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
     return rhs
 
 
 _reg("t5.gf1", "generating function over the A-slot (t != 1)",
-     _gf_lhs("T41"), _gf_rhs("T41"), heavy=True, extras=lambda n: 1,
+     _gf_lhs("T41"), _gf_rhs("T41"), extras=lambda n: 1,
      constraints=(("t != 1", _c_t_ne_1),))
 _reg("t5.gf2", "generating function over the last B-slot, with a delta term at t = 1",
-     _gf_lhs("T42"), _gf_rhs("T42"), heavy=True, extras=lambda n: 1)
+     _gf_lhs("T42"), _gf_rhs("T42"), extras=lambda n: 1)
 _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t = 0",
-     _gf_lhs("T43"), _gf_rhs("T43"), heavy=True, extras=lambda n: 1)
+     _gf_lhs("T43"), _gf_rhs("T43"), extras=lambda n: 1)
 
 
 # binomial-coefficient facts; cs layout noted per entry, no point dependence on n
@@ -567,7 +511,7 @@ _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
 def _f3_rhs(ev, n, cs, es):
     A, B = cs
     out = [0] * ev.N
-    _addv(out, ev.binom(-B, -A), ((A + B) % ev.N) * ev.kit.L[ev.neg1])
+    _addv(out, ev.binom(-B, -A), ((A + B) % ev.N) * ev.f.log_neg1)
     return out
 
 
@@ -599,9 +543,9 @@ def _prod_rhs(ev, n, cs, es):
     N, q = ev.N, ev.q
     out = hyperff._conv(ev.binom(C, B), ev.binom(C - B, A - B), N)
     if A % N == 0:
-        _addm(out, (B % N) * ev.kit.L[ev.neg1], -(q - 1))
+        _addm(out, (B % N) * ev.f.log_neg1, -(q - 1))
     if (B - C) % N == 0:
-        _addm(out, ((A + B) % N) * ev.kit.L[ev.neg1], q - 1)
+        _addm(out, ((A + B) % N) * ev.f.log_neg1, q - 1)
     return out
 
 
@@ -610,20 +554,13 @@ _reg("p2.prod", "binomial product re-association with two delta corrections",
 
 
 def _binthm_lhs(ev, n, cs, es):
-    A, x = cs[0], es[0]
-    N = ev.N
-    out = [0] * N
-    if x != 0:
-        lx = ev.kit.L[x]
-        for ch in range(N):
-            _addv(out, ev.binom(A + ch, ch), ch * lx)
-    return out
+    return hyperff._line_vec(ev, cs[0], 0, es[0])
 
 
 def _binthm_rhs(ev, n, cs, es):
     A, x = cs[0], es[0]
     out = [0] * ev.N
-    _addm(out, ev.mono([(0, x), (-A, ev.kit.one_minus[x])]), ev.q - 1)
+    _addm(out, ev.mono([(0, x), (-A, ev.f.sub(1, x))]), ev.q - 1)
     return out
 
 
@@ -633,20 +570,13 @@ _reg("p2.binthm", "line sum of {A chi choose chi} chi(x) equals (q-1) A^-1(1-x) 
 
 
 def _linesum_lhs(ev, n, cs, es):
-    A, B, x = cs[0], cs[1], es[0]
-    N = ev.N
-    out = [0] * N
-    if x != 0:
-        lx = ev.kit.L[x]
-        for ch in range(N):
-            _addv(out, ev.binom(A + ch, B + ch), ch * lx)
-    return out
+    return hyperff._line_vec(ev, cs[0], cs[1], es[0])
 
 
 def _linesum_rhs(ev, n, cs, es):
     A, B, x = cs[0], cs[1], es[0]
     out = [0] * ev.N
-    _addm(out, ev.mono([(-B, x), (B - A, ev.kit.one_minus[x])]), ev.q - 1)
+    _addm(out, ev.mono([(-B, x), (B - A, ev.f.sub(1, x))]), ev.q - 1)
     return out
 
 
@@ -724,19 +654,22 @@ def _fail_entry(desc, ev, n, cs, es, lv, rv) -> dict:
             "lhs": cyclo.render(lc), "rhs": cyclo.render(rc)}
 
 
-def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
+def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
              cap: int, corrupt_rhs: bool) -> TheoremReport:
     t0 = perf_counter()
-    ev = _ev_for(f)
-    N, q = f.n_chars, f.q
+    N, q = ev.N, ev.q
     nc = desc.chars(n)
     ne = desc.points(n) + desc.extras(n)
     tested = excluded = 0
     failures: list[dict] = []
     mismatches = undefined = None
 
-    def passes(cs, es):
-        return all(fn(ev, n, cs, es) for _, fn in desc.constraints)
+    def violated(cs, es):
+        """Name of the first constraint the assignment violates, or None."""
+        for name, fn in desc.constraints:
+            if not fn(ev, n, cs, es):
+                return name
+        return None
 
     if mode == "exhaustive":
         size = desc.slot_space(q, n)
@@ -744,7 +677,7 @@ def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
             raise CapExceeded(size, cap)
         for cs in itertools.product(range(N), repeat=nc):
             for es in itertools.product(range(q), repeat=ne):
-                if not passes(cs, es):
+                if violated(cs, es) is not None:
                     excluded += 1
                     continue
                 tested += 1
@@ -754,14 +687,16 @@ def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
     elif mode == "sampled":
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         attempts_cap = count * 1000 + 1000
-        attempts = 0
+        rejected: dict[str, int] = {}
         while tested < count:
-            attempts += 1
-            if attempts > attempts_cap:
-                raise CapExceeded(attempts, attempts_cap)
+            if tested + excluded >= attempts_cap:
+                worst = max(rejected, key=rejected.get)
+                raise SamplingGaveUp(attempts_cap, tested, count, worst, rejected[worst])
             cs = tuple(rng.randrange(N) for _ in range(nc))
             es = tuple(rng.randrange(q) for _ in range(ne))
-            if not passes(cs, es):
+            name = violated(cs, es)
+            if name is not None:
+                rejected[name] = rejected.get(name, 0) + 1
                 excluded += 1
                 continue
             tested += 1
@@ -777,7 +712,7 @@ def _run_one(desc, f: FieldTable, n: int, mode: str, seed: int, count: int,
             raise CapExceeded(size, cap)
         for cs in itertools.product(range(N), repeat=nc):
             for es in itertools.product(range(q), repeat=ne):
-                if passes(cs, es):
+                if violated(cs, es) is None:
                     excluded += 1
                     continue
                 try:
@@ -808,11 +743,11 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
         n_list = (desc.n_min,)
     reports = []
     for q in q_list:
-        f = _field_for_q(q, max_q)
+        ev = _ev_for_q(q, max_q)
         for n in n_list:
             if not desc.allows_n(n):
                 raise ValueError(f"identity {ident} does not allow n={n}")
-            reports.append(_run_one(desc, f, n, mode, seed, count, cap, corrupt_rhs))
+            reports.append(_run_one(desc, ev, n, mode, seed, count, cap, corrupt_rhs))
     return reports
 
 
@@ -820,9 +755,8 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     """Re-run one stored assignment; returns (lhs, rhs, equal?)."""
     desc = get_identity(ident)
     q, n = int(assignment["q"]), int(assignment["n"])
-    f = _field_for_q(q)
-    ev = _ev_for(f)
-    cs = tuple(int(c) % f.n_chars for c in assignment["chars"])
+    ev = _ev_for_q(q)
+    cs = tuple(int(c) % ev.N for c in assignment["chars"])
     es = tuple(int(e) % q for e in assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.points(n) + desc.extras(n):
         raise ValueError("assignment shape does not match identity arity")

@@ -107,6 +107,16 @@ def test_verify_json_deterministic(capsys):
     assert out_a == out_b
 
 
+def test_sampling_that_gives_up_names_the_constraint(capsys):
+    # at q = 2 the only character is eps, so every draw violates B1 != eps
+    code, _, err = run(capsys, "verify", "--id", "t3.ff-beta", "--q", "2",
+                       "--n", "2", "--mode", "sampled", "--count", "1")
+    assert code == 3
+    assert "sampling gave up after 2000 attempts" in err
+    assert "0 of 1 draws accepted" in err and "'B1 != eps'" in err
+    assert "exhaustive domain" not in err
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run(capsys, "verify", "--id", "p2.linesum", "--q", "5",
                        "--format", "text")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,23 +98,55 @@ def test_split_prime_power():
             ff_core.split_prime_power(bad)
 
 
-def test_optional_full_tables():
-    f = ff_core.build_field(3, 2)
-    t = f.add_table
-    m = f.mul_table
-    for x in range(9):
-        for y in range(9):
-            assert t[x][y] == f.add(x, y)
-            assert m[x][y] == f.mul(x, y)
-    big = ff_core.build_field(3, 6)  # 729 > table cap, field itself is fine
-    with pytest.raises(errors.TooLarge):
-        big.add_table
+# -- the digit-wise arithmetic that the Zech-log path replaced, as oracle -------
 
 
-def test_module_level_delegates():
-    f = FIELDS[2]
-    assert ff_core.add(f, 2, 4) == f.add(2, 4)
-    assert ff_core.mul(f, 2, 4) == f.mul(2, 4)
-    assert ff_core.neg(f, 2) == f.neg(2)
-    assert ff_core.inv(f, 2) == f.inv(2)
-    assert ff_core.dlog(f, 4) == f.dlog(4)
+def _digits(f, x):
+    return [(x // f.p**i) % f.p for i in range(f.k)]
+
+
+def _index(f, dv):
+    return sum(d * f.p**i for i, d in enumerate(dv))
+
+
+def oracle_add(f, x, y):
+    return _index(f, [(a + b) % f.p for a, b in zip(_digits(f, x), _digits(f, y))])
+
+
+def oracle_neg(f, x):
+    return _index(f, [(-a) % f.p for a in _digits(f, x)])
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(set(ff_core._prime_factors(q))) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + [243, 256])
+def test_zech_arithmetic_matches_digit_oracle_exhaustive(q):
+    f = ff_core.build_field(*ff_core.split_prime_power(q))
+    neg = [oracle_neg(f, x) for x in range(q)]
+    for x in range(q):
+        assert f.neg(x) == neg[x], (q, x)
+        for y in range(q):
+            s = oracle_add(f, x, y)
+            assert f.add(x, y) == s, (q, x, y)
+            assert f.sub(s, y) == x, (q, x, y)
+
+
+@pytest.mark.parametrize("q", [1024, 2187, 4096])
+def test_zech_arithmetic_matches_digit_oracle_sampled(q):
+    f = ff_core.build_field(*ff_core.split_prime_power(q))
+    rng = random.Random(q)
+    for _ in range(20_000):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert f.add(x, y) == oracle_add(f, x, y), (q, x, y)
+        assert f.sub(x, y) == oracle_add(f, x, oracle_neg(f, y)), (q, x, y)
+        assert f.neg(x) == oracle_neg(f, x), (q, x)
+
+
+def test_zech_table():
+    for f in FIELDS:
+        assert f.zech_table[0] == -1  # 1 - g^0 = 0 has no log
+        assert f.exp_table[f.log_neg1] == oracle_neg(f, 1)
+        for i in range(1, f.n_chars):
+            one_minus = oracle_add(f, 1, oracle_neg(f, f.exp_table[i]))
+            assert f.exp_table[f.zech_table[i]] == one_minus

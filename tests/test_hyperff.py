@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from test_ff_core import oracle_add, oracle_neg
 
 from ffhyper import charset, cyclo, errors, ff_core, hyperff
 
@@ -39,6 +41,64 @@ def test_binom_oracles():
             lhs = hyperff.binom(_c(F5, ma), _c(F5, mb))
             rhs = hyperff.binom(_c(F5, ma), _c(F5, ma - mb))
             assert lhs == rhs
+
+
+# -- literal sums over u with digit-wise field arithmetic, as oracle --------------
+
+
+def _one_minus(f, x):
+    return oracle_add(f, 1, oracle_neg(f, x))
+
+
+def literal_jacobi(chi, lam):
+    f = chi.field
+    total = cyclo.zero(f.n_chars)
+    for u in range(f.q):
+        total = total + chi(u) * lam(_one_minus(f, u))
+    return total
+
+
+def literal_fd(inst):
+    """eps(x_1..x_n) AC(-1) sum_u A(u) (A^-1 C)(1-u) prod_j B_j^-1(1-x_j u)."""
+    f, A, C = inst.field, inst.A, inst.C
+    total = cyclo.zero(f.n_chars)
+    for u in range(f.q):
+        term = A(u) * (~A * C)(_one_minus(f, u))
+        for b, x in zip(inst.B, inst.x):
+            term = term * (~b)(_one_minus(f, f.mul(x, u)))
+        total = total + term
+    x_prod = 1
+    for x in inst.x:
+        x_prod = f.mul(x_prod, x)
+    return _c(f, 0)(x_prod) * (A * C)(oracle_neg(f, 1)) * total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sums_match_literal_oracle_exhaustive(q):
+    f = _field(q)
+    N = f.n_chars
+    for ma, mb in itertools.product(range(N), repeat=2):
+        assert hyperff.jacobi(_c(f, ma), _c(f, mb)) == \
+            literal_jacobi(_c(f, ma), _c(f, mb)), (q, ma, mb)
+    for n in (1, 2):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            A, C, Bs = _c(f, ms[0]), _c(f, ms[1]), tuple(_c(f, m) for m in ms[2:])
+            for xs in itertools.product(range(q), repeat=n):
+                inst = hyperff.FdInstance(A, Bs, C, xs)
+                assert hyperff.lauricella_def(inst) == literal_fd(inst), inst
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 27, 64])
+def test_sums_match_literal_oracle_sampled(q):
+    f = _field(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        chi, lam = _c(f, rng.randrange(f.n_chars)), _c(f, rng.randrange(f.n_chars))
+        assert hyperff.jacobi(chi, lam) == literal_jacobi(chi, lam), (chi, lam)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            inst = _random_instance(rng, f, n)
+            assert hyperff.lauricella_def(inst) == literal_fd(inst), inst
 
 
 def _random_instance(rng, f, n):
