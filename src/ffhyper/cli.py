@@ -58,6 +58,15 @@ def _print_value(c, q: int | None = None) -> None:
     print(f"~ {z.real:.6f}{z.imag:+.6f}j")
 
 
+def _values(args, flag: str, count: int) -> list[int]:
+    """The `count` values of a list flag; any other number is a usage error."""
+    vals = getattr(args, flag)
+    if len(vals) != count:
+        raise ValueError(f"eval {args.target}: --{flag} takes {count} "
+                         f"value{'s' if count > 1 else ''}, got {len(vals)}")
+    return vals
+
+
 def _cmd_eval(args) -> int:
     f = _field(args.q)
 
@@ -68,17 +77,19 @@ def _cmd_eval(args) -> int:
     if t == "jacobi":
         _print_value(hyperff.jacobi(ch(args.chi), ch(args.lam)))
     elif t == "binom":
-        _print_value(hyperff.binom(ch(args.A), ch(args.B[0])))
+        (b,) = _values(args, "B", 1)
+        _print_value(hyperff.binom(ch(args.A), ch(b)))
     elif t == "2f1":
-        val = hyperff.gauss_2f1(ch(args.A), ch(args.B[0]), ch(args.C),
-                                args.x[0], normalization=args.normalization)
+        (b,), (x,) = _values(args, "B", 1), _values(args, "x", 1)
+        val = hyperff.gauss_2f1(ch(args.A), ch(b), ch(args.C), x,
+                                normalization=args.normalization)
         if args.normalization == "greene":
             _print_value(val[0], val[1])
         else:
             _print_value(val)
     elif t == "f1":
-        b1, b2 = args.B
-        x1, x2 = args.x
+        b1, b2 = _values(args, "B", 2)
+        x1, x2 = _values(args, "x", 2)
         _print_value(hyperff.appell_f1(ch(args.A), ch(b1), ch(b2), ch(args.C), x1, x2))
     elif t in ("fd", "fd-charsum"):
         inst = hyperff.FdInstance(A=ch(args.A), B=tuple(ch(m) for m in args.B),
@@ -86,7 +97,8 @@ def _cmd_eval(args) -> int:
         fn = hyperff.lauricella_def if t == "fd" else hyperff.lauricella_charsum
         _print_value(fn(inst))
     elif t == "linesum":
-        _print_value(hyperff.char_line_sum(ch(args.A), ch(args.B[0]), args.x[0]))
+        (b,), (x,) = _values(args, "B", 1), _values(args, "x", 1)
+        _print_value(hyperff.char_line_sum(ch(args.A), ch(b), x))
     else:  # genfn-lhs / genfn-rhs
         variant = {"gf1": "T41", "gf2": "T42", "gf3": "T43"}[args.variant]
         base = hyperff.FdInstance(A=ch(args.A), B=tuple(ch(m) for m in args.B),

@@ -29,7 +29,8 @@ cyclo.vanishes and builds canonical form only for output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import chain
 
 from . import cyclo
 from .charset import Char
@@ -75,14 +76,62 @@ class _Ev:
 # -- group-ring vector helpers --------------------------------------------------
 
 
-def _conv(a: list[int], b, N: int) -> list[int]:
-    out = [0] * N
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % N] += x * y
-    return out
+def _l1(v) -> int:
+    return sum(map(abs, v))
+
+
+def _slot_bits(bound: int) -> int:
+    """Packed slot width w for integers of absolute value <= bound: the sign
+    bit plus bound's bits, rounded up to whole bytes so that few widths occur."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+@lru_cache(maxsize=64)
+def _offset(w: int, length: int) -> int:
+    """sum_i 2^(w-1) 2^(w i) over `length` slots: shifts signed slots to >= 0."""
+    return (1 << (w - 1)) * ((1 << (w * length)) - 1) // ((1 << w) - 1)
+
+
+def _pack(v, w: int) -> int:
+    """Kronecker substitution: sum_i v[i] 2^(w i), exact for any integers.
+    Halving keeps the big-int work near-linear; short runs use Horner's rule."""
+    n = len(v)
+    if n > 32:
+        m = n // 2
+        return _pack(v[:m], w) + (_pack(v[m:], w) << (w * m))
+    P = 0
+    for x in reversed(v):
+        P = (P << w) + x
+    return P
+
+
+def _slots(G: int, w: int, n: int, h: int) -> list[int]:
+    """The n w-bit slots of G >= 0, each minus h; halving as in _pack."""
+    if n > 32:
+        m = n // 2
+        return _slots(G & ((1 << (w * m)) - 1), w, m, h) + _slots(G >> (w * m), w, n - m, h)
+    mask = (1 << w) - 1
+    return [(G >> (w * i) & mask) - h for i in range(n)]
+
+
+def _unpack(P: int, w: int, N: int) -> list[int]:
+    """The group-ring vector of a packed value P = sum_i r_i 2^(w i): entry
+    j is sum of r_i over i = j mod N.  Exact when every entry is below
+    2^(w-1) in absolute value, which the callers' widths guarantee."""
+    k = w * N
+    M = (1 << k) - 1  # 2^k = 1 mod M: folding slots mod N is reducing P mod M
+    while P < 0 or P > M:
+        P = (P & M) + (P >> k)
+    if P > M >> 1:  # the folded vector's value lies in (-M/2, M/2)
+        P -= M
+    return _slots(P + _offset(w, N), w, N, 1 << (w - 1))
+
+
+def _conv(a, b, N: int) -> list[int]:
+    """Cyclic convolution of two length-N vectors: one packed multiply.  Every
+    coefficient of the product is at most l1(a) l1(b) in absolute value."""
+    w = _slot_bits(_l1(a) * _l1(b))
+    return _unpack(_pack(a, w) * _pack(b, w), w, N)
 
 
 def _addv(out: list[int], vec, e: int | None, scale: int = 1) -> None:
@@ -136,6 +185,35 @@ def _binom_vec(ev: _Ev, ma: int, mb: int) -> tuple[int, ...]:
     return v
 
 
+def _binom_packed(ev: _Ev, ma: int, mb: int, w: int) -> int:
+    """{A choose B} packed at slot width w, memoized by width beside the
+    vector.  Its entries count the N - 1 values u != 0, 1: its l1 is N - 1."""
+    key = (ma % ev.N, mb % ev.N, w)
+    P = ev.binoms.get(key)
+    if P is None:
+        P = ev.binoms[key] = _pack(_binom_vec(ev, ma, mb), w)
+    return P
+
+
+def _binom_sum(ev: _Ev, keys, Vs, k: int, w: int) -> list[int]:
+    """sum_c zeta^(c k) {A_c choose B_c} V_c over keys[c] = (A_c, B_c) and
+    V_c = Vs[c] packed at width w, c = 0, 1, ...: one packed accumulation
+    (the twist is a shift) and one unpack.  w must bound the result."""
+    N = ev.N
+    acc = 0
+    for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
+        if V:
+            acc += (_binom_packed(ev, ma, mb, w) << (w * (c * k % N))) * V
+    return _unpack(acc, w, N)
+
+
+def _binom_vec_sum(ev: _Ev, keys, vecs, k: int) -> list[int]:
+    """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
+    term's l1 is at most (N - 1) l1(vecs[c])."""
+    w = _slot_bits((ev.N - 1) * _l1(chain.from_iterable(vecs)))
+    return _binom_sum(ev, keys, [_pack(v, w) for v in vecs], k, w)
+
+
 def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
     """F_D as a group-ring vector.  n=0 is the empty instance, which the
     character-sum expression pins to {A choose C}."""
@@ -170,20 +248,24 @@ def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
 
 
 def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
+    """sum over chi_1..chi_n of {A chi^s choose C chi^s} prod_j {B_j chi_j
+    choose chi_j} chi_j(x_j), s = sum_j chi_j, grouped by s:
+    W = P_1 * ... * P_n over the character index, P_j[c] = zeta^(c log x_j)
+    {B_j chi^c choose chi^c}, then sum_s {A chi^s choose C chi^s} W[s].
+    All products are packed; the width comes from N^n terms of l1 norm at
+    most (N - 1)^(n+1)."""
     N, L = ev.N, ev.L
-    out = [0] * N
     if any(x == 0 for x in xs):
-        return out
-    xlogs = [L[x] for x in xs]
-    for chs in iproduct(range(N), repeat=len(mBs)):
-        s = sum(chs)
-        term = list(_binom_vec(ev, mA + s, mC + s))
-        e = 0
-        for mb, ch, lx in zip(mBs, chs, xlogs):
-            term = _conv(term, _binom_vec(ev, mb + ch, ch), N)
-            e += ch * lx
-        _addv(out, term, e)
-    return out
+        return [0] * N
+    n = len(mBs)
+    w = _slot_bits(N ** n * (N - 1) ** (n + 1))
+    W = [1] + [0] * (N - 1)  # zeta^0 at character index 0: the empty product
+    for mb, x in zip(mBs, xs):
+        lx = L[x]
+        P = [_binom_packed(ev, mb + c, c, w) << (w * (c * lx % N)) for c in range(N)]
+        nz = [(c, v) for c, v in enumerate(W) if v]
+        W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
+    return _binom_sum(ev, [(mA + s, mC + s) for s in range(N)], W, 0, w)
 
 
 # -- public types ----------------------------------------------------------------
@@ -314,22 +396,19 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 
 def _genfn_lhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     N = ev.N
-    out = [0] * N
     if t == 0:
-        return out  # every summand carries theta(0) = 0
-    lt = ev.L[t]
-    for th in range(N):
-        if variant == "T41":
-            term = _conv(_binom_vec(ev, mA - mC + th, th),
-                         _fd_vec(ev, mA + th, mBs, mC, xs), N)
-        elif variant == "T42":
-            term = _conv(_binom_vec(ev, mBs[-1] + th, th),
-                         _fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
-        else:
-            term = _conv(_binom_vec(ev, mA - mC + th, th),
-                         _fd_vec(ev, mA, mBs, mC - th, xs), N)
-        _addv(out, term, th * lt)
-    return out
+        return [0] * N  # every summand carries theta(0) = 0
+    ths = range(N)
+    if variant == "T41":
+        keys = [(mA - mC + th, th) for th in ths]
+        fds = [_fd_vec(ev, mA + th, mBs, mC, xs) for th in ths]
+    elif variant == "T42":
+        keys = [(mBs[-1] + th, th) for th in ths]
+        fds = [_fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs) for th in ths]
+    else:
+        keys = [(mA - mC + th, th) for th in ths]
+        fds = [_fd_vec(ev, mA, mBs, mC - th, xs) for th in ths]
+    return _binom_vec_sum(ev, keys, fds, ev.L[t])
 
 
 def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:

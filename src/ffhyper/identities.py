@@ -182,15 +182,12 @@ def _ksum_lhs(ev, n, cs, es):
 def _ksum_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    N = ev.N
-    out = [0] * N
-    if xn != 0:
-        lx = ev.L[xn]
-        for ch in range(N):
-            term = hyperff._conv(ev.binom(Bs[-1] + ch, ch),
-                                 ev.fd(A + ch, Bs[:-1], C + ch, es[:-1]), N)
-            _addv(out, term, ch * lx)
-    return out
+    if xn == 0:
+        return [0] * ev.N
+    chs = range(ev.N)
+    return hyperff._binom_vec_sum(ev, [(Bs[-1] + ch, ch) for ch in chs],
+                                  [ev.fd(A + ch, Bs[:-1], C + ch, es[:-1]) for ch in chs],
+                                  ev.L[xn])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -739,6 +736,8 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
            seed: int = 0, count: int = DEFAULT_SAMPLES, cap: int = DEFAULT_CAP,
            corrupt_rhs: bool = False, max_q: int | None = None) -> list[TheoremReport]:
     desc = get_identity(ident)
+    if mode == "sampled" and count < 1:
+        raise ValueError(f"sampled mode needs count >= 1, got {count}")
     if n_list is None:
         n_list = (desc.n_min,)
     reports = []

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -73,6 +74,29 @@ def test_eval_bad_q_exit_2(capsys):
                        "--B", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "binom", "--q", "5", "--B", ""], "--B takes 1 value, got 0"),
+    (["eval", "2f1", "--q", "5", "--B", ""], "--B takes 1 value, got 0"),
+    (["eval", "2f1", "--q", "5", "--B", "1", "--x", ""], "--x takes 1 value, got 0"),
+    (["eval", "linesum", "--q", "5", "--x", ""], "--x takes 1 value, got 0"),
+    (["eval", "binom", "--q", "5", "--B", "1,2"], "--B takes 1 value, got 2"),
+    (["eval", "f1", "--q", "5", "--B", "1", "--x", "1"], "--B takes 2 values, got 1"),
+    (["eval", "f1", "--q", "5", "--B", "1,2", "--x", "1"], "--x takes 2 values, got 1"),
+])
+def test_eval_wrong_value_count_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_sampled_needs_a_positive_count(capsys, count):
+    code, out, err = run(capsys, "verify", "--id", "p2.f2", "--q", "5",
+                         "--mode", "sampled", "--count", count)
+    assert code == 2
+    assert out == "" and f"count >= 1, got {count}" in err
 
 
 def test_verify_sampled_counts(capsys):
@@ -202,9 +226,13 @@ def test_usage_error_from_argparse(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "ffhyper.cli", "eval", "binom", "--q", "7",
          "--A", "0", "--B", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "5"

@@ -34,6 +34,14 @@ def test_unknown_identity():
         identities.verify("t9.nope", [5])
 
 
+def test_sampled_mode_rejects_a_vacuous_count():
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="count >= 1"):
+            identities.verify("p2.f2", [5], mode="sampled", count=count)
+    (r,) = identities.verify("p2.f2", [5], mode="exhaustive", count=0)  # unused there
+    assert r.tested == 16
+
+
 def test_definition_vs_charsum_counts():
     (r,) = identities.verify("t2.1", [5], n_list=[1])
     assert r.ok
