@@ -13,11 +13,22 @@ stay exact; gauss_2f1 can also return the 1/q-rescaled variant behind a flag.
 
 Internally every value is accumulated in the group ring Z[Z_N] (N = q-1): an
 integer vector indexed by power of zeta_N.  Products of character values are
-exponent additions, sums are vector increments, and general products are
-cyclic convolutions.  The sums over u run over exponents: with u = g^i,
-1 - u = g^Z[i] for the field's Zech table Z, so each term of the F_D sum is
-one exponent e0 + A i + (C - A) Z[i] - sum_j B_j Z[(log x_j + i) mod N] and
-the inner loops stay integer-only and exact.
+exponent additions and sums are vector increments.  The sums over u run over
+exponents: with u = g^i, 1 - u = g^Z[i] for the field's Zech table Z, so each
+term of the F_D sum is one exponent e0 + A i + (C - A) Z[i] - sum_j B_j
+Z[(log x_j + i) mod N] and the inner loops stay integer-only and exact.
+
+General products are packed, not schoolbook (Kronecker substitution): a
+vector v becomes the integer sum_i v[i] 2^(w i), one exact big-int multiply
+convolves two of them, and the result is folded mod 2^(w N) - 1 (slot i onto
+slot i mod N) and decoded.  The slot width w is taken per call from a bound
+proven from the inputs, the product of the operands' l1 norms times the
+number of terms summed: w holds the sign bit and that bound, rounded up to
+whole bytes, so no folded coefficient can overflow its slot.  Sums over a
+character index, sum_c zeta^(c k) U_c V_c, accumulate packed products (the
+twist is a shift) and decode once; the character-sum form of F_D convolves
+its n character slots over the index this way instead of walking all N^n
+tuples.
 
 A per-field context (_Ev) carries the tables and the binomial and F_D memos.
 The public ops build a fresh one per call and reduce modulo Phi_N to a
@@ -43,8 +54,9 @@ from .ff_core import FieldTable
 
 class _Ev:
     """Evaluation context of one field: its tables as flat attributes, a
-    binomial-vector memo and an F_D-vector memo.  The memos live as long as
-    the context: one call for the public ops below, one process for the
+    binomial memo (vectors keyed by (A, B), and their packed forms keyed by
+    (A, B, w)) and an F_D-vector memo.  The memos live as long as the
+    context: one call for the public ops below, one process for the
     identities engine."""
 
     def __init__(self, f: FieldTable):
@@ -54,7 +66,7 @@ class _Ev:
         self.L = f.log_table
         self.Z = f.zech_table
         self.neg1 = f.neg(1)
-        self.binoms: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.binoms: dict[tuple, tuple[int, ...] | int] = {}
         self._fd: dict = {}
 
     def fd(self, mA, mBs, mC, xs):
