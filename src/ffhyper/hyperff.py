@@ -104,11 +104,15 @@ def _offset(w: int, length: int) -> int:
     return (1 << (w - 1)) * ((1 << (w * length)) - 1) // ((1 << w) - 1)
 
 
+# Slots per Horner or shift-and-mask run in _pack and _slots; longer vectors
+# are halved, which keeps their big-int work near-linear in the length.
+_RUN = 32
+
+
 def _pack(v, w: int) -> int:
-    """Kronecker substitution: sum_i v[i] 2^(w i), exact for any integers.
-    Halving keeps the big-int work near-linear; short runs use Horner's rule."""
+    """Kronecker substitution: sum_i v[i] 2^(w i), exact for any integers."""
     n = len(v)
-    if n > 32:
+    if n > _RUN:
         m = n // 2
         return _pack(v[:m], w) + (_pack(v[m:], w) << (w * m))
     P = 0
@@ -118,8 +122,8 @@ def _pack(v, w: int) -> int:
 
 
 def _slots(G: int, w: int, n: int, h: int) -> list[int]:
-    """The n w-bit slots of G >= 0, each minus h; halving as in _pack."""
-    if n > 32:
+    """The n w-bit slots of G >= 0, each minus h."""
+    if n > _RUN:
         m = n // 2
         return _slots(G & ((1 << (w * m)) - 1), w, m, h) + _slots(G >> (w * m), w, n - m, h)
     mask = (1 << w) - 1
@@ -210,7 +214,8 @@ def _binom_packed(ev: _Ev, ma: int, mb: int, w: int) -> int:
 def _binom_sum(ev: _Ev, keys, Vs, k: int, w: int) -> list[int]:
     """sum_c zeta^(c k) {A_c choose B_c} V_c over keys[c] = (A_c, B_c) and
     V_c = Vs[c] packed at width w, c = 0, 1, ...: one packed accumulation
-    (the twist is a shift) and one unpack.  w must bound the result."""
+    (the twist is a shift) and one unpack.  Every coefficient of the result
+    must be below 2^(w-1) in absolute value."""
     N = ev.N
     acc = 0
     for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
