@@ -90,7 +90,7 @@ def test_conv_matches_schoolbook_exhaustive(N):
             assert hyperff._conv(a, b, N) == school_conv(a, b, N), (a, b)
 
 
-@pytest.mark.parametrize("N", [5, 6, 12, 33, 63, 255, 1023])
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 33, 63, 255, 1023])
 def test_conv_matches_schoolbook_sampled(N):
     rng = random.Random(N)
     for span in (1, 50, 10 ** 6):
