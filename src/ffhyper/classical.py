@@ -134,11 +134,9 @@ def check_integral_formula(p: ClassicalFdParams,
         inner = _replace(p, b=inner_b, x=(u * x1 + (1 - u) * x2,) + p.x[2:])
         return u ** (b1 - 1) * (1 - u) ** (b2 - 1) * fd_series(inner)
 
-    re, _ = quad(lambda u: integrand(u).real, 0.0, 1.0,
-                 epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)
-    im, _ = quad(lambda u: integrand(u).imag, 0.0, 1.0,
-                 epsabs=cfg.epsabs, epsrel=cfg.epsrel, limit=cfg.limit)
-    return abs(lhs - complex(re, im))
+    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
+                  limit=cfg.limit, complex_func=True)
+    return abs(lhs - rhs)
 
 
 def check_ksum_formula(p: ClassicalFdParams, K: int = DEFAULT_K) -> float:

@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 success, 1 verification failures / residual above tolerance,
 2 usage error (including unknown identity), 3 domain error.  Fields are given
 as "p^k" or as a plain prime power; characters are generator-relative
-exponents.  FFHYPER_MAX_Q overrides the field-size cap.
+exponents.  FFHYPER_MAX_Q, a positive integer, overrides the field-size cap.
 """
 
 from __future__ import annotations
@@ -26,9 +26,16 @@ from .errors import FFHyperError, UnknownIdentity
 SCHEMA = "ffhyper/1"
 
 
-def _max_q() -> int | None:
+def _max_q() -> int:
+    """The field-size cap: FFHYPER_MAX_Q if set, else ff_core.DEFAULT_MAX_Q.
+    A set value that is not a positive integer is a usage error."""
     v = os.environ.get("FFHYPER_MAX_Q")
-    return int(v) if v else None
+    if v is None:
+        return ff_core.DEFAULT_MAX_Q
+    cap = int(v) if v.isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"FFHYPER_MAX_Q must be a positive integer, got {v!r}")
+    return cap
 
 
 def _parse_q(text: str) -> tuple[int, int]:
@@ -40,8 +47,7 @@ def _parse_q(text: str) -> tuple[int, int]:
 
 def _field(text: str):
     p, k = _parse_q(text)
-    cap = _max_q()
-    return ff_core.build_field(p, k, cap) if cap else ff_core.build_field(p, k)
+    return ff_core.build_field(p, k, _max_q())
 
 
 def _ints(text: str) -> list[int]:
@@ -119,6 +125,7 @@ def _cmd_verify(args) -> int:
         p, k = _parse_q(tq.strip())
         q_list.append(p ** k)
     n_req = _ints(args.n) if args.n else None
+    max_q = _max_q()
 
     reports = []
     for ident in idents:
@@ -132,7 +139,7 @@ def _cmd_verify(args) -> int:
         reports.extend(identities.verify(
             ident, q_list, mode=args.mode, n_list=n_list, seed=args.seed,
             count=args.count, cap=args.cap, corrupt_rhs=args.corrupt_rhs,
-            max_q=_max_q()))
+            max_q=max_q))
     if not reports:
         print("no runnable (identity, n) combinations", file=sys.stderr)
         return 2

@@ -4,7 +4,10 @@ Character values and all hypergeometric character sums over F_q live here with
 n = q-1.  Elements are kept in canonical form: the residue modulo the n-th
 cyclotomic polynomial Phi_n, on the power basis 1, z, ..., z^(phi(n)-1).  Two
 elements of the same order are equal iff their coefficient tuples are equal.
-Coefficients are Python ints, hence never overflow.
+Coefficients are Python ints, hence never overflow.  Phi_n is the Moebius
+product of the binomials x^d - 1 over the divisors d of n (Lidl & Niederreiter,
+Finite Fields, ch. 2-3), each factor one shift-and-subtract or one exact
+division; its order has no limit of its own, the field size caps it.
 
 Deciding equality does not need canonical form: `vanishes` tests whether a
 group-ring vector (a sum of n-th roots of unity) is zero in O(omega(n) * n),
@@ -15,16 +18,18 @@ reduction is left to values that are printed or returned.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InexactDivision, OrderMismatch
 
-MAX_ORDER = 4096
-
 
 @lru_cache(maxsize=None)
 def _prime_divisors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors of n, ascending, by trial division; () for n < 2.
+    The package's one factoriser."""
     out = []
     d = 2
     while d * d <= n:
@@ -45,35 +50,44 @@ def _totient(n: int) -> int:
     return out
 
 
-def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide by a monic integer polynomial; remainder must vanish."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num[:dd]):
-        raise InexactDivision(den)
+def _mul_binomial(a: list[int], d: int) -> list[int]:
+    """a * (x^d - 1): one shift-and-subtract."""
+    out = [0] * d + a
+    for i, c in enumerate(a):
+        out[i] -= c
+    return out
+
+
+def _div_binomial(a: list[int], d: int) -> list[int]:
+    """a / (x^d - 1), a top-down running sum with stride d; raises
+    InexactDivision on a nonzero remainder."""
+    out = a[d:]
+    for i in range(len(out) - 1 - d, -1, -1):
+        out[i] += out[i + d]
+    if any(c + r for c, r in zip(a[:d], out + [0] * d)):
+        raise InexactDivision(f"x^{d} - 1")
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low to high, computed by dividing x^n - 1 by the
-    Phi_d of all proper divisors d of n."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {n}")
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _exact_div(num, cyclotomic_poly(d))
-    return tuple(num)
+    """Coefficients of Phi_n, low to high, as the Moebius product
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d).  mu(n/d) is nonzero only when n/d
+    is a product of distinct primes of n, and then it is (-1)^(their number);
+    the factors with mu = 1 are multiplied in first, then those with mu = -1
+    divided out, each division exact."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    ps = _prime_divisors(n)
+    subsets = [s for r in range(len(ps) + 1) for s in itertools.combinations(ps, r)]
+    poly = [1]
+    for s in subsets:
+        if len(s) % 2 == 0:
+            poly = _mul_binomial(poly, n // math.prod(s))
+    for s in subsets:
+        if len(s) % 2 == 1:
+            poly = _div_binomial(poly, n // math.prod(s))
+    return tuple(poly)
 
 
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:

@@ -7,9 +7,13 @@ and index 1 is always the multiplicative identity.
 
 The modulus is the lexicographically smallest monic irreducible polynomial of
 degree k over Z_p, comparing coefficient tuples (a_{k-1}, ..., a_1, a_0) —
-leading coefficients first, constant term last.  The generator is the smallest
-element index of multiplicative order q-1.  Both choices are deterministic, so
-character labels and discrete logs are reproducible across runs and machines.
+leading coefficients first, constant term last.  Irreducibility is decided by
+trial division: a degree-k polynomial is irreducible iff no monic polynomial of
+degree 1..k/2 divides it.  The generator is the smallest element index of
+multiplicative order q-1, checked against the prime divisors of q-1 from
+cyclo's factoriser, which also tests the characteristic and splits q = p^k.
+Both choices are deterministic, so character labels and discrete logs are
+reproducible across runs and machines.
 
 After construction, arithmetic uses three tables and no digit arithmetic:
 exp/log for products, and Zech's logarithm Z(i) = log(1 - g^i) for sums, since
@@ -20,136 +24,50 @@ ch. 10).
 
 from __future__ import annotations
 
+import itertools
+
+from .cyclo import _prime_divisors
 from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
 
 DEFAULT_MAX_Q = 4096
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 # -- polynomial helpers over Z_p; coefficient lists are low -> high ------------
 
 
-def _pdeg(a: list[int], p: int) -> int:
-    d = len(a) - 1
-    while d >= 0 and a[d] % p == 0:
-        d -= 1
-    return d
+def _pmod(a: list[int], mod: list[int], p: int) -> list[int]:
+    """a mod a monic `mod` over Z_p, as deg(mod) residues in 0..p-1."""
+    k = len(mod) - 1
+    a = list(a)
+    for i in range(len(a) - 1, k - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(k):
+                a[i - k + j] -= c * mod[j]
+    out = [c % p for c in a[:k]]
+    return out + [0] * (k - len(out))
 
 
 def _pmul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    k = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
-    out = out[:k]
-    out += [0] * (k - len(out))
-    return out
-
-
-def _ppow_mod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    k = len(mod) - 1
-    acc = [1] + [0] * (k - 1)
-    base = a[:]
-    while e:
-        if e & 1:
-            acc = _pmul_mod(acc, base, mod, p)
-        base = _pmul_mod(base, base, mod, p)
-        e >>= 1
-    return acc
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
-    while True:
-        db = _pdeg(b, p)
-        if db < 0:
-            return a
-        da = _pdeg(a, p)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db] % p, p - 2, p)
-        while da >= db:
-            c = a[da] * inv % p
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-            da = _pdeg(a, p)
-        a, b = b, a
-
-
-def _x_frobenius(e: int, mod: list[int], p: int) -> list[int]:
-    """x^(p^e) reduced mod `mod` (deg >= 2)."""
-    k = len(mod) - 1
-    r = [0, 1] + [0] * (k - 2)
-    for _ in range(e):
-        r = _ppow_mod(r, p, mod, p)
-    return r
-
-
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    k = len(mod) - 1
-    if k == 1:
-        return True
-    x = [0, 1] + [0] * (k - 2)
-    xk = _x_frobenius(k, mod, p)
-    if any((xk[i] - x[i]) % p for i in range(k)):
-        return False
-    for ell in set(_prime_factors(k)):
-        xe = _x_frobenius(k // ell, mod, p)
-        diff = [(xe[i] - x[i]) % p for i in range(k)]
-        g = _pgcd(mod[:], diff + [0], p)
-        if _pdeg(g, p) > 0:
-            return False
-    return True
+                out[i + j] += ai * bj
+    return _pmod(out, mod, p)
 
 
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
-    if k == 1:
-        return (0, 1)
-    # lex order on (a_{k-1}, ..., a_0); digits stored low -> high
-    key = [0] * k
-    while True:
+    """The first monic degree-k polynomial over Z_p, in lexicographic order of
+    (a_{k-1}, ..., a_0), that leaves a nonzero remainder on division by every
+    monic polynomial of degree 1..k//2: a reducible polynomial has a factor of
+    degree at most k/2, so this is the first irreducible one."""
+    factors = [list(low) + [1] for d in range(1, k // 2 + 1)
+               for low in itertools.product(range(p), repeat=d)]
+    for key in itertools.product(range(p), repeat=k):
         mod = list(reversed(key)) + [1]
-        if _is_irreducible(mod, p):
+        if all(any(_pmod(mod, g, p)) for g in factors):
             return tuple(mod)
-        i = k - 1
-        while i >= 0 and key[i] == p - 1:
-            key[i] = 0
-            i -= 1
-        if i < 0:
-            raise AssertionError("no irreducible polynomial found")  # unreachable
-        key[i] += 1
 
 
 class FieldTable:
@@ -189,7 +107,7 @@ class FieldTable:
             return index([(1 - dv[0]) % p] + [(-d) % p for d in dv[1:]])
 
         N = q - 1
-        fac = set(_prime_factors(N)) if N > 1 else set()
+        fac = _prime_divisors(N)
 
         def order_is_full(g: int) -> bool:
             def powm(a: int, e: int) -> int:
@@ -275,10 +193,10 @@ def split_prime_power(q: int) -> tuple[int, int]:
     """q -> (p, k) with q = p^k, or ValueError if q is not a prime power."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    fac = set(_prime_factors(q))
+    fac = _prime_divisors(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = fac.pop()
+    (p,) = fac
     k = 0
     while q > 1:
         q //= p
@@ -289,7 +207,7 @@ def split_prime_power(q: int) -> tuple[int, int]:
 def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if not _is_prime(p):
+    if _prime_divisors(p) != (p,):
         raise NotPrime(p)
     if p**k > max_q:
         raise TooLarge(p**k, max_q)

@@ -288,6 +288,14 @@ def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
 # -- public types ----------------------------------------------------------------
 
 
+def _same_field(*chars: Char) -> FieldTable:
+    f = chars[0].field
+    for c in chars[1:]:
+        if c.field is not f and c.field != f:
+            raise FieldMismatch()
+    return f
+
+
 @dataclass(frozen=True)
 class FdInstance:
     A: Char
@@ -300,10 +308,7 @@ class FdInstance:
         object.__setattr__(self, "x", tuple(self.x))
         if len(self.B) < 1 or len(self.B) != len(self.x):
             raise ValueError("need n = |B| = |x| >= 1")
-        f = self.A.field
-        for c in (*self.B, self.C):
-            if c.field is not f and c.field != f:
-                raise FieldMismatch()
+        f = _same_field(self.A, *self.B, self.C)
         for x in self.x:
             if not 0 <= x < f.q:
                 raise ValueError(f"element index {x} out of range for q={f.q}")
@@ -328,14 +333,6 @@ class GenFnInstance:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0 <= self.t < self.base.field.q:
             raise ValueError(f"element index {self.t} out of range")
-
-
-def _same_field(*chars: Char) -> FieldTable:
-    f = chars[0].field
-    for c in chars[1:]:
-        if c.field is not f and c.field != f:
-            raise FieldMismatch()
-    return f
 
 
 # -- public ops -------------------------------------------------------------------

@@ -77,8 +77,7 @@ class IdentityDescriptor:
     n_min: int
     n_max: int | None  # None = no intrinsic bound
     chars: Callable[[int], int]
-    points: Callable[[int], int]
-    extras: Callable[[int], int]
+    elems: Callable[[int], int]
     constraints: tuple[tuple[str, Callable], ...]
     lhs: Callable
     rhs: Callable
@@ -88,18 +87,18 @@ class IdentityDescriptor:
         return n >= self.n_min and (self.n_max is None or n <= self.n_max)
 
     def slot_space(self, q: int, n: int) -> int:
-        return (q - 1) ** self.chars(n) * q ** (self.points(n) + self.extras(n))
+        return (q - 1) ** self.chars(n) * q ** self.elems(n)
 
 
 _REGISTRY: dict[str, IdentityDescriptor] = {}
 
 
 def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
-         chars=lambda n: n + 2, points=lambda n: n, extras=lambda n: 0,
-         constraints=(), den=lambda q, n: 1):
+         chars=lambda n: n + 2, elems=lambda n: n, constraints=(),
+         den=lambda q, n: 1):
     _REGISTRY[id] = IdentityDescriptor(
         id=id, note=note, n_min=n_min, n_max=n_max,
-        chars=chars, points=points, extras=extras,
+        chars=chars, elems=elems,
         constraints=tuple(constraints), lhs=lhs, rhs=rhs, den=den)
 
 
@@ -175,10 +174,6 @@ _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slot
      constraints=(("B1 != eps", _c_b1_nontriv), ("B2 != eps", _c_b2_nontriv)))
 
 
-def _ksum_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], es)
-
-
 def _ksum_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
@@ -191,7 +186,7 @@ def _ksum_rhs(ev, n, cs, es):
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
-     _ksum_lhs, _ksum_rhs, den=lambda q, n: q - 1)
+     _t21_lhs, _ksum_rhs, den=lambda q, n: q - 1)
 
 
 def _epsred_lhs(ev, n, cs, es):
@@ -262,10 +257,6 @@ _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
      _oneminus_lhs, _oneminus_rhs)
 
 
-def _pfaff_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], es)
-
-
 def _pfaff_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     f, N = ev.f, ev.N
@@ -278,7 +269,7 @@ def _pfaff_rhs(ev, n, cs, es):
 
 
 _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial prefactor",
-     _pfaff_lhs, _pfaff_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
+     _t21_lhs, _pfaff_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
 def _lastpivot_lhs(ev, n, cs, es):
@@ -330,12 +321,6 @@ _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a mo
      constraints=(("x_n != 1", _c_xn_ne_1),))
 
 
-def _pivot2_lhs(ev, n, cs, es):
-    if es[-1] in es[:-1]:
-        return [0] * ev.N
-    return ev.fd(cs[0], cs[2:], cs[1], es)
-
-
 def _pivot2_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     f, N = ev.f, ev.N
@@ -350,14 +335,7 @@ def _pivot2_rhs(ev, n, cs, es):
 
 
 _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
-     _pivot2_lhs, _pivot2_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
-
-
-def _c37_lhs(ev, n, cs, es):
-    A, Bs = cs[0], cs[1:]
-    if es[-1] in es[:-1]:
-        return [0] * ev.N
-    return ev.fd(A, Bs, sum(Bs), es)
+     _lastpivot_lhs, _pivot2_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
 def _c37_rhs(ev, n, cs, es):
@@ -379,7 +357,7 @@ def _c37_rhs(ev, n, cs, es):
 
 
 _reg("t4.reduce-c37", "second C = B_1..B_n reduction with (x_n-x_j)/(1-x_j) arguments",
-     _c37_lhs, _c37_rhs, chars=lambda n: n + 1,
+     _c35_lhs, _c37_rhs, chars=lambda n: n + 1,
      constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
@@ -392,7 +370,7 @@ def _evalequal_rhs(ev, n, cs, es):
 
 
 _reg("t4.eval-equal-x", "all points equal: F_D collapses to a single merged slot",
-     _evalequal_lhs, _evalequal_rhs, points=lambda n: 0, extras=lambda n: 1)
+     _evalequal_lhs, _evalequal_rhs, elems=lambda n: 1)
 
 
 def _evalxn1_lhs(ev, n, cs, es):
@@ -408,7 +386,7 @@ def _evalxn1_rhs(ev, n, cs, es):
 
 
 _reg("t4.eval-xn1", "last point 1: the slot is absorbed into C",
-     _evalxn1_lhs, _evalxn1_rhs, points=lambda n: n - 1)
+     _evalxn1_lhs, _evalxn1_rhs, elems=lambda n: n - 1)
 
 
 def _evalall1_lhs(ev, n, cs, es):
@@ -423,7 +401,7 @@ def _evalall1_rhs(ev, n, cs, es):
 
 
 _reg("t4.eval-all1", "all points 1: closed binomial form",
-     _evalall1_lhs, _evalall1_rhs, points=lambda n: 0)
+     _evalall1_lhs, _evalall1_rhs, elems=lambda n: 0)
 
 
 def _c62_lhs(ev, n, cs, es):
@@ -443,8 +421,7 @@ def _c62_rhs(ev, n, cs, es):
 
 
 _reg("t4.c62", "C = A with equal points: two-term closed form",
-     _c62_lhs, _c62_rhs, chars=lambda n: n + 1,
-     points=lambda n: 0, extras=lambda n: 1)
+     _c62_lhs, _c62_rhs, chars=lambda n: n + 1, elems=lambda n: 1)
 
 
 def _c63_lhs(ev, n, cs, es):
@@ -466,8 +443,7 @@ def _c63_rhs(ev, n, cs, es):
 
 
 _reg("t4.c63", "C = B_1..B_n with equal points: closed form plus delta at x = 1, A = eps",
-     _c63_lhs, _c63_rhs, chars=lambda n: n + 1,
-     points=lambda n: 0, extras=lambda n: 1)
+     _c63_lhs, _c63_rhs, chars=lambda n: n + 1, elems=lambda n: 1)
 
 
 def _gf_lhs(variant):
@@ -483,12 +459,12 @@ def _gf_rhs(variant):
 
 
 _reg("t5.gf1", "generating function over the A-slot (t != 1)",
-     _gf_lhs("T41"), _gf_rhs("T41"), extras=lambda n: 1,
+     _gf_lhs("T41"), _gf_rhs("T41"), elems=lambda n: n + 1,
      constraints=(("t != 1", _c_t_ne_1),))
 _reg("t5.gf2", "generating function over the last B-slot, with a delta term at t = 1",
-     _gf_lhs("T42"), _gf_rhs("T42"), extras=lambda n: 1)
+     _gf_lhs("T42"), _gf_rhs("T42"), elems=lambda n: n + 1)
 _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t = 0",
-     _gf_lhs("T43"), _gf_rhs("T43"), extras=lambda n: 1)
+     _gf_lhs("T43"), _gf_rhs("T43"), elems=lambda n: n + 1)
 
 
 # binomial-coefficient facts; cs layout noted per entry, no point dependence on n
@@ -502,7 +478,7 @@ def _f2_rhs(ev, n, cs, es):
 
 
 _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
-     n_min=0, n_max=0, chars=lambda n: 2, points=lambda n: 0)
+     n_min=0, n_max=0, chars=lambda n: 2, elems=lambda n: 0)
 
 
 def _f3_rhs(ev, n, cs, es):
@@ -513,7 +489,7 @@ def _f3_rhs(ev, n, cs, es):
 
 
 _reg("p2.f3", "{A choose B} = AB(-1) {B^-1 choose A^-1}", _f2_lhs, _f3_rhs,
-     n_min=0, n_max=0, chars=lambda n: 2, points=lambda n: 0)
+     n_min=0, n_max=0, chars=lambda n: 2, elems=lambda n: 0)
 
 
 def _f4_rhs(ev, n, cs, es):
@@ -524,10 +500,10 @@ def _f4_rhs(ev, n, cs, es):
 
 _reg("p2.f4-eps", "{A choose eps} = -1 + (q-1) delta(A)",
      lambda ev, n, cs, es: ev.binom(cs[0], 0), _f4_rhs,
-     n_min=0, n_max=0, chars=lambda n: 1, points=lambda n: 0)
+     n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 _reg("p2.f4-self", "{A choose A} = -1 + (q-1) delta(A)",
      lambda ev, n, cs, es: ev.binom(cs[0], cs[0]), _f4_rhs,
-     n_min=0, n_max=0, chars=lambda n: 1, points=lambda n: 0)
+     n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 
 
 def _prod_lhs(ev, n, cs, es):
@@ -547,7 +523,7 @@ def _prod_rhs(ev, n, cs, es):
 
 
 _reg("p2.prod", "binomial product re-association with two delta corrections",
-     _prod_lhs, _prod_rhs, n_min=0, n_max=0, chars=lambda n: 3, points=lambda n: 0)
+     _prod_lhs, _prod_rhs, n_min=0, n_max=0, chars=lambda n: 3, elems=lambda n: 0)
 
 
 def _binthm_lhs(ev, n, cs, es):
@@ -563,7 +539,7 @@ def _binthm_rhs(ev, n, cs, es):
 
 _reg("p2.binthm", "line sum of {A chi choose chi} chi(x) equals (q-1) A^-1(1-x) on x != 0",
      _binthm_lhs, _binthm_rhs, n_min=0, n_max=0,
-     chars=lambda n: 1, points=lambda n: 1)
+     chars=lambda n: 1, elems=lambda n: 1)
 
 
 def _linesum_lhs(ev, n, cs, es):
@@ -579,7 +555,7 @@ def _linesum_rhs(ev, n, cs, es):
 
 _reg("p2.linesum", "two-slot line sum {A chi choose B chi} chi(x) in closed form",
      _linesum_lhs, _linesum_rhs, n_min=0, n_max=0,
-     chars=lambda n: 2, points=lambda n: 1)
+     chars=lambda n: 2, elems=lambda n: 1)
 
 
 # -- engine ---------------------------------------------------------------------------
@@ -656,7 +632,7 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
     t0 = perf_counter()
     N, q = ev.N, ev.q
     nc = desc.chars(n)
-    ne = desc.points(n) + desc.extras(n)
+    ne = desc.elems(n)
     tested = excluded = 0
     failures: list[dict] = []
     mismatches = undefined = None
@@ -757,7 +733,7 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     ev = _ev_for_q(q)
     cs = tuple(int(c) % ev.N for c in assignment["chars"])
     es = tuple(int(e) % q for e in assignment["elems"])
-    if len(cs) != desc.chars(n) or len(es) != desc.points(n) + desc.extras(n):
+    if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
     equal, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
     lc, rc = _canonical(desc, ev, n, lv, rv)

@@ -181,6 +181,28 @@ def test_verify_respects_env_cap(capsys, monkeypatch):
     assert code2 == 0
 
 
+def test_env_cap_above_default_admits_a_larger_field(capsys, monkeypatch):
+    # q = 4099 is prime, so the field builds fast; Phi_4098 has no cap of its own
+    monkeypatch.setenv("FFHYPER_MAX_Q", "8192")
+    code, out, err = run(capsys, "eval", "binom", "--q", "4099", "--A", "1", "--B", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("~ ")
+    monkeypatch.setenv("FFHYPER_MAX_Q", "4098")
+    code, _, err = run(capsys, "eval", "binom", "--q", "4099", "--A", "1", "--B", "2")
+    assert code == 3
+    assert "exceeds the configured maximum 4098" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "", "2.5"])
+def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("FFHYPER_MAX_Q", value)
+    for argv in (["eval", "binom", "--q", "256", "--A", "1", "--B", "2"],
+                 ["verify", "--id", "p2.f2", "--q", "4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: FFHYPER_MAX_Q must be a positive integer, got {value!r}\n"
+
+
 def test_classical_integral(capsys):
     code, out, _ = run(capsys, "classical", "integral", "--a", "0.5",
                        "--b", "1.5,2", "--c", "2.5", "--x", "0.3,0.1")

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import random
 
@@ -114,7 +115,14 @@ def test_from_coeffs_reduces():
 def test_exact_div_raises_on_remainder():
     # x^2 + 1 = (x - 1)(x + 1) + 2; must raise even under python -O
     with pytest.raises(errors.InexactDivision):
-        cyclo._exact_div([1, 0, 1], (-1, 1))
+        cyclo._div_binomial([1, 0, 1], 1)
+    # x^3 + x^2 = (x^2 - 1)(x + 1) + x + 1, and a dividend below degree d
+    with pytest.raises(errors.InexactDivision):
+        cyclo._div_binomial([0, 0, 1, 1], 2)
+    with pytest.raises(errors.InexactDivision):
+        cyclo._div_binomial([3], 2)
+    assert cyclo._div_binomial([-1, 0, 0, 0, 0, 0, 1], 3) == [1, 0, 0, 1]
+    assert cyclo._mul_binomial([1, 0, 0, 1], 3) == [-1, 0, 0, 0, 0, 0, 1]
 
 
 def test_div_exact():
@@ -176,3 +184,61 @@ def test_vanishes_matches_reduce_oracle(n):
 def test_vanishes_rejects_wrong_length():
     with pytest.raises(ValueError):
         cyclo.vanishes(4, [1, 2, 3])
+
+
+# -- Phi_n by recursive division by every Phi_d, the construction the Moebius
+# product replaced, kept here as the oracle ---------------------------------------
+
+
+def _exact_div(num, den):
+    """Divide by a monic integer polynomial; remainder must vanish."""
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        out[i - dd] = c
+        if c:
+            for j in range(dd + 1):
+                num[i - dd + j] -= c * den[j]
+    if any(num[:dd]):
+        raise errors.InexactDivision(den)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_phi(n):
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            num = _exact_div(num, _recursive_phi(d))
+    return tuple(num)
+
+
+def test_cyclotomic_poly_matches_recursive_oracle():
+    for n in list(range(1, 301)) + [1023, 4095]:
+        assert cyclo.cyclotomic_poly(n) == _recursive_phi(n), n
+
+
+FIELD_ORDERS_TO_4096 = [q - 1 for q in range(3, 4097) if len(cyclo._prime_divisors(q)) == 1]
+
+
+def test_cyclotomic_poly_every_field_order():
+    # monic of degree phi(n), and zero at zeta_n by the independent vanishing test
+    for n in FIELD_ORDERS_TO_4096:
+        phi = cyclo.cyclotomic_poly(n)
+        assert phi[-1] == 1 and len(phi) == cyclo._totient(n) + 1, n
+        padded = list(phi) + [0] * (n - len(phi))
+        assert cyclo.vanishes(n, padded), n
+        # negative control: the test sees a perturbed constant term
+        padded[0] += 1
+        assert not cyclo.vanishes(n, padded), n
+
+
+def test_cyclotomic_poly_has_no_order_limit_of_its_own():
+    phi = cyclo.cyclotomic_poly(4098)  # q = 4099 with a raised field cap
+    assert len(phi) == cyclo._totient(4098) + 1 == 1365
+    with pytest.raises(ValueError):
+        cyclo.cyclotomic_poly(0)

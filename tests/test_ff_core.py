@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffhyper import errors, ff_core
+from ffhyper import cyclo, errors, ff_core
 
 FIELDS = [ff_core.build_field(p, k) for p, k in
           [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)]]
@@ -117,7 +117,7 @@ def oracle_neg(f, x):
     return _index(f, [(-a) % f.p for a in _digits(f, x)])
 
 
-PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(set(ff_core._prime_factors(q))) == 1]
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(cyclo._prime_divisors(q)) == 1]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + [243, 256])
@@ -150,3 +150,119 @@ def test_zech_table():
         for i in range(1, f.n_chars):
             one_minus = oracle_add(f, 1, oracle_neg(f, f.exp_table[i]))
             assert f.exp_table[f.zech_table[i]] == one_minus
+
+
+# -- Rabin's irreducibility test, the modulus search trial division replaced,
+# kept here as the oracle ---------------------------------------------------------
+
+
+def _rabin_prime_factors(m):
+    out, d = [], 2
+    while d * d <= m:
+        while m % d == 0:
+            out.append(d)
+            m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+def _rabin_deg(a, p):
+    d = len(a) - 1
+    while d >= 0 and a[d] % p == 0:
+        d -= 1
+    return d
+
+
+def _rabin_mul_mod(a, b, mod, p):
+    k = len(mod) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(len(out) - 1, k - 1, -1):
+        c = out[i]
+        out[i] = 0
+        for j in range(k):
+            out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
+    return (out + [0] * k)[:k]
+
+
+def _rabin_x_frobenius(e, mod, p):
+    """x^(p^e) mod `mod`, by square-and-multiply."""
+    k = len(mod) - 1
+    r = [0, 1] + [0] * (k - 2)
+    for _ in range(e):
+        acc, base, n = [1] + [0] * (k - 1), r, p
+        while n:
+            if n & 1:
+                acc = _rabin_mul_mod(acc, base, mod, p)
+            base = _rabin_mul_mod(base, base, mod, p)
+            n >>= 1
+        r = acc
+    return r
+
+
+def _rabin_gcd(a, b, p):
+    a, b = a[:], b[:]
+    while True:
+        db = _rabin_deg(b, p)
+        if db < 0:
+            return a
+        da = _rabin_deg(a, p)
+        if da < db:
+            a, b = b, a
+            continue
+        inv = pow(b[db] % p, p - 2, p)
+        while da >= db:
+            c = a[da] * inv % p
+            for i in range(db + 1):
+                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
+            da = _rabin_deg(a, p)
+        a, b = b, a
+
+
+def _rabin_irreducible(mod, p):
+    """x^(p^k) = x mod f, and gcd(f, x^(p^(k/l)) - x) = 1 for every prime l | k."""
+    k = len(mod) - 1
+    x = [0, 1] + [0] * (k - 2)
+    if _rabin_x_frobenius(k, mod, p) != x:
+        return False
+    for ell in set(_rabin_prime_factors(k)):
+        xe = _rabin_x_frobenius(k // ell, mod, p)
+        diff = [(xe[i] - x[i]) % p for i in range(k)]
+        if _rabin_deg(_rabin_gcd(mod[:], diff + [0], p), p) > 0:
+            return False
+    return True
+
+
+def _rabin_smallest_modulus(p, k):
+    if k == 1:
+        return (0, 1)
+    key = [0] * k  # (a_{k-1}, ..., a_0), counted up lexicographically
+    while True:
+        mod = list(reversed(key)) + [1]
+        if _rabin_irreducible(mod, p):
+            return tuple(mod)
+        i = k - 1
+        while key[i] == p - 1:
+            key[i] = 0
+            i -= 1
+        key[i] += 1
+
+
+def test_modulus_matches_rabin_oracle_for_every_prime_power_to_4096():
+    qs = [q for q in range(2, 4097) if len(cyclo._prime_divisors(q)) == 1]
+    assert len(qs) == 604
+    for q in qs:
+        p, k = ff_core.split_prime_power(q)
+        assert ff_core._smallest_modulus(p, k) == _rabin_smallest_modulus(p, k), q
+
+
+def test_trial_division_finds_factors():
+    # x^2 + 1 = (x + 1)^2 over Z_2; x^4 + x^2 + 1 = (x^2 + x + 1)^2 over Z_2
+    assert ff_core._pmod([1, 0, 1], [1, 1], 2) == [0]
+    assert ff_core._pmod([1, 0, 1, 0, 1], [1, 1, 1], 2) == [0, 0]
+    assert ff_core._pmod([1, 1, 0, 1], [1, 1], 2) == [1]  # x^3 + x + 1 at x = 1
+    # the remainder is padded to deg(mod) residues in 0..p-1
+    assert ff_core._pmod([4, 0, 1], [1, 0, 0, 1], 3) == [1, 0, 1]
+    assert ff_core._pmod([-1, 2], [0, 0, 1], 5) == [4, 2]
