@@ -21,7 +21,7 @@ import sys
 
 from . import classical, cyclo, ff_core, hyperff, identities
 from .charset import Char
-from .errors import FFHyperError, UnknownIdentity
+from .errors import FFHyperError, TooLarge, UnknownIdentity
 
 SCHEMA = "ffhyper/1"
 
@@ -38,16 +38,18 @@ def _max_q() -> int:
     return cap
 
 
-def _parse_q(text: str) -> tuple[int, int]:
+def _parse_q(text: str, cap: int) -> tuple[int, int]:
     if "^" in text:
         p, _, k = text.partition("^")
         return int(p), int(k)
+    if int(text) > cap:  # refused before it is factored
+        raise TooLarge(int(text), cap)
     return ff_core.split_prime_power(int(text))
 
 
 def _field(text: str):
-    p, k = _parse_q(text)
-    return ff_core.build_field(p, k, _max_q())
+    cap = _max_q()
+    return ff_core.build_field(*_parse_q(text, cap), cap)
 
 
 def _ints(text: str) -> list[int]:
@@ -120,12 +122,12 @@ def _cmd_verify(args) -> int:
         idents = [d.id for d in identities.list_identities()]
     else:
         idents = [v.strip() for v in args.id.split(",")]
+    max_q = _max_q()
     q_list = []
     for tq in args.q.split(","):
-        p, k = _parse_q(tq.strip())
+        p, k = _parse_q(tq.strip(), max_q)
         q_list.append(p ** k)
     n_req = _ints(args.n) if args.n else None
-    max_q = _max_q()
 
     reports = []
     for ident in idents:

@@ -207,9 +207,9 @@ def split_prime_power(q: int) -> tuple[int, int]:
 def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
+    if p**k > max_q:  # before the primality test, which factors p
+        raise TooLarge(p**k, max_q)
     if _prime_divisors(p) != (p,):
         raise NotPrime(p)
-    if p**k > max_q:
-        raise TooLarge(p**k, max_q)
     return FieldTable(p, k)
 

@@ -28,9 +28,10 @@ whole bytes, so no folded coefficient can overflow its slot.  Sums over a
 character index, sum_c zeta^(c k) U_c V_c, accumulate packed products (the
 twist is a shift) and decode once; the character-sum form of F_D convolves
 its n character slots over the index this way instead of walking all N^n
-tuples.
+tuples.  The generating functions sum N F_D values that differ by chi^theta
+in one slot, exponents affine in theta: _fd_rows walks u once for all N.
 
-A per-field context (_Ev) carries the tables and the binomial and F_D memos.
+A per-field context (_Ev) carries the tables and one memo, of binomials.
 The public ops build a fresh one per call and reduce modulo Phi_N to a
 canonical CycInt once, at the end; the verifier keeps one context per field
 and never reduces, because it decides equality of raw vectors with
@@ -53,11 +54,10 @@ from .ff_core import FieldTable
 
 
 class _Ev:
-    """Evaluation context of one field: its tables as flat attributes, a
-    binomial memo (vectors keyed by (A, B), and their packed forms keyed by
-    (A, B, w)) and an F_D-vector memo.  The memos live as long as the
-    context: one call for the public ops below, one process for the
-    identities engine."""
+    """Evaluation context of one field: its tables as flat attributes and one
+    memo, of binomial vectors keyed by (A, B) and their packed forms keyed by
+    (A, B, w).  The memo lives as long as the context: one call for the
+    public ops below, one process for the identities engine."""
 
     def __init__(self, f: FieldTable):
         self.f = f
@@ -67,22 +67,6 @@ class _Ev:
         self.Z = f.zech_table
         self.neg1 = f.neg(1)
         self.binoms: dict[tuple, tuple[int, ...] | int] = {}
-        self._fd: dict = {}
-
-    def fd(self, mA, mBs, mC, xs):
-        N = self.N
-        key = (mA % N, tuple(m % N for m in mBs), mC % N, tuple(xs))
-        v = self._fd.get(key)
-        if v is None:
-            v = _fd_vec(self, key[0], key[1], key[2], key[3])
-            self._fd[key] = v
-        return v
-
-    def binom(self, ma, mb):
-        return _binom_vec(self, ma, mb)
-
-    def mono(self, pairs):
-        return _mono_exp(self, pairs)
 
 
 # -- group-ring vector helpers --------------------------------------------------
@@ -256,6 +240,38 @@ def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
     return out
 
 
+def _fd_rows(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str) -> list[list[int]]:
+    """The N vectors _fd_vec gives with chi^theta put in one slot, row theta
+    for theta = 0..N-1: A theta (slot "A"), B_n theta ("B"), C theta^-1 ("C"),
+    or A theta and C theta together ("AC").  Row theta's term at u = g^i has
+    exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
+    slot, so one walk over u fills every row.  Needs n >= 1."""
+    N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
+    rows = [[0] * N for _ in range(N)]
+    if any(x == 0 for x in xs):
+        return rows
+    mA %= N
+    mAC = (mC - mA) % N
+    e0 = (mA + mC) * l1
+    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    ln = slots[-1][1]
+    d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(ln + i) % N],
+         "C": lambda i: -l1 - Z[i], "AC": lambda i: 2 * l1 + i}[slot]
+    for i in range(1, N):
+        e = e0 + mA * i + mAC * Z[i]
+        for mb, lx in slots:
+            z = Z[(lx + i) % N]
+            if z < 0:
+                break
+            e += mb * z
+        else:
+            k, dk = e, d(i)
+            for row in rows:  # row theta: e + theta d(i)
+                row[k % N] += 1
+                k += dk
+    return rows
+
+
 def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
     out = [0] * ev.N
     if x != 0:
@@ -412,17 +428,9 @@ def _genfn_lhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     N = ev.N
     if t == 0:
         return [0] * N  # every summand carries theta(0) = 0
-    ths = range(N)
-    if variant == "T41":
-        keys = [(mA - mC + th, th) for th in ths]
-        fds = [_fd_vec(ev, mA + th, mBs, mC, xs) for th in ths]
-    elif variant == "T42":
-        keys = [(mBs[-1] + th, th) for th in ths]
-        fds = [_fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs) for th in ths]
-    else:
-        keys = [(mA - mC + th, th) for th in ths]
-        fds = [_fd_vec(ev, mA, mBs, mC - th, xs) for th in ths]
-    return _binom_vec_sum(ev, keys, fds, ev.L[t])
+    keys = [((mBs[-1] if variant == "T42" else mA - mC) + th, th) for th in range(N)]
+    rows = _fd_rows(ev, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant])
+    return _binom_vec_sum(ev, keys, rows, ev.L[t])
 
 
 def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:

@@ -13,8 +13,9 @@ Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
 Sides are evaluated against one context per field order (hyperff._Ev: the
-field's tables plus binomial and F_D memos), kept for the life of the
-process so every report on that field shares its memos.
+field's tables plus one memo, of binomials), kept for the life of the
+process so every report on that field shares it.  F_D is walked per value;
+t3.ksum and t5.gf1-3 take their N F_D terms from one walk (_fd_rows).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -39,7 +40,7 @@ from typing import Callable
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, TooLarge, UnknownIdentity
-from .hyperff import _addm, _addv, _Ev
+from .hyperff import _addm, _addv, _Ev, _mono_exp
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_SAMPLES = 500
@@ -56,14 +57,16 @@ _EVS: dict[int, _Ev] = {}
 
 
 def _ev_for_q(q: int, max_q: int | None = None) -> _Ev:
-    """The context of F_q, built on first use; `max_q` is checked on every call."""
-    p, k = ff_core.split_prime_power(q)
-    cap = max_q or ff_core.DEFAULT_MAX_Q
+    """The context of F_q, built on first use.  q is checked against `max_q`
+    (None: the default cap) on every call, before it is factored."""
+    cap = ff_core.DEFAULT_MAX_Q if max_q is None else max_q
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"max_q must be a positive integer, got {max_q!r}")
     if q > cap:
         raise TooLarge(q, cap)
     ev = _EVS.get(q)
     if ev is None:
-        ev = _EVS[q] = _Ev(ff_core.build_field(p, k, cap))
+        ev = _EVS[q] = _Ev(ff_core.build_field(*ff_core.split_prime_power(q), cap))
     return ev
 
 
@@ -129,7 +132,7 @@ def _c_t_ne_1(ev, n, cs, es):
 
 
 def _t21_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], es)
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
 
 
 def _t21_rhs(ev, n, cs, es):
@@ -151,7 +154,7 @@ def _ffbeta_lhs(ev, n, cs, es):
     merged = (Bs[0] + Bs[1],) + Bs[2:]
     for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
         xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
-        _addv(out, ev.fd(A, merged, C, (xm,) + es[2:]), Bs[0] * i + Bs[1] * Z[i])
+        _addv(out, hyperff._fd_vec(ev, A, merged, C, (xm,) + es[2:]), Bs[0] * i + Bs[1] * Z[i])
     return out
 
 
@@ -160,12 +163,12 @@ def _ffbeta_rhs(ev, n, cs, es):
     x1, x2 = es[0], es[1]
     f, N = ev.f, ev.N
     m12 = -(Bs[0] + Bs[1])
-    out = hyperff._conv(ev.binom(m12, -Bs[0]), ev.fd(A, Bs, C, es), N)
+    out = hyperff._conv(hyperff._binom_vec(ev, m12, -Bs[0]), hyperff._fd_vec(ev, A, Bs, C, es), N)
     if x1 != 0 and x2 != 0:
-        e = ev.mono([(Bs[0], ev.neg1), (m12, f.sub(x1, x2))])
-        _addv(out, ev.fd(A + m12, Bs[2:], C + m12, es[2:]), e, -1)
-    e = ev.mono([(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
-    _addv(out, ev.fd(A, Bs[2:], C, es[2:]), e, -1)
+        e = _mono_exp(ev, [(Bs[0], ev.neg1), (m12, f.sub(x1, x2))])
+        _addv(out, hyperff._fd_vec(ev, A + m12, Bs[2:], C + m12, es[2:]), e, -1)
+    e = _mono_exp(ev, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
+    _addv(out, hyperff._fd_vec(ev, A, Bs[2:], C, es[2:]), e, -1)
     return out
 
 
@@ -180,9 +183,9 @@ def _ksum_rhs(ev, n, cs, es):
     if xn == 0:
         return [0] * ev.N
     chs = range(ev.N)
-    return hyperff._binom_vec_sum(ev, [(Bs[-1] + ch, ch) for ch in chs],
-                                  [ev.fd(A + ch, Bs[:-1], C + ch, es[:-1]) for ch in chs],
-                                  ev.L[xn])
+    rows = ([hyperff._binom_vec(ev, A + ch, C + ch) for ch in chs] if n == 1
+            else hyperff._fd_rows(ev, A, Bs[:-1], C, es[:-1], "AC"))
+    return hyperff._binom_vec_sum(ev, [(Bs[-1] + ch, ch) for ch in chs], rows, ev.L[xn])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -191,7 +194,7 @@ _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F
 
 def _epsred_lhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]  # n-1 free B slots; last is eps
-    return ev.fd(A, Bs + (0,), C, es)
+    return hyperff._fd_vec(ev, A, Bs + (0,), C, es)
 
 
 def _epsred_rhs(ev, n, cs, es):
@@ -200,10 +203,10 @@ def _epsred_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     out = [0] * N
     if xn != 0:
-        _addv(out, ev.fd(A, Bs, C, es[:-1]), 0)
-    e = ev.mono([(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
-                 *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
-                 *((0, x) for x in es[:-1])])
+        _addv(out, hyperff._fd_vec(ev, A, Bs, C, es[:-1]), 0)
+    e = _mono_exp(ev, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
+                       *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
+                       *((0, x) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -214,7 +217,7 @@ _reg("t4.eps-reduce", "trivial last character: F_D drops to F_D^(n-1) minus a mo
 
 def _ceqa_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return ev.fd(A, Bs, A, es)
+    return hyperff._fd_vec(ev, A, Bs, A, es)
 
 
 def _ceqa_rhs(ev, n, cs, es):
@@ -222,14 +225,14 @@ def _ceqa_rhs(ev, n, cs, es):
     xn = es[-1]
     f, N = ev.f, ev.N
     out = [0] * N
-    e = ev.mono([*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
-                 *((0, x) for x in es)])
+    e = _mono_exp(ev, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
+                       *((0, x) for x in es)])
     _addm(out, e, -1)
     if xn != 0:
         inv = f.inv(xn)
-        e = ev.mono([(Bs[-1], ev.neg1), (-A, xn)])
-        _addv(out, ev.fd(A, Bs[:-1], A - Bs[-1],
-                         tuple(f.mul(x, inv) for x in es[:-1])), e)
+        e = _mono_exp(ev, [(Bs[-1], ev.neg1), (-A, xn)])
+        _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], A - Bs[-1],
+                               tuple(f.mul(x, inv) for x in es[:-1])), e)
     return out
 
 
@@ -240,16 +243,16 @@ _reg("t4.c-eq-a", "C = A evaluation: the last B-slot is shifted out of C",
 def _oneminus_lhs(ev, n, cs, es):
     if 1 in es:
         return [0] * ev.N
-    return ev.fd(cs[0], cs[2:], cs[1], es)
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
 
 
 def _oneminus_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     f, N = ev.f, ev.N
     out = [0] * N
-    e = ev.mono([(sum(Bs), ev.neg1), *((0, x) for x in es)])
-    _addv(out, ev.fd(A, Bs, A + sum(Bs) - C,
-                     tuple(f.sub(1, x) for x in es)), e)
+    e = _mono_exp(ev, [(sum(Bs), ev.neg1), *((0, x) for x in es)])
+    _addv(out, hyperff._fd_vec(ev, A, Bs, A + sum(Bs) - C,
+                           tuple(f.sub(1, x) for x in es)), e)
     return out
 
 
@@ -261,10 +264,10 @@ def _pfaff_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     f, N = ev.f, ev.N
     out = [0] * N
-    e = ev.mono([(C, ev.neg1),
-                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
+    e = _mono_exp(ev, [(C, ev.neg1),
+                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
     args = tuple(f.div(x, f.sub(x, 1)) for x in es)
-    _addv(out, ev.fd(C - A, Bs, C, args), e)
+    _addv(out, hyperff._fd_vec(ev, C - A, Bs, C, args), e)
     return out
 
 
@@ -275,7 +278,7 @@ _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial 
 def _lastpivot_lhs(ev, n, cs, es):
     if es[-1] in es[:-1]:
         return [0] * ev.N
-    return ev.fd(cs[0], cs[2:], cs[1], es)
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
 
 
 def _lastpivot_rhs(ev, n, cs, es):
@@ -283,10 +286,10 @@ def _lastpivot_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
+    e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1]) + (f.mul(xn, d),)
-    _addv(out, ev.fd(A, Bs[:-1] + (C - sum(Bs),), C, args), e)
+    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1] + (C - sum(Bs),), C, args), e)
     return out
 
 
@@ -298,7 +301,7 @@ def _c35_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
     if es[-1] in es[:-1]:
         return [0] * ev.N
-    return ev.fd(A, Bs, sum(Bs), es)
+    return hyperff._fd_vec(ev, A, Bs, sum(Bs), es)
 
 
 def _c35_rhs(ev, n, cs, es):
@@ -306,12 +309,12 @@ def _c35_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(-A, f.sub(1, xn)), *((0, x) for x in es)])
+    e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1])
-    _addv(out, ev.fd(A, Bs[:-1], sum(Bs), args), e)
-    e = ev.mono([*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                 *((0, f.sub(xn, x)) for x in es[:-1])])
+    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], sum(Bs), args), e)
+    e = _mono_exp(ev, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                       *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -326,11 +329,11 @@ def _pivot2_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(C, ev.neg1), (C - A - Bs[-1], f.sub(1, xn)),
-                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                 *((0, x) for x in es[:-1])])
+    e = _mono_exp(ev, [(C, ev.neg1), (C - A - Bs[-1], f.sub(1, xn)),
+                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                       *((0, x) for x in es[:-1])])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1]) + (xn,)
-    _addv(out, ev.fd(C - A, Bs[:-1] + (C - sum(Bs),), C, args), e)
+    _addv(out, hyperff._fd_vec(ev, C - A, Bs[:-1] + (C - sum(Bs),), C, args), e)
     return out
 
 
@@ -344,14 +347,14 @@ def _c37_rhs(ev, n, cs, es):
     SB = sum(Bs)
     xn = es[-1]
     out = [0] * N
-    e = ev.mono([(SB, ev.neg1), (SB - Bs[-1] - A, f.sub(1, xn)),
-                 *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                 *((0, x) for x in es)])
+    e = _mono_exp(ev, [(SB, ev.neg1), (SB - Bs[-1] - A, f.sub(1, xn)),
+                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                       *((0, x) for x in es)])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1])
-    _addv(out, ev.fd(SB - A, Bs[:-1], SB, args), e)
-    e = ev.mono([(0, f.sub(xn, 1)),
-                 *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                 *((0, f.sub(xn, x)) for x in es[:-1])])
+    _addv(out, hyperff._fd_vec(ev, SB - A, Bs[:-1], SB, args), e)
+    e = _mono_exp(ev, [(0, f.sub(xn, 1)),
+                       *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                       *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -362,11 +365,11 @@ _reg("t4.reduce-c37", "second C = B_1..B_n reduction with (x_n-x_j)/(1-x_j) argu
 
 
 def _evalequal_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], (es[0],) * n)
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], (es[0],) * n)
 
 
 def _evalequal_rhs(ev, n, cs, es):
-    return ev.fd(cs[0], (sum(cs[2:]),), cs[1], (es[0],))
+    return hyperff._fd_vec(ev, cs[0], (sum(cs[2:]),), cs[1], (es[0],))
 
 
 _reg("t4.eval-equal-x", "all points equal: F_D collapses to a single merged slot",
@@ -374,13 +377,13 @@ _reg("t4.eval-equal-x", "all points equal: F_D collapses to a single merged slot
 
 
 def _evalxn1_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], es + (1,))
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es + (1,))
 
 
 def _evalxn1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     out = [0] * ev.N
-    _addv(out, ev.fd(A, Bs[:-1], C - Bs[-1], es),
+    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], C - Bs[-1], es),
           (Bs[-1] % ev.N) * ev.f.log_neg1)
     return out
 
@@ -390,13 +393,13 @@ _reg("t4.eval-xn1", "last point 1: the slot is absorbed into C",
 
 
 def _evalall1_lhs(ev, n, cs, es):
-    return ev.fd(cs[0], cs[2:], cs[1], (1,) * n)
+    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], (1,) * n)
 
 
 def _evalall1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     out = [0] * ev.N
-    _addv(out, ev.binom(A, C - sum(Bs)), (sum(Bs) % ev.N) * ev.f.log_neg1)
+    _addv(out, hyperff._binom_vec(ev, A, C - sum(Bs)), (sum(Bs) % ev.N) * ev.f.log_neg1)
     return out
 
 
@@ -406,7 +409,7 @@ _reg("t4.eval-all1", "all points 1: closed binomial form",
 
 def _c62_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return ev.fd(A, Bs, A, (es[0],) * n)
+    return hyperff._fd_vec(ev, A, Bs, A, (es[0],) * n)
 
 
 def _c62_rhs(ev, n, cs, es):
@@ -415,8 +418,8 @@ def _c62_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     SB = sum(Bs)
     out = [0] * N
-    _addm(out, ev.mono([(0, x), (-SB, f.sub(1, x))]), -1)
-    _addv(out, ev.binom(A, SB), ev.mono([(SB, ev.neg1), (-A, x)]))
+    _addm(out, _mono_exp(ev, [(0, x), (-SB, f.sub(1, x))]), -1)
+    _addv(out, hyperff._binom_vec(ev, A, SB), _mono_exp(ev, [(SB, ev.neg1), (-A, x)]))
     return out
 
 
@@ -426,7 +429,7 @@ _reg("t4.c62", "C = A with equal points: two-term closed form",
 
 def _c63_lhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return ev.fd(A, Bs, sum(Bs), (es[0],) * n)
+    return hyperff._fd_vec(ev, A, Bs, sum(Bs), (es[0],) * n)
 
 
 def _c63_rhs(ev, n, cs, es):
@@ -435,8 +438,8 @@ def _c63_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     SB = sum(Bs)
     out = [0] * N
-    _addv(out, ev.binom(A, SB), ev.mono([(0, x), (-A, f.sub(1, x))]))
-    _addm(out, ev.mono([(-SB, f.neg(x))]), -1)
+    _addv(out, hyperff._binom_vec(ev, A, SB), _mono_exp(ev, [(0, x), (-A, f.sub(1, x))]))
+    _addm(out, _mono_exp(ev, [(-SB, f.neg(x))]), -1)
     if x == 1 and A % N == 0:
         _addm(out, (SB % N) * ev.f.log_neg1, ev.q - 1)
     return out
@@ -470,11 +473,11 @@ _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t 
 # binomial-coefficient facts; cs layout noted per entry, no point dependence on n
 
 def _f2_lhs(ev, n, cs, es):
-    return ev.binom(cs[0], cs[1])
+    return hyperff._binom_vec(ev, cs[0], cs[1])
 
 
 def _f2_rhs(ev, n, cs, es):
-    return ev.binom(cs[0], cs[0] - cs[1])
+    return hyperff._binom_vec(ev, cs[0], cs[0] - cs[1])
 
 
 _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
@@ -484,7 +487,7 @@ _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
 def _f3_rhs(ev, n, cs, es):
     A, B = cs
     out = [0] * ev.N
-    _addv(out, ev.binom(-B, -A), ((A + B) % ev.N) * ev.f.log_neg1)
+    _addv(out, hyperff._binom_vec(ev, -B, -A), ((A + B) % ev.N) * ev.f.log_neg1)
     return out
 
 
@@ -499,22 +502,22 @@ def _f4_rhs(ev, n, cs, es):
 
 
 _reg("p2.f4-eps", "{A choose eps} = -1 + (q-1) delta(A)",
-     lambda ev, n, cs, es: ev.binom(cs[0], 0), _f4_rhs,
+     lambda ev, n, cs, es: hyperff._binom_vec(ev, cs[0], 0), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 _reg("p2.f4-self", "{A choose A} = -1 + (q-1) delta(A)",
-     lambda ev, n, cs, es: ev.binom(cs[0], cs[0]), _f4_rhs,
+     lambda ev, n, cs, es: hyperff._binom_vec(ev, cs[0], cs[0]), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 
 
 def _prod_lhs(ev, n, cs, es):
     A, B, C = cs
-    return hyperff._conv(ev.binom(A, B), ev.binom(C, A), ev.N)
+    return hyperff._conv(hyperff._binom_vec(ev, A, B), hyperff._binom_vec(ev, C, A), ev.N)
 
 
 def _prod_rhs(ev, n, cs, es):
     A, B, C = cs
     N, q = ev.N, ev.q
-    out = hyperff._conv(ev.binom(C, B), ev.binom(C - B, A - B), N)
+    out = hyperff._conv(hyperff._binom_vec(ev, C, B), hyperff._binom_vec(ev, C - B, A - B), N)
     if A % N == 0:
         _addm(out, (B % N) * ev.f.log_neg1, -(q - 1))
     if (B - C) % N == 0:
@@ -533,7 +536,7 @@ def _binthm_lhs(ev, n, cs, es):
 def _binthm_rhs(ev, n, cs, es):
     A, x = cs[0], es[0]
     out = [0] * ev.N
-    _addm(out, ev.mono([(0, x), (-A, ev.f.sub(1, x))]), ev.q - 1)
+    _addm(out, _mono_exp(ev, [(0, x), (-A, ev.f.sub(1, x))]), ev.q - 1)
     return out
 
 
@@ -549,7 +552,7 @@ def _linesum_lhs(ev, n, cs, es):
 def _linesum_rhs(ev, n, cs, es):
     A, B, x = cs[0], cs[1], es[0]
     out = [0] * ev.N
-    _addm(out, ev.mono([(-B, x), (B - A, ev.f.sub(1, x))]), ev.q - 1)
+    _addm(out, _mono_exp(ev, [(-B, x), (B - A, ev.f.sub(1, x))]), ev.q - 1)
     return out
 
 

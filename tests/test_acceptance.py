@@ -1,6 +1,7 @@
 """Acceptance gate: one test per top-level claim, one PASS/FAIL line each."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -171,3 +172,29 @@ def test_criterion_5_infrastructure(capfd):
     _report(capfd, "infrastructure: ring axioms, orthogonality q<=64, "
             "negative control, JSON determinism", ok,
             f"control failures {len(neg.failures)}/{neg.tested}")
+
+
+# SHA-256 of the JSON list of TheoremReport.to_dict() for one identity: q = 5
+# exhaustive, then q = 7 and 8 sampled (seed 42, 100 draws), plain and with
+# --corrupt-rhs, whose failure entries render every lhs value; n = 1, 2 each.
+REPORT_DIGESTS = {
+    "t2.1": "c4018948fa2d3fd46f7dd0303e559fbf8ddbb6bd6cfbf0e8b725da2129a4807a",
+    "t3.ksum": "8ee885f6936fcd3cc8335dc90fff17d3549497e4db1f80a476bdaecc67533b2c",
+    "t5.gf1": "108fbeed3b0718ae08f7b16fc2710d756cd06fcf8c967921fafa654b40f4d0fe",
+    "t5.gf2": "0bc4cb97046afd0c75d3691b298dc920424af5c94e7177178f06b9eeb5a3e0ac",
+    "t5.gf3": "38f7b593f15ee1199dc0558b382b9f503b6872873c8a389edda5c6728bf86319",
+}
+
+
+def test_criterion_6_seeded_reports_byte_identical(capfd):
+    changed = []
+    for ident, want in REPORT_DIGESTS.items():
+        reports = identities.verify(ident, [5], n_list=[1, 2])
+        for corrupt in (False, True):
+            reports += identities.verify(ident, [7, 8], mode="sampled", n_list=[1, 2],
+                                         seed=42, count=100, corrupt_rhs=corrupt)
+        text = json.dumps([r.to_dict() for r in reports])
+        if hashlib.sha256(text.encode()).hexdigest() != want:
+            changed.append(ident)
+    _report(capfd, "seeded reports byte-identical: t2.1, t3.ksum, t5.gf1-3",
+            not changed, f"changed: {', '.join(changed) or 'none'}")

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ffhyper import cli
+from ffhyper import cli, cyclo
 
 
 def run(capsys, *argv):
@@ -191,6 +191,20 @@ def test_env_cap_above_default_admits_a_larger_field(capsys, monkeypatch):
     code, _, err = run(capsys, "eval", "binom", "--q", "4099", "--A", "1", "--B", "2")
     assert code == 3
     assert "exceeds the configured maximum 4098" in err
+
+
+def test_oversized_order_is_refused_before_factoring(capsys, monkeypatch):
+    # factoring 100000000000031 by trial division takes over a second; the
+    # cap check comes first, so no order here reaches the factoriser
+    monkeypatch.delenv("FFHYPER_MAX_Q", raising=False)
+    cyclo._prime_divisors.cache_clear()
+    for q in ("100000000000031", "4097", "2^13"):
+        for argv in (["eval", "binom", "--q", q, "--A", "1", "--B", "2"],
+                     ["verify", "--id", "p2.f2", "--q", q]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "exceeds the configured maximum 4096" in err
+    assert cyclo._prime_divisors.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "", "2.5"])

@@ -89,6 +89,15 @@ def test_build_field_validation():
     ff_core.build_field(2, 12)  # 4096 is allowed
 
 
+def test_build_field_checks_the_cap_before_factoring():
+    # p^k is above the default cap in each case, so p is never factored
+    cyclo._prime_divisors.cache_clear()
+    for p, k in ((4099, 1), (2, 13), (100000000000031, 1)):
+        with pytest.raises(errors.TooLarge):
+            ff_core.build_field(p, k)
+    assert cyclo._prime_divisors.cache_info().currsize == 0
+
+
 def test_split_prime_power():
     assert ff_core.split_prime_power(8) == (2, 3)
     assert ff_core.split_prime_power(7) == (7, 1)

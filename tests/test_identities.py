@@ -73,6 +73,24 @@ def test_n_range_enforced():
         identities.verify("p2.f2", [5], n_list=[1])  # fixed at n = 0
 
 
+def test_field_cap_is_checked_before_factoring():
+    # 4097 = 17 * 241 is not a prime power, but above the cap that is not
+    # looked at: every oversized order is TooLarge, and none is factored
+    cyclo._prime_divisors.cache_clear()
+    for q, max_q in ((4097, None), (4099, None), (100000000000031, None), (9, 8)):
+        with pytest.raises(errors.TooLarge):
+            identities.verify("p2.f2", [q], max_q=max_q)
+    assert cyclo._prime_divisors.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("max_q", [0, -5])
+def test_max_q_must_be_a_positive_integer(max_q):
+    with pytest.raises(ValueError, match=f"max_q must be a positive integer, got {max_q}"):
+        identities.verify("p2.f2", [8], max_q=max_q)
+    (r,) = identities.verify("p2.f2", [8], max_q=8)
+    assert r.ok and r.tested == 49
+
+
 def test_cap_exceeded():
     with pytest.raises(errors.CapExceeded):
         identities.verify("t2.1", [5], n_list=[2], cap=100)

@@ -2,8 +2,9 @@
 
 Each packed path is compared with the loop it replaced, kept here as the
 oracle: the schoolbook cyclic convolution, the literal N^n-term character
-sum, the per-theta generating-function sum and the per-chi k-sum.  Exhaustive
-over every character tuple at q <= 5, sampled at larger q.
+sum, one _fd_vec walk per theta for each one-pass F_D row, the per-theta
+generating-function sum and the per-chi k-sum.  Exhaustive over every
+character tuple at q <= 5, sampled at larger q.
 """
 
 import itertools
@@ -65,6 +66,17 @@ def per_theta_genfn_lhs(ev, mA, mBs, mC, xs, t, variant):
                                hyperff._fd_vec(ev, mA, mBs, mC - th, xs), N)
         hyperff._addv(out, term, th * ev.L[t])
     return out
+
+
+def fd_with_theta(ev, mA, mBs, mC, xs, slot, th):
+    """_fd_vec with chi^theta put in one slot, as _fd_rows's row theta."""
+    if slot == "A":
+        return hyperff._fd_vec(ev, mA + th, mBs, mC, xs)
+    if slot == "B":
+        return hyperff._fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs)
+    if slot == "C":
+        return hyperff._fd_vec(ev, mA, mBs, mC - th, xs)
+    return hyperff._fd_vec(ev, mA + th, mBs, mC + th, xs)  # "AC"
 
 
 def per_chi_ksum_rhs(ev, n, cs, es):
@@ -187,6 +199,51 @@ def test_charsum_beyond_2_63_equals_scaled_fd(n):
         fd = hyperff._fd_vec(ev, mA, mBs, mC, xs)
         assert cyclo.vanishes(N, [N ** n * a - b for a, b in zip(fd, cs)])
         assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
+
+
+# -- one-pass F_D rows -------------------------------------------------------------------
+
+SLOTS = ("A", "B", "C", "AC")
+
+
+def _rows_match(ev, args, slot, oracle_slot):
+    rows = hyperff._fd_rows(ev, *args, slot)
+    return len(rows) == ev.N and all(
+        row == fd_with_theta(ev, *args, oracle_slot, th) for th, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fd_rows_match_per_theta_fd_exhaustive(q):
+    ev = _ev(q)
+    N = ev.N
+    for n in (1, 2):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                for slot in SLOTS:
+                    assert _rows_match(ev, args, slot, slot), (args, slot)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
+def test_fd_rows_match_per_theta_fd_sampled(q):
+    ev = _ev(q)
+    N = ev.N
+    rng = random.Random(300 + q)
+    for n in (1, 2, 3):
+        for _ in range(3 if q == 64 else 8):
+            args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+                    rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)))
+            for slot in SLOTS:
+                assert _rows_match(ev, args, slot, slot), (args, slot)
+
+
+def test_fd_rows_negative_control():
+    # the check can fail: the A-slot rows are not the C-slot family
+    ev = _ev(5)
+    cases = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=3)
+             for xs in itertools.product(range(1, 5), repeat=1)]
+    assert all(_rows_match(ev, args, "A", "A") for args in cases)
+    assert not all(_rows_match(ev, args, "A", "C") for args in cases)
 
 
 def _genfn_cases(q, n, rng, points):
