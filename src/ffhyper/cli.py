@@ -38,13 +38,24 @@ def _max_q() -> int:
     return cap
 
 
+def _numeral(text: str, cap: int) -> int:
+    """int(text), but cap + 1 for a decimal numeral with more digits than the
+    cap: as p or as k in "p^k" either value gives the same verdict, and Python
+    converts at most 4300 digits."""
+    digits = text.strip().lstrip("0")
+    return cap + 1 if digits.isdecimal() and len(digits) > len(str(cap)) else int(text)
+
+
 def _parse_q(text: str, cap: int) -> tuple[int, int]:
-    if "^" in text:
-        p, _, k = text.partition("^")
-        return int(p), int(k)
-    if int(text) > cap:  # refused before it is factored
-        raise TooLarge(int(text), cap)
-    return ff_core.split_prime_power(int(text))
+    """(p, k) of a field order spelled "p^k" or as a plain prime power.  The
+    order is compared with the cap before p^k is built or anything factored."""
+    p, caret, k = text.partition("^")
+    p, k = _numeral(p, cap), (_numeral(k, cap) if caret else 1)
+    try:
+        ff_core.check_order(p, k, cap)
+    except TooLarge:
+        raise TooLarge(text, cap) from None  # as spelled, not as saturated
+    return (p, k) if caret else ff_core.split_prime_power(p)
 
 
 def _field(text: str):

@@ -8,6 +8,10 @@ Coefficients are Python ints, hence never overflow.  Phi_n is the Moebius
 product of the binomials x^d - 1 over the divisors d of n (Lidl & Niederreiter,
 Finite Fields, ch. 2-3), each factor one shift-and-subtract or one exact
 division; its order has no limit of its own, the field size caps it.
+Reduction mod Phi_n runs through the same 2^omega(n) factors: quotient and
+remainder come from power-series products and quotients by 1 - x^d, each one
+linear pass, so a length-L reduction costs O(2^omega(n) * L) additions, not the
+O((L - phi(n)) * phi(n)) of long division.
 
 Deciding equality does not need canonical form: `vanishes` tests whether a
 group-ring vector (a sum of n-th roots of unity) is zero in O(omega(n) * n),
@@ -70,39 +74,71 @@ def _div_binomial(a: list[int], d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low to high, as the Moebius product
+def _moebius_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, mu(n/d)) with mu(n/d) != 0, for
     Phi_n = prod_{d | n} (x^d - 1)^mu(n/d).  mu(n/d) is nonzero only when n/d
-    is a product of distinct primes of n, and then it is (-1)^(their number);
-    the factors with mu = 1 are multiplied in first, then those with mu = -1
-    divided out, each division exact."""
+    is a product of distinct primes of n, and then it is (-1)^(their number)."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     ps = _prime_divisors(n)
-    subsets = [s for r in range(len(ps) + 1) for s in itertools.combinations(ps, r)]
+    return tuple((n // math.prod(s), (-1) ** r)
+                 for r in range(len(ps) + 1) for s in itertools.combinations(ps, r))
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, low to high, as the Moebius product of
+    `_moebius_factors`: the factors with mu = 1 are multiplied in first, then
+    those with mu = -1 divided out, each division exact."""
+    factors = _moebius_factors(n)
     poly = [1]
-    for s in subsets:
-        if len(s) % 2 == 0:
-            poly = _mul_binomial(poly, n // math.prod(s))
-    for s in subsets:
-        if len(s) % 2 == 1:
-            poly = _div_binomial(poly, n // math.prod(s))
+    for d, mu in factors:
+        if mu == 1:
+            poly = _mul_binomial(poly, d)
+    for d, mu in factors:
+        if mu == -1:
+            poly = _div_binomial(poly, d)
     return tuple(poly)
 
 
+def _series_pass(s: list[int], d: int, e: int) -> list[int]:
+    """s * (1 - x^d)^e mod x^len(s), e = 1 or -1: a shift-and-subtract, or a
+    running sum with stride d (1/(1 - x^d) = 1 + x^d + x^2d + ...)."""
+    if e == 1:
+        return s[:d] + [a - b for a, b in zip(s[d:], s)]
+    out = s[:]
+    for r in range(min(d, len(s) - d)):  # runs of one term are their own sums
+        out[r::d] = itertools.accumulate(s[r::d])
+    return out
+
+
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
-    phi_n = cyclotomic_poly(n)
-    deg = len(phi_n) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = 0
-            for j in range(deg):
-                coeffs[i - deg + j] -= c * phi_n[j]
-    coeffs = coeffs[:deg]
-    coeffs += [0] * (deg - len(coeffs))
-    return tuple(coeffs)
+    """The residue of sum_i coeffs[i] * x^i mod Phi_n, as phi(n) coefficients.
+
+    Division with remainder by power series (von zur Gathen & Gerhard, Modern
+    Computer Algebra, sec. 9.1).  Let P = prod_{d | n} (1 - x^d)^mu(n/d): it is
+    the reversal x^phi(n) Phi_n(1/x), and Phi_n = (-1)^(sum mu) P, since each
+    x^d - 1 = -(1 - x^d) (sum mu = 0 except at n = 1).  For a = Q Phi_n + R of
+    length L = phi(n) + m, the reversed quotient is rev(a) / P mod x^m, and
+    R = a - Q Phi_n mod x^phi(n).  Each product or quotient by P is one
+    `_series_pass` per Moebius factor (the passes commute: each is a product
+    by a unit of Z[[x]]/(x^k)), so a reduction costs O(2^omega(n) * L) big-int
+    additions, against O(m * phi(n)) for long division by Phi_n.
+    """
+    factors = _moebius_factors(n)
+    deg = _totient(n)
+    a = list(coeffs)
+    if len(a) <= deg:
+        return tuple(a + [0] * (deg - len(a)))
+    s = a[:deg - 1:-1]  # rev(a) mod x^m
+    for d, mu in factors:
+        s = _series_pass(s, d, -mu)
+    s = s[::-1][:deg]  # Q mod x^phi(n)
+    s += [0] * (deg - len(s))
+    for d, mu in factors:
+        s = _series_pass(s, d, mu)
+    sign = (-1) ** sum(mu for _, mu in factors)
+    return tuple(c - sign * t for c, t in zip(a, s))
 
 
 def vanishes(n: int, vec) -> bool:

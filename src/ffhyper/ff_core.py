@@ -204,11 +204,18 @@ def split_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
+def check_order(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> None:
+    """ValueError unless k >= 1, TooLarge when p^k > max_q.  For |p| >= 2 a k
+    past max_q's bit length puts |p^k| past the cap, so such a k is refused
+    before p^k is built: the power costs time and memory that grow with k."""
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if p**k > max_q:  # before the primality test, which factors p
-        raise TooLarge(p**k, max_q)
+    if abs(p) >= 2 and k > max_q.bit_length() or p**k > max_q:
+        raise TooLarge(p if k == 1 else f"{p}^{k}", max_q)
+
+
+def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
+    check_order(p, k, max_q)  # before the primality test, which factors p
     if _prime_divisors(p) != (p,):
         raise NotPrime(p)
     return FieldTable(p, k)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,13 +199,47 @@ def test_oversized_order_is_refused_before_factoring(capsys, monkeypatch):
     # cap check comes first, so no order here reaches the factoriser
     monkeypatch.delenv("FFHYPER_MAX_Q", raising=False)
     cyclo._prime_divisors.cache_clear()
-    for q in ("100000000000031", "4097", "2^13"):
+    # "p^k" is compared with the cap before p^k is built, and a numeral past
+    # Python's 4300-digit conversion limit before it is converted
+    for q in ("100000000000031", "4097", "2^13", "2^20000", "2^1000000000", "9" * 5000):
         for argv in (["eval", "binom", "--q", q, "--A", "1", "--B", "2"],
                      ["verify", "--id", "p2.f2", "--q", q]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
             assert "exceeds the configured maximum 4096" in err
     assert cyclo._prime_divisors.cache_info().currsize == 0
+
+
+# argv of the large-field evals of the cli benchmark workload (variant 1) and
+# the SHA-256 of their stdout, taken from the long-division reduction: the
+# canonical text may not change by one byte
+LARGE_FIELD_EVALS = [
+    (["eval", "jacobi", "--q", "4096", "--chi", "1656", "--lam", "1445"],
+     "b458765fa7d40b72c5cb19d29f61f00784ae8e06f1a180fb1659cbac7c0a0f7d"),
+    (["eval", "binom", "--q", "4096", "--A", "4060", "--B", "122"],
+     "e60ecf3b2772baf5dc168ab8ae1ba9114577dfeccd9c62a0eb88bdf065afb664"),
+    (["eval", "2f1", "--q", "4096", "--A", "3658", "--B", "1520", "--C", "1644",
+      "--x", "2389"],
+     "ef72aab33871787c9ada0c4de1cc652fd89732641e3432fedd7ce2facca05d2a"),
+    (["eval", "f1", "--q", "4096", "--A", "2617", "--B", "3989,725", "--C", "2949",
+      "--x", "111,18"],
+     "aa45f3a26bf1faa24e3305acefb57af4453b0e90b6922d3a8edb98b4f15630e3"),
+    (["eval", "fd", "--q", "4096", "--A", "135", "--B", "3395,550,3941", "--C", "1525",
+      "--x", "2592,4059,1250"],
+     "8e2d74d6ed418c880457c306bfd7d8ad03a178c845f0310273de8fdc7e9106f2"),
+    (["eval", "fd", "--q", "1024", "--A", "817", "--B", "397,209,531", "--C", "322",
+      "--x", "768,78,255"],
+     "edb0bd7712a7968ad51c2907c1ecd52736ef27a8eaa342e5a72e587556a43ff5"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", LARGE_FIELD_EVALS,
+                         ids=[f"{a[1]}-q{a[3]}" for a, _ in LARGE_FIELD_EVALS])
+def test_large_field_eval_output_is_pinned(capsys, monkeypatch, argv, sha256):
+    monkeypatch.delenv("FFHYPER_MAX_Q", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "abc", "", "2.5"])

@@ -132,9 +132,63 @@ def test_div_exact():
         cyclo.div_exact(a, 4)
 
 
+def _schoolbook_reduce(coeffs, n):
+    """Oracle: long division by Phi_n, the reduction the power-series
+    division replaced."""
+    phi_n = cyclo.cyclotomic_poly(n)
+    deg = len(phi_n) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c:
+            coeffs[i] = 0
+            for j in range(deg):
+                coeffs[i - deg + j] -= c * phi_n[j]
+    coeffs = coeffs[:deg]
+    coeffs += [0] * (deg - len(coeffs))
+    return tuple(coeffs)
+
+
+def test_reduce_exhaustive_small_orders():
+    # every vector in {-1, 0, 1}^L for n <= 4 and L <= n + 2
+    for n in (1, 2, 3, 4):
+        for length in range(n + 3):
+            for vec in itertools.product((-1, 0, 1), repeat=length):
+                assert cyclo._reduce(list(vec), n) == _schoolbook_reduce(vec, n), (n, vec)
+
+
+REDUCE_ORDERS = [q - 1 for q in range(3, 65) if len(cyclo._prime_divisors(q)) == 1] + [
+    1, 255, 1023, 4095, 4098]
+
+
+@pytest.mark.parametrize("n", REDUCE_ORDERS)
+def test_reduce_matches_schoolbook_oracle(n):
+    rng = random.Random(f"reduce:{n}")
+    deg = cyclo._totient(n)
+    phi = cyclo.cyclotomic_poly(n)
+    # 2 * phi - 1 is the length `mul` reduces
+    for length in sorted({0, 1, deg, deg + 1, n, 2 * deg - 1, n + 7}):
+        vec = [rng.randint(-50, 50) for _ in range(length)]
+        got = cyclo._reduce(vec, n)
+        assert got == _schoolbook_reduce(vec, n), (n, length)
+        # a shifted multiple of Phi_n leaves the residue unchanged ...
+        c, k = rng.choice((-3, -1, 2, 7)), rng.randrange(n + 1)
+        shifted = vec + [0] * (k + len(phi) - len(vec))
+        for j, a in enumerate(phi):
+            shifted[k + j] += c * a
+        assert cyclo._reduce(shifted, n) == got, (n, length, k)
+        # ... and one changed coefficient below degree phi(n) moves it by as much
+        if length:
+            j = rng.randrange(min(length, deg))
+            vec[j] += 1
+            moved = list(got)
+            moved[j] += 1
+            assert cyclo._reduce(vec, n) == tuple(moved), (n, length, j)
+
+
 def _reduces_to_zero(n, vec):
-    """Oracle: canonical reduction mod Phi_n."""
-    return not any(cyclo._reduce(list(vec), n))
+    """Oracle of `vanishes`: schoolbook reduction mod Phi_n."""
+    return not any(_schoolbook_reduce(vec, n))
 
 
 def test_vanishes_exhaustive_small_orders():

@@ -90,9 +90,10 @@ def test_build_field_validation():
 
 
 def test_build_field_checks_the_cap_before_factoring():
-    # p^k is above the default cap in each case, so p is never factored
+    # p^k is above the default cap in each case, so p is never factored;
+    # a k past the cap's bit length is refused before p^k is built
     cyclo._prime_divisors.cache_clear()
-    for p, k in ((4099, 1), (2, 13), (100000000000031, 1)):
+    for p, k in ((4099, 1), (2, 13), (100000000000031, 1), (2, 10**9), (-3, 10**9)):
         with pytest.raises(errors.TooLarge):
             ff_core.build_field(p, k)
     assert cyclo._prime_divisors.cache_info().currsize == 0
