@@ -82,7 +82,7 @@ def main():
     print(f"\n{len(rows)} reports, {failed} failures, {elapsed:.1f}s")
     if args.json:
         doc = {"schema": "ffhyper/1",
-               "reports": [r.to_dict(timings=True) for r in rows]}
+               "reports": [r.to_dict() for r in rows]}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

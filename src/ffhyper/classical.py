@@ -21,7 +21,7 @@ binomial instead.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import quad
 from scipy.special import loggamma
@@ -39,7 +39,6 @@ class ClassicalFdParams:
     c: complex
     x: tuple[complex, ...]
     M: int = DEFAULT_M
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
@@ -110,12 +109,6 @@ def beta(x: complex, y: complex) -> complex:
     return cmath.exp(loggamma(x) + loggamma(y) - loggamma(x + y))
 
 
-def _replace(p: ClassicalFdParams, **kw) -> ClassicalFdParams:
-    base = {"a": p.a, "b": p.b, "c": p.c, "x": p.x, "M": p.M, "tol": p.tol}
-    base.update(kw)
-    return ClassicalFdParams(**base)
-
-
 def check_integral_formula(p: ClassicalFdParams,
                            quadrature_cfg: QuadratureCfg | None = None) -> float:
     """|B(b1,b2) F_D^(n) - integral of u^(b1-1)(1-u)^(b2-1) F_D^(n-1)| where the
@@ -131,7 +124,7 @@ def check_integral_formula(p: ClassicalFdParams,
     inner_b = (b1 + b2,) + p.b[2:]
 
     def integrand(u: float) -> complex:
-        inner = _replace(p, b=inner_b, x=(u * x1 + (1 - u) * x2,) + p.x[2:])
+        inner = replace(p, b=inner_b, x=(u * x1 + (1 - u) * x2,) + p.x[2:])
         return u ** (b1 - 1) * (1 - u) ** (b2 - 1) * fd_series(inner)
 
     rhs, _ = quad(integrand, 0.0, 1.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
@@ -150,7 +143,7 @@ def check_ksum_formula(p: ClassicalFdParams, K: int = DEFAULT_K) -> float:
     acc = 0j
     weight = 1 + 0j  # (a)_k (b_n)_k x_n^k / (k! (c)_k)
     for k in range(K + 1):
-        inner = _replace(p, a=p.a + k, b=p.b[:-1], c=p.c + k, x=p.x[:-1])
+        inner = replace(p, a=p.a + k, b=p.b[:-1], c=p.c + k, x=p.x[:-1])
         acc += weight * fd_series(inner)
         weight *= (p.a + k) * (bn + k) * xn / ((k + 1) * (p.c + k))
     return abs(lhs - acc)
@@ -167,7 +160,7 @@ def check_mr_reduction(p: ClassicalFdParams) -> float:
     if abs(1 - xn) < 1e-12:
         raise DomainViolation("x_n = 1 is outside the reduction's domain")
     lhs = fd_series(p)
-    inner = _replace(p, b=p.b[:-1],
-                     x=tuple((xj - xn) / (1 - xn) for xj in p.x[:-1]))
+    inner = replace(p, b=p.b[:-1],
+                    x=tuple((xj - xn) / (1 - xn) for xj in p.x[:-1]))
     rhs = cmath.exp(-p.a * cmath.log(1 - xn)) * fd_series(inner)
     return abs(lhs - rhs)

@@ -6,8 +6,8 @@ cyclotomic polynomial Phi_n, on the power basis 1, z, ..., z^(phi(n)-1).  Two
 elements of the same order are equal iff their coefficient tuples are equal.
 Coefficients are Python ints, hence never overflow.  Phi_n is the Moebius
 product of the binomials x^d - 1 over the divisors d of n (Lidl & Niederreiter,
-Finite Fields, ch. 2-3), each factor one shift-and-subtract or one exact
-division; its order has no limit of its own, the field size caps it.
+Finite Fields, ch. 2-3), built as a power series with one linear pass per
+factor; its order has no limit of its own, the field size caps it.
 Reduction mod Phi_n runs through the same 2^omega(n) factors: quotient and
 remainder come from power-series products and quotients by 1 - x^d, each one
 linear pass, so a length-L reduction costs O(2^omega(n) * L) additions, not the
@@ -54,25 +54,6 @@ def _totient(n: int) -> int:
     return out
 
 
-def _mul_binomial(a: list[int], d: int) -> list[int]:
-    """a * (x^d - 1): one shift-and-subtract."""
-    out = [0] * d + a
-    for i, c in enumerate(a):
-        out[i] -= c
-    return out
-
-
-def _div_binomial(a: list[int], d: int) -> list[int]:
-    """a / (x^d - 1), a top-down running sum with stride d; raises
-    InexactDivision on a nonzero remainder."""
-    out = a[d:]
-    for i in range(len(out) - 1 - d, -1, -1):
-        out[i] += out[i + d]
-    if any(c + r for c, r in zip(a[:d], out + [0] * d)):
-        raise InexactDivision(f"x^{d} - 1")
-    return out
-
-
 @lru_cache(maxsize=None)
 def _moebius_factors(n: int) -> tuple[tuple[int, int], ...]:
     """The pairs (d, mu(n/d)) with mu(n/d) != 0, for
@@ -85,22 +66,6 @@ def _moebius_factors(n: int) -> tuple[tuple[int, int], ...]:
                  for r in range(len(ps) + 1) for s in itertools.combinations(ps, r))
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low to high, as the Moebius product of
-    `_moebius_factors`: the factors with mu = 1 are multiplied in first, then
-    those with mu = -1 divided out, each division exact."""
-    factors = _moebius_factors(n)
-    poly = [1]
-    for d, mu in factors:
-        if mu == 1:
-            poly = _mul_binomial(poly, d)
-    for d, mu in factors:
-        if mu == -1:
-            poly = _div_binomial(poly, d)
-    return tuple(poly)
-
-
 def _series_pass(s: list[int], d: int, e: int) -> list[int]:
     """s * (1 - x^d)^e mod x^len(s), e = 1 or -1: a shift-and-subtract, or a
     running sum with stride d (1/(1 - x^d) = 1 + x^d + x^2d + ...)."""
@@ -110,6 +75,20 @@ def _series_pass(s: list[int], d: int, e: int) -> list[int]:
     for r in range(min(d, len(s) - d)):  # runs of one term are their own sums
         out[r::d] = itertools.accumulate(s[r::d])
     return out
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, low to high: (-1)^(sum mu) P with
+    P = prod_{d | n} (1 - x^d)^mu(n/d), one `_series_pass` per Moebius factor.
+    P is a polynomial of degree phi(n), so its power series mod x^(phi(n)+1)
+    is P itself (see `_reduce` for the sign)."""
+    factors = _moebius_factors(n)
+    s = [1] + [0] * _totient(n)
+    for d, mu in factors:
+        s = _series_pass(s, d, mu)
+    sign = (-1) ** sum(mu for _, mu in factors)
+    return tuple(sign * c for c in s)
 
 
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:

@@ -15,6 +15,9 @@ cyclo's factoriser, which also tests the characteristic and splits q = p^k.
 Both choices are deterministic, so character labels and discrete logs are
 reproducible across runs and machines.
 
+`build_field` is the one field cache: one FieldTable per (p, k) asked for,
+built on first use and shared for the rest of the process, so never mutate one.
+
 After construction, arithmetic uses three tables and no digit arithmetic:
 exp/log for products, and Zech's logarithm Z(i) = log(1 - g^i) for sums, since
 x - y = x (1 - y/x).  The same table turns every "1 - something" in a
@@ -25,6 +28,7 @@ ch. 10).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .cyclo import _prime_divisors
 from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
@@ -71,8 +75,9 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
 
 
 class FieldTable:
-    """F_q with exp, log and Zech-log tables.  Immutable after construction;
-    do not mutate.
+    """F_q with exp, log and Zech-log tables.  Immutable after construction:
+    `build_field` hands the same table of each (p, k) to every caller in the
+    process, so never mutate one.
 
     exp_table[i] = g^i and log_table[x] = log_g x (log_table[0] = -1).
     zech_table[i] = log_g(1 - g^i), Zech's logarithm, with the same -1 at
@@ -215,7 +220,14 @@ def check_order(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> None:
 
 
 def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
-    check_order(p, k, max_q)  # before the primality test, which factors p
+    """The shared FieldTable of F_{p^k}.  p^k is compared with max_q on every
+    call, before the cache is consulted or p is factored."""
+    check_order(p, k, max_q)
+    return _field(p, k)
+
+
+@lru_cache(maxsize=None)  # caches tables, not NotPrime: a refusal is re-raised
+def _field(p: int, k: int) -> FieldTable:
     if _prime_divisors(p) != (p,):
         raise NotPrime(p)
     return FieldTable(p, k)

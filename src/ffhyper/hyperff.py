@@ -31,11 +31,12 @@ its n character slots over the index this way instead of walking all N^n
 tuples.  The generating functions sum N F_D values that differ by chi^theta
 in one slot, exponents affine in theta: _fd_rows walks u once for all N.
 
-A per-field context (_Ev) carries the tables and one memo, of binomials.
-The public ops build a fresh one per call and reduce modulo Phi_N to a
-canonical CycInt once, at the end; the verifier keeps one context per field
-and never reduces, because it decides equality of raw vectors with
-cyclo.vanishes and builds canonical form only for output.
+A per-field context (_Ev) carries the field's shared tables and one memo, of
+binomials, that lives for one call: the public ops build a fresh context per
+call and reduce modulo Phi_N to a canonical CycInt once, at the end; the
+verifier builds one per field per `verify` or `replay` call and never
+reduces, because it decides equality of raw vectors with cyclo.vanishes and
+builds canonical form only for output.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ from .ff_core import FieldTable
 
 
 class _Ev:
-    """Evaluation context of one field: its tables as flat attributes and one
-    memo, of binomial vectors keyed by (A, B) and their packed forms keyed by
-    (A, B, w).  The memo lives as long as the context: one call for the
-    public ops below, one process for the identities engine."""
+    """Evaluation context of one field: its shared tables as flat attributes
+    and one memo, of binomial vectors keyed by (A, B) and their packed forms
+    keyed by (A, B, w).  The memo lives as long as the context, which is one
+    call: of a public op below, or of identities.verify or replay."""
 
     def __init__(self, f: FieldTable):
         self.f = f
@@ -164,13 +165,14 @@ def _mono_exp(ev: _Ev, pairs) -> int | None:
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
 
 
-def _jacobi_vec(ev: _Ev, ma: int, mb: int) -> list[int]:
+def _jacobi_vec(ev: _Ev, ma: int, mb: int, e0: int = 0) -> list[int]:
+    """zeta^e0 J(chi^ma, chi^mb)."""
     N, Z = ev.N, ev.Z
     out = [0] * N
     ma %= N
     mb %= N
     for i in range(1, N):  # u = 0 and u = 1 contribute chi(0) = 0
-        out[(ma * i + mb * Z[i]) % N] += 1
+        out[(e0 + ma * i + mb * Z[i]) % N] += 1
     return out
 
 
@@ -179,9 +181,7 @@ def _binom_vec(ev: _Ev, ma: int, mb: int) -> tuple[int, ...]:
     v = ev.binoms.get(key)
     if v is None:
         ma, mb = key
-        out = [0] * ev.N
-        _addv(out, _jacobi_vec(ev, ma, -mb), mb * ev.f.log_neg1)
-        v = ev.binoms[key] = tuple(out)
+        v = ev.binoms[key] = tuple(_jacobi_vec(ev, ma, -mb, mb * ev.f.log_neg1))
     return v
 
 

@@ -12,9 +12,10 @@ and decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
 Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
-Sides are evaluated against one context per field order (hyperff._Ev: the
-field's tables plus one memo, of binomials), kept for the life of the
-process so every report on that field shares it.  F_D is walked per value;
+Sides are evaluated against one context per field order and call
+(hyperff._Ev: the field's shared tables plus one memo, of binomials): every
+report of one `verify` call on that field shares it, and `replay` builds its
+own, so the engine keeps no state between calls.  F_D is walked per value;
 t3.ksum and t5.gf1-3 take their N F_D terms from one walk (_fd_rows).
 
 Modes:
@@ -53,21 +54,17 @@ GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 
 # -- evaluation contexts ------------------------------------------------------------
 
-_EVS: dict[int, _Ev] = {}
-
 
 def _ev_for_q(q: int, max_q: int | None = None) -> _Ev:
-    """The context of F_q, built on first use.  q is checked against `max_q`
-    (None: the default cap) on every call, before it is factored."""
+    """A fresh context, with an empty binomial memo, on the shared table of
+    F_q.  q is checked against `max_q` (None: the default cap) before it is
+    factored."""
     cap = ff_core.DEFAULT_MAX_Q if max_q is None else max_q
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"max_q must be a positive integer, got {max_q!r}")
     if q > cap:
         raise TooLarge(q, cap)
-    ev = _EVS.get(q)
-    if ev is None:
-        ev = _EVS[q] = _Ev(ff_core.build_field(*ff_core.split_prime_power(q), cap))
-    return ev
+    return _Ev(ff_core.build_field(*ff_core.split_prime_power(q), cap))
 
 
 # -- identity descriptors -------------------------------------------------------------

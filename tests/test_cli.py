@@ -296,14 +296,36 @@ def test_usage_error_from_argparse(capsys):
     capsys.readouterr()
 
 
-def test_console_entry_point():
-    # the child imports the package this process imported, installed or not
+def _child_env():
+    """The environment of a child process that imports the package this
+    process imported, installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ffhyper.cli", "eval", "binom", "--q", "7",
          "--A", "0", "--B", "0"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "5"
+
+
+def test_verification_script_json_is_byte_identical(tmp_path):
+    # two runs of scripts/run_verification.py write the same bytes: no wall time
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "scripts", "run_verification.py")
+    outs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, script, "--id", "p2.f2,t4.eval-all1", "--q", "3,7",
+             "--count", "20", "--json", str(out)],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    reports = json.loads(outs[0])["reports"]
+    assert len(reports) == 6 and all(r["ms"] == 0 for r in reports)

@@ -112,19 +112,6 @@ def test_from_coeffs_reduces():
     assert b.is_zero()
 
 
-def test_exact_div_raises_on_remainder():
-    # x^2 + 1 = (x - 1)(x + 1) + 2; must raise even under python -O
-    with pytest.raises(errors.InexactDivision):
-        cyclo._div_binomial([1, 0, 1], 1)
-    # x^3 + x^2 = (x^2 - 1)(x + 1) + x + 1, and a dividend below degree d
-    with pytest.raises(errors.InexactDivision):
-        cyclo._div_binomial([0, 0, 1, 1], 2)
-    with pytest.raises(errors.InexactDivision):
-        cyclo._div_binomial([3], 2)
-    assert cyclo._div_binomial([-1, 0, 0, 0, 0, 0, 1], 3) == [1, 0, 0, 1]
-    assert cyclo._mul_binomial([1, 0, 0, 1], 3) == [-1, 0, 0, 0, 0, 0, 1]
-
-
 def test_div_exact():
     a = cyclo.from_coeffs(8, [6, 0, -4])
     assert cyclo.div_exact(a, 2) == cyclo.from_coeffs(8, [3, 0, -2])
@@ -134,8 +121,9 @@ def test_div_exact():
 
 def _schoolbook_reduce(coeffs, n):
     """Oracle: long division by Phi_n, the reduction the power-series
-    division replaced."""
-    phi_n = cyclo.cyclotomic_poly(n)
+    division replaced.  Phi_n comes from the recursive oracle below, so this
+    shares no code with `cyclo._series_pass`."""
+    phi_n = _recursive_phi(n)
     deg = len(phi_n) - 1
     coeffs = list(coeffs)
     for i in range(len(coeffs) - 1, deg - 1, -1):

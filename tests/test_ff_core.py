@@ -82,11 +82,23 @@ def test_zero_errors():
 def test_build_field_validation():
     with pytest.raises(errors.NotPrime):
         ff_core.build_field(6, 1)
+    for _ in range(2):  # a refusal is not cached: the second call raises too
+        with pytest.raises(errors.NotPrime):
+            ff_core.build_field(4, 1)
     with pytest.raises(ValueError):
         ff_core.build_field(5, 0)
     with pytest.raises(errors.TooLarge):
         ff_core.build_field(2, 13)  # 8192 > default cap
     ff_core.build_field(2, 12)  # 4096 is allowed
+
+
+def test_build_field_shares_one_table_per_order():
+    f = ff_core.build_field(3, 2)
+    assert ff_core.build_field(3, 2) is f
+    big = ff_core.build_field(2, 13, 8192)
+    assert ff_core.build_field(2, 13, 8192) is big
+    with pytest.raises(errors.TooLarge):  # the cap is compared before the cache
+        ff_core.build_field(2, 13)
 
 
 def test_build_field_checks_the_cap_before_factoring():

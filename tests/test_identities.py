@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ffhyper import cyclo, errors, identities
+from ffhyper import cyclo, errors, ff_core, hyperff, identities
 
 ALL_IDS = [d.id for d in identities.list_identities()]
 
@@ -89,6 +89,14 @@ def test_max_q_must_be_a_positive_integer(max_q):
         identities.verify("p2.f2", [8], max_q=max_q)
     (r,) = identities.verify("p2.f2", [8], max_q=8)
     assert r.ok and r.tested == 49
+
+
+def test_contexts_share_the_field_table_but_not_the_memo():
+    a, b = identities._ev_for_q(9), identities._ev_for_q(9)
+    assert a is not b
+    assert a.f is b.f is ff_core.build_field(3, 2)
+    hyperff._binom_vec(a, 1, 2)
+    assert a.binoms and not b.binoms
 
 
 def test_cap_exceeded():
