@@ -130,33 +130,41 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.id == "all":
-        idents = [d.id for d in identities.list_identities()]
+        descs = identities.list_identities()
     else:
-        idents = [v.strip() for v in args.id.split(",")]
+        descs = [identities.get_identity(v.strip()) for v in args.id.split(",")]
     max_q = _max_q()
     q_list = []
     for tq in args.q.split(","):
         p, k = _parse_q(tq.strip(), max_q)
         q_list.append(p ** k)
     n_req = _ints(args.n) if args.n else None
+    runs = []  # (identity, its n_list), for those left with any n
+    for d in descs:
+        n_list = [n for n in n_req if d.allows_n(n)] if n_req is not None else [d.n_min]
+        if n_list:
+            runs.append((d.id, n_list))
+    if not runs:
+        print("no runnable (identity, n) combinations", file=sys.stderr)
+        return 2
+    if not args.out:
+        return _verify(args, runs, q_list, max_q, sys.stdout)
+    try:  # before verifying, so an unwritable path costs no run
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
+    with fh:
+        return _verify(args, runs, q_list, max_q, fh)
 
+
+def _verify(args, runs, q_list, max_q, fh) -> int:
+    """Run each (identity, n_list) of `runs` over q_list; write the report to fh."""
     reports = []
-    for ident in idents:
-        desc = identities.get_identity(ident)
-        if n_req is not None:
-            n_list = [n for n in n_req if desc.allows_n(n)]
-        else:
-            n_list = [desc.n_min]
-        if not n_list:
-            continue
+    for ident, n_list in runs:
         reports.extend(identities.verify(
             ident, q_list, mode=args.mode, n_list=n_list, seed=args.seed,
             count=args.count, cap=args.cap, corrupt_rhs=args.corrupt_rhs,
             max_q=max_q))
-    if not reports:
-        print("no runnable (identity, n) combinations", file=sys.stderr)
-        return 2
-
     failures = sum(len(r.failures) for r in reports)
     if args.format == "json":
         doc = {"schema": SCHEMA,
@@ -173,11 +181,7 @@ def _cmd_verify(args) -> int:
                 line += f" ms={r.ms:.1f}"
             lines.append(line)
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fh.write(text)
     return 1 if failures else 0
 
 

@@ -17,6 +17,9 @@ exponent additions and sums are vector increments.  The sums over u run over
 exponents: with u = g^i, 1 - u = g^Z[i] for the field's Zech table Z, so each
 term of the F_D sum is one exponent e0 + A i + (C - A) Z[i] - sum_j B_j
 Z[(log x_j + i) mod N] and the inner loops stay integer-only and exact.
+Every identity side is a signed, zeta-shifted combination of such sums, so
+_fd_vec adds s zeta^e0 F_D into the caller's vector inside its walk, with no
+vector per term; at n = 0 (no B-slot) the walk is the binomial {A choose C}.
 
 General products are packed, not schoolbook (Kronecker substitution): a
 vector v becomes the integer sum_i v[i] 2^(w i), one exact big-int multiply
@@ -135,17 +138,6 @@ def _conv(a, b, N: int) -> list[int]:
     return _unpack(_pack(a, w) * _pack(b, w), w, N)
 
 
-def _addv(out: list[int], vec, e: int | None, scale: int = 1) -> None:
-    """out += scale * zeta^e * vec; no-op when the monomial prefactor is zero."""
-    if e is None:
-        return
-    N = len(out)
-    e %= N
-    for i, v in enumerate(vec):
-        if v:
-            out[(i + e) % N] += scale * v
-
-
 def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
     """out += scale * zeta^e; no-op when the monomial is zero."""
     if e is not None:
@@ -215,18 +207,20 @@ def _binom_vec_sum(ev: _Ev, keys, vecs, k: int) -> list[int]:
     return _binom_sum(ev, keys, [_pack(v, w) for v in vecs], k, w)
 
 
-def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
-    """F_D as a group-ring vector.  n=0 is the empty instance, which the
-    character-sum expression pins to {A choose C}."""
+def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
+            out: list[int] | None = None) -> list[int]:
+    """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
+    out is a fresh zero vector when None, and e0 = None (a zero prefactor)
+    adds nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u ->
+    u/(u-1) maps its terms one to one onto those of the binomial."""
     N, Z = ev.N, ev.Z
-    if len(mBs) == 0:
-        return list(_binom_vec(ev, mA, mC))
-    out = [0] * N
-    if any(x == 0 for x in xs):
+    if out is None:
+        out = [0] * N
+    if e0 is None or 0 in xs:
         return out
     mA %= N
     mAC = (mC - mA) % N
-    e0 = (mA + mC) * ev.f.log_neg1
+    e0 += (mA + mC) * ev.f.log_neg1
     slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
     for i in range(1, N):
         e = e0 + mA * i + mAC * Z[i]
@@ -236,7 +230,7 @@ def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
                 break
             e += mb * z
         else:
-            out[e % N] += 1
+            out[e % N] += s
     return out
 
 
@@ -245,7 +239,7 @@ def _fd_rows(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str) -> list[list[int]]:
     for theta = 0..N-1: A theta (slot "A"), B_n theta ("B"), C theta^-1 ("C"),
     or A theta and C theta together ("AC").  Row theta's term at u = g^i has
     exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
-    slot, so one walk over u fills every row.  Needs n >= 1."""
+    slot, so one walk over u fills every row.  Slot "B" needs n >= 1."""
     N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
     rows = [[0] * N for _ in range(N)]
     if any(x == 0 for x in xs):
@@ -254,8 +248,7 @@ def _fd_rows(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str) -> list[list[int]]:
     mAC = (mC - mA) % N
     e0 = (mA + mC) * l1
     slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
-    ln = slots[-1][1]
-    d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(ln + i) % N],
+    d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(slots[-1][1] + i) % N],
          "C": lambda i: -l1 - Z[i], "AC": lambda i: 2 * l1 + i}[slot]
     for i in range(1, N):
         e = e0 + mA * i + mAC * Z[i]
@@ -276,7 +269,7 @@ def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
     out = [0] * ev.N
     if x != 0:
         for ch in range(ev.N):
-            _addv(out, _binom_vec(ev, ma + ch, mb + ch), ch * ev.L[x])
+            _fd_vec(ev, ma + ch, (), mb + ch, (), e0=ch * ev.L[x], out=out)
     return out
 
 
@@ -304,11 +297,16 @@ def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
 # -- public types ----------------------------------------------------------------
 
 
-def _same_field(*chars: Char) -> FieldTable:
+def _same_field(*chars: Char, points=()) -> FieldTable:
+    """The one field of `chars`, in which every point must be an element
+    index 0 <= x < q."""
     f = chars[0].field
     for c in chars[1:]:
         if c.field is not f and c.field != f:
             raise FieldMismatch()
+    for x in points:
+        if not 0 <= x < f.q:
+            raise ValueError(f"element index {x} out of range for q={f.q}")
     return f
 
 
@@ -324,10 +322,7 @@ class FdInstance:
         object.__setattr__(self, "x", tuple(self.x))
         if len(self.B) < 1 or len(self.B) != len(self.x):
             raise ValueError("need n = |B| = |x| >= 1")
-        f = _same_field(self.A, *self.B, self.C)
-        for x in self.x:
-            if not 0 <= x < f.q:
-                raise ValueError(f"element index {x} out of range for q={f.q}")
+        _same_field(self.A, *self.B, self.C, points=self.x)
 
     @property
     def field(self) -> FieldTable:
@@ -347,8 +342,7 @@ class GenFnInstance:
     def __post_init__(self):
         if self.variant not in ("T41", "T42", "T43"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0 <= self.t < self.base.field.q:
-            raise ValueError(f"element index {self.t} out of range")
+        _same_field(self.base.A, points=(self.t,))
 
 
 # -- public ops -------------------------------------------------------------------
@@ -367,7 +361,7 @@ def binom(A: Char, B: Char) -> CycInt:
 def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"):
     """2F1(A,B;C|x) = F_D^(1)(B;A;C|x).  normalization="greene" returns the
     1/q-rescaled value as an exact (CycInt, q) numerator/denominator pair."""
-    ev = _Ev(_same_field(A, B, C))
+    ev = _Ev(_same_field(A, B, C, points=(x,)))
     val = cyclo.from_coeffs(ev.N, _fd_vec(ev, B.m, (A.m,), C.m, (x,)))
     if normalization == "unscaled":
         return val
@@ -377,7 +371,7 @@ def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"
 
 
 def appell_f1(A: Char, B: Char, B2: Char, C: Char, x: int, y: int) -> CycInt:
-    ev = _Ev(_same_field(A, B, B2, C))
+    ev = _Ev(_same_field(A, B, B2, C, points=(x, y)))
     return cyclo.from_coeffs(ev.N, _fd_vec(ev, A.m, (B.m, B2.m), C.m, (x, y)))
 
 
@@ -395,7 +389,7 @@ def lauricella_charsum(inst: FdInstance) -> CycInt:
 
 def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
     """sum over all chi of {A chi choose B chi} chi(x), by direct summation."""
-    ev = _Ev(_same_field(A, B))
+    ev = _Ev(_same_field(A, B, points=(x,)))
     return cyclo.from_coeffs(ev.N, _line_vec(ev, A.m, B.m, x))
 
 
@@ -440,8 +434,8 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     if variant == "T41":
         if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
             inv1t = f.inv(f.sub(1, t))
-            v = _fd_vec(ev, mA, mBs, mC, [f.mul(x, inv1t) for x in xs])
-            _addv(out, v, _mono_exp(ev, [(-mA, f.sub(1, t))]), q - 1)
+            _fd_vec(ev, mA, mBs, mC, [f.mul(x, inv1t) for x in xs],
+                    e0=_mono_exp(ev, [(-mA, f.sub(1, t))]), s=q - 1, out=out)
         e = _mono_exp(ev, [(mC - mA, f.neg(t)),
                            *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
         if all(x != 0 for x in xs):
@@ -451,8 +445,8 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     if variant == "T42":
         xn = xs[-1]
         if t != 0 and t != 1:
-            v = _fd_vec(ev, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))))
-            _addv(out, v, _mono_exp(ev, [(-mBs[-1], f.sub(1, t))]), q - 1)
+            _fd_vec(ev, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))),
+                    e0=_mono_exp(ev, [(-mBs[-1], f.sub(1, t))]), s=q - 1, out=out)
         e = _mono_exp(ev, [(-mBs[-1], f.neg(t)),
                            (sum(mBs[:-1]) - mC, xn),
                            (mC - mA, f.sub(1, xn)),
@@ -460,15 +454,15 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
         if all(x != 0 for x in xs[:-1]):
             _addm(out, e, -(q - 1))
         if t == 1 and xn != 0:
-            v = _fd_vec(ev, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1])
-            _addv(out, v, _mono_exp(ev, [(-mBs[-1], f.neg(xn))]), q - 1)
+            _fd_vec(ev, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
+                    e0=_mono_exp(ev, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
         return out
 
     # T43
     onept = f.add(1, t)
     if t != 0 and onept != 0:
-        v = _fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs])
-        _addv(out, v, _mono_exp(ev, [(mC, onept)]), q - 1)
+        _fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs],
+                e0=_mono_exp(ev, [(mC, onept)]), s=q - 1, out=out)
     e = _mono_exp(ev, [(mC - mA, f.neg(t)),
                        *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
     if all(x != 0 for x in xs):

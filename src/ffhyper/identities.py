@@ -15,8 +15,10 @@ output: failure entries and `replay`.
 Sides are evaluated against one context per field order and call
 (hyperff._Ev: the field's shared tables plus one memo, of binomials): every
 report of one `verify` call on that field shares it, and `replay` builds its
-own, so the engine keeps no state between calls.  F_D is walked per value;
-t3.ksum and t5.gf1-3 take their N F_D terms from one walk (_fd_rows).
+own, so the engine keeps no state between calls.  F_D is walked per value,
+each walk adding its signed, zeta-shifted term into the side's vector;
+t3.ksum (at every n, its n = 1 terms being binomials, the n = 0 walk) and
+t5.gf1-3 take their N F_D terms from one walk (_fd_rows).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -41,7 +43,7 @@ from typing import Callable
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, TooLarge, UnknownIdentity
-from .hyperff import _addm, _addv, _Ev, _mono_exp
+from .hyperff import _addm, _Ev, _mono_exp
 
 DEFAULT_CAP = 10_000_000
 DEFAULT_SAMPLES = 500
@@ -151,7 +153,8 @@ def _ffbeta_lhs(ev, n, cs, es):
     merged = (Bs[0] + Bs[1],) + Bs[2:]
     for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
         xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
-        _addv(out, hyperff._fd_vec(ev, A, merged, C, (xm,) + es[2:]), Bs[0] * i + Bs[1] * Z[i])
+        hyperff._fd_vec(ev, A, merged, C, (xm,) + es[2:], e0=Bs[0] * i + Bs[1] * Z[i],
+                        out=out)
     return out
 
 
@@ -163,10 +166,9 @@ def _ffbeta_rhs(ev, n, cs, es):
     out = hyperff._conv(hyperff._binom_vec(ev, m12, -Bs[0]), hyperff._fd_vec(ev, A, Bs, C, es), N)
     if x1 != 0 and x2 != 0:
         e = _mono_exp(ev, [(Bs[0], ev.neg1), (m12, f.sub(x1, x2))])
-        _addv(out, hyperff._fd_vec(ev, A + m12, Bs[2:], C + m12, es[2:]), e, -1)
+        hyperff._fd_vec(ev, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-1, out=out)
     e = _mono_exp(ev, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
-    _addv(out, hyperff._fd_vec(ev, A, Bs[2:], C, es[2:]), e, -1)
-    return out
+    return hyperff._fd_vec(ev, A, Bs[2:], C, es[2:], e0=e, s=-1, out=out)
 
 
 _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slots merged",
@@ -179,10 +181,9 @@ def _ksum_rhs(ev, n, cs, es):
     xn = es[-1]
     if xn == 0:
         return [0] * ev.N
-    chs = range(ev.N)
-    rows = ([hyperff._binom_vec(ev, A + ch, C + ch) for ch in chs] if n == 1
-            else hyperff._fd_rows(ev, A, Bs[:-1], C, es[:-1], "AC"))
-    return hyperff._binom_vec_sum(ev, [(Bs[-1] + ch, ch) for ch in chs], rows, ev.L[xn])
+    keys = [(Bs[-1] + ch, ch) for ch in range(ev.N)]
+    rows = hyperff._fd_rows(ev, A, Bs[:-1], C, es[:-1], "AC")
+    return hyperff._binom_vec_sum(ev, keys, rows, ev.L[xn])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -200,7 +201,7 @@ def _epsred_rhs(ev, n, cs, es):
     f, N = ev.f, ev.N
     out = [0] * N
     if xn != 0:
-        _addv(out, hyperff._fd_vec(ev, A, Bs, C, es[:-1]), 0)
+        hyperff._fd_vec(ev, A, Bs, C, es[:-1], out=out)
     e = _mono_exp(ev, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
                        *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
                        *((0, x) for x in es[:-1])])
@@ -228,8 +229,8 @@ def _ceqa_rhs(ev, n, cs, es):
     if xn != 0:
         inv = f.inv(xn)
         e = _mono_exp(ev, [(Bs[-1], ev.neg1), (-A, xn)])
-        _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], A - Bs[-1],
-                               tuple(f.mul(x, inv) for x in es[:-1])), e)
+        hyperff._fd_vec(ev, A, Bs[:-1], A - Bs[-1], tuple(f.mul(x, inv) for x in es[:-1]),
+                        e0=e, out=out)
     return out
 
 
@@ -245,12 +246,9 @@ def _oneminus_lhs(ev, n, cs, es):
 
 def _oneminus_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f, N = ev.f, ev.N
-    out = [0] * N
+    f = ev.f
     e = _mono_exp(ev, [(sum(Bs), ev.neg1), *((0, x) for x in es)])
-    _addv(out, hyperff._fd_vec(ev, A, Bs, A + sum(Bs) - C,
-                           tuple(f.sub(1, x) for x in es)), e)
-    return out
+    return hyperff._fd_vec(ev, A, Bs, A + sum(Bs) - C, tuple(f.sub(1, x) for x in es), e0=e)
 
 
 _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
@@ -259,13 +257,11 @@ _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
 
 def _pfaff_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f, N = ev.f, ev.N
-    out = [0] * N
+    f = ev.f
     e = _mono_exp(ev, [(C, ev.neg1),
                        *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
     args = tuple(f.div(x, f.sub(x, 1)) for x in es)
-    _addv(out, hyperff._fd_vec(ev, C - A, Bs, C, args), e)
-    return out
+    return hyperff._fd_vec(ev, C - A, Bs, C, args, e0=e)
 
 
 _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial prefactor",
@@ -280,14 +276,12 @@ def _lastpivot_lhs(ev, n, cs, es):
 
 def _lastpivot_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f, N = ev.f, ev.N
+    f = ev.f
     xn = es[-1]
-    out = [0] * N
     e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1]) + (f.mul(xn, d),)
-    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1] + (C - sum(Bs),), C, args), e)
-    return out
+    return hyperff._fd_vec(ev, A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
 
 
 _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
@@ -303,13 +297,12 @@ def _c35_lhs(ev, n, cs, es):
 
 def _c35_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    f, N = ev.f, ev.N
+    f = ev.f
     xn = es[-1]
-    out = [0] * N
     e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1])
-    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], sum(Bs), args), e)
+    out = hyperff._fd_vec(ev, A, Bs[:-1], sum(Bs), args, e0=e)
     e = _mono_exp(ev, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
                        *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
@@ -323,15 +316,13 @@ _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a mo
 
 def _pivot2_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f, N = ev.f, ev.N
+    f = ev.f
     xn = es[-1]
-    out = [0] * N
     e = _mono_exp(ev, [(C, ev.neg1), (C - A - Bs[-1], f.sub(1, xn)),
                        *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
                        *((0, x) for x in es[:-1])])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1]) + (xn,)
-    _addv(out, hyperff._fd_vec(ev, C - A, Bs[:-1] + (C - sum(Bs),), C, args), e)
-    return out
+    return hyperff._fd_vec(ev, C - A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
 
 
 _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
@@ -340,15 +331,14 @@ _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
 
 def _c37_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    f, N = ev.f, ev.N
+    f = ev.f
     SB = sum(Bs)
     xn = es[-1]
-    out = [0] * N
     e = _mono_exp(ev, [(SB, ev.neg1), (SB - Bs[-1] - A, f.sub(1, xn)),
                        *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
                        *((0, x) for x in es)])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1])
-    _addv(out, hyperff._fd_vec(ev, SB - A, Bs[:-1], SB, args), e)
+    out = hyperff._fd_vec(ev, SB - A, Bs[:-1], SB, args, e0=e)
     e = _mono_exp(ev, [(0, f.sub(xn, 1)),
                        *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
                        *((0, f.sub(xn, x)) for x in es[:-1])])
@@ -379,10 +369,7 @@ def _evalxn1_lhs(ev, n, cs, es):
 
 def _evalxn1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    out = [0] * ev.N
-    _addv(out, hyperff._fd_vec(ev, A, Bs[:-1], C - Bs[-1], es),
-          (Bs[-1] % ev.N) * ev.f.log_neg1)
-    return out
+    return hyperff._fd_vec(ev, A, Bs[:-1], C - Bs[-1], es, e0=Bs[-1] * ev.f.log_neg1)
 
 
 _reg("t4.eval-xn1", "last point 1: the slot is absorbed into C",
@@ -395,9 +382,7 @@ def _evalall1_lhs(ev, n, cs, es):
 
 def _evalall1_rhs(ev, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    out = [0] * ev.N
-    _addv(out, hyperff._binom_vec(ev, A, C - sum(Bs)), (sum(Bs) % ev.N) * ev.f.log_neg1)
-    return out
+    return hyperff._fd_vec(ev, A, (), C - sum(Bs), (), e0=sum(Bs) * ev.f.log_neg1)
 
 
 _reg("t4.eval-all1", "all points 1: closed binomial form",
@@ -412,11 +397,10 @@ def _c62_lhs(ev, n, cs, es):
 def _c62_rhs(ev, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
-    f, N = ev.f, ev.N
+    f = ev.f
     SB = sum(Bs)
-    out = [0] * N
+    out = hyperff._fd_vec(ev, A, (), SB, (), e0=_mono_exp(ev, [(SB, ev.neg1), (-A, x)]))
     _addm(out, _mono_exp(ev, [(0, x), (-SB, f.sub(1, x))]), -1)
-    _addv(out, hyperff._binom_vec(ev, A, SB), _mono_exp(ev, [(SB, ev.neg1), (-A, x)]))
     return out
 
 
@@ -434,8 +418,7 @@ def _c63_rhs(ev, n, cs, es):
     x = es[0]
     f, N = ev.f, ev.N
     SB = sum(Bs)
-    out = [0] * N
-    _addv(out, hyperff._binom_vec(ev, A, SB), _mono_exp(ev, [(0, x), (-A, f.sub(1, x))]))
+    out = hyperff._fd_vec(ev, A, (), SB, (), e0=_mono_exp(ev, [(0, x), (-A, f.sub(1, x))]))
     _addm(out, _mono_exp(ev, [(-SB, f.neg(x))]), -1)
     if x == 1 and A % N == 0:
         _addm(out, (SB % N) * ev.f.log_neg1, ev.q - 1)
@@ -483,9 +466,7 @@ _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
 
 def _f3_rhs(ev, n, cs, es):
     A, B = cs
-    out = [0] * ev.N
-    _addv(out, hyperff._binom_vec(ev, -B, -A), ((A + B) % ev.N) * ev.f.log_neg1)
-    return out
+    return hyperff._fd_vec(ev, -B, (), -A, (), e0=(A + B) * ev.f.log_neg1)
 
 
 _reg("p2.f3", "{A choose B} = AB(-1) {B^-1 choose A^-1}", _f2_lhs, _f3_rhs,
@@ -708,6 +689,11 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
         mismatches=mismatches, undefined=undefined)
 
 
+def _check_n(desc: IdentityDescriptor, n: int) -> None:
+    if not desc.allows_n(n):
+        raise ValueError(f"identity {desc.id} does not allow n={n}")
+
+
 def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
            seed: int = 0, count: int = DEFAULT_SAMPLES, cap: int = DEFAULT_CAP,
            corrupt_rhs: bool = False, max_q: int | None = None) -> list[TheoremReport]:
@@ -720,8 +706,7 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
     for q in q_list:
         ev = _ev_for_q(q, max_q)
         for n in n_list:
-            if not desc.allows_n(n):
-                raise ValueError(f"identity {ident} does not allow n={n}")
+            _check_n(desc, n)
             reports.append(_run_one(desc, ev, n, mode, seed, count, cap, corrupt_rhs))
     return reports
 
@@ -730,6 +715,7 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     """Re-run one stored assignment; returns (lhs, rhs, equal?)."""
     desc = get_identity(ident)
     q, n = int(assignment["q"]), int(assignment["n"])
+    _check_n(desc, n)
     ev = _ev_for_q(q)
     cs = tuple(int(c) % ev.N for c in assignment["chars"])
     es = tuple(int(e) % q for e in assignment["elems"])

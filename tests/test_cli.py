@@ -172,6 +172,26 @@ def test_verify_out_file(tmp_path, capsys):
     assert doc["reports"][0]["id"] == "p2.f2"
 
 
+def test_verify_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--id", "p2.f2", "--q", "4",
+                         "--out", str(path))
+    assert code == 2
+    assert out == "" and str(path) in err and "Traceback" not in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("target,B,x", [("2f1", "2", "{}"), ("f1", "2,1", "{},1"),
+                                        ("f1", "2,1", "1,{}"), ("linesum", "2", "{}")])
+@pytest.mark.parametrize("point", ["5", "-1"])
+def test_eval_point_out_of_range_is_a_usage_error(capsys, target, B, x, point):
+    code, out, err = run(capsys, "eval", target, "--q", "5", "--A", "1", "--B", B,
+                         "--C", "3", f"--x={x.format(point)}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: element index {point} out of range for q=5\n"
+
+
 def test_verify_respects_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("FFHYPER_MAX_Q", "16")
     code, _, err = run(capsys, "verify", "--id", "p2.f2", "--q", "25")

@@ -258,6 +258,23 @@ def test_instance_validation():
         hyperff.GenFnInstance(inst, 9, "T41")
 
 
+@pytest.mark.parametrize("x", [5, -1])
+def test_point_out_of_range_is_rejected(x):
+    # the check FdInstance makes: x = q is not a field element, and a negative
+    # index is not read as q + x
+    A, B, B2, C = _c(F5, 1), _c(F5, 2), _c(F5, 1), _c(F5, 3)
+    with pytest.raises(ValueError, match="out of range for q=5"):
+        hyperff.gauss_2f1(A, B, C, x)
+    for xs in ((x, 1), (1, x)):
+        with pytest.raises(ValueError, match="out of range for q=5"):
+            hyperff.appell_f1(A, B, B2, C, *xs)
+    with pytest.raises(ValueError, match="out of range for q=5"):
+        hyperff.char_line_sum(A, B, x)
+    hyperff.gauss_2f1(A, B, C, 4)  # the largest index is accepted
+    hyperff.appell_f1(A, B, B2, C, 4, 4)
+    hyperff.char_line_sum(A, B, 4)
+
+
 def test_fd_zero_slot_count_via_gauss_consistency():
     # n=1 lauricella at x=1 collapses to a pure binomial expression;
     # regression-pin one exact cyclotomic value at q=8

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -144,6 +145,13 @@ def test_replay_validates_shape():
     with pytest.raises(ValueError):
         identities.replay("t2.1", {"q": 5, "n": 1, "chars": [0, 1, 2],
                                    "elems": [2, 3]})
+    # the identity's n range, as verify checks it: t3.ff-beta needs n >= 2
+    # and p2.f2 allows only n = 0, whatever the assignment's shape
+    with pytest.raises(ValueError, match="does not allow n=1"):
+        identities.replay("t3.ff-beta", {"q": 5, "n": 1, "chars": [1, 2, 3],
+                                         "elems": [2]})
+    with pytest.raises(ValueError, match="does not allow n=3"):
+        identities.replay("p2.f2", {"q": 5, "n": 3, "chars": [1, 2], "elems": []})
 
 
 def test_sampled_mode_is_deterministic():
@@ -186,3 +194,60 @@ def test_multi_q_multi_n():
     rs = identities.verify("t4.eps-reduce", [3, 4], n_list=[1, 2])
     assert [(r.q, r.n) for r in rs] == [(3, 1), (3, 2), (4, 1), (4, 2)]
     assert all(r.ok for r in rs)
+
+
+# One SHA-256 per identity over its raw sides: every lhs and rhs vector, or
+# the name of the exception a side raises, at every assignment of the
+# exhaustive slot space (constraints ignored) for q in {3, 4, 5} and each
+# allowed n <= 2.  A refactor of the sums must leave every byte of them.
+RAW_SIDE_PINS = {
+    "t2.1": "bb8954905a82ac487b341234961abdd6a645408923b949fc1250bcf44b84fef5",
+    "t3.ff-beta": "d4749c845953328cda1be4462087ac6c764a276aef87bd9cf0c239b7c54c3766",
+    "t3.ksum": "abc2162362f7766c765e0a93afc6db7b27c3974592cb9cd3173d3ca05942c9af",
+    "t4.eps-reduce": "399eabdedd8cc2f05b3bba88d190648e23f66ebf7a5688363703e4d5f4b4600e",
+    "t4.c-eq-a": "ed61863ea98b30d0a93fea3bdb950708d00891003bd345be469f508834014868",
+    "t4.one-minus-x": "9c02a824d3ed964d99c6709f443b01695477d54e43568110db2027c9a5fc4f23",
+    "t4.pfaff": "f097ca7bef96f6d807f9c83451ae6a3a2a19ae5e86072defea3011b7ab0db488",
+    "t4.last-pivot": "c9986cf31f4a9663856268dd5e8046d6e9da7b6ed1fe8dc93ffe8312b44c205e",
+    "t4.reduce-c35": "691e75cbd88004320dcc03709270a351575619622b01751ac97b60e23d65c90c",
+    "t4.pivot2": "cc59d3641b59753d5d950fac17acacb1dc4f9e0377aacf82ce1c42d8b3135811",
+    "t4.reduce-c37": "19d91e8aab4931a097f8b6cab987dae4553cef4fe8b7b0bfe8b7632cf77cbca6",
+    "t4.eval-equal-x": "82f4875539e8ace428a55ae2ad4752f0955b834812f34bc85633713e2264625b",
+    "t4.eval-xn1": "e72f1c9c21201f66026503af166a5395245f2ad6bcce5faf082a921e022b80c1",
+    "t4.eval-all1": "70656738581e5525c9f3d8704b53ce8a25fed3056af23035f2eaf863cea32a4f",
+    "t4.c62": "ff3b2de327b3f24bbf982a7b92ef3933f115c3e4967930f0d148c4185a7713c1",
+    "t4.c63": "b23483298bb318bd2e20db910723e4576a49af42ac5e4e3c94cb04fbe2ff5c7d",
+    "t5.gf1": "df101a6ed264112bca1704b21a1cdd4b9f54a39abe1324d9dcd30ec2390fb70d",
+    "t5.gf2": "be96031a8756676b5979670167ff752bf46e894f7627c172c4c82e8956ef0215",
+    "t5.gf3": "387c3c4bdf1dd98aac6004a9ec95c4226886983ad4dbaaf066b2dfac7e74bf6c",
+    "p2.f2": "56d4f806048b5f565fda5ddaaf8ff14207515dda919a871b25a4dad4b4ddfa8c",
+    "p2.f3": "56d4f806048b5f565fda5ddaaf8ff14207515dda919a871b25a4dad4b4ddfa8c",
+    "p2.f4-eps": "9239909f9cb5a5c87f79819f3c05f6f454bcbd98acdf44e79ad07cad19379d9f",
+    "p2.f4-self": "9239909f9cb5a5c87f79819f3c05f6f454bcbd98acdf44e79ad07cad19379d9f",
+    "p2.prod": "23d18d6b635e0ec2eda9b8417d7146fd002a6a81d7e02eb7d5fdc274c1168e82",
+    "p2.binthm": "c522c6ce14f303424efb0c36114a126c260364cfbf437a61448da690ac68eaea",
+    "p2.linesum": "35967bd1edf4004f038683e4deedf16469dab9fac40ab14be7dbad07237bddf9",
+}
+
+
+def _raw_side(fn, ev, n, cs, es) -> str:
+    try:
+        return repr(list(fn(ev, n, cs, es)))
+    except Exception as exc:  # the exception's type is pinned too
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_raw_sides_are_pinned(ident):
+    desc = identities.get_identity(ident)
+    h = hashlib.sha256()
+    for q in (3, 4, 5):
+        ev = identities._ev_for_q(q)
+        for n in range(desc.n_min, 3):
+            if not desc.allows_n(n):
+                continue
+            for cs in itertools.product(range(ev.N), repeat=desc.chars(n)):
+                for es in itertools.product(range(q), repeat=desc.elems(n)):
+                    h.update(f"{q} {n} {cs} {es} {_raw_side(desc.lhs, ev, n, cs, es)} "
+                             f"{_raw_side(desc.rhs, ev, n, cs, es)}\n".encode())
+    assert h.hexdigest() == RAW_SIDE_PINS[ident]

@@ -3,8 +3,10 @@
 Each packed path is compared with the loop it replaced, kept here as the
 oracle: the schoolbook cyclic convolution, the literal N^n-term character
 sum, one _fd_vec walk per theta for each one-pass F_D row, the per-theta
-generating-function sum and the per-chi k-sum.  Exhaustive over every
-character tuple at q <= 5, sampled at larger q.
+generating-function sum, the per-chi k-sum, and the rotate-and-add of a
+fresh F_D vector for the walk that adds into the caller's vector.  The n = 0
+walk is compared with the Jacobi-sum binomial it replaced.  Exhaustive over
+every character tuple at q <= 5, sampled at larger q.
 """
 
 import itertools
@@ -20,6 +22,16 @@ def _ev(q):
 
 
 # -- oracles: the loops the packed paths replaced ---------------------------------
+
+
+def rot_add(out, vec, e, s=1):
+    """out += s zeta^e vec, one entry at a time; nothing when e is None."""
+    if e is not None:
+        N = len(out)
+        for i, v in enumerate(vec):
+            if v:
+                out[(i + e) % N] += s * v
+    return out
 
 
 def school_conv(a, b, N):
@@ -45,7 +57,7 @@ def literal_charsum(ev, mA, mBs, mC, xs):
         for mb, ch, lx in zip(mBs, chs, xlogs):
             term = school_conv(term, hyperff._binom_vec(ev, mb + ch, ch), N)
             e += ch * lx
-        hyperff._addv(out, term, e)
+        rot_add(out, term, e)
     return out
 
 
@@ -64,7 +76,7 @@ def per_theta_genfn_lhs(ev, mA, mBs, mC, xs, t, variant):
         else:
             term = school_conv(hyperff._binom_vec(ev, mA - mC + th, th),
                                hyperff._fd_vec(ev, mA, mBs, mC - th, xs), N)
-        hyperff._addv(out, term, th * ev.L[t])
+        rot_add(out, term, th * ev.L[t])
     return out
 
 
@@ -87,7 +99,7 @@ def per_chi_ksum_rhs(ev, n, cs, es):
         for ch in range(N):
             term = school_conv(hyperff._binom_vec(ev, Bs[-1] + ch, ch),
                                hyperff._fd_vec(ev, A + ch, Bs[:-1], C + ch, es[:-1]), N)
-            hyperff._addv(out, term, ch * ev.L[es[-1]])
+            rot_add(out, term, ch * ev.L[es[-1]])
     return out
 
 
@@ -302,3 +314,81 @@ def test_ksum_rhs_matches_per_chi_sampled(q):
             cs = tuple(rng.randrange(N) for _ in range(n + 2))
             es = tuple(rng.randrange(q) for _ in range(n))
             assert identities._ksum_rhs(ev, n, cs, es) == per_chi_ksum_rhs(ev, n, cs, es)
+
+
+# -- the F_D walk adds into the caller's vector ------------------------------------------
+
+
+def _walk_matches(ev, args, v, e, s):
+    out = list(v)
+    got = hyperff._fd_vec(ev, *args, e0=e, s=s, out=out)
+    return got is out and got == rot_add(list(v), hyperff._fd_vec(ev, *args), e, s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fd_walk_adds_into_out_exhaustive(q):
+    ev = _ev(q)
+    N = ev.N
+    rng = random.Random(400 + q)
+    for n in (0, 1, 2):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                v = [rng.randint(-3, 3) for _ in range(N)]
+                for e in (None, *range(N)):
+                    for s in (-1, 1, q - 1):
+                        assert _walk_matches(ev, args, v, e, s), (args, v, e, s)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
+def test_fd_walk_adds_into_out_sampled(q):
+    ev = _ev(q)
+    N = ev.N
+    rng = random.Random(500 + q)
+    for n in (0, 1, 2, 3):
+        for _ in range(6):
+            args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+                    rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)))
+            v = [rng.randint(-5, 5) for _ in range(N)]
+            e = rng.choice((None, rng.randrange(-3 * N, 3 * N)))
+            s = rng.choice((-1, 1, q - 1, rng.randint(-100, 100)))
+            assert _walk_matches(ev, args, v, e, s), (args, v, e, s)
+
+
+def test_fd_walk_negative_control():
+    # the check can fail: a shifted offset or a changed scale is seen
+    ev = _ev(5)
+    cases = [((ms[0], ms[2:], ms[1], xs), e) for ms in itertools.product(range(4), repeat=3)
+             for xs in itertools.product(range(1, 5), repeat=1) for e in range(4)]
+    v = [1, 0, -2, 0]
+
+    def mutated(args, e, de, ds):
+        want = rot_add(list(v), hyperff._fd_vec(ev, *args), e, 2)
+        return hyperff._fd_vec(ev, *args, e0=e + de, s=2 + ds, out=list(v)) == want
+
+    assert all(mutated(args, e, 0, 0) for args, e in cases)
+    assert not all(mutated(args, e, 1, 0) for args, e in cases)
+    assert not all(mutated(args, e, 0, 1) for args, e in cases)
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(cyclo._prime_divisors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_n0_walk_is_the_binomial(q):
+    # with no B-slot, u -> u/(u-1) maps the walk's terms onto {A choose C}'s
+    ev = _ev(q)
+    for mA, mC in itertools.product(range(ev.N), repeat=2):
+        assert hyperff._fd_vec(ev, mA, (), mC, ()) == list(hyperff._binom_vec(ev, mA, mC))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 64])
+def test_n0_ac_rows_are_shifted_binomials(q):
+    ev = _ev(q)
+    N = ev.N
+    pairs = itertools.product(range(N), repeat=2)
+    if q > 13:
+        pairs = random.Random(q).sample(list(pairs), 6)
+    for mA, mC in pairs:
+        rows = hyperff._fd_rows(ev, mA, (), mC, (), "AC")
+        assert rows == [list(hyperff._binom_vec(ev, mA + th, mC + th)) for th in range(N)]
