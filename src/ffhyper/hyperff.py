@@ -31,8 +31,17 @@ whole bytes, so no folded coefficient can overflow its slot.  Sums over a
 character index, sum_c zeta^(c k) U_c V_c, accumulate packed products (the
 twist is a shift) and decode once; the character-sum form of F_D convolves
 its n character slots over the index this way instead of walking all N^n
-tuples.  The generating functions sum N F_D values that differ by chi^theta
-in one slot, exponents affine in theta: _fd_rows walks u once for all N.
+tuples.
+
+The generating functions, the k-sum and the character line sum are sums over
+a character chi^theta, theta = 0..N-1, that enters one slot of an F_D walk,
+a binomial and a twist, so every term's exponent is affine in theta:
+e + theta m.  As theta runs over 0..N-1, theta m hits each multiple of
+g = gcd(m, N) g times, so the sum over theta of zeta^(e + theta m) is g at
+every exponent = e mod g.  _coset_counts counts the terms of one F_D walk
+(_fd_terms), paired with a binomial's terms or a twist, by (g, e mod g) and
+never forms a row per theta.  This is counting in Z[Z_N], not a relation of
+Z[zeta_N], so every vector is the literal sum's.
 
 A per-field context (_Ev) carries the field's shared tables and one memo, of
 binomials, that lives for one call: the public ops build a fresh context per
@@ -44,9 +53,10 @@ builds canonical form only for output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from math import gcd
 
 from . import cyclo
 from .charset import Char
@@ -200,13 +210,6 @@ def _binom_sum(ev: _Ev, keys, Vs, k: int, w: int) -> list[int]:
     return _unpack(acc, w, N)
 
 
-def _binom_vec_sum(ev: _Ev, keys, vecs, k: int) -> list[int]:
-    """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
-    term's l1 is at most (N - 1) l1(vecs[c])."""
-    w = _slot_bits((ev.N - 1) * _l1(chain.from_iterable(vecs)))
-    return _binom_sum(ev, keys, [_pack(v, w) for v in vecs], k, w)
-
-
 def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
             out: list[int] | None = None) -> list[int]:
     """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
@@ -234,16 +237,15 @@ def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 
     return out
 
 
-def _fd_rows(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str) -> list[list[int]]:
-    """The N vectors _fd_vec gives with chi^theta put in one slot, row theta
-    for theta = 0..N-1: A theta (slot "A"), B_n theta ("B"), C theta^-1 ("C"),
-    or A theta and C theta together ("AC").  Row theta's term at u = g^i has
-    exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
-    slot, so one walk over u fills every row.  Slot "B" needs n >= 1."""
+def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
+    """The terms of F_D with chi^theta put in one slot: A theta (slot "A"),
+    B_n theta ("B"), C theta^-1 ("C"), or A theta and C theta together
+    ("AC").  The term at u = g^i has exponent e(i) + theta d(i), e(i) that of
+    _fd_vec and d(i) fixed by the slot; yields (e(i), d(i)) for each term that
+    is not zero.  Slot "B" needs n >= 1."""
     N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
-    rows = [[0] * N for _ in range(N)]
-    if any(x == 0 for x in xs):
-        return rows
+    if 0 in xs:
+        return
     mA %= N
     mAC = (mC - mA) % N
     e0 = (mA + mC) * l1
@@ -258,19 +260,44 @@ def _fd_rows(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str) -> list[list[int]]:
                 break
             e += mb * z
         else:
-            k, dk = e, d(i)
-            for row in rows:  # row theta: e + theta d(i)
-                row[k % N] += 1
-                k += dk
-    return rows
+            yield e, d(i)
+
+
+def _coset_counts(N: int, terms, shifts) -> list[int]:
+    """sum over theta = 0..N-1 of zeta^(e + theta m) over the terms (e, m) =
+    (e1 + e2, m1 + m2) with (e1, m1) in `terms` and (e2, m2) in `shifts`.
+    theta m runs over the multiples of g = gcd(m, N), each g times, so a term
+    adds g at every exponent = e mod g: terms are counted by (g, e mod g)
+    and each count is spread with stride g.  Pure counting in Z[Z_N], so the
+    vector is the literal sum's."""
+    G = [gcd(m, N) for m in range(N)] * 2
+    terms = [(e1, m1 % N) for e1, m1 in terms]
+    counts = Counter()
+    for e2, m2 in shifts:
+        m2 %= N
+        counts.update([(g := G[m1 + m2], (e1 + e2) % g) for e1, m1 in terms])
+    out = [0] * N
+    for (g, r), c in counts.items():
+        out[r::g] = [v + g * c for v in out[r::g]]
+    return out
 
 
 def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
-    out = [0] * ev.N
-    if x != 0:
-        for ch in range(ev.N):
-            _fd_vec(ev, ma + ch, (), mb + ch, (), e0=ch * ev.L[x], out=out)
-    return out
+    """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
+    n = 0 walk with chi^theta in slots A and C, twisted by theta log x."""
+    if x == 0:
+        return [0] * ev.N
+    return _coset_counts(ev.N, _fd_terms(ev, ma, (), mb, (), "AC"), [(0, ev.L[x])])
+
+
+def _theta_sum(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str, b: int, k: int) -> list[int]:
+    """sum over theta of zeta^(theta k) {chi^b theta choose theta} F_D with
+    theta in one slot (_fd_terms).  The binomial's term at v = g^j has
+    exponent b j + theta (log(-1) + j - Z[j]), so a pair of an F_D term and a
+    binomial term is one term of _coset_counts."""
+    Z, l1 = ev.Z, ev.f.log_neg1
+    return _coset_counts(ev.N, _fd_terms(ev, mA, mBs, mC, xs, slot),
+                         [(b * j, l1 + j - Z[j] + k) for j in range(1, ev.N)])
 
 
 def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
@@ -297,6 +324,13 @@ def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
 # -- public types ----------------------------------------------------------------
 
 
+def _check_points(q: int, points) -> None:
+    """Every point must be an element index 0 <= x < q."""
+    for x in points:
+        if not 0 <= x < q:
+            raise ValueError(f"element index {x} out of range for q={q}")
+
+
 def _same_field(*chars: Char, points=()) -> FieldTable:
     """The one field of `chars`, in which every point must be an element
     index 0 <= x < q."""
@@ -304,9 +338,7 @@ def _same_field(*chars: Char, points=()) -> FieldTable:
     for c in chars[1:]:
         if c.field is not f and c.field != f:
             raise FieldMismatch()
-    for x in points:
-        if not 0 <= x < f.q:
-            raise ValueError(f"element index {x} out of range for q={f.q}")
+    _check_points(f.q, points)
     return f
 
 
@@ -388,7 +420,7 @@ def lauricella_charsum(inst: FdInstance) -> CycInt:
 
 
 def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
-    """sum over all chi of {A chi choose B chi} chi(x), by direct summation."""
+    """sum over all chi of {A chi choose B chi} chi(x), counted over one walk."""
     ev = _Ev(_same_field(A, B, points=(x,)))
     return cyclo.from_coeffs(ev.N, _line_vec(ev, A.m, B.m, x))
 
@@ -419,12 +451,10 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 
 
 def _genfn_lhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
-    N = ev.N
     if t == 0:
-        return [0] * N  # every summand carries theta(0) = 0
-    keys = [((mBs[-1] if variant == "T42" else mA - mC) + th, th) for th in range(N)]
-    rows = _fd_rows(ev, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant])
-    return _binom_vec_sum(ev, keys, rows, ev.L[t])
+        return [0] * ev.N  # every summand carries theta(0) = 0
+    return _theta_sum(ev, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant],
+                      mBs[-1] if variant == "T42" else mA - mC, ev.L[t])
 
 
 def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:

@@ -17,8 +17,9 @@ Sides are evaluated against one context per field order and call
 report of one `verify` call on that field shares it, and `replay` builds its
 own, so the engine keeps no state between calls.  F_D is walked per value,
 each walk adding its signed, zeta-shifted term into the side's vector;
-t3.ksum (at every n, its n = 1 terms being binomials, the n = 0 walk) and
-t5.gf1-3 take their N F_D terms from one walk (_fd_rows).
+t3.ksum (at every n, its n = 1 terms being binomials, the n = 0 walk),
+t5.gf1-3 and the p2 line sums count the terms of one walk over theta
+(hyperff._theta_sum and _line_vec).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -181,9 +182,7 @@ def _ksum_rhs(ev, n, cs, es):
     xn = es[-1]
     if xn == 0:
         return [0] * ev.N
-    keys = [(Bs[-1] + ch, ch) for ch in range(ev.N)]
-    rows = hyperff._fd_rows(ev, A, Bs[:-1], C, es[:-1], "AC")
-    return hyperff._binom_vec_sum(ev, keys, rows, ev.L[xn])
+    return hyperff._theta_sum(ev, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], ev.L[xn])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -712,15 +711,17 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
 
 
 def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
-    """Re-run one stored assignment; returns (lhs, rhs, equal?)."""
+    """Re-run one stored assignment; returns (lhs, rhs, equal?).  Character
+    exponents are read mod q - 1; elements must be indices 0 <= x < q."""
     desc = get_identity(ident)
     q, n = int(assignment["q"]), int(assignment["n"])
     _check_n(desc, n)
     ev = _ev_for_q(q)
     cs = tuple(int(c) % ev.N for c in assignment["chars"])
-    es = tuple(int(e) % q for e in assignment["elems"])
+    es = tuple(int(e) for e in assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
+    hyperff._check_points(q, es)
     equal, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
     lc, rc = _canonical(desc, ev, n, lv, rv)
     return lc, rc, equal

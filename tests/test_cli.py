@@ -250,6 +250,9 @@ LARGE_FIELD_EVALS = [
     (["eval", "fd", "--q", "1024", "--A", "817", "--B", "397,209,531", "--C", "322",
       "--x", "768,78,255"],
      "edb0bd7712a7968ad51c2907c1ecd52736ef27a8eaa342e5a72e587556a43ff5"),
+    # pinned from the line sum as 4095 separate n = 0 walks
+    (["eval", "linesum", "--q", "4096", "--A", "2291", "--B", "517", "--x", "3001"],
+     "232eec36fbaec465f8ba22c5ec1e4cc0279d958b152371348e4bdc7228cb674c"),
 ]
 
 

@@ -139,6 +139,17 @@ def test_failure_replay_round_trip():
         assert rhs2 == rhs + cyclo.one(4)
 
 
+@pytest.mark.parametrize("elems", [[7], [-3], [5], [-1]])
+def test_replay_rejects_out_of_range_points(elems):
+    # an element is an index 0 <= x < q, not a residue: 7 and -3 are not 2
+    with pytest.raises(ValueError, match=f"element index {elems[0]} out of range for q=5"):
+        identities.replay("t2.1", {"q": 5, "n": 1, "chars": [0, 1, 2], "elems": elems})
+    # character exponents are still read mod q - 1
+    a = identities.replay("t2.1", {"q": 5, "n": 1, "chars": [0, 1, 2], "elems": [2]})
+    b = identities.replay("t2.1", {"q": 5, "n": 1, "chars": [4, -3, 6], "elems": [2]})
+    assert a == b and a[2]
+
+
 def test_replay_validates_shape():
     with pytest.raises(ValueError):
         identities.replay("t2.1", {"q": 5, "n": 1, "chars": [1], "elems": [2]})
@@ -251,3 +262,31 @@ def test_raw_sides_are_pinned(ident):
                     h.update(f"{q} {n} {cs} {es} {_raw_side(desc.lhs, ev, n, cs, es)} "
                              f"{_raw_side(desc.rhs, ev, n, cs, es)}\n".encode())
     assert h.hexdigest() == RAW_SIDE_PINS[ident]
+
+
+# SHA-256 of the seeded JSON reports of the theta-sum identities on a reduced
+# gate grid: exhaustive at q <= 4 and 50 seeded samples at q = 7 and 13, each
+# allowed n <= 2, honest and with --corrupt-rhs (whose failure entries render
+# both sides).  Taken before the theta-sums became coset counts; a speedup
+# may not change one byte of a seeded report.
+SEEDED_REPORT_PINS = {
+    "t3.ksum": "289ff214eeabf8c6fe79b31251f698919f8f94cbff86aea6d91c00b21b09ff48",
+    "t5.gf1": "378042e8cc3ad67bdda16fa6ad66f20c995c25baaaa3582173af15d944367f93",
+    "t5.gf2": "6dd4ccdeeca0b10680603f36131315bda291e0178a5db9c385e8f6b26f521f9a",
+    "t5.gf3": "ffcfb40b2d912da55617c2436b06e5f52e62791ebd77c1f36910d5f50a507539",
+    "p2.binthm": "e090af1c955fdfd39e589da0440667826c98399e332f9caefc7f42845c96fcc7",
+    "p2.linesum": "1e0d98c30e51abfe28d6941f2a0eb7d70deccd58b027590a34ef28460621da43",
+}
+
+
+@pytest.mark.parametrize("ident", list(SEEDED_REPORT_PINS))
+def test_seeded_reports_are_pinned(ident):
+    desc = identities.get_identity(ident)
+    ns = [n for n in (0, 1, 2) if desc.allows_n(n)]
+    reports = []
+    for corrupt in (False, True):
+        reports += identities.verify(ident, [2, 3, 4], n_list=ns, corrupt_rhs=corrupt)
+        reports += identities.verify(ident, [7, 13], mode="sampled", n_list=ns, seed=0,
+                                     count=50, corrupt_rhs=corrupt)
+    text = json.dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_REPORT_PINS[ident]

@@ -1,16 +1,25 @@
-"""Differential tests of the packed group-ring products in hyperff.
+"""Differential tests of the packed group-ring products and the theta-sum
+counts in hyperff.
 
-Each packed path is compared with the loop it replaced, kept here as the
+Each fast path is compared with the loop it replaced, kept here as the
 oracle: the schoolbook cyclic convolution, the literal N^n-term character
-sum, one _fd_vec walk per theta for each one-pass F_D row, the per-theta
-generating-function sum, the per-chi k-sum, and the rotate-and-add of a
-fresh F_D vector for the walk that adds into the caller's vector.  The n = 0
+sum, the per-theta generating-function sum, the per-chi k-sum, and the
+rotate-and-add of a fresh F_D vector for the walk that adds into the
+caller's vector.  The theta-sums now count the terms of one walk
+(_coset_counts); the paths they replaced stay here as oracles: the N rows
+of one-pass F_D values (_fd_rows, itself checked against one _fd_vec walk
+per theta), the packed per-theta binomial sum over those rows
+(binom_vec_sum), and the line sum as N separate n = 0 walks.  The n = 0
 walk is compared with the Jacobi-sum binomial it replaced.  Exhaustive over
-every character tuple at q <= 5, sampled at larger q.
+every character tuple at q <= 5, sampled at larger q; mutants of the
+counter and of the twist show that the comparisons can fail.
 """
 
+import inspect
 import itertools
 import random
+import textwrap
+from itertools import chain
 
 import pytest
 
@@ -89,6 +98,87 @@ def fd_with_theta(ev, mA, mBs, mC, xs, slot, th):
     if slot == "C":
         return hyperff._fd_vec(ev, mA, mBs, mC - th, xs)
     return hyperff._fd_vec(ev, mA + th, mBs, mC + th, xs)  # "AC"
+
+
+def _fd_rows(ev, mA, mBs, mC, xs, slot):
+    """The N vectors _fd_vec gives with chi^theta put in one slot, row theta
+    for theta = 0..N-1: A theta (slot "A"), B_n theta ("B"), C theta^-1 ("C"),
+    or A theta and C theta together ("AC").  Row theta's term at u = g^i has
+    exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
+    slot, so one walk over u fills every row.  Slot "B" needs n >= 1."""
+    N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
+    rows = [[0] * N for _ in range(N)]
+    if any(x == 0 for x in xs):
+        return rows
+    mA %= N
+    mAC = (mC - mA) % N
+    e0 = (mA + mC) * l1
+    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(slots[-1][1] + i) % N],
+         "C": lambda i: -l1 - Z[i], "AC": lambda i: 2 * l1 + i}[slot]
+    for i in range(1, N):
+        e = e0 + mA * i + mAC * Z[i]
+        for mb, lx in slots:
+            z = Z[(lx + i) % N]
+            if z < 0:
+                break
+            e += mb * z
+        else:
+            k, dk = e, d(i)
+            for row in rows:  # row theta: e + theta d(i)
+                row[k % N] += 1
+                k += dk
+    return rows
+
+
+def binom_vec_sum(ev, keys, vecs, k):
+    """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
+    term's l1 is at most (N - 1) l1(vecs[c])."""
+    w = hyperff._slot_bits((ev.N - 1) * hyperff._l1(chain.from_iterable(vecs)))
+    return hyperff._binom_sum(ev, keys, [hyperff._pack(v, w) for v in vecs], k, w)
+
+
+def rows_theta_sum(ev, mA, mBs, mC, xs, slot, b, k):
+    """The path _theta_sum replaced: N rows, then one packed sum over theta."""
+    keys = [(b + th, th) for th in range(ev.N)]
+    return binom_vec_sum(ev, keys, _fd_rows(ev, mA, mBs, mC, xs, slot), k)
+
+
+def rows_from_terms(ev, mA, mBs, mC, xs, slot):
+    """The rows of _fd_rows, spread from the terms of hyperff._fd_terms."""
+    N = ev.N
+    rows = [[0] * N for _ in range(N)]
+    for e, d in hyperff._fd_terms(ev, mA, mBs, mC, xs, slot):
+        for th, row in enumerate(rows):
+            row[(e + th * d) % N] += 1
+    return rows
+
+
+def per_theta_line_vecs(ev, ma, mb):
+    """x -> sum over chi of chi(x) {A chi choose B chi}, from N separate n = 0
+    walks, chi = chi^theta: the walks are taken once and the one for theta
+    is rotated by theta log x, the prefactor _line_vec's old walks added."""
+    N = ev.N
+    walks = [hyperff._fd_vec(ev, ma + th, (), mb + th, ()) for th in range(N)]
+
+    def at(x):
+        out = [0] * N
+        if x != 0:
+            for th, v in enumerate(walks):
+                s = th * ev.L[x] % N
+                out = [a + b for a, b in zip(out, v[-s:] + v[:-s])]
+        return out
+    return at
+
+
+def literal_theta_sum(N, terms, shifts=((0, 0),)):
+    """sum over theta of zeta^(e1 + e2 + theta (m1 + m2)), term by term."""
+    out = [0] * N
+    for th in range(N):
+        for e1, m1 in terms:
+            for e2, m2 in shifts:
+                out[(e1 + e2 + th * (m1 + m2)) % N] += 1
+    return out
 
 
 def per_chi_ksum_rhs(ev, n, cs, es):
@@ -219,9 +309,10 @@ SLOTS = ("A", "B", "C", "AC")
 
 
 def _rows_match(ev, args, slot, oracle_slot):
-    rows = hyperff._fd_rows(ev, *args, slot)
-    return len(rows) == ev.N and all(
-        row == fd_with_theta(ev, *args, oracle_slot, th) for th, row in enumerate(rows))
+    """The oracle rows and the rows spread from the walk's terms both equal
+    one _fd_vec walk per theta."""
+    want = [fd_with_theta(ev, *args, oracle_slot, th) for th in range(ev.N)]
+    return _fd_rows(ev, *args, slot) == want and rows_from_terms(ev, *args, slot) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -390,5 +481,135 @@ def test_n0_ac_rows_are_shifted_binomials(q):
     if q > 13:
         pairs = random.Random(q).sample(list(pairs), 6)
     for mA, mC in pairs:
-        rows = hyperff._fd_rows(ev, mA, (), mC, (), "AC")
-        assert rows == [list(hyperff._binom_vec(ev, mA + th, mC + th)) for th in range(N)]
+        want = [list(hyperff._binom_vec(ev, mA + th, mC + th)) for th in range(N)]
+        assert _fd_rows(ev, mA, (), mC, (), "AC") == want
+        assert rows_from_terms(ev, mA, (), mC, (), "AC") == want
+
+
+# -- theta-sums as coset counts -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), 63, 255, 1023])
+def test_coset_counts_match_literal_theta_sum(N):
+    rng = random.Random(600 + N)
+    span = 5 * N + 3
+    for size in (0, 1, 7, 40):
+        terms = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(size)]
+        assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms)
+        shifts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3)]
+        assert hyperff._coset_counts(N, terms, shifts) == \
+            literal_theta_sum(N, terms, shifts)
+    # every slope class at once: m = 0 (g = N), every divisor of N, units
+    terms = [(rng.randrange(N), m) for m in range(N)]
+    assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms)
+
+
+PRIME_POWERS_TO_27 = [q for q in range(2, 28) if len(cyclo._prime_divisors(q)) == 1]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_27)
+def test_line_vec_matches_per_theta_walks_exhaustive(q):
+    ev = _ev(q)
+    for ma, mb in itertools.product(range(ev.N), repeat=2):
+        want = per_theta_line_vecs(ev, ma, mb)
+        for x in range(q):
+            assert hyperff._line_vec(ev, ma, mb, x) == want(x), (ma, mb, x)
+
+
+@pytest.mark.parametrize("q", [64, 256, 1024])
+def test_line_vec_matches_per_theta_walks_sampled(q):
+    ev = _ev(q)
+    rng = random.Random(700 + q)
+    for _ in range({64: 12, 256: 4, 1024: 1}[q]):
+        ma, mb, x = rng.randrange(ev.N), rng.randrange(ev.N), rng.randrange(1, q)
+        assert hyperff._line_vec(ev, ma, mb, x) == per_theta_line_vecs(ev, ma, mb)(x), \
+            (ma, mb, x)
+
+
+GENFN_SLOTS = {"T41": "A", "T42": "B", "T43": "C"}
+
+
+def _genfn_oracle(ev, mA, mBs, mC, xs, t, variant):
+    if t == 0:
+        return [0] * ev.N
+    b = mBs[-1] if variant == "T42" else mA - mC
+    return rows_theta_sum(ev, mA, mBs, mC, xs, GENFN_SLOTS[variant], b, ev.L[t])
+
+
+def _ksum_oracle(ev, n, cs, es):
+    A, C, Bs = cs[0], cs[1], cs[2:]
+    if es[-1] == 0:
+        return [0] * ev.N
+    return rows_theta_sum(ev, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], ev.L[es[-1]])
+
+
+def _theta_sums_match(ev, q, n, cs, es):
+    """The T41-T43 left-hand sides at every t and the t3.ksum right-hand side
+    at (cs, es) against the rows oracle; the k-sum's theta-slot is "AC"."""
+    mA, mC, mBs = cs[0], cs[1], cs[2:]
+    for variant in GENFN_SLOTS:
+        for t in range(q):
+            args = (mA, mBs, mC, es, t, variant)
+            if hyperff._genfn_lhs_vec(ev, *args) != _genfn_oracle(ev, *args):
+                return False
+    return identities._ksum_rhs(ev, n, cs, es) == _ksum_oracle(ev, n, cs, es)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_theta_sums_match_rows_oracle_exhaustive(q):
+    ev = _ev(q)
+    for n in (1, 2):
+        for cs in itertools.product(range(ev.N), repeat=n + 2):
+            for es in itertools.product(range(q), repeat=n):
+                assert _theta_sums_match(ev, q, n, cs, es), (n, cs, es)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64, 256])
+def test_theta_sums_match_rows_oracle_sampled(q):
+    ev = _ev(q)
+    N = ev.N
+    rng = random.Random(800 + q)
+    for n in ((1,) if q == 256 else (1, 2, 3)):
+        for _ in range({64: 2, 256: 1}.get(q, 6)):
+            cs = tuple(rng.randrange(N) for _ in range(n + 2))
+            es = tuple(rng.randrange(q) for _ in range(n))
+            t = rng.randrange(q)
+            for variant in GENFN_SLOTS:
+                args = (cs[0], cs[2:], cs[1], es, t, variant)
+                assert hyperff._genfn_lhs_vec(ev, *args) == _genfn_oracle(ev, *args), args
+            assert identities._ksum_rhs(ev, n, cs, es) == _ksum_oracle(ev, n, cs, es)
+
+
+def _mutate(monkeypatch, name, old, new):
+    """Replace hyperff.<name> by a copy of its source with `old` replaced."""
+    src = textwrap.dedent(inspect.getsource(getattr(hyperff, name)))
+    assert src.count(old) == 1, (name, old)
+    ns = dict(vars(hyperff))
+    exec(compile(src.replace(old, new), hyperff.__file__, "exec"), ns)
+    monkeypatch.setattr(hyperff, name, ns[name])
+
+
+def _q5_cases():
+    return [(cs, es) for cs in itertools.product(range(4), repeat=3) for es in [(2,), (3,)]]
+
+
+def test_theta_sum_mutants_are_caught(monkeypatch):
+    ev = _ev(5)
+    lines = [(ma, mb, x, per_theta_line_vecs(ev, ma, mb)(x))
+             for ma, mb in itertools.product(range(4), repeat=2) for x in (2, 3)]
+
+    def all_match():
+        return (all(hyperff._line_vec(ev, ma, mb, x) == want for ma, mb, x, want in lines),
+                all(_theta_sums_match(ev, 5, 1, cs, es) for cs, es in _q5_cases()))
+
+    assert all_match() == (True, True)
+    with monkeypatch.context() as m:  # the residue taken mod N instead of mod g
+        _mutate(m, "_coset_counts", "(e1 + e2) % g)", "(e1 + e2) % N)")
+        assert all_match() == (False, False)
+    with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
+        _mutate(m, "_line_vec", "[(0, ev.L[x])]", "[(0, 0)]")
+        assert all_match() == (False, True)
+    with monkeypatch.context() as m:  # the twist k dropped from the theta-sum's slope
+        _mutate(m, "_theta_sum", "l1 + j - Z[j] + k)", "l1 + j - Z[j])")
+        assert all_match() == (True, False)
+    assert all_match() == (True, True)
