@@ -33,15 +33,11 @@ twist is a shift) and decode once; the character-sum form of F_D convolves
 its n character slots over the index this way instead of walking all N^n
 tuples.
 
-The generating functions, the k-sum and the character line sum are sums over
-a character chi^theta, theta = 0..N-1, that enters one slot of an F_D walk,
-a binomial and a twist, so every term's exponent is affine in theta:
-e + theta m.  As theta runs over 0..N-1, theta m hits each multiple of
-g = gcd(m, N) g times, so the sum over theta of zeta^(e + theta m) is g at
-every exponent = e mod g.  _coset_counts counts the terms of one F_D walk
-(_fd_terms), paired with a binomial's terms or a twist, by (g, e mod g) and
-never forms a row per theta.  This is counting in Z[Z_N], not a relation of
-Z[zeta_N], so every vector is the literal sum's.
+The generating functions, the k-sum and the character line sum are sums
+over chi^theta whose term exponents are affine in theta, e + theta m: summed
+over theta, such a term is g = gcd(m, N) at every exponent = e mod g, so
+_coset_counts counts the terms of one F_D walk by (g, e mod g) and forms no
+row per theta.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
 
 A per-field context (_Ev) carries the field's shared tables and one memo, of
 binomials, that lives for one call: the public ops build a fresh context per
@@ -53,7 +49,6 @@ builds canonical form only for output.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -250,8 +245,10 @@ def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
     mAC = (mC - mA) % N
     e0 = (mA + mC) * l1
     slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
-    d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(slots[-1][1] + i) % N],
-         "C": lambda i: -l1 - Z[i], "AC": lambda i: 2 * l1 + i}[slot]
+    # d(i) = d0 + di i + dz Z[i] + dn z, z = log(1 - x_n u) from the last slot
+    d0, di, dz, dn = {"A": (l1, 1, -1, 0), "B": (0, 0, 0, -1), "C": (-l1, 0, -1, 0),
+                      "AC": (2 * l1, 1, 0, 0)}[slot]
+    z = 0
     for i in range(1, N):
         e = e0 + mA * i + mAC * Z[i]
         for mb, lx in slots:
@@ -260,25 +257,29 @@ def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
                 break
             e += mb * z
         else:
-            yield e, d(i)
+            yield e, d0 + di * i + dz * Z[i] + dn * z
 
 
 def _coset_counts(N: int, terms, shifts) -> list[int]:
     """sum over theta = 0..N-1 of zeta^(e + theta m) over the terms (e, m) =
     (e1 + e2, m1 + m2) with (e1, m1) in `terms` and (e2, m2) in `shifts`.
     theta m runs over the multiples of g = gcd(m, N), each g times, so a term
-    adds g at every exponent = e mod g: terms are counted by (g, e mod g)
-    and each count is spread with stride g.  Pure counting in Z[Z_N], so the
-    vector is the literal sum's."""
+    adds g at every exponent = e mod g: terms are counted by e mod g in one
+    row per divisor g of N, and each row is spread over the N exponents.
+    Pure counting in Z[Z_N], so the vector is the literal sum's."""
     G = [gcd(m, N) for m in range(N)] * 2
+    rows = {g: [0] * g for g in G}
+    R = [rows[g] for g in G]  # the row of gcd(m, N), for 0 <= m < 2N
     terms = [(e1, m1 % N) for e1, m1 in terms]
-    counts = Counter()
     for e2, m2 in shifts:
         m2 %= N
-        counts.update([(g := G[m1 + m2], (e1 + e2) % g) for e1, m1 in terms])
+        for e1, m1 in terms:
+            m = m1 + m2
+            R[m][(e1 + e2) % G[m]] += 1
     out = [0] * N
-    for (g, r), c in counts.items():
-        out[r::g] = [v + g * c for v in out[r::g]]
+    for g, row in rows.items():
+        if any(row):
+            out = [v + g * c for v, c in zip(out, row * (N // g))]
     return out
 
 

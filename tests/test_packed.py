@@ -155,9 +155,9 @@ def rows_from_terms(ev, mA, mBs, mC, xs, slot):
 
 
 def per_theta_line_vecs(ev, ma, mb):
-    """x -> sum over chi of chi(x) {A chi choose B chi}, from N separate n = 0
-    walks, chi = chi^theta: the walks are taken once and the one for theta
-    is rotated by theta log x, the prefactor _line_vec's old walks added."""
+    """x -> sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}
+    from N separate n = 0 walks: each is taken once and, for each x, the one
+    for theta is rotated by theta log x."""
     N = ev.N
     walks = [hyperff._fd_vec(ev, ma + th, (), mb + th, ()) for th in range(N)]
 
@@ -599,12 +599,21 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
              for ma, mb in itertools.product(range(4), repeat=2) for x in (2, 3)]
 
     def all_match():
-        return (all(hyperff._line_vec(ev, ma, mb, x) == want for ma, mb, x, want in lines),
-                all(_theta_sums_match(ev, 5, 1, cs, es) for cs, es in _q5_cases()))
+        """(every line sum matches, every theta-sum matches); a side that
+        raises does not match."""
+        try:
+            return (all(hyperff._line_vec(ev, ma, mb, x) == want for ma, mb, x, want in lines),
+                    all(_theta_sums_match(ev, 5, 1, cs, es) for cs, es in _q5_cases()))
+        except IndexError:
+            return (False, False)
 
     assert all_match() == (True, True)
-    with monkeypatch.context() as m:  # the residue taken mod N instead of mod g
-        _mutate(m, "_coset_counts", "(e1 + e2) % g)", "(e1 + e2) % N)")
+    with monkeypatch.context() as m:  # the residue taken mod N instead of mod g: it
+        # overflows its length-g row, so the mutant fails loudly wherever g < N
+        _mutate(m, "_coset_counts", "(e1 + e2) % G[m]", "(e1 + e2) % N")
+        assert all_match() == (False, False)
+    with monkeypatch.context() as m:  # each count put at one exponent, not spread by g
+        _mutate(m, "_coset_counts", "row * (N // g)", "row + [0] * (N - g)")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
         _mutate(m, "_line_vec", "[(0, ev.L[x])]", "[(0, 0)]")
