@@ -261,12 +261,10 @@ def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
 
 
 def _coset_counts(N: int, terms, shifts) -> list[int]:
-    """sum over theta = 0..N-1 of zeta^(e + theta m) over the terms (e, m) =
-    (e1 + e2, m1 + m2) with (e1, m1) in `terms` and (e2, m2) in `shifts`.
-    theta m runs over the multiples of g = gcd(m, N), each g times, so a term
-    adds g at every exponent = e mod g: terms are counted by e mod g in one
-    row per divisor g of N, and each row is spread over the N exponents.
-    Pure counting in Z[Z_N], so the vector is the literal sum's."""
+    """sum over theta = 0..N-1 of zeta^(e + theta m), (e, m) = (e1 + e2,
+    m1 + m2), over (e1, m1) in `terms` and (e2, m2) in `shifts`.  Such a term
+    is g = gcd(m, N) at every exponent = e mod g: it is counted by e mod g
+    in the row of g, and each row is tiled over the N exponents."""
     G = [gcd(m, N) for m in range(N)] * 2
     rows = {g: [0] * g for g in G}
     R = [rows[g] for g in G]  # the row of gcd(m, N), for 0 <= m < 2N
