@@ -18,11 +18,20 @@ reproducible across runs and machines.
 `build_field` is the one field cache: one FieldTable per (p, k) asked for,
 built on first use and shared for the rest of the process, so never mutate one.
 
+The tables are built in index space: a few integer operations per entry, and
+no polynomial product past the generator's order test.  Multiplication by g is
+F_p-linear, so its table T[a] = index(a g) follows from T[0] = 0: when p does
+not divide a, a = (a - 1) + 1 and T[a] = T[a - 1] + g, one digit change per
+nonzero digit of g; otherwise a = x (a / p), and T[a] is T[a / p] shifted up
+one digit with its top digit t reduced by x^k = -(m_0 + ... + m_{k-1} x^{k-1}).
+Then g^j = T[g^(j-1)].  Zech's logarithm follows from the same exp table:
+1 - g^i = 1 + g^(i + log(-1)), and adding 1 changes digit 0 alone, from d to
+d + 1, or to 0 when d = p - 1 (Lidl & Niederreiter, Finite Fields, ch. 10).
+
 After construction, arithmetic uses three tables and no digit arithmetic:
 exp/log for products, and Zech's logarithm Z(i) = log(1 - g^i) for sums, since
 x - y = x (1 - y/x).  The same table turns every "1 - something" in a
-character sum into an exponent lookup (Lidl & Niederreiter, Finite Fields,
-ch. 10).
+character sum into an exponent lookup.
 """
 
 from __future__ import annotations
@@ -107,10 +116,6 @@ class FieldTable:
                 return 0
             return index(_pmul_mod(digits(a), digits(b), mod, p))
 
-        def one_sub(x: int) -> int:  # 1 - x, digit by digit
-            dv = digits(x)
-            return index([(1 - dv[0]) % p] + [(-d) % p for d in dv[1:]])
-
         N = q - 1
         fac = _prime_divisors(N)
 
@@ -124,20 +129,42 @@ class FieldTable:
                     e >>= 1
                 return r
 
-            return powm(g, N) == 1 and all(powm(g, N // ell) != 1 for ell in fac)
+            # g^N = 1 for every nonzero g (Lagrange), so only N / ell is tested
+            return all(powm(g, N // ell) != 1 for ell in fac)
 
-        self.generator = next(g for g in range(1, q) if order_is_full(g))
+        self.generator = g = next(g for g in range(1, q) if order_is_full(g))
+
+        def add(y: int, terms: list[tuple[int, int]], s: int) -> int:
+            """y + s * (sum of c x^i over terms (p^i, c)): one digit per term."""
+            for pw, c in terms:
+                d = y // pw % p
+                y += ((d + s * c) % p - d) * pw
+            return y
+
+        g_terms = [(pw, c) for pw, c in zip(powers, digits(g)) if c]
+        mod_terms = [(pw, m) for pw, m in zip(powers, mod) if m]
+        top = powers[-1]
+        T = [0] * q  # T[a] = index(a g), built by linearity in a
+        for a in range(1, q):
+            if a % p:  # a = (a - 1) + 1, so T[a] = T[a - 1] + g
+                T[a] = add(T[a - 1], g_terms, 1)
+            else:  # a = x (a / p): shift T[a / p] up one digit; its top digit t
+                y = T[a // p]  # comes back as x^k t = -t (m_0 + ... + m_{k-1} x^{k-1})
+                t = y // top
+                T[a] = add((y - t * top) * p, mod_terms, -t)
 
         exp = [1] * N
         for j in range(1, N):
-            exp[j] = mul_raw(exp[j - 1], self.generator)
+            exp[j] = T[exp[j - 1]]
         log = [-1] * q
         for j, v in enumerate(exp):
             log[v] = j
         self.exp_table = tuple(exp)
         self.log_table = tuple(log)
-        self.zech_table = tuple(log[one_sub(v)] for v in exp)
-        self.log_neg1 = log[p - 1]  # -1 has base-p digits (p-1, 0, ..., 0)
+        self.log_neg1 = ln1 = log[p - 1]  # -1 has base-p digits (p-1, 0, ..., 0)
+        # 1 - g^i = 1 + g^(i + ln1), and + 1 changes digit 0 alone
+        self.zech_table = tuple(log[v - (p - 1) if v % p == p - 1 else v + 1]
+                                for v in exp[ln1:] + exp[:ln1])
 
     # -- arithmetic ------------------------------------------------------------
 

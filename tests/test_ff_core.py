@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +177,132 @@ def test_zech_table():
             assert f.exp_table[f.zech_table[i]] == one_minus
 
 
+# -- the table construction that index-space building replaced, as oracle: a
+# polynomial product per exp entry and a digit-wise 1 - x per Zech entry --------
+
+
+def oracle_tables(p, k):
+    """(generator, exp_table, log_table, zech_table, log_neg1) of F_{p^k}."""
+    q, N = p**k, p**k - 1
+    mod = list(ff_core._smallest_modulus(p, k))
+
+    def digits(x):
+        return [(x // p**i) % p for i in range(k)]
+
+    def index(dv):
+        return sum(d * p**i for i, d in enumerate(dv))
+
+    def mul_raw(a, b):
+        if a == 0 or b == 0:
+            return 0
+        return index(ff_core._pmul_mod(digits(a), digits(b), mod, p))
+
+    def powm(a, e):
+        r = 1
+        while e:
+            if e & 1:
+                r = mul_raw(r, a)
+            a = mul_raw(a, a)
+            e >>= 1
+        return r
+
+    fac = cyclo._prime_divisors(N)
+    g = next(g for g in range(1, q)
+             if powm(g, N) == 1 and all(powm(g, N // ell) != 1 for ell in fac))
+    exp = [1] * N
+    for j in range(1, N):
+        exp[j] = mul_raw(exp[j - 1], g)
+    log = [-1] * q
+    for j, v in enumerate(exp):
+        log[v] = j
+
+    def one_sub(x):
+        dv = digits(x)
+        return index([(1 - dv[0]) % p] + [(-d) % p for d in dv[1:]])
+
+    return g, tuple(exp), tuple(log), tuple(log[one_sub(v)] for v in exp), log[p - 1]
+
+
+def tables_match_oracle(q):
+    """True when FieldTable(p, k), built directly and not through the cache,
+    has the oracle's tables; a build that raises does not match."""
+    p, k = ff_core.split_prime_power(q)
+    try:
+        f = ff_core.FieldTable(p, k)
+    except IndexError:
+        return False
+    return ((f.generator, f.exp_table, f.log_table, f.zech_table, f.log_neg1)
+            == oracle_tables(p, k))
+
+
+PRIME_POWERS_TO_4096 = [q for q in range(2, 4097) if len(cyclo._prime_divisors(q)) == 1]
+
+
+def test_tables_match_oracle_for_every_prime_power_to_256():
+    qs = [q for q in PRIME_POWERS_TO_4096 if q <= 256]
+    assert len(qs) == 70
+    for q in qs:
+        assert tables_match_oracle(q), q
+
+
+@pytest.mark.parametrize("q", [729, 1024, 2048, 2187, 3125, 3721, 4093, 4096])
+def test_tables_match_oracle_at_large_q(q):
+    assert tables_match_oracle(q)
+
+
+def test_tables_are_pinned_for_every_prime_power_to_4096():
+    # SHA-256 over repr((q, modulus, generator, exp_table)) for each q, taken
+    # from the per-entry polynomial-product construction
+    assert len(PRIME_POWERS_TO_4096) == 604
+    h = hashlib.sha256()
+    for q in PRIME_POWERS_TO_4096:
+        f = ff_core.FieldTable(*ff_core.split_prime_power(q))
+        h.update(repr((q, f.modulus, f.generator, f.exp_table)).encode())
+    assert h.hexdigest() == "5b687c2caabc51c4347708b95a466b959694c3aeff784877edcc8813e11f17c4"
+
+
+def _mutate(monkeypatch, old, new):
+    """Replace FieldTable.__init__ by a copy of its source with `old` replaced."""
+    src = textwrap.dedent(inspect.getsource(ff_core.FieldTable.__init__))
+    assert src.count(old) == 1, old
+    ns = dict(vars(ff_core))
+    exec(compile(src.replace(old, new), ff_core.__file__, "exec"), ns)
+    monkeypatch.setattr(ff_core.FieldTable, "__init__", ns["__init__"])
+
+
+MUTANT_QS = [4, 8, 9, 25, 27, 49]  # odd p and k >= 2 too, where +m and -m differ
+
+
+def test_table_mutants_are_caught(monkeypatch):
+    with monkeypatch.context() as m:  # + 1 on digit 0 without the wrap at p - 1
+        _mutate(m, "v - (p - 1) if v % p == p - 1 else v + 1", "v + 1")
+        assert not all(tables_match_oracle(q) for q in MUTANT_QS)
+    with monkeypatch.context() as m:  # x^k reduced by +m instead of -m
+        _mutate(m, "mod_terms, -t)", "mod_terms, t)")
+        assert not all(tables_match_oracle(q) for q in MUTANT_QS)
+    with monkeypatch.context() as m:  # T[a] = T[a - 1] + g for every a
+        _mutate(m, "if a % p:", "if True:")
+        assert not all(tables_match_oracle(q) for q in MUTANT_QS)
+    assert all(tables_match_oracle(q) for q in MUTANT_QS)
+
+
+def test_cold_build_makes_only_the_order_tests_products(monkeypatch):
+    # at most generator * (omega(N) + 1) order tests of 2 * bit_length(N)
+    # products each; one product per exp entry would be N = 4095
+    calls = 0
+    pmul_mod = ff_core._pmul_mod
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pmul_mod(*args)
+
+    monkeypatch.setattr(ff_core, "_pmul_mod", counted)
+    f = ff_core.FieldTable(2, 12)
+    N = f.n_chars
+    assert 0 < calls <= f.generator * (len(cyclo._prime_divisors(N)) + 1) * 2 * N.bit_length()
+
+
 # -- Rabin's irreducibility test, the modulus search trial division replaced,
 # kept here as the oracle ---------------------------------------------------------
 
@@ -273,9 +402,8 @@ def _rabin_smallest_modulus(p, k):
 
 
 def test_modulus_matches_rabin_oracle_for_every_prime_power_to_4096():
-    qs = [q for q in range(2, 4097) if len(cyclo._prime_divisors(q)) == 1]
-    assert len(qs) == 604
-    for q in qs:
+    assert len(PRIME_POWERS_TO_4096) == 604
+    for q in PRIME_POWERS_TO_4096:
         p, k = ff_core.split_prime_power(q)
         assert ff_core._smallest_modulus(p, k) == _rabin_smallest_modulus(p, k), q
 
