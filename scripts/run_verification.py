@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from ffhyper import identities
+from ffhyper import cli, identities
 
 GATE_QS = identities.GATE_EXHAUSTIVE_QS + identities.GATE_SAMPLED_QS
 EXHAUSTIVE_MAX_Q = max(identities.GATE_EXHAUSTIVE_QS)
@@ -81,7 +81,7 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"\n{len(rows)} reports, {failed} failures, {elapsed:.1f}s")
     if args.json:
-        doc = {"schema": "ffhyper/1",
+        doc = {"schema": cli.SCHEMA,
                "reports": [r.to_dict() for r in rows]}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)

@@ -27,11 +27,11 @@ convolves two of them, and the result is folded mod 2^(w N) - 1 (slot i onto
 slot i mod N) and decoded.  The slot width w is taken per call from a bound
 proven from the inputs, the product of the operands' l1 norms times the
 number of terms summed: w holds the sign bit and that bound, rounded up to
-whole bytes, so no folded coefficient can overflow its slot.  Sums over a
-character index, sum_c zeta^(c k) U_c V_c, accumulate packed products (the
-twist is a shift) and decode once; the character-sum form of F_D convolves
-its n character slots over the index this way instead of walking all N^n
-tuples.
+whole bytes, so no folded coefficient can overflow its slot.  The
+character-sum form of F_D convolves its n character slots over the character
+index this way (a twist zeta^(c log x) is a shift), reads every factor from
+one packed binomial family F_d[c] = {chi^(d+c) choose chi^c}, and decodes
+once, instead of walking all N^n tuples.
 
 The generating functions, the k-sum and the character line sum are sums
 over chi^theta whose term exponents are affine in theta, e + theta m: summed
@@ -39,12 +39,12 @@ over theta, such a term is g = gcd(m, N) at every exponent = e mod g, so
 _coset_counts counts the terms of one F_D walk by (g, e mod g) and forms no
 row per theta.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
 
-A per-field context (_Ev) carries the field's shared tables and one memo, of
-binomials, that lives for one call: the public ops build a fresh context per
-call and reduce modulo Phi_N to a canonical CycInt once, at the end; the
-verifier builds one per field per `verify` or `replay` call and never
-reduces, because it decides equality of raw vectors with cyclo.vanishes and
-builds canonical form only for output.
+A per-field context (_Ev) carries the field's shared tables and two memos,
+of binomial vectors and of packed binomial families, that live for one call:
+the public ops build a fresh context per call and reduce modulo Phi_N to a
+canonical CycInt once, at the end; the verifier builds one per field per
+`verify` or `replay` call and never reduces, because it decides equality of
+raw vectors with cyclo.vanishes and builds canonical form only for output.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ from .ff_core import FieldTable
 
 class _Ev:
     """Evaluation context of one field: its shared tables as flat attributes
-    and one memo, of binomial vectors keyed by (A, B) and their packed forms
-    keyed by (A, B, w).  The memo lives as long as the context, which is one
-    call: of a public op below, or of identities.verify or replay."""
+    and two memos, of binomial vectors keyed by (A, B) and of packed binomial
+    families (_binom_family) keyed by (d, w).  The memos live as long as the
+    context, which is one call: of a public op below, or of
+    identities.verify or replay."""
 
     def __init__(self, f: FieldTable):
         self.f = f
@@ -75,7 +76,8 @@ class _Ev:
         self.L = f.log_table
         self.Z = f.zech_table
         self.neg1 = f.neg(1)
-        self.binoms: dict[tuple, tuple[int, ...] | int] = {}
+        self.binoms: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.families: dict[tuple[int, int], list[int]] = {}
 
 
 # -- group-ring vector helpers --------------------------------------------------
@@ -182,27 +184,16 @@ def _binom_vec(ev: _Ev, ma: int, mb: int) -> tuple[int, ...]:
     return v
 
 
-def _binom_packed(ev: _Ev, ma: int, mb: int, w: int) -> int:
-    """{A choose B} packed at slot width w, memoized by width beside the
-    vector.  Its entries count the N - 1 values u != 0, 1: its l1 is N - 1."""
-    key = (ma % ev.N, mb % ev.N, w)
-    P = ev.binoms.get(key)
-    if P is None:
-        P = ev.binoms[key] = _pack(_binom_vec(ev, ma, mb), w)
-    return P
-
-
-def _binom_sum(ev: _Ev, keys, Vs, k: int, w: int) -> list[int]:
-    """sum_c zeta^(c k) {A_c choose B_c} V_c over keys[c] = (A_c, B_c) and
-    V_c = Vs[c] packed at width w, c = 0, 1, ...: one packed accumulation
-    (the twist is a shift) and one unpack.  Every coefficient of the result
-    must be below 2^(w-1) in absolute value."""
-    N = ev.N
-    acc = 0
-    for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
-        if V:
-            acc += (_binom_packed(ev, ma, mb, w) << (w * (c * k % N))) * V
-    return _unpack(acc, w, N)
+def _binom_family(ev: _Ev, d: int, w: int) -> list[int]:
+    """F_d[c] = {chi^(d+c) choose chi^c} packed at slot width w, c = 0..N-1,
+    memoized by (d mod N, w).  Its entries count the N - 1 values u != 0, 1:
+    each has l1 N - 1."""
+    key = (d % ev.N, w)
+    F = ev.families.get(key)
+    if F is None:
+        N, l1 = ev.N, ev.f.log_neg1
+        F = ev.families[key] = [_pack(_jacobi_vec(ev, d + c, -c, c * l1), w) for c in range(N)]
+    return F
 
 
 def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
@@ -303,9 +294,9 @@ def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
     """sum over chi_1..chi_n of {A chi^s choose C chi^s} prod_j {B_j chi_j
     choose chi_j} chi_j(x_j), s = sum_j chi_j, grouped by s:
     W = P_1 * ... * P_n over the character index, P_j[c] = zeta^(c log x_j)
-    {B_j chi^c choose chi^c}, then sum_s {A chi^s choose C chi^s} W[s].
-    All products are packed; the width comes from N^n terms of l1 norm at
-    most (N - 1)^(n+1)."""
+    F_{B_j}[c], then sum_s F_{A-C}[C + s] W[s] (_binom_family).  All products
+    are packed; the width comes from N^n terms of l1 norm at most
+    (N - 1)^(n+1)."""
     N, L = ev.N, ev.L
     if any(x == 0 for x in xs):
         return [0] * N
@@ -314,10 +305,11 @@ def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
     W = [1] + [0] * (N - 1)  # zeta^0 at character index 0: the empty product
     for mb, x in zip(mBs, xs):
         lx = L[x]
-        P = [_binom_packed(ev, mb + c, c, w) << (w * (c * lx % N)) for c in range(N)]
+        P = [b << (w * (c * lx % N)) for c, b in enumerate(_binom_family(ev, mb, w))]
         nz = [(c, v) for c, v in enumerate(W) if v]
         W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
-    return _binom_sum(ev, [(mA + s, mC + s) for s in range(N)], W, 0, w)
+    F = _binom_family(ev, mA - mC, w)
+    return _unpack(sum(F[(mC + s) % N] * v for s, v in enumerate(W) if v), w, N)
 
 
 # -- public types ----------------------------------------------------------------
@@ -392,13 +384,11 @@ def binom(A: Char, B: Char) -> CycInt:
 def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"):
     """2F1(A,B;C|x) = F_D^(1)(B;A;C|x).  normalization="greene" returns the
     1/q-rescaled value as an exact (CycInt, q) numerator/denominator pair."""
+    if normalization not in ("unscaled", "greene"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     ev = _Ev(_same_field(A, B, C, points=(x,)))
     val = cyclo.from_coeffs(ev.N, _fd_vec(ev, B.m, (A.m,), C.m, (x,)))
-    if normalization == "unscaled":
-        return val
-    if normalization == "greene":
-        return (val, ev.q)
-    raise ValueError(f"unknown normalization {normalization!r}")
+    return (val, ev.q) if normalization == "greene" else val
 
 
 def appell_f1(A: Char, B: Char, B2: Char, C: Char, x: int, y: int) -> CycInt:
@@ -497,10 +487,11 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     if all(x != 0 for x in xs):
         _addm(out, e, -(q - 1))
     if t == ev.neg1 and all(x != 0 for x in xs):
-        for y in range(1, q):
-            e = _mono_exp(ev, [(mC, y),
-                               *((-mb, f.sub(1, f.mul(x, y))) for mb, x in zip(mBs, xs))])
-            _addm(out, e, q - 1)
+        # sum over y != 0 of C(y) prod_j B_j^-1(1 - x_j y): the walk with A = C
+        # is its terms at y = u != 0, 1 (the walk's prefactor zeta^(2C log(-1))
+        # is 1), and y = 1 is one monomial
+        _fd_vec(ev, mC, mBs, mC, xs, s=q - 1, out=out)
+        _addm(out, _mono_exp(ev, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
     return out
 
 

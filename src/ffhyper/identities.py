@@ -13,7 +13,7 @@ Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
 Sides are evaluated against one context per field order and call
-(hyperff._Ev: the field's shared tables plus one memo, of binomials): every
+(hyperff._Ev: the field's shared tables plus memos of binomials): every
 report of one `verify` call on that field shares it, and `replay` builds its
 own, so the engine keeps no state between calls.  F_D is walked per value,
 each walk adding its signed, zeta-shifted term into the side's vector;
@@ -59,7 +59,7 @@ GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 
 
 def _ev_for_q(q: int, max_q: int | None = None) -> _Ev:
-    """A fresh context, with an empty binomial memo, on the shared table of
+    """A fresh context, with empty binomial memos, on the shared table of
     F_q.  q is checked against `max_q` (None: the default cap) before it is
     factored."""
     cap = ff_core.DEFAULT_MAX_Q if max_q is None else max_q

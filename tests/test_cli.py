@@ -336,15 +336,29 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0] == "5"
 
 
+VERIFY_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "scripts", "run_verification.py")
+
+
+def test_t21_verification_json_is_pinned(tmp_path):
+    # t2.1 on the default grid (16 reports), digest taken before its
+    # character-sum side read binomial families
+    out = tmp_path / "t21.json"
+    proc = subprocess.run([sys.executable, VERIFY_SCRIPT, "--id", "t2.1", "--json", str(out)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_bytes())["reports"]) == 16
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "3d4b0be9011809e28d1567d6fbb55db436b2beb36d31699063cfbc1496e38e06"
+
+
 def test_verification_script_json_is_byte_identical(tmp_path):
     # two runs of scripts/run_verification.py write the same bytes: no wall time
-    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "scripts", "run_verification.py")
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         proc = subprocess.run(
-            [sys.executable, script, "--id", "p2.f2,t4.eval-all1", "--q", "3,7",
+            [sys.executable, VERIFY_SCRIPT, "--id", "p2.f2,t4.eval-all1", "--q", "3,7",
              "--count", "20", "--json", str(out)],
             capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr

@@ -163,6 +163,16 @@ def test_gauss_2f1_normalizations():
         hyperff.gauss_2f1(A, B, C, 3, normalization="bogus")
 
 
+def test_gauss_2f1_checks_normalization_before_it_walks(monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("F_D walked before the normalization was checked")
+
+    monkeypatch.setattr(hyperff, "_fd_vec", walk)
+    A, B, C = _c(F5, 1), _c(F5, 2), _c(F5, 3)
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        hyperff.gauss_2f1(A, B, C, 3, normalization="bogus")
+
+
 def test_appell_is_two_slot_lauricella():
     rng = random.Random(13)
     for _ in range(12):

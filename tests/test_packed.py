@@ -3,7 +3,9 @@ counts in hyperff.
 
 Each fast path is compared with the loop it replaced, kept here as the
 oracle: the schoolbook cyclic convolution, the literal N^n-term character
-sum, the per-theta generating-function sum, the per-chi k-sum, and the
+sum, the character sum with one packed binomial per key (packed_charsum,
+which the binomial families replaced), the per-theta generating-function
+sum, the per-chi k-sum, the per-y sum of T43's t = -1 term, and the
 rotate-and-add of a fresh F_D vector for the walk that adds into the
 caller's vector.  The theta-sums now count the terms of one walk
 (_coset_counts); the paths they replaced stay here as oracles: the N rows
@@ -12,7 +14,8 @@ per theta), the packed per-theta binomial sum over those rows
 (binom_vec_sum), and the line sum as N separate n = 0 walks.  The n = 0
 walk is compared with the Jacobi-sum binomial it replaced.  Exhaustive over
 every character tuple at q <= 5, sampled at larger q; mutants of the
-counter and of the twist show that the comparisons can fail.
+counter, of the twists, of the family reads and keys and of the T43 term
+show that the comparisons can fail.
 """
 
 import inspect
@@ -131,11 +134,46 @@ def _fd_rows(ev, mA, mBs, mC, xs, slot):
     return rows
 
 
+def binom_packed(ev, ma, mb, w):
+    """{A choose B} packed at slot width w, one binomial at a time."""
+    return hyperff._pack(hyperff._binom_vec(ev, ma, mb), w)
+
+
+def binom_sum(ev, keys, Vs, k, w):
+    """sum_c zeta^(c k) {A_c choose B_c} V_c over keys[c] = (A_c, B_c) and
+    V_c = Vs[c] packed at width w: one packed accumulation (the twist is a
+    shift) and one unpack."""
+    N = ev.N
+    acc = 0
+    for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
+        if V:
+            acc += (binom_packed(ev, ma, mb, w) << (w * (c * k % N))) * V
+    return hyperff._unpack(acc, w, N)
+
+
+def packed_charsum(ev, mA, mBs, mC, xs):
+    """The character-sum form as hyperff._charsum_vec computed it before the
+    binomial families: each binomial packed by its own key, the top factor
+    summed by binom_sum."""
+    N, L = ev.N, ev.L
+    if any(x == 0 for x in xs):
+        return [0] * N
+    n = len(mBs)
+    w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
+    W = [1] + [0] * (N - 1)
+    for mb, x in zip(mBs, xs):
+        lx = L[x]
+        P = [binom_packed(ev, mb + c, c, w) << (w * (c * lx % N)) for c in range(N)]
+        nz = [(c, v) for c, v in enumerate(W) if v]
+        W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
+    return binom_sum(ev, [(mA + s, mC + s) for s in range(N)], W, 0, w)
+
+
 def binom_vec_sum(ev, keys, vecs, k):
     """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
     term's l1 is at most (N - 1) l1(vecs[c])."""
     w = hyperff._slot_bits((ev.N - 1) * hyperff._l1(chain.from_iterable(vecs)))
-    return hyperff._binom_sum(ev, keys, [hyperff._pack(v, w) for v in vecs], k, w)
+    return binom_sum(ev, keys, [hyperff._pack(v, w) for v in vecs], k, w)
 
 
 def rows_theta_sum(ev, mA, mBs, mC, xs, slot, b, k):
@@ -190,6 +228,28 @@ def per_chi_ksum_rhs(ev, n, cs, es):
             term = school_conv(hyperff._binom_vec(ev, Bs[-1] + ch, ch),
                                hyperff._fd_vec(ev, A + ch, Bs[:-1], C + ch, es[:-1]), N)
             rot_add(out, term, ch * ev.L[es[-1]])
+    return out
+
+
+def loop_t43_rhs(ev, mA, mBs, mC, xs, t):
+    """The T43 right-hand side with its t = -1 term summed over y, one
+    monomial per y, as _genfn_rhs_vec computed it before that term became
+    one walk plus the y = 1 monomial."""
+    f, N, q = ev.f, ev.N, ev.q
+    out = [0] * N
+    onept = f.add(1, t)
+    if t != 0 and onept != 0:
+        hyperff._fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs],
+                        e0=hyperff._mono_exp(ev, [(mC, onept)]), s=q - 1, out=out)
+    e = hyperff._mono_exp(ev, [(mC - mA, f.neg(t)),
+                               *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+    if all(x != 0 for x in xs):
+        hyperff._addm(out, e, -(q - 1))
+    if t == ev.neg1 and all(x != 0 for x in xs):
+        for y in range(1, q):
+            e = hyperff._mono_exp(ev, [(mC, y), *((-mb, f.sub(1, f.mul(x, y)))
+                                                  for mb, x in zip(mBs, xs))])
+            hyperff._addm(out, e, q - 1)
     return out
 
 
@@ -269,7 +329,8 @@ def test_charsum_matches_literal_exhaustive(q):
         for ms in itertools.product(range(N), repeat=n + 2):
             for xs in itertools.product(range(q), repeat=n):
                 args = (ms[0], ms[2:], ms[1], xs)
-                assert hyperff._charsum_vec(ev, *args) == literal_charsum(ev, *args), args
+                got = hyperff._charsum_vec(ev, *args)
+                assert got == literal_charsum(ev, *args) == packed_charsum(ev, *args), args
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
@@ -301,6 +362,79 @@ def test_charsum_beyond_2_63_equals_scaled_fd(n):
         fd = hyperff._fd_vec(ev, mA, mBs, mC, xs)
         assert cyclo.vanishes(N, [N ** n * a - b for a, b in zip(fd, cs)])
         assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
+
+
+def _charsum_draw(rng, q, n):
+    N = q - 1
+    return (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+            rng.randrange(N), tuple(rng.randrange(1, q) for _ in range(n)))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13, 16, 27, 64])
+def test_charsum_matches_packed_oracle_sampled(q):
+    # the binomial families against one packed binomial per key; every draw
+    # shares one context, so families are reused across draws and widths
+    ev = _ev(q)
+    rng = random.Random(900 + q)
+    for n in (1, 2, 3):
+        for _ in range(2 if q == 64 else 8):
+            args = _charsum_draw(rng, q, n)
+            assert hyperff._charsum_vec(ev, *args) == packed_charsum(ev, *args), args
+
+
+def test_charsum_memo_holds_one_family_per_d_and_width():
+    ev = _ev(13)
+    N = ev.N
+    rng = random.Random(13)
+    want = set()
+    for n in (1, 2, 3, 1):
+        w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
+        for _ in range(4):
+            mA, mBs, mC, xs = args = _charsum_draw(rng, 13, n)
+            hyperff._charsum_vec(ev, *args)
+            want |= {(mb % N, w) for mb in mBs} | {((mA - mC) % N, w)}
+    assert not ev.binoms
+    assert set(ev.families) == want and len({w for _, w in want}) == 3
+    assert all(len(F) == N for F in ev.families.values())
+
+
+@pytest.mark.parametrize("family_first", [True, False])
+def test_family_and_vector_with_equal_numbers_share_a_context(family_first):
+    # the family key (5, 8) is also the vector key of {chi^5 choose chi^8}
+    ev, fresh = _ev(13), _ev(13)
+    N, l1 = ev.N, ev.f.log_neg1
+    if family_first:
+        F, v = hyperff._binom_family(ev, 5, 8), hyperff._binom_vec(ev, 5, 8)
+    else:
+        v, F = hyperff._binom_vec(ev, 5, 8), hyperff._binom_family(ev, 5, 8)
+    assert ev.binoms[5, 8] is v and ev.families[5, 8] is F
+    assert list(v) == hyperff._jacobi_vec(fresh, 5, -8, 8 * l1)
+    assert [hyperff._unpack(P, 8, N) for P in F] == \
+        [hyperff._jacobi_vec(fresh, 5 + c, -c, c * l1) for c in range(N)]
+    assert hyperff._binom_vec(ev, 5, 8) is v and hyperff._binom_family(ev, 5, 8) is F
+
+
+def test_charsum_mutants_are_caught(monkeypatch):
+    # n = 1 and n = 2 draws share each context: two widths per family number
+    rng = random.Random(5)
+    cases = [_charsum_draw(rng, 5, n) for n in (1, 2) * 12]
+    want = [packed_charsum(_ev(5), *args) for args in cases]
+
+    def all_match():
+        ev = _ev(5)
+        return all(hyperff._charsum_vec(ev, *args) == w for args, w in zip(cases, want))
+
+    assert all_match()
+    with monkeypatch.context() as m:  # the top factor read at C, not C + s
+        _mutate(m, "_charsum_vec", "F[(mC + s) % N]", "F[mC % N]")
+        assert not all_match()
+    with monkeypatch.context() as m:  # the twist c log x_j dropped
+        _mutate(m, "_charsum_vec", "b << (w * (c * lx % N))", "b")
+        assert not all_match()
+    with monkeypatch.context() as m:  # the family keyed without its width
+        _mutate(m, "_binom_family", "key = (d % ev.N, w)", "key = d % ev.N")
+        assert not all_match()
+    assert all_match()
 
 
 # -- one-pass F_D rows -------------------------------------------------------------------
@@ -622,3 +756,45 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
         _mutate(m, "_theta_sum", "l1 + j - Z[j] + k)", "l1 + j - Z[j])")
         assert all_match() == (True, False)
     assert all_match() == (True, True)
+
+
+# -- T43's t = -1 term: one walk plus the y = 1 monomial -----------------------------------
+
+
+def _t43_matches(ev, mA, mBs, mC, xs):
+    t = ev.neg1
+    return hyperff._genfn_rhs_vec(ev, mA, mBs, mC, xs, t, "T43") == \
+        loop_t43_rhs(ev, mA, mBs, mC, xs, t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_t43_rhs_at_minus_one_matches_y_loop_exhaustive(q):
+    ev = _ev(q)
+    for n in (1, 2):
+        for ms in itertools.product(range(ev.N), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                assert _t43_matches(ev, ms[0], ms[2:], ms[1], xs), (ms, xs)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 27, 64, 256])
+def test_t43_rhs_at_minus_one_matches_y_loop_sampled(q):
+    ev = _ev(q)
+    N = ev.N
+    rng = random.Random(1000 + q)
+    for n in (1, 2, 3):
+        for _ in range(60):
+            xs = tuple(rng.choice((0, 1, rng.randrange(q))) if rng.random() < 0.2
+                       else rng.randrange(q) for _ in range(n))
+            args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+                    rng.randrange(N), xs)
+            assert _t43_matches(ev, *args), args
+
+
+def test_t43_y_loop_mutant_is_caught(monkeypatch):
+    ev = _ev(5)
+    cases = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=3)
+             for xs in itertools.product(range(5), repeat=1)]
+    assert all(_t43_matches(ev, *args) for args in cases)
+    with monkeypatch.context() as m:  # the y = 1 monomial dropped
+        _mutate(m, "_genfn_rhs_vec", "zip(mBs, xs)]), q - 1)", "zip(mBs, xs)]), 0)")
+        assert not all(_t43_matches(ev, *args) for args in cases)
