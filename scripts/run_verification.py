@@ -12,7 +12,6 @@ e.g.
 """
 
 import argparse
-import json
 import sys
 import time
 
@@ -26,12 +25,12 @@ def parse_args():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--id", default="all",
                     help='identity id(s), comma-separated, or "all"')
-    ap.add_argument("--q", default=None,
-                    help="field orders, comma-separated (default: gate grid)")
+    ap.add_argument("--q", default=",".join(map(str, GATE_QS)),
+                    help='field orders, "p^k" or integer, comma-separated '
+                         "(default: gate grid)")
     ap.add_argument("--n", default=None,
                     help="slot counts, comma-separated (default: all allowed <= 2)")
-    ap.add_argument("--mode", default=None,
-                    choices=["exhaustive", "sampled", "boundary"],
+    ap.add_argument("--mode", default=None, choices=identities.MODES,
                     help="force one mode (default: exhaustive <=5, sampled above)")
     ap.add_argument("--count", type=int, default=identities.DEFAULT_SAMPLES)
     ap.add_argument("--seed", type=int, default=42)
@@ -40,33 +39,23 @@ def parse_args():
     return ap.parse_args()
 
 
-def main():
-    args = parse_args()
-    if args.id == "all":
-        descs = list(identities.list_identities())
-    else:
-        descs = [identities.get_identity(v.strip())
-                 for v in args.id.split(",")]
-    qs = [int(v) for v in args.q.split(",")] if args.q else None
+def run(args):
+    descs = cli.parse_ids(args.id)
+    qs, max_q = cli.parse_orders(args.q)  # every q, before the first report
+    n_req = cli._ints(args.n) or (0, 1, 2)
 
     rows = []
     failed = 0
     t0 = time.perf_counter()
     for desc in descs:
-        if args.n:
-            n_list = [int(v) for v in args.n.split(",") if
-                      desc.allows_n(int(v))]
-            if not n_list:
-                continue
-        else:
-            n_list = [n for n in (0, 1, 2) if desc.allows_n(n)]
-        grid = [(q, args.mode or
-                 ("exhaustive" if q <= EXHAUSTIVE_MAX_Q else "sampled"))
-                for q in (qs or GATE_QS)]
-        for q, mode in grid:
+        n_list = [n for n in n_req if desc.allows_n(n)]
+        if not n_list:
+            continue
+        for q in qs:
+            mode = args.mode or ("exhaustive" if q <= EXHAUSTIVE_MAX_Q else "sampled")
             reports = identities.verify(
                 desc.id, [q], mode=mode, n_list=n_list, seed=args.seed,
-                count=args.count, cap=args.cap)
+                count=args.count, cap=args.cap, max_q=max_q)
             for r in reports:
                 rows.append(r)
                 failed += len(r.failures)
@@ -81,13 +70,16 @@ def main():
     elapsed = time.perf_counter() - t0
     print(f"\n{len(rows)} reports, {failed} failures, {elapsed:.1f}s")
     if args.json:
-        doc = {"schema": cli.SCHEMA,
-               "reports": [r.to_dict() for r in rows]}
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(cli.report_document(rows))
         print(f"wrote {args.json}")
     return 1 if failed else 0
+
+
+def main():
+    """Exit 0 when every report passes, 1 on identity failures, 2 on a usage
+    error and 3 on a domain error (the exit codes of the ffhyper CLI)."""
+    return cli.guarded(run, parse_args())
 
 
 if __name__ == "__main__":

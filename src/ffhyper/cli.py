@@ -58,6 +58,41 @@ def _parse_q(text: str, cap: int) -> tuple[int, int]:
     return (p, k) if caret else ff_core.split_prime_power(p)
 
 
+def parse_ids(spec: str) -> list:
+    """The descriptors of a comma-separated id list, or of all for "all"."""
+    if spec == "all":
+        return list(identities.list_identities())
+    return [identities.get_identity(v.strip()) for v in spec.split(",")]
+
+
+def parse_orders(spec: str) -> tuple[list[int], int]:
+    """The field orders of a comma-separated list, each compared with the cap
+    (_max_q) before it is factored, and that cap."""
+    cap = _max_q()
+    return [p ** k for p, k in (_parse_q(t.strip(), cap) for t in spec.split(","))], cap
+
+
+def report_document(reports, timings: bool = False) -> str:
+    """The ffhyper/1 JSON document of `reports`, newline-terminated."""
+    doc = {"schema": SCHEMA, "reports": [r.to_dict(timings=timings) for r in reports]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def guarded(fn, *args) -> int:
+    """fn(*args), errors mapped to exit code 2 (usage) or 3 (domain), one stderr line."""
+    try:
+        return fn(*args)
+    except UnknownIdentity as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FFHyperError as exc:
+        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
 def _field(text: str):
     cap = _max_q()
     return ff_core.build_field(*_parse_q(text, cap), cap)
@@ -92,6 +127,10 @@ def _cmd_eval(args) -> int:
     def ch(m: int) -> Char:
         return Char(f, m)
 
+    def fd() -> hyperff.FdInstance:
+        return hyperff.FdInstance(A=ch(args.A), B=tuple(ch(m) for m in args.B),
+                                  C=ch(args.C), x=tuple(args.x))
+
     t = args.target
     if t == "jacobi":
         _print_value(hyperff.jacobi(ch(args.chi), ch(args.lam)))
@@ -111,39 +150,25 @@ def _cmd_eval(args) -> int:
         x1, x2 = _values(args, "x", 2)
         _print_value(hyperff.appell_f1(ch(args.A), ch(b1), ch(b2), ch(args.C), x1, x2))
     elif t in ("fd", "fd-charsum"):
-        inst = hyperff.FdInstance(A=ch(args.A), B=tuple(ch(m) for m in args.B),
-                                  C=ch(args.C), x=tuple(args.x))
         fn = hyperff.lauricella_def if t == "fd" else hyperff.lauricella_charsum
-        _print_value(fn(inst))
+        _print_value(fn(fd()))
     elif t == "linesum":
         (b,), (x,) = _values(args, "B", 1), _values(args, "x", 1)
         _print_value(hyperff.char_line_sum(ch(args.A), ch(b), x))
     else:  # genfn-lhs / genfn-rhs
         variant = {"gf1": "T41", "gf2": "T42", "gf3": "T43"}[args.variant]
-        base = hyperff.FdInstance(A=ch(args.A), B=tuple(ch(m) for m in args.B),
-                                  C=ch(args.C), x=tuple(args.x))
-        inst = hyperff.GenFnInstance(base=base, t=args.t, variant=variant)
+        inst = hyperff.GenFnInstance(base=fd(), t=args.t, variant=variant)
         fn = hyperff.genfn_lhs if t == "genfn-lhs" else hyperff.genfn_rhs
         _print_value(fn(inst))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.id == "all":
-        descs = identities.list_identities()
-    else:
-        descs = [identities.get_identity(v.strip()) for v in args.id.split(",")]
-    max_q = _max_q()
-    q_list = []
-    for tq in args.q.split(","):
-        p, k = _parse_q(tq.strip(), max_q)
-        q_list.append(p ** k)
+    descs = parse_ids(args.id)
+    q_list, max_q = parse_orders(args.q)
     n_req = _ints(args.n) if args.n else None
-    runs = []  # (identity, its n_list), for those left with any n
-    for d in descs:
-        n_list = [n for n in n_req if d.allows_n(n)] if n_req is not None else [d.n_min]
-        if n_list:
-            runs.append((d.id, n_list))
+    runs = [(d.id, [n for n in n_req if d.allows_n(n)] if n_req else [d.n_min]) for d in descs]
+    runs = [(ident, n_list) for ident, n_list in runs if n_list]  # those left with any n
     if not runs:
         print("no runnable (identity, n) combinations", file=sys.stderr)
         return 2
@@ -165,11 +190,8 @@ def _verify(args, runs, q_list, max_q, fh) -> int:
             ident, q_list, mode=args.mode, n_list=n_list, seed=args.seed,
             count=args.count, cap=args.cap, corrupt_rhs=args.corrupt_rhs,
             max_q=max_q))
-    failures = sum(len(r.failures) for r in reports)
     if args.format == "json":
-        doc = {"schema": SCHEMA,
-               "reports": [r.to_dict(timings=args.timings) for r in reports]}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = report_document(reports, args.timings)
     else:
         lines = []
         for r in reports:
@@ -182,7 +204,7 @@ def _verify(args, runs, q_list, max_q, fh) -> int:
             lines.append(line)
         text = "\n".join(lines) + "\n"
     fh.write(text)
-    return 1 if failures else 0
+    return 1 if any(r.failures for r in reports) else 0
 
 
 def _cmd_classical(args) -> int:
@@ -231,8 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--id", required=True, help='identity id(s), comma-separated, or "all"')
     vf.add_argument("--q", default=",".join(map(str, identities.GATE_EXHAUSTIVE_QS)),
                     help="field orders, comma-separated")
-    vf.add_argument("--mode", choices=["exhaustive", "sampled", "boundary"],
-                    default="exhaustive")
+    vf.add_argument("--mode", choices=identities.MODES, default="exhaustive")
     vf.add_argument("--n", default=None, help="slot counts, comma-separated")
     vf.add_argument("--count", type=int, default=identities.DEFAULT_SAMPLES,
                     help="sampled mode: assignments per (q, n)")
@@ -267,17 +288,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except UnknownIdentity as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FFHyperError as exc:
-        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    return guarded(args.fn, args)
 
 
 if __name__ == "__main__":

@@ -39,12 +39,12 @@ over theta, such a term is g = gcd(m, N) at every exponent = e mod g, so
 _coset_counts counts the terms of one F_D walk by (g, e mod g) and forms no
 row per theta.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
 
-A per-field context (_Ev) carries the field's shared tables and two memos,
-of binomial vectors and of packed binomial families, that live for one call:
-the public ops build a fresh context per call and reduce modulo Phi_N to a
-canonical CycInt once, at the end; the verifier builds one per field per
-`verify` or `replay` call and never reduces, because it decides equality of
-raw vectors with cyclo.vanishes and builds canonical form only for output.
+A per-field context (_Ev) carries the field's shared tables and one memo,
+of packed binomial families, that lives for one call: the public ops build
+a fresh context per call and reduce modulo Phi_N to a canonical CycInt once,
+at the end; the verifier builds one per field per `verify` or `replay` call
+and never reduces: it decides equality of fresh raw vectors with
+cyclo.vanishes and builds canonical form only for output.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ from .ff_core import FieldTable
 
 class _Ev:
     """Evaluation context of one field: its shared tables as flat attributes
-    and two memos, of binomial vectors keyed by (A, B) and of packed binomial
-    families (_binom_family) keyed by (d, w).  The memos live as long as the
-    context, which is one call: of a public op below, or of
-    identities.verify or replay."""
+    and one memo, of packed binomial families (_binom_family) keyed by (d, w),
+    for one call of a public op below or of identities.verify or replay."""
 
     def __init__(self, f: FieldTable):
         self.f = f
@@ -76,7 +74,6 @@ class _Ev:
         self.L = f.log_table
         self.Z = f.zech_table
         self.neg1 = f.neg(1)
-        self.binoms: dict[tuple[int, int], tuple[int, ...]] = {}
         self.families: dict[tuple[int, int], list[int]] = {}
 
 
@@ -175,13 +172,9 @@ def _jacobi_vec(ev: _Ev, ma: int, mb: int, e0: int = 0) -> list[int]:
     return out
 
 
-def _binom_vec(ev: _Ev, ma: int, mb: int) -> tuple[int, ...]:
-    key = (ma % ev.N, mb % ev.N)
-    v = ev.binoms.get(key)
-    if v is None:
-        ma, mb = key
-        v = ev.binoms[key] = tuple(_jacobi_vec(ev, ma, -mb, mb * ev.f.log_neg1))
-    return v
+def _binom_vec(ev: _Ev, ma: int, mb: int) -> list[int]:
+    """{chi^ma choose chi^mb} = chi^mb(-1) J(chi^ma, chi^-mb), a fresh list."""
+    return _jacobi_vec(ev, ma, -mb, mb * ev.f.log_neg1)
 
 
 def _binom_family(ev: _Ev, d: int, w: int) -> list[int]:
@@ -191,8 +184,7 @@ def _binom_family(ev: _Ev, d: int, w: int) -> list[int]:
     key = (d % ev.N, w)
     F = ev.families.get(key)
     if F is None:
-        N, l1 = ev.N, ev.f.log_neg1
-        F = ev.families[key] = [_pack(_jacobi_vec(ev, d + c, -c, c * l1), w) for c in range(N)]
+        F = ev.families[key] = [_pack(_binom_vec(ev, d + c, c), w) for c in range(ev.N)]
     return F
 
 
@@ -495,19 +487,17 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     return out
 
 
-def genfn_lhs(g: GenFnInstance) -> CycInt:
+def _genfn(g: GenFnInstance, side) -> CycInt:
     if g.variant == "T41" and g.t == 1:
         raise DomainViolation("T41 requires t != 1")
-    ev = _Ev(g.base.field)
-    b = g.base
-    return cyclo.from_coeffs(ev.N, _genfn_lhs_vec(ev, b.A.m, tuple(c.m for c in b.B),
-                                                  b.C.m, b.x, g.t, g.variant))
+    ev, b = _Ev(g.base.field), g.base
+    return cyclo.from_coeffs(ev.N, side(ev, b.A.m, tuple(c.m for c in b.B), b.C.m, b.x,
+                                        g.t, g.variant))
+
+
+def genfn_lhs(g: GenFnInstance) -> CycInt:
+    return _genfn(g, _genfn_lhs_vec)
 
 
 def genfn_rhs(g: GenFnInstance) -> CycInt:
-    if g.variant == "T41" and g.t == 1:
-        raise DomainViolation("T41 requires t != 1")
-    ev = _Ev(g.base.field)
-    b = g.base
-    return cyclo.from_coeffs(ev.N, _genfn_rhs_vec(ev, b.A.m, tuple(c.m for c in b.B),
-                                                  b.C.m, b.x, g.t, g.variant))
+    return _genfn(g, _genfn_rhs_vec)

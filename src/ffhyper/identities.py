@@ -13,13 +13,13 @@ Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
 Sides are evaluated against one context per field order and call
-(hyperff._Ev: the field's shared tables plus memos of binomials): every
-report of one `verify` call on that field shares it, and `replay` builds its
-own, so the engine keeps no state between calls.  F_D is walked per value,
-each walk adding its signed, zeta-shifted term into the side's vector;
-t3.ksum (at every n, its n = 1 terms being binomials, the n = 0 walk),
-t5.gf1-3 and the p2 line sums count the terms of one walk over theta
-(hyperff._theta_sum and _line_vec).
+(hyperff._Ev: the field's shared tables plus one memo, of packed binomial
+families): every report of one `verify` call on that field shares it, and
+`replay` builds its own, so the engine keeps no state between calls.  Every
+side returns a fresh list.  F_D is walked per value, each walk adding its
+signed, zeta-shifted term into the side's vector; t3.ksum (at every n, its
+n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line sums
+count the terms of one walk over theta (hyperff._theta_sum and _line_vec).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -43,10 +43,11 @@ from typing import Callable
 
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
-from .errors import CapExceeded, FFHyperError, SamplingGaveUp, TooLarge, UnknownIdentity
+from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
 from .hyperff import _addm, _Ev, _mono_exp
 
 DEFAULT_CAP = 10_000_000
+MODES = ("exhaustive", "sampled", "boundary")
 DEFAULT_SAMPLES = 500
 
 # The standard gate grid: exhaustive at small q, DEFAULT_SAMPLES seeded
@@ -58,16 +59,14 @@ GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 # -- evaluation contexts ------------------------------------------------------------
 
 
-def _ev_for_q(q: int, max_q: int | None = None) -> _Ev:
-    """A fresh context, with empty binomial memos, on the shared table of
-    F_q.  q is checked against `max_q` (None: the default cap) before it is
-    factored."""
+def _field_for_q(q: int, max_q: int | None = None) -> ff_core.FieldTable:
+    """The shared table of F_q.  q is checked against `max_q` (None: the
+    default cap) before it is factored."""
     cap = ff_core.DEFAULT_MAX_Q if max_q is None else max_q
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"max_q must be a positive integer, got {max_q!r}")
-    if q > cap:
-        raise TooLarge(q, cap)
-    return _Ev(ff_core.build_field(*ff_core.split_prime_power(q), cap))
+    ff_core.check_order(q, 1, cap)
+    return ff_core.build_field(*ff_core.split_prime_power(q), cap)
 
 
 # -- identity descriptors -------------------------------------------------------------
@@ -583,9 +582,9 @@ class TheoremReport:
 
 def _check(desc, ev, n, cs, es, corrupt: bool):
     """Decide d * lhs = rhs; returns (equal?, lhs, rhs) with the raw sides.
-    `corrupt` adds d to the rhs, i.e. 1 to rhs / d."""
-    lv = list(desc.lhs(ev, n, cs, es))
-    rv = list(desc.rhs(ev, n, cs, es))
+    `corrupt` adds d to the rhs, a fresh list, i.e. 1 to rhs / d."""
+    lv = desc.lhs(ev, n, cs, es)
+    rv = desc.rhs(ev, n, cs, es)
     d = desc.den(ev.q, n)
     if corrupt:
         rv[0] += d
@@ -624,20 +623,7 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
                 return name
         return None
 
-    if mode == "exhaustive":
-        size = desc.slot_space(q, n)
-        if size > cap:
-            raise CapExceeded(size, cap)
-        for cs in itertools.product(range(N), repeat=nc):
-            for es in itertools.product(range(q), repeat=ne):
-                if violated(cs, es) is not None:
-                    excluded += 1
-                    continue
-                tested += 1
-                ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
-                if not ok:
-                    failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
-    elif mode == "sampled":
+    if mode == "sampled":
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         attempts_cap = count * 1000 + 1000
         rejected: dict[str, int] = {}
@@ -656,17 +642,26 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
             ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
             if not ok:
                 failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
-    elif mode == "boundary":
-        # complement domain: only constraint-violating assignments; mismatches
-        # and evaluation errors are recorded, never failed on.
-        mismatches = undefined = 0
+    else:
+        # boundary mode runs the complement domain, only constraint-violating
+        # assignments, and records mismatches and evaluation errors, never
+        # failing on them
+        boundary = mode == "boundary"
+        if boundary:
+            mismatches = undefined = 0
         size = desc.slot_space(q, n)
         if size > cap:
             raise CapExceeded(size, cap)
         for cs in itertools.product(range(N), repeat=nc):
             for es in itertools.product(range(q), repeat=ne):
-                if violated(cs, es) is None:
+                if (violated(cs, es) is None) == boundary:
                     excluded += 1
+                    continue
+                if not boundary:
+                    tested += 1
+                    ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
+                    if not ok:
+                        failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
                     continue
                 try:
                     ok, _, _ = _check(desc, ev, n, cs, es, corrupt_rhs)
@@ -674,10 +669,7 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
                     undefined += 1
                     continue
                 tested += 1
-                if not ok:
-                    mismatches += 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+                mismatches += not ok
 
     failures.sort(key=lambda d: (d["chars"], d["elems"]))
     return TheoremReport(
@@ -696,16 +688,22 @@ def _check_n(desc: IdentityDescriptor, n: int) -> None:
 def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
            seed: int = 0, count: int = DEFAULT_SAMPLES, cap: int = DEFAULT_CAP,
            corrupt_rhs: bool = False, max_q: int | None = None) -> list[TheoremReport]:
+    """One report per q in q_list and n in n_list (default: the least n).
+    Mode, count, every n and every q are checked before any report runs."""
     desc = get_identity(ident)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and count < 1:
         raise ValueError(f"sampled mode needs count >= 1, got {count}")
     if n_list is None:
         n_list = (desc.n_min,)
+    for n in n_list:
+        _check_n(desc, n)
+    fields = [_field_for_q(q, max_q) for q in q_list]
     reports = []
-    for q in q_list:
-        ev = _ev_for_q(q, max_q)
+    for f in fields:
+        ev = _Ev(f)  # one context per field, dropped once its reports are done
         for n in n_list:
-            _check_n(desc, n)
             reports.append(_run_one(desc, ev, n, mode, seed, count, cap, corrupt_rhs))
     return reports
 
@@ -716,7 +714,7 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     desc = get_identity(ident)
     q, n = int(assignment["q"]), int(assignment["n"])
     _check_n(desc, n)
-    ev = _ev_for_q(q)
+    ev = _Ev(_field_for_q(q))
     cs = tuple(int(c) % ev.N for c in assignment["chars"])
     es = tuple(int(e) for e in assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):

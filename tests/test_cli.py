@@ -366,3 +366,30 @@ def test_verification_script_json_is_byte_identical(tmp_path):
     assert outs[0] == outs[1]
     reports = json.loads(outs[0])["reports"]
     assert len(reports) == 6 and all(r["ms"] == 0 for r in reports)
+
+
+@pytest.mark.parametrize("argv, env, code, message", [
+    (["--id", "bogus"], {}, 2, "unknown identity 'bogus'"),
+    (["--q", "6"], {}, 2, "error: 6 is not a prime power"),
+    (["--id", "p2.f2", "--q", "32"], {"FFHYPER_MAX_Q": "16"}, 3,
+     "domain error: TooLarge: field order 32 exceeds the configured maximum 16"),
+], ids=["unknown-id", "prime-power", "over-cap"])
+def test_verification_script_maps_errors_to_cli_exit_codes(argv, env, code, message):
+    # a usage error exits 2 and a domain error 3, as in the CLI, with one line
+    # on stderr; 1 stays the code for identity failures.  Every q is parsed
+    # before the first report, so nothing is printed to stdout.
+    proc = subprocess.run([sys.executable, VERIFY_SCRIPT, *argv],
+                          capture_output=True, text=True, env=dict(_child_env(), **env))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
+
+
+def test_verification_script_reads_field_orders_like_the_cli():
+    # "p^k" spelling, and the reports are those of the plain order
+    outs = []
+    for q in ("3^2", "9"):
+        proc = subprocess.run([sys.executable, VERIFY_SCRIPT, "--id", "p2.f2,p2.f4-eps",
+                               "--q", q, "--count", "5"],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.splitlines()[:2])
+    assert outs[0] == outs[1] and outs[0][0].startswith("p2.f2            q=9")

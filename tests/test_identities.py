@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -92,12 +93,38 @@ def test_max_q_must_be_a_positive_integer(max_q):
     assert r.ok and r.tested == 49
 
 
+def _ev_for_q(q):
+    return hyperff._Ev(ff_core.build_field(*ff_core.split_prime_power(q)))
+
+
 def test_contexts_share_the_field_table_but_not_the_memo():
-    a, b = identities._ev_for_q(9), identities._ev_for_q(9)
+    # the packed binomial families are the one memo, and it is per context;
+    # a binomial vector is memoized nowhere
+    a, b = _ev_for_q(9), _ev_for_q(9)
     assert a is not b
     assert a.f is b.f is ff_core.build_field(3, 2)
-    hyperff._binom_vec(a, 1, 2)
-    assert a.binoms and not b.binoms
+    F = hyperff._binom_family(a, 1, 16)
+    assert set(a.families) == {(1, 16)} and not b.families
+    assert hyperff._binom_family(a, 1, 16) is F
+    assert hyperff._binom_family(b, 1, 16) is not F
+    assert hyperff._binom_family(b, 1, 16) == F
+    assert not hasattr(a, "binoms")
+
+
+@pytest.mark.parametrize("q_list, kwargs, error, message", [
+    ([3, 4], dict(n_list=[0, 1]), ValueError, "identity p2.f2 does not allow n=1"),
+    ([3, 4], dict(mode="bogus"), ValueError, "unknown mode 'bogus'"),
+    ([3, 6], dict(), ValueError, "6 is not a prime power"),
+    ([3, 9], dict(max_q=8), errors.TooLarge, "field order 9 exceeds the configured maximum 8"),
+], ids=["n", "mode", "prime-power", "cap"])
+def test_verify_checks_the_whole_request_before_any_report(monkeypatch, q_list, kwargs,
+                                                           error, message):
+    runs = []
+    monkeypatch.setattr(identities, "_run_one", lambda *a, **k: runs.append(a))
+    with pytest.raises(error) as info:
+        identities.verify("p2.f2", q_list, **kwargs)
+    assert str(info.value) == message
+    assert not runs
 
 
 def test_cap_exceeded():
@@ -120,6 +147,80 @@ def test_corrupt_rhs_is_detected_everywhere():
         (r,) = identities.verify(ident, [q], mode=mode, n_list=[n], count=2,
                                  corrupt_rhs=True)
         assert r.tested > 0 and len(r.failures) == r.tested, (ident, q)
+
+
+def _draws(desc, ev, n, k, rng):
+    """k seeded assignments of `desc` on ev's field that meet its constraints."""
+    out = []
+    while len(out) < k:
+        cs = tuple(rng.randrange(ev.N) for _ in range(desc.chars(n)))
+        es = tuple(rng.randrange(ev.q) for _ in range(desc.elems(n)))
+        if all(fn(ev, n, cs, es) for _, fn in desc.constraints):
+            out.append((cs, es))
+    return out
+
+
+def _cases():
+    """(descriptor, context, n, cs, es): three draws per identity at its least
+    n, on q = 4 and q = 7, each q with one context shared by every draw."""
+    rng = random.Random(26)
+    for q in (4, 7):
+        ev = _ev_for_q(q)
+        for desc in identities.list_identities():
+            for cs, es in _draws(desc, ev, desc.n_min, 3, rng):
+                yield desc, ev, desc.n_min, cs, es
+
+
+def _sides_are_fresh_lists():
+    for desc, ev, n, cs, es in _cases():
+        sides = [side(ev, n, cs, es) for side in (desc.lhs, desc.rhs) for _ in range(2)]
+        if not all(type(v) is list and len(v) == ev.N for v in sides):
+            return False
+        l1, l2, r1, r2 = sides
+        if l1 != l2 or r1 != r2 or len({id(v) for v in sides}) != 4:
+            return False
+    return True
+
+
+def _corrupt_then_honest_checks():
+    """Each draw fails its corrupt check and then passes its honest one."""
+    for desc, ev, n, cs, es in _cases():
+        if identities._check(desc, ev, n, cs, es, True)[0]:
+            return False
+        if not identities._check(desc, ev, n, cs, es, False)[0]:
+            return False
+    return True
+
+
+def test_every_side_is_a_fresh_list():
+    # every identity side, p2.f2-f4 included, is a length-N list of its own
+    assert _sides_are_fresh_lists()
+
+
+def test_a_corrupt_check_leaves_the_next_honest_check_alone():
+    # _check adds d to the rhs it was handed, so that rhs must be this call's
+    assert _corrupt_then_honest_checks()
+
+
+def test_a_cached_binomial_list_is_caught(monkeypatch):
+    # a _binom_vec that hands out one memoized list per (A, B) shares that
+    # list between calls: both checks above must see it
+    honest = hyperff._binom_vec
+    memo = {}
+
+    def cached(ev, ma, mb):
+        key = (ev.q, ma % ev.N, mb % ev.N)
+        if key not in memo:
+            memo[key] = honest(ev, ma, mb)
+        return memo[key]
+
+    assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
+    with monkeypatch.context() as m:
+        m.setattr(hyperff, "_binom_vec", cached)
+        assert not _sides_are_fresh_lists()
+        memo.clear()
+        assert not _corrupt_then_honest_checks()
+    assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
 
 
 def test_failure_replay_round_trip():
@@ -253,7 +354,7 @@ def test_raw_sides_are_pinned(ident):
     desc = identities.get_identity(ident)
     h = hashlib.sha256()
     for q in (3, 4, 5):
-        ev = identities._ev_for_q(q)
+        ev = _ev_for_q(q)
         for n in range(desc.n_min, 3):
             if not desc.allows_n(n):
                 continue

@@ -393,25 +393,28 @@ def test_charsum_memo_holds_one_family_per_d_and_width():
             mA, mBs, mC, xs = args = _charsum_draw(rng, 13, n)
             hyperff._charsum_vec(ev, *args)
             want |= {(mb % N, w) for mb in mBs} | {((mA - mC) % N, w)}
-    assert not ev.binoms
     assert set(ev.families) == want and len({w for _, w in want}) == 3
     assert all(len(F) == N for F in ev.families.values())
 
 
 @pytest.mark.parametrize("family_first", [True, False])
 def test_family_and_vector_with_equal_numbers_share_a_context(family_first):
-    # the family key (5, 8) is also the vector key of {chi^5 choose chi^8}
+    # the family (5, 8) and the vector {chi^5 choose chi^8} have equal numbers:
+    # the family is memoized in its own context, the vector in none
     ev, fresh = _ev(13), _ev(13)
     N, l1 = ev.N, ev.f.log_neg1
     if family_first:
         F, v = hyperff._binom_family(ev, 5, 8), hyperff._binom_vec(ev, 5, 8)
     else:
         v, F = hyperff._binom_vec(ev, 5, 8), hyperff._binom_family(ev, 5, 8)
-    assert ev.binoms[5, 8] is v and ev.families[5, 8] is F
-    assert list(v) == hyperff._jacobi_vec(fresh, 5, -8, 8 * l1)
+    assert set(ev.families) == {(5, 8)} and ev.families[5, 8] is F
+    assert not fresh.families
+    assert v == hyperff._jacobi_vec(fresh, 5, -8, 8 * l1)
     assert [hyperff._unpack(P, 8, N) for P in F] == \
         [hyperff._jacobi_vec(fresh, 5 + c, -c, c * l1) for c in range(N)]
-    assert hyperff._binom_vec(ev, 5, 8) is v and hyperff._binom_family(ev, 5, 8) is F
+    assert hyperff._binom_family(ev, 5, 8) is F
+    w = hyperff._binom_vec(ev, 5, 8)
+    assert w == v and w is not v
 
 
 def test_charsum_mutants_are_caught(monkeypatch):
