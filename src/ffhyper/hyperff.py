@@ -21,36 +21,31 @@ Every identity side is a signed, zeta-shifted combination of such sums, so
 _fd_vec adds s zeta^e0 F_D into the caller's vector inside its walk, with no
 vector per term; at n = 0 (no B-slot) the walk is the binomial {A choose C}.
 
-General products are packed, not schoolbook (Kronecker substitution): a
-vector v becomes the integer sum_i v[i] 2^(w i), one exact big-int multiply
-convolves two of them, and the result is folded mod 2^(w N) - 1 (slot i onto
-slot i mod N) and decoded.  The slot width w is taken per call from a bound
-proven from the inputs, the product of the operands' l1 norms times the
-number of terms summed: w holds the sign bit and that bound, rounded up to
-whole bytes, so no folded coefficient can overflow its slot.  The
-character-sum form of F_D convolves its n character slots over the character
-index this way (a twist zeta^(c log x) is a shift), reads every factor from
-one packed binomial family F_d[c] = {chi^(d+c) choose chi^c}, and decodes
-once, instead of walking all N^n tuples.
+General products (_conv) are packed, not schoolbook (Kronecker
+substitution): a vector v becomes the integer sum_i v[i] 2^(w i), one exact
+big-int multiply convolves two of them, and the result is folded mod
+2^(w N) - 1 (slot i onto slot i mod N) and decoded.  The slot width w is taken
+per call from a bound proven from the inputs, the product of the operands' l1
+norms: w holds the sign bit and that bound, rounded up to whole bytes, so no
+folded coefficient can overflow its slot.
 
-The generating functions, the k-sum and the character line sum are sums
-over chi^theta whose term exponents are affine in theta, e + theta m: summed
-over theta, such a term is g = gcd(m, N) at every exponent = e mod g, so
-_coset_counts counts the terms of one F_D walk by (g, e mod g) and forms no
-row per theta.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
+The generating functions, the k-sum, the character line sum and the
+character-sum form of F_D are sums over characters whose term exponents are
+affine in the n character indices, e + sum_j theta_j m_j: summed over
+theta in Z_N^n, such a term is N^(n-1) g at every exponent = e mod g,
+g = gcd(m_1, .., m_n, N), so _coset_counts counts the terms of one F_D walk
+and of each binomial factor by (g, e mod g) and forms no row per character.
+This is counting in Z[Z_N], not a relation of Z[zeta_N].
 
-A per-field context (_Ev) carries the field's shared tables and one memo,
-of packed binomial families, that lives for one call: the public ops build
-a fresh context per call and reduce modulo Phi_N to a canonical CycInt once,
-at the end; the verifier builds one per field per `verify` or `replay` call
-and never reduces: it decides equality of fresh raw vectors with
-cyclo.vanishes and builds canonical form only for output.
+Every sum takes the field's shared FieldTable and keeps no state between or
+within calls: the public ops reduce modulo Phi_N to a canonical CycInt once,
+at the end; the verifier never reduces: it decides equality of fresh raw
+vectors with cyclo.vanishes and builds canonical form only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from . import cyclo
@@ -58,24 +53,6 @@ from .charset import Char
 from .cyclo import CycInt
 from .errors import DomainViolation, FieldMismatch
 from .ff_core import FieldTable
-
-# -- per-field context --------------------------------------------------------
-
-
-class _Ev:
-    """Evaluation context of one field: its shared tables as flat attributes
-    and one memo, of packed binomial families (_binom_family) keyed by (d, w),
-    for one call of a public op below or of identities.verify or replay."""
-
-    def __init__(self, f: FieldTable):
-        self.f = f
-        self.q = f.q
-        self.N = f.n_chars
-        self.L = f.log_table
-        self.Z = f.zech_table
-        self.neg1 = f.neg(1)
-        self.families: dict[tuple[int, int], list[int]] = {}
-
 
 # -- group-ring vector helpers --------------------------------------------------
 
@@ -86,14 +63,8 @@ def _l1(v) -> int:
 
 def _slot_bits(bound: int) -> int:
     """Packed slot width w for integers of absolute value <= bound: the sign
-    bit plus bound's bits, rounded up to whole bytes so that few widths occur."""
+    bit plus bound's bits, rounded up to whole bytes."""
     return 8 * (bound.bit_length() // 8 + 1)
-
-
-@lru_cache(maxsize=64)
-def _offset(w: int, length: int) -> int:
-    """sum_i 2^(w-1) 2^(w i) over `length` slots: shifts signed slots to >= 0."""
-    return (1 << (w - 1)) * ((1 << (w * length)) - 1) // ((1 << w) - 1)
 
 
 # Slots per Horner or shift-and-mask run in _pack and _slots; longer vectors
@@ -132,7 +103,8 @@ def _unpack(P: int, w: int, N: int) -> list[int]:
         P = (P & M) + (P >> k)
     if P > M >> 1:  # the folded vector's value lies in (-M/2, M/2)
         P -= M
-    return _slots(P + _offset(w, N), w, N, 1 << (w - 1))
+    h = 1 << (w - 1)  # h in every slot shifts the signed slots to >= 0
+    return _slots(P + h * (M // ((1 << w) - 1)), w, N, h)
 
 
 def _conv(a, b, N: int) -> list[int]:
@@ -148,22 +120,22 @@ def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
         out[e % len(out)] += scale
 
 
-def _mono_exp(ev: _Ev, pairs) -> int | None:
+def _mono_exp(f: FieldTable, pairs) -> int | None:
     """Exponent of a product of character values chi_m(x); None if any x is 0."""
     e = 0
     for m, x in pairs:
         if x == 0:
             return None
-        e += (m % ev.N) * ev.L[x]
+        e += (m % f.n_chars) * f.log_table[x]
     return e
 
 
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
 
 
-def _jacobi_vec(ev: _Ev, ma: int, mb: int, e0: int = 0) -> list[int]:
+def _jacobi_vec(f: FieldTable, ma: int, mb: int, e0: int = 0) -> list[int]:
     """zeta^e0 J(chi^ma, chi^mb)."""
-    N, Z = ev.N, ev.Z
+    N, Z = f.n_chars, f.zech_table
     out = [0] * N
     ma %= N
     mb %= N
@@ -172,37 +144,26 @@ def _jacobi_vec(ev: _Ev, ma: int, mb: int, e0: int = 0) -> list[int]:
     return out
 
 
-def _binom_vec(ev: _Ev, ma: int, mb: int) -> list[int]:
+def _binom_vec(f: FieldTable, ma: int, mb: int) -> list[int]:
     """{chi^ma choose chi^mb} = chi^mb(-1) J(chi^ma, chi^-mb), a fresh list."""
-    return _jacobi_vec(ev, ma, -mb, mb * ev.f.log_neg1)
+    return _jacobi_vec(f, ma, -mb, mb * f.log_neg1)
 
 
-def _binom_family(ev: _Ev, d: int, w: int) -> list[int]:
-    """F_d[c] = {chi^(d+c) choose chi^c} packed at slot width w, c = 0..N-1,
-    memoized by (d mod N, w).  Its entries count the N - 1 values u != 0, 1:
-    each has l1 N - 1."""
-    key = (d % ev.N, w)
-    F = ev.families.get(key)
-    if F is None:
-        F = ev.families[key] = [_pack(_binom_vec(ev, d + c, c), w) for c in range(ev.N)]
-    return F
-
-
-def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
+def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
             out: list[int] | None = None) -> list[int]:
     """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
     out is a fresh zero vector when None, and e0 = None (a zero prefactor)
     adds nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u ->
     u/(u-1) maps its terms one to one onto those of the binomial."""
-    N, Z = ev.N, ev.Z
+    N, Z = f.n_chars, f.zech_table
     if out is None:
         out = [0] * N
     if e0 is None or 0 in xs:
         return out
     mA %= N
     mAC = (mC - mA) % N
-    e0 += (mA + mC) * ev.f.log_neg1
-    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    e0 += (mA + mC) * f.log_neg1
+    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
     for i in range(1, N):
         e = e0 + mA * i + mAC * Z[i]
         for mb, lx in slots:
@@ -215,19 +176,19 @@ def _fd_vec(ev: _Ev, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 
     return out
 
 
-def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
+def _fd_terms(f: FieldTable, mA: int, mBs, mC: int, xs, slot: str):
     """The terms of F_D with chi^theta put in one slot: A theta (slot "A"),
     B_n theta ("B"), C theta^-1 ("C"), or A theta and C theta together
     ("AC").  The term at u = g^i has exponent e(i) + theta d(i), e(i) that of
     _fd_vec and d(i) fixed by the slot; yields (e(i), d(i)) for each term that
     is not zero.  Slot "B" needs n >= 1."""
-    N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
+    N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
     if 0 in xs:
         return
     mA %= N
     mAC = (mC - mA) % N
     e0 = (mA + mC) * l1
-    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
     # d(i) = d0 + di i + dz Z[i] + dn z, z = log(1 - x_n u) from the last slot
     d0, di, dz, dn = {"A": (l1, 1, -1, 0), "B": (0, 0, 0, -1), "C": (-l1, 0, -1, 0),
                       "AC": (2 * l1, 1, 0, 0)}[slot]
@@ -243,65 +204,86 @@ def _fd_terms(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str):
             yield e, d0 + di * i + dz * Z[i] + dn * z
 
 
-def _coset_counts(N: int, terms, shifts) -> list[int]:
-    """sum over theta = 0..N-1 of zeta^(e + theta m), (e, m) = (e1 + e2,
-    m1 + m2), over (e1, m1) in `terms` and (e2, m2) in `shifts`.  Such a term
-    is g = gcd(m, N) at every exponent = e mod g: it is counted by e mod g
-    in the row of g, and each row is tiled over the N exponents."""
-    G = [gcd(m, N) for m in range(N)] * 2
-    rows = {g: [0] * g for g in G}
-    R = [rows[g] for g in G]  # the row of gcd(m, N), for 0 <= m < 2N
-    terms = [(e1, m1 % N) for e1, m1 in terms]
-    for e2, m2 in shifts:
-        m2 %= N
-        for e1, m1 in terms:
-            m = m1 + m2
-            R[m][(e1 + e2) % G[m]] += 1
+def _coset_counts(N: int, terms, *factors) -> list[int]:
+    """sum over theta in Z_N^n of zeta^(e0 + sum_j e_j + sum_j theta_j
+    (m0 + m_j)), over (e0, m0) in `terms` and one (e_j, m_j) from each of the
+    n >= 1 lists `factors`.  Summed over theta, such a tuple is N^(n-1) g at
+    every exponent = e mod g, e = e0 + sum_j e_j and g = gcd(m0 + m_1, ..,
+    m0 + m_n, N).  A partial tuple is kept as its state (g, m0 mod g, e mod
+    g): as g | N, gcd(g, m0 + m) = gcd(g, (m0 mod g) + (m mod g)).  Factors
+    1..n-1 fold the states, counted per state; the last puts each state's
+    count in the row of its final g, by e mod g, and each row is tiled over
+    the N exponents.  A fold keeps no state twice, so it leaves at most sum
+    over g | N of g^2 of them."""
+    *middle, last = factors
+    states = {N: [(m0 % N, e0, 1) for e0, m0 in terms]}  # g -> [(m0 mod g, e, count)]
+    for fac in middle:
+        counts = {}
+        for Gg, R, fac_g in _by_divisor(states, fac):
+            for m, e in fac_g:
+                for r, x, c in R:
+                    h = Gg[r + m]
+                    key = (h, r % h, (x + e) % h)
+                    counts[key] = counts.get(key, 0) + c
+        states = {}
+        for (h, r, x), c in counts.items():
+            states.setdefault(h, []).append((r, x, c))
+    rows = {g: [0] * g for g in range(1, N + 1) if N % g == 0}
+    for Gg, R, last_g in _by_divisor(states, last):
+        row_of = [rows[h] for h in Gg]
+        for m, e in last_g:
+            for r, x, c in R:
+                k = r + m
+                row_of[k][(x + e) % Gg[k]] += c
+    scale = N ** (len(factors) - 1)
     out = [0] * N
     for g, row in rows.items():
         if any(row):
-            out = [v + g * c for v, c in zip(out, row * (N // g))]
+            w = scale * g
+            out = [v + w * c for v, c in zip(out, row * (N // g))]
     return out
 
 
-def _line_vec(ev: _Ev, ma: int, mb: int, x: int) -> list[int]:
+def _by_divisor(states, fac):
+    """For each g with states: the table of gcd(k, g) for 0 <= k < 2g, the
+    states of g, and `fac` as (m mod g, e) pairs."""
+    for g, R in states.items():
+        yield [gcd(k, g) for k in range(g)] * 2, R, [(m % g, e) for e, m in fac]
+
+
+def _binom_terms(f: FieldTable, b: int, k: int) -> list[tuple[int, int]]:
+    """The terms of zeta^(theta k) {chi^b theta choose theta} as (e, m) pairs
+    of exponent e + theta m: at v = g^j, e = b j and m = log(-1) + j - Z[j]
+    + k."""
+    Z, l1 = f.zech_table, f.log_neg1
+    return [(b * j, l1 + j - Z[j] + k) for j in range(1, f.n_chars)]
+
+
+def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
     n = 0 walk with chi^theta in slots A and C, twisted by theta log x."""
     if x == 0:
-        return [0] * ev.N
-    return _coset_counts(ev.N, _fd_terms(ev, ma, (), mb, (), "AC"), [(0, ev.L[x])])
+        return [0] * f.n_chars
+    return _coset_counts(f.n_chars, _fd_terms(f, ma, (), mb, (), "AC"), [(0, f.log_table[x])])
 
 
-def _theta_sum(ev: _Ev, mA: int, mBs, mC: int, xs, slot: str, b: int, k: int) -> list[int]:
+def _theta_sum(f: FieldTable, mA: int, mBs, mC: int, xs, slot: str, b: int, k: int) -> list[int]:
     """sum over theta of zeta^(theta k) {chi^b theta choose theta} F_D with
-    theta in one slot (_fd_terms).  The binomial's term at v = g^j has
-    exponent b j + theta (log(-1) + j - Z[j]), so a pair of an F_D term and a
-    binomial term is one term of _coset_counts."""
-    Z, l1 = ev.Z, ev.f.log_neg1
-    return _coset_counts(ev.N, _fd_terms(ev, mA, mBs, mC, xs, slot),
-                         [(b * j, l1 + j - Z[j] + k) for j in range(1, ev.N)])
+    theta in one slot (_fd_terms): a pair of an F_D term and a binomial term
+    is one term of _coset_counts."""
+    return _coset_counts(f.n_chars, _fd_terms(f, mA, mBs, mC, xs, slot), _binom_terms(f, b, k))
 
 
-def _charsum_vec(ev: _Ev, mA: int, mBs, mC: int, xs) -> list[int]:
+def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     """sum over chi_1..chi_n of {A chi^s choose C chi^s} prod_j {B_j chi_j
-    choose chi_j} chi_j(x_j), s = sum_j chi_j, grouped by s:
-    W = P_1 * ... * P_n over the character index, P_j[c] = zeta^(c log x_j)
-    F_{B_j}[c], then sum_s F_{A-C}[C + s] W[s] (_binom_family).  All products
-    are packed; the width comes from N^n terms of l1 norm at most
-    (N - 1)^(n+1)."""
-    N, L = ev.N, ev.L
-    if any(x == 0 for x in xs):
-        return [0] * N
-    n = len(mBs)
-    w = _slot_bits(N ** n * (N - 1) ** (n + 1))
-    W = [1] + [0] * (N - 1)  # zeta^0 at character index 0: the empty product
-    for mb, x in zip(mBs, xs):
-        lx = L[x]
-        P = [b << (w * (c * lx % N)) for c, b in enumerate(_binom_family(ev, mb, w))]
-        nz = [(c, v) for c, v in enumerate(W) if v]
-        W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
-    F = _binom_family(ev, mA - mC, w)
-    return _unpack(sum(F[(mC + s) % N] * v for s, v in enumerate(W) if v), w, N)
+    choose chi_j} chi_j(x_j), s = sum_j chi_j: the n = 0 walk with chi^s in
+    slots A and C against the terms of each twisted binomial, one coset
+    count over Z_N^n."""
+    if 0 in xs:
+        return [0] * f.n_chars
+    L = f.log_table
+    return _coset_counts(f.n_chars, _fd_terms(f, mA, (), mC, (), "AC"),
+                         *(_binom_terms(f, mb, L[x]) for mb, x in zip(mBs, xs)))
 
 
 # -- public types ----------------------------------------------------------------
@@ -364,13 +346,13 @@ class GenFnInstance:
 
 
 def jacobi(chi: Char, lam: Char) -> CycInt:
-    ev = _Ev(_same_field(chi, lam))
-    return cyclo.from_coeffs(ev.N, _jacobi_vec(ev, chi.m, lam.m))
+    f = _same_field(chi, lam)
+    return cyclo.from_coeffs(f.n_chars, _jacobi_vec(f, chi.m, lam.m))
 
 
 def binom(A: Char, B: Char) -> CycInt:
-    ev = _Ev(_same_field(A, B))
-    return cyclo.from_coeffs(ev.N, _binom_vec(ev, A.m, B.m))
+    f = _same_field(A, B)
+    return cyclo.from_coeffs(f.n_chars, _binom_vec(f, A.m, B.m))
 
 
 def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"):
@@ -378,32 +360,32 @@ def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"
     1/q-rescaled value as an exact (CycInt, q) numerator/denominator pair."""
     if normalization not in ("unscaled", "greene"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    ev = _Ev(_same_field(A, B, C, points=(x,)))
-    val = cyclo.from_coeffs(ev.N, _fd_vec(ev, B.m, (A.m,), C.m, (x,)))
-    return (val, ev.q) if normalization == "greene" else val
+    f = _same_field(A, B, C, points=(x,))
+    val = cyclo.from_coeffs(f.n_chars, _fd_vec(f, B.m, (A.m,), C.m, (x,)))
+    return (val, f.q) if normalization == "greene" else val
 
 
 def appell_f1(A: Char, B: Char, B2: Char, C: Char, x: int, y: int) -> CycInt:
-    ev = _Ev(_same_field(A, B, B2, C, points=(x, y)))
-    return cyclo.from_coeffs(ev.N, _fd_vec(ev, A.m, (B.m, B2.m), C.m, (x, y)))
+    f = _same_field(A, B, B2, C, points=(x, y))
+    return cyclo.from_coeffs(f.n_chars, _fd_vec(f, A.m, (B.m, B2.m), C.m, (x, y)))
 
 
 def lauricella_def(inst: FdInstance) -> CycInt:
-    ev = _Ev(inst.field)
-    return cyclo.from_coeffs(ev.N, _fd_vec(ev, inst.A.m, [c.m for c in inst.B],
-                                           inst.C.m, inst.x))
+    f = inst.field
+    return cyclo.from_coeffs(f.n_chars, _fd_vec(f, inst.A.m, [c.m for c in inst.B],
+                                                inst.C.m, inst.x))
 
 
 def lauricella_charsum(inst: FdInstance) -> CycInt:
-    ev = _Ev(inst.field)
-    raw = _charsum_vec(ev, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x)
-    return cyclo.div_exact(cyclo.from_coeffs(ev.N, raw), ev.N ** inst.n)
+    f = inst.field
+    raw = _charsum_vec(f, inst.A.m, [c.m for c in inst.B], inst.C.m, inst.x)
+    return cyclo.div_exact(cyclo.from_coeffs(f.n_chars, raw), f.n_chars ** inst.n)
 
 
 def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
     """sum over all chi of {A chi choose B chi} chi(x), counted over one walk."""
-    ev = _Ev(_same_field(A, B, points=(x,)))
-    return cyclo.from_coeffs(ev.N, _line_vec(ev, A.m, B.m, x))
+    f = _same_field(A, B, points=(x,))
+    return cyclo.from_coeffs(f.n_chars, _line_vec(f, A.m, B.m, x))
 
 
 # -- generating-function sums ------------------------------------------------------
@@ -431,24 +413,24 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 #         + [t = -1] (q-1) eps(x_1..x_n) sum_y C(y) prod_j B_j^-1(1-x_j y)
 
 
-def _genfn_lhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
+def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
     if t == 0:
-        return [0] * ev.N  # every summand carries theta(0) = 0
-    return _theta_sum(ev, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant],
-                      mBs[-1] if variant == "T42" else mA - mC, ev.L[t])
+        return [0] * f.n_chars  # every summand carries theta(0) = 0
+    return _theta_sum(f, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant],
+                      mBs[-1] if variant == "T42" else mA - mC, f.log_table[t])
 
 
-def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
-    f, N, q = ev.f, ev.N, ev.q
+def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
+    N, q = f.n_chars, f.q
     out = [0] * N
 
     if variant == "T41":
         if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
             inv1t = f.inv(f.sub(1, t))
-            _fd_vec(ev, mA, mBs, mC, [f.mul(x, inv1t) for x in xs],
-                    e0=_mono_exp(ev, [(-mA, f.sub(1, t))]), s=q - 1, out=out)
-        e = _mono_exp(ev, [(mC - mA, f.neg(t)),
-                           *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+            _fd_vec(f, mA, mBs, mC, [f.mul(x, inv1t) for x in xs],
+                    e0=_mono_exp(f, [(-mA, f.sub(1, t))]), s=q - 1, out=out)
+        e = _mono_exp(f, [(mC - mA, f.neg(t)),
+                          *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
         if all(x != 0 for x in xs):
             _addm(out, e, -(q - 1))
         return out
@@ -456,43 +438,43 @@ def _genfn_rhs_vec(ev: _Ev, mA, mBs, mC, xs, t, variant) -> list[int]:
     if variant == "T42":
         xn = xs[-1]
         if t != 0 and t != 1:
-            _fd_vec(ev, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))),
-                    e0=_mono_exp(ev, [(-mBs[-1], f.sub(1, t))]), s=q - 1, out=out)
-        e = _mono_exp(ev, [(-mBs[-1], f.neg(t)),
-                           (sum(mBs[:-1]) - mC, xn),
-                           (mC - mA, f.sub(1, xn)),
-                           *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
+            _fd_vec(f, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))),
+                    e0=_mono_exp(f, [(-mBs[-1], f.sub(1, t))]), s=q - 1, out=out)
+        e = _mono_exp(f, [(-mBs[-1], f.neg(t)),
+                          (sum(mBs[:-1]) - mC, xn),
+                          (mC - mA, f.sub(1, xn)),
+                          *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
         if all(x != 0 for x in xs[:-1]):
             _addm(out, e, -(q - 1))
         if t == 1 and xn != 0:
-            _fd_vec(ev, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
-                    e0=_mono_exp(ev, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
+            _fd_vec(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
+                    e0=_mono_exp(f, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
         return out
 
     # T43
     onept = f.add(1, t)
     if t != 0 and onept != 0:
-        _fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs],
-                e0=_mono_exp(ev, [(mC, onept)]), s=q - 1, out=out)
-    e = _mono_exp(ev, [(mC - mA, f.neg(t)),
-                       *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+        _fd_vec(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
+                e0=_mono_exp(f, [(mC, onept)]), s=q - 1, out=out)
+    e = _mono_exp(f, [(mC - mA, f.neg(t)),
+                      *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
     if all(x != 0 for x in xs):
         _addm(out, e, -(q - 1))
-    if t == ev.neg1 and all(x != 0 for x in xs):
+    if t == f.p - 1 and all(x != 0 for x in xs):
         # sum over y != 0 of C(y) prod_j B_j^-1(1 - x_j y): the walk with A = C
         # is its terms at y = u != 0, 1 (the walk's prefactor zeta^(2C log(-1))
         # is 1), and y = 1 is one monomial
-        _fd_vec(ev, mC, mBs, mC, xs, s=q - 1, out=out)
-        _addm(out, _mono_exp(ev, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
+        _fd_vec(f, mC, mBs, mC, xs, s=q - 1, out=out)
+        _addm(out, _mono_exp(f, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
     return out
 
 
 def _genfn(g: GenFnInstance, side) -> CycInt:
     if g.variant == "T41" and g.t == 1:
         raise DomainViolation("T41 requires t != 1")
-    ev, b = _Ev(g.base.field), g.base
-    return cyclo.from_coeffs(ev.N, side(ev, b.A.m, tuple(c.m for c in b.B), b.C.m, b.x,
-                                        g.t, g.variant))
+    f, b = g.base.field, g.base
+    return cyclo.from_coeffs(f.n_chars, side(f, b.A.m, tuple(c.m for c in b.B), b.C.m, b.x,
+                                             g.t, g.variant))
 
 
 def genfn_lhs(g: GenFnInstance) -> CycInt:

@@ -12,14 +12,14 @@ and decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
 Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
-Sides are evaluated against one context per field order and call
-(hyperff._Ev: the field's shared tables plus one memo, of packed binomial
-families): every report of one `verify` call on that field shares it, and
-`replay` builds its own, so the engine keeps no state between calls.  Every
-side returns a fresh list.  F_D is walked per value, each walk adding its
-signed, zeta-shifted term into the side's vector; t3.ksum (at every n, its
-n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line sums
-count the terms of one walk over theta (hyperff._theta_sum and _line_vec).
+Every side takes the field's shared table (ff_core.FieldTable, one per q for
+the process) and keeps no state between or within calls, so a report is a
+pure function of that table and its arguments.  Every side returns a fresh
+list.  F_D is walked per value, each walk adding its signed, zeta-shifted
+term into the side's vector; t2.1's character-sum side, t3.ksum (at every n,
+its n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line
+sums count the terms of one walk over the characters (hyperff._charsum_vec,
+_theta_sum and _line_vec, each one call of _coset_counts).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -44,7 +44,7 @@ from typing import Callable
 from . import cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
-from .hyperff import _addm, _Ev, _mono_exp
+from .hyperff import _addm, _mono_exp
 
 DEFAULT_CAP = 10_000_000
 MODES = ("exhaustive", "sampled", "boundary")
@@ -56,7 +56,7 @@ GATE_EXHAUSTIVE_QS = (3, 4, 5)
 GATE_SAMPLED_QS = (7, 8, 9, 11, 13)
 
 
-# -- evaluation contexts ------------------------------------------------------------
+# -- fields ---------------------------------------------------------------------------
 
 
 def _field_for_q(q: int, max_q: int | None = None) -> ff_core.FieldTable:
@@ -106,23 +106,23 @@ def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
 
 # constraint predicates (cs = character exponents, es = elements)
 
-def _c_b1_nontriv(ev, n, cs, es):
-    return cs[2] % ev.N != 0
+def _c_b1_nontriv(f, n, cs, es):
+    return cs[2] % f.n_chars != 0
 
 
-def _c_b2_nontriv(ev, n, cs, es):
-    return cs[3] % ev.N != 0
+def _c_b2_nontriv(f, n, cs, es):
+    return cs[3] % f.n_chars != 0
 
 
-def _c_xn_ne_1(ev, n, cs, es):
+def _c_xn_ne_1(f, n, cs, es):
     return es[n - 1] != 1
 
 
-def _c_all_x_ne_1(ev, n, cs, es):
+def _c_all_x_ne_1(f, n, cs, es):
     return all(x != 1 for x in es[:n])
 
 
-def _c_t_ne_1(ev, n, cs, es):
+def _c_t_ne_1(f, n, cs, es):
     return es[-1] != 1
 
 
@@ -130,45 +130,45 @@ def _c_t_ne_1(ev, n, cs, es):
 # Slot layout unless noted: cs = (A, C, B_1..B_n), es = (x_1..x_n).
 
 
-def _t21_lhs(ev, n, cs, es):
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
+def _t21_lhs(f, n, cs, es):
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
 
 
-def _t21_rhs(ev, n, cs, es):
-    return hyperff._charsum_vec(ev, cs[0], cs[2:], cs[1], es)
+def _t21_rhs(f, n, cs, es):
+    return hyperff._charsum_vec(f, cs[0], cs[2:], cs[1], es)
 
 
 _reg("t2.1", "series form of F_D agrees with its full character-sum expansion",
      _t21_lhs, _t21_rhs, den=lambda q, n: (q - 1) ** n)
 
 
-def _ffbeta_lhs(ev, n, cs, es):
+def _ffbeta_lhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     x1, x2 = es[0], es[1]
-    f, N, Z = ev.f, ev.N, ev.Z
+    N, Z = f.n_chars, f.zech_table
     out = [0] * N
     if x1 == 0 or x2 == 0:
         return out
-    E, l1, l2 = f.exp_table, ev.L[x1], ev.L[x2]
+    E, l1, l2 = f.exp_table, f.log_table[x1], f.log_table[x2]
     merged = (Bs[0] + Bs[1],) + Bs[2:]
     for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
         xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
-        hyperff._fd_vec(ev, A, merged, C, (xm,) + es[2:], e0=Bs[0] * i + Bs[1] * Z[i],
+        hyperff._fd_vec(f, A, merged, C, (xm,) + es[2:], e0=Bs[0] * i + Bs[1] * Z[i],
                         out=out)
     return out
 
 
-def _ffbeta_rhs(ev, n, cs, es):
+def _ffbeta_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     x1, x2 = es[0], es[1]
-    f, N = ev.f, ev.N
+    N = f.n_chars
     m12 = -(Bs[0] + Bs[1])
-    out = hyperff._conv(hyperff._binom_vec(ev, m12, -Bs[0]), hyperff._fd_vec(ev, A, Bs, C, es), N)
+    out = hyperff._conv(hyperff._binom_vec(f, m12, -Bs[0]), hyperff._fd_vec(f, A, Bs, C, es), N)
     if x1 != 0 and x2 != 0:
-        e = _mono_exp(ev, [(Bs[0], ev.neg1), (m12, f.sub(x1, x2))])
-        hyperff._fd_vec(ev, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-1, out=out)
-    e = _mono_exp(ev, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
-    return hyperff._fd_vec(ev, A, Bs[2:], C, es[2:], e0=e, s=-1, out=out)
+        e = _mono_exp(f, [(Bs[0], f.p - 1), (m12, f.sub(x1, x2))])
+        hyperff._fd_vec(f, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-1, out=out)
+    e = _mono_exp(f, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
+    return hyperff._fd_vec(f, A, Bs[2:], C, es[2:], e0=e, s=-1, out=out)
 
 
 _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slots merged",
@@ -176,33 +176,33 @@ _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slot
      constraints=(("B1 != eps", _c_b1_nontriv), ("B2 != eps", _c_b2_nontriv)))
 
 
-def _ksum_rhs(ev, n, cs, es):
+def _ksum_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
     if xn == 0:
-        return [0] * ev.N
-    return hyperff._theta_sum(ev, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], ev.L[xn])
+        return [0] * f.n_chars
+    return hyperff._theta_sum(f, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], f.log_table[xn])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
      _t21_lhs, _ksum_rhs, den=lambda q, n: q - 1)
 
 
-def _epsred_lhs(ev, n, cs, es):
+def _epsred_lhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]  # n-1 free B slots; last is eps
-    return hyperff._fd_vec(ev, A, Bs + (0,), C, es)
+    return hyperff._fd_vec(f, A, Bs + (0,), C, es)
 
 
-def _epsred_rhs(ev, n, cs, es):
+def _epsred_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    f, N = ev.f, ev.N
+    N = f.n_chars
     out = [0] * N
     if xn != 0:
-        hyperff._fd_vec(ev, A, Bs, C, es[:-1], out=out)
-    e = _mono_exp(ev, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
-                       *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
-                       *((0, x) for x in es[:-1])])
+        hyperff._fd_vec(f, A, Bs, C, es[:-1], out=out)
+    e = _mono_exp(f, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
+                      *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
+                      *((0, x) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -211,23 +211,23 @@ _reg("t4.eps-reduce", "trivial last character: F_D drops to F_D^(n-1) minus a mo
      _epsred_lhs, _epsred_rhs, chars=lambda n: n + 1)
 
 
-def _ceqa_lhs(ev, n, cs, es):
+def _ceqa_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return hyperff._fd_vec(ev, A, Bs, A, es)
+    return hyperff._fd_vec(f, A, Bs, A, es)
 
 
-def _ceqa_rhs(ev, n, cs, es):
+def _ceqa_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
-    f, N = ev.f, ev.N
+    N = f.n_chars
     out = [0] * N
-    e = _mono_exp(ev, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
-                       *((0, x) for x in es)])
+    e = _mono_exp(f, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
+                      *((0, x) for x in es)])
     _addm(out, e, -1)
     if xn != 0:
         inv = f.inv(xn)
-        e = _mono_exp(ev, [(Bs[-1], ev.neg1), (-A, xn)])
-        hyperff._fd_vec(ev, A, Bs[:-1], A - Bs[-1], tuple(f.mul(x, inv) for x in es[:-1]),
+        e = _mono_exp(f, [(Bs[-1], f.p - 1), (-A, xn)])
+        hyperff._fd_vec(f, A, Bs[:-1], A - Bs[-1], tuple(f.mul(x, inv) for x in es[:-1]),
                         e0=e, out=out)
     return out
 
@@ -236,73 +236,69 @@ _reg("t4.c-eq-a", "C = A evaluation: the last B-slot is shifted out of C",
      _ceqa_lhs, _ceqa_rhs, chars=lambda n: n + 1)
 
 
-def _oneminus_lhs(ev, n, cs, es):
+def _oneminus_lhs(f, n, cs, es):
     if 1 in es:
-        return [0] * ev.N
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
+        return [0] * f.n_chars
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
 
 
-def _oneminus_rhs(ev, n, cs, es):
+def _oneminus_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f = ev.f
-    e = _mono_exp(ev, [(sum(Bs), ev.neg1), *((0, x) for x in es)])
-    return hyperff._fd_vec(ev, A, Bs, A + sum(Bs) - C, tuple(f.sub(1, x) for x in es), e0=e)
+    e = _mono_exp(f, [(sum(Bs), f.p - 1), *((0, x) for x in es)])
+    return hyperff._fd_vec(f, A, Bs, A + sum(Bs) - C, tuple(f.sub(1, x) for x in es), e0=e)
 
 
 _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
      _oneminus_lhs, _oneminus_rhs)
 
 
-def _pfaff_rhs(ev, n, cs, es):
+def _pfaff_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f = ev.f
-    e = _mono_exp(ev, [(C, ev.neg1),
-                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
+    e = _mono_exp(f, [(C, f.p - 1),
+                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
     args = tuple(f.div(x, f.sub(x, 1)) for x in es)
-    return hyperff._fd_vec(ev, C - A, Bs, C, args, e0=e)
+    return hyperff._fd_vec(f, C - A, Bs, C, args, e0=e)
 
 
 _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial prefactor",
      _t21_lhs, _pfaff_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
-def _lastpivot_lhs(ev, n, cs, es):
+def _lastpivot_lhs(f, n, cs, es):
     if es[-1] in es[:-1]:
-        return [0] * ev.N
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es)
+        return [0] * f.n_chars
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
 
 
-def _lastpivot_rhs(ev, n, cs, es):
+def _lastpivot_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f = ev.f
     xn = es[-1]
-    e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
+    e = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1]) + (f.mul(xn, d),)
-    return hyperff._fd_vec(ev, A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
+    return hyperff._fd_vec(f, A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
 
 
 _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
      _lastpivot_lhs, _lastpivot_rhs, constraints=(("x_n != 1", _c_xn_ne_1),))
 
 
-def _c35_lhs(ev, n, cs, es):
+def _c35_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     if es[-1] in es[:-1]:
-        return [0] * ev.N
-    return hyperff._fd_vec(ev, A, Bs, sum(Bs), es)
+        return [0] * f.n_chars
+    return hyperff._fd_vec(f, A, Bs, sum(Bs), es)
 
 
-def _c35_rhs(ev, n, cs, es):
+def _c35_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    f = ev.f
     xn = es[-1]
-    e = _mono_exp(ev, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
+    e = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1])
-    out = hyperff._fd_vec(ev, A, Bs[:-1], sum(Bs), args, e0=e)
-    e = _mono_exp(ev, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                       *((0, f.sub(xn, x)) for x in es[:-1])])
+    out = hyperff._fd_vec(f, A, Bs[:-1], sum(Bs), args, e0=e)
+    e = _mono_exp(f, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                      *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -312,34 +308,32 @@ _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a mo
      constraints=(("x_n != 1", _c_xn_ne_1),))
 
 
-def _pivot2_rhs(ev, n, cs, es):
+def _pivot2_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    f = ev.f
     xn = es[-1]
-    e = _mono_exp(ev, [(C, ev.neg1), (C - A - Bs[-1], f.sub(1, xn)),
-                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                       *((0, x) for x in es[:-1])])
+    e = _mono_exp(f, [(C, f.p - 1), (C - A - Bs[-1], f.sub(1, xn)),
+                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                      *((0, x) for x in es[:-1])])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1]) + (xn,)
-    return hyperff._fd_vec(ev, C - A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
+    return hyperff._fd_vec(f, C - A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
 
 
 _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
      _lastpivot_lhs, _pivot2_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
-def _c37_rhs(ev, n, cs, es):
+def _c37_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    f = ev.f
     SB = sum(Bs)
     xn = es[-1]
-    e = _mono_exp(ev, [(SB, ev.neg1), (SB - Bs[-1] - A, f.sub(1, xn)),
-                       *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                       *((0, x) for x in es)])
+    e = _mono_exp(f, [(SB, f.p - 1), (SB - Bs[-1] - A, f.sub(1, xn)),
+                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                      *((0, x) for x in es)])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1])
-    out = hyperff._fd_vec(ev, SB - A, Bs[:-1], SB, args, e0=e)
-    e = _mono_exp(ev, [(0, f.sub(xn, 1)),
-                       *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                       *((0, f.sub(xn, x)) for x in es[:-1])])
+    out = hyperff._fd_vec(f, SB - A, Bs[:-1], SB, args, e0=e)
+    e = _mono_exp(f, [(0, f.sub(xn, 1)),
+                      *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                      *((0, f.sub(xn, x)) for x in es[:-1])])
     _addm(out, e, -1)
     return out
 
@@ -349,56 +343,55 @@ _reg("t4.reduce-c37", "second C = B_1..B_n reduction with (x_n-x_j)/(1-x_j) argu
      constraints=(("all x_j != 1", _c_all_x_ne_1),))
 
 
-def _evalequal_lhs(ev, n, cs, es):
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], (es[0],) * n)
+def _evalequal_lhs(f, n, cs, es):
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], (es[0],) * n)
 
 
-def _evalequal_rhs(ev, n, cs, es):
-    return hyperff._fd_vec(ev, cs[0], (sum(cs[2:]),), cs[1], (es[0],))
+def _evalequal_rhs(f, n, cs, es):
+    return hyperff._fd_vec(f, cs[0], (sum(cs[2:]),), cs[1], (es[0],))
 
 
 _reg("t4.eval-equal-x", "all points equal: F_D collapses to a single merged slot",
      _evalequal_lhs, _evalequal_rhs, elems=lambda n: 1)
 
 
-def _evalxn1_lhs(ev, n, cs, es):
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], es + (1,))
+def _evalxn1_lhs(f, n, cs, es):
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es + (1,))
 
 
-def _evalxn1_rhs(ev, n, cs, es):
+def _evalxn1_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    return hyperff._fd_vec(ev, A, Bs[:-1], C - Bs[-1], es, e0=Bs[-1] * ev.f.log_neg1)
+    return hyperff._fd_vec(f, A, Bs[:-1], C - Bs[-1], es, e0=Bs[-1] * f.log_neg1)
 
 
 _reg("t4.eval-xn1", "last point 1: the slot is absorbed into C",
      _evalxn1_lhs, _evalxn1_rhs, elems=lambda n: n - 1)
 
 
-def _evalall1_lhs(ev, n, cs, es):
-    return hyperff._fd_vec(ev, cs[0], cs[2:], cs[1], (1,) * n)
+def _evalall1_lhs(f, n, cs, es):
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], (1,) * n)
 
 
-def _evalall1_rhs(ev, n, cs, es):
+def _evalall1_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    return hyperff._fd_vec(ev, A, (), C - sum(Bs), (), e0=sum(Bs) * ev.f.log_neg1)
+    return hyperff._fd_vec(f, A, (), C - sum(Bs), (), e0=sum(Bs) * f.log_neg1)
 
 
 _reg("t4.eval-all1", "all points 1: closed binomial form",
      _evalall1_lhs, _evalall1_rhs, elems=lambda n: 0)
 
 
-def _c62_lhs(ev, n, cs, es):
+def _c62_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return hyperff._fd_vec(ev, A, Bs, A, (es[0],) * n)
+    return hyperff._fd_vec(f, A, Bs, A, (es[0],) * n)
 
 
-def _c62_rhs(ev, n, cs, es):
+def _c62_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
-    f = ev.f
     SB = sum(Bs)
-    out = hyperff._fd_vec(ev, A, (), SB, (), e0=_mono_exp(ev, [(SB, ev.neg1), (-A, x)]))
-    _addm(out, _mono_exp(ev, [(0, x), (-SB, f.sub(1, x))]), -1)
+    out = hyperff._fd_vec(f, A, (), SB, (), e0=_mono_exp(f, [(SB, f.p - 1), (-A, x)]))
+    _addm(out, _mono_exp(f, [(0, x), (-SB, f.sub(1, x))]), -1)
     return out
 
 
@@ -406,20 +399,20 @@ _reg("t4.c62", "C = A with equal points: two-term closed form",
      _c62_lhs, _c62_rhs, chars=lambda n: n + 1, elems=lambda n: 1)
 
 
-def _c63_lhs(ev, n, cs, es):
+def _c63_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    return hyperff._fd_vec(ev, A, Bs, sum(Bs), (es[0],) * n)
+    return hyperff._fd_vec(f, A, Bs, sum(Bs), (es[0],) * n)
 
 
-def _c63_rhs(ev, n, cs, es):
+def _c63_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
-    f, N = ev.f, ev.N
+    N = f.n_chars
     SB = sum(Bs)
-    out = hyperff._fd_vec(ev, A, (), SB, (), e0=_mono_exp(ev, [(0, x), (-A, f.sub(1, x))]))
-    _addm(out, _mono_exp(ev, [(-SB, f.neg(x))]), -1)
+    out = hyperff._fd_vec(f, A, (), SB, (), e0=_mono_exp(f, [(0, x), (-A, f.sub(1, x))]))
+    _addm(out, _mono_exp(f, [(-SB, f.neg(x))]), -1)
     if x == 1 and A % N == 0:
-        _addm(out, (SB % N) * ev.f.log_neg1, ev.q - 1)
+        _addm(out, (SB % N) * f.log_neg1, f.q - 1)
     return out
 
 
@@ -428,14 +421,14 @@ _reg("t4.c63", "C = B_1..B_n with equal points: closed form plus delta at x = 1,
 
 
 def _gf_lhs(variant):
-    def lhs(ev, n, cs, es):
-        return hyperff._genfn_lhs_vec(ev, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
+    def lhs(f, n, cs, es):
+        return hyperff._genfn_lhs_vec(f, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
     return lhs
 
 
 def _gf_rhs(variant):
-    def rhs(ev, n, cs, es):
-        return hyperff._genfn_rhs_vec(ev, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
+    def rhs(f, n, cs, es):
+        return hyperff._genfn_rhs_vec(f, cs[0], cs[2:], cs[1], es[:-1], es[-1], variant)
     return rhs
 
 
@@ -450,54 +443,54 @@ _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t 
 
 # binomial-coefficient facts; cs layout noted per entry, no point dependence on n
 
-def _f2_lhs(ev, n, cs, es):
-    return hyperff._binom_vec(ev, cs[0], cs[1])
+def _f2_lhs(f, n, cs, es):
+    return hyperff._binom_vec(f, cs[0], cs[1])
 
 
-def _f2_rhs(ev, n, cs, es):
-    return hyperff._binom_vec(ev, cs[0], cs[0] - cs[1])
+def _f2_rhs(f, n, cs, es):
+    return hyperff._binom_vec(f, cs[0], cs[0] - cs[1])
 
 
 _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
      n_min=0, n_max=0, chars=lambda n: 2, elems=lambda n: 0)
 
 
-def _f3_rhs(ev, n, cs, es):
+def _f3_rhs(f, n, cs, es):
     A, B = cs
-    return hyperff._fd_vec(ev, -B, (), -A, (), e0=(A + B) * ev.f.log_neg1)
+    return hyperff._fd_vec(f, -B, (), -A, (), e0=(A + B) * f.log_neg1)
 
 
 _reg("p2.f3", "{A choose B} = AB(-1) {B^-1 choose A^-1}", _f2_lhs, _f3_rhs,
      n_min=0, n_max=0, chars=lambda n: 2, elems=lambda n: 0)
 
 
-def _f4_rhs(ev, n, cs, es):
-    out = [0] * ev.N
-    out[0] = -1 + (ev.q - 1 if cs[0] % ev.N == 0 else 0)
+def _f4_rhs(f, n, cs, es):
+    out = [0] * f.n_chars
+    out[0] = -1 + (f.q - 1 if cs[0] % f.n_chars == 0 else 0)
     return out
 
 
 _reg("p2.f4-eps", "{A choose eps} = -1 + (q-1) delta(A)",
-     lambda ev, n, cs, es: hyperff._binom_vec(ev, cs[0], 0), _f4_rhs,
+     lambda f, n, cs, es: hyperff._binom_vec(f, cs[0], 0), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 _reg("p2.f4-self", "{A choose A} = -1 + (q-1) delta(A)",
-     lambda ev, n, cs, es: hyperff._binom_vec(ev, cs[0], cs[0]), _f4_rhs,
+     lambda f, n, cs, es: hyperff._binom_vec(f, cs[0], cs[0]), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 
 
-def _prod_lhs(ev, n, cs, es):
+def _prod_lhs(f, n, cs, es):
     A, B, C = cs
-    return hyperff._conv(hyperff._binom_vec(ev, A, B), hyperff._binom_vec(ev, C, A), ev.N)
+    return hyperff._conv(hyperff._binom_vec(f, A, B), hyperff._binom_vec(f, C, A), f.n_chars)
 
 
-def _prod_rhs(ev, n, cs, es):
+def _prod_rhs(f, n, cs, es):
     A, B, C = cs
-    N, q = ev.N, ev.q
-    out = hyperff._conv(hyperff._binom_vec(ev, C, B), hyperff._binom_vec(ev, C - B, A - B), N)
+    N, q = f.n_chars, f.q
+    out = hyperff._conv(hyperff._binom_vec(f, C, B), hyperff._binom_vec(f, C - B, A - B), N)
     if A % N == 0:
-        _addm(out, (B % N) * ev.f.log_neg1, -(q - 1))
+        _addm(out, (B % N) * f.log_neg1, -(q - 1))
     if (B - C) % N == 0:
-        _addm(out, ((A + B) % N) * ev.f.log_neg1, q - 1)
+        _addm(out, ((A + B) % N) * f.log_neg1, q - 1)
     return out
 
 
@@ -505,14 +498,14 @@ _reg("p2.prod", "binomial product re-association with two delta corrections",
      _prod_lhs, _prod_rhs, n_min=0, n_max=0, chars=lambda n: 3, elems=lambda n: 0)
 
 
-def _binthm_lhs(ev, n, cs, es):
-    return hyperff._line_vec(ev, cs[0], 0, es[0])
+def _binthm_lhs(f, n, cs, es):
+    return hyperff._line_vec(f, cs[0], 0, es[0])
 
 
-def _binthm_rhs(ev, n, cs, es):
+def _binthm_rhs(f, n, cs, es):
     A, x = cs[0], es[0]
-    out = [0] * ev.N
-    _addm(out, _mono_exp(ev, [(0, x), (-A, ev.f.sub(1, x))]), ev.q - 1)
+    out = [0] * f.n_chars
+    _addm(out, _mono_exp(f, [(0, x), (-A, f.sub(1, x))]), f.q - 1)
     return out
 
 
@@ -521,14 +514,14 @@ _reg("p2.binthm", "line sum of {A chi choose chi} chi(x) equals (q-1) A^-1(1-x) 
      chars=lambda n: 1, elems=lambda n: 1)
 
 
-def _linesum_lhs(ev, n, cs, es):
-    return hyperff._line_vec(ev, cs[0], cs[1], es[0])
+def _linesum_lhs(f, n, cs, es):
+    return hyperff._line_vec(f, cs[0], cs[1], es[0])
 
 
-def _linesum_rhs(ev, n, cs, es):
+def _linesum_rhs(f, n, cs, es):
     A, B, x = cs[0], cs[1], es[0]
-    out = [0] * ev.N
-    _addm(out, _mono_exp(ev, [(-B, x), (B - A, ev.f.sub(1, x))]), ev.q - 1)
+    out = [0] * f.n_chars
+    _addm(out, _mono_exp(f, [(-B, x), (B - A, f.sub(1, x))]), f.q - 1)
     return out
 
 
@@ -580,36 +573,36 @@ class TheoremReport:
         return d
 
 
-def _check(desc, ev, n, cs, es, corrupt: bool):
+def _check(desc, f, n, cs, es, corrupt: bool):
     """Decide d * lhs = rhs; returns (equal?, lhs, rhs) with the raw sides.
     `corrupt` adds d to the rhs, a fresh list, i.e. 1 to rhs / d."""
-    lv = desc.lhs(ev, n, cs, es)
-    rv = desc.rhs(ev, n, cs, es)
-    d = desc.den(ev.q, n)
+    lv = desc.lhs(f, n, cs, es)
+    rv = desc.rhs(f, n, cs, es)
+    d = desc.den(f.q, n)
     if corrupt:
         rv[0] += d
     dl = [d * x for x in lv] if d != 1 else lv
     if dl == rv:
         return True, lv, rv
-    return cyclo.vanishes(ev.N, [a - b for a, b in zip(dl, rv)]), lv, rv
+    return cyclo.vanishes(f.n_chars, [a - b for a, b in zip(dl, rv)]), lv, rv
 
 
-def _canonical(desc, ev, n, lv, rv) -> tuple[CycInt, CycInt]:
+def _canonical(desc, f, n, lv, rv) -> tuple[CycInt, CycInt]:
     """Canonical lhs and rhs / d of raw sides, for output only."""
-    return (cyclo.from_coeffs(ev.N, lv),
-            cyclo.div_exact(cyclo.from_coeffs(ev.N, rv), desc.den(ev.q, n)))
+    return (cyclo.from_coeffs(f.n_chars, lv),
+            cyclo.div_exact(cyclo.from_coeffs(f.n_chars, rv), desc.den(f.q, n)))
 
 
-def _fail_entry(desc, ev, n, cs, es, lv, rv) -> dict:
-    lc, rc = _canonical(desc, ev, n, lv, rv)
-    return {"q": ev.q, "n": n, "chars": list(cs), "elems": list(es),
+def _fail_entry(desc, f, n, cs, es, lv, rv) -> dict:
+    lc, rc = _canonical(desc, f, n, lv, rv)
+    return {"q": f.q, "n": n, "chars": list(cs), "elems": list(es),
             "lhs": cyclo.render(lc), "rhs": cyclo.render(rc)}
 
 
-def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
-             cap: int, corrupt_rhs: bool) -> TheoremReport:
+def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: int,
+             corrupt_rhs: bool) -> TheoremReport:
     t0 = perf_counter()
-    N, q = ev.N, ev.q
+    N, q = f.n_chars, f.q
     nc = desc.chars(n)
     ne = desc.elems(n)
     tested = excluded = 0
@@ -619,7 +612,7 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
     def violated(cs, es):
         """Name of the first constraint the assignment violates, or None."""
         for name, fn in desc.constraints:
-            if not fn(ev, n, cs, es):
+            if not fn(f, n, cs, es):
                 return name
         return None
 
@@ -639,9 +632,9 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
                 excluded += 1
                 continue
             tested += 1
-            ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
+            ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
             if not ok:
-                failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
+                failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     else:
         # boundary mode runs the complement domain, only constraint-violating
         # assignments, and records mismatches and evaluation errors, never
@@ -649,9 +642,6 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
         boundary = mode == "boundary"
         if boundary:
             mismatches = undefined = 0
-        size = desc.slot_space(q, n)
-        if size > cap:
-            raise CapExceeded(size, cap)
         for cs in itertools.product(range(N), repeat=nc):
             for es in itertools.product(range(q), repeat=ne):
                 if (violated(cs, es) is None) == boundary:
@@ -659,12 +649,12 @@ def _run_one(desc, ev: _Ev, n: int, mode: str, seed: int, count: int,
                     continue
                 if not boundary:
                     tested += 1
-                    ok, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
+                    ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
                     if not ok:
-                        failures.append(_fail_entry(desc, ev, n, cs, es, lv, rv))
+                        failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
                     continue
                 try:
-                    ok, _, _ = _check(desc, ev, n, cs, es, corrupt_rhs)
+                    ok, _, _ = _check(desc, f, n, cs, es, corrupt_rhs)
                 except FFHyperError:
                     undefined += 1
                     continue
@@ -689,7 +679,8 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
            seed: int = 0, count: int = DEFAULT_SAMPLES, cap: int = DEFAULT_CAP,
            corrupt_rhs: bool = False, max_q: int | None = None) -> list[TheoremReport]:
     """One report per q in q_list and n in n_list (default: the least n).
-    Mode, count, every n and every q are checked before any report runs."""
+    Mode, count, every n, every q and, outside sampled mode, every (q, n)
+    slot space against `cap` are checked before any report runs."""
     desc = get_identity(ident)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -700,12 +691,14 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
     for n in n_list:
         _check_n(desc, n)
     fields = [_field_for_q(q, max_q) for q in q_list]
-    reports = []
-    for f in fields:
-        ev = _Ev(f)  # one context per field, dropped once its reports are done
-        for n in n_list:
-            reports.append(_run_one(desc, ev, n, mode, seed, count, cap, corrupt_rhs))
-    return reports
+    if mode != "sampled":
+        for f in fields:
+            for n in n_list:
+                size = desc.slot_space(f.q, n)
+                if size > cap:
+                    raise CapExceeded(size, cap)
+    return [_run_one(desc, f, n, mode, seed, count, corrupt_rhs)
+            for f in fields for n in n_list]
 
 
 def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
@@ -714,12 +707,12 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     desc = get_identity(ident)
     q, n = int(assignment["q"]), int(assignment["n"])
     _check_n(desc, n)
-    ev = _Ev(_field_for_q(q))
-    cs = tuple(int(c) % ev.N for c in assignment["chars"])
+    f = _field_for_q(q)
+    cs = tuple(int(c) % f.n_chars for c in assignment["chars"])
     es = tuple(int(e) for e in assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
     hyperff._check_points(q, es)
-    equal, lv, rv = _check(desc, ev, n, cs, es, corrupt_rhs)
-    lc, rc = _canonical(desc, ev, n, lv, rv)
+    equal, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
+    lc, rc = _canonical(desc, f, n, lv, rv)
     return lc, rc, equal

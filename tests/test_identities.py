@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -93,22 +94,8 @@ def test_max_q_must_be_a_positive_integer(max_q):
     assert r.ok and r.tested == 49
 
 
-def _ev_for_q(q):
-    return hyperff._Ev(ff_core.build_field(*ff_core.split_prime_power(q)))
-
-
-def test_contexts_share_the_field_table_but_not_the_memo():
-    # the packed binomial families are the one memo, and it is per context;
-    # a binomial vector is memoized nowhere
-    a, b = _ev_for_q(9), _ev_for_q(9)
-    assert a is not b
-    assert a.f is b.f is ff_core.build_field(3, 2)
-    F = hyperff._binom_family(a, 1, 16)
-    assert set(a.families) == {(1, 16)} and not b.families
-    assert hyperff._binom_family(a, 1, 16) is F
-    assert hyperff._binom_family(b, 1, 16) is not F
-    assert hyperff._binom_family(b, 1, 16) == F
-    assert not hasattr(a, "binoms")
+def _field(q):
+    return ff_core.build_field(*ff_core.split_prime_power(q))
 
 
 @pytest.mark.parametrize("q_list, kwargs, error, message", [
@@ -132,6 +119,33 @@ def test_cap_exceeded():
         identities.verify("t2.1", [5], n_list=[2], cap=100)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "boundary"])
+def test_slot_space_cap_is_checked_before_any_report(monkeypatch, mode):
+    # (3, 1), (3, 2) and (5, 1) fit in 1000 assignments, (5, 2) has 4^4 5^2
+    runs = []
+    monkeypatch.setattr(identities, "_run_one", lambda *a, **k: runs.append(a))
+    with pytest.raises(errors.CapExceeded) as info:
+        identities.verify("t2.1", [3, 5], mode=mode, n_list=[1, 2], cap=1000)
+    assert (info.value.size, info.value.cap) == (6400, 1000)
+    assert not runs
+    # sampled mode draws a count, not the slot space: the cap does not apply
+    identities.verify("t2.1", [3, 5], mode="sampled", n_list=[1, 2], cap=1000)
+    assert len(runs) == 4
+
+
+def test_sampled_memory_does_not_grow_with_the_count():
+    # every sample's sides are fresh lists and nothing is kept between
+    # samples, so the traced peak of 8 samples is that of 1
+    ff_core.build_field(2, 8)
+    peaks = []
+    for count in (1, 8):
+        tracemalloc.start()
+        identities.verify("t2.1", [256], "sampled", n_list=[1], count=count)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
+
+
 def test_corrupt_rhs_is_detected_everywhere():
     # +1 on the right-hand side must break every tested assignment
     (r,) = identities.verify("p2.f2", [5], corrupt_rhs=True)
@@ -149,13 +163,13 @@ def test_corrupt_rhs_is_detected_everywhere():
         assert r.tested > 0 and len(r.failures) == r.tested, (ident, q)
 
 
-def _draws(desc, ev, n, k, rng):
-    """k seeded assignments of `desc` on ev's field that meet its constraints."""
+def _draws(desc, f, n, k, rng):
+    """k seeded assignments of `desc` on f's field that meet its constraints."""
     out = []
     while len(out) < k:
-        cs = tuple(rng.randrange(ev.N) for _ in range(desc.chars(n)))
-        es = tuple(rng.randrange(ev.q) for _ in range(desc.elems(n)))
-        if all(fn(ev, n, cs, es) for _, fn in desc.constraints):
+        cs = tuple(rng.randrange(f.n_chars) for _ in range(desc.chars(n)))
+        es = tuple(rng.randrange(f.q) for _ in range(desc.elems(n)))
+        if all(fn(f, n, cs, es) for _, fn in desc.constraints):
             out.append((cs, es))
     return out
 
@@ -165,16 +179,16 @@ def _cases():
     n, on q = 4 and q = 7, each q with one context shared by every draw."""
     rng = random.Random(26)
     for q in (4, 7):
-        ev = _ev_for_q(q)
+        f = _field(q)
         for desc in identities.list_identities():
-            for cs, es in _draws(desc, ev, desc.n_min, 3, rng):
-                yield desc, ev, desc.n_min, cs, es
+            for cs, es in _draws(desc, f, desc.n_min, 3, rng):
+                yield desc, f, desc.n_min, cs, es
 
 
 def _sides_are_fresh_lists():
-    for desc, ev, n, cs, es in _cases():
-        sides = [side(ev, n, cs, es) for side in (desc.lhs, desc.rhs) for _ in range(2)]
-        if not all(type(v) is list and len(v) == ev.N for v in sides):
+    for desc, f, n, cs, es in _cases():
+        sides = [side(f, n, cs, es) for side in (desc.lhs, desc.rhs) for _ in range(2)]
+        if not all(type(v) is list and len(v) == f.n_chars for v in sides):
             return False
         l1, l2, r1, r2 = sides
         if l1 != l2 or r1 != r2 or len({id(v) for v in sides}) != 4:
@@ -184,10 +198,10 @@ def _sides_are_fresh_lists():
 
 def _corrupt_then_honest_checks():
     """Each draw fails its corrupt check and then passes its honest one."""
-    for desc, ev, n, cs, es in _cases():
-        if identities._check(desc, ev, n, cs, es, True)[0]:
+    for desc, f, n, cs, es in _cases():
+        if identities._check(desc, f, n, cs, es, True)[0]:
             return False
-        if not identities._check(desc, ev, n, cs, es, False)[0]:
+        if not identities._check(desc, f, n, cs, es, False)[0]:
             return False
     return True
 
@@ -208,10 +222,10 @@ def test_a_cached_binomial_list_is_caught(monkeypatch):
     honest = hyperff._binom_vec
     memo = {}
 
-    def cached(ev, ma, mb):
-        key = (ev.q, ma % ev.N, mb % ev.N)
+    def cached(f, ma, mb):
+        key = (f.q, ma % f.n_chars, mb % f.n_chars)
         if key not in memo:
-            memo[key] = honest(ev, ma, mb)
+            memo[key] = honest(f, ma, mb)
         return memo[key]
 
     assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
@@ -342,9 +356,9 @@ RAW_SIDE_PINS = {
 }
 
 
-def _raw_side(fn, ev, n, cs, es) -> str:
+def _raw_side(fn, f, n, cs, es) -> str:
     try:
-        return repr(list(fn(ev, n, cs, es)))
+        return repr(list(fn(f, n, cs, es)))
     except Exception as exc:  # the exception's type is pinned too
         return type(exc).__name__
 
@@ -354,14 +368,14 @@ def test_raw_sides_are_pinned(ident):
     desc = identities.get_identity(ident)
     h = hashlib.sha256()
     for q in (3, 4, 5):
-        ev = _ev_for_q(q)
+        f = _field(q)
         for n in range(desc.n_min, 3):
             if not desc.allows_n(n):
                 continue
-            for cs in itertools.product(range(ev.N), repeat=desc.chars(n)):
+            for cs in itertools.product(range(f.n_chars), repeat=desc.chars(n)):
                 for es in itertools.product(range(q), repeat=desc.elems(n)):
-                    h.update(f"{q} {n} {cs} {es} {_raw_side(desc.lhs, ev, n, cs, es)} "
-                             f"{_raw_side(desc.rhs, ev, n, cs, es)}\n".encode())
+                    h.update(f"{q} {n} {cs} {es} {_raw_side(desc.lhs, f, n, cs, es)} "
+                             f"{_raw_side(desc.rhs, f, n, cs, es)}\n".encode())
     assert h.hexdigest() == RAW_SIDE_PINS[ident]
 
 

@@ -1,36 +1,38 @@
-"""Differential tests of the packed group-ring products and the theta-sum
-counts in hyperff.
+"""Differential tests of the packed group-ring product and the coset-count
+kernel in hyperff.
 
 Each fast path is compared with the loop it replaced, kept here as the
 oracle: the schoolbook cyclic convolution, the literal N^n-term character
-sum, the character sum with one packed binomial per key (packed_charsum,
-which the binomial families replaced), the per-theta generating-function
-sum, the per-chi k-sum, the per-y sum of T43's t = -1 term, and the
-rotate-and-add of a fresh F_D vector for the walk that adds into the
-caller's vector.  The theta-sums now count the terms of one walk
-(_coset_counts); the paths they replaced stay here as oracles: the N rows
-of one-pass F_D values (_fd_rows, itself checked against one _fd_vec walk
-per theta), the packed per-theta binomial sum over those rows
-(binom_vec_sum), and the line sum as N separate n = 0 walks.  The n = 0
-walk is compared with the Jacobi-sum binomial it replaced.  Exhaustive over
-every character tuple at q <= 5, sampled at larger q; mutants of the
-counter, of the twists, of the family reads and keys and of the T43 term
-show that the comparisons can fail.
-"""
+sum, the character sum with one packed binomial per key (packed_charsum)
+and with one packed binomial family per factor (family_charsum, which the
+coset count replaced), the per-theta generating-function sum, the per-chi
+k-sum, the per-y sum of T43's t = -1 term, and the rotate-and-add of a
+fresh F_D vector for the walk that adds into the caller's vector.  The sums
+over characters count the terms of one walk (_coset_counts); the paths they
+replaced stay here as oracles: the pair loop that counted one factor
+(pair_coset_counts), the literal sum over Z_N^n, the N rows of one-pass F_D
+values (_fd_rows, itself checked against one _fd_vec walk per theta), the
+packed per-theta binomial sum over those rows (binom_vec_sum), and the line
+sum as N separate n = 0 walks.  The n = 0 walk is compared with the
+Jacobi-sum binomial it replaced.  Exhaustive over every character tuple at
+q <= 5, sampled at larger q; mutants of the counter (its gcd fold, state
+reduction, scale, residues and tiling), of the twists and of the T43 term
+show that the comparisons can fail."""
 
 import inspect
 import itertools
 import random
 import textwrap
 from itertools import chain
+from math import gcd
 
 import pytest
 
 from ffhyper import cyclo, ff_core, hyperff, identities
 
 
-def _ev(q):
-    return hyperff._Ev(ff_core.build_field(*ff_core.split_prime_power(q)))
+def _field(q):
+    return ff_core.build_field(*ff_core.split_prime_power(q))
 
 
 # -- oracles: the loops the packed paths replaced ---------------------------------
@@ -56,67 +58,67 @@ def school_conv(a, b, N):
     return out
 
 
-def literal_charsum(ev, mA, mBs, mC, xs):
-    N = ev.N
+def literal_charsum(f, mA, mBs, mC, xs):
+    N = f.n_chars
     out = [0] * N
     if any(x == 0 for x in xs):
         return out
-    xlogs = [ev.L[x] for x in xs]
+    xlogs = [f.log_table[x] for x in xs]
     for chs in itertools.product(range(N), repeat=len(mBs)):
         s = sum(chs)
-        term = list(hyperff._binom_vec(ev, mA + s, mC + s))
+        term = list(hyperff._binom_vec(f, mA + s, mC + s))
         e = 0
         for mb, ch, lx in zip(mBs, chs, xlogs):
-            term = school_conv(term, hyperff._binom_vec(ev, mb + ch, ch), N)
+            term = school_conv(term, hyperff._binom_vec(f, mb + ch, ch), N)
             e += ch * lx
         rot_add(out, term, e)
     return out
 
 
-def per_theta_genfn_lhs(ev, mA, mBs, mC, xs, t, variant):
-    N = ev.N
+def per_theta_genfn_lhs(f, mA, mBs, mC, xs, t, variant):
+    N = f.n_chars
     out = [0] * N
     if t == 0:
         return out
     for th in range(N):
         if variant == "T41":
-            term = school_conv(hyperff._binom_vec(ev, mA - mC + th, th),
-                               hyperff._fd_vec(ev, mA + th, mBs, mC, xs), N)
+            term = school_conv(hyperff._binom_vec(f, mA - mC + th, th),
+                               hyperff._fd_vec(f, mA + th, mBs, mC, xs), N)
         elif variant == "T42":
-            term = school_conv(hyperff._binom_vec(ev, mBs[-1] + th, th),
-                               hyperff._fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
+            term = school_conv(hyperff._binom_vec(f, mBs[-1] + th, th),
+                               hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
         else:
-            term = school_conv(hyperff._binom_vec(ev, mA - mC + th, th),
-                               hyperff._fd_vec(ev, mA, mBs, mC - th, xs), N)
-        rot_add(out, term, th * ev.L[t])
+            term = school_conv(hyperff._binom_vec(f, mA - mC + th, th),
+                               hyperff._fd_vec(f, mA, mBs, mC - th, xs), N)
+        rot_add(out, term, th * f.log_table[t])
     return out
 
 
-def fd_with_theta(ev, mA, mBs, mC, xs, slot, th):
+def fd_with_theta(f, mA, mBs, mC, xs, slot, th):
     """_fd_vec with chi^theta put in one slot, as _fd_rows's row theta."""
     if slot == "A":
-        return hyperff._fd_vec(ev, mA + th, mBs, mC, xs)
+        return hyperff._fd_vec(f, mA + th, mBs, mC, xs)
     if slot == "B":
-        return hyperff._fd_vec(ev, mA, (*mBs[:-1], mBs[-1] + th), mC, xs)
+        return hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs)
     if slot == "C":
-        return hyperff._fd_vec(ev, mA, mBs, mC - th, xs)
-    return hyperff._fd_vec(ev, mA + th, mBs, mC + th, xs)  # "AC"
+        return hyperff._fd_vec(f, mA, mBs, mC - th, xs)
+    return hyperff._fd_vec(f, mA + th, mBs, mC + th, xs)  # "AC"
 
 
-def _fd_rows(ev, mA, mBs, mC, xs, slot):
+def _fd_rows(f, mA, mBs, mC, xs, slot):
     """The N vectors _fd_vec gives with chi^theta put in one slot, row theta
     for theta = 0..N-1: A theta (slot "A"), B_n theta ("B"), C theta^-1 ("C"),
     or A theta and C theta together ("AC").  Row theta's term at u = g^i has
     exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
     slot, so one walk over u fills every row.  Slot "B" needs n >= 1."""
-    N, Z, l1 = ev.N, ev.Z, ev.f.log_neg1
+    N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
     rows = [[0] * N for _ in range(N)]
     if any(x == 0 for x in xs):
         return rows
     mA %= N
     mAC = (mC - mA) % N
     e0 = (mA + mC) * l1
-    slots = [(-mb % N, ev.L[x]) for mb, x in zip(mBs, xs)]
+    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
     d = {"A": lambda i: l1 + i - Z[i], "B": lambda i: -Z[(slots[-1][1] + i) % N],
          "C": lambda i: -l1 - Z[i], "AC": lambda i: 2 * l1 + i}[slot]
     for i in range(1, N):
@@ -134,28 +136,28 @@ def _fd_rows(ev, mA, mBs, mC, xs, slot):
     return rows
 
 
-def binom_packed(ev, ma, mb, w):
+def binom_packed(f, ma, mb, w):
     """{A choose B} packed at slot width w, one binomial at a time."""
-    return hyperff._pack(hyperff._binom_vec(ev, ma, mb), w)
+    return hyperff._pack(hyperff._binom_vec(f, ma, mb), w)
 
 
-def binom_sum(ev, keys, Vs, k, w):
+def binom_sum(f, keys, Vs, k, w):
     """sum_c zeta^(c k) {A_c choose B_c} V_c over keys[c] = (A_c, B_c) and
     V_c = Vs[c] packed at width w: one packed accumulation (the twist is a
     shift) and one unpack."""
-    N = ev.N
+    N = f.n_chars
     acc = 0
     for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
         if V:
-            acc += (binom_packed(ev, ma, mb, w) << (w * (c * k % N))) * V
+            acc += (binom_packed(f, ma, mb, w) << (w * (c * k % N))) * V
     return hyperff._unpack(acc, w, N)
 
 
-def packed_charsum(ev, mA, mBs, mC, xs):
+def packed_charsum(f, mA, mBs, mC, xs):
     """The character-sum form as hyperff._charsum_vec computed it before the
     binomial families: each binomial packed by its own key, the top factor
     summed by binom_sum."""
-    N, L = ev.N, ev.L
+    N, L = f.n_chars, f.log_table
     if any(x == 0 for x in xs):
         return [0] * N
     n = len(mBs)
@@ -163,47 +165,92 @@ def packed_charsum(ev, mA, mBs, mC, xs):
     W = [1] + [0] * (N - 1)
     for mb, x in zip(mBs, xs):
         lx = L[x]
-        P = [binom_packed(ev, mb + c, c, w) << (w * (c * lx % N)) for c in range(N)]
+        P = [binom_packed(f, mb + c, c, w) << (w * (c * lx % N)) for c in range(N)]
         nz = [(c, v) for c, v in enumerate(W) if v]
         W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
-    return binom_sum(ev, [(mA + s, mC + s) for s in range(N)], W, 0, w)
+    return binom_sum(f, [(mA + s, mC + s) for s in range(N)], W, 0, w)
 
 
-def binom_vec_sum(ev, keys, vecs, k):
+def binom_family(f, d, w):
+    """F_d[c] = {chi^(d+c) choose chi^c} packed at slot width w, c = 0..N-1."""
+    return [binom_packed(f, d + c, c, w) for c in range(f.n_chars)]
+
+
+def family_charsum(f, mA, mBs, mC, xs):
+    """The character-sum form as hyperff._charsum_vec computed it before the
+    coset count: W = P_1 * ... * P_n over the character index, P_j[c] =
+    zeta^(c log x_j) F_{B_j}[c], then sum_s F_{A-C}[C + s] W[s], all packed at
+    the width of N^n terms of l1 norm at most (N - 1)^(n+1)."""
+    N, L = f.n_chars, f.log_table
+    if any(x == 0 for x in xs):
+        return [0] * N
+    n = len(mBs)
+    w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
+    W = [1] + [0] * (N - 1)  # zeta^0 at character index 0: the empty product
+    for mb, x in zip(mBs, xs):
+        lx = L[x]
+        P = [b << (w * (c * lx % N)) for c, b in enumerate(binom_family(f, mb, w))]
+        nz = [(c, v) for c, v in enumerate(W) if v]
+        W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
+    F = binom_family(f, mA - mC, w)
+    return hyperff._unpack(sum(F[(mC + s) % N] * v for s, v in enumerate(W) if v), w, N)
+
+
+def pair_coset_counts(N, terms, shifts):
+    """The theta-sum count as hyperff._coset_counts computed it for one
+    factor: every pair of a term and a shift, counted by e mod g in the row
+    of g = gcd(m, N), and each row tiled over the N exponents."""
+    G = [gcd(m, N) for m in range(N)] * 2
+    rows = {g: [0] * g for g in G}
+    R = [rows[g] for g in G]  # the row of gcd(m, N), for 0 <= m < 2N
+    terms = [(e1, m1 % N) for e1, m1 in terms]
+    for e2, m2 in shifts:
+        m2 %= N
+        for e1, m1 in terms:
+            m = m1 + m2
+            R[m][(e1 + e2) % G[m]] += 1
+    out = [0] * N
+    for g, row in rows.items():
+        if any(row):
+            out = [v + g * c for v, c in zip(out, row * (N // g))]
+    return out
+
+
+def binom_vec_sum(f, keys, vecs, k):
     """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
     term's l1 is at most (N - 1) l1(vecs[c])."""
-    w = hyperff._slot_bits((ev.N - 1) * hyperff._l1(chain.from_iterable(vecs)))
-    return binom_sum(ev, keys, [hyperff._pack(v, w) for v in vecs], k, w)
+    w = hyperff._slot_bits((f.n_chars - 1) * hyperff._l1(chain.from_iterable(vecs)))
+    return binom_sum(f, keys, [hyperff._pack(v, w) for v in vecs], k, w)
 
 
-def rows_theta_sum(ev, mA, mBs, mC, xs, slot, b, k):
+def rows_theta_sum(f, mA, mBs, mC, xs, slot, b, k):
     """The path _theta_sum replaced: N rows, then one packed sum over theta."""
-    keys = [(b + th, th) for th in range(ev.N)]
-    return binom_vec_sum(ev, keys, _fd_rows(ev, mA, mBs, mC, xs, slot), k)
+    keys = [(b + th, th) for th in range(f.n_chars)]
+    return binom_vec_sum(f, keys, _fd_rows(f, mA, mBs, mC, xs, slot), k)
 
 
-def rows_from_terms(ev, mA, mBs, mC, xs, slot):
+def rows_from_terms(f, mA, mBs, mC, xs, slot):
     """The rows of _fd_rows, spread from the terms of hyperff._fd_terms."""
-    N = ev.N
+    N = f.n_chars
     rows = [[0] * N for _ in range(N)]
-    for e, d in hyperff._fd_terms(ev, mA, mBs, mC, xs, slot):
+    for e, d in hyperff._fd_terms(f, mA, mBs, mC, xs, slot):
         for th, row in enumerate(rows):
             row[(e + th * d) % N] += 1
     return rows
 
 
-def per_theta_line_vecs(ev, ma, mb):
+def per_theta_line_vecs(f, ma, mb):
     """x -> sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}
     from N separate n = 0 walks: each is taken once and, for each x, the one
     for theta is rotated by theta log x."""
-    N = ev.N
-    walks = [hyperff._fd_vec(ev, ma + th, (), mb + th, ()) for th in range(N)]
+    N = f.n_chars
+    walks = [hyperff._fd_vec(f, ma + th, (), mb + th, ()) for th in range(N)]
 
     def at(x):
         out = [0] * N
         if x != 0:
             for th, v in enumerate(walks):
-                s = th * ev.L[x] % N
+                s = th * f.log_table[x] % N
                 out = [a + b for a, b in zip(out, v[-s:] + v[:-s])]
         return out
     return at
@@ -219,36 +266,46 @@ def literal_theta_sum(N, terms, shifts=((0, 0),)):
     return out
 
 
-def per_chi_ksum_rhs(ev, n, cs, es):
-    A, C, Bs = cs[0], cs[1], cs[2:]
-    N = ev.N
+def literal_multi_theta_sum(N, terms, *factors):
+    """sum over theta in Z_N^n of zeta^(e0 + sum_j e_j + sum_j theta_j
+    (m0 + m_j)), tuple by tuple and theta by theta."""
     out = [0] * N
-    if es[-1] != 0:
-        for ch in range(N):
-            term = school_conv(hyperff._binom_vec(ev, Bs[-1] + ch, ch),
-                               hyperff._fd_vec(ev, A + ch, Bs[:-1], C + ch, es[:-1]), N)
-            rot_add(out, term, ch * ev.L[es[-1]])
+    for (e0, m0), *picks in itertools.product(terms, *factors):
+        for th in itertools.product(range(N), repeat=len(factors)):
+            out[(e0 + sum(e + t * (m0 + m) for (e, m), t in zip(picks, th))) % N] += 1
     return out
 
 
-def loop_t43_rhs(ev, mA, mBs, mC, xs, t):
+def per_chi_ksum_rhs(f, n, cs, es):
+    A, C, Bs = cs[0], cs[1], cs[2:]
+    N = f.n_chars
+    out = [0] * N
+    if es[-1] != 0:
+        for ch in range(N):
+            term = school_conv(hyperff._binom_vec(f, Bs[-1] + ch, ch),
+                               hyperff._fd_vec(f, A + ch, Bs[:-1], C + ch, es[:-1]), N)
+            rot_add(out, term, ch * f.log_table[es[-1]])
+    return out
+
+
+def loop_t43_rhs(f, mA, mBs, mC, xs, t):
     """The T43 right-hand side with its t = -1 term summed over y, one
     monomial per y, as _genfn_rhs_vec computed it before that term became
     one walk plus the y = 1 monomial."""
-    f, N, q = ev.f, ev.N, ev.q
+    N, q = f.n_chars, f.q
     out = [0] * N
     onept = f.add(1, t)
     if t != 0 and onept != 0:
-        hyperff._fd_vec(ev, mA, mBs, mC, [f.mul(x, onept) for x in xs],
-                        e0=hyperff._mono_exp(ev, [(mC, onept)]), s=q - 1, out=out)
-    e = hyperff._mono_exp(ev, [(mC - mA, f.neg(t)),
-                               *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+        hyperff._fd_vec(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
+                        e0=hyperff._mono_exp(f, [(mC, onept)]), s=q - 1, out=out)
+    e = hyperff._mono_exp(f, [(mC - mA, f.neg(t)),
+                              *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
     if all(x != 0 for x in xs):
         hyperff._addm(out, e, -(q - 1))
-    if t == ev.neg1 and all(x != 0 for x in xs):
+    if t == f.p - 1 and all(x != 0 for x in xs):
         for y in range(1, q):
-            e = hyperff._mono_exp(ev, [(mC, y), *((-mb, f.sub(1, f.mul(x, y)))
-                                                  for mb, x in zip(mBs, xs))])
+            e = hyperff._mono_exp(f, [(mC, y), *((-mb, f.sub(1, f.mul(x, y)))
+                                                 for mb, x in zip(mBs, xs))])
             hyperff._addm(out, e, q - 1)
     return out
 
@@ -312,10 +369,10 @@ def test_unpack_folds_every_wrap():
 def test_binomial_l1_is_n_minus_1(q):
     # the packed sums take their widths from this: every binomial vector
     # counts the q - 2 values u != 0, 1
-    ev = _ev(q)
-    for ma, mb in itertools.product(range(ev.N), repeat=2):
-        v = hyperff._binom_vec(ev, ma, mb)
-        assert min(v) >= 0 and sum(v) == ev.N - 1
+    f = _field(q)
+    for ma, mb in itertools.product(range(f.n_chars), repeat=2):
+        v = hyperff._binom_vec(f, ma, mb)
+        assert min(v) >= 0 and sum(v) == f.n_chars - 1
 
 
 # -- character-index sums ---------------------------------------------------------------
@@ -323,43 +380,59 @@ def test_binomial_l1_is_n_minus_1(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_charsum_matches_literal_exhaustive(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     for n in (1, 2):
         for ms in itertools.product(range(N), repeat=n + 2):
             for xs in itertools.product(range(q), repeat=n):
                 args = (ms[0], ms[2:], ms[1], xs)
-                got = hyperff._charsum_vec(ev, *args)
-                assert got == literal_charsum(ev, *args) == packed_charsum(ev, *args), args
+                got = hyperff._charsum_vec(f, *args)
+                assert got == literal_charsum(f, *args) == packed_charsum(f, *args), args
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_charsum_matches_family_oracle_exhaustive(q):
+    # every character tuple at n = 1, 2, 3, with every point tuple, except at
+    # q = 5, n = 3: there four seeded nonzero point tuples per character tuple
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(q)
+    for n in (1, 2, 3):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            if (q, n) == (5, 3):
+                pts = [tuple(rng.randrange(1, q) for _ in range(n)) for _ in range(4)]
+            else:
+                pts = itertools.product(range(q), repeat=n)
+            for xs in pts:
+                args = (ms[0], ms[2:], ms[1], xs)
+                assert hyperff._charsum_vec(f, *args) == family_charsum(f, *args), args
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
 def test_charsum_matches_literal_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(q)
     for n in ((1,) if q == 64 else (1, 2, 3)):
         for _ in range(4 if q == 64 else 10):
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), tuple(rng.randrange(1, q) for _ in range(n)))
-            assert hyperff._charsum_vec(ev, *args) == literal_charsum(ev, *args), args
+            assert hyperff._charsum_vec(f, *args) == literal_charsum(f, *args), args
 
 
 @pytest.mark.parametrize("n", [12, 13, 14])
 def test_charsum_beyond_2_63_equals_scaled_fd(n):
-    # at q = 7 the width bound N^n (N-1)^(n+1) needs the whole 64-bit slot at
-    # n = 12 and more from n = 13 on, and the coefficients themselves pass
-    # 2^63 at n = 14; the character sum still equals N^n F_D in Z[zeta_6]
-    ev = _ev(7)
-    N = ev.N
-    assert hyperff._slot_bits(N ** n * (N - 1) ** (n + 1)) == {12: 64, 13: 72, 14: 80}[n]
+    # at q = 7 the coefficients pass 2^63 at n = 14; the character sum still
+    # equals N^n F_D in Z[zeta_6]
+    f = _field(7)
+    N = f.n_chars
     rng = random.Random(700 + n)
     for _ in range(3):
         mA, mC = rng.randrange(N), rng.randrange(N)
         mBs = tuple(rng.randrange(N) for _ in range(n))
         xs = tuple(rng.randrange(1, 7) for _ in range(n))
-        cs = hyperff._charsum_vec(ev, mA, mBs, mC, xs)
-        fd = hyperff._fd_vec(ev, mA, mBs, mC, xs)
+        cs = hyperff._charsum_vec(f, mA, mBs, mC, xs)
+        fd = hyperff._fd_vec(f, mA, mBs, mC, xs)
         assert cyclo.vanishes(N, [N ** n * a - b for a, b in zip(fd, cs)])
         assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
 
@@ -372,70 +445,43 @@ def _charsum_draw(rng, q, n):
 
 @pytest.mark.parametrize("q", [7, 8, 9, 11, 13, 16, 27, 64])
 def test_charsum_matches_packed_oracle_sampled(q):
-    # the binomial families against one packed binomial per key; every draw
-    # shares one context, so families are reused across draws and widths
-    ev = _ev(q)
+    # the coset count against the binomial families and against one packed
+    # binomial per key
+    f = _field(q)
     rng = random.Random(900 + q)
     for n in (1, 2, 3):
         for _ in range(2 if q == 64 else 8):
             args = _charsum_draw(rng, q, n)
-            assert hyperff._charsum_vec(ev, *args) == packed_charsum(ev, *args), args
-
-
-def test_charsum_memo_holds_one_family_per_d_and_width():
-    ev = _ev(13)
-    N = ev.N
-    rng = random.Random(13)
-    want = set()
-    for n in (1, 2, 3, 1):
-        w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
-        for _ in range(4):
-            mA, mBs, mC, xs = args = _charsum_draw(rng, 13, n)
-            hyperff._charsum_vec(ev, *args)
-            want |= {(mb % N, w) for mb in mBs} | {((mA - mC) % N, w)}
-    assert set(ev.families) == want and len({w for _, w in want}) == 3
-    assert all(len(F) == N for F in ev.families.values())
-
-
-@pytest.mark.parametrize("family_first", [True, False])
-def test_family_and_vector_with_equal_numbers_share_a_context(family_first):
-    # the family (5, 8) and the vector {chi^5 choose chi^8} have equal numbers:
-    # the family is memoized in its own context, the vector in none
-    ev, fresh = _ev(13), _ev(13)
-    N, l1 = ev.N, ev.f.log_neg1
-    if family_first:
-        F, v = hyperff._binom_family(ev, 5, 8), hyperff._binom_vec(ev, 5, 8)
-    else:
-        v, F = hyperff._binom_vec(ev, 5, 8), hyperff._binom_family(ev, 5, 8)
-    assert set(ev.families) == {(5, 8)} and ev.families[5, 8] is F
-    assert not fresh.families
-    assert v == hyperff._jacobi_vec(fresh, 5, -8, 8 * l1)
-    assert [hyperff._unpack(P, 8, N) for P in F] == \
-        [hyperff._jacobi_vec(fresh, 5 + c, -c, c * l1) for c in range(N)]
-    assert hyperff._binom_family(ev, 5, 8) is F
-    w = hyperff._binom_vec(ev, 5, 8)
-    assert w == v and w is not v
+            got = hyperff._charsum_vec(f, *args)
+            assert got == family_charsum(f, *args) == packed_charsum(f, *args), args
 
 
 def test_charsum_mutants_are_caught(monkeypatch):
-    # n = 1 and n = 2 draws share each context: two widths per family number
+    # n = 1, 2 and 3 draws at q = 7, where N = 6 has the divisors 2 and 3
     rng = random.Random(5)
-    cases = [_charsum_draw(rng, 5, n) for n in (1, 2) * 12]
-    want = [packed_charsum(_ev(5), *args) for args in cases]
+    cases = [_charsum_draw(rng, 7, n) for n in (1, 2, 3) * 8]
+    f = _field(7)
+    want = [family_charsum(f, *args) for args in cases]
 
     def all_match():
-        ev = _ev(5)
-        return all(hyperff._charsum_vec(ev, *args) == w for args, w in zip(cases, want))
+        """Every draw matches; a draw that raises does not match."""
+        try:
+            return all(hyperff._charsum_vec(f, *args) == w for args, w in zip(cases, want))
+        except IndexError:
+            return False
 
     assert all_match()
-    with monkeypatch.context() as m:  # the top factor read at C, not C + s
-        _mutate(m, "_charsum_vec", "F[(mC + s) % N]", "F[mC % N]")
+    with monkeypatch.context() as m:  # the twist log x_j dropped
+        _mutate(m, "_charsum_vec", "_binom_terms(f, mb, L[x])", "_binom_terms(f, mb, 0)")
         assert not all_match()
-    with monkeypatch.context() as m:  # the twist c log x_j dropped
-        _mutate(m, "_charsum_vec", "b << (w * (c * lx % N))", "b")
+    with monkeypatch.context() as m:  # the gcd fold skipped: a state keeps its g
+        _mutate(m, "_coset_counts", "h = Gg[r + m]", "h = Gg[0]")
         assert not all_match()
-    with monkeypatch.context() as m:  # the family keyed without its width
-        _mutate(m, "_binom_family", "key = (d % ev.N, w)", "key = d % ev.N")
+    with monkeypatch.context() as m:  # m0 mod g not reduced when g drops to h
+        _mutate(m, "_coset_counts", "key = (h, r % h, (x + e) % h)", "key = (h, r, (x + e) % h)")
+        assert not all_match()
+    with monkeypatch.context() as m:  # the scale N^(n-1) taken as N^n
+        _mutate(m, "_coset_counts", "N ** (len(factors) - 1)", "N ** len(factors)")
         assert not all_match()
     assert all_match()
 
@@ -445,45 +491,45 @@ def test_charsum_mutants_are_caught(monkeypatch):
 SLOTS = ("A", "B", "C", "AC")
 
 
-def _rows_match(ev, args, slot, oracle_slot):
+def _rows_match(f, args, slot, oracle_slot):
     """The oracle rows and the rows spread from the walk's terms both equal
     one _fd_vec walk per theta."""
-    want = [fd_with_theta(ev, *args, oracle_slot, th) for th in range(ev.N)]
-    return _fd_rows(ev, *args, slot) == want and rows_from_terms(ev, *args, slot) == want
+    want = [fd_with_theta(f, *args, oracle_slot, th) for th in range(f.n_chars)]
+    return _fd_rows(f, *args, slot) == want and rows_from_terms(f, *args, slot) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_fd_rows_match_per_theta_fd_exhaustive(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     for n in (1, 2):
         for ms in itertools.product(range(N), repeat=n + 2):
             for xs in itertools.product(range(q), repeat=n):
                 args = (ms[0], ms[2:], ms[1], xs)
                 for slot in SLOTS:
-                    assert _rows_match(ev, args, slot, slot), (args, slot)
+                    assert _rows_match(f, args, slot, slot), (args, slot)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
 def test_fd_rows_match_per_theta_fd_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(300 + q)
     for n in (1, 2, 3):
         for _ in range(3 if q == 64 else 8):
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)))
             for slot in SLOTS:
-                assert _rows_match(ev, args, slot, slot), (args, slot)
+                assert _rows_match(f, args, slot, slot), (args, slot)
 
 
 def test_fd_rows_negative_control():
     # the check can fail: the A-slot rows are not the C-slot family
-    ev = _ev(5)
+    f = _field(5)
     cases = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=3)
              for xs in itertools.product(range(1, 5), repeat=1)]
-    assert all(_rows_match(ev, args, "A", "A") for args in cases)
-    assert not all(_rows_match(ev, args, "A", "C") for args in cases)
+    assert all(_rows_match(f, args, "A", "A") for args in cases)
+    assert not all(_rows_match(f, args, "A", "C") for args in cases)
 
 
 def _genfn_cases(q, n, rng, points):
@@ -500,63 +546,63 @@ def _genfn_cases(q, n, rng, points):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_genfn_lhs_matches_per_theta_exhaustive(q):
-    ev = _ev(q)
+    f = _field(q)
     rng = random.Random(q)
     for n in (1, 2):
         # every character tuple; every point at n = 1, three per tuple at n = 2
         for args in _genfn_cases(q, n, rng, None if n == 1 else 3):
-            assert hyperff._genfn_lhs_vec(ev, *args) == per_theta_genfn_lhs(ev, *args), args
+            assert hyperff._genfn_lhs_vec(f, *args) == per_theta_genfn_lhs(f, *args), args
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
 def test_genfn_lhs_matches_per_theta_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(100 + q)
     for n in ((1,) if q == 64 else (1, 2)):
         for _ in range(4 if q == 64 else 12):
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)),
                     rng.randrange(q), rng.choice(("T41", "T42", "T43")))
-            assert hyperff._genfn_lhs_vec(ev, *args) == per_theta_genfn_lhs(ev, *args), args
+            assert hyperff._genfn_lhs_vec(f, *args) == per_theta_genfn_lhs(f, *args), args
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_ksum_rhs_matches_per_chi_exhaustive(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     for n in (1, 2):
         for cs in itertools.product(range(N), repeat=n + 2):
             for es in itertools.product(range(q), repeat=n):
-                assert identities._ksum_rhs(ev, n, cs, es) == \
-                    per_chi_ksum_rhs(ev, n, cs, es), (cs, es)
+                assert identities._ksum_rhs(f, n, cs, es) == \
+                    per_chi_ksum_rhs(f, n, cs, es), (cs, es)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
 def test_ksum_rhs_matches_per_chi_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(200 + q)
     for n in ((1, 2) if q == 64 else (1, 2, 3)):
         for _ in range(4 if q == 64 else 12):
             cs = tuple(rng.randrange(N) for _ in range(n + 2))
             es = tuple(rng.randrange(q) for _ in range(n))
-            assert identities._ksum_rhs(ev, n, cs, es) == per_chi_ksum_rhs(ev, n, cs, es)
+            assert identities._ksum_rhs(f, n, cs, es) == per_chi_ksum_rhs(f, n, cs, es)
 
 
 # -- the F_D walk adds into the caller's vector ------------------------------------------
 
 
-def _walk_matches(ev, args, v, e, s):
+def _walk_matches(f, args, v, e, s):
     out = list(v)
-    got = hyperff._fd_vec(ev, *args, e0=e, s=s, out=out)
-    return got is out and got == rot_add(list(v), hyperff._fd_vec(ev, *args), e, s)
+    got = hyperff._fd_vec(f, *args, e0=e, s=s, out=out)
+    return got is out and got == rot_add(list(v), hyperff._fd_vec(f, *args), e, s)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_fd_walk_adds_into_out_exhaustive(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(400 + q)
     for n in (0, 1, 2):
         for ms in itertools.product(range(N), repeat=n + 2):
@@ -565,13 +611,13 @@ def test_fd_walk_adds_into_out_exhaustive(q):
                 v = [rng.randint(-3, 3) for _ in range(N)]
                 for e in (None, *range(N)):
                     for s in (-1, 1, q - 1):
-                        assert _walk_matches(ev, args, v, e, s), (args, v, e, s)
+                        assert _walk_matches(f, args, v, e, s), (args, v, e, s)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
 def test_fd_walk_adds_into_out_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(500 + q)
     for n in (0, 1, 2, 3):
         for _ in range(6):
@@ -580,19 +626,19 @@ def test_fd_walk_adds_into_out_sampled(q):
             v = [rng.randint(-5, 5) for _ in range(N)]
             e = rng.choice((None, rng.randrange(-3 * N, 3 * N)))
             s = rng.choice((-1, 1, q - 1, rng.randint(-100, 100)))
-            assert _walk_matches(ev, args, v, e, s), (args, v, e, s)
+            assert _walk_matches(f, args, v, e, s), (args, v, e, s)
 
 
 def test_fd_walk_negative_control():
     # the check can fail: a shifted offset or a changed scale is seen
-    ev = _ev(5)
+    f = _field(5)
     cases = [((ms[0], ms[2:], ms[1], xs), e) for ms in itertools.product(range(4), repeat=3)
              for xs in itertools.product(range(1, 5), repeat=1) for e in range(4)]
     v = [1, 0, -2, 0]
 
     def mutated(args, e, de, ds):
-        want = rot_add(list(v), hyperff._fd_vec(ev, *args), e, 2)
-        return hyperff._fd_vec(ev, *args, e0=e + de, s=2 + ds, out=list(v)) == want
+        want = rot_add(list(v), hyperff._fd_vec(f, *args), e, 2)
+        return hyperff._fd_vec(f, *args, e0=e + de, s=2 + ds, out=list(v)) == want
 
     assert all(mutated(args, e, 0, 0) for args, e in cases)
     assert not all(mutated(args, e, 1, 0) for args, e in cases)
@@ -605,29 +651,30 @@ PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(cyclo._prime_divisors(q)) =
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_n0_walk_is_the_binomial(q):
     # with no B-slot, u -> u/(u-1) maps the walk's terms onto {A choose C}'s
-    ev = _ev(q)
-    for mA, mC in itertools.product(range(ev.N), repeat=2):
-        assert hyperff._fd_vec(ev, mA, (), mC, ()) == list(hyperff._binom_vec(ev, mA, mC))
+    f = _field(q)
+    for mA, mC in itertools.product(range(f.n_chars), repeat=2):
+        assert hyperff._fd_vec(f, mA, (), mC, ()) == list(hyperff._binom_vec(f, mA, mC))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 64])
 def test_n0_ac_rows_are_shifted_binomials(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     pairs = itertools.product(range(N), repeat=2)
     if q > 13:
         pairs = random.Random(q).sample(list(pairs), 6)
     for mA, mC in pairs:
-        want = [list(hyperff._binom_vec(ev, mA + th, mC + th)) for th in range(N)]
-        assert _fd_rows(ev, mA, (), mC, (), "AC") == want
-        assert rows_from_terms(ev, mA, (), mC, (), "AC") == want
+        want = [list(hyperff._binom_vec(f, mA + th, mC + th)) for th in range(N)]
+        assert _fd_rows(f, mA, (), mC, (), "AC") == want
+        assert rows_from_terms(f, mA, (), mC, (), "AC") == want
 
 
-# -- theta-sums as coset counts -----------------------------------------------------------
+# -- the coset-count kernel and the theta-sums -------------------------------------------
 
 
 @pytest.mark.parametrize("N", [*range(1, 13), 63, 255, 1023])
 def test_coset_counts_match_literal_theta_sum(N):
+    # one factor against the literal theta-sum and the pair loop it replaced
     rng = random.Random(600 + N)
     span = 5 * N + 3
     for size in (0, 1, 7, 40):
@@ -635,10 +682,36 @@ def test_coset_counts_match_literal_theta_sum(N):
         assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms)
         shifts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3)]
         assert hyperff._coset_counts(N, terms, shifts) == \
-            literal_theta_sum(N, terms, shifts)
+            literal_theta_sum(N, terms, shifts) == pair_coset_counts(N, terms, shifts)
     # every slope class at once: m = 0 (g = N), every divisor of N, units
     terms = [(rng.randrange(N), m) for m in range(N)]
-    assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms)
+    assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms) == \
+        pair_coset_counts(N, terms, [(0, 0)])
+
+
+def _kernel_lists(rng, N, size, span, residue=None):
+    """`size` random (e, m) pairs; every m = residue mod 2 when residue is set."""
+    out = []
+    for _ in range(size):
+        m = rng.randint(-span, span)
+        if residue is not None:
+            m += (residue - m) % 2
+        out.append((rng.randint(-span, span), m))
+    return out
+
+
+@pytest.mark.parametrize("N", [*range(1, 9), 12])
+def test_coset_counts_match_literal_multi_theta_sum(N):
+    # n = 1, 2, 3 factors, with random slopes and with slopes that all agree
+    # mod 2, so that every tuple's g stays even when N is
+    rng = random.Random(1100 + N)
+    span = 3 * N + 2
+    for n in (1, 2, 3):
+        for residue in (None, 0, 1):
+            terms = _kernel_lists(rng, N, 4, span, residue)
+            factors = [_kernel_lists(rng, N, 3, span, residue) for _ in range(n)]
+            assert hyperff._coset_counts(N, terms, *factors) == \
+                literal_multi_theta_sum(N, terms, *factors), (n, residue)
 
 
 PRIME_POWERS_TO_27 = [q for q in range(2, 28) if len(cyclo._prime_divisors(q)) == 1]
@@ -646,65 +719,65 @@ PRIME_POWERS_TO_27 = [q for q in range(2, 28) if len(cyclo._prime_divisors(q)) =
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_27)
 def test_line_vec_matches_per_theta_walks_exhaustive(q):
-    ev = _ev(q)
-    for ma, mb in itertools.product(range(ev.N), repeat=2):
-        want = per_theta_line_vecs(ev, ma, mb)
+    f = _field(q)
+    for ma, mb in itertools.product(range(f.n_chars), repeat=2):
+        want = per_theta_line_vecs(f, ma, mb)
         for x in range(q):
-            assert hyperff._line_vec(ev, ma, mb, x) == want(x), (ma, mb, x)
+            assert hyperff._line_vec(f, ma, mb, x) == want(x), (ma, mb, x)
 
 
 @pytest.mark.parametrize("q", [64, 256, 1024])
 def test_line_vec_matches_per_theta_walks_sampled(q):
-    ev = _ev(q)
+    f = _field(q)
     rng = random.Random(700 + q)
     for _ in range({64: 12, 256: 4, 1024: 1}[q]):
-        ma, mb, x = rng.randrange(ev.N), rng.randrange(ev.N), rng.randrange(1, q)
-        assert hyperff._line_vec(ev, ma, mb, x) == per_theta_line_vecs(ev, ma, mb)(x), \
+        ma, mb, x = rng.randrange(f.n_chars), rng.randrange(f.n_chars), rng.randrange(1, q)
+        assert hyperff._line_vec(f, ma, mb, x) == per_theta_line_vecs(f, ma, mb)(x), \
             (ma, mb, x)
 
 
 GENFN_SLOTS = {"T41": "A", "T42": "B", "T43": "C"}
 
 
-def _genfn_oracle(ev, mA, mBs, mC, xs, t, variant):
+def _genfn_oracle(f, mA, mBs, mC, xs, t, variant):
     if t == 0:
-        return [0] * ev.N
+        return [0] * f.n_chars
     b = mBs[-1] if variant == "T42" else mA - mC
-    return rows_theta_sum(ev, mA, mBs, mC, xs, GENFN_SLOTS[variant], b, ev.L[t])
+    return rows_theta_sum(f, mA, mBs, mC, xs, GENFN_SLOTS[variant], b, f.log_table[t])
 
 
-def _ksum_oracle(ev, n, cs, es):
+def _ksum_oracle(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     if es[-1] == 0:
-        return [0] * ev.N
-    return rows_theta_sum(ev, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], ev.L[es[-1]])
+        return [0] * f.n_chars
+    return rows_theta_sum(f, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], f.log_table[es[-1]])
 
 
-def _theta_sums_match(ev, q, n, cs, es):
+def _theta_sums_match(f, q, n, cs, es):
     """The T41-T43 left-hand sides at every t and the t3.ksum right-hand side
     at (cs, es) against the rows oracle; the k-sum's theta-slot is "AC"."""
     mA, mC, mBs = cs[0], cs[1], cs[2:]
     for variant in GENFN_SLOTS:
         for t in range(q):
             args = (mA, mBs, mC, es, t, variant)
-            if hyperff._genfn_lhs_vec(ev, *args) != _genfn_oracle(ev, *args):
+            if hyperff._genfn_lhs_vec(f, *args) != _genfn_oracle(f, *args):
                 return False
-    return identities._ksum_rhs(ev, n, cs, es) == _ksum_oracle(ev, n, cs, es)
+    return identities._ksum_rhs(f, n, cs, es) == _ksum_oracle(f, n, cs, es)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_theta_sums_match_rows_oracle_exhaustive(q):
-    ev = _ev(q)
+    f = _field(q)
     for n in (1, 2):
-        for cs in itertools.product(range(ev.N), repeat=n + 2):
+        for cs in itertools.product(range(f.n_chars), repeat=n + 2):
             for es in itertools.product(range(q), repeat=n):
-                assert _theta_sums_match(ev, q, n, cs, es), (n, cs, es)
+                assert _theta_sums_match(f, q, n, cs, es), (n, cs, es)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64, 256])
 def test_theta_sums_match_rows_oracle_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(800 + q)
     for n in ((1,) if q == 256 else (1, 2, 3)):
         for _ in range({64: 2, 256: 1}.get(q, 6)):
@@ -713,8 +786,8 @@ def test_theta_sums_match_rows_oracle_sampled(q):
             t = rng.randrange(q)
             for variant in GENFN_SLOTS:
                 args = (cs[0], cs[2:], cs[1], es, t, variant)
-                assert hyperff._genfn_lhs_vec(ev, *args) == _genfn_oracle(ev, *args), args
-            assert identities._ksum_rhs(ev, n, cs, es) == _ksum_oracle(ev, n, cs, es)
+                assert hyperff._genfn_lhs_vec(f, *args) == _genfn_oracle(f, *args), args
+            assert identities._ksum_rhs(f, n, cs, es) == _ksum_oracle(f, n, cs, es)
 
 
 def _mutate(monkeypatch, name, old, new):
@@ -731,32 +804,32 @@ def _q5_cases():
 
 
 def test_theta_sum_mutants_are_caught(monkeypatch):
-    ev = _ev(5)
-    lines = [(ma, mb, x, per_theta_line_vecs(ev, ma, mb)(x))
+    f = _field(5)
+    lines = [(ma, mb, x, per_theta_line_vecs(f, ma, mb)(x))
              for ma, mb in itertools.product(range(4), repeat=2) for x in (2, 3)]
 
     def all_match():
         """(every line sum matches, every theta-sum matches); a side that
         raises does not match."""
         try:
-            return (all(hyperff._line_vec(ev, ma, mb, x) == want for ma, mb, x, want in lines),
-                    all(_theta_sums_match(ev, 5, 1, cs, es) for cs, es in _q5_cases()))
+            return (all(hyperff._line_vec(f, ma, mb, x) == want for ma, mb, x, want in lines),
+                    all(_theta_sums_match(f, 5, 1, cs, es) for cs, es in _q5_cases()))
         except IndexError:
             return (False, False)
 
     assert all_match() == (True, True)
     with monkeypatch.context() as m:  # the residue taken mod N instead of mod g: it
         # overflows its length-g row, so the mutant fails loudly wherever g < N
-        _mutate(m, "_coset_counts", "(e1 + e2) % G[m]", "(e1 + e2) % N")
+        _mutate(m, "_coset_counts", "(x + e) % Gg[k]", "(x + e) % N")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # each count put at one exponent, not spread by g
         _mutate(m, "_coset_counts", "row * (N // g)", "row + [0] * (N - g)")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
-        _mutate(m, "_line_vec", "[(0, ev.L[x])]", "[(0, 0)]")
+        _mutate(m, "_line_vec", "[(0, f.log_table[x])]", "[(0, 0)]")
         assert all_match() == (False, True)
     with monkeypatch.context() as m:  # the twist k dropped from the theta-sum's slope
-        _mutate(m, "_theta_sum", "l1 + j - Z[j] + k)", "l1 + j - Z[j])")
+        _mutate(m, "_theta_sum", "_binom_terms(f, b, k)", "_binom_terms(f, b, 0)")
         assert all_match() == (True, False)
     assert all_match() == (True, True)
 
@@ -764,25 +837,25 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
 # -- T43's t = -1 term: one walk plus the y = 1 monomial -----------------------------------
 
 
-def _t43_matches(ev, mA, mBs, mC, xs):
-    t = ev.neg1
-    return hyperff._genfn_rhs_vec(ev, mA, mBs, mC, xs, t, "T43") == \
-        loop_t43_rhs(ev, mA, mBs, mC, xs, t)
+def _t43_matches(f, mA, mBs, mC, xs):
+    t = f.p - 1
+    return hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, "T43") == \
+        loop_t43_rhs(f, mA, mBs, mC, xs, t)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_t43_rhs_at_minus_one_matches_y_loop_exhaustive(q):
-    ev = _ev(q)
+    f = _field(q)
     for n in (1, 2):
-        for ms in itertools.product(range(ev.N), repeat=n + 2):
+        for ms in itertools.product(range(f.n_chars), repeat=n + 2):
             for xs in itertools.product(range(q), repeat=n):
-                assert _t43_matches(ev, ms[0], ms[2:], ms[1], xs), (ms, xs)
+                assert _t43_matches(f, ms[0], ms[2:], ms[1], xs), (ms, xs)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 27, 64, 256])
 def test_t43_rhs_at_minus_one_matches_y_loop_sampled(q):
-    ev = _ev(q)
-    N = ev.N
+    f = _field(q)
+    N = f.n_chars
     rng = random.Random(1000 + q)
     for n in (1, 2, 3):
         for _ in range(60):
@@ -790,14 +863,14 @@ def test_t43_rhs_at_minus_one_matches_y_loop_sampled(q):
                        else rng.randrange(q) for _ in range(n))
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), xs)
-            assert _t43_matches(ev, *args), args
+            assert _t43_matches(f, *args), args
 
 
 def test_t43_y_loop_mutant_is_caught(monkeypatch):
-    ev = _ev(5)
+    f = _field(5)
     cases = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=3)
              for xs in itertools.product(range(5), repeat=1)]
-    assert all(_t43_matches(ev, *args) for args in cases)
+    assert all(_t43_matches(f, *args) for args in cases)
     with monkeypatch.context() as m:  # the y = 1 monomial dropped
         _mutate(m, "_genfn_rhs_vec", "zip(mBs, xs)]), q - 1)", "zip(mBs, xs)]), 0)")
-        assert not all(_t43_matches(ev, *args) for args in cases)
+        assert not all(_t43_matches(f, *args) for args in cases)
