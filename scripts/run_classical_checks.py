@@ -51,6 +51,8 @@ def main():
     args = ap.parse_args()
     if args.n < 2:
         ap.error("need n >= 2")
+    if args.trials < 1:
+        ap.error("need --trials >= 1")
 
     rng = random.Random(args.seed)
     checks = [

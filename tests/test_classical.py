@@ -1,5 +1,11 @@
 import cmath
+import importlib.util
+import inspect
 import math
+import os
+import random
+import textwrap
+from dataclasses import replace
 
 import pytest
 from scipy.integrate import quad
@@ -128,3 +134,193 @@ def test_quadrature_cfg():
     cfg = classical.QuadratureCfg(epsabs=1e-10, epsrel=1e-10, limit=100)
     p = _params(0.5, [1.5, 1.5], 2.0, [0.2, -0.1])
     assert classical.check_integral_formula(p, quadrature_cfg=cfg) < 1e-8
+
+
+# -- the per-term k-sum and the per-node integrand, which the shared slot
+# columns replaced, kept here as the oracles ----------------------------------------
+
+
+def ksum_per_term(p, K=classical.DEFAULT_K):
+    """The k-summation's residual with one F_D^(n-1) series per term."""
+    if p.n < 1:
+        raise errors.DomainViolation("k-summation needs n >= 1")
+    lhs = classical.fd_series(p)
+    bn, xn = p.b[-1], p.x[-1]
+    acc = 0j
+    weight = 1 + 0j
+    for k in range(K + 1):
+        inner = replace(p, a=p.a + k, b=p.b[:-1], c=p.c + k, x=p.x[:-1])
+        acc += weight * classical.fd_series(inner)
+        weight *= (p.a + k) * (bn + k) * xn / ((k + 1) * (p.c + k))
+    return abs(lhs - acc)
+
+
+def integral_per_node(p, cfg=classical.QuadratureCfg()):
+    """(residual, rhs) of the integral formula with one F_D^(n-1) series per
+    quadrature node."""
+    if p.n < 2:
+        raise errors.DomainViolation("integral formula needs n >= 2")
+    b1, b2 = p.b[0], p.b[1]
+    if b1.real < 1 or b2.real < 1:
+        raise errors.DomainViolation("quadrature restricted to Re(b1), Re(b2) >= 1")
+    lhs = classical.beta(b1, b2) * classical.fd_series(p)
+    x1, x2 = p.x[0], p.x[1]
+    inner_b = (b1 + b2,) + p.b[2:]
+
+    def integrand(u):
+        inner = replace(p, b=inner_b, x=(u * x1 + (1 - u) * x2,) + p.x[2:])
+        return u ** (b1 - 1) * (1 - u) ** (b2 - 1) * classical.fd_series(inner)
+
+    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
+                  limit=cfg.limit, complex_func=True)
+    return abs(lhs - rhs), rhs
+
+
+def _sweep_script():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", "run_classical_checks.py")
+    spec = importlib.util.spec_from_file_location("run_classical_checks", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+SCRIPT = _sweep_script()
+TOL_INTEGRAL, TOL_SERIES = 1e-8, 1e-9
+
+
+def _draws(draw, n, count, seed=0):
+    rng = random.Random(f"{seed}:{n}")
+    return [draw(rng, n) for _ in range(count)]
+
+
+def _integral_with_rhs(monkeypatch, p):
+    """(residual, rhs) of classical.check_integral_formula(p), the rhs read off
+    its one quad call."""
+    seen = []
+
+    def recording(*args, **kw):
+        seen.append(quad(*args, **kw))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(classical, "quad", recording)
+        residual = classical.check_integral_formula(p)
+    assert len(seen) == 1
+    return residual, seen[0][0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ksum_equals_per_term_oracle(n):
+    # every k re-weights the same n-1 slot coefficients: the arithmetic of
+    # one series per term, so the residuals are equal, not close
+    for p in _draws(SCRIPT.draw_ksum, n, 3 if n == 4 else 6):
+        got = classical.check_ksum_formula(p)
+        assert got == ksum_per_term(p) and got < TOL_SERIES, p
+    p = _draws(SCRIPT.draw_ksum, n, 1, seed=1)[0]
+    for K in (0, 1, 7):
+        assert classical.check_ksum_formula(p, K=K) == ksum_per_term(p, K=K)
+
+
+def test_integral_equals_per_node_oracle_at_n2(monkeypatch):
+    # with no fixed slots h is the ratio sequence, and each node sums the
+    # same products in the same order as the one-series-per-node integrand
+    for p in _draws(SCRIPT.draw_integral, 2, 6):
+        got, rhs = _integral_with_rhs(monkeypatch, p)
+        assert (got, rhs) == integral_per_node(p) and got < TOL_INTEGRAL, p
+    p = _params(0.5 + 0.2j, [1.5, 1.25], 2.1 - 0.3j, [0.3, -0.2 + 0.1j])
+    assert _integral_with_rhs(monkeypatch, p) == integral_per_node(p)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_integral_matches_per_node_oracle_at_n3_and_up(monkeypatch, n):
+    # h sums the products of the merged column and the fixed slots in another
+    # order, so the rhs moves only by rounding
+    draws = _draws(SCRIPT.draw_integral, n, 2 if n == 3 else 1)
+    if n == 4:
+        draws = [replace(p, M=30) for p in draws]
+    for p in draws:
+        got, rhs = _integral_with_rhs(monkeypatch, p)
+        _, want = integral_per_node(p)
+        assert abs(rhs - want) < 1e-13 and got < TOL_INTEGRAL, p
+
+
+BAD_INPUTS = [
+    ("x1 on the unit circle", lambda: _params(0.5, [1.5, 1.2, 0.6], 2.4, [1.0, 0.1, 0.2])),
+    ("x_n outside the disc", lambda: _params(0.5, [1.5, 1.2], 2.4, [0.1, -1.3j])),
+    ("Re(b1) < 1", lambda: _params(0.5, [0.5, 1.2, 0.6], 2.4, [0.3, 0.1, 0.2])),
+    ("Re(b2) < 1", lambda: _params(0.5, [1.5, 0.9 + 2j], 2.4, [0.3, 0.1])),
+    ("n = 1", lambda: _params(0.5, [1.5], 2.4, [0.3])),
+    ("n = 0", lambda: _params(0.5, [], 2.4, [])),
+    ("c = -3", lambda: _params(0.5, [1.5, 1.2], -3, [0.3, 0.1])),
+    ("c = 0", lambda: _params(0.5, [1.5, 1.2], 0, [0.3, 0.1])),
+]
+
+
+def _outcome(fn, make):
+    try:
+        fn(make())
+    except (errors.FFHyperError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case, make", BAD_INPUTS, ids=[c for c, _ in BAD_INPUTS])
+def test_checks_raise_what_the_oracles_raise(case, make):
+    want = _outcome(lambda p: integral_per_node(p)[0], make)
+    assert want is not None
+    assert _outcome(classical.check_integral_formula, make) == want
+    assert _outcome(classical.check_ksum_formula, make) == \
+        _outcome(ksum_per_term, make)
+
+
+def test_ksum_rejects_negative_K():
+    p = _params(0.8, [0.3, 0.9], 1.7, [0.35, -0.45])
+    for K in (-1, -5):
+        with pytest.raises(ValueError, match="K >= 0"):
+            classical.check_ksum_formula(p, K=K)
+
+
+def _mutate(monkeypatch, name, old, new):
+    """Replace classical.<name> by a copy of its source with `old` replaced."""
+    src = textwrap.dedent(inspect.getsource(getattr(classical, name)))
+    assert src.count(old) == 1, (name, old)
+    ns = dict(vars(classical))
+    exec(compile(src.replace(old, new), classical.__file__, "exec"), ns)
+    monkeypatch.setattr(classical, name, ns[name])
+
+
+def test_integral_mutants_are_caught(monkeypatch):
+    draws = _draws(SCRIPT.draw_integral, 3, 2)
+
+    def all_pass():
+        return all(classical.check_integral_formula(p) < TOL_INTEGRAL for p in draws)
+
+    assert all_pass()
+    for old, new in [
+        ("_dot(ratios[i:], w)", "_dot(ratios[i + 1:], w)"),  # ratio offset by one S
+        ("_coeffs(p.b[2:], p.x[2:], p.M)", "_coeffs(p.b[3:], p.x[3:], p.M)"),  # slot 3 dropped
+        ("xu = u * x1 + (1 - u) * x2", "xu = x1"),  # the varying column at x1
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, "check_integral_formula", old, new)
+            assert not all_pass(), new
+    assert all_pass()
+
+
+def test_ksum_mutants_are_caught(monkeypatch):
+    draws = _draws(SCRIPT.draw_ksum, 3, 2)
+    want = [ksum_per_term(p) for p in draws]
+
+    def all_match():
+        return [classical.check_ksum_formula(p) for p in draws] == want
+
+    assert all_match()
+    for old, new in [
+        ("_ratios(p.a + k, p.c + k, len(w))", "_ratios(p.a, p.c, len(w))"),  # not re-weighted per k
+        ("_coeffs(p.b[:-1], p.x[:-1], p.M)", "_coeffs(p.b[1:], p.x[1:], p.M)"),  # slot n kept
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, "check_ksum_formula", old, new)
+            assert not all_match(), new
+    assert all_match()

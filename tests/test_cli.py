@@ -307,6 +307,13 @@ def test_classical_tol_exit_1(capsys):
     assert "tol 1e-30" in out
 
 
+def test_classical_ksum_negative_K_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "classical", "ksum", "--a", "0.8",
+                         "--b", "0.3,0.9", "--c", "1.7", "--x", "0.35,-0.45",
+                         "--K", "-1")
+    assert (code, out, err) == (2, "", "error: k-summation needs K >= 0\n")
+
+
 def test_classical_domain_error(capsys):
     code, _, err = run(capsys, "classical", "mr", "--a", "0.6",
                        "--b", "0.4,0.7", "--c", "1.5", "--x", "0.3,-0.4")
@@ -381,6 +388,19 @@ def test_verification_script_maps_errors_to_cli_exit_codes(argv, env, code, mess
     proc = subprocess.run([sys.executable, VERIFY_SCRIPT, *argv],
                           capture_output=True, text=True, env=dict(_child_env(), **env))
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
+
+
+CLASSICAL_SCRIPT = os.path.join(os.path.dirname(VERIFY_SCRIPT), "run_classical_checks.py")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_classical_script_rejects_no_trials(trials):
+    # zero draws would report a worst residual of 0 and pass
+    proc = subprocess.run([sys.executable, CLASSICAL_SCRIPT, "--trials", trials],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == \
+        "run_classical_checks.py: error: need --trials >= 1"
 
 
 def test_verification_script_reads_field_orders_like_the_cli():
