@@ -7,6 +7,7 @@ Points are drawn inside safe domains (|x| bounded away from 1, Re(b1), Re(b2)
 """
 
 import argparse
+import math
 import random
 import sys
 
@@ -63,9 +64,10 @@ def main():
     ]
     bad = 0
     for name, draw, check, tol in checks:
-        worst = 0.0
-        for _ in range(args.trials):
-            worst = max(worst, check(draw(rng, args.n)))
+        residuals = [check(draw(rng, args.n)) for _ in range(args.trials)]
+        # max() keeps an earlier finite value over a NaN, so a non-finite
+        # residual is the worst outright; it fails every `< tol`
+        worst = next((r for r in residuals if not math.isfinite(r)), max(residuals))
         status = "ok" if worst < tol else "FAIL"
         bad += status == "FAIL"
         print(f"{name:<9} trials={args.trials} n={args.n} "

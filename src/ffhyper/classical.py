@@ -52,6 +52,10 @@ class ClassicalFdParams:
         object.__setattr__(self, "x", tuple(complex(v) for v in self.x))
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "c", complex(self.c))
+        for name, vals in (("a", [self.a]), ("b", self.b), ("c", [self.c]), ("x", self.x)):
+            for v in vals:
+                if not cmath.isfinite(v):  # NaN would pass every domain test below
+                    raise ValueError(f"{name} must be finite, got {v}")
         if len(self.b) != len(self.x):
             raise ValueError("need len(b) == len(x)")
         if self.M < 1:

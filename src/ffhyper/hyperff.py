@@ -20,6 +20,11 @@ Z[(log x_j + i) mod N] and the inner loops stay integer-only and exact.
 Every identity side is a signed, zeta-shifted combination of such sums, so
 _fd_vec adds s zeta^e0 F_D into the caller's vector inside its walk, with no
 vector per term; at n = 0 (no B-slot) the walk is the binomial {A choose C}.
+The integral formula's u-sum of B_1(u) B_2(1-u) F_D^(n-1) at the merged point
+u x_1 + (1-u) x_2 is one double walk, _beta_vec: only the merged slot's
+point moves with u, so the rest of each inner walk (the base exponents and
+fixed slots, and the merged slot's Zech column) is built once per call and
+each u costs one pass pairing the two at a rotation.
 
 General products (_conv) are packed, not schoolbook (Kronecker
 substitution): a vector v becomes the integer sum_i v[i] 2^(w i), one exact
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from . import cyclo
 from .charset import Char
@@ -174,6 +180,59 @@ def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: 
         else:
             out[e % N] += s
     return out
+
+
+def _beta_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+    """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | x_m, x_3..),
+    x_m = u x_1 + (1-u) x_2, as a fresh list: one _fd_vec walk per u, done as
+    one double walk.  Only x_m moves with u, so the term at u = g^i, v = g^k
+    has exponent c(i) + b(k) + z(log x_m + k), with
+
+        b(k) = A k + (C - A) Z[k] - sum_{j>=3} B_j Z[log x_j + k]  (built once)
+        z(k) = -(B_1 + B_2) Z[k]  (built once, doubled: a rotation is a slice)
+        c(i) = (A + C) log(-1) + B_1 i + B_2 Z[i]  (one per u).
+
+    A factor 1 - x v = 0 makes b(k) or z(k) dead: D = 3N lifts any sum with a
+    dead part to 3N or more, which no live sum (c, b, z each reduced mod N)
+    reaches."""
+    N, Z, L = f.n_chars, f.zech_table, f.log_table
+    if 0 in xs:
+        return [0] * N
+    D = 3 * N
+    mA %= N
+    mAC = (mC - mA) % N
+    fixed = [(-mb % N, L[x]) for mb, x in zip(mBs[2:], xs[2:])]
+    base = []  # b(k) at k = 1..N-1
+    for k in range(1, N):
+        b = mA * k + mAC * Z[k]
+        for mb, lx in fixed:
+            z = Z[(lx + k) % N]  # log(1 - x_j v); -1 where x_j v = 1
+            if z < 0:
+                base.append(D)
+                break
+            b += mb * z
+        else:
+            base.append(b % N)
+    mm = -(mBs[0] + mBs[1]) % N
+    col = [D if z < 0 else mm * z % N for z in Z] * 2
+    c0 = (mA + mC) * f.log_neg1
+    x1, x2 = xs[0], xs[1]
+    l2 = L[x2]
+    # x_m = x_2 (1 - u (x_2 - x_1)/x_2): log x_m = l2 + Z[i + d], and x_m = 0
+    # where that Zech entry is -1; x_m = x_2 at every u when x_1 = x_2
+    d = None if x1 == x2 else L[f.sub(x2, x1)] - l2
+    acc = [0] * (7 * N)  # pair sums c + b + z, dead ones at 3N and above
+    for i in range(1, N):
+        lm = l2
+        if d is not None:
+            z = Z[(i + d) % N]
+            if z < 0:
+                continue
+            lm = (l2 + z) % N
+        c = (c0 + mBs[0] * i + mBs[1] * Z[i]) % N
+        for e in map(add, base, col[lm + 1:lm + N]):
+            acc[c + e] += 1
+    return [a + b + c for a, b, c in zip(acc[:N], acc[N:2 * N], acc[2 * N:D])]
 
 
 def _fd_terms(f: FieldTable, mA: int, mBs, mC: int, xs, slot: str):

@@ -16,7 +16,8 @@ Every side takes the field's shared table (ff_core.FieldTable, one per q for
 the process) and keeps no state between or within calls, so a report is a
 pure function of that table and its arguments.  Every side returns a fresh
 list.  F_D is walked per value, each walk adding its signed, zeta-shifted
-term into the side's vector; t2.1's character-sum side, t3.ksum (at every n,
+term into the side's vector; t3.ff-beta's u-sum of F_D walks is one double
+walk (hyperff._beta_vec); t2.1's character-sum side, t3.ksum (at every n,
 its n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line
 sums count the terms of one walk over the characters (hyperff._charsum_vec,
 _theta_sum and _line_vec, each one call of _coset_counts).
@@ -143,19 +144,7 @@ _reg("t2.1", "series form of F_D agrees with its full character-sum expansion",
 
 
 def _ffbeta_lhs(f, n, cs, es):
-    A, C, Bs = cs[0], cs[1], cs[2:]
-    x1, x2 = es[0], es[1]
-    N, Z = f.n_chars, f.zech_table
-    out = [0] * N
-    if x1 == 0 or x2 == 0:
-        return out
-    E, l1, l2 = f.exp_table, f.log_table[x1], f.log_table[x2]
-    merged = (Bs[0] + Bs[1],) + Bs[2:]
-    for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
-        xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
-        hyperff._fd_vec(f, A, merged, C, (xm,) + es[2:], e0=Bs[0] * i + Bs[1] * Z[i],
-                        out=out)
-    return out
+    return hyperff._beta_vec(f, cs[0], cs[2:], cs[1], es)
 
 
 def _ffbeta_rhs(f, n, cs, es):
@@ -679,13 +668,15 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
            seed: int = 0, count: int = DEFAULT_SAMPLES, cap: int = DEFAULT_CAP,
            corrupt_rhs: bool = False, max_q: int | None = None) -> list[TheoremReport]:
     """One report per q in q_list and n in n_list (default: the least n).
-    Mode, count, every n, every q and, outside sampled mode, every (q, n)
-    slot space against `cap` are checked before any report runs."""
+    Mode, count, cap, every n, every q and, outside sampled mode, every (q,
+    n) slot space against `cap` are checked before any report runs."""
     desc = get_identity(ident)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and count < 1:
         raise ValueError(f"sampled mode needs count >= 1, got {count}")
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if n_list is None:
         n_list = (desc.n_min,)
     for n in n_list:

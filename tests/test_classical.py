@@ -92,6 +92,20 @@ def test_domain_violations():
         _params(0.5, [0.5], 1.5, [0.1], M=0)
 
 
+@pytest.mark.parametrize("field, args", [
+    ("a", (float("nan"), [1.5, 1.2], 3.5, [0.3, 0.1])),
+    ("b", (0.5, [float("nan"), 1.2], 3.5, [0.3, 0.1])),
+    ("b", (0.5, [1.5, complex(1, float("inf"))], 3.5, [0.3, 0.1])),
+    ("c", (0.5, [1.5, 1.2], float("-inf"), [0.3, 0.1])),
+    ("x", (0.5, [1.5, 1.2], 3.5, [0.3, float("nan")])),
+    ("x", (0.5, [1.5, 1.2], 3.5, [float("inf"), 0.1])),
+])
+def test_non_finite_parameters_are_rejected(field, args):
+    # NaN compares false against every domain bound, so it is refused up front
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+        _params(*args)
+
+
 def test_integral_formula_residual():
     p = _params(0.5, [1.25, 1.75, 0.6], 2.4, [0.3, -0.4, 0.2])
     assert classical.check_integral_formula(p) < 1e-8

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from ffhyper import cli, cyclo
+from ffhyper import classical, cli, cyclo
 
 
 def run(capsys, *argv):
@@ -140,6 +141,15 @@ def test_sampling_that_gives_up_names_the_constraint(capsys):
     assert "sampling gave up after 2000 attempts" in err
     assert "0 of 1 draws accepted" in err and "'B1 != eps'" in err
     assert "exhaustive domain" not in err
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_verify_rejects_a_cap_below_one(capsys, cap, mode):
+    # a usage error, not a CapExceeded on the first report's slot space
+    code, out, err = run(capsys, "verify", "--id", "t3.ff-beta", "--q", "5", "--n", "2",
+                         "--cap", cap, "--mode", mode)
+    assert (code, out, err) == (2, "", f"error: cap must be a positive integer, got {cap}\n")
 
 
 def test_verify_text_format(capsys):
@@ -321,6 +331,18 @@ def test_classical_domain_error(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--b", "nan,1.2", "b"), ("--x", "0.3,nan", "x"), ("--x", "0.3,inf", "x"),
+    ("--a", "nan", "a"), ("--c", "inf", "c"), ("--xn", "nan", "x"),
+])
+def test_classical_rejects_non_finite_parameters(capsys, flag, value, name):
+    # NaN passes every domain comparison, and |inf| >= 1 used to exit 3 as Diverged
+    argv = {"--a": "0.5", "--b": "1.5,2", "--c": "3.5", "--x": "0.3,0.1", flag: value}
+    code, out, err = run(capsys, "classical", "integral", *(t for kv in argv.items() for t in kv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be finite, got ") and err.count("\n") == 1
+
+
 def test_usage_error_from_argparse(capsys):
     assert cli.main(["eval"]) == 2  # missing target and --q
     capsys.readouterr()
@@ -413,3 +435,25 @@ def test_verification_script_reads_field_orders_like_the_cli():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout.splitlines()[:2])
     assert outs[0] == outs[1] and outs[0][0].startswith("p2.f2            q=9")
+
+
+def test_classical_script_fails_on_a_nan_residual(monkeypatch, capsys):
+    # max(worst, nan) keeps the earlier finite value; a NaN must still fail
+    spec = importlib.util.spec_from_file_location("run_classical_checks", CLASSICAL_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    real = classical.check_ksum_formula
+
+    def nan_on_trial_2(p, *args):
+        calls.append(p)
+        return float("nan") if len(calls) == 2 else real(p, *args)
+
+    monkeypatch.setattr(classical, "check_ksum_formula", nan_on_trial_2)
+    monkeypatch.setattr(sys, "argv", ["run_classical_checks.py", "--trials", "3", "--n", "2"])
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 3
+    assert lines[1].startswith("ksum ") and "worst residual nan" in lines[1]
+    assert lines[1].endswith(" FAIL")
+    assert lines[0].endswith(" ok") and lines[2].endswith(" ok")

@@ -103,7 +103,12 @@ def _field(q):
     ([3, 4], dict(mode="bogus"), ValueError, "unknown mode 'bogus'"),
     ([3, 6], dict(), ValueError, "6 is not a prime power"),
     ([3, 9], dict(max_q=8), errors.TooLarge, "field order 9 exceeds the configured maximum 8"),
-], ids=["n", "mode", "prime-power", "cap"])
+    ([3, 4], dict(cap=-5), ValueError, "cap must be a positive integer, got -5"),
+    ([3, 4], dict(cap=0, mode="boundary"), ValueError, "cap must be a positive integer, got 0"),
+    ([3, 4], dict(cap=0, mode="sampled"), ValueError, "cap must be a positive integer, got 0"),
+    ([3, 4], dict(cap=2.5), ValueError, "cap must be a positive integer, got 2.5"),
+], ids=["n", "mode", "prime-power", "cap", "slot-cap-negative", "slot-cap-zero-boundary",
+        "slot-cap-zero-sampled", "slot-cap-float"])
 def test_verify_checks_the_whole_request_before_any_report(monkeypatch, q_list, kwargs,
                                                            error, message):
     runs = []
@@ -363,20 +368,31 @@ def _raw_side(fn, f, n, cs, es) -> str:
         return type(exc).__name__
 
 
-@pytest.mark.parametrize("ident", EXPECTED_IDS)
-def test_raw_sides_are_pinned(ident):
-    desc = identities.get_identity(ident)
+def _raw_sides_digest(desc, ns) -> str:
     h = hashlib.sha256()
     for q in (3, 4, 5):
         f = _field(q)
-        for n in range(desc.n_min, 3):
-            if not desc.allows_n(n):
-                continue
+        for n in ns:
             for cs in itertools.product(range(f.n_chars), repeat=desc.chars(n)):
                 for es in itertools.product(range(q), repeat=desc.elems(n)):
                     h.update(f"{q} {n} {cs} {es} {_raw_side(desc.lhs, f, n, cs, es)} "
                              f"{_raw_side(desc.rhs, f, n, cs, es)}\n".encode())
-    assert h.hexdigest() == RAW_SIDE_PINS[ident]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_raw_sides_are_pinned(ident):
+    desc = identities.get_identity(ident)
+    ns = [n for n in range(desc.n_min, 3) if desc.allows_n(n)]
+    assert _raw_sides_digest(desc, ns) == RAW_SIDE_PINS[ident]
+
+
+def test_ffbeta_raw_sides_are_pinned_at_n3():
+    # t3.ff-beta at n = 3, hashed as above: the fixed slot B_3 at x_3, which
+    # no n <= 2 pin reaches
+    desc = identities.get_identity("t3.ff-beta")
+    assert _raw_sides_digest(desc, [3]) == \
+        "22dea41f27e37715681ca7e5f3ab111ff9e252918cc397a58fd95953e4301e20"
 
 
 # SHA-256 of the seeded JSON reports of the theta-sum identities on a reduced

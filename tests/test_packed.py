@@ -14,10 +14,12 @@ replaced stay here as oracles: the pair loop that counted one factor
 values (_fd_rows, itself checked against one _fd_vec walk per theta), the
 packed per-theta binomial sum over those rows (binom_vec_sum), and the line
 sum as N separate n = 0 walks.  The n = 0 walk is compared with the
-Jacobi-sum binomial it replaced.  Exhaustive over every character tuple at
-q <= 5, sampled at larger q; mutants of the counter (its gcd fold, state
-reduction, scale, residues and tiling), of the twists and of the T43 term
-show that the comparisons can fail."""
+Jacobi-sum binomial it replaced, and t3.ff-beta's double walk (_beta_vec)
+with one _fd_vec walk per u (per_u_beta).  Exhaustive over every character
+tuple at q <= 5, sampled at larger q; mutants of the counter (its gcd fold,
+state reduction, scale, residues and tiling), of the twists, of the T43 term
+and of the double walk (its rotation, fixed slots, dead markers and per-u
+exponent) show that the comparisons can fail."""
 
 import inspect
 import itertools
@@ -874,3 +876,103 @@ def test_t43_y_loop_mutant_is_caught(monkeypatch):
     with monkeypatch.context() as m:  # the y = 1 monomial dropped
         _mutate(m, "_genfn_rhs_vec", "zip(mBs, xs)]), q - 1)", "zip(mBs, xs)]), 0)")
         assert not all(_t43_matches(f, *args) for args in cases)
+
+
+# -- the integral formula's double walk: t3.ff-beta's left-hand side ---------------------
+
+
+def per_u_beta(f, mA, mBs, mC, xs):
+    """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | u x_1 +
+    (1-u) x_2, x_3..): one _fd_vec walk per u, the loop _beta_vec replaced."""
+    N, Z = f.n_chars, f.zech_table
+    out = [0] * N
+    x1, x2 = xs[0], xs[1]
+    if x1 == 0 or x2 == 0:
+        return out
+    E, l1, l2 = f.exp_table, f.log_table[x1], f.log_table[x2]
+    merged = (mBs[0] + mBs[1], *mBs[2:])
+    for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
+        xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
+        hyperff._fd_vec(f, mA, merged, mC, (xm, *xs[2:]), e0=mBs[0] * i + mBs[1] * Z[i],
+                        out=out)
+    return out
+
+
+def _beta_matches(f, args):
+    return hyperff._beta_vec(f, *args) == per_u_beta(f, *args)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_beta_vec_matches_per_u_walks_exhaustive(q):
+    f = _field(q)
+    for n in (2, 3):
+        for ms in itertools.product(range(f.n_chars), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                assert _beta_matches(f, args), args
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 27, 64, 256])
+def test_beta_vec_matches_per_u_walks_sampled(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1100 + q)
+    for n in (2, 3, 4):
+        for _ in range(2 if q == 256 else 12):
+            args = (rng.randrange(-N, 2 * N), tuple(rng.randrange(-N, 2 * N) for _ in range(n)),
+                    rng.randrange(-N, 2 * N), tuple(rng.randrange(q) for _ in range(n)))
+            assert _beta_matches(f, args), args
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 27])
+def test_beta_vec_edge_cases(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1200 + q)
+    for _ in range(8):
+        mA, mC = rng.randrange(N), rng.randrange(N)
+        b1, b3 = rng.randrange(1, N), rng.randrange(N)
+        x1, x3 = rng.randrange(1, q), rng.randrange(1, q)
+        x2 = rng.choice([x for x in range(1, q) if x != x1])
+        # x_m = u x1 + (1-u) x2 is 0 at u = x2/(x2 - x1), a u other than 0 and 1
+        assert f.div(x2, f.sub(x2, x1)) not in (0, 1)
+        cases = [
+            (mA, (b1, N - b1), mC, (x1, x2)),  # B_1 B_2 = eps
+            (mA, (b1, N - b1, b3), mC, (x1, x2, x3)),
+            (mA, (b1, 1, b3), mC, (x1, x1, x3)),  # x_1 = x_2: x_m = x_1 at every u
+            (mA, (b1, 1), mC, (x2, x2)),
+            (mA, (b1, 1, b3), mC, (x1, x2, 0)),  # a fixed point 0: the side is 0
+            (mA, (b1, 1, b3, 1), mC, (x1, x2, x3, 0)),
+            (mA, (b1, N - b1, b3), mC, (x1, x1, x3)),
+        ]
+        for args in cases:
+            assert _beta_matches(f, args), args
+        assert hyperff._beta_vec(f, *cases[4]) == [0] * N
+
+
+def test_beta_vec_mutants_are_caught(monkeypatch):
+    f = _field(7)
+    rng = random.Random(17)
+    cases = [(rng.randrange(6), tuple(rng.randrange(6) for _ in range(n)), rng.randrange(6),
+              tuple(rng.randrange(1, 7) for _ in range(n))) for n in (2, 3) * 20]
+    want = [per_u_beta(f, *args) for args in cases]
+
+    def all_match():
+        """Every draw matches; a draw that raises does not match."""
+        try:
+            return all(hyperff._beta_vec(f, *args) == w for args, w in zip(cases, want))
+        except IndexError:
+            return False
+
+    assert all_match()
+    for old, new in [
+        ("col[lm + 1:lm + N]", "col[1:N]"),  # the merged column not rotated
+        ("zip(mBs[2:], xs[2:])", "zip(mBs[3:], xs[3:])"),  # fixed slot 3 dropped
+        ("D if z < 0 else mm * z % N", "mm * z % N"),  # the column's dead marker ignored
+        ("base.append(D)", "base.append(b % N)"),  # the base list's dead marker ignored
+        ("mBs[1] * Z[i]", "0"),  # B_2 Z[i] dropped from c
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, "_beta_vec", old, new)
+            assert not all_match(), (old, new)
+    assert all_match()
