@@ -8,9 +8,8 @@ relatives (hyperff), a verified-identity registry with an enumeration engine
 """
 
 from .charset import Char, all_chars, delta_char, delta_elem
-from .classical import (ClassicalFdParams, QuadratureCfg, beta,
-                        check_integral_formula, check_ksum_formula,
-                        check_mr_reduction, fd_series, pochhammer)
+from .classical import (ClassicalFdParams, beta, check_integral_formula,
+                        check_ksum_formula, check_mr_reduction, fd_series, pochhammer)
 from .cyclo import CycInt, cyclotomic_poly, embed, from_int, render, to_complex, zeta_pow
 from .errors import (CapExceeded, Diverged, DomainViolation, FFHyperError,
                      FieldMismatch, InexactDivision, NotPrime, OrderMismatch,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Char", "all_chars", "delta_char", "delta_elem",
-    "ClassicalFdParams", "QuadratureCfg", "beta", "check_integral_formula",
+    "ClassicalFdParams", "beta", "check_integral_formula",
     "check_ksum_formula", "check_mr_reduction", "fd_series", "pochhammer",
     "CycInt", "cyclotomic_poly", "embed", "from_int", "render", "to_complex",
     "zeta_pow",

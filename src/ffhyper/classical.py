@@ -37,6 +37,9 @@ from .errors import Diverged, DomainViolation
 
 DEFAULT_M = 60
 DEFAULT_K = 60
+# scipy quad tolerances and subinterval limit of check_integral_formula
+QUAD_EPSABS = QUAD_EPSREL = 1e-12
+QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,6 @@ class ClassicalFdParams:
     @property
     def n(self) -> int:
         return len(self.b)
-
-
-@dataclass(frozen=True)
-class QuadratureCfg:
-    epsabs: float = 1e-12
-    epsrel: float = 1e-12
-    limit: int = 200
 
 
 def pochhammer(z: complex, k: int) -> complex:
@@ -139,8 +135,7 @@ def beta(x: complex, y: complex) -> complex:
     return cmath.exp(loggamma(x) + loggamma(y) - loggamma(x + y))
 
 
-def check_integral_formula(p: ClassicalFdParams,
-                           quadrature_cfg: QuadratureCfg | None = None) -> float:
+def check_integral_formula(p: ClassicalFdParams) -> float:
     """|B(b1,b2) F_D^(n) - integral of u^(b1-1)(1-u)^(b2-1) F_D^(n-1)| where the
     inner instance merges the first two slots along u x1 + (1-u) x2."""
     if p.n < 2:
@@ -148,7 +143,6 @@ def check_integral_formula(p: ClassicalFdParams,
     b1, b2 = p.b[0], p.b[1]
     if b1.real < 1 or b2.real < 1:
         raise DomainViolation("quadrature restricted to Re(b1), Re(b2) >= 1")
-    cfg = quadrature_cfg or QuadratureCfg()
     lhs = beta(b1, b2) * fd_series(p)
     x1, x2 = p.x[0], p.x[1]
     b12 = b1 + b2
@@ -168,8 +162,8 @@ def check_integral_formula(p: ClassicalFdParams,
             term *= (b12 + m) * xu / (m + 1)
         return u ** (b1 - 1) * (1 - u) ** (b2 - 1) * acc
 
-    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
-                  limit=cfg.limit, complex_func=True)
+    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                  limit=QUAD_LIMIT, complex_func=True)
     return abs(lhs - rhs)
 
 

@@ -48,14 +48,18 @@ def _numeral(text: str, cap: int) -> int:
 
 def _parse_q(text: str, cap: int) -> tuple[int, int]:
     """(p, k) of a field order spelled "p^k" or as a plain prime power.  The
-    order is compared with the cap before p^k is built or anything factored."""
+    order is compared with the cap before p^k is built or anything factored;
+    a "p^k" whose p is not a prime is NotPrime."""
     p, caret, k = text.partition("^")
     p, k = _numeral(p, cap), (_numeral(k, cap) if caret else 1)
     try:
         ff_core.check_order(p, k, cap)
     except TooLarge:
         raise TooLarge(text, cap) from None  # as spelled, not as saturated
-    return (p, k) if caret else ff_core.split_prime_power(p)
+    if not caret:
+        return ff_core.split_prime_power(p)
+    ff_core.check_prime(p)
+    return p, k
 
 
 def parse_ids(spec: str) -> list:

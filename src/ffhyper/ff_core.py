@@ -253,9 +253,14 @@ def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
     return _field(p, k)
 
 
-@lru_cache(maxsize=None)  # caches tables, not NotPrime: a refusal is re-raised
-def _field(p: int, k: int) -> FieldTable:
+def check_prime(p: int) -> None:
+    """NotPrime unless p is a prime."""
     if _prime_divisors(p) != (p,):
         raise NotPrime(p)
+
+
+@lru_cache(maxsize=None)  # caches tables, not NotPrime: a refusal is re-raised
+def _field(p: int, k: int) -> FieldTable:
+    check_prime(p)
     return FieldTable(p, k)
 

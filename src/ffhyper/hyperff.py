@@ -26,21 +26,23 @@ point moves with u, so the rest of each inner walk (the base exponents and
 fixed slots, and the merged slot's Zech column) is built once per call and
 each u costs one pass pairing the two at a rotation.
 
-General products (_conv) are packed, not schoolbook (Kronecker
+General products (_conv) multiply the counts of two walks, so every
+operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
 substitution): a vector v becomes the integer sum_i v[i] 2^(w i), one exact
 big-int multiply convolves two of them, and the result is folded mod
-2^(w N) - 1 (slot i onto slot i mod N) and decoded.  The slot width w is taken
-per call from a bound proven from the inputs, the product of the operands' l1
-norms: w holds the sign bit and that bound, rounded up to whole bytes, so no
-folded coefficient can overflow its slot.
+2^(w N) - 1 (slot i onto slot i mod N) and read off slot by slot.  The
+product's coefficients are nonnegative and sum to sum(a) sum(b), so the slot
+width w is that sum's bit length and no folded coefficient overflows.
 
 The generating functions, the k-sum, the character line sum and the
-character-sum form of F_D are sums over characters whose term exponents are
-affine in the n character indices, e + sum_j theta_j m_j: summed over
-theta in Z_N^n, such a term is N^(n-1) g at every exponent = e mod g,
-g = gcd(m_1, .., m_n, N), so _coset_counts counts the terms of one F_D walk
-and of each binomial factor by (g, e mod g) and forms no row per character.
-This is counting in Z[Z_N], not a relation of Z[zeta_N].
+character-sum form of F_D are sums over characters of walk terms.  A term's
+exponent is linear in the characters, so with chi^theta_j entering the
+characters at a slope it is e + sum_j theta_j m_j; _walk_terms lists the
+pairs (e, m) of one walk at one slope, a binomial factor {chi^b theta choose
+theta} being the n = 0 walk at (b, b) with slope (1, 0).  Summed over theta in
+Z_N^n, such a term is N^(n-1) g at every exponent = e mod g, g = gcd(m_1, ..,
+m_n, N), so _coset_counts counts the terms by (g, e mod g) and forms no row
+per character.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
 
 Every sum takes the field's shared FieldTable and keeps no state between or
 within calls: the public ops reduce modulo Phi_N to a canonical CycInt once,
@@ -62,24 +64,13 @@ from .ff_core import FieldTable
 
 # -- group-ring vector helpers --------------------------------------------------
 
-
-def _l1(v) -> int:
-    return sum(map(abs, v))
-
-
-def _slot_bits(bound: int) -> int:
-    """Packed slot width w for integers of absolute value <= bound: the sign
-    bit plus bound's bits, rounded up to whole bytes."""
-    return 8 * (bound.bit_length() // 8 + 1)
-
-
 # Slots per Horner or shift-and-mask run in _pack and _slots; longer vectors
 # are halved, which keeps their big-int work near-linear in the length.
 _RUN = 32
 
 
 def _pack(v, w: int) -> int:
-    """Kronecker substitution: sum_i v[i] 2^(w i), exact for any integers."""
+    """Kronecker substitution: sum_i v[i] 2^(w i)."""
     n = len(v)
     if n > _RUN:
         m = n // 2
@@ -90,33 +81,31 @@ def _pack(v, w: int) -> int:
     return P
 
 
-def _slots(G: int, w: int, n: int, h: int) -> list[int]:
-    """The n w-bit slots of G >= 0, each minus h."""
+def _slots(G: int, w: int, n: int) -> list[int]:
+    """The n w-bit slots of G >= 0."""
     if n > _RUN:
         m = n // 2
-        return _slots(G & ((1 << (w * m)) - 1), w, m, h) + _slots(G >> (w * m), w, n - m, h)
+        return _slots(G & ((1 << (w * m)) - 1), w, m) + _slots(G >> (w * m), w, n - m)
     mask = (1 << w) - 1
-    return [(G >> (w * i) & mask) - h for i in range(n)]
+    return [G >> (w * i) & mask for i in range(n)]
 
 
 def _unpack(P: int, w: int, N: int) -> list[int]:
-    """The group-ring vector of a packed value P = sum_i r_i 2^(w i): entry
-    j is sum of r_i over i = j mod N.  Exact when every entry is below
-    2^(w-1) in absolute value, which the callers' widths guarantee."""
+    """The group-ring vector of a packed value P = sum_i r_i 2^(w i), every
+    r_i >= 0: entry j is the sum of r_i over i = j mod N.  Exact when every
+    entry is below 2^w."""
     k = w * N
     M = (1 << k) - 1  # 2^k = 1 mod M: folding slots mod N is reducing P mod M
-    while P < 0 or P > M:
+    while P > M:
         P = (P & M) + (P >> k)
-    if P > M >> 1:  # the folded vector's value lies in (-M/2, M/2)
-        P -= M
-    h = 1 << (w - 1)  # h in every slot shifts the signed slots to >= 0
-    return _slots(P + h * (M // ((1 << w) - 1)), w, N, h)
+    return _slots(P, w, N)
 
 
 def _conv(a, b, N: int) -> list[int]:
-    """Cyclic convolution of two length-N vectors: one packed multiply.  Every
-    coefficient of the product is at most l1(a) l1(b) in absolute value."""
-    w = _slot_bits(_l1(a) * _l1(b))
+    """Cyclic convolution of two length-N count vectors (entries >= 0): one
+    packed multiply.  The product's coefficients are >= 0 and sum to
+    sum(a) sum(b), so slots of that sum's bit length hold each of them."""
+    w = (sum(a) * sum(b)).bit_length()
     return _unpack(_pack(a, w) * _pack(b, w), w, N)
 
 
@@ -235,32 +224,35 @@ def _beta_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     return [a + b + c for a, b, c in zip(acc[:N], acc[N:2 * N], acc[2 * N:D])]
 
 
-def _fd_terms(f: FieldTable, mA: int, mBs, mC: int, xs, slot: str):
-    """The terms of F_D with chi^theta put in one slot: A theta (slot "A"),
-    B_n theta ("B"), C theta^-1 ("C"), or A theta and C theta together
-    ("AC").  The term at u = g^i has exponent e(i) + theta d(i), e(i) that of
-    _fd_vec and d(i) fixed by the slot; yields (e(i), d(i)) for each term that
-    is not zero.  Slot "B" needs n >= 1."""
+def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
+                k: int = 0) -> list[tuple[int, int]]:
+    """The terms of the F_D walk at the characters A chi^(theta dA), B_j
+    chi^(theta dB_j), C chi^(theta dC), twisted by zeta^(theta k), as (e, d)
+    pairs of exponent e + theta d.  A term's exponent is linear in the
+    characters, so e is the walk's exponent at (A, B, C) and d its exponent
+    at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
+    (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}."""
     N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
     if 0 in xs:
-        return
-    mA %= N
-    mAC = (mC - mA) % N
-    e0 = (mA + mC) * l1
-    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
-    # d(i) = d0 + di i + dz Z[i] + dn z, z = log(1 - x_n u) from the last slot
-    d0, di, dz, dn = {"A": (l1, 1, -1, 0), "B": (0, 0, 0, -1), "C": (-l1, 0, -1, 0),
-                      "AC": (2 * l1, 1, 0, 0)}[slot]
-    z = 0
+        return []
+    e0, d0 = (mA + mC) * l1, (dA + dC) * l1 + k
+    mAC, dAC = mC - mA, dC - dA
+    if not xs:  # no B-slot, so no term is zero
+        return [(e0 + mA * i + mAC * Z[i], d0 + dA * i + dAC * Z[i]) for i in range(1, N)]
+    slots = [(-mb, -db, f.log_table[x]) for mb, db, x in zip(mBs, dBs, xs, strict=True)]
+    out = []
     for i in range(1, N):
-        e = e0 + mA * i + mAC * Z[i]
-        for mb, lx in slots:
-            z = Z[(lx + i) % N]
+        z = Z[i]
+        e, d = e0 + mA * i + mAC * z, d0 + dA * i + dAC * z
+        for mb, db, lx in slots:
+            z = Z[(lx + i) % N]  # log(1 - x_j u); -1 where x_j u = 1
             if z < 0:
                 break
             e += mb * z
+            d += db * z
         else:
-            yield e, d0 + di * i + dz * Z[i] + dn * z
+            out.append((e, d))
+    return out
 
 
 def _coset_counts(N: int, terms, *factors) -> list[int]:
@@ -310,39 +302,25 @@ def _by_divisor(states, fac):
         yield [gcd(k, g) for k in range(g)] * 2, R, [(m % g, e) for e, m in fac]
 
 
-def _binom_terms(f: FieldTable, b: int, k: int) -> list[tuple[int, int]]:
-    """The terms of zeta^(theta k) {chi^b theta choose theta} as (e, m) pairs
-    of exponent e + theta m: at v = g^j, e = b j and m = log(-1) + j - Z[j]
-    + k."""
-    Z, l1 = f.zech_table, f.log_neg1
-    return [(b * j, l1 + j - Z[j] + k) for j in range(1, f.n_chars)]
-
-
 def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
-    n = 0 walk with chi^theta in slots A and C, twisted by theta log x."""
+    n = 0 walk at slope (1, 1), twisted by theta log x."""
     if x == 0:
         return [0] * f.n_chars
-    return _coset_counts(f.n_chars, _fd_terms(f, ma, (), mb, (), "AC"), [(0, f.log_table[x])])
-
-
-def _theta_sum(f: FieldTable, mA: int, mBs, mC: int, xs, slot: str, b: int, k: int) -> list[int]:
-    """sum over theta of zeta^(theta k) {chi^b theta choose theta} F_D with
-    theta in one slot (_fd_terms): a pair of an F_D term and a binomial term
-    is one term of _coset_counts."""
-    return _coset_counts(f.n_chars, _fd_terms(f, mA, mBs, mC, xs, slot), _binom_terms(f, b, k))
+    return _coset_counts(f.n_chars, _walk_terms(f, ma, (), mb, (), 1, (), 1),
+                         [(0, f.log_table[x])])
 
 
 def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     """sum over chi_1..chi_n of {A chi^s choose C chi^s} prod_j {B_j chi_j
-    choose chi_j} chi_j(x_j), s = sum_j chi_j: the n = 0 walk with chi^s in
-    slots A and C against the terms of each twisted binomial, one coset
-    count over Z_N^n."""
+    choose chi_j} chi_j(x_j), s = sum_j chi_j: the n = 0 walk at slope (1, 1)
+    against the terms of each twisted binomial, one coset count over Z_N^n."""
     if 0 in xs:
         return [0] * f.n_chars
     L = f.log_table
-    return _coset_counts(f.n_chars, _fd_terms(f, mA, (), mC, (), "AC"),
-                         *(_binom_terms(f, mb, L[x]) for mb, x in zip(mBs, xs)))
+    return _coset_counts(f.n_chars, _walk_terms(f, mA, (), mC, (), 1, (), 1),
+                         *(_walk_terms(f, mb, (), mb, (), 1, (), 0, L[x])
+                           for mb, x in zip(mBs, xs)))
 
 
 # -- public types ----------------------------------------------------------------
@@ -475,8 +453,12 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
     if t == 0:
         return [0] * f.n_chars  # every summand carries theta(0) = 0
-    return _theta_sum(f, mA, mBs, mC, xs, {"T41": "A", "T42": "B", "T43": "C"}[variant],
-                      mBs[-1] if variant == "T42" else mA - mC, f.log_table[t])
+    # theta's slope on (A, B_n, C): A theta (T41), B_n theta (T42), C theta^-1 (T43)
+    dA, dB, dC = {"T41": (1, 0, 0), "T42": (0, 1, 0), "T43": (0, 0, -1)}[variant]
+    b = mBs[-1] if variant == "T42" else mA - mC
+    dBs = (0,) * (len(mBs) - 1) + (dB,)
+    return _coset_counts(f.n_chars, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
+                         _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
 
 
 def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:

@@ -19,8 +19,10 @@ list.  F_D is walked per value, each walk adding its signed, zeta-shifted
 term into the side's vector; t3.ff-beta's u-sum of F_D walks is one double
 walk (hyperff._beta_vec); t2.1's character-sum side, t3.ksum (at every n,
 its n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line
-sums count the terms of one walk over the characters (hyperff._charsum_vec,
-_theta_sum and _line_vec, each one call of _coset_counts).
+sums count the terms of one walk over the characters, each one call of
+hyperff._coset_counts on the walk's terms at a slope (hyperff._walk_terms);
+p2.prod and t3.ff-beta's right-hand side multiply walk counts
+(hyperff._conv).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -170,7 +172,10 @@ def _ksum_rhs(f, n, cs, es):
     xn = es[-1]
     if xn == 0:
         return [0] * f.n_chars
-    return hyperff._theta_sum(f, A, Bs[:-1], C, es[:-1], "AC", Bs[-1], f.log_table[xn])
+    b = Bs[-1]  # sum over chi of {B_n chi choose chi} chi(x_n) F_D^(n-1)(A chi; ..; C chi)
+    return hyperff._coset_counts(
+        f.n_chars, hyperff._walk_terms(f, A, Bs[:-1], C, es[:-1], 1, (0,) * (n - 1), 1),
+        hyperff._walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[xn]))
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -660,6 +665,8 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
 
 
 def _check_n(desc: IdentityDescriptor, n: int) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not desc.allows_n(n):
         raise ValueError(f"identity {desc.id} does not allow n={n}")
 
@@ -673,8 +680,8 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
     desc = get_identity(ident)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and count < 1:
-        raise ValueError(f"sampled mode needs count >= 1, got {count}")
+    if mode == "sampled" and not (isinstance(count, int) and count >= 1):
+        raise ValueError(f"sampled mode needs an integer count >= 1, got {count!r}")
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if n_list is None:

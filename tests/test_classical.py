@@ -145,9 +145,13 @@ def test_mr_reduction_residual():
 
 
 def test_quadrature_cfg():
-    cfg = classical.QuadratureCfg(epsabs=1e-10, epsrel=1e-10, limit=100)
+    # the tolerances and subinterval limit are module constants, not an argument
+    assert (classical.QUAD_EPSABS, classical.QUAD_EPSREL, classical.QUAD_LIMIT) == \
+        (1e-12, 1e-12, 200)
     p = _params(0.5, [1.5, 1.5], 2.0, [0.2, -0.1])
-    assert classical.check_integral_formula(p, quadrature_cfg=cfg) < 1e-8
+    assert classical.check_integral_formula(p) < 1e-8
+    with pytest.raises(TypeError):
+        classical.check_integral_formula(p, quadrature_cfg=None)
 
 
 # -- the per-term k-sum and the per-node integrand, which the shared slot
@@ -169,7 +173,7 @@ def ksum_per_term(p, K=classical.DEFAULT_K):
     return abs(lhs - acc)
 
 
-def integral_per_node(p, cfg=classical.QuadratureCfg()):
+def integral_per_node(p):
     """(residual, rhs) of the integral formula with one F_D^(n-1) series per
     quadrature node."""
     if p.n < 2:
@@ -185,8 +189,8 @@ def integral_per_node(p, cfg=classical.QuadratureCfg()):
         inner = replace(p, b=inner_b, x=(u * x1 + (1 - u) * x2,) + p.x[2:])
         return u ** (b1 - 1) * (1 - u) ** (b2 - 1) * classical.fd_series(inner)
 
-    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=cfg.epsabs, epsrel=cfg.epsrel,
-                  limit=cfg.limit, complex_func=True)
+    rhs, _ = quad(integrand, 0.0, 1.0, epsabs=classical.QUAD_EPSABS,
+                  epsrel=classical.QUAD_EPSREL, limit=classical.QUAD_LIMIT, complex_func=True)
     return abs(lhs - rhs), rhs
 
 

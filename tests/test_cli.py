@@ -412,6 +412,19 @@ def test_verification_script_maps_errors_to_cli_exit_codes(argv, env, code, mess
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
 
 
+@pytest.mark.parametrize("q", ["4^2", "1^5", "0^3", "9^1", "6^1"])
+def test_p_k_with_a_non_prime_base_is_not_prime(capsys, q):
+    # eval, verify and the verification script refuse a "p^k" whose p is not
+    # a prime alike, before any report: verify used to run 4^2 as F_16
+    message = f"domain error: NotPrime: characteristic must be prime, got {q.split('^')[0]}\n"
+    for argv in (["eval", "binom", "--q", q, "--A", "1", "--B", "2"],
+                 ["verify", "--id", "p2.f2", "--q", f"3,{q}"]):
+        assert run(capsys, *argv) == (3, "", message), argv
+    proc = subprocess.run([sys.executable, VERIFY_SCRIPT, "--id", "p2.f2", "--q", f"3,{q}"],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
+
 CLASSICAL_SCRIPT = os.path.join(os.path.dirname(VERIFY_SCRIPT), "run_classical_checks.py")
 
 

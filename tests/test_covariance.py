@@ -1,0 +1,135 @@
+"""Galois and Frobenius covariance of every registered identity side.
+
+Every side is a sum of walk terms whose exponents are linear in the character
+exponents, so two exact raw-vector relations hold by counting alone, with no
+second side to compare against:
+
+  Galois     side(u cs, es) is side(cs, es) with entry e moved to u e mod N,
+             for every unit u mod N;
+  Frobenius  side(cs, sigma(es)) = side(p cs, es) over F_q, q = p^k, where
+             sigma(x) = x^p: substituting u = sigma(v) in each walk turns
+             chi(sigma x) into chi^p(x).
+
+So a fault that hits both sides of an identity alike, which lhs = rhs cannot
+see, still breaks one of them.  The negative controls show that each relation
+can fail: a character exponent made non-linear in the F_D walk breaks
+Galois, and one Zech entry off by one, in a copy of the field table, breaks
+Frobenius and leaves Galois intact."""
+
+import copy
+import inspect
+import random
+import textwrap
+from math import gcd
+
+import pytest
+
+from ffhyper import ff_core, hyperff, identities
+
+QS = (7, 9, 16, 25, 27, 64)
+DRAWS = 6
+
+
+def _field(q):
+    return ff_core.build_field(*ff_core.split_prime_power(q))
+
+
+def _draws(desc, f, n, rng, count=DRAWS):
+    """`count` seeded (cs, es) draws that satisfy the identity's constraints."""
+    N, q = f.n_chars, f.q
+    out = []
+    for _ in range(1000 * count):
+        cs = tuple(rng.randrange(N) for _ in range(desc.chars(n)))
+        es = tuple(rng.randrange(q) for _ in range(desc.elems(n)))
+        if all(ok(f, n, cs, es) for _, ok in desc.constraints):
+            out.append((cs, es))
+            if len(out) == count:
+                break
+    assert out, (desc.id, q, n)
+    return out
+
+
+def _cases(f, seed):
+    """(descriptor, n, cs, es) over every identity and allowed n <= 2."""
+    for desc in identities.list_identities():
+        for n in range(desc.n_min, 3):
+            if desc.allows_n(n):
+                rng = random.Random(f"{seed}:{desc.id}:{f.q}:{n}")
+                for cs, es in _draws(desc, f, n, rng):
+                    yield desc, n, cs, es
+
+
+def _moved(v, u):
+    """v with entry e moved to u e mod N."""
+    N = len(v)
+    out = [0] * N
+    for e, c in enumerate(v):
+        out[u * e % N] += c
+    return out
+
+
+def _frob(f, x):
+    """sigma(x) = x^p."""
+    return 0 if x == 0 else f.exp_table[f.p * f.log_table[x] % f.n_chars]
+
+
+def _galois_holds(f, desc, n, cs, es, u):
+    ucs = tuple(u * c % f.n_chars for c in cs)
+    return all(side(f, n, ucs, es) == _moved(side(f, n, cs, es), u)
+               for side in (desc.lhs, desc.rhs))
+
+
+def _frobenius_holds(f, desc, n, cs, es):
+    pcs = tuple(f.p * c % f.n_chars for c in cs)
+    ses = tuple(_frob(f, x) for x in es)
+    return all(side(f, n, cs, ses) == side(f, n, pcs, es) for side in (desc.lhs, desc.rhs))
+
+
+def _unit(rng, N):
+    """A unit mod N other than 1 where there is one."""
+    units = [u for u in range(2, N) if gcd(u, N) == 1]
+    return rng.choice(units) if units else 1
+
+
+@pytest.mark.parametrize("q", QS)
+def test_every_side_is_galois_covariant(q):
+    f = _field(q)
+    rng = random.Random(q)
+    for desc, n, cs, es in _cases(f, 0):
+        u = _unit(rng, f.n_chars)
+        assert _galois_holds(f, desc, n, cs, es, u), (desc.id, n, cs, es, u)
+
+
+@pytest.mark.parametrize("q", [q for q in QS if ff_core.split_prime_power(q)[1] > 1])
+def test_every_side_is_frobenius_covariant(q):
+    f = _field(q)
+    for desc, n, cs, es in _cases(f, 1):
+        assert _frobenius_holds(f, desc, n, cs, es), (desc.id, n, cs, es)
+
+
+def test_a_non_linear_walk_exponent_breaks_galois(monkeypatch):
+    f = _field(7)
+    u = 5  # the unit -1 mod 6
+    cases = [c for c in _cases(f, 2) if c[0].id in ("t2.1", "t3.ksum", "t5.gf1")]
+    assert all(_galois_holds(f, *c, u) for c in cases)
+    src = textwrap.dedent(inspect.getsource(hyperff._fd_vec))
+    old = "e0 += (mA + mC) * f.log_neg1"
+    assert src.count(old) == 1
+    ns = dict(vars(hyperff))
+    exec(compile(src.replace(old, old + " + mA * mA"), hyperff.__file__, "exec"), ns)
+    monkeypatch.setattr(hyperff, "_fd_vec", ns["_fd_vec"])
+    assert not all(_galois_holds(f, *c, u) for c in cases)
+
+
+def test_a_zech_entry_off_by_one_breaks_frobenius_only():
+    shared = _field(64)
+    zech = shared.zech_table
+    bad = copy.copy(shared)  # a fresh table: the shared one is never touched
+    Z = list(zech)
+    Z[5] = (Z[5] + 1) % bad.n_chars
+    bad.zech_table = tuple(Z)
+    rng = random.Random(64)
+    cases = list(_cases(bad, 3))
+    assert all(_galois_holds(bad, *c, _unit(rng, 63)) for c in cases)
+    assert not all(_frobenius_holds(bad, *c) for c in cases)
+    assert _field(64) is shared and shared.zech_table is zech and zech[5] != Z[5]

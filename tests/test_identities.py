@@ -107,8 +107,15 @@ def _field(q):
     ([3, 4], dict(cap=0, mode="boundary"), ValueError, "cap must be a positive integer, got 0"),
     ([3, 4], dict(cap=0, mode="sampled"), ValueError, "cap must be a positive integer, got 0"),
     ([3, 4], dict(cap=2.5), ValueError, "cap must be a positive integer, got 2.5"),
+    ([3, 4], dict(mode="sampled", count=2.5), ValueError,
+     "sampled mode needs an integer count >= 1, got 2.5"),
+    ([3, 4], dict(mode="sampled", count=float("inf")), ValueError,
+     "sampled mode needs an integer count >= 1, got inf"),
+    ([3, 4], dict(n_list=[0.0]), ValueError, "n must be an integer, got 0.0"),
+    ([3, 4], dict(n_list=[0, "0"]), ValueError, "n must be an integer, got '0'"),
 ], ids=["n", "mode", "prime-power", "cap", "slot-cap-negative", "slot-cap-zero-boundary",
-        "slot-cap-zero-sampled", "slot-cap-float"])
+        "slot-cap-zero-sampled", "slot-cap-float", "count-float", "count-inf", "n-float",
+        "n-str"])
 def test_verify_checks_the_whole_request_before_any_report(monkeypatch, q_list, kwargs,
                                                            error, message):
     runs = []

@@ -1,14 +1,18 @@
-"""Differential tests of the packed group-ring product and the coset-count
-kernel in hyperff.
+"""Differential tests of the packed group-ring product, the walk's terms at a
+slope and the coset-count kernel in hyperff.
 
 Each fast path is compared with the loop it replaced, kept here as the
-oracle: the schoolbook cyclic convolution, the literal N^n-term character
-sum, the character sum with one packed binomial per key (packed_charsum)
-and with one packed binomial family per factor (family_charsum, which the
-coset count replaced), the per-theta generating-function sum, the per-chi
-k-sum, the per-y sum of T43's t = -1 term, and the rotate-and-add of a
-fresh F_D vector for the walk that adds into the caller's vector.  The sums
-over characters count the terms of one walk (_coset_counts); the paths they
+oracle: the schoolbook cyclic convolution of count vectors, the literal
+N^n-term character sum, the character sum with one packed binomial per key
+(packed_charsum) and with one packed binomial family per factor
+(family_charsum, which the coset count replaced), the per-theta
+generating-function sum, the per-chi k-sum, the per-y sum of T43's t = -1
+term, and the rotate-and-add of a fresh F_D vector for the walk that adds
+into the caller's vector.  The walk's terms at a slope (_walk_terms) are
+compared with the slot-coded F_D terms and the Jacobi-form binomial terms
+they replaced (fd_terms, binom_terms), and at every slope in {-1, 0, 1} per
+character with one _fd_vec walk per theta (per_theta_walks).  The sums over
+characters count the terms of one walk (_coset_counts); the paths they
 replaced stay here as oracles: the pair loop that counted one factor
 (pair_coset_counts), the literal sum over Z_N^n, the N rows of one-pass F_D
 values (_fd_rows, itself checked against one _fd_vec walk per theta), the
@@ -17,9 +21,10 @@ sum as N separate n = 0 walks.  The n = 0 walk is compared with the
 Jacobi-sum binomial it replaced, and t3.ff-beta's double walk (_beta_vec)
 with one _fd_vec walk per u (per_u_beta).  Exhaustive over every character
 tuple at q <= 5, sampled at larger q; mutants of the counter (its gcd fold,
-state reduction, scale, residues and tiling), of the twists, of the T43 term
-and of the double walk (its rotation, fixed slots, dead markers and per-u
-exponent) show that the comparisons can fail."""
+state reduction, scale, residues and tiling), of the slopes and twists, of
+the packed width, of the T43 term and of the double walk (its rotation,
+fixed slots, dead markers and per-u exponent) show that the comparisons can
+fail."""
 
 import inspect
 import itertools
@@ -138,6 +143,11 @@ def _fd_rows(f, mA, mBs, mC, xs, slot):
     return rows
 
 
+def width(bound):
+    """Packed slot width for nonnegative integers of at most `bound`."""
+    return bound.bit_length()
+
+
 def binom_packed(f, ma, mb, w):
     """{A choose B} packed at slot width w, one binomial at a time."""
     return hyperff._pack(hyperff._binom_vec(f, ma, mb), w)
@@ -163,7 +173,7 @@ def packed_charsum(f, mA, mBs, mC, xs):
     if any(x == 0 for x in xs):
         return [0] * N
     n = len(mBs)
-    w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
+    w = width(N ** n * (N - 1) ** (n + 1))
     W = [1] + [0] * (N - 1)
     for mb, x in zip(mBs, xs):
         lx = L[x]
@@ -187,7 +197,7 @@ def family_charsum(f, mA, mBs, mC, xs):
     if any(x == 0 for x in xs):
         return [0] * N
     n = len(mBs)
-    w = hyperff._slot_bits(N ** n * (N - 1) ** (n + 1))
+    w = width(N ** n * (N - 1) ** (n + 1))
     W = [1] + [0] * (N - 1)  # zeta^0 at character index 0: the empty product
     for mb, x in zip(mBs, xs):
         lx = L[x]
@@ -221,7 +231,7 @@ def pair_coset_counts(N, terms, shifts):
 def binom_vec_sum(f, keys, vecs, k):
     """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
     term's l1 is at most (N - 1) l1(vecs[c])."""
-    w = hyperff._slot_bits((f.n_chars - 1) * hyperff._l1(chain.from_iterable(vecs)))
+    w = width((f.n_chars - 1) * sum(chain.from_iterable(vecs)))
     return binom_sum(f, keys, [hyperff._pack(v, w) for v in vecs], k, w)
 
 
@@ -231,14 +241,76 @@ def rows_theta_sum(f, mA, mBs, mC, xs, slot, b, k):
     return binom_vec_sum(f, keys, _fd_rows(f, mA, mBs, mC, xs, slot), k)
 
 
-def rows_from_terms(f, mA, mBs, mC, xs, slot):
-    """The rows of _fd_rows, spread from the terms of hyperff._fd_terms."""
-    N = f.n_chars
+def fd_terms(f, mA, mBs, mC, xs, slot):
+    """The terms of F_D with chi^theta put in one slot, as hyperff listed
+    them before _walk_terms: A theta (slot "A"), B_n theta ("B"), C theta^-1
+    ("C"), or A theta and C theta together ("AC").  The term at u = g^i has
+    exponent e(i) + theta d(i), e(i) that of _fd_vec and d(i) fixed by the
+    slot's code; yields (e(i), d(i)) for each term that is not zero.  Slot "B"
+    needs n >= 1."""
+    N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
+    if 0 in xs:
+        return
+    mA %= N
+    mAC = (mC - mA) % N
+    e0 = (mA + mC) * l1
+    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
+    # d(i) = d0 + di i + dz Z[i] + dn z, z = log(1 - x_n u) from the last slot
+    d0, di, dz, dn = {"A": (l1, 1, -1, 0), "B": (0, 0, 0, -1), "C": (-l1, 0, -1, 0),
+                      "AC": (2 * l1, 1, 0, 0)}[slot]
+    z = 0
+    for i in range(1, N):
+        e = e0 + mA * i + mAC * Z[i]
+        for mb, lx in slots:
+            z = Z[(lx + i) % N]
+            if z < 0:
+                break
+            e += mb * z
+        else:
+            yield e, d0 + di * i + dz * Z[i] + dn * z
+
+
+def binom_terms(f, b, k):
+    """The terms of zeta^(theta k) {chi^b theta choose theta} as (e, m) pairs
+    of exponent e + theta m, as hyperff listed them before _walk_terms: at
+    v = g^j, e = b j and m = log(-1) + j - Z[j] + k."""
+    Z, l1 = f.zech_table, f.log_neg1
+    return [(b * j, l1 + j - Z[j] + k) for j in range(1, f.n_chars)]
+
+
+# (dA, dB_n, dC): the slope of each slot code on (A, B_n, C)
+SLOT_SLOPES = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, -1), "AC": (1, 0, 1)}
+
+
+def slot_terms(f, mA, mBs, mC, xs, slot):
+    """hyperff._walk_terms at the slope of a slot code."""
+    dA, dB, dC = SLOT_SLOPES[slot]
+    dBs = (0,) * (len(mBs) - 1) + (dB,) if mBs else ()
+    return hyperff._walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC)
+
+
+def spread(N, terms):
+    """Row theta, theta = 0..N-1, of the (e, d) terms: each at e + theta d."""
     rows = [[0] * N for _ in range(N)]
-    for e, d in hyperff._fd_terms(f, mA, mBs, mC, xs, slot):
+    for e, d in terms:
         for th, row in enumerate(rows):
             row[(e + th * d) % N] += 1
     return rows
+
+
+def rows_from_terms(f, mA, mBs, mC, xs, slot):
+    """The rows of _fd_rows, spread from the terms of hyperff._walk_terms."""
+    return spread(f.n_chars, slot_terms(f, mA, mBs, mC, xs, slot))
+
+
+def per_theta_walks(f, mA, mBs, mC, xs, dA, dBs, dC, k):
+    """Row theta: the _fd_vec walk at A chi^(theta dA), B_j chi^(theta dB_j),
+    C chi^(theta dC), rotated by theta k."""
+    N = f.n_chars
+    return [rot_add([0] * N, hyperff._fd_vec(f, mA + th * dA,
+                                             [mb + th * db for mb, db in zip(mBs, dBs)],
+                                             mC + th * dC, xs), th * k)
+            for th in range(N)]
 
 
 def per_theta_line_vecs(f, ma, mb):
@@ -317,19 +389,22 @@ def loop_t43_rhs(f, mA, mBs, mC, xs, t):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_conv_matches_schoolbook_exhaustive(N):
-    vecs = list(itertools.product((-1, 0, 1), repeat=N))
+    # every pair of count vectors with entries 0..2
+    vecs = list(itertools.product((0, 1, 2), repeat=N))
     for a in vecs:
         for b in vecs:
             assert hyperff._conv(a, b, N) == school_conv(a, b, N), (a, b)
 
 
-@pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 33, 63, 255, 1023])
+@pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 33, 63, 255, 1023, 4095])
 def test_conv_matches_schoolbook_sampled(N):
     rng = random.Random(N)
     for span in (1, 50, 10 ** 6):
         for _ in range(3 if N < 100 else 1):
-            a = [rng.randint(-span, span) for _ in range(N)]
-            b = [rng.randint(-span, span) for _ in range(N)]
+            a = [rng.randint(0, span) for _ in range(N)]
+            b = [rng.randint(0, span) for _ in range(N)]
+            if N > 1023:  # keep the schoolbook oracle to N x 16 products
+                b = [v if i % (N // 16) == 0 else 0 for i, v in enumerate(b)]
             assert hyperff._conv(a, b, N) == school_conv(a, b, N)
 
 
@@ -337,23 +412,42 @@ def test_conv_matches_schoolbook_sampled(N):
 def test_conv_near_and_beyond_2_63(N):
     rng = random.Random(63 + N)
     for top in (2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 64 + 7, 2 ** 200):
-        a = [rng.choice((-1, 1)) * rng.randint(top // 2, top) for _ in range(N)]
-        b = [rng.choice((-1, 0, 1)) for _ in range(N)]
+        a = [rng.randint(top // 2, top) for _ in range(N)]
+        b = [rng.choice((0, 1, 2)) for _ in range(N)]
         b[0] = 1
         assert hyperff._conv(a, b, N) == school_conv(a, b, N)
         assert hyperff._conv(a, a, N) == school_conv(a, a, N)
     one = [0] * N
     one[0] = 1
-    big = [-(2 ** 63)] * N
+    big = [2 ** 63] * N
     assert hyperff._conv(big, one, N) == big
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 64, 256])
+def test_conv_of_walk_histograms_matches_schoolbook(q):
+    # the operands _conv gets: binomial and F_D vectors, as in p2.prod and
+    # t3.ff-beta's right-hand side
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1400 + q)
+    for _ in range(2 if q == 256 else 6):
+        m = [rng.randrange(N) for _ in range(5)]
+        xs = tuple(rng.randrange(1, q) for _ in range(2))
+        a = hyperff._binom_vec(f, m[0], m[1])
+        b = hyperff._fd_vec(f, m[2], m[3:], m[4], xs)
+        assert hyperff._conv(a, b, N) == school_conv(a, b, N)
+        assert hyperff._conv(a, a, N) == school_conv(a, a, N)
+
+
 def test_round_trip_at_the_width_edge():
+    # a slot of a bound's bit length holds it; one bit fewer does not
     for bound in (0, 1, 127, 128, 255, 2 ** 31, 2 ** 63 - 1, 2 ** 63, 2 ** 64, 2 ** 100):
-        w = hyperff._slot_bits(bound)
-        assert bound < 2 ** (w - 1) and w % 8 == 0
-        for v in ([bound, -bound, 0], [-bound] * 5, [bound] * 70):
+        w = width(bound)
+        assert bound < 2 ** w
+        for v in ([bound, 0, bound], [bound] * 5, [bound] * 70):
             assert hyperff._unpack(hyperff._pack(v, w), w, len(v)) == v
+            if bound > 1:  # (a zero width holds only zeros)
+                assert hyperff._unpack(hyperff._pack(v, w - 1), w - 1, len(v)) != v
 
 
 def test_unpack_folds_every_wrap():
@@ -361,16 +455,16 @@ def test_unpack_folds_every_wrap():
     # summing the slots by residue mod N
     rng = random.Random(3)
     for N in (1, 3, 7, 40):
-        raw = [rng.randint(-1000, 1000) for _ in range(4 * N + 1)]
+        raw = [rng.randint(0, 1000) for _ in range(4 * N + 1)]
         want = [sum(raw[i::N]) for i in range(N)]
-        w = hyperff._slot_bits(sum(map(abs, raw)))
+        w = width(sum(raw))
         assert hyperff._unpack(hyperff._pack(raw, w), w, N) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 64])
 def test_binomial_l1_is_n_minus_1(q):
-    # the packed sums take their widths from this: every binomial vector
-    # counts the q - 2 values u != 0, 1
+    # _conv's operands are counts: every binomial vector counts the q - 2
+    # values u != 0, 1
     f = _field(q)
     for ma, mb in itertools.product(range(f.n_chars), repeat=2):
         v = hyperff._binom_vec(f, ma, mb)
@@ -474,7 +568,7 @@ def test_charsum_mutants_are_caught(monkeypatch):
 
     assert all_match()
     with monkeypatch.context() as m:  # the twist log x_j dropped
-        _mutate(m, "_charsum_vec", "_binom_terms(f, mb, L[x])", "_binom_terms(f, mb, 0)")
+        _mutate(m, "_charsum_vec", "1, (), 0, L[x])", "1, (), 0, 0)")
         assert not all_match()
     with monkeypatch.context() as m:  # the gcd fold skipped: a state keeps its g
         _mutate(m, "_coset_counts", "h = Gg[r + m]", "h = Gg[0]")
@@ -671,6 +765,124 @@ def test_n0_ac_rows_are_shifted_binomials(q):
         assert rows_from_terms(f, mA, (), mC, (), "AC") == want
 
 
+# -- the walk's terms at a slope ---------------------------------------------------------
+
+
+def _mod(N, terms):
+    """(e mod N, d mod N) of each term: _coset_counts reads no more."""
+    return [(e % N, d % N) for e, d in terms]
+
+
+def _terms_match_slot_codes(f, args):
+    """_walk_terms at each slot code's slope lists fd_terms's terms."""
+    N = f.n_chars
+    return all(_mod(N, slot_terms(f, *args, slot)) == _mod(N, fd_terms(f, *args, slot))
+               for slot in (SLOTS if args[1] else ("A", "C", "AC")))
+
+
+def _binom_terms_match(f, b, k):
+    """The n = 0 walk at (b, b), slope (1, 0), twist k lists binom_terms's terms."""
+    N = f.n_chars
+    return _mod(N, hyperff._walk_terms(f, b, (), b, (), 1, (), 0, k)) == \
+        _mod(N, binom_terms(f, b, k))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_walk_terms_match_slot_codes_exhaustive(q):
+    f = _field(q)
+    N = f.n_chars
+    for n in (0, 1, 2):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                assert _terms_match_slot_codes(f, args), args
+    for b, k in itertools.product(range(N), repeat=2):
+        assert _binom_terms_match(f, b, k), (b, k)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64, 256, 1024, 4096])
+def test_walk_terms_match_slot_codes_sampled(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1500 + q)
+    for n in (0, 1, 2, 3):
+        for _ in range(1 if q >= 1024 else 6):
+            args = (rng.randrange(-N, 2 * N), tuple(rng.randrange(-N, 2 * N) for _ in range(n)),
+                    rng.randrange(-N, 2 * N), tuple(rng.randrange(q) for _ in range(n)))
+            assert _terms_match_slot_codes(f, args), args
+            b, k = rng.randrange(-N, 2 * N), rng.randrange(-N, 2 * N)
+            assert _binom_terms_match(f, b, k), (b, k)
+
+
+def _slope_cases(f, n, rng, size):
+    """Every (characters, points) at n, or `size` of them drawn with rng."""
+    N, q = f.n_chars, f.q
+    cases = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(N), repeat=n + 2)
+             for xs in itertools.product(range(q), repeat=n)]
+    return cases if size is None or len(cases) <= size else rng.sample(cases, size)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_walk_terms_at_every_slope_exhaustive(q):
+    # every slope in {-1, 0, 1} per character, spread over theta, against one
+    # _fd_vec walk per theta; every character and point tuple at n <= 1, 12
+    # drawn ones per slope at n = 2
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1600 + q)
+    for n in (0, 1, 2):
+        for dA, dC, *dBs in itertools.product((-1, 0, 1), repeat=n + 2):
+            for args in _slope_cases(f, n, rng, 12 if n == 2 else None):
+                slope = (dA, dBs, dC, rng.randrange(N))
+                got = spread(N, hyperff._walk_terms(f, *args[:2], args[2], args[3], *slope))
+                assert got == per_theta_walks(f, *args, *slope), (args, slope)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
+def test_walk_terms_at_every_slope_sampled(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1700 + q)
+    for n in (0, 1, 2, 3):
+        for _ in range(2 if q == 64 else 8):
+            args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+                    rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)))
+            dA, dC, *dBs = (rng.randint(-2, 2) for _ in range(n + 2))
+            slope = (dA, dBs, dC, rng.randrange(-N, 2 * N))
+            got = spread(N, hyperff._walk_terms(f, *args, *slope))
+            assert got == per_theta_walks(f, *args, *slope), (args, slope)
+
+
+def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
+    f = _field(5)
+    draws = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=4)
+             for xs in [(2, 3), (4, 2)]]
+    operands = [(hyperff._binom_vec(f, a, b), hyperff._fd_vec(f, *args))
+                for (a, b), args in zip(itertools.product(range(4), repeat=2), draws[::8])]
+
+    def matches():
+        """(terms match the slot codes and binomials, theta-sums match the
+        rows oracle, products match schoolbook)."""
+        return (all(_terms_match_slot_codes(f, args) for args in draws) and
+                all(_binom_terms_match(f, b, k) for b in range(4) for k in range(1, 4)),
+                all(_theta_sums_match(f, 5, 2, (cs[0], cs[2], *cs[1]), cs[3])
+                    for cs in draws[::4]),
+                all(hyperff._conv(a, b, 4) == school_conv(a, b, 4) for a, b in operands))
+
+    assert matches() == (True, True, True)
+    for name, old, new, want in [
+        # C-slope sign flipped: T43 puts C theta, not C theta^-1
+        ("_genfn_lhs_vec", '"T43": (0, 0, -1)', '"T43": (0, 0, 1)', (True, False, True)),
+        ("_walk_terms", "d += db * z", "d += 0", (False, False, True)),  # B-slope dropped
+        ("_walk_terms", "* l1 + k", "* l1", (False, False, True)),  # twist k dropped
+        ("_conv", ".bit_length()", ".bit_length() - 1", (True, True, False)),  # width short
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, name, old, new)
+            assert matches() == want, (name, old, new)
+    assert matches() == (True, True, True)
+
+
 # -- the coset-count kernel and the theta-sums -------------------------------------------
 
 
@@ -792,13 +1004,13 @@ def test_theta_sums_match_rows_oracle_sampled(q):
             assert identities._ksum_rhs(f, n, cs, es) == _ksum_oracle(f, n, cs, es)
 
 
-def _mutate(monkeypatch, name, old, new):
-    """Replace hyperff.<name> by a copy of its source with `old` replaced."""
-    src = textwrap.dedent(inspect.getsource(getattr(hyperff, name)))
+def _mutate(monkeypatch, name, old, new, module=hyperff):
+    """Replace module.<name> by a copy of its source with `old` replaced."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert src.count(old) == 1, (name, old)
-    ns = dict(vars(hyperff))
-    exec(compile(src.replace(old, new), hyperff.__file__, "exec"), ns)
-    monkeypatch.setattr(hyperff, name, ns[name])
+    ns = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), ns)
+    monkeypatch.setattr(module, name, ns[name])
 
 
 def _q5_cases():
@@ -830,8 +1042,11 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
         _mutate(m, "_line_vec", "[(0, f.log_table[x])]", "[(0, 0)]")
         assert all_match() == (False, True)
-    with monkeypatch.context() as m:  # the twist k dropped from the theta-sum's slope
-        _mutate(m, "_theta_sum", "_binom_terms(f, b, k)", "_binom_terms(f, b, 0)")
+    with monkeypatch.context() as m:  # the twist log t dropped from the T41-T43 slope
+        _mutate(m, "_genfn_lhs_vec", "0, f.log_table[t])", "0, 0)")
+        assert all_match() == (True, False)
+    with monkeypatch.context() as m:  # the twist log x_n dropped from the k-sum's slope
+        _mutate(m, "_ksum_rhs", "0, f.log_table[xn])", "0, 0)", identities)
         assert all_match() == (True, False)
     assert all_match() == (True, True)
 
