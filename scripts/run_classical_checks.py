@@ -11,7 +11,7 @@ import math
 import random
 import sys
 
-from ffhyper import classical
+from ffhyper import classical, cli
 
 
 def draw_integral(rng, n):
@@ -54,6 +54,12 @@ def main():
         ap.error("need n >= 2")
     if args.trials < 1:
         ap.error("need --trials >= 1")
+    try:
+        cli.check_tolerance("--tol-integral", args.tol_integral)
+        cli.check_tolerance("--tol-series", args.tol_series)
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
     rng = random.Random(args.seed)
     checks = [

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -95,6 +96,13 @@ def guarded(fn, *args) -> int:
     except FFHyperError as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def check_tolerance(flag: str, tol: float) -> None:
+    """ValueError unless tol is a finite number >= 0: a NaN fails every
+    residual <= tol comparison, and a negative tol fails every check."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{flag} must be a finite number >= 0, got {tol}")
 
 
 def _field(text: str):
@@ -212,6 +220,8 @@ def _verify(args, runs, q_list, max_q, fh) -> int:
 
 
 def _cmd_classical(args) -> int:
+    if args.tol is not None:
+        check_tolerance("--tol", args.tol)
     x = [complex(v) for v in args.x.split(",")]
     if args.xn is not None:
         x[-1] = complex(args.xn)

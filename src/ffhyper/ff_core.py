@@ -39,6 +39,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import _prime_divisors
 from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
 
@@ -91,7 +93,8 @@ class FieldTable:
     exp_table[i] = g^i and log_table[x] = log_g x (log_table[0] = -1).
     zech_table[i] = log_g(1 - g^i), Zech's logarithm, with the same -1 at
     i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
-    through these tables: x - y = x (1 - y/x).
+    through these tables: x - y = x (1 - y/x).  zech_array is zech_table
+    twice over as a read-only int64 array of length 2N.
     """
 
     def __init__(self, p: int, k: int):
@@ -165,6 +168,10 @@ class FieldTable:
         # 1 - g^i = 1 + g^(i + ln1), and + 1 changes digit 0 alone
         self.zech_table = tuple(log[v - (p - 1) if v % p == p - 1 else v + 1]
                                 for v in exp[ln1:] + exp[:ln1])
+        # the Zech table twice over, read-only, for hyperff's array walks:
+        # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
+        self.zech_array = np.array(self.zech_table * 2, dtype=np.int64)
+        self.zech_array.flags.writeable = False
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -26,6 +26,22 @@ point moves with u, so the rest of each inner walk (the base exponents and
 fixed slots, and the merged slot's Zech column) is built once per call and
 each u costs one pass pairing the two at a rotation.
 
+Both walks have two kernels with the same counts: a list loop (_fd_list,
+_beta_list) below N = _ARRAY_MIN_N, which keeps every gate field (N <= 12)
+and is the oracle of the tests, and int64 array passes (_fd_array,
+_beta_array) from there, which read the field's doubled Zech array
+(FieldTable.zech_array), so a rotation by log x_j is one slice.  Array
+passes pay a fixed cost per call that the loop's cost per term repays from
+N = 36 or so (the F_D walk; the double walk from N = 20 or so, in a per-call
+table over q = 13..256, n <= 3); the crossover is the first N past that.  A
+slot's slice holds -1 where x_j u = 1, at most one i = -log x_j mod N per
+slot (_exponents builds the column and finds them): the F_D walk counts
+every i with np.bincount and takes back the count of each distinct dead i at
+its computed exponent, and the double walk keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so its
+memory does not grow with N^2.  Every exponent is reduced mod N before the
+next product is added, so no int64 entry exceeds N + N^2 (7N in the double
+walk's sums), and counts become Python ints before any scaling.
+
 General products (_conv) multiply the counts of two walks, so every
 operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
 substitution): a vector v becomes the integer sum_i v[i] 2^(w i), one exact
@@ -55,6 +71,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import add
+
+import numpy as np
 
 from . import cyclo
 from .charset import Char
@@ -127,6 +145,11 @@ def _mono_exp(f: FieldTable, pairs) -> int | None:
 
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
 
+# N = q - 1 from which _fd_vec and _beta_vec run as int64 array passes
+_ARRAY_MIN_N = 40
+# pair sums per block of _beta_array's gather, which bounds its memory
+_BLOCK = 1 << 15
+
 
 def _jacobi_vec(f: FieldTable, ma: int, mb: int, e0: int = 0) -> list[int]:
     """zeta^e0 J(chi^ma, chi^mb)."""
@@ -149,7 +172,15 @@ def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: 
     """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
     out is a fresh zero vector when None, and e0 = None (a zero prefactor)
     adds nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u ->
-    u/(u-1) maps its terms one to one onto those of the binomial."""
+    u/(u-1) maps its terms one to one onto those of the binomial.  The walk
+    runs as a list loop below N = _ARRAY_MIN_N and as array passes from there."""
+    walk = _fd_array if f.n_chars >= _ARRAY_MIN_N else _fd_list
+    return walk(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
+
+
+def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
+             out: list[int] | None = None) -> list[int]:
+    """_fd_vec as one loop over u."""
     N, Z = f.n_chars, f.zech_table
     if out is None:
         out = [0] * N
@@ -171,11 +202,59 @@ def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: 
     return out
 
 
+def _exponents(f: FieldTable, e0: int, mA: int, mBs, mC: int, xs):
+    """The walk's exponent column e0 + A i + (C - A) Z[i] - sum_j B_j
+    Z[log x_j + i] at i = 1..N-1, as int64 entries in [0, N), and the set of
+    its dead positions.  Each B-slot adds one rotated slice of the doubled
+    Zech array, which holds -1 at the one i where x_j g^i = 1 (none when
+    x_j = 1): that term is dead.  Every product is reduced mod N before the
+    next is added, so no entry exceeds N + N^2, far inside int64."""
+    N, Z2, L = f.n_chars, f.zech_array, f.log_table
+    e = (e0 % N + mA % N * np.arange(1, N) + (mC - mA) % N * Z2[1:N]) % N
+    dead = set()
+    for mb, x in zip(mBs, xs):
+        lx = L[x]
+        e += -mb % N * Z2[lx + 1:lx + N]  # log(1 - x_j u); -1 where x_j u = 1
+        e %= N
+        if lx:
+            dead.add(N - lx - 1)  # the position of i = N - lx
+    return e, dead
+
+
+def _fd_array(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
+              out: list[int] | None = None) -> list[int]:
+    """_fd_vec as int64 array passes: the exponent column is counted with one
+    bincount, and each distinct dead position, counted at its computed
+    exponent, is taken back.  The counts become Python ints before they are
+    scaled by s."""
+    N = f.n_chars
+    if e0 is None or 0 in xs:
+        return [0] * N if out is None else out
+    e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs)
+    counts = np.bincount(e, minlength=N)
+    for k in dead:
+        counts[e[k]] -= 1
+    counts = counts.tolist()
+    if s != 1:
+        counts = [s * c for c in counts]
+    if out is None:
+        return counts
+    out[:] = map(add, out, counts)
+    return out
+
+
 def _beta_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | x_m, x_3..),
     x_m = u x_1 + (1-u) x_2, as a fresh list: one _fd_vec walk per u, done as
-    one double walk.  Only x_m moves with u, so the term at u = g^i, v = g^k
-    has exponent c(i) + b(k) + z(log x_m + k), with
+    one double walk, a list loop below N = _ARRAY_MIN_N and blocks of array
+    passes from there."""
+    walk = _beta_array if f.n_chars >= _ARRAY_MIN_N else _beta_list
+    return walk(f, mA, mBs, mC, xs)
+
+
+def _beta_list(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+    """_beta_vec as one loop over u.  Only x_m moves with u, so the term at
+    u = g^i, v = g^k has exponent c(i) + b(k) + z(log x_m + k), with
 
         b(k) = A k + (C - A) Z[k] - sum_{j>=3} B_j Z[log x_j + k]  (built once)
         z(k) = -(B_1 + B_2) Z[k]  (built once, doubled: a rotation is a slice)
@@ -222,6 +301,43 @@ def _beta_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
         for e in map(add, base, col[lm + 1:lm + N]):
             acc[c + e] += 1
     return [a + b + c for a, b, c in zip(acc[:N], acc[N:2 * N], acc[2 * N:D])]
+
+
+def _beta_array(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+    """_beta_list as int64 array passes: b, z and c as columns, with the same
+    dead marker D = 3N.  Row r of `rows` is a read-only view of z(r..r + N-2),
+    so the live u's rotated columns are one gather; a block of at most _BLOCK
+    pair sums at a time is bincounted into the 7N accumulator.  Every sum is
+    below 7N."""
+    N, Z2, L = f.n_chars, f.zech_array, f.log_table
+    if 0 in xs or N == 1:
+        return [0] * N
+    D = 3 * N
+    base, dead = _exponents(f, 0, mA, mBs[2:], mC, xs[2:])  # b(k) at k = 1..N-1
+    base[list(dead)] = D
+    col = -(mBs[0] + mBs[1]) % N * Z2 % N
+    col[Z2 < 0] = D
+    rows = np.lib.stride_tricks.as_strided(col, (N + 1, N - 1), col.strides * 2,
+                                           writeable=False)
+    x1, x2 = xs[0], xs[1]
+    l2 = L[x2]
+    i = np.arange(1, N)
+    if x1 == x2:  # x_m = x_2 at every u
+        lm = np.full(N - 1, l2)
+    else:  # log x_m = l2 + Z[i + d]; x_m = 0 where that entry is -1
+        d = (L[f.sub(x2, x1)] - l2) % N
+        z = Z2[d + 1:d + N]
+        live = z >= 0
+        i, lm = i[live], (l2 + z[live]) % N
+    c = ((mA + mC) * f.log_neg1 % N + mBs[0] % N * i + mBs[1] % N * Z2[i]) % N
+    acc = np.zeros(7 * N, dtype=np.int64)  # pair sums c + b + z, dead ones at 3N and above
+    step = max(1, _BLOCK // (N - 1))
+    for j in range(0, len(i), step):
+        block = rows[lm[j:j + step] + 1]
+        block += base
+        block += c[j:j + step, None]
+        acc += np.bincount(block.ravel(), minlength=7 * N)
+    return (acc[:N] + acc[N:2 * N] + acc[2 * N:D]).tolist()
 
 
 def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,

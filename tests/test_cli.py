@@ -317,6 +317,23 @@ def test_classical_tol_exit_1(capsys):
     assert "tol 1e-30" in out
 
 
+@pytest.mark.parametrize("check", ["integral", "ksum", "mr"])
+@pytest.mark.parametrize("tol", ["nan", "-nan", "inf", "-inf", "-1e-9", "-0.5"])
+def test_classical_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, check, tol):
+    # a NaN tolerance failed a zero residual, and a negative one failed every check
+    code, out, err = run(capsys, "classical", check, "--a", "0.8", "--b", "0.3,0.9",
+                         "--c", "1.7", "--x", "0.35,0.5", "--xn", "0", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite number >= 0, got ")
+    assert err.count("\n") == 1
+
+
+def test_classical_accepts_a_zero_tolerance(capsys):
+    code, out, _ = run(capsys, "classical", "ksum", "--a", "0.8", "--b", "0.3,0.9",
+                       "--c", "1.7", "--x", "0.35,0.5", "--xn", "0", "--tol", "0")
+    assert (code, out) == (0, "residual 0.000e+00 (tol 0e+00)\n")
+
+
 def test_classical_ksum_negative_K_is_a_usage_error(capsys):
     code, out, err = run(capsys, "classical", "ksum", "--a", "0.8",
                          "--b", "0.3,0.9", "--c", "1.7", "--x", "0.35,-0.45",
@@ -436,6 +453,16 @@ def test_classical_script_rejects_no_trials(trials):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1] == \
         "run_classical_checks.py: error: need --trials >= 1"
+
+
+@pytest.mark.parametrize("flag", ["--tol-integral", "--tol-series"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_classical_script_rejects_a_tolerance_that_is_not_finite_and_nonnegative(flag, tol):
+    proc = subprocess.run([sys.executable, CLASSICAL_SCRIPT, "--trials", "1", f"{flag}={tol}"],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == \
+        f"run_classical_checks.py: error: {flag} must be a finite number >= 0, got {float(tol)}\n"
 
 
 def test_verification_script_reads_field_orders_like_the_cli():

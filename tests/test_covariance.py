@@ -11,10 +11,14 @@ second side to compare against:
              chi(sigma x) into chi^p(x).
 
 So a fault that hits both sides of an identity alike, which lhs = rhs cannot
-see, still breaks one of them.  The negative controls show that each relation
-can fail: a character exponent made non-linear in the F_D walk breaks
-Galois, and one Zech entry off by one, in a copy of the field table, breaks
-Frobenius and leaves Galois intact."""
+see, still breaks one of them.  Every side is checked at n <= 2 on small
+fields, Frobenius at every q = p^k <= 256 with k > 1, and Galois at the reach
+grid's q = 256, 1024 and 4096 on the sides built from walks alone, which run
+through the array walks there.  The negative controls show that each relation
+can fail: a character exponent made non-linear in the F_D walk (the list walk
+at q = 7, the array walk at q = 256) breaks Galois, and one Zech entry off by
+one, in a copy of the field table, breaks Frobenius and leaves Galois
+intact."""
 
 import copy
 import inspect
@@ -22,11 +26,17 @@ import random
 import textwrap
 from math import gcd
 
+import numpy as np
 import pytest
 
 from ffhyper import ff_core, hyperff, identities
 
 QS = (7, 9, 16, 25, 27, 64)
+# every q = p^k <= 256 with k > 1, where sigma is not the identity
+FROBENIUS_QS = [q for q in range(4, 257)
+                if len(ff_core._prime_divisors(q)) == 1 and ff_core.split_prime_power(q)[1] > 1]
+# the reach grid's fields, where every F_D walk and double walk runs as array passes
+LARGE_QS = (256, 1024, 4096)
 DRAWS = 6
 
 
@@ -49,9 +59,10 @@ def _draws(desc, f, n, rng, count=DRAWS):
     return out
 
 
-def _cases(f, seed):
-    """(descriptor, n, cs, es) over every identity and allowed n <= 2."""
-    for desc in identities.list_identities():
+def _cases(f, seed, descs=None):
+    """(descriptor, n, cs, es) over every identity in `descs` (default all)
+    and allowed n <= 2."""
+    for desc in descs or identities.list_identities():
         for n in range(desc.n_min, 3):
             if desc.allows_n(n):
                 rng = random.Random(f"{seed}:{desc.id}:{f.q}:{n}")
@@ -73,10 +84,10 @@ def _frob(f, x):
     return 0 if x == 0 else f.exp_table[f.p * f.log_table[x] % f.n_chars]
 
 
-def _galois_holds(f, desc, n, cs, es, u):
+def _galois_holds(f, desc, n, cs, es, u, sides=("lhs", "rhs")):
     ucs = tuple(u * c % f.n_chars for c in cs)
     return all(side(f, n, ucs, es) == _moved(side(f, n, cs, es), u)
-               for side in (desc.lhs, desc.rhs))
+               for side in (getattr(desc, s) for s in sides))
 
 
 def _frobenius_holds(f, desc, n, cs, es):
@@ -100,7 +111,28 @@ def test_every_side_is_galois_covariant(q):
         assert _galois_holds(f, desc, n, cs, es, u), (desc.id, n, cs, es, u)
 
 
-@pytest.mark.parametrize("q", [q for q in QS if ff_core.split_prime_power(q)[1] > 1])
+# the sides built from F_D walks, double walks and their products alone, with
+# the sides each identity has of that kind; the other sides count theta-sums,
+# whose cost grows as N^2 or more
+WALK_SIDES = {**{d.id: ("lhs", "rhs") for d in identities.list_identities()
+                 if d.id.startswith("t4.")},
+              "t2.1": ("lhs",), "t3.ff-beta": ("lhs", "rhs"), "p2.f2": ("lhs", "rhs"),
+              "p2.f3": ("lhs", "rhs"), "p2.f4-eps": ("lhs", "rhs"),
+              "p2.f4-self": ("lhs", "rhs"), "p2.prod": ("lhs", "rhs")}
+
+
+@pytest.mark.parametrize("q", LARGE_QS)
+def test_every_walk_side_is_galois_covariant_at_large_q(q):
+    f = _field(q)
+    assert f.n_chars >= hyperff._ARRAY_MIN_N
+    rng = random.Random(q)
+    descs = [identities.get_identity(i) for i in WALK_SIDES]
+    for desc, n, cs, es in _cases(f, 4, descs):
+        u = _unit(rng, f.n_chars)
+        assert _galois_holds(f, desc, n, cs, es, u, WALK_SIDES[desc.id]), (desc.id, n, cs, es, u)
+
+
+@pytest.mark.parametrize("q", FROBENIUS_QS)
 def test_every_side_is_frobenius_covariant(q):
     f = _field(q)
     for desc, n, cs, es in _cases(f, 1):
@@ -112,13 +144,28 @@ def test_a_non_linear_walk_exponent_breaks_galois(monkeypatch):
     u = 5  # the unit -1 mod 6
     cases = [c for c in _cases(f, 2) if c[0].id in ("t2.1", "t3.ksum", "t5.gf1")]
     assert all(_galois_holds(f, *c, u) for c in cases)
-    src = textwrap.dedent(inspect.getsource(hyperff._fd_vec))
+    src = textwrap.dedent(inspect.getsource(hyperff._fd_list))
     old = "e0 += (mA + mC) * f.log_neg1"
     assert src.count(old) == 1
     ns = dict(vars(hyperff))
     exec(compile(src.replace(old, old + " + mA * mA"), hyperff.__file__, "exec"), ns)
-    monkeypatch.setattr(hyperff, "_fd_vec", ns["_fd_vec"])
+    monkeypatch.setattr(hyperff, "_fd_list", ns["_fd_list"])
     assert not all(_galois_holds(f, *c, u) for c in cases)
+
+
+def test_a_non_linear_array_walk_exponent_breaks_galois_at_large_q(monkeypatch):
+    f = _field(256)
+    u = 254  # the unit -1 mod 255
+    descs = [identities.get_identity(i) for i in ("t4.pfaff", "t4.c63", "t3.ff-beta")]
+    cases = list(_cases(f, 5, descs))
+    assert all(_galois_holds(f, *c, u, WALK_SIDES[c[0].id]) for c in cases)
+    src = textwrap.dedent(inspect.getsource(hyperff._fd_array))
+    old = "e0 + (mA + mC) * f.log_neg1"
+    assert src.count(old) == 1
+    ns = dict(vars(hyperff))
+    exec(compile(src.replace(old, old + " + mA * mA"), hyperff.__file__, "exec"), ns)
+    monkeypatch.setattr(hyperff, "_fd_array", ns["_fd_array"])
+    assert not all(_galois_holds(f, *c, u, WALK_SIDES[c[0].id]) for c in cases)
 
 
 def test_a_zech_entry_off_by_one_breaks_frobenius_only():
@@ -128,6 +175,7 @@ def test_a_zech_entry_off_by_one_breaks_frobenius_only():
     Z = list(zech)
     Z[5] = (Z[5] + 1) % bad.n_chars
     bad.zech_table = tuple(Z)
+    bad.zech_array = np.array(Z * 2)  # the array walks' copy of the same table
     rng = random.Random(64)
     cases = list(_cases(bad, 3))
     assert all(_galois_holds(bad, *c, _unit(rng, 63)) for c in cases)

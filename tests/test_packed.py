@@ -19,12 +19,15 @@ values (_fd_rows, itself checked against one _fd_vec walk per theta), the
 packed per-theta binomial sum over those rows (binom_vec_sum), and the line
 sum as N separate n = 0 walks.  The n = 0 walk is compared with the
 Jacobi-sum binomial it replaced, and t3.ff-beta's double walk (_beta_vec)
-with one _fd_vec walk per u (per_u_beta).  Exhaustive over every character
-tuple at q <= 5, sampled at larger q; mutants of the counter (its gcd fold,
-state reduction, scale, residues and tiling), of the slopes and twists, of
-the packed width, of the T43 term and of the double walk (its rotation,
-fixed slots, dead markers and per-u exponent) show that the comparisons can
-fail."""
+with one _fd_vec walk per u (per_u_beta).  The array walks (_fd_array,
+_beta_array), which _fd_vec and _beta_vec run from N = _ARRAY_MIN_N, are
+compared with the list walks (_fd_list, _beta_list), each called directly.
+Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
+of the counter (its gcd fold, state reduction, scale, residues and tiling), of
+the slopes and twists, of the packed width, of the T43 term, of the double
+walk (its rotation, fixed slots, dead markers and per-u exponent) and of the
+array walks (the dead term kept, a rotation off by one, `out` replaced, the
+last partial block dropped) show that the comparisons can fail."""
 
 import inspect
 import itertools
@@ -1188,6 +1191,166 @@ def test_beta_vec_mutants_are_caught(monkeypatch):
         ("mBs[1] * Z[i]", "0"),  # B_2 Z[i] dropped from c
     ]:
         with monkeypatch.context() as m:
-            _mutate(m, "_beta_vec", old, new)
+            _mutate(m, "_beta_list", old, new)
             assert not all_match(), (old, new)
     assert all_match()
+
+
+# -- the array walks against the list walks ---------------------------------------------
+
+# the two prime powers on either side of N = _ARRAY_MIN_N, where _fd_vec and
+# _beta_vec switch from the list walk to the array walk
+BELOW, ABOVE = 37, 41
+ARRAY_QS = [7, 9, 16, 27, BELOW, ABOVE, 256, 1024, 4096]
+
+
+def _fd_walks_match(f, args, e0, s, v):
+    """The array walk adds into the caller's vector as the list walk does,
+    and builds the same fresh vector without one."""
+    got, want = list(v), list(v)
+    same = hyperff._fd_array(f, *args, e0=e0, s=s, out=got) is got
+    hyperff._fd_list(f, *args, e0=e0, s=s, out=want)
+    return same and got == want and \
+        hyperff._fd_array(f, *args, e0=e0, s=s) == hyperff._fd_list(f, *args, e0=e0, s=s)
+
+
+def _beta_walks_match(f, args):
+    return hyperff._beta_array(f, *args) == hyperff._beta_list(f, *args)
+
+
+def test_the_gate_stays_on_the_list_walks():
+    assert hyperff._ARRAY_MIN_N > 12  # every gate field has N <= 12
+    assert _field(BELOW).n_chars < hyperff._ARRAY_MIN_N <= _field(ABOVE).n_chars
+    assert not any(len(cyclo._prime_divisors(q)) == 1 for q in range(BELOW + 1, ABOVE))
+
+
+@pytest.mark.parametrize("q", [BELOW, ABOVE])
+def test_fd_vec_and_beta_vec_switch_at_the_crossover(monkeypatch, q):
+    f = _field(q)
+    ran = []
+    for name in ("_fd_list", "_fd_array", "_beta_list", "_beta_array"):
+        real = getattr(hyperff, name)
+        monkeypatch.setattr(hyperff, name,
+                            lambda *a, _n=name, _r=real, **k: ran.append(_n) or _r(*a, **k))
+    hyperff._fd_vec(f, 1, (2,), 3, (4,))
+    hyperff._beta_vec(f, 1, (2, 3), 4, (5, 6))
+    kind = "array" if f.n_chars >= hyperff._ARRAY_MIN_N else "list"
+    assert ran == [f"_fd_{kind}", f"_beta_{kind}"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fd_array_matches_list_walk_exhaustive(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1300 + q)
+    e0s = itertools.cycle((0, None, -1, N, 3 * N + 1, -2 * N - 1))
+    ss = itertools.cycle((1, -1, q - 1))
+    for n in (0, 1, 2, 3):
+        for ms in itertools.product(range(N), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                v = [rng.randint(-3, 3) for _ in range(N)]
+                assert _fd_walks_match(f, args, next(e0s), next(ss), v), args
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_beta_array_matches_list_walk_exhaustive(q):
+    f = _field(q)
+    for n in (2, 3):
+        for ms in itertools.product(range(f.n_chars), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                args = (ms[0], ms[2:], ms[1], xs)
+                assert _beta_walks_match(f, args), args
+
+
+def _array_draw(rng, f, n):
+    """Exponents inside and outside [0, N), and points that are often 0, 1 or
+    repeated."""
+    N, q = f.n_chars, f.q
+    pool = [rng.randrange(1, q) for _ in range(2)]
+    xs = tuple(rng.choice((0, 1, *pool)) if rng.random() < 0.3 else rng.randrange(q)
+               for _ in range(n))
+    return (rng.randrange(-2 * N, 3 * N), tuple(rng.randrange(-2 * N, 3 * N) for _ in range(n)),
+            rng.randrange(-2 * N, 3 * N), xs)
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_fd_array_matches_list_walk_sampled(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1400 + q)
+    for n in (0, 1, 2, 3, 4):
+        for _ in range(3 if q >= 1024 else 12):
+            args = _array_draw(rng, f, n)
+            e0 = rng.choice((0, None, rng.randrange(-5 * N, 0), rng.randrange(N, 5 * N)))
+            s = rng.choice((1, -1, q - 1))
+            v = [rng.randint(-9, 9) for _ in range(N)]
+            assert _fd_walks_match(f, args, e0, s, v), (args, e0, s)
+
+
+@pytest.mark.parametrize("q", ARRAY_QS)
+def test_beta_array_matches_list_walk_sampled(q):
+    f = _field(q)
+    rng = random.Random(1500 + q)
+    for n in (2, 3, 4):
+        for _ in range({1024: 2, 4096: 1}.get(q, 3 if q == 256 else 10)):
+            assert _beta_walks_match(f, _array_draw(rng, f, n))
+
+
+@pytest.mark.parametrize("q", [9, 27, ABOVE, 256, 1024])
+def test_array_walks_at_the_edge_cases(q):
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(1600 + q)
+    mA, mC, b1, b3 = (rng.randrange(N) for _ in range(4))
+    x1, x3 = rng.randrange(2, q), rng.randrange(2, q)
+    x2 = rng.choice([x for x in range(2, q) if x != x1])
+    # x_m = u x1 + (1-u) x2 is 0 at u = x2/(x2 - x1), a u other than 0 and 1
+    assert f.div(x2, f.sub(x2, x1)) not in (0, 1)
+    cases = [
+        (mA, (b1, N - b1), mC, (x1, x2)),  # B_1 B_2 = eps
+        (mA, (b1, 1, b3), mC, (x1, x1, x3)),  # x_1 = x_2
+        (mA, (b1, 1, b3), mC, (x1, x2, 1)),  # x_j = 1: no dead term in slot j
+        (mA, (b1, 1, b3), mC, (1, x2, x2)),
+        (mA, (b1, 1, b3), mC, (x1, x2, 0)),  # a point 0: the side is 0
+        (mA, (b1, 1, b3, 1), mC, (x3, x3, x3, x3)),  # repeated points: one dead i
+        (mA, (b1 + N, -1, b3 - 2 * N), mC + 5 * N, (x1, x2, x3)),
+    ]
+    for args in cases:
+        assert _beta_walks_match(f, args), args
+        for e0, s in [(0, 1), (None, 1), (-N - 1, -1), (2 * N + 3, q - 1)]:
+            assert _fd_walks_match(f, args, e0, s, [rng.randint(-2, 2) for _ in range(N)]), args
+    assert hyperff._beta_array(f, *cases[4]) == [0] * N
+    assert hyperff._fd_array(f, *cases[4]) == [0] * N
+
+
+def test_array_walk_mutants_are_caught(monkeypatch):
+    small, large = _field(7), _field(256)
+    rng = random.Random(19)
+    fd_cases = [(f, _array_draw(rng, f, n), rng.choice((0, 5, -9)), rng.choice((1, -1, 6)),
+                 [rng.randint(-2, 2) for _ in range(f.n_chars)])
+                for f in (small, large) for n in (1, 2, 3) * 6]
+    beta_cases = [(f, _array_draw(rng, f, n)) for f in (small, large) for n in (2, 3) * 3]
+
+    def all_match():
+        """(every F_D draw matches, every double-walk draw matches); a draw
+        that raises does not match."""
+        try:
+            return (all(_fd_walks_match(*c) for c in fd_cases),
+                    all(_beta_walks_match(*c) for c in beta_cases))
+        except (IndexError, ValueError):
+            return (False, False)
+
+    assert all_match() == (True, True)
+    for name, old, new, caught in [
+        ("_fd_array", "counts[e[k]] -= 1", "pass", (False, True)),  # dead term kept
+        ("_exponents", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
+        ("_fd_array", "out[:] = map(add, out, counts)", "out[:] = counts", (False, True)),
+        ("_beta_array", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
+        ("_beta_array", "range(0, len(i), step)", "range(0, len(i) - step + 1, step)",
+         (True, False)),  # the last partial block dropped
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, name, old, new)
+            assert all_match() == caught, (name, old, new)
+    assert all_match() == (True, True)
