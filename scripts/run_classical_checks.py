@@ -6,7 +6,6 @@ Points are drawn inside safe domains (|x| bounded away from 1, Re(b1), Re(b2)
 >= 1 for the quadrature check) from a seeded generator, so runs reproduce.
 """
 
-import argparse
 import math
 import random
 import sys
@@ -43,7 +42,7 @@ def draw_mr(rng, n):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=25)
     ap.add_argument("--n", type=int, default=3, help="slot count (>= 2)")
     ap.add_argument("--seed", type=int, default=0)

@@ -11,7 +11,6 @@ e.g.
         --mode sampled --count 200
 """
 
-import argparse
 import sys
 import time
 
@@ -22,7 +21,7 @@ EXHAUSTIVE_MAX_Q = max(identities.GATE_EXHAUSTIVE_QS)
 
 
 def parse_args():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--id", default="all",
                     help='identity id(s), comma-separated, or "all"')
     ap.add_argument("--q", default=",".join(map(str, GATE_QS)),

@@ -241,9 +241,45 @@ def _cmd_classical(args) -> int:
     return 0 if residual <= tol else 1
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse, except that an option which takes a value takes the next
+    token as that value even when the token starts with "-" ("--B -1,2",
+    "--x -0.4,0.3", "--tol -1e-9", "--xn -inf"), unless the token is itself
+    one of the parser's options.  argparse alone reads such a token as an
+    option: its negative-number rule admits only a plain -1 or -0.5.  Each
+    subparser is of this class too, and reads its own options."""
+
+    def __init__(self, *args, **kwargs):
+        self._options, self._valued = set(), set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self._options.update(action.option_strings)
+        if action.nargs is None:
+            self._valued.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = iter(sys.argv[1:] if args is None else args)
+        joined = []
+        for tok in args:
+            if tok == "--":  # the rest are positionals
+                joined += [tok, *args]
+                break
+            value = next(args, None) if tok in self._valued else None
+            if value is None:
+                joined.append(tok)
+            elif value.startswith("-") and value.partition("=")[0] not in self._options:
+                joined.append(f"{tok}={value}")
+            else:
+                joined += [tok, value]
+        return super().parse_known_args(joined, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ffhyper", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = ArgumentParser(prog="ffhyper", description=__doc__,
+                        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     ev = sub.add_parser("eval", help="evaluate one function")

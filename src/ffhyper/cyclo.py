@@ -66,6 +66,53 @@ def _moebius_factors(n: int) -> tuple[tuple[int, int], ...]:
                  for r in range(len(ps) + 1) for s in itertools.combinations(ps, r))
 
 
+class DivisorTable:
+    """The divisor lattice of n as the flat tables of a count over it
+    (hyperff._coset_counts).  Built from n alone, by `_prime_divisors` and
+    `_moebius_factors`; immutable after construction, so never mutate one.
+
+    divisors   the divisors of n, ascending
+    offset     offset[g]: where the row of divisor g starts in a flat
+               accumulator of size = sigma(n) slots, the rows ascending by g
+    gcd        gcd[g]: the tuple gcd(k, g) at 0 <= k < 2g, for each divisor g
+               (gcd[n] is gcd(k, n)); each is a slice sieve over the divisors
+               of g, ascending, so the last divisor to mark k is gcd(k, g)
+    slot       slot[g]: offset[gcd(k, g)] at 0 <= k < 2g, by the same sieve
+    moebius    moebius[g]: the pairs (h, mu(h/g)) over g | h | n with
+               mu(h/g) != 0, from _moebius_factors(n/g): its pair (d, mu)
+               is h = n/d
+    squares    the sum of g^2 over the divisors: the most states (g, r mod g,
+               x mod g) a fold of the count can keep
+
+    Every table holds O(sigma(n)) ints: 2 sigma(n) per gcd and slot table."""
+
+    def __init__(self, n: int):
+        ds = [1]
+        for p in _prime_divisors(n):
+            e, k = 0, n
+            while k % p == 0:
+                k //= p
+                e += 1
+            ds = [d * p**i for d in ds for i in range(e + 1)]
+        self.n = n
+        self.divisors = ds = tuple(sorted(ds))
+        self.offset = dict(zip(ds, itertools.accumulate(ds[:-1], initial=0)))
+        self.size = sum(ds)
+        self.squares = sum(d * d for d in ds)
+        self.gcd, self.slot, self.moebius = {}, {}, {}
+        for g in ds:
+            t, s = [1] * (2 * g), [0] * (2 * g)
+            for d in ds[1:]:
+                if d > g:
+                    break
+                if g % d == 0:
+                    k = len(range(0, 2 * g, d))
+                    t[::d] = [d] * k
+                    s[::d] = [self.offset[d]] * k
+            self.gcd[g], self.slot[g] = tuple(t), tuple(s)
+            self.moebius[g] = tuple((n // d, mu) for d, mu in _moebius_factors(n // g))
+
+
 def _series_pass(s: list[int], d: int, e: int) -> list[int]:
     """s * (1 - x^d)^e mod x^len(s), e = 1 or -1: a shift-and-subtract, or a
     running sum with stride d (1/(1 - x^d) = 1 + x^d + x^2d + ...)."""

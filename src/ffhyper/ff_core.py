@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import _prime_divisors
+from .cyclo import DivisorTable, _prime_divisors
 from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
 
 DEFAULT_MAX_Q = 4096
@@ -94,7 +94,9 @@ class FieldTable:
     zech_table[i] = log_g(1 - g^i), Zech's logarithm, with the same -1 at
     i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
     through these tables: x - y = x (1 - y/x).  zech_array is zech_table
-    twice over as a read-only int64 array of length 2N.
+    twice over as a read-only int64 array of length 2N.  divisor_table is the
+    cyclo.DivisorTable of N = q - 1 (its divisors, row offsets, gcd tables and
+    Moebius pairs, O(sigma(N)) ints), which every sum over characters reads.
     """
 
     def __init__(self, p: int, k: int):
@@ -172,6 +174,8 @@ class FieldTable:
         # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
         self.zech_array = np.array(self.zech_table * 2, dtype=np.int64)
         self.zech_array.flags.writeable = False
+        # the divisor lattice of N, which every count over characters reads
+        self.divisor_table = DivisorTable(N)
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -57,8 +57,31 @@ characters at a slope it is e + sum_j theta_j m_j; _walk_terms lists the
 pairs (e, m) of one walk at one slope, a binomial factor {chi^b theta choose
 theta} being the n = 0 walk at (b, b) with slope (1, 0).  Summed over theta in
 Z_N^n, such a term is N^(n-1) g at every exponent = e mod g, g = gcd(m_1, ..,
-m_n, N), so _coset_counts counts the terms by (g, e mod g) and forms no row
-per character.  This is counting in Z[Z_N], not a relation of Z[zeta_N].
+m_n, N), so _coset_counts counts the term tuples by (g, e mod g), into one
+flat accumulator of sigma(N) slots with a row per divisor g, and forms no row
+per character.  It reads the field's divisor table (FieldTable.divisor_table,
+a cyclo.DivisorTable: the divisors of N, their row offsets, a gcd table per
+divisor and mu(h/g) for g | h | N, built once per field) and counts one of
+two ways, with the same integers:
+
+  _coset_direct   folds the lists one at a time into states (g, m0 mod g,
+                  e mod g): |T| |F_1| pair steps, then at most sum g^2 states
+                  per later list;
+  _coset_moebius  counts, for each h | N, the tuples whose slopes h divides,
+                  by e mod h (D_h: the lists joined on m mod h in NumPy, as
+                  h x h histograms for small h and as buckets for large h,
+                  about min(h^3, |T| |F| / h) pairs at n = 1), and takes the
+                  row of g as sum over g | h | N of mu(h/g) D_h folded mod g:
+                  Moebius inversion on the divisor lattice of N (Apostol,
+                  Introduction to Analytic Number Theory, ch. 2; Rota 1964).
+
+The cost rule compares the direct count's pair steps, from the list lengths,
+with _PASS_STEPS steps per divisor and list for the Moebius passes; the
+constant comes from a per-call table of both counts over q = 5..256, n = 1
+and 2.  So every gate field (N <= 12) counts directly, and the theta-sums of
+large fields by inversion, where the direct count's N^2 (n = 1) or N^3
+(t2.1 at n = 2) pair steps would dominate.  Both count the same tuples in
+Z[Z_N]; neither uses a relation of Z[zeta_N].
 
 Every sum takes the field's shared FieldTable and keeps no state between or
 within calls: the public ops reduce modulo Phi_N to a canonical CycInt once,
@@ -69,7 +92,6 @@ vectors with cyclo.vanishes and builds canonical form only for output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from operator import add
 
 import numpy as np
@@ -147,7 +169,8 @@ def _mono_exp(f: FieldTable, pairs) -> int | None:
 
 # N = q - 1 from which _fd_vec and _beta_vec run as int64 array passes
 _ARRAY_MIN_N = 40
-# pair sums per block of _beta_array's gather, which bounds its memory
+# pair sums per block of _beta_array's gather, and pairs per block of
+# _coset_moebius's joins, which bounds their memory
 _BLOCK = 1 << 15
 
 
@@ -225,8 +248,9 @@ def _fd_array(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s
               out: list[int] | None = None) -> list[int]:
     """_fd_vec as int64 array passes: the exponent column is counted with one
     bincount, and each distinct dead position, counted at its computed
-    exponent, is taken back.  The counts become Python ints before they are
-    scaled by s."""
+    exponent, is taken back.  The counts are scaled by s in int64, exact
+    while |s| (N - 1) < 2^63 (the callers' s is 1, -1 or q - 1), and added
+    into `out` in place in one pass."""
     N = f.n_chars
     if e0 is None or 0 in xs:
         return [0] * N if out is None else out
@@ -234,12 +258,11 @@ def _fd_array(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s
     counts = np.bincount(e, minlength=N)
     for k in dead:
         counts[e[k]] -= 1
-    counts = counts.tolist()
     if s != 1:
-        counts = [s * c for c in counts]
+        counts *= s
     if out is None:
-        return counts
-    out[:] = map(add, out, counts)
+        return counts.tolist()
+    out[:] = map(add, out, counts.tolist())
     return out
 
 
@@ -347,7 +370,8 @@ def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
     pairs of exponent e + theta d.  A term's exponent is linear in the
     characters, so e is the walk's exponent at (A, B, C) and d its exponent
     at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
-    (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}."""
+    (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.
+    A B-slot at slope 0 adds nothing to d and skips its product."""
     N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
     if 0 in xs:
         return []
@@ -365,57 +389,160 @@ def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
             if z < 0:
                 break
             e += mb * z
-            d += db * z
+            if db:
+                d += db * z
         else:
             out.append((e, d))
     return out
 
 
-def _coset_counts(N: int, terms, *factors) -> list[int]:
+# the cost of one _coset_moebius pass over a divisor and a list, in pair steps
+# of _coset_direct
+_PASS_STEPS = 300
+
+
+def _coset_counts(D, terms, *factors) -> list[int]:
     """sum over theta in Z_N^n of zeta^(e0 + sum_j e_j + sum_j theta_j
     (m0 + m_j)), over (e0, m0) in `terms` and one (e_j, m_j) from each of the
-    n >= 1 lists `factors`.  Summed over theta, such a tuple is N^(n-1) g at
-    every exponent = e mod g, e = e0 + sum_j e_j and g = gcd(m0 + m_1, ..,
-    m0 + m_n, N).  A partial tuple is kept as its state (g, m0 mod g, e mod
-    g): as g | N, gcd(g, m0 + m) = gcd(g, (m0 mod g) + (m mod g)).  Factors
-    1..n-1 fold the states, counted per state; the last puts each state's
-    count in the row of its final g, by e mod g, and each row is tiled over
-    the N exponents.  A fold keeps no state twice, so it leaves at most sum
-    over g | N of g^2 of them."""
+    n >= 1 lists `factors`, N = D.n for the divisor table D of N.  Summed over
+    theta, such a tuple is N^(n-1) g at every exponent = e mod g, e = e0 +
+    sum_j e_j and g = gcd(m0 + m_1, .., m0 + m_n, N): both counts add g per
+    tuple to the row of its g in D's flat accumulator, at e mod g, and _tile
+    spreads the rows.
+
+    The cost rule: _coset_direct pairs |T| terms with |F_1|, and each later
+    fold at most D.squares states with the next list; _coset_moebius makes
+    one pass per divisor and list, at _PASS_STEPS pair steps each.  The
+    cheaper one runs, and _coset_moebius only while its int64 counts hold N
+    times the number of tuples."""
+    count = _coset_direct
+    steps, states, tuples = 0, len(terms), len(terms)
+    for fac in factors:
+        steps += states * len(fac)
+        tuples *= len(fac)
+        states = min(tuples, D.squares)
+    if steps > _PASS_STEPS * len(D.divisors) * (len(factors) + 1) and D.n * tuples < 2**63:
+        count = _coset_moebius
+    return count(D, terms, *factors)
+
+
+def _coset_direct(D, terms, *factors) -> list[int]:
+    """_coset_counts tuple by tuple.  A partial tuple is kept as its state
+    (g, m0 mod g, e mod g): as g | N, gcd(g, m0 + m) = gcd(g, (m0 mod g) +
+    (m mod g)), one entry of D.gcd[g].  Factors 1..n-1 fold the states,
+    counted per state; the last adds g times each state's count to the row
+    of its final g, at e mod g, from D.slot[g].  A fold keeps no state twice,
+    so it leaves at most sum over g | N of g^2 (D.squares) of them."""
+    N = D.n
     *middle, last = factors
     states = {N: [(m0 % N, e0, 1) for e0, m0 in terms]}  # g -> [(m0 mod g, e, count)]
     for fac in middle:
         counts = {}
-        for Gg, R, fac_g in _by_divisor(states, fac):
-            for m, e in fac_g:
+        for g, R in states.items():
+            G = D.gcd[g]
+            for e, m in fac:
+                m %= g
                 for r, x, c in R:
-                    h = Gg[r + m]
+                    h = G[r + m]
                     key = (h, r % h, (x + e) % h)
                     counts[key] = counts.get(key, 0) + c
         states = {}
         for (h, r, x), c in counts.items():
             states.setdefault(h, []).append((r, x, c))
-    rows = {g: [0] * g for g in range(1, N + 1) if N % g == 0}
-    for Gg, R, last_g in _by_divisor(states, last):
-        row_of = [rows[h] for h in Gg]
-        for m, e in last_g:
+    acc = [0] * D.size
+    for g, R in states.items():
+        G, S = D.gcd[g], D.slot[g]
+        for e, m in last:
+            m %= g
             for r, x, c in R:
                 k = r + m
-                row_of[k][(x + e) % Gg[k]] += c
-    scale = N ** (len(factors) - 1)
-    out = [0] * N
-    for g, row in rows.items():
-        if any(row):
-            w = scale * g
-            out = [v + w * c for v, c in zip(out, row * (N // g))]
-    return out
+                h = G[k]
+                acc[S[k] + (x + e) % h] += c * h
+    return _tile(D, acc, len(factors))
 
 
-def _by_divisor(states, fac):
-    """For each g with states: the table of gcd(k, g) for 0 <= k < 2g, the
-    states of g, and `fac` as (m mod g, e) pairs."""
-    for g, R in states.items():
-        yield [gcd(k, g) for k in range(g)] * 2, R, [(m % g, e) for e, m in fac]
+def _coset_moebius(D, terms, *factors) -> list[int]:
+    """_coset_counts by Moebius inversion on the divisor lattice of N.  For
+    each h | N, D_h[r] counts the tuples with h | m0 + m_j for every j and
+    e = r mod h: the lists joined on m mod h (_join), a fresh list first
+    merged into an h x h histogram over (m mod h, e mod h) when that is
+    shorter (_merge).  A small h joins histograms, about h^3 pairs at n = 1;
+    a large h joins buckets, about |T| |F| / h.  As [gcd(m, N) = g] =
+    sum over g | h | gcd(m, N) of mu(h/g), the row of g is the sum over g | h
+    | N of mu(h/g) D_h folded mod g (D.moebius[g]), times g.  Exponents and
+    slopes (walk exponents, far inside int64) are reduced mod N first; no
+    int64 count exceeds N times the number of tuples, which the caller keeps
+    below 2^63."""
+    N = D.n
+    T, *Fs = (np.array(L, dtype=np.int64).reshape(-1, 2) % N for L in (terms, *factors))
+    count = {}  # h -> D_h
+    for h in D.divisors:
+        state = _merge(h, T[:, 1] % h, T[:, 0] % h)
+        for F in Fs[:-1]:
+            state = _join(h, *state, F, last=False)
+        count[h] = _join(h, *state, Fs[-1], last=True)
+    acc = np.zeros(D.size, dtype=np.int64)
+    for g in D.divisors:
+        row = acc[D.offset[g]:D.offset[g] + g]
+        for h, mu in D.moebius[g]:
+            row += mu * count[h].reshape(-1, g).sum(axis=0)
+        row *= g
+    return _tile(D, acc.tolist(), len(factors))
+
+
+def _merge(h, a, x):
+    """The entries (a, x), one each, with their counts: merged by (a, x) into
+    the nonzero cells of an h x h histogram when it has fewer cells than
+    there are entries."""
+    if h * h >= len(a):
+        return a, x, np.ones(len(a), dtype=np.int64)
+    cells = np.bincount(a * h + x, minlength=h * h)
+    nz = np.flatnonzero(cells)
+    return nz // h, nz % h, cells[nz]
+
+
+def _join(h, a, x, c, F, last: bool):
+    """The state (a, x, c), a = m0 mod h, x = e mod h, c a count, joined with
+    the (e, m) terms of F where m = -a mod h: the pairs (a, x + e, c w), w
+    the count of F's merged entry.  The last list counts them by x + e alone,
+    into D_h; a middle one into h x h cells by (a, x + e) when there are more
+    pairs than cells, else lists them.  The pairs are formed a block of at
+    most _BLOCK at a time (a bucket larger than that is one block), so a
+    join holds at most min(pairs, h^2) + _BLOCK entries."""
+    b, y, w = _merge(h, -F[:, 1] % h, F[:, 0] % h)
+    order = np.argsort(b)
+    y, w = y[order], w[order]
+    size = np.bincount(b, minlength=h)
+    start = np.cumsum(size) - size
+    rep = size[a]
+    listed = not last and h * h >= rep.sum()
+    out = [(a[:0], x[:0], c[:0])] if listed else np.zeros(h if last else h * h, dtype=np.int64)
+    step = max(1, _BLOCK // max(1, int(size.max())))
+    for s in range(0, len(a), step):
+        r = rep[s:s + step]
+        i = np.repeat(np.arange(s, s + len(r)), r)
+        k = np.arange(len(i)) + np.repeat(start[a[s:s + step]] - np.cumsum(r) + r, r)
+        xk, ck = (x[i] + y[k]) % h, c[i] * w[k]
+        if listed:
+            out.append((a[i], xk, ck))
+        else:
+            np.add.at(out, xk if last else a[i] * h + xk, ck)
+    if last:
+        return out
+    if listed:
+        return tuple(np.concatenate(v) for v in zip(*out))
+    nz = np.flatnonzero(out)
+    return nz // h, nz % h, out[nz]
+
+
+def _tile(D, acc, n: int) -> list[int]:
+    """The length-N vector of the rows in acc, the row of g holding g times
+    its counts: each row tiled N/g times, summed over the divisors g of N and
+    scaled by N^(n-1)."""
+    N = D.n
+    out = list(map(sum, zip(*[acc[o:o + g] * (N // g) for g, o in D.offset.items()])))
+    scale = N ** (n - 1)
+    return out if scale == 1 else [scale * v for v in out]
 
 
 def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
@@ -423,7 +550,7 @@ def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
     n = 0 walk at slope (1, 1), twisted by theta log x."""
     if x == 0:
         return [0] * f.n_chars
-    return _coset_counts(f.n_chars, _walk_terms(f, ma, (), mb, (), 1, (), 1),
+    return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1),
                          [(0, f.log_table[x])])
 
 
@@ -434,7 +561,7 @@ def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     if 0 in xs:
         return [0] * f.n_chars
     L = f.log_table
-    return _coset_counts(f.n_chars, _walk_terms(f, mA, (), mC, (), 1, (), 1),
+    return _coset_counts(f.divisor_table, _walk_terms(f, mA, (), mC, (), 1, (), 1),
                          *(_walk_terms(f, mb, (), mb, (), 1, (), 0, L[x])
                            for mb, x in zip(mBs, xs)))
 
@@ -573,7 +700,7 @@ def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
     dA, dB, dC = {"T41": (1, 0, 0), "T42": (0, 1, 0), "T43": (0, 0, -1)}[variant]
     b = mBs[-1] if variant == "T42" else mA - mC
     dBs = (0,) * (len(mBs) - 1) + (dB,)
-    return _coset_counts(f.n_chars, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
+    return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
                          _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
 
 

@@ -174,7 +174,7 @@ def _ksum_rhs(f, n, cs, es):
         return [0] * f.n_chars
     b = Bs[-1]  # sum over chi of {B_n chi choose chi} chi(x_n) F_D^(n-1)(A chi; ..; C chi)
     return hyperff._coset_counts(
-        f.n_chars, hyperff._walk_terms(f, A, Bs[:-1], C, es[:-1], 1, (0,) * (n - 1), 1),
+        f.divisor_table, hyperff._walk_terms(f, A, Bs[:-1], C, es[:-1], 1, (0,) * (n - 1), 1),
         hyperff._walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[xn]))
 
 

@@ -497,3 +497,57 @@ def test_classical_script_fails_on_a_nan_residual(monkeypatch, capsys):
     assert lines[1].startswith("ksum ") and "worst residual nan" in lines[1]
     assert lines[1].endswith(" FAIL")
     assert lines[0].endswith(" ok") and lines[2].endswith(" ok")
+
+
+# -- a value that starts with "-" after its option, without "=" ------------------------
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "fd", "--q", "7", "--A", "1", "--B", "-1,2", "--C", "1", "--x", "2,3"], "--B"),
+    (["eval", "linesum", "--q", "7", "--A", "-1", "--B", "-2", "--x", "3"], "--A"),
+    (["classical", "mr", "--a", "0.6", "--b", "0.4,0.7", "--c", "1.1", "--x", "-0.3,0.2"], "--x"),
+    (["classical", "integral", "--a", "0.5", "--b", "1.5,2", "--c", "2.5", "--x", "0.3,-0.1",
+      "--xn", "-0.2"], "--xn"),
+])
+def test_a_leading_minus_value_reads_like_the_equals_spelling(capsys, argv, flag):
+    # argparse alone took "-1,2" or "-0.3,0.2" for an option and exited 2
+    i = argv.index(flag)
+    joined = argv[:i] + [f"{flag}={argv[i + 1]}"] + argv[i + 2:]
+    want = run(capsys, *joined)
+    assert want[0] == 0
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "-inf", "-0.5"])
+def test_a_negative_tolerance_reaches_the_tolerance_check(capsys, tol):
+    code, out, err = run(capsys, "classical", "ksum", "--a", "0.8", "--b", "0.3,0.9",
+                         "--c", "1.7", "--x", "0.35,0.5", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be a finite number >= 0, got {float(tol)}\n"
+
+
+def test_a_negative_infinite_xn_reaches_the_finiteness_check(capsys):
+    code, out, err = run(capsys, "classical", "integral", "--a", "0.5", "--b", "1.5,2",
+                         "--c", "3.5", "--x", "0.3,0.1", "--xn", "-inf")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: x must be finite, got ")
+
+
+def test_an_option_is_not_taken_for_a_value(capsys):
+    # the token after --out is the option --format, so --out still lacks its value
+    for argv in (["verify", "--id", "p2.f2", "--q", "3", "--out", "--format", "text"],
+                 ["verify", "--id", "p2.f2", "--q", "3", "--out", "--format=text"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "argument --out: expected one argument" in err
+
+
+@pytest.mark.parametrize("script, argv, err", [
+    (CLASSICAL_SCRIPT, ["--trials", "1", "--tol-integral", "-1e-9"],
+     "run_classical_checks.py: error: --tol-integral must be a finite number >= 0, got -1e-09\n"),
+    (VERIFY_SCRIPT, ["--id", "p2.f2", "--q", "-3,5"], "error: field order must be >= 2, got -3\n"),
+])
+def test_scripts_take_a_leading_minus_value(script, argv, err):
+    proc = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True,
+                          env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)

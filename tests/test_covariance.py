@@ -14,11 +14,12 @@ So a fault that hits both sides of an identity alike, which lhs = rhs cannot
 see, still breaks one of them.  Every side is checked at n <= 2 on small
 fields, Frobenius at every q = p^k <= 256 with k > 1, and Galois at the reach
 grid's q = 256, 1024 and 4096 on the sides built from walks alone, which run
-through the array walks there.  The negative controls show that each relation
-can fail: a character exponent made non-linear in the F_D walk (the list walk
-at q = 7, the array walk at q = 256) breaks Galois, and one Zech entry off by
-one, in a copy of the field table, breaks Frobenius and leaves Galois
-intact."""
+through the array walks there, and at q = 256 and 1024 on the theta-sum sides,
+which count by Moebius inversion there.  The negative controls show that each
+relation can fail: a character exponent made non-linear in the F_D walk (the
+list walk at q = 7, the array walk at q = 256) or in the walk's terms at a
+slope (q = 256) breaks Galois, and one Zech entry off by one, in a copy of the
+field table, breaks Frobenius and leaves Galois intact."""
 
 import copy
 import inspect
@@ -112,8 +113,7 @@ def test_every_side_is_galois_covariant(q):
 
 
 # the sides built from F_D walks, double walks and their products alone, with
-# the sides each identity has of that kind; the other sides count theta-sums,
-# whose cost grows as N^2 or more
+# the sides each identity has of that kind; the other sides count theta-sums
 WALK_SIDES = {**{d.id: ("lhs", "rhs") for d in identities.list_identities()
                  if d.id.startswith("t4.")},
               "t2.1": ("lhs",), "t3.ff-beta": ("lhs", "rhs"), "p2.f2": ("lhs", "rhs"),
@@ -130,6 +130,44 @@ def test_every_walk_side_is_galois_covariant_at_large_q(q):
     for desc, n, cs, es in _cases(f, 4, descs):
         u = _unit(rng, f.n_chars)
         assert _galois_holds(f, desc, n, cs, es, u, WALK_SIDES[desc.id]), (desc.id, n, cs, es, u)
+
+
+# the theta-sum sides, with the slot counts each is checked at on large fields:
+# a coset count over walk terms, by Moebius inversion there
+THETA_SIDES = {"t2.1": (("rhs",), (1,)), "t3.ksum": (("rhs",), (1, 2)),
+               "t5.gf1": (("lhs",), (1, 2)), "t5.gf2": (("lhs",), (1, 2)),
+               "t5.gf3": (("lhs",), (1, 2)), "p2.binthm": (("lhs",), (0,)),
+               "p2.linesum": (("lhs",), (0,))}
+
+
+def _theta_cases(f, seed):
+    descs = [identities.get_identity(i) for i in THETA_SIDES]
+    return [c for c in _cases(f, seed, descs) if c[1] in THETA_SIDES[c[0].id][1]]
+
+
+@pytest.mark.parametrize("q", LARGE_QS[:2])
+def test_every_theta_sum_side_is_galois_covariant_at_large_q(q):
+    f = _field(q)
+    rng = random.Random(q)
+    for desc, n, cs, es in _theta_cases(f, 6):
+        u = _unit(rng, f.n_chars)
+        assert _galois_holds(f, desc, n, cs, es, u, THETA_SIDES[desc.id][0]), \
+            (desc.id, n, cs, es, u)
+
+
+def test_a_non_linear_walk_term_breaks_galois_at_large_q(monkeypatch):
+    f = _field(256)
+    u = 254  # the unit -1 mod 255
+    cases = _theta_cases(f, 7)
+    assert all(_galois_holds(f, *c, u, THETA_SIDES[c[0].id][0]) for c in cases)
+    src = textwrap.dedent(inspect.getsource(hyperff._walk_terms))
+    old = "e0, d0 = (mA + mC) * l1,"
+    assert src.count(old) == 1
+    ns = dict(vars(hyperff))
+    exec(compile(src.replace(old, "e0, d0 = (mA + mC) * l1 + mA * mA,"), hyperff.__file__,
+                 "exec"), ns)
+    monkeypatch.setattr(hyperff, "_walk_terms", ns["_walk_terms"])
+    assert not all(_galois_holds(f, *c, u, THETA_SIDES[c[0].id][0]) for c in cases)
 
 
 @pytest.mark.parametrize("q", FROBENIUS_QS)

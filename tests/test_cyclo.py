@@ -1,6 +1,7 @@
 import cmath
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -284,3 +285,30 @@ def test_cyclotomic_poly_has_no_order_limit_of_its_own():
     assert len(phi) == cyclo._totient(4098) + 1 == 1365
     with pytest.raises(ValueError):
         cyclo.cyclotomic_poly(0)
+
+
+def _mu(n):
+    """The Moebius function by trial division, independent of cyclo."""
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 1023, 4092, 4095, 65535])
+def test_divisor_table_matches_definitions(n):
+    D = cyclo.DivisorTable(n)
+    ds = [d for d in range(1, n + 1) if n % d == 0]
+    assert D.n == n and D.divisors == tuple(ds)
+    assert D.size == sum(ds) and D.squares == sum(d * d for d in ds)
+    assert [D.offset[g] for g in ds] == [sum(ds[:i]) for i in range(len(ds))]
+    for g in ds:
+        assert D.gcd[g] == tuple(math.gcd(k, g) for k in range(2 * g)), g
+        assert D.slot[g] == tuple(D.offset[math.gcd(k, g)] for k in range(2 * g)), g
+        want = {(h, _mu(h // g)) for h in ds if h % g == 0 and _mu(h // g)}
+        assert len(D.moebius[g]) == len(want) and set(D.moebius[g]) == want, g

@@ -12,7 +12,11 @@ into the caller's vector.  The walk's terms at a slope (_walk_terms) are
 compared with the slot-coded F_D terms and the Jacobi-form binomial terms
 they replaced (fd_terms, binom_terms), and at every slope in {-1, 0, 1} per
 character with one _fd_vec walk per theta (per_theta_walks).  The sums over
-characters count the terms of one walk (_coset_counts); the paths they
+characters count the terms of one walk (_coset_counts), by one of two counts
+over the field's divisor table, each called directly against the state count
+it replaced (state_coset_counts): at every N <= 64, at N in {255, 1023, 4092,
+4095}, at n = 1, 2 and 3, with empty lists and with every slope agreeing mod a
+prime of N; a dispatch test pins the cost rule's choice.  The paths they
 replaced stay here as oracles: the pair loop that counted one factor
 (pair_coset_counts), the literal sum over Z_N^n, the N rows of one-pass F_D
 values (_fd_rows, itself checked against one _fd_vec walk per theta), the
@@ -23,7 +27,9 @@ with one _fd_vec walk per u (per_u_beta).  The array walks (_fd_array,
 _beta_array), which _fd_vec and _beta_vec run from N = _ARRAY_MIN_N, are
 compared with the list walks (_fd_list, _beta_list), each called directly.
 Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
-of the counter (its gcd fold, state reduction, scale, residues and tiling), of
+of the direct count (its gcd fold, state reduction, scale, residues and
+tiling), of the Moebius count (the mu sign, a divisor skipped, the fold
+modulus, the join's sign, a histogram cell transposed, the last block), of
 the slopes and twists, of the packed width, of the T43 term, of the double
 walk (its rotation, fixed slots, dead markers and per-u exponent) and of the
 array walks (the dead term kept, a rotation off by one, `out` replaced, the
@@ -228,6 +234,41 @@ def pair_coset_counts(N, terms, shifts):
     for g, row in rows.items():
         if any(row):
             out = [v + g * c for v, c in zip(out, row * (N // g))]
+    return out
+
+
+def state_coset_counts(N, terms, *factors):
+    """The theta-sum count as hyperff._coset_counts computed it before the
+    divisor table: partial tuples folded as states (g, m0 mod g, e mod g),
+    with gcd lists built per call and per state divisor, one row per divisor
+    of N in a dict, and each row tiled over the N exponents."""
+    def by_divisor(states, fac):
+        for g, R in states.items():
+            yield [gcd(k, g) for k in range(g)] * 2, R, [(m % g, e) for e, m in fac]
+
+    *middle, last = factors
+    states = {N: [(m0 % N, e0, 1) for e0, m0 in terms]}
+    for fac in middle:
+        counts = {}
+        for Gg, R, fac_g in by_divisor(states, fac):
+            for m, e in fac_g:
+                for r, x, c in R:
+                    h = Gg[r + m]
+                    key = (h, r % h, (x + e) % h)
+                    counts[key] = counts.get(key, 0) + c
+        states = {}
+        for (h, r, x), c in counts.items():
+            states.setdefault(h, []).append((r, x, c))
+    rows = {g: [0] * g for g in range(1, N + 1) if N % g == 0}
+    for Gg, R, last_g in by_divisor(states, last):
+        for m, e in last_g:
+            for r, x, c in R:
+                k = r + m
+                rows[Gg[k]][(x + e) % Gg[k]] += c
+    out = [0] * N
+    for g, row in rows.items():
+        w = N ** (len(factors) - 1) * g
+        out = [v + w * c for v, c in zip(out, row * (N // g))]
     return out
 
 
@@ -574,13 +615,13 @@ def test_charsum_mutants_are_caught(monkeypatch):
         _mutate(m, "_charsum_vec", "1, (), 0, L[x])", "1, (), 0, 0)")
         assert not all_match()
     with monkeypatch.context() as m:  # the gcd fold skipped: a state keeps its g
-        _mutate(m, "_coset_counts", "h = Gg[r + m]", "h = Gg[0]")
+        _mutate(m, "_coset_direct", "h = G[r + m]", "h = G[0]")
         assert not all_match()
     with monkeypatch.context() as m:  # m0 mod g not reduced when g drops to h
-        _mutate(m, "_coset_counts", "key = (h, r % h, (x + e) % h)", "key = (h, r, (x + e) % h)")
+        _mutate(m, "_coset_direct", "key = (h, r % h, (x + e) % h)", "key = (h, r, (x + e) % h)")
         assert not all_match()
     with monkeypatch.context() as m:  # the scale N^(n-1) taken as N^n
-        _mutate(m, "_coset_counts", "N ** (len(factors) - 1)", "N ** len(factors)")
+        _mutate(m, "_tile", "N ** (n - 1)", "N ** n")
         assert not all_match()
     assert all_match()
 
@@ -892,17 +933,18 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
 @pytest.mark.parametrize("N", [*range(1, 13), 63, 255, 1023])
 def test_coset_counts_match_literal_theta_sum(N):
     # one factor against the literal theta-sum and the pair loop it replaced
+    D = cyclo.DivisorTable(N)
     rng = random.Random(600 + N)
     span = 5 * N + 3
     for size in (0, 1, 7, 40):
         terms = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(size)]
-        assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms)
+        assert hyperff._coset_counts(D, terms, [(0, 0)]) == literal_theta_sum(N, terms)
         shifts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3)]
-        assert hyperff._coset_counts(N, terms, shifts) == \
+        assert hyperff._coset_counts(D, terms, shifts) == \
             literal_theta_sum(N, terms, shifts) == pair_coset_counts(N, terms, shifts)
     # every slope class at once: m = 0 (g = N), every divisor of N, units
     terms = [(rng.randrange(N), m) for m in range(N)]
-    assert hyperff._coset_counts(N, terms, [(0, 0)]) == literal_theta_sum(N, terms) == \
+    assert hyperff._coset_counts(D, terms, [(0, 0)]) == literal_theta_sum(N, terms) == \
         pair_coset_counts(N, terms, [(0, 0)])
 
 
@@ -921,14 +963,166 @@ def _kernel_lists(rng, N, size, span, residue=None):
 def test_coset_counts_match_literal_multi_theta_sum(N):
     # n = 1, 2, 3 factors, with random slopes and with slopes that all agree
     # mod 2, so that every tuple's g stays even when N is
+    D = cyclo.DivisorTable(N)
     rng = random.Random(1100 + N)
     span = 3 * N + 2
     for n in (1, 2, 3):
         for residue in (None, 0, 1):
             terms = _kernel_lists(rng, N, 4, span, residue)
             factors = [_kernel_lists(rng, N, 3, span, residue) for _ in range(n)]
-            assert hyperff._coset_counts(N, terms, *factors) == \
+            assert hyperff._coset_counts(D, terms, *factors) == \
                 literal_multi_theta_sum(N, terms, *factors), (n, residue)
+
+
+COUNTS = ("_coset_direct", "_coset_moebius")
+
+
+def _count_lists(rng, N, sizes, p=None):
+    """One random (e, m) list per size, exponents and slopes in [-3N, 3N].
+    With a prime p | N set, every slope of the first list is r mod p and
+    every slope of the others -r, so that p divides each tuple's g."""
+    r = rng.randrange(p) if p else 0
+    out = []
+    for j, size in enumerate(sizes):
+        want = r if j == 0 else -r
+        lst = []
+        for _ in range(size):
+            m = rng.randint(-3 * N, 3 * N)
+            if p:
+                m += (want - m) % p
+            lst.append((rng.randint(-3 * N, 3 * N), m))
+        out.append(lst)
+    return out
+
+
+def _count_cases(rng, N, sizes_by_n):
+    """Random lists at each n, the same with every slope agreeing mod the
+    least prime of N, and lists with an empty one."""
+    ps = cyclo._prime_divisors(N)
+    for n, sizes in sizes_by_n.items():
+        for p in (None, *ps[:1]):
+            yield _count_lists(rng, N, sizes, p)
+        yield _count_lists(rng, N, (0, *sizes[1:]))
+        yield _count_lists(rng, N, (*sizes[:-1], 0))
+
+
+@pytest.mark.parametrize("N", range(1, 65))
+def test_both_counts_match_the_state_oracle_exhaustive(N):
+    # every N <= 64: each count called directly, at n = 1, 2 and 3
+    D = cyclo.DivisorTable(N)
+    rng = random.Random(1300 + N)
+    for terms, *factors in _count_cases(rng, N, {1: (2 * N, 2 * N), 2: (12, 9, 9),
+                                                 3: (6, 5, 5, 5)}):
+        want = state_coset_counts(N, terms, *factors)
+        for name in COUNTS:
+            assert getattr(hyperff, name)(D, terms, *factors) == want, (name, len(factors))
+
+
+@pytest.mark.parametrize("N", [255, 1023, 4092, 4095])
+def test_both_counts_match_the_state_oracle_sampled(N):
+    D = cyclo.DivisorTable(N)
+    rng = random.Random(1400 + N)
+    for terms, *factors in _count_cases(rng, N, {1: (300, 300), 2: (120, 40, 40),
+                                                 3: (30, 12, 12, 12)}):
+        want = state_coset_counts(N, terms, *factors)
+        for name in COUNTS:
+            assert getattr(hyperff, name)(D, terms, *factors) == want, (name, len(factors))
+
+
+def test_counts_of_a_single_list_slope_class():
+    # every m = 0 mod N: every tuple has g = N, so the Moebius terms of each
+    # row below N cancel to zero
+    N = 12
+    D = cyclo.DivisorTable(N)
+    rng = random.Random(17)
+    terms = [(rng.randrange(N), N * rng.randint(-3, 3)) for _ in range(20)]
+    shifts = [(rng.randrange(N), N * rng.randint(-3, 3)) for _ in range(9)]
+    want = literal_theta_sum(N, terms, shifts)
+    assert hyperff._coset_direct(D, terms, shifts) == want
+    assert hyperff._coset_moebius(D, terms, shifts) == want
+
+
+def _theta_sides(f, n, rng):
+    """The theta-sum sides over two walks at one random draw of n slots:
+    T41-T43's left-hand sides, the k-sum and the character-sum form."""
+    N, q = f.n_chars, f.q
+    cs = tuple(rng.randrange(N) for _ in range(n + 2))
+    es = tuple(rng.randrange(1, q) for _ in range(n))
+    t = rng.randrange(2, q) if q > 2 else 1
+    for variant in GENFN_SLOTS:
+        hyperff._genfn_lhs_vec(f, cs[0], cs[2:], cs[1], es, t, variant)
+    identities._ksum_rhs(f, n, cs, es)
+    hyperff._charsum_vec(f, cs[0], cs[2:], cs[1], es)
+
+
+@pytest.mark.parametrize("qs, ns, path", [
+    ((3, 4, 5, 7, 8, 9, 11, 13), (1, 2), "_coset_direct"),  # every gate field
+    ((1024, 4096), (1,), "_coset_moebius"),
+])
+def test_cost_rule_picks_the_count(monkeypatch, qs, ns, path):
+    # the cost rule keeps every gate field on the direct count and sends the
+    # theta-sums of large fields through Moebius inversion
+    used = []
+    for name in COUNTS:
+        count = getattr(hyperff, name)
+        monkeypatch.setattr(hyperff, name,
+                            lambda *a, _n=name, _c=count: used.append(_n) or _c(*a))
+    rng = random.Random(23)
+    for q in qs:
+        f = _field(q)
+        for n in ns:
+            for _ in range(3 if q < 1024 else 1):
+                _theta_sides(f, n, rng)
+    assert used and set(used) == {path}
+    # the line sum pairs its N - 1 terms with one shift: direct at any q
+    used.clear()
+    for q in qs:
+        hyperff._line_vec(_field(q), 1, 2, q - 1)
+    assert used == ["_coset_direct"] * len(qs)
+
+
+def _moebius_cases():
+    rng = random.Random(29)
+    return [(N, cyclo.DivisorTable(N), *lists) for N in (6, 12, 30, 60)
+            for lists in _count_cases(rng, N, {1: (40, 40), 2: (12, 8, 8)})]
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_moebius_count_in_small_blocks(monkeypatch, block):
+    # joins of many blocks, each of at most `block` pairs or one bucket, count
+    # the same tuples as one block
+    monkeypatch.setattr(hyperff, "_BLOCK", block)
+    for N, D, terms, *factors in _moebius_cases():
+        assert hyperff._coset_moebius(D, terms, *factors) == \
+            state_coset_counts(N, terms, *factors), (N, len(factors))
+
+
+def test_moebius_count_mutants_are_caught(monkeypatch):
+    cases = _moebius_cases()
+    want = [state_coset_counts(N, terms, *factors) for N, D, terms, *factors in cases]
+
+    def all_match():
+        """Every case matches; a case that raises does not match."""
+        try:
+            return all(hyperff._coset_moebius(D, terms, *factors) == w
+                       for (N, D, terms, *factors), w in zip(cases, want))
+        except (IndexError, ValueError, KeyError):
+            return False
+
+    assert all_match()
+    for name, old, new in [
+        ("_coset_moebius", "row += mu *", "row -= mu *"),  # the mu sign flipped
+        ("_coset_moebius", "D.moebius[g]:", "D.moebius[g][1:]:"),  # the divisor h = g skipped
+        ("_coset_moebius", ".reshape(-1, g)", ".reshape(g, -1)"),  # folded mod h/g, not g
+        ("_join", "-F[:, 1] % h", "F[:, 1] % h"),  # joined on m0 = m, not -m
+        ("_merge", "nz // h, nz % h", "nz % h, nz // h"),  # a histogram cell read transposed
+        ("_join", "range(0, len(a), step)", "range(0, len(a) - step + 1, step)"),  # last block
+        ("_tile", "N ** (n - 1)", "N ** n"),  # the scale N^(n-1) taken as N^n
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, name, old, new)
+            assert not all_match(), (name, old, new)
+    assert all_match()
 
 
 PRIME_POWERS_TO_27 = [q for q in range(2, 28) if len(cyclo._prime_divisors(q)) == 1]
@@ -1035,12 +1229,12 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
             return (False, False)
 
     assert all_match() == (True, True)
-    with monkeypatch.context() as m:  # the residue taken mod N instead of mod g: it
-        # overflows its length-g row, so the mutant fails loudly wherever g < N
-        _mutate(m, "_coset_counts", "(x + e) % Gg[k]", "(x + e) % N")
+    with monkeypatch.context() as m:  # the residue taken mod N instead of mod g: where
+        # g < N it spills into a later row of the flat accumulator, or past its end
+        _mutate(m, "_coset_direct", "S[k] + (x + e) % h", "S[k] + (x + e) % N")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # each count put at one exponent, not spread by g
-        _mutate(m, "_coset_counts", "row * (N // g)", "row + [0] * (N - g)")
+        _mutate(m, "_tile", "acc[o:o + g] * (N // g)", "acc[o:o + g] + [0] * (N - g)")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
         _mutate(m, "_line_vec", "[(0, f.log_table[x])]", "[(0, 0)]")
@@ -1345,7 +1539,8 @@ def test_array_walk_mutants_are_caught(monkeypatch):
     for name, old, new, caught in [
         ("_fd_array", "counts[e[k]] -= 1", "pass", (False, True)),  # dead term kept
         ("_exponents", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
-        ("_fd_array", "out[:] = map(add, out, counts)", "out[:] = counts", (False, True)),
+        ("_fd_array", "out[:] = map(add, out, counts.tolist())", "out[:] = counts.tolist()",
+         (False, True)),  # out replaced, not added to
         ("_beta_array", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
         ("_beta_array", "range(0, len(i), step)", "range(0, len(i) - step + 1, step)",
          (True, False)),  # the last partial block dropped
