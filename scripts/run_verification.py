@@ -41,19 +41,16 @@ def parse_args():
 def run(args):
     descs = cli.parse_ids(args.id)
     qs, max_q = cli.parse_orders(args.q)  # every q, before the first report
-    n_req = cli._ints(args.n) or (0, 1, 2)
+    runs = cli.plan_runs(descs, cli._ints(args.n) or (0, 1, 2))
 
     rows = []
     failed = 0
     t0 = time.perf_counter()
-    for desc in descs:
-        n_list = [n for n in n_req if desc.allows_n(n)]
-        if not n_list:
-            continue
+    for ident, n_list in runs:
         for q in qs:
             mode = args.mode or ("exhaustive" if q <= EXHAUSTIVE_MAX_Q else "sampled")
             reports = identities.verify(
-                desc.id, [q], mode=mode, n_list=n_list, seed=args.seed,
+                ident, [q], mode=mode, n_list=n_list, seed=args.seed,
                 count=args.count, cap=args.cap, max_q=max_q)
             for r in reports:
                 rows.append(r)

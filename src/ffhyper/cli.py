@@ -77,6 +77,18 @@ def parse_orders(spec: str) -> tuple[list[int], int]:
     return [p ** k for p, k in (_parse_q(t.strip(), cap) for t in spec.split(","))], cap
 
 
+def plan_runs(descs, n_req) -> list[tuple[str, list[int]]]:
+    """(identity id, slot counts) of each descriptor left with any of the
+    requested n that it allows (each its least n when n_req is empty); a
+    usage error when none is left."""
+    runs = [(d.id, [n for n in n_req if d.allows_n(n)] if n_req else [d.n_min])
+            for d in descs]
+    runs = [(ident, n_list) for ident, n_list in runs if n_list]
+    if not runs:
+        raise ValueError("no runnable (identity, n) combinations")
+    return runs
+
+
 def report_document(reports, timings: bool = False) -> str:
     """The ffhyper/1 JSON document of `reports`, newline-terminated."""
     doc = {"schema": SCHEMA, "reports": [r.to_dict(timings=timings) for r in reports]}
@@ -178,12 +190,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     descs = parse_ids(args.id)
     q_list, max_q = parse_orders(args.q)
-    n_req = _ints(args.n) if args.n else None
-    runs = [(d.id, [n for n in n_req if d.allows_n(n)] if n_req else [d.n_min]) for d in descs]
-    runs = [(ident, n_list) for ident, n_list in runs if n_list]  # those left with any n
-    if not runs:
-        print("no runnable (identity, n) combinations", file=sys.stderr)
-        return 2
+    runs = plan_runs(descs, _ints(args.n))
     if not args.out:
         return _verify(args, runs, q_list, max_q, sys.stdout)
     try:  # before verifying, so an unwritable path costs no run

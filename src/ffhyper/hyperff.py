@@ -19,7 +19,9 @@ term of the F_D sum is one exponent e0 + A i + (C - A) Z[i] - sum_j B_j
 Z[(log x_j + i) mod N] and the inner loops stay integer-only and exact.
 Every identity side is a signed, zeta-shifted combination of such sums, so
 _fd_vec adds s zeta^e0 F_D into the caller's vector inside its walk, with no
-vector per term; at n = 0 (no B-slot) the walk is the binomial {A choose C}.
+vector per term.  At n = 0 (no B-slot) the walk is the binomial {A choose C},
+and J(chi, lam) = lam(-1) {chi choose lam^-1} is that walk with the prefactor
+zeta^(lam log(-1)): every binomial and Jacobi sum is an n = 0 walk.
 The integral formula's u-sum of B_1(u) B_2(1-u) F_D^(n-1) at the merged point
 u x_1 + (1-u) x_2 is one double walk, _beta_vec: only the merged slot's
 point moves with u, so the rest of each inner walk (the base exponents and
@@ -55,7 +57,10 @@ character-sum form of F_D are sums over characters of walk terms.  A term's
 exponent is linear in the characters, so with chi^theta_j entering the
 characters at a slope it is e + sum_j theta_j m_j; _walk_terms lists the
 pairs (e, m) of one walk at one slope, a binomial factor {chi^b theta choose
-theta} being the n = 0 walk at (b, b) with slope (1, 0).  Summed over theta in
+theta} being the n = 0 walk at (b, b) with slope (1, 0).  The T41-T43
+left-hand sides and the k-sum's right-hand side are one theta-sum,
+_theta_sum: sum over theta of {chi^b theta choose theta} theta(t) times the
+F_D walk at a slope, one slope per variant.  Summed over theta in
 Z_N^n, such a term is N^(n-1) g at every exponent = e mod g, g = gcd(m_1, ..,
 m_n, N), so _coset_counts counts the term tuples by (g, e mod g), into one
 flat accumulator of sigma(N) slots with a row per divisor g, and forms no row
@@ -172,22 +177,6 @@ _ARRAY_MIN_N = 40
 # pair sums per block of _beta_array's gather, and pairs per block of
 # _coset_moebius's joins, which bounds their memory
 _BLOCK = 1 << 15
-
-
-def _jacobi_vec(f: FieldTable, ma: int, mb: int, e0: int = 0) -> list[int]:
-    """zeta^e0 J(chi^ma, chi^mb)."""
-    N, Z = f.n_chars, f.zech_table
-    out = [0] * N
-    ma %= N
-    mb %= N
-    for i in range(1, N):  # u = 0 and u = 1 contribute chi(0) = 0
-        out[(e0 + ma * i + mb * Z[i]) % N] += 1
-    return out
-
-
-def _binom_vec(f: FieldTable, ma: int, mb: int) -> list[int]:
-    """{chi^ma choose chi^mb} = chi^mb(-1) J(chi^ma, chi^-mb), a fresh list."""
-    return _jacobi_vec(f, ma, -mb, mb * f.log_neg1)
 
 
 def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
@@ -545,6 +534,18 @@ def _tile(D, acc, n: int) -> list[int]:
     return out if scale == 1 else [scale * v for v in out]
 
 
+def _theta_sum(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int, b: int,
+               t: int) -> list[int]:
+    """sum over theta of {chi^b theta choose theta} theta(t) F_D(A chi^(theta
+    dA); B_j chi^(theta dB_j); C chi^(theta dC) | x): the walk's terms at the
+    slope against the binomial factor's, twisted by theta log t, in one coset
+    count."""
+    if t == 0:
+        return [0] * f.n_chars  # every summand carries theta(0) = 0
+    return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
+                         _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
+
+
 def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
     n = 0 walk at slope (1, 1), twisted by theta log x."""
@@ -626,13 +627,15 @@ class GenFnInstance:
 
 
 def jacobi(chi: Char, lam: Char) -> CycInt:
+    """J(chi, lam) = lam(-1) {chi choose lam^-1}: the n = 0 walk."""
     f = _same_field(chi, lam)
-    return cyclo.from_coeffs(f.n_chars, _jacobi_vec(f, chi.m, lam.m))
+    return cyclo.from_coeffs(f.n_chars, _fd_vec(f, chi.m, (), -lam.m, (),
+                                                e0=lam.m * f.log_neg1))
 
 
 def binom(A: Char, B: Char) -> CycInt:
     f = _same_field(A, B)
-    return cyclo.from_coeffs(f.n_chars, _binom_vec(f, A.m, B.m))
+    return cyclo.from_coeffs(f.n_chars, _fd_vec(f, A.m, (), B.m, ()))
 
 
 def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"):
@@ -694,62 +697,48 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 
 
 def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
-    if t == 0:
-        return [0] * f.n_chars  # every summand carries theta(0) = 0
     # theta's slope on (A, B_n, C): A theta (T41), B_n theta (T42), C theta^-1 (T43)
     dA, dB, dC = {"T41": (1, 0, 0), "T42": (0, 1, 0), "T43": (0, 0, -1)}[variant]
     b = mBs[-1] if variant == "T42" else mA - mC
-    dBs = (0,) * (len(mBs) - 1) + (dB,)
-    return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
-                         _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
+    return _theta_sum(f, mA, mBs, mC, xs, dA, (0,) * (len(mBs) - 1) + (dB,), dC, b, t)
 
 
 def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
-    N, q = f.n_chars, f.q
-    out = [0] * N
-
-    if variant == "T41":
-        if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
-            inv1t = f.inv(f.sub(1, t))
-            _fd_vec(f, mA, mBs, mC, [f.mul(x, inv1t) for x in xs],
-                    e0=_mono_exp(f, [(-mA, f.sub(1, t))]), s=q - 1, out=out)
-        e = _mono_exp(f, [(mC - mA, f.neg(t)),
-                          *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
-        if all(x != 0 for x in xs):
-            _addm(out, e, -(q - 1))
-        return out
+    q = f.q
+    out = [0] * f.n_chars
+    # (q-1) eps(t) m(y) F_D(A; B; C | x scaled by y): y = (1-t)^-1 scales every
+    # x_j with m = A (T41) or x_n alone with m = B_n (T42); y = 1 + t scales
+    # every x_j with m = C (T43).  y = 0 (1 - t = 0 or 1 + t = 0) leaves it out.
+    if variant == "T43":
+        y, m = f.add(1, t), mC
+    else:
+        y, m = (f.inv(f.sub(1, t)) if t != 1 else 0), (mA if variant == "T41" else mBs[-1])
+    e = _mono_exp(f, [(0, t), (m, y)])
+    if e is not None:
+        ys = [*xs[:-1], f.mul(xs[-1], y)] if variant == "T42" else [f.mul(x, y) for x in xs]
+        _fd_vec(f, mA, mBs, mC, ys, e0=e, s=q - 1, out=out)
+    eps = [(0, x) for x in xs]
 
     if variant == "T42":
         xn = xs[-1]
-        if t != 0 and t != 1:
-            _fd_vec(f, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))),
-                    e0=_mono_exp(f, [(-mBs[-1], f.sub(1, t))]), s=q - 1, out=out)
-        e = _mono_exp(f, [(-mBs[-1], f.neg(t)),
-                          (sum(mBs[:-1]) - mC, xn),
-                          (mC - mA, f.sub(1, xn)),
-                          *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
-        if all(x != 0 for x in xs[:-1]):
-            _addm(out, e, -(q - 1))
-        if t == 1 and xn != 0:
+        _addm(out, _mono_exp(f, [(-mBs[-1], f.neg(t)), (sum(mBs[:-1]) - mC, xn),
+                                 (mC - mA, f.sub(1, xn)), *eps[:-1],
+                                 *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))]),
+              -(q - 1))
+        if t == 1:
             _fd_vec(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
                     e0=_mono_exp(f, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
         return out
 
-    # T43
-    onept = f.add(1, t)
-    if t != 0 and onept != 0:
-        _fd_vec(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
-                e0=_mono_exp(f, [(mC, onept)]), s=q - 1, out=out)
-    e = _mono_exp(f, [(mC - mA, f.neg(t)),
-                      *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
-    if all(x != 0 for x in xs):
-        _addm(out, e, -(q - 1))
-    if t == f.p - 1 and all(x != 0 for x in xs):
+    # T41 and T43: eps(x_1..x_n) prod_j B_j^-1(1 - x_j), times (A^-1 C)(-t)
+    bx = [*eps, *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))]
+    _addm(out, _mono_exp(f, [(mC - mA, f.neg(t)), *bx]), -(q - 1))
+    if variant == "T43" and t == f.p - 1:
         # sum over y != 0 of C(y) prod_j B_j^-1(1 - x_j y): the walk with A = C
         # is its terms at y = u != 0, 1 (the walk's prefactor zeta^(2C log(-1))
         # is 1), and y = 1 is one monomial
         _fd_vec(f, mC, mBs, mC, xs, s=q - 1, out=out)
-        _addm(out, _mono_exp(f, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
+        _addm(out, _mono_exp(f, bx), q - 1)
     return out
 
 

@@ -16,13 +16,13 @@ Every side takes the field's shared table (ff_core.FieldTable, one per q for
 the process) and keeps no state between or within calls, so a report is a
 pure function of that table and its arguments.  Every side returns a fresh
 list.  F_D is walked per value, each walk adding its signed, zeta-shifted
-term into the side's vector; t3.ff-beta's u-sum of F_D walks is one double
-walk (hyperff._beta_vec); t2.1's character-sum side, t3.ksum (at every n,
-its n = 1 terms being binomials, the n = 0 walk), t5.gf1-3 and the p2 line
-sums count the terms of one walk over the characters, each one call of
-hyperff._coset_counts on the walk's terms at a slope (hyperff._walk_terms);
-p2.prod and t3.ff-beta's right-hand side multiply walk counts
-(hyperff._conv).
+term into the side's vector, and every binomial {A choose B} is the n = 0
+walk; t3.ff-beta's u-sum of F_D walks is one double walk (hyperff._beta_vec);
+t3.ksum's right-hand side and the t5.gf1-3 left-hand sides are one
+binomial-weighted theta-sum (hyperff._theta_sum), the k-sum's at the slope
+(1, 0..0, 1) with b = B_n and t = x_n; t2.1's character-sum side and the p2
+line sums count the terms of one walk over the characters; p2.prod and
+t3.ff-beta's right-hand side multiply walk counts (hyperff._conv).
 
 Modes:
   exhaustive -- every assignment in the slot space (size-capped);
@@ -152,9 +152,9 @@ def _ffbeta_lhs(f, n, cs, es):
 def _ffbeta_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     x1, x2 = es[0], es[1]
-    N = f.n_chars
     m12 = -(Bs[0] + Bs[1])
-    out = hyperff._conv(hyperff._binom_vec(f, m12, -Bs[0]), hyperff._fd_vec(f, A, Bs, C, es), N)
+    out = hyperff._conv(hyperff._fd_vec(f, m12, (), -Bs[0], ()), hyperff._fd_vec(f, A, Bs, C, es),
+                        f.n_chars)
     if x1 != 0 and x2 != 0:
         e = _mono_exp(f, [(Bs[0], f.p - 1), (m12, f.sub(x1, x2))])
         hyperff._fd_vec(f, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-1, out=out)
@@ -169,13 +169,8 @@ _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slot
 
 def _ksum_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    xn = es[-1]
-    if xn == 0:
-        return [0] * f.n_chars
-    b = Bs[-1]  # sum over chi of {B_n chi choose chi} chi(x_n) F_D^(n-1)(A chi; ..; C chi)
-    return hyperff._coset_counts(
-        f.divisor_table, hyperff._walk_terms(f, A, Bs[:-1], C, es[:-1], 1, (0,) * (n - 1), 1),
-        hyperff._walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[xn]))
+    # sum over chi of {B_n chi choose chi} chi(x_n) F_D^(n-1)(A chi; ..; C chi)
+    return hyperff._theta_sum(f, A, Bs[:-1], C, es[:-1], 1, (0,) * (n - 1), 1, Bs[-1], es[-1])
 
 
 _reg("t3.ksum", "character sum over the last slot contracts F_D^(n) to shifted F_D^(n-1)",
@@ -438,11 +433,11 @@ _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t 
 # binomial-coefficient facts; cs layout noted per entry, no point dependence on n
 
 def _f2_lhs(f, n, cs, es):
-    return hyperff._binom_vec(f, cs[0], cs[1])
+    return hyperff._fd_vec(f, cs[0], (), cs[1], ())
 
 
 def _f2_rhs(f, n, cs, es):
-    return hyperff._binom_vec(f, cs[0], cs[0] - cs[1])
+    return hyperff._fd_vec(f, cs[0], (), cs[0] - cs[1], ())
 
 
 _reg("p2.f2", "{A choose B} = {A choose A B^-1}", _f2_lhs, _f2_rhs,
@@ -465,22 +460,24 @@ def _f4_rhs(f, n, cs, es):
 
 
 _reg("p2.f4-eps", "{A choose eps} = -1 + (q-1) delta(A)",
-     lambda f, n, cs, es: hyperff._binom_vec(f, cs[0], 0), _f4_rhs,
+     lambda f, n, cs, es: hyperff._fd_vec(f, cs[0], (), 0, ()), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 _reg("p2.f4-self", "{A choose A} = -1 + (q-1) delta(A)",
-     lambda f, n, cs, es: hyperff._binom_vec(f, cs[0], cs[0]), _f4_rhs,
+     lambda f, n, cs, es: hyperff._fd_vec(f, cs[0], (), cs[0], ()), _f4_rhs,
      n_min=0, n_max=0, chars=lambda n: 1, elems=lambda n: 0)
 
 
 def _prod_lhs(f, n, cs, es):
     A, B, C = cs
-    return hyperff._conv(hyperff._binom_vec(f, A, B), hyperff._binom_vec(f, C, A), f.n_chars)
+    return hyperff._conv(hyperff._fd_vec(f, A, (), B, ()), hyperff._fd_vec(f, C, (), A, ()),
+                         f.n_chars)
 
 
 def _prod_rhs(f, n, cs, es):
     A, B, C = cs
     N, q = f.n_chars, f.q
-    out = hyperff._conv(hyperff._binom_vec(f, C, B), hyperff._binom_vec(f, C - B, A - B), N)
+    out = hyperff._conv(hyperff._fd_vec(f, C, (), B, ()), hyperff._fd_vec(f, C - B, (), A - B, ()),
+                        N)
     if A % N == 0:
         _addm(out, (B % N) * f.log_neg1, -(q - 1))
     if (B - C) % N == 0:

@@ -429,6 +429,21 @@ def test_verification_script_maps_errors_to_cli_exit_codes(argv, env, code, mess
     assert (proc.returncode, proc.stderr, proc.stdout) == (code, message + "\n", "")
 
 
+@pytest.mark.parametrize("front", ["cli", "script"])
+@pytest.mark.parametrize("argv", [["--id", "all", "--n", "-1"], ["--id", "p2.f2", "--n", "5"]],
+                         ids=["n-1", "p2.f2-n5"])
+def test_no_runnable_identity_and_n_exits_2_in_both_front_ends(capsys, front, argv):
+    # both plan their runs with cli.plan_runs: the script used to print
+    # "0 reports, 0 failures" and exit 0
+    if front == "cli":
+        got = run(capsys, "verify", *argv)
+    else:
+        proc = subprocess.run([sys.executable, VERIFY_SCRIPT, *argv], capture_output=True,
+                              text=True, env=_child_env())
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    assert got == (2, "", "error: no runnable (identity, n) combinations\n")
+
+
 @pytest.mark.parametrize("q", ["4^2", "1^5", "0^3", "9^1", "6^1"])
 def test_p_k_with_a_non_prime_base_is_not_prime(capsys, q):
     # eval, verify and the verification script refuse a "p^k" whose p is not

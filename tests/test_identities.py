@@ -229,20 +229,22 @@ def test_a_corrupt_check_leaves_the_next_honest_check_alone():
 
 
 def test_a_cached_binomial_list_is_caught(monkeypatch):
-    # a _binom_vec that hands out one memoized list per (A, B) shares that
-    # list between calls: both checks above must see it
-    honest = hyperff._binom_vec
+    # an n = 0 walk that hands out one memoized list per binomial (A, B)
+    # shares that list between calls: both checks above must see it
+    honest = hyperff._fd_vec
     memo = {}
 
-    def cached(f, ma, mb):
+    def cached(f, ma, mBs, mb, xs, **kw):
+        if mBs or kw:  # not a fresh binomial
+            return honest(f, ma, mBs, mb, xs, **kw)
         key = (f.q, ma % f.n_chars, mb % f.n_chars)
         if key not in memo:
-            memo[key] = honest(f, ma, mb)
+            memo[key] = honest(f, ma, mBs, mb, xs)
         return memo[key]
 
     assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
     with monkeypatch.context() as m:
-        m.setattr(hyperff, "_binom_vec", cached)
+        m.setattr(hyperff, "_fd_vec", cached)
         assert not _sides_are_fresh_lists()
         memo.clear()
         assert not _corrupt_then_honest_checks()

@@ -21,9 +21,13 @@ replaced stay here as oracles: the pair loop that counted one factor
 (pair_coset_counts), the literal sum over Z_N^n, the N rows of one-pass F_D
 values (_fd_rows, itself checked against one _fd_vec walk per theta), the
 packed per-theta binomial sum over those rows (binom_vec_sum), and the line
-sum as N separate n = 0 walks.  The n = 0 walk is compared with the
-Jacobi-sum binomial it replaced, and t3.ff-beta's double walk (_beta_vec)
-with one _fd_vec walk per u (per_u_beta).  The array walks (_fd_array,
+sum as N separate n = 0 walks.  The n = 0 walk, which is every binomial and
+every Jacobi sum, is compared with the Jacobi-sum loop it replaced
+(jacobi_loop), exhaustively at q <= 64 and sampled on the array walk at
+q in {256, 1024, 4096}; the generating-function right-hand sides with their
+scaled-point term written once are compared with the per-variant code they
+replaced (per_variant_genfn_rhs); t3.ff-beta's double walk (_beta_vec) is
+compared with one _fd_vec walk per u (per_u_beta).  The array walks (_fd_array,
 _beta_array), which _fd_vec and _beta_vec run from N = _ARRAY_MIN_N, are
 compared with the list walks (_fd_list, _beta_list), each called directly.
 Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
@@ -44,7 +48,7 @@ from math import gcd
 
 import pytest
 
-from ffhyper import cyclo, ff_core, hyperff, identities
+from ffhyper import charset, cyclo, ff_core, hyperff, identities
 
 
 def _field(q):
@@ -74,6 +78,28 @@ def school_conv(a, b, N):
     return out
 
 
+def jacobi_loop(f, ma, mb, e0=0):
+    """zeta^e0 J(chi^ma, chi^mb), one loop over u: the Jacobi sum as hyperff
+    computed it before every binomial became the n = 0 walk."""
+    N, Z = f.n_chars, f.zech_table
+    out = [0] * N
+    ma %= N
+    mb %= N
+    for i in range(1, N):  # u = 0 and u = 1 contribute chi(0) = 0
+        out[(e0 + ma * i + mb * Z[i]) % N] += 1
+    return out
+
+
+def binom_loop(f, ma, mb):
+    """{chi^ma choose chi^mb} = chi^mb(-1) J(chi^ma, chi^-mb), by jacobi_loop."""
+    return jacobi_loop(f, ma, -mb, mb * f.log_neg1)
+
+
+def binom_vec(f, ma, mb):
+    """{chi^ma choose chi^mb}: the n = 0 walk."""
+    return hyperff._fd_vec(f, ma, (), mb, ())
+
+
 def literal_charsum(f, mA, mBs, mC, xs):
     N = f.n_chars
     out = [0] * N
@@ -82,10 +108,10 @@ def literal_charsum(f, mA, mBs, mC, xs):
     xlogs = [f.log_table[x] for x in xs]
     for chs in itertools.product(range(N), repeat=len(mBs)):
         s = sum(chs)
-        term = list(hyperff._binom_vec(f, mA + s, mC + s))
+        term = list(binom_vec(f, mA + s, mC + s))
         e = 0
         for mb, ch, lx in zip(mBs, chs, xlogs):
-            term = school_conv(term, hyperff._binom_vec(f, mb + ch, ch), N)
+            term = school_conv(term, binom_vec(f, mb + ch, ch), N)
             e += ch * lx
         rot_add(out, term, e)
     return out
@@ -98,13 +124,13 @@ def per_theta_genfn_lhs(f, mA, mBs, mC, xs, t, variant):
         return out
     for th in range(N):
         if variant == "T41":
-            term = school_conv(hyperff._binom_vec(f, mA - mC + th, th),
+            term = school_conv(binom_vec(f, mA - mC + th, th),
                                hyperff._fd_vec(f, mA + th, mBs, mC, xs), N)
         elif variant == "T42":
-            term = school_conv(hyperff._binom_vec(f, mBs[-1] + th, th),
+            term = school_conv(binom_vec(f, mBs[-1] + th, th),
                                hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
         else:
-            term = school_conv(hyperff._binom_vec(f, mA - mC + th, th),
+            term = school_conv(binom_vec(f, mA - mC + th, th),
                                hyperff._fd_vec(f, mA, mBs, mC - th, xs), N)
         rot_add(out, term, th * f.log_table[t])
     return out
@@ -159,7 +185,7 @@ def width(bound):
 
 def binom_packed(f, ma, mb, w):
     """{A choose B} packed at slot width w, one binomial at a time."""
-    return hyperff._pack(hyperff._binom_vec(f, ma, mb), w)
+    return hyperff._pack(binom_vec(f, ma, mb), w)
 
 
 def binom_sum(f, keys, Vs, k, w):
@@ -400,7 +426,7 @@ def per_chi_ksum_rhs(f, n, cs, es):
     out = [0] * N
     if es[-1] != 0:
         for ch in range(N):
-            term = school_conv(hyperff._binom_vec(f, Bs[-1] + ch, ch),
+            term = school_conv(binom_vec(f, Bs[-1] + ch, ch),
                                hyperff._fd_vec(f, A + ch, Bs[:-1], C + ch, es[:-1]), N)
             rot_add(out, term, ch * f.log_table[es[-1]])
     return out
@@ -425,6 +451,51 @@ def loop_t43_rhs(f, mA, mBs, mC, xs, t):
             e = hyperff._mono_exp(f, [(mC, y), *((-mb, f.sub(1, f.mul(x, y)))
                                                  for mb, x in zip(mBs, xs))])
             hyperff._addm(out, e, q - 1)
+    return out
+
+
+def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
+    """The T41-T43 right-hand sides as _genfn_rhs_vec computed them before
+    the scaled-point F_D term and the T41/T43 monomial were written once:
+    one branch per variant, each with its own eps guards."""
+    N, q = f.n_chars, f.q
+    out = [0] * N
+    mono, addm, fd = hyperff._mono_exp, hyperff._addm, hyperff._fd_vec
+
+    if variant == "T41":
+        if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
+            inv1t = f.inv(f.sub(1, t))
+            fd(f, mA, mBs, mC, [f.mul(x, inv1t) for x in xs],
+               e0=mono(f, [(-mA, f.sub(1, t))]), s=q - 1, out=out)
+        e = mono(f, [(mC - mA, f.neg(t)), *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+        if all(x != 0 for x in xs):
+            addm(out, e, -(q - 1))
+        return out
+
+    if variant == "T42":
+        xn = xs[-1]
+        if t != 0 and t != 1:
+            fd(f, mA, mBs, mC, (*xs[:-1], f.div(xn, f.sub(1, t))),
+               e0=mono(f, [(-mBs[-1], f.sub(1, t))]), s=q - 1, out=out)
+        e = mono(f, [(-mBs[-1], f.neg(t)), (sum(mBs[:-1]) - mC, xn), (mC - mA, f.sub(1, xn)),
+                     *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
+        if all(x != 0 for x in xs[:-1]):
+            addm(out, e, -(q - 1))
+        if t == 1 and xn != 0:
+            fd(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
+               e0=mono(f, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
+        return out
+
+    onept = f.add(1, t)
+    if t != 0 and onept != 0:
+        fd(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
+           e0=mono(f, [(mC, onept)]), s=q - 1, out=out)
+    e = mono(f, [(mC - mA, f.neg(t)), *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+    if all(x != 0 for x in xs):
+        addm(out, e, -(q - 1))
+    if t == f.p - 1 and all(x != 0 for x in xs):
+        fd(f, mC, mBs, mC, xs, s=q - 1, out=out)
+        addm(out, mono(f, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
     return out
 
 
@@ -477,7 +548,7 @@ def test_conv_of_walk_histograms_matches_schoolbook(q):
     for _ in range(2 if q == 256 else 6):
         m = [rng.randrange(N) for _ in range(5)]
         xs = tuple(rng.randrange(1, q) for _ in range(2))
-        a = hyperff._binom_vec(f, m[0], m[1])
+        a = binom_vec(f, m[0], m[1])
         b = hyperff._fd_vec(f, m[2], m[3:], m[4], xs)
         assert hyperff._conv(a, b, N) == school_conv(a, b, N)
         assert hyperff._conv(a, a, N) == school_conv(a, a, N)
@@ -511,7 +582,7 @@ def test_binomial_l1_is_n_minus_1(q):
     # values u != 0, 1
     f = _field(q)
     for ma, mb in itertools.product(range(f.n_chars), repeat=2):
-        v = hyperff._binom_vec(f, ma, mb)
+        v = binom_vec(f, ma, mb)
         assert min(v) >= 0 and sum(v) == f.n_chars - 1
 
 
@@ -788,12 +859,48 @@ def test_fd_walk_negative_control():
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(cyclo._prime_divisors(q)) == 1]
 
 
+def _n0_walks_match(f, pairs):
+    """At each (A, C): the n = 0 walk is binom_loop's {A choose C}, and
+    jacobi(A, C) is jacobi_loop's J(A, C)."""
+    N = f.n_chars
+    return all(hyperff._fd_vec(f, mA, (), mC, ()) == binom_loop(f, mA, mC) and
+               hyperff.jacobi(charset.Char(f, mA), charset.Char(f, mC)) ==
+               cyclo.from_coeffs(N, jacobi_loop(f, mA, mC)) for mA, mC in pairs)
+
+
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_n0_walk_is_the_binomial(q):
     # with no B-slot, u -> u/(u-1) maps the walk's terms onto {A choose C}'s
     f = _field(q)
-    for mA, mC in itertools.product(range(f.n_chars), repeat=2):
-        assert hyperff._fd_vec(f, mA, (), mC, ()) == list(hyperff._binom_vec(f, mA, mC))
+    assert _n0_walks_match(f, itertools.product(range(f.n_chars), repeat=2))
+
+
+@pytest.mark.parametrize("q", [256, 1024, 4096])
+def test_n0_walk_is_the_binomial_sampled(q):
+    # the array walk: every N here is past _ARRAY_MIN_N
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(2000 + q)
+    m = rng.randrange(1, N)
+    pairs = [(0, 0), (0, m), (m, 0), (m, m), (m, N - m), (N // 2, N // 2)]
+    pairs += [(rng.randrange(N), rng.randrange(N)) for _ in range(40)]
+    assert N >= hyperff._ARRAY_MIN_N and _n0_walks_match(f, pairs)
+
+
+def test_n0_walk_without_its_prefactor_is_caught(monkeypatch):
+    # AC(-1) dropped from the list walk (q = 5) and from the array walk
+    # (q = 41, N = 40); in characteristic 2 log(-1) = 0, so odd q only
+    for q, name, old, new in [(5, "_fd_list", "e0 += (mA + mC) * f.log_neg1", "e0 += 0"),
+                              (41, "_fd_array", "e0 + (mA + mC) * f.log_neg1", "e0")]:
+        f = _field(q)
+        pairs = list(itertools.product(range(f.n_chars), repeat=2))[::7]
+        assert _n0_walks_match(f, pairs)
+        with monkeypatch.context() as m:
+            _mutate(m, name, old, new)
+            assert not any(hyperff._fd_vec(f, mA, (), mC, ()) == binom_loop(f, mA, mC)
+                           for mA, mC in pairs if (mA + mC) % 2)
+            assert not _n0_walks_match(f, pairs)
+        assert _n0_walks_match(f, pairs)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 64])
@@ -804,7 +911,7 @@ def test_n0_ac_rows_are_shifted_binomials(q):
     if q > 13:
         pairs = random.Random(q).sample(list(pairs), 6)
     for mA, mC in pairs:
-        want = [list(hyperff._binom_vec(f, mA + th, mC + th)) for th in range(N)]
+        want = [list(binom_vec(f, mA + th, mC + th)) for th in range(N)]
         assert _fd_rows(f, mA, (), mC, (), "AC") == want
         assert rows_from_terms(f, mA, (), mC, (), "AC") == want
 
@@ -901,7 +1008,7 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
     f = _field(5)
     draws = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=4)
              for xs in [(2, 3), (4, 2)]]
-    operands = [(hyperff._binom_vec(f, a, b), hyperff._fd_vec(f, *args))
+    operands = [(binom_vec(f, a, b), hyperff._fd_vec(f, *args))
                 for (a, b), args in zip(itertools.product(range(4), repeat=2), draws[::8])]
 
     def matches():
@@ -1239,11 +1346,14 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
         _mutate(m, "_line_vec", "[(0, f.log_table[x])]", "[(0, 0)]")
         assert all_match() == (False, True)
-    with monkeypatch.context() as m:  # the twist log t dropped from the T41-T43 slope
-        _mutate(m, "_genfn_lhs_vec", "0, f.log_table[t])", "0, 0)")
+    with monkeypatch.context() as m:  # the twist dropped from the shared theta-sum
+        _mutate(m, "_theta_sum", "0, f.log_table[t])", "0, 0)")
         assert all_match() == (True, False)
-    with monkeypatch.context() as m:  # the twist log x_n dropped from the k-sum's slope
-        _mutate(m, "_ksum_rhs", "0, f.log_table[xn])", "0, 0)", identities)
+    with monkeypatch.context() as m:  # theta(t) read as theta(1) in T41-T43 alone
+        _mutate(m, "_genfn_lhs_vec", "dC, b, t)", "dC, b, 1)")
+        assert all_match() == (True, False)
+    with monkeypatch.context() as m:  # chi(x_n) read as chi(1) in the k-sum alone
+        _mutate(m, "_ksum_rhs", "Bs[-1], es[-1])", "Bs[-1], 1)", identities)
         assert all_match() == (True, False)
     assert all_match() == (True, True)
 
@@ -1286,8 +1396,56 @@ def test_t43_y_loop_mutant_is_caught(monkeypatch):
              for xs in itertools.product(range(5), repeat=1)]
     assert all(_t43_matches(f, *args) for args in cases)
     with monkeypatch.context() as m:  # the y = 1 monomial dropped
-        _mutate(m, "_genfn_rhs_vec", "zip(mBs, xs)]), q - 1)", "zip(mBs, xs)]), 0)")
+        _mutate(m, "_genfn_rhs_vec", "_mono_exp(f, bx), q - 1)", "_mono_exp(f, bx), 0)")
         assert not all(_t43_matches(f, *args) for args in cases)
+
+
+# -- the T41-T43 right-hand sides: one scaled-point term ------------------------------------
+
+
+def _genfn_rhs_match(f, mA, mBs, mC, xs, t):
+    return all(hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, v) ==
+               per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, v) for v in GENFN_SLOTS)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_genfn_rhs_matches_per_variant_oracle_exhaustive(q):
+    f = _field(q)
+    for n in (1, 2):
+        for ms in itertools.product(range(f.n_chars), repeat=n + 2):
+            for xs in itertools.product(range(q), repeat=n):
+                for t in range(q):
+                    assert _genfn_rhs_match(f, ms[0], ms[2:], ms[1], xs, t), (ms, xs, t)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 64, 256])
+def test_genfn_rhs_matches_per_variant_oracle_sampled(q):
+    # points and t drawn often from 0, 1 and -1, where the terms drop out
+    f = _field(q)
+    N = f.n_chars
+    rng = random.Random(3000 + q)
+
+    def elem():
+        return rng.choice((0, 1, f.p - 1)) if rng.random() < 0.3 else rng.randrange(q)
+
+    for n in (1, 2, 3):
+        for _ in range({64: 15, 256: 6}.get(q, 40)):
+            args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
+                    rng.randrange(N), tuple(elem() for _ in range(n)), elem())
+            assert _genfn_rhs_match(f, *args), args
+
+
+def test_genfn_rhs_mutant_with_the_t41_scale_in_t43_is_caught(monkeypatch):
+    # T43 scaling by (1 - t)^-1, T41's y, in place of 1 + t
+    f = _field(5)
+    cases = [(ms[0], ms[2:], ms[1], xs, t) for ms in itertools.product(range(4), repeat=3)
+             for xs in [(2,), (3,)] for t in range(5)]
+    assert all(_genfn_rhs_match(f, *args) for args in cases)
+    with monkeypatch.context() as m:
+        _mutate(m, "_genfn_rhs_vec", "y, m = f.add(1, t), mC",
+                "y, m = (f.inv(f.sub(1, t)) if t != 1 else 0), mC")
+        assert not all(_genfn_rhs_match(f, *args) for args in cases)
+    assert all(_genfn_rhs_match(f, *args) for args in cases)
 
 
 # -- the integral formula's double walk: t3.ff-beta's left-hand side ---------------------
