@@ -24,6 +24,8 @@ class Char:
     m: int
 
     def __post_init__(self):
+        if type(self.m) is not int:  # a bool is no exponent
+            raise ValueError(f"character exponent must be an integer, got {self.m!r}")
         object.__setattr__(self, "m", self.m % self.field.n_chars)
 
     @property

@@ -570,21 +570,23 @@ def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
 # -- public types ----------------------------------------------------------------
 
 
-def _check_points(q: int, points) -> None:
-    """Every point must be an element index 0 <= x < q."""
+def _check_points(q: int, points, name: str) -> None:
+    """Every point (the argument `name`) must be an integer 0 <= x < q."""
     for x in points:
+        if type(x) is not int:  # a bool is no element
+            raise ValueError(f"{name} must be an integer, got {x!r}")
         if not 0 <= x < q:
             raise ValueError(f"element index {x} out of range for q={q}")
 
 
-def _same_field(*chars: Char, points=()) -> FieldTable:
+def _same_field(*chars: Char, points=(), name="x") -> FieldTable:
     """The one field of `chars`, in which every point must be an element
     index 0 <= x < q."""
     f = chars[0].field
     for c in chars[1:]:
         if c.field is not f and c.field != f:
             raise FieldMismatch()
-    _check_points(f.q, points)
+    _check_points(f.q, points, name)
     return f
 
 
@@ -620,7 +622,7 @@ class GenFnInstance:
     def __post_init__(self):
         if self.variant not in ("T41", "T42", "T43"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        _same_field(self.base.A, points=(self.t,))
+        _same_field(self.base.A, points=(self.t,), name="t")
 
 
 # -- public ops -------------------------------------------------------------------
@@ -649,7 +651,8 @@ def gauss_2f1(A: Char, B: Char, C: Char, x: int, normalization: str = "unscaled"
 
 
 def appell_f1(A: Char, B: Char, B2: Char, C: Char, x: int, y: int) -> CycInt:
-    f = _same_field(A, B, B2, C, points=(x, y))
+    f = _same_field(A, B, B2, C, points=(x,))
+    _check_points(f.q, (y,), "y")
     return cyclo.from_coeffs(f.n_chars, _fd_vec(f, A.m, (B.m, B2.m), C.m, (x, y)))
 
 

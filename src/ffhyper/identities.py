@@ -6,9 +6,11 @@ first, then any extra scalars such as a shared evaluation point or a
 generating-function variable).  Both sides return raw group-ring vectors: a
 length-(q-1) integer vector indexed by power of zeta_{q-1}.  The denominator
 d(q, n) is a rational integer carried by the descriptor (1 for most
-identities), so no side divides.  The engine enumerates or samples
-assignments, skips those violating the identity's stated domain constraints,
-and decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
+identities), so no side divides.  Each domain constraint is data, (name,
+kind, slots, value): the character exponents (kind "chars") or elements
+("elems") at the slice `slots` may not take `value`, so every slot has a
+domain of admissible values.  The engine walks or samples assignments and
+decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
 Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
 
@@ -25,7 +27,7 @@ line sums count the terms of one walk over the characters; p2.prod and
 t3.ff-beta's right-hand side multiply walk counts (hyperff._conv).
 
 Modes:
-  exhaustive -- every assignment in the slot space (size-capped);
+  exhaustive -- the product of the slot domains, with no check per assignment;
   sampled    -- `count` seeded-uniform draws that satisfy the constraints
                 (gives up with SamplingGaveUp, naming the constraint that
                 rejected most draws, after 1000 * count + 1000 draws);
@@ -39,12 +41,13 @@ timings are requested, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
-from . import cyclo, ff_core, hyperff
+from . import charset, cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
 from .hyperff import _addm, _mono_exp
@@ -66,8 +69,10 @@ def _field_for_q(q: int, max_q: int | None = None) -> ff_core.FieldTable:
     """The shared table of F_q.  q is checked against `max_q` (None: the
     default cap) before it is factored."""
     cap = ff_core.DEFAULT_MAX_Q if max_q is None else max_q
-    if not isinstance(cap, int) or cap < 1:
+    if type(cap) is not int or cap < 1:
         raise ValueError(f"max_q must be a positive integer, got {max_q!r}")
+    if type(q) is not int:
+        raise ValueError(f"q must be an integer, got {q!r}")
     ff_core.check_order(q, 1, cap)
     return ff_core.build_field(*ff_core.split_prime_power(q), cap)
 
@@ -83,7 +88,7 @@ class IdentityDescriptor:
     n_max: int | None  # None = no intrinsic bound
     chars: Callable[[int], int]
     elems: Callable[[int], int]
-    constraints: tuple[tuple[str, Callable], ...]
+    constraints: tuple[tuple[str, str, slice, int], ...]  # (name, kind, slots, value)
     lhs: Callable
     rhs: Callable
     den: Callable[[int, int], int]  # d(q, n) in lhs = rhs / d
@@ -93,6 +98,22 @@ class IdentityDescriptor:
 
     def slot_space(self, q: int, n: int) -> int:
         return (q - 1) ** self.chars(n) * q ** self.elems(n)
+
+    def violated(self, cs, es) -> str | None:
+        """Name of the first constraint (cs, es) violates, or None; cs in 0..q-2."""
+        for name, kind, slots, value in self.constraints:
+            if value in (cs if kind == "chars" else es)[slots]:
+                return name
+        return None
+
+    def domains(self, q: int, n: int) -> tuple[list, list]:
+        """Each character and element slot's admissible values at (q, n)."""
+        doms = {"chars": [range(q - 1)] * self.chars(n), "elems": [range(q)] * self.elems(n)}
+        for _, kind, slots, value in self.constraints:
+            d = doms[kind]
+            for i in range(len(d))[slots]:
+                d[i] = [v for v in d[i] if v != value]
+        return doms["chars"], doms["elems"]
 
 
 _REGISTRY: dict[str, IdentityDescriptor] = {}
@@ -105,28 +126,6 @@ def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
         id=id, note=note, n_min=n_min, n_max=n_max,
         chars=chars, elems=elems,
         constraints=tuple(constraints), lhs=lhs, rhs=rhs, den=den)
-
-
-# constraint predicates (cs = character exponents, es = elements)
-
-def _c_b1_nontriv(f, n, cs, es):
-    return cs[2] % f.n_chars != 0
-
-
-def _c_b2_nontriv(f, n, cs, es):
-    return cs[3] % f.n_chars != 0
-
-
-def _c_xn_ne_1(f, n, cs, es):
-    return es[n - 1] != 1
-
-
-def _c_all_x_ne_1(f, n, cs, es):
-    return all(x != 1 for x in es[:n])
-
-
-def _c_t_ne_1(f, n, cs, es):
-    return es[-1] != 1
 
 
 # -- the identities -------------------------------------------------------------------
@@ -164,7 +163,8 @@ def _ffbeta_rhs(f, n, cs, es):
 
 _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slots merged",
      _ffbeta_lhs, _ffbeta_rhs, n_min=2,
-     constraints=(("B1 != eps", _c_b1_nontriv), ("B2 != eps", _c_b2_nontriv)))
+     constraints=[("B1 != eps", "chars", slice(2, 3), 0),
+                  ("B2 != eps", "chars", slice(3, 4), 0)])
 
 
 def _ksum_rhs(f, n, cs, es):
@@ -185,8 +185,7 @@ def _epsred_lhs(f, n, cs, es):
 def _epsred_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    N = f.n_chars
-    out = [0] * N
+    out = [0] * f.n_chars
     if xn != 0:
         hyperff._fd_vec(f, A, Bs, C, es[:-1], out=out)
     e = _mono_exp(f, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
@@ -208,8 +207,7 @@ def _ceqa_lhs(f, n, cs, es):
 def _ceqa_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
-    N = f.n_chars
-    out = [0] * N
+    out = [0] * f.n_chars
     e = _mono_exp(f, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
                       *((0, x) for x in es)])
     _addm(out, e, -1)
@@ -250,7 +248,7 @@ def _pfaff_rhs(f, n, cs, es):
 
 
 _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial prefactor",
-     _t21_lhs, _pfaff_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
+     _t21_lhs, _pfaff_rhs, constraints=[("all x_j != 1", "elems", slice(None), 1)])
 
 
 def _lastpivot_lhs(f, n, cs, es):
@@ -269,7 +267,7 @@ def _lastpivot_rhs(f, n, cs, es):
 
 
 _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
-     _lastpivot_lhs, _lastpivot_rhs, constraints=(("x_n != 1", _c_xn_ne_1),))
+     _lastpivot_lhs, _lastpivot_rhs, constraints=[("x_n != 1", "elems", slice(-1, None), 1)])
 
 
 def _c35_lhs(f, n, cs, es):
@@ -294,7 +292,7 @@ def _c35_rhs(f, n, cs, es):
 
 _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a monomial",
      _c35_lhs, _c35_rhs, chars=lambda n: n + 1,
-     constraints=(("x_n != 1", _c_xn_ne_1),))
+     constraints=[("x_n != 1", "elems", slice(-1, None), 1)])
 
 
 def _pivot2_rhs(f, n, cs, es):
@@ -308,7 +306,7 @@ def _pivot2_rhs(f, n, cs, es):
 
 
 _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
-     _lastpivot_lhs, _pivot2_rhs, constraints=(("all x_j != 1", _c_all_x_ne_1),))
+     _lastpivot_lhs, _pivot2_rhs, constraints=[("all x_j != 1", "elems", slice(None), 1)])
 
 
 def _c37_rhs(f, n, cs, es):
@@ -329,7 +327,7 @@ def _c37_rhs(f, n, cs, es):
 
 _reg("t4.reduce-c37", "second C = B_1..B_n reduction with (x_n-x_j)/(1-x_j) arguments",
      _c35_lhs, _c37_rhs, chars=lambda n: n + 1,
-     constraints=(("all x_j != 1", _c_all_x_ne_1),))
+     constraints=[("all x_j != 1", "elems", slice(None), 1)])
 
 
 def _evalequal_lhs(f, n, cs, es):
@@ -423,7 +421,7 @@ def _gf_rhs(variant):
 
 _reg("t5.gf1", "generating function over the A-slot (t != 1)",
      _gf_lhs("T41"), _gf_rhs("T41"), elems=lambda n: n + 1,
-     constraints=(("t != 1", _c_t_ne_1),))
+     constraints=[("t != 1", "elems", slice(-1, None), 1)])
 _reg("t5.gf2", "generating function over the last B-slot, with a delta term at t = 1",
      _gf_lhs("T42"), _gf_rhs("T42"), elems=lambda n: n + 1)
 _reg("t5.gf3", "generating function over the C-slot, with a delta term at 1 + t = 0",
@@ -594,21 +592,13 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
              corrupt_rhs: bool) -> TheoremReport:
     t0 = perf_counter()
     N, q = f.n_chars, f.q
-    nc = desc.chars(n)
-    ne = desc.elems(n)
     tested = excluded = 0
     failures: list[dict] = []
     mismatches = undefined = None
 
-    def violated(cs, es):
-        """Name of the first constraint the assignment violates, or None."""
-        for name, fn in desc.constraints:
-            if not fn(f, n, cs, es):
-                return name
-        return None
-
     if mode == "sampled":
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
+        nc, ne = desc.chars(n), desc.elems(n)
         attempts_cap = count * 1000 + 1000
         rejected: dict[str, int] = {}
         while tested < count:
@@ -617,8 +607,7 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
                 raise SamplingGaveUp(attempts_cap, tested, count, worst, rejected[worst])
             cs = tuple(rng.randrange(N) for _ in range(nc))
             es = tuple(rng.randrange(q) for _ in range(ne))
-            name = violated(cs, es)
-            if name is not None:
+            if (name := desc.violated(cs, es)) is not None:
                 rejected[name] = rejected.get(name, 0) + 1
                 excluded += 1
                 continue
@@ -627,22 +616,24 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
             if not ok:
                 failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     else:
-        # boundary mode runs the complement domain, only constraint-violating
-        # assignments, and records mismatches and evaluation errors, never
-        # failing on them
-        boundary = mode == "boundary"
-        if boundary:
-            mismatches = undefined = 0
-        for cs in itertools.product(range(N), repeat=nc):
-            for es in itertools.product(range(q), repeat=ne):
-                if (violated(cs, es) is None) == boundary:
-                    excluded += 1
-                    continue
-                if not boundary:
-                    tested += 1
+        # exhaustive mode walks the product of the slot domains; boundary mode
+        # walks its complement, only constraint-violating assignments, and
+        # records mismatches and evaluation errors, never failing on them
+        cdoms, edoms = desc.domains(q, n)
+        admissible = math.prod(map(len, cdoms + edoms))
+        if mode == "exhaustive":
+            tested, excluded = admissible, desc.slot_space(q, n) - admissible
+        else:
+            excluded, mismatches, undefined = admissible, 0, 0
+            cdoms, edoms = [range(N)] * len(cdoms), [range(q)] * len(edoms)
+        for cs in itertools.product(*cdoms):
+            for es in itertools.product(*edoms):
+                if mode == "exhaustive":
                     ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
                     if not ok:
                         failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
+                    continue
+                if desc.violated(cs, es) is None:
                     continue
                 try:
                     ok, _, _ = _check(desc, f, n, cs, es, corrupt_rhs)
@@ -662,7 +653,7 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
 
 
 def _check_n(desc: IdentityDescriptor, n: int) -> None:
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
     if not desc.allows_n(n):
         raise ValueError(f"identity {desc.id} does not allow n={n}")
@@ -677,9 +668,11 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
     desc = get_identity(ident)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and not (isinstance(count, int) and count >= 1):
+    if mode == "sampled" and not (type(count) is int and count >= 1):
         raise ValueError(f"sampled mode needs an integer count >= 1, got {count!r}")
-    if not isinstance(cap, int) or cap < 1:
+    if mode == "sampled" and type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
     if n_list is None:
         n_list = (desc.n_min,)
@@ -697,17 +690,18 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
 
 
 def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
-    """Re-run one stored assignment; returns (lhs, rhs, equal?).  Character
-    exponents are read mod q - 1; elements must be indices 0 <= x < q."""
+    """Re-run one stored assignment; returns (lhs, rhs, equal?).  Every entry
+    is an integer; character exponents are read mod q - 1, and elements must
+    be indices 0 <= x < q."""
     desc = get_identity(ident)
-    q, n = int(assignment["q"]), int(assignment["n"])
+    q, n = assignment["q"], assignment["n"]
     _check_n(desc, n)
     f = _field_for_q(q)
-    cs = tuple(int(c) % f.n_chars for c in assignment["chars"])
-    es = tuple(int(e) for e in assignment["elems"])
+    cs = tuple(charset.Char(f, c).m for c in assignment["chars"])
+    es = tuple(assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
-    hyperff._check_points(q, es)
+    hyperff._check_points(q, es, "elems entry")
     equal, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
     lc, rc = _canonical(desc, f, n, lv, rv)
     return lc, rc, equal

@@ -70,6 +70,14 @@ def test_exponent_normalization():
     assert charset.Char(f, 7) == charset.Char(f, -1)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, True])
+def test_a_character_exponent_must_be_an_integer(m):
+    # 1.5 is no character, and True is not chi_1
+    with pytest.raises(ValueError) as info:
+        charset.Char(_field(5), m)
+    assert str(info.value) == f"character exponent must be an integer, got {m!r}"
+
+
 def test_all_chars():
     for q in (3, 4, 9):
         f = _field(q)

@@ -52,7 +52,7 @@ def _draws(desc, f, n, rng, count=DRAWS):
     for _ in range(1000 * count):
         cs = tuple(rng.randrange(N) for _ in range(desc.chars(n)))
         es = tuple(rng.randrange(q) for _ in range(desc.elems(n)))
-        if all(ok(f, n, cs, es) for _, ok in desc.constraints):
+        if desc.violated(cs, es) is None:
             out.append((cs, es))
             if len(out) == count:
                 break

@@ -163,6 +163,22 @@ def test_gauss_2f1_normalizations():
         hyperff.gauss_2f1(A, B, C, 3, normalization="bogus")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda A: hyperff.gauss_2f1(A, A, A, 2.5), "x must be an integer, got 2.5"),
+    (lambda A: hyperff.gauss_2f1(A, A, A, True), "x must be an integer, got True"),
+    (lambda A: hyperff.appell_f1(A, A, A, A, 2, 3.0), "y must be an integer, got 3.0"),
+    (lambda A: hyperff.char_line_sum(A, A, False), "x must be an integer, got False"),
+    (lambda A: hyperff.FdInstance(A, (A,), A, (2.0,)), "x must be an integer, got 2.0"),
+    (lambda A: hyperff.GenFnInstance(hyperff.FdInstance(A, (A,), A, (2,)), True, "T42"),
+     "t must be an integer, got True"),
+], ids=["2f1-float", "2f1-bool", "f1-y", "line-sum-bool", "fd-float", "genfn-bool"])
+def test_a_point_must_be_an_integer_index(call, message):
+    # True is not the element 1, and 2.5 no element at all
+    with pytest.raises(ValueError) as info:
+        call(_c(F5, 1))
+    assert str(info.value) == message
+
+
 def test_gauss_2f1_checks_normalization_before_it_walks(monkeypatch):
     def walk(*args, **kwargs):
         raise AssertionError("F_D walked before the normalization was checked")

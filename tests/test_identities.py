@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -113,9 +114,15 @@ def _field(q):
      "sampled mode needs an integer count >= 1, got inf"),
     ([3, 4], dict(n_list=[0.0]), ValueError, "n must be an integer, got 0.0"),
     ([3, 4], dict(n_list=[0, "0"]), ValueError, "n must be an integer, got '0'"),
+    ([3, 5.0], dict(), ValueError, "q must be an integer, got 5.0"),
+    ([3, 4], dict(n_list=[True]), ValueError, "n must be an integer, got True"),
+    ([3, 4], dict(mode="sampled", count=True), ValueError,
+     "sampled mode needs an integer count >= 1, got True"),
+    ([3, 4], dict(cap=True), ValueError, "cap must be a positive integer, got True"),
+    ([3, 4], dict(mode="sampled", seed=1.5), ValueError, "seed must be an integer, got 1.5"),
 ], ids=["n", "mode", "prime-power", "cap", "slot-cap-negative", "slot-cap-zero-boundary",
         "slot-cap-zero-sampled", "slot-cap-float", "count-float", "count-inf", "n-float",
-        "n-str"])
+        "n-str", "q-float", "n-bool", "count-bool", "cap-bool", "seed-float"])
 def test_verify_checks_the_whole_request_before_any_report(monkeypatch, q_list, kwargs,
                                                            error, message):
     runs = []
@@ -181,7 +188,7 @@ def _draws(desc, f, n, k, rng):
     while len(out) < k:
         cs = tuple(rng.randrange(f.n_chars) for _ in range(desc.chars(n)))
         es = tuple(rng.randrange(f.q) for _ in range(desc.elems(n)))
-        if all(fn(f, n, cs, es) for _, fn in desc.constraints):
+        if desc.violated(cs, es) is None:
             out.append((cs, es))
     return out
 
@@ -277,6 +284,22 @@ def test_replay_rejects_out_of_range_points(elems):
     a = identities.replay("t2.1", {"q": 5, "n": 1, "chars": [0, 1, 2], "elems": [2]})
     b = identities.replay("t2.1", {"q": 5, "n": 1, "chars": [4, -3, 6], "elems": [2]})
     assert a == b and a[2]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("q", 5.9, "q must be an integer, got 5.9"),
+    ("n", 1.2, "n must be an integer, got 1.2"),
+    ("n", True, "n must be an integer, got True"),
+    ("chars", [0, 1.7, 2], "character exponent must be an integer, got 1.7"),
+    ("elems", [2.0], "elems entry must be an integer, got 2.0"),
+    ("elems", [True], "elems entry must be an integer, got True"),
+])
+def test_replay_rejects_non_integer_entries(key, value, message):
+    # no entry is truncated or read as an integer: 5.9 is not q = 5
+    assignment = {"q": 5, "n": 1, "chars": [0, 1, 2], "elems": [2], key: value}
+    with pytest.raises(ValueError) as info:
+        identities.replay("t2.1", assignment)
+    assert str(info.value) == message
 
 
 def test_replay_validates_shape():
@@ -430,3 +453,177 @@ def test_seeded_reports_are_pinned(ident):
                                      count=50, corrupt_rhs=corrupt)
     text = json.dumps([r.to_dict() for r in reports])
     assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_REPORT_PINS[ident]
+
+
+# -- declared slot domains against the predicates they replaced ----------------------
+# Each constraint was a predicate on (f, n, cs, es), and the engine called
+# them all on every assignment it walked: exhaustive mode skipped the
+# assignments one rejected, boundary mode kept only those.  The predicates and
+# that loop stay here as the oracle of the declared slot domains.
+
+
+def _c_b1_nontriv(f, n, cs, es):
+    return cs[2] % f.n_chars != 0
+
+
+def _c_b2_nontriv(f, n, cs, es):
+    return cs[3] % f.n_chars != 0
+
+
+def _c_xn_ne_1(f, n, cs, es):
+    return es[n - 1] != 1
+
+
+def _c_all_x_ne_1(f, n, cs, es):
+    return all(x != 1 for x in es[:n])
+
+
+def _c_t_ne_1(f, n, cs, es):
+    return es[-1] != 1
+
+
+PREDICATES = {
+    "t3.ff-beta": (("B1 != eps", _c_b1_nontriv), ("B2 != eps", _c_b2_nontriv)),
+    "t4.pfaff": (("all x_j != 1", _c_all_x_ne_1),),
+    "t4.last-pivot": (("x_n != 1", _c_xn_ne_1),),
+    "t4.reduce-c35": (("x_n != 1", _c_xn_ne_1),),
+    "t4.pivot2": (("all x_j != 1", _c_all_x_ne_1),),
+    "t4.reduce-c37": (("all x_j != 1", _c_all_x_ne_1),),
+    "t5.gf1": (("t != 1", _c_t_ne_1),),
+}
+
+
+def _oracle_run_one(desc, f, n, mode, seed, count, corrupt_rhs):
+    """The engine loop over predicates, as it was before the slot domains."""
+    N, q = f.n_chars, f.q
+    nc, ne = desc.chars(n), desc.elems(n)
+    tested = excluded = 0
+    failures = []
+    mismatches = undefined = None
+
+    def violated(cs, es):
+        for name, fn in PREDICATES.get(desc.id, ()):
+            if not fn(f, n, cs, es):
+                return name
+        return None
+
+    if mode == "sampled":
+        rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
+        attempts_cap = count * 1000 + 1000
+        rejected = {}
+        while tested < count:
+            if tested + excluded >= attempts_cap:
+                worst = max(rejected, key=rejected.get)
+                raise errors.SamplingGaveUp(attempts_cap, tested, count, worst,
+                                            rejected[worst])
+            cs = tuple(rng.randrange(N) for _ in range(nc))
+            es = tuple(rng.randrange(q) for _ in range(ne))
+            name = violated(cs, es)
+            if name is not None:
+                rejected[name] = rejected.get(name, 0) + 1
+                excluded += 1
+                continue
+            tested += 1
+            ok, lv, rv = identities._check(desc, f, n, cs, es, corrupt_rhs)
+            if not ok:
+                failures.append(identities._fail_entry(desc, f, n, cs, es, lv, rv))
+    else:
+        boundary = mode == "boundary"
+        if boundary:
+            mismatches = undefined = 0
+        for cs in itertools.product(range(N), repeat=nc):
+            for es in itertools.product(range(q), repeat=ne):
+                if (violated(cs, es) is None) == boundary:
+                    excluded += 1
+                    continue
+                if not boundary:
+                    tested += 1
+                    ok, lv, rv = identities._check(desc, f, n, cs, es, corrupt_rhs)
+                    if not ok:
+                        failures.append(identities._fail_entry(desc, f, n, cs, es, lv, rv))
+                    continue
+                try:
+                    ok, _, _ = identities._check(desc, f, n, cs, es, corrupt_rhs)
+                except errors.FFHyperError:
+                    undefined += 1
+                    continue
+                tested += 1
+                mismatches += not ok
+
+    failures.sort(key=lambda d: (d["chars"], d["elems"]))
+    return identities.TheoremReport(
+        id=desc.id, q=q, n=n, mode=mode, seed=seed if mode == "sampled" else None,
+        tested=tested, excluded=excluded, failures=tuple(failures), ms=0.0,
+        mismatches=mismatches, undefined=undefined)
+
+
+def _outcome(run, desc, q, n, mode, seed=0, count=0, corrupt_rhs=False) -> str:
+    """The report's JSON, or the type and message of the error it raised."""
+    try:
+        return json.dumps(run(desc, _field(q), n, mode, seed, count, corrupt_rhs).to_dict())
+    except errors.FFHyperError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _matches_oracle(desc, qs, modes, **kw) -> bool:
+    """Every report of `desc` at each q in `qs`, mode in `modes` and allowed
+    n <= 2 is the oracle's, byte for byte."""
+    return all(_outcome(identities._run_one, desc, q, n, mode, **kw) ==
+               _outcome(_oracle_run_one, desc, q, n, mode, **kw)
+               for q in qs for mode in modes
+               for n in range(desc.n_min, 3) if desc.allows_n(n))
+
+
+def test_constraints_are_declared_data():
+    # (name, kind, slots, value), with the oracle's names in its order
+    for desc in identities.list_identities():
+        assert [c[0] for c in desc.constraints] == [
+            name for name, _ in PREDICATES.get(desc.id, ())], desc.id
+        for name, kind, slots, value in desc.constraints:
+            assert kind in ("chars", "elems") and type(slots) is slice
+            assert type(name) is str and type(value) is int
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_slot_domains_match_the_predicates_exhaustively(ident):
+    # exhaustive and boundary reports at q <= 5, q = 2 with its empty and
+    # one-element domains included, and with a corrupt rhs at q <= 3, where
+    # every tested assignment is a failure entry
+    desc = identities.get_identity(ident)
+    assert _matches_oracle(desc, (2, 3, 4, 5), ("exhaustive", "boundary"))
+    assert _matches_oracle(desc, (2, 3), ("exhaustive", "boundary"), corrupt_rhs=True)
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_slot_domains_match_the_predicates_sampled(ident):
+    desc = identities.get_identity(ident)
+    for seed in (0, 1, 42):
+        assert _matches_oracle(desc, (7, 8, 9, 13), ("sampled",), seed=seed, count=20)
+
+
+def test_sampling_gives_up_as_the_predicates_did():
+    # at q = 2 the only character is eps, so every t3.ff-beta draw violates
+    # B1 != eps first
+    desc = identities.get_identity("t3.ff-beta")
+    got = _outcome(identities._run_one, desc, 2, 2, "sampled", count=3)
+    assert got == _outcome(_oracle_run_one, desc, 2, 2, "sampled", count=3)
+    assert got == ("SamplingGaveUp: sampling gave up after 4000 attempts with 0 of 3 "
+                   "draws accepted; 4000 draws violated 'B1 != eps'")
+
+
+def test_a_wrong_slot_domain_is_caught(monkeypatch):
+    # B2 read from slot 4 (one past it) constrains nothing at n = 2
+    desc = identities.get_identity("t3.ff-beta")
+    b1, b2 = desc.constraints
+    shifted = dataclasses.replace(desc, constraints=(b1, (*b2[:2], slice(4, 5), b2[3])))
+    for mode, kw in (("exhaustive", {}), ("boundary", {}), ("sampled", dict(count=20))):
+        assert _matches_oracle(desc, (3, 4), (mode,), **kw)
+        assert not _matches_oracle(shifted, (3, 4), (mode,), **kw)
+
+    # a domain builder that keeps each forbidden value
+    def full(self, q, n):
+        return [range(q - 1)] * self.chars(n), [range(q)] * self.elems(n)
+
+    monkeypatch.setattr(identities.IdentityDescriptor, "domains", full)
+    for ident in PREDICATES:
+        assert not _matches_oracle(identities.get_identity(ident), (3,), ("exhaustive",))
