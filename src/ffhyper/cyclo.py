@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InexactDivision, OrderMismatch
 
 
@@ -83,6 +85,9 @@ class DivisorTable:
                is h = n/d
     squares    the sum of g^2 over the divisors: the most states (g, r mod g,
                x mod g) a fold of the count can keep
+    starts     int64 array of length n + 1: offset[g] at index g (a count of a
+               block of character rows reads it by an array of g's)
+    widths     int64 array of size slots: the g of each slot's row
 
     Every table holds O(sigma(n)) ints: 2 sigma(n) per gcd and slot table."""
 
@@ -111,6 +116,9 @@ class DivisorTable:
                     s[::d] = [self.offset[d]] * k
             self.gcd[g], self.slot[g] = tuple(t), tuple(s)
             self.moebius[g] = tuple((n // d, mu) for d, mu in _moebius_factors(n // g))
+        self.starts = np.zeros(n + 1, dtype=np.int64)
+        self.starts[list(ds)] = list(self.offset.values())
+        self.widths = np.repeat(np.array(ds, dtype=np.int64), ds)
 
 
 def _series_pass(s: list[int], d: int, e: int) -> list[int]:
@@ -167,7 +175,7 @@ def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
     return tuple(c - sign * t for c, t in zip(a, s))
 
 
-def vanishes(n: int, vec) -> bool:
+def vanishes(n: int, vec):
     """Exact zero test for sum_i vec[i] * zeta_n^i, vec of length n.
 
     v(zeta_n) = 0  <=>  v * prod_{p | n} (x^(n/p) - 1) = 0 in Z[x]/(x^n - 1):
@@ -175,7 +183,18 @@ def vanishes(n: int, vec) -> bool:
     x^n - 1 is squarefree, so the product is divisible by x^n - 1 iff v
     vanishes at the primitive ones (de Bruijn 1953; Lam & Leung 2000).  Each
     factor is one cyclic shift-and-subtract, O(n).
+
+    An (R, n) int64 array is R vectors: the same passes run along axis 1 and
+    the answer is a boolean array, one per row.  Each pass at most doubles
+    the largest magnitude, so the caller keeps 2^omega(n) times the rows'
+    largest |entry| below 2^62; past that, pass each row as a list of ints.
     """
+    if isinstance(vec, np.ndarray) and vec.ndim == 2:
+        if vec.shape[1] != n:
+            raise ValueError(f"expected rows of length {n}, got length {vec.shape[1]}")
+        for p in _prime_divisors(n):
+            vec = np.roll(vec, n // p, axis=1) - vec
+        return ~vec.any(axis=1)
     v = list(vec)
     if len(v) != n:
         raise ValueError(f"expected a length-{n} vector, got length {len(v)}")

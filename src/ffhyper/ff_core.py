@@ -258,8 +258,13 @@ def check_order(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> None:
 
 
 def build_field(p: int, k: int, max_q: int = DEFAULT_MAX_Q) -> FieldTable:
-    """The shared FieldTable of F_{p^k}.  p^k is compared with max_q on every
-    call, before the cache is consulted or p is factored."""
+    """The shared FieldTable of F_{p^k}.  p, k and max_q must be ints (a bool
+    or a NumPy integer is a ValueError that names the argument); p^k is
+    compared with max_q on every call, before the cache is consulted or p is
+    factored."""
+    for name, x in (("p", p), ("k", k), ("max_q", max_q)):
+        if type(x) is not int:
+            raise ValueError(f"{name} must be an integer, got {x!r}")
     check_order(p, k, max_q)
     return _field(p, k)
 

@@ -29,9 +29,11 @@ fixed slots, and the merged slot's Zech column) is built once per call and
 each u costs one pass pairing the two at a rotation.
 
 Both walks have two kernels with the same counts: a list loop (_fd_list,
-_beta_list) below N = _ARRAY_MIN_N, which keeps every gate field (N <= 12)
-and is the oracle of the tests, and int64 array passes (_fd_array,
-_beta_array) from there, which read the field's doubled Zech array
+_beta_list), which serves one assignment below N = _ARRAY_MIN_N (sampled
+and boundary checks, replay and CLI eval on every gate field, N <= 12) and
+is the oracle of the tests, and int64 array passes (_fd_array,
+_beta_array), which serve one assignment from there and every block of
+rows (below); they read the field's doubled Zech array
 (FieldTable.zech_array), so a rotation by log x_j is one slice.  Array
 passes pay a fixed cost per call that the loop's cost per term repays from
 N = 36 or so (the F_D walk; the double walk from N = 20 or so, in a per-call
@@ -40,9 +42,27 @@ slot's slice holds -1 where x_j u = 1, at most one i = -log x_j mod N per
 slot (_exponents builds the column and finds them): the F_D walk counts
 every i with np.bincount and takes back the count of each distinct dead i at
 its computed exponent, and the double walk keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so its
-memory does not grow with N^2.  Every exponent is reduced mod N before the
-next product is added, so no int64 entry exceeds N + N^2 (7N in the double
-walk's sums), and counts become Python ints before any scaling.
+memory does not grow with N^2.  Every character is reduced mod N before its
+product is added and the column once at the end, so no int64 entry exceeds
+(n + 2) N^2 (7N in the double walk's sums), and one assignment's counts
+become Python ints before any scaling.
+
+A block of rows.  Exhaustive verification evaluates a side at one point
+tuple for R character rows at once: the characters come as equal-length
+int64 columns (an int where the side fixes one), and each kernel adds a
+leading row axis and returns an (R, N) array.  A term's exponent is linear
+in the characters, and its dead terms and slopes depend on the points alone,
+so _exponents builds an (R, N - 1) exponent matrix, _fd_array counts every
+row with one bincount of row N + e, _beta_array gathers (u, row, k) blocks
+into 7N slots per row, _conv gathers row-wise products, _addm and _mono_exp
+take columns, and a delta factor (_delta) is a 0/1 column.  The theta-sums'
+slopes, and so each term tuple's g, are fixed per point tuple; only e mod g
+moves with the row, so _coset_rows counts a chunk of tuples as one bincount
+of row sigma(N) + offset[g] + e mod g.  Every array holds at most about
+_BLOCK entries per block (the caller sizes the blocks; _beta_array,
+_coset_rows and _conv chunk their wider intermediates).  No int64 entry
+exceeds the side's total term weight, which the verifier bounds before it
+batches (identities._fits_int64).
 
 General products (_conv) multiply the counts of two walks, so every
 operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
@@ -89,13 +109,15 @@ large fields by inversion, where the direct count's N^2 (n = 1) or N^3
 Z[Z_N]; neither uses a relation of Z[zeta_N].
 
 Every sum takes the field's shared FieldTable and keeps no state between or
-within calls: the public ops reduce modulo Phi_N to a canonical CycInt once,
-at the end; the verifier never reduces: it decides equality of fresh raw
-vectors with cyclo.vanishes and builds canonical form only for output.
+within calls: the public ops (one assignment each) reduce modulo Phi_N to a
+canonical CycInt once, at the end; the verifier never reduces: it decides
+equality of fresh raw vectors with cyclo.vanishes and builds canonical form
+only for output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import add
 
@@ -146,18 +168,53 @@ def _unpack(P: int, w: int, N: int) -> list[int]:
     return _slots(P, w, N)
 
 
-def _conv(a, b, N: int) -> list[int]:
+def _conv(a, b, N: int):
     """Cyclic convolution of two length-N count vectors (entries >= 0): one
     packed multiply.  The product's coefficients are >= 0 and sum to
-    sum(a) sum(b), so slots of that sum's bit length hold each of them."""
+    sum(a) sum(b), so slots of that sum's bit length hold each of them.
+
+    On a block (both operands (R, N) arrays) row r of the product is
+    sum_j a[r, j] b[r, i - j], gathered through an N x N index table for at
+    most _BLOCK // N^2 rows at a time; each entry is at most sum(a) sum(b)."""
+    if isinstance(a, np.ndarray):
+        back = (np.arange(N) - np.arange(N)[:, None]) % N  # back[j, i] = i - j mod N
+        step = max(1, _BLOCK // (N * N))
+        return np.concatenate([(a[r:r + step, :, None] * b[r:r + step][:, back]).sum(axis=1)
+                               for r in range(0, max(1, len(a)), step)])
     w = (sum(a) * sum(b)).bit_length()
     return _unpack(_pack(a, w) * _pack(b, w), w, N)
 
 
-def _addm(out: list[int], e: int | None, scale: int = 1) -> None:
-    """out += scale * zeta^e; no-op when the monomial is zero."""
-    if e is not None:
+def _nrows(*ms) -> int | None:
+    """R when any argument is an int64 column (a block of R character rows),
+    None when every one is an int (one assignment)."""
+    for m in ms:
+        if isinstance(m, np.ndarray):
+            return len(m)
+    return None
+
+
+def _zeros(N: int, R: int | None):
+    """A fresh zero side: a length-N list, or an (R, N) int64 array for a
+    block of R rows."""
+    return [0] * N if R is None else np.zeros((R, N), dtype=np.int64)
+
+
+def _delta(m, N: int):
+    """delta(chi_m), 1 when m = 0 mod N and 0 otherwise: an int, or a 0/1
+    column on a block."""
+    return (m % N == 0) * 1
+
+
+def _addm(out, e, scale=1) -> None:
+    """out += scale * zeta^e; no-op when the monomial is zero.  On a block
+    (out an (R, N) array) e and scale may be columns, one entry per row."""
+    if e is None:
+        return
+    if type(out) is list:
         out[e % len(out)] += scale
+    else:
+        out[np.arange(len(out)), e % out.shape[1]] += scale
 
 
 def _mono_exp(f: FieldTable, pairs) -> int | None:
@@ -179,20 +236,22 @@ _ARRAY_MIN_N = 40
 _BLOCK = 1 << 15
 
 
-def _fd_vec(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
-            out: list[int] | None = None) -> list[int]:
+def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s: int = 1, out=None):
     """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
     out is a fresh zero vector when None, and e0 = None (a zero prefactor)
     adds nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u ->
-    u/(u-1) maps its terms one to one onto those of the binomial.  The walk
-    runs as a list loop below N = _ARRAY_MIN_N and as array passes from there."""
-    walk = _fd_array if f.n_chars >= _ARRAY_MIN_N else _fd_list
-    return walk(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
+    u/(u-1) maps its terms one to one onto those of the binomial.  One
+    assignment's walk runs as a list loop below N = _ARRAY_MIN_N and as array
+    passes from there; a block of rows (A an int64 column, C, the B's and e0
+    columns or ints, out an (R, N) array) always runs as array passes."""
+    if f.n_chars >= _ARRAY_MIN_N or isinstance(mA, np.ndarray):
+        return _fd_array(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
+    return _fd_list(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
 
 
 def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
              out: list[int] | None = None) -> list[int]:
-    """_fd_vec as one loop over u."""
+    """_fd_vec as one loop over u, for one assignment."""
     N, Z = f.n_chars, f.zech_table
     if out is None:
         out = [0] * N
@@ -201,6 +260,10 @@ def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s:
     mA %= N
     mAC = (mC - mA) % N
     e0 += (mA + mC) * f.log_neg1
+    if not mBs:  # n = 0: no B-slot, so no term is zero
+        for i in range(1, N):
+            out[(e0 + mA * i + mAC * Z[i]) % N] += s
+        return out
     slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
     for i in range(1, N):
         e = e0 + mA * i + mAC * Z[i]
@@ -214,54 +277,75 @@ def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s:
     return out
 
 
-def _exponents(f: FieldTable, e0: int, mA: int, mBs, mC: int, xs):
+def _exponents(f: FieldTable, e0, mA, mBs, mC, xs):
     """The walk's exponent column e0 + A i + (C - A) Z[i] - sum_j B_j
     Z[log x_j + i] at i = 1..N-1, as int64 entries in [0, N), and the set of
-    its dead positions.  Each B-slot adds one rotated slice of the doubled
-    Zech array, which holds -1 at the one i where x_j g^i = 1 (none when
-    x_j = 1): that term is dead.  Every product is reduced mod N before the
-    next is added, so no entry exceeds N + N^2, far inside int64."""
+    its dead positions.  On a block (A an int64 column of R rows, the other
+    characters and e0 columns or ints) it is an (R, N - 1) matrix, a row per
+    character row; the dead positions depend on the points alone, so they are
+    every row's.  Each B-slot adds one rotated slice of the doubled Zech
+    array, which holds -1 at the one i where x_j g^i = 1 (none when x_j = 1):
+    that term is dead.  Every character is reduced mod N before its product
+    is added, so the sum stays below (n + 2) N^2, far inside int64, and is
+    reduced mod N once, at the end; the sums are formed in place."""
     N, Z2, L = f.n_chars, f.zech_array, f.log_table
-    e = (e0 % N + mA % N * np.arange(1, N) + (mC - mA) % N * Z2[1:N]) % N
+    if isinstance(mA, np.ndarray):  # characters down as (R, 1) columns, positions across
+        e0, mA, mC, *mBs = (m[:, None] if isinstance(m, np.ndarray) else m
+                            for m in (e0, mA, mC, *mBs))
+    e = mA % N * np.arange(1, N)
+    e += (mC - mA) % N * Z2[1:N]
+    e += e0 % N
     dead = set()
     for mb, x in zip(mBs, xs):
         lx = L[x]
         e += -mb % N * Z2[lx + 1:lx + N]  # log(1 - x_j u); -1 where x_j u = 1
-        e %= N
         if lx:
             dead.add(N - lx - 1)  # the position of i = N - lx
+    e %= N
     return e, dead
 
 
-def _fd_array(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
-              out: list[int] | None = None) -> list[int]:
+def _fd_array(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s: int = 1, out=None):
     """_fd_vec as int64 array passes: the exponent column is counted with one
     bincount, and each distinct dead position, counted at its computed
-    exponent, is taken back.  The counts are scaled by s in int64, exact
+    exponent, is taken back.  On a block each row's exponents are offset by
+    N times its row, so one bincount counts every row, and the counts come
+    back as an (R, N) array.  The counts are scaled by s in int64, exact
     while |s| (N - 1) < 2^63 (the callers' s is 1, -1 or q - 1), and added
     into `out` in place in one pass."""
     N = f.n_chars
     if e0 is None or 0 in xs:
-        return [0] * N if out is None else out
+        return _zeros(N, _nrows(mA, mC, *mBs)) if out is None else out
     e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs)
-    counts = np.bincount(e, minlength=N)
+    R = None if e.ndim == 1 else len(e)
+    if R is not None:
+        e += N * np.arange(R)[:, None]  # row r counts into slots rN .. rN + N - 1
+    counts = np.bincount(e.ravel(), minlength=N * (R or 1))
+    if R is not None:
+        e = e.T  # e[k]: position k of every row
     for k in dead:
         counts[e[k]] -= 1
     if s != 1:
         counts *= s
+    if R is not None:
+        counts = counts.reshape(R, N)
     if out is None:
-        return counts.tolist()
+        return counts.tolist() if R is None else counts
+    if type(out) is not list:
+        out += counts
+        return out
     out[:] = map(add, out, counts.tolist())
     return out
 
 
-def _beta_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
     """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | x_m, x_3..),
     x_m = u x_1 + (1-u) x_2, as a fresh list: one _fd_vec walk per u, done as
     one double walk, a list loop below N = _ARRAY_MIN_N and blocks of array
-    passes from there."""
-    walk = _beta_array if f.n_chars >= _ARRAY_MIN_N else _beta_list
-    return walk(f, mA, mBs, mC, xs)
+    passes from there and on a block of rows (A an int64 column)."""
+    if f.n_chars >= _ARRAY_MIN_N or isinstance(mA, np.ndarray):
+        return _beta_array(f, mA, mBs, mC, xs)
+    return _beta_list(f, mA, mBs, mC, xs)
 
 
 def _beta_list(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
@@ -315,21 +399,29 @@ def _beta_list(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     return [a + b + c for a, b, c in zip(acc[:N], acc[N:2 * N], acc[2 * N:D])]
 
 
-def _beta_array(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+def _beta_array(f: FieldTable, mA, mBs, mC, xs):
     """_beta_list as int64 array passes: b, z and c as columns, with the same
-    dead marker D = 3N.  Row r of `rows` is a read-only view of z(r..r + N-2),
-    so the live u's rotated columns are one gather; a block of at most _BLOCK
-    pair sums at a time is bincounted into the 7N accumulator.  Every sum is
-    below 7N."""
+    dead marker D = 3N, for a block of R rows (one assignment is a block of
+    one row, returned as a list).  rows[l, r] is a read-only view of row r's
+    z(l..l + N-2), so the live u's rotated columns are one gather; a block of
+    at most _BLOCK pair sums at a time (at least one u) is bincounted into
+    the 7N slots of its row.  Every sum is below 7N."""
     N, Z2, L = f.n_chars, f.zech_array, f.log_table
+    R = _nrows(mA, mC, *mBs)
     if 0 in xs or N == 1:
-        return [0] * N
+        return _zeros(N, R)
+    one = R is None
+    if one:
+        mA, mC, *mBs = (np.array([m], dtype=np.int64) for m in (mA, mC, *mBs))
+        R = 1
     D = 3 * N
-    base, dead = _exponents(f, 0, mA, mBs[2:], mC, xs[2:])  # b(k) at k = 1..N-1
-    base[list(dead)] = D
-    col = -(mBs[0] + mBs[1]) % N * Z2 % N
-    col[Z2 < 0] = D
-    rows = np.lib.stride_tricks.as_strided(col, (N + 1, N - 1), col.strides * 2,
+    base, dead = _exponents(f, 0, mA, mBs[2:], mC, xs[2:])  # b(k) at k = 1..N-1, per row
+    base[:, list(dead)] = D
+    base += 7 * N * np.arange(R)[:, None]  # row r's sums land in its own 7N slots
+    col = (-(mBs[0] + mBs[1]) % N)[:, None] * Z2 % N
+    col[:, Z2 < 0] = D
+    rows = np.lib.stride_tricks.as_strided(col, (N + 1, R, N - 1),
+                                           (col.strides[1], col.strides[0], col.strides[1]),
                                            writeable=False)
     x1, x2 = xs[0], xs[1]
     l2 = L[x2]
@@ -341,15 +433,18 @@ def _beta_array(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
         z = Z2[d + 1:d + N]
         live = z >= 0
         i, lm = i[live], (l2 + z[live]) % N
-    c = ((mA + mC) * f.log_neg1 % N + mBs[0] % N * i + mBs[1] % N * Z2[i]) % N
-    acc = np.zeros(7 * N, dtype=np.int64)  # pair sums c + b + z, dead ones at 3N and above
-    step = max(1, _BLOCK // (N - 1))
+    c = ((mA + mC) * f.log_neg1 % N + mBs[0] % N * i[:, None]
+         + mBs[1] % N * Z2[i][:, None]) % N  # (u, row)
+    acc = np.zeros(7 * N * R, dtype=np.int64)  # pair sums c + b + z, dead ones at 3N and above
+    step = max(1, _BLOCK // (R * (N - 1)))
     for j in range(0, len(i), step):
         block = rows[lm[j:j + step] + 1]
         block += base
-        block += c[j:j + step, None]
-        acc += np.bincount(block.ravel(), minlength=7 * N)
-    return (acc[:N] + acc[N:2 * N] + acc[2 * N:D]).tolist()
+        block += c[j:j + step, :, None]
+        acc += np.bincount(block.ravel(), minlength=7 * N * R)
+    acc = acc.reshape(R, 7 * N)
+    out = acc[:, :N] + acc[:, N:2 * N] + acc[:, 2 * N:D]
+    return out[0].tolist() if one else out
 
 
 def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
@@ -360,11 +455,25 @@ def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
     characters, so e is the walk's exponent at (A, B, C) and d its exponent
     at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
     (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.
-    A B-slot at slope 0 adds nothing to d and skips its product."""
+    A B-slot at slope 0 adds nothing to d and skips its product.
+
+    On a block (A an int64 column of R rows) the terms are a pair of
+    arrays: the (R, T) exponents at the characters, a row per character row,
+    and the T slopes, which involve no character and so are every row's;
+    both are _exponents' (reduced mod N) without the dead positions."""
     N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
+    block = isinstance(mA, np.ndarray)
     if 0 in xs:
+        if block:
+            return np.zeros((len(mA), 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
         return []
     e0, d0 = (mA + mC) * l1, (dA + dC) * l1 + k
+    if block:
+        e, dead = _exponents(f, e0, mA, mBs, mC, xs)
+        d, _ = _exponents(f, d0, dA, dBs, dC, xs)
+        live = np.ones(N - 1, dtype=bool)
+        live[list(dead)] = False
+        return e[:, live], d[live]
     mAC, dAC = mC - mA, dC - dA
     if not xs:  # no B-slot, so no term is zero
         return [(e0 + mA * i + mAC * Z[i], d0 + dA * i + dAC * Z[i]) for i in range(1, N)]
@@ -403,7 +512,10 @@ def _coset_counts(D, terms, *factors) -> list[int]:
     fold at most D.squares states with the next list; _coset_moebius makes
     one pass per divisor and list, at _PASS_STEPS pair steps each.  The
     cheaper one runs, and _coset_moebius only while its int64 counts hold N
-    times the number of tuples."""
+    times the number of tuples.  The terms of a block of character rows (a
+    pair of arrays, from _walk_terms) are counted by _coset_rows."""
+    if type(terms) is tuple:
+        return _coset_rows(D, terms, *factors)
     count = _coset_direct
     steps, states, tuples = 0, len(terms), len(terms)
     for fac in factors:
@@ -479,6 +591,39 @@ def _coset_moebius(D, terms, *factors) -> list[int]:
     return _tile(D, acc.tolist(), len(factors))
 
 
+def _coset_rows(D, *lists) -> np.ndarray:
+    """_coset_counts for a block of R character rows, as an (R, N) array.
+    Each list is a pair (E, m) of an (R, T) exponent matrix and T slopes (a
+    later list of (e, m) pairs is one shared by every row).  The slopes involve no
+    character, so each tuple's g = gcd(m0 + m_1, .., m0 + m_n, N) is every
+    row's, and only e mod g moves with the row: a chunk of at most
+    max(1, _BLOCK // R) tuples is one bincount of row sigma(N) + offset[g] +
+    e mod g, and, as in _tile, the row of g is scaled by g and tiled to
+    length N, and the whole is scaled by N^(n-1).  No int64 entry exceeds
+    N^n times the number of tuples."""
+    N = D.n
+    cols = [L if type(L) is tuple else
+            (np.array([[e for e, _ in L]], dtype=np.int64),
+             np.array([m for _, m in L], dtype=np.int64)) for L in lists]
+    R = len(cols[0][0])
+    shape = tuple(len(m) for _, m in cols)
+    total = math.prod(shape)
+    rows = D.size * np.arange(R)[:, None]
+    acc = np.zeros(R * D.size, dtype=np.int64)
+    step = max(1, _BLOCK // R)
+    (E0, m0), *rest = cols
+    for a in range(0, total, step):
+        k0, *ks = np.unravel_index(np.arange(a, min(a + step, total)), shape)
+        g, e = N, E0[:, k0]
+        for (E, m), k in zip(rest, ks):
+            g = np.gcd(g, m0[k0] + m[k])
+            e = e + E[:, k]
+        acc += np.bincount((D.starts[g] + e % g + rows).ravel(), minlength=R * D.size)
+    acc = acc.reshape(R, D.size) * D.widths
+    out = sum(np.tile(acc[:, o:o + g], N // g) for g, o in D.offset.items())
+    return out * N ** (len(lists) - 2)
+
+
 def _merge(h, a, x):
     """The entries (a, x), one each, with their counts: merged by (a, x) into
     the nonzero cells of an h x h histogram when it has fewer cells than
@@ -541,7 +686,7 @@ def _theta_sum(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int, 
     slope against the binomial factor's, twisted by theta log t, in one coset
     count."""
     if t == 0:
-        return [0] * f.n_chars  # every summand carries theta(0) = 0
+        return _zeros(f.n_chars, _nrows(mA, mC, b, *mBs))  # every summand carries theta(0) = 0
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
                          _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
 
@@ -550,7 +695,7 @@ def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
     n = 0 walk at slope (1, 1), twisted by theta log x."""
     if x == 0:
-        return [0] * f.n_chars
+        return _zeros(f.n_chars, _nrows(ma, mb))
     return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1),
                          [(0, f.log_table[x])])
 
@@ -560,7 +705,7 @@ def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
     choose chi_j} chi_j(x_j), s = sum_j chi_j: the n = 0 walk at slope (1, 1)
     against the terms of each twisted binomial, one coset count over Z_N^n."""
     if 0 in xs:
-        return [0] * f.n_chars
+        return _zeros(f.n_chars, _nrows(mA, mC, *mBs))
     L = f.log_table
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, (), mC, (), 1, (), 1),
                          *(_walk_terms(f, mb, (), mb, (), 1, (), 0, L[x])
@@ -708,7 +853,7 @@ def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
 
 def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
     q = f.q
-    out = [0] * f.n_chars
+    out = _zeros(f.n_chars, _nrows(mA, mC, *mBs))
     # (q-1) eps(t) m(y) F_D(A; B; C | x scaled by y): y = (1-t)^-1 scales every
     # x_j with m = A (T41) or x_n alone with m = B_n (T42); y = 1 + t scales
     # every x_j with m = C (T43).  y = 0 (1 - t = 0 or 1 + t = 0) leaves it out.

@@ -16,18 +16,28 @@ output: failure entries and `replay`.
 
 Every side takes the field's shared table (ff_core.FieldTable, one per q for
 the process) and keeps no state between or within calls, so a report is a
-pure function of that table and its arguments.  Every side returns a fresh
-list.  F_D is walked per value, each walk adding its signed, zeta-shifted
-term into the side's vector, and every binomial {A choose B} is the n = 0
-walk; t3.ff-beta's u-sum of F_D walks is one double walk (hyperff._beta_vec);
-t3.ksum's right-hand side and the t5.gf1-3 left-hand sides are one
-binomial-weighted theta-sum (hyperff._theta_sum), the k-sum's at the slope
-(1, 0..0, 1) with b = B_n and t = x_n; t2.1's character-sum side and the p2
-line sums count the terms of one walk over the characters; p2.prod and
-t3.ff-beta's right-hand side multiply walk counts (hyperff._conv).
+pure function of that table and its arguments.  Each side is written once:
+it takes one assignment's character exponents as ints and returns a fresh
+list, or a block's as equal-length int64 columns and returns an (R, N) array
+of the same rows (hyperff's kernels take both); a delta(A) term is a 0/1
+weight, so no side branches on a character value.  F_D is walked per
+value, each walk adding its signed, zeta-shifted term into the side's
+vector, and every binomial {A choose B} is the n = 0 walk; t3.ff-beta's
+u-sum of F_D walks is one double walk (hyperff._beta_vec); t3.ksum's
+right-hand side and the t5.gf1-3 left-hand sides are one binomial-weighted
+theta-sum (hyperff._theta_sum), the k-sum's at the slope (1, 0..0, 1) with
+b = B_n and t = x_n; t2.1's character-sum side and the p2 line sums count
+the terms of one walk over the characters; p2.prod and t3.ff-beta's
+right-hand side multiply walk counts (hyperff._conv).
 
 Modes:
-  exhaustive -- the product of the slot domains, with no check per assignment;
+  exhaustive -- the product of the slot domains, with no check per assignment:
+                point tuples outermost, and at each one the character rows
+                in blocks, each side evaluated once per block and d * lhs =
+                rhs decided row by row in NumPy (_check_rows), with the
+                unequal rows passed to the row-batched vanishing test; one
+                assignment at a time in Python ints where the int64 bound
+                could fail (_fits_int64);
   sampled    -- `count` seeded-uniform draws that satisfy the constraints
                 (gives up with SamplingGaveUp, naming the constraint that
                 rejected most draws, after 1000 * count + 1000 draws);
@@ -47,10 +57,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
+import numpy as np
+
 from . import charset, cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
-from .hyperff import _addm, _mono_exp
+from .hyperff import _addm, _delta, _mono_exp
 
 DEFAULT_CAP = 10_000_000
 MODES = ("exhaustive", "sampled", "boundary")
@@ -129,7 +141,13 @@ def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
 
 
 # -- the identities -------------------------------------------------------------------
-# Slot layout unless noted: cs = (A, C, B_1..B_n), es = (x_1..x_n).
+# Slot layout unless noted: cs = (A, C, B_1..B_n), es = (x_1..x_n).  cs is one
+# assignment's ints or a block's int64 columns, one entry per row (see _run_one).
+
+
+def _zero(f, cs):
+    """A fresh zero side for the characters cs: a list, or one row per row of a block."""
+    return hyperff._zeros(f.n_chars, hyperff._nrows(*cs))
 
 
 def _t21_lhs(f, n, cs, es):
@@ -185,7 +203,7 @@ def _epsred_lhs(f, n, cs, es):
 def _epsred_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    out = [0] * f.n_chars
+    out = _zero(f, cs)
     if xn != 0:
         hyperff._fd_vec(f, A, Bs, C, es[:-1], out=out)
     e = _mono_exp(f, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
@@ -207,7 +225,7 @@ def _ceqa_lhs(f, n, cs, es):
 def _ceqa_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
-    out = [0] * f.n_chars
+    out = _zero(f, cs)
     e = _mono_exp(f, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
                       *((0, x) for x in es)])
     _addm(out, e, -1)
@@ -225,7 +243,7 @@ _reg("t4.c-eq-a", "C = A evaluation: the last B-slot is shifted out of C",
 
 def _oneminus_lhs(f, n, cs, es):
     if 1 in es:
-        return [0] * f.n_chars
+        return _zero(f, cs)
     return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
 
 
@@ -253,7 +271,7 @@ _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial 
 
 def _lastpivot_lhs(f, n, cs, es):
     if es[-1] in es[:-1]:
-        return [0] * f.n_chars
+        return _zero(f, cs)
     return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
 
 
@@ -273,7 +291,7 @@ _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
 def _c35_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     if es[-1] in es[:-1]:
-        return [0] * f.n_chars
+        return _zero(f, cs)
     return hyperff._fd_vec(f, A, Bs, sum(Bs), es)
 
 
@@ -398,8 +416,8 @@ def _c63_rhs(f, n, cs, es):
     SB = sum(Bs)
     out = hyperff._fd_vec(f, A, (), SB, (), e0=_mono_exp(f, [(0, x), (-A, f.sub(1, x))]))
     _addm(out, _mono_exp(f, [(-SB, f.neg(x))]), -1)
-    if x == 1 and A % N == 0:
-        _addm(out, (SB % N) * f.log_neg1, f.q - 1)
+    if x == 1:
+        _addm(out, SB * f.log_neg1, (f.q - 1) * _delta(A, N))
     return out
 
 
@@ -452,8 +470,8 @@ _reg("p2.f3", "{A choose B} = AB(-1) {B^-1 choose A^-1}", _f2_lhs, _f3_rhs,
 
 
 def _f4_rhs(f, n, cs, es):
-    out = [0] * f.n_chars
-    out[0] = -1 + (f.q - 1 if cs[0] % f.n_chars == 0 else 0)
+    out = _zero(f, cs)
+    _addm(out, 0, -1 + (f.q - 1) * _delta(cs[0], f.n_chars))
     return out
 
 
@@ -476,10 +494,8 @@ def _prod_rhs(f, n, cs, es):
     N, q = f.n_chars, f.q
     out = hyperff._conv(hyperff._fd_vec(f, C, (), B, ()), hyperff._fd_vec(f, C - B, (), A - B, ()),
                         N)
-    if A % N == 0:
-        _addm(out, (B % N) * f.log_neg1, -(q - 1))
-    if (B - C) % N == 0:
-        _addm(out, ((A + B) % N) * f.log_neg1, q - 1)
+    _addm(out, B * f.log_neg1, -(q - 1) * _delta(A, N))
+    _addm(out, (A + B) * f.log_neg1, (q - 1) * _delta(B - C, N))
     return out
 
 
@@ -493,7 +509,7 @@ def _binthm_lhs(f, n, cs, es):
 
 def _binthm_rhs(f, n, cs, es):
     A, x = cs[0], es[0]
-    out = [0] * f.n_chars
+    out = _zero(f, cs)
     _addm(out, _mono_exp(f, [(0, x), (-A, f.sub(1, x))]), f.q - 1)
     return out
 
@@ -509,7 +525,7 @@ def _linesum_lhs(f, n, cs, es):
 
 def _linesum_rhs(f, n, cs, es):
     A, B, x = cs[0], cs[1], es[0]
-    out = [0] * f.n_chars
+    out = _zero(f, cs)
     _addm(out, _mono_exp(f, [(-B, x), (B - A, f.sub(1, x))]), f.q - 1)
     return out
 
@@ -576,6 +592,61 @@ def _check(desc, f, n, cs, es, corrupt: bool):
     return cyclo.vanishes(f.n_chars, [a - b for a, b in zip(dl, rv)]), lv, rv
 
 
+# Largest magnitude that a block's int64 entries, and the vanishing test's
+# passes over its rows, may reach (see _fits_int64).
+_INT64_BOUND = 2**62
+
+
+def _fits_int64(desc, f, n) -> bool:
+    """Whether a block of (q, n) stays inside _INT64_BOUND.  Every side is a
+    signed sum of terms whose total weight is at most 3 q^(2n+3): a walk
+    weighs |s| (N - 1) <= q N, the character-sum form N^n per term tuple,
+    (N - 1)^(n+1) tuples, a theta-sum N^3, a double walk or a product of
+    two walks N^2, a monomial q.  That bounds every partial sum of a
+    kernel, and it bounds d lhs - rhs (a corrupt rhs adds d) by (d + 1) 4
+    q^(2n+3); each of the vanishing test's omega(N) passes at most doubles
+    it.  Where this holds, raw entries and the passes stay below 2^62."""
+    N = f.n_chars
+    d = desc.den(f.q, n)
+    return (d + 1) * 4 * f.q ** (2 * n + 3) << len(cyclo._prime_divisors(N)) < _INT64_BOUND
+
+
+def _char_blocks(cdoms, N: int):
+    """The product of the character domains, in itertools.product order, as
+    blocks of int64 columns (one per character slot) of at most
+    max(1, _BLOCK // N) rows, so that no (R, N) side of a block holds more
+    than hyperff._BLOCK entries."""
+    doms = [np.array(d, dtype=np.int64) for d in cdoms]
+    sizes = [len(d) for d in doms]
+    total = math.prod(sizes)
+    step = max(1, hyperff._BLOCK // N)
+    for a in range(0, total, step):
+        idx = np.unravel_index(np.arange(a, min(a + step, total)), sizes)
+        yield tuple(d[i] for d, i in zip(doms, idx))
+
+
+def _check_rows(desc, f, n, cols, es, corrupt: bool) -> list[dict]:
+    """_check for a block of character rows at one point tuple: each side
+    evaluated once for every row, as (R, N) raw vectors, d * lhs = rhs
+    decided row by row in NumPy, and the rows that differ entry by entry
+    passed to the row-batched cyclo.vanishes.  Returns the failure entries
+    of the rows that fail, built from each row's raw sides as _check's."""
+    shape = (len(cols[0]), f.n_chars)
+    lv = np.broadcast_to(desc.lhs(f, n, cols, es), shape)  # a side free of the rows is a list
+    rv = np.broadcast_to(desc.rhs(f, n, cols, es), shape)
+    d = desc.den(f.q, n)
+    if corrupt:
+        rv = rv.copy()
+        rv[:, 0] += d
+    diff = d * lv - rv if d != 1 else lv - rv
+    unequal = np.flatnonzero(diff.any(axis=1))
+    if not len(unequal):
+        return []
+    failed = unequal[~cyclo.vanishes(f.n_chars, diff[unequal])]
+    return [_fail_entry(desc, f, n, tuple(int(c[r]) for c in cols), es, lv[r].tolist(),
+                        rv[r].tolist()) for r in failed]
+
+
 def _canonical(desc, f, n, lv, rv) -> tuple[CycInt, CycInt]:
     """Canonical lhs and rhs / d of raw sides, for output only."""
     return (cyclo.from_coeffs(f.n_chars, lv),
@@ -615,24 +686,31 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
             ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
             if not ok:
                 failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
-    else:
-        # exhaustive mode walks the product of the slot domains; boundary mode
-        # walks its complement, only constraint-violating assignments, and
-        # records mismatches and evaluation errors, never failing on them
+    elif mode == "exhaustive":
+        # the product of the slot domains: point tuples outermost, and at
+        # each one the character rows in blocks; past the int64 bound (or
+        # with no character slot) one assignment at a time, in Python ints
         cdoms, edoms = desc.domains(q, n)
         admissible = math.prod(map(len, cdoms + edoms))
-        if mode == "exhaustive":
-            tested, excluded = admissible, desc.slot_space(q, n) - admissible
-        else:
-            excluded, mismatches, undefined = admissible, 0, 0
-            cdoms, edoms = [range(N)] * len(cdoms), [range(q)] * len(edoms)
-        for cs in itertools.product(*cdoms):
-            for es in itertools.product(*edoms):
-                if mode == "exhaustive":
-                    ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
-                    if not ok:
-                        failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
-                    continue
+        tested, excluded = admissible, desc.slot_space(q, n) - admissible
+        batched = bool(cdoms) and _fits_int64(desc, f, n)
+        for es in itertools.product(*edoms):
+            if batched:
+                for cols in _char_blocks(cdoms, N):
+                    failures += _check_rows(desc, f, n, cols, es, corrupt_rhs)
+                continue
+            for cs in itertools.product(*cdoms):
+                ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
+                if not ok:
+                    failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
+    else:
+        # boundary mode walks the complement of the slot domains, only
+        # constraint-violating assignments, and records mismatches and
+        # evaluation errors, never failing on them
+        cdoms, edoms = desc.domains(q, n)
+        excluded, mismatches, undefined = math.prod(map(len, cdoms + edoms)), 0, 0
+        for cs in itertools.product(range(N), repeat=len(cdoms)):
+            for es in itertools.product(range(q), repeat=len(edoms)):
                 if desc.violated(cs, es) is None:
                     continue
                 try:

@@ -3,6 +3,7 @@ import inspect
 import random
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +94,18 @@ def test_build_field_validation():
     with pytest.raises(errors.TooLarge):
         ff_core.build_field(2, 13)  # 8192 > default cap
     ff_core.build_field(2, 12)  # 4096 is allowed
+
+
+@pytest.mark.parametrize("args, name", [
+    ((5.0, 1), "p"), ((True, 1), "p"), ((np.int64(5), 1), "p"),
+    ((5, 1.0), "k"), ((5, True), "k"), ((5, np.int64(1)), "k"),
+    ((5, 1, 4096.0), "max_q"), ((5, 1, True), "max_q"), ((5, 1, np.int64(4096)), "max_q"),
+])
+def test_build_field_refuses_non_integer_arguments(args, name):
+    # a float, a bool and a NumPy integer are each refused by name, before
+    # the cap, the cache or the primality test sees them
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        ff_core.build_field(*args)
 
 
 def test_build_field_shares_one_table_per_order():

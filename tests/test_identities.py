@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import random
+import textwrap
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ffhyper import cyclo, errors, ff_core, hyperff, identities
@@ -627,3 +630,142 @@ def test_a_wrong_slot_domain_is_caught(monkeypatch):
     monkeypatch.setattr(identities.IdentityDescriptor, "domains", full)
     for ident in PREDICATES:
         assert not _matches_oracle(identities.get_identity(ident), (3,), ("exhaustive",))
+
+
+# -- the batched exhaustive engine against the per-assignment path -------------------
+# Exhaustive mode evaluates each side once per block of character rows at a
+# point tuple (identities._check_rows).  The per-assignment sides and _check,
+# which sampled mode, boundary mode and replay still run, and _oracle_run_one
+# above are the oracles.
+
+
+def _block_rows_match(desc, f, n) -> bool:
+    """Every row of every block of `desc` at (f.q, n) is the per-call lhs and
+    rhs, entry for entry."""
+    N = f.n_chars
+    cdoms, edoms = desc.domains(f.q, n)
+    for es in itertools.product(*edoms):
+        for cols in identities._char_blocks(cdoms, N):
+            shape = (len(cols[0]), N)
+            lv = np.broadcast_to(desc.lhs(f, n, cols, es), shape)
+            rv = np.broadcast_to(desc.rhs(f, n, cols, es), shape)
+            for r in range(shape[0]):
+                cs = tuple(int(c[r]) for c in cols)
+                if (lv[r].tolist() != desc.lhs(f, n, cs, es) or
+                        rv[r].tolist() != desc.rhs(f, n, cs, es)):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_block_rows_are_the_per_call_sides_exhaustive(ident):
+    desc = identities.get_identity(ident)
+    for q in (2, 3, 4, 5):
+        for n in range(desc.n_min, 3):
+            if desc.allows_n(n):
+                assert _block_rows_match(desc, _field(q), n), (q, n)
+
+
+@pytest.mark.parametrize("ident", [i for i in EXPECTED_IDS
+                                   if identities.get_identity(i).n_min <= 1])
+def test_block_rows_are_the_per_call_sides_at_q7_to_9(ident):
+    desc = identities.get_identity(ident)
+    for q in (7, 8, 9):
+        for n in range(desc.n_min, 2):
+            assert _block_rows_match(desc, _field(q), n), (q, n)
+
+
+def _exhaustive_reports(idents, qs, corrupt_rhs=False) -> list[str]:
+    return [_outcome(identities._run_one, identities.get_identity(i), q, n, "exhaustive",
+                     corrupt_rhs=corrupt_rhs)
+            for i in idents for q in qs for n in range(3)
+            if identities.get_identity(i).allows_n(n)]
+
+
+@pytest.mark.parametrize("block", [1, 37])
+def test_block_size_does_not_change_a_report(monkeypatch, block):
+    # _BLOCK = 1 puts one row in each block (and one tuple in each chunk of a
+    # coset count); 37 splits the character rows and the term tuples unevenly
+    idents = ["t2.1", "t3.ff-beta", "t4.c63", "t5.gf2", "p2.prod", "p2.f4-eps",
+              "p2.linesum"]
+    qs = (3, 4) if block == 1 else (3, 4, 5)
+    want = _exhaustive_reports(idents, qs), _exhaustive_reports(idents, (3,), True)
+    monkeypatch.setattr(hyperff, "_BLOCK", block)
+    assert (_exhaustive_reports(idents, qs), _exhaustive_reports(idents, (3,), True)) == want
+
+
+def test_the_int64_bound_sends_a_report_to_python_ints(monkeypatch):
+    # every gate report runs batched; at a bound below its entries a report
+    # runs one assignment at a time, with the same bytes
+    for desc in identities.list_identities():
+        for q in (3, 4, 5):
+            for n in range(3):
+                if desc.allows_n(n):
+                    assert identities._fits_int64(desc, _field(q), n), (desc.id, q, n)
+    assert not identities._fits_int64(identities.get_identity("t2.1"), _field(4096), 2)
+    idents = ["t2.1", "t3.ksum", "p2.prod"]
+    want = _exhaustive_reports(idents, (3, 4)), _exhaustive_reports(idents, (3,), True)
+    checks = []
+    real = identities._check
+    monkeypatch.setattr(identities, "_INT64_BOUND", 1)
+    monkeypatch.setattr(identities, "_check", lambda *a: checks.append(1) or real(*a))
+    assert (_exhaustive_reports(idents, (3, 4)), _exhaustive_reports(idents, (3,), True)) == want
+    assert checks
+
+
+def test_exhaustive_memory_does_not_grow_with_the_rows():
+    # the rows are built and decided a block of at most _BLOCK entries at a
+    # time, so 1.05 M rows (q = 1024) peak as 65 k rows (q = 256) do
+    peaks = []
+    for k in (8, 10):
+        ff_core.build_field(2, k)  # the shared table is not part of the peak
+        tracemalloc.start()
+        (r,) = identities.verify("p2.f2", [2**k])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert r.ok and r.tested == (2**k - 1) ** 2
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def _mutated(module, name, old, new):
+    """module.<name> compiled from its source with `old` replaced."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert src.count(old) == 1, (name, old)
+    ns = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), ns)
+    return ns[name]
+
+
+def test_batched_engine_mutants_are_caught(monkeypatch):
+    gf2, linesum, prod = (identities.get_identity(i) for i in ("t5.gf2", "p2.linesum", "p2.prod"))
+    cases = [(gf2, 4, 1), (linesum, 5, 0)]
+    assert all(_block_rows_match(desc, _field(q), n) for desc, q, n in cases)
+
+    def reports(corrupt_rhs=False):
+        return [_outcome(identities._run_one, desc, q, n, "exhaustive", corrupt_rhs=corrupt_rhs)
+                for desc, q, n in [*cases, (prod, 5, 0)]]
+
+    def oracle(corrupt_rhs=False):
+        return [_outcome(_oracle_run_one, desc, q, n, "exhaustive", corrupt_rhs=corrupt_rhs)
+                for desc, q, n in [*cases, (prod, 5, 0)]]
+
+    want, want_corrupt = oracle(), oracle(True)
+    assert reports() == want and reports(True) == want_corrupt
+    with monkeypatch.context() as m:  # each row's slots offset by sigma(N) - 1, not sigma(N)
+        m.setattr(hyperff, "_coset_rows", _mutated(hyperff, "_coset_rows", "rows = D.size *",
+                                                   "rows = (D.size - 1) *"))
+        assert not any(_block_rows_match(desc, _field(q), n) for desc, q, n in cases)
+        assert reports() != want
+    with monkeypatch.context() as m:  # the delta(A) weight of p2.prod inverted
+        rhs = _mutated(identities, "_prod_rhs", "-(q - 1) * _delta(A, N)",
+                       "-(q - 1) * (1 - _delta(A, N))")
+        bad = dataclasses.replace(prod, rhs=rhs)
+        assert _outcome(identities._run_one, bad, 5, 0, "exhaustive") != \
+            _outcome(_oracle_run_one, prod, 5, 0, "exhaustive")
+    with monkeypatch.context() as m:  # the first unequal row of a block dropped
+        m.setattr(identities, "_check_rows", _mutated(
+            identities, "_check_rows", "np.flatnonzero(diff.any(axis=1))",
+            "np.flatnonzero(diff.any(axis=1))[1:]"))
+        assert reports() == want  # an honest report has no unequal row to drop
+        assert reports(True) != want_corrupt
+    assert reports() == want and reports(True) == want_corrupt
