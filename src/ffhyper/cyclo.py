@@ -85,11 +85,17 @@ class DivisorTable:
                is h = n/d
     squares    the sum of g^2 over the divisors: the most states (g, r mod g,
                x mod g) a fold of the count can keep
-    starts     int64 array of length n + 1: offset[g] at index g (a count of a
-               block of character rows reads it by an array of g's)
+    rank       int64 array of length n: the index in divisors of gcd(k, n),
+               0 <= k < n, by the same sieve
+    meet       int64 array of shape (tau, tau), tau the number of divisors:
+               the index of gcd(divisors[a], divisors[b]) at [a, b]
+    value      int64 array: the divisors, by index
+    starts     int64 array: offset[g] by the index of g (a count of a block
+               of rows reads rank, meet, value and starts by arrays of indices)
     widths     int64 array of size slots: the g of each slot's row
 
-    Every table holds O(sigma(n)) ints: 2 sigma(n) per gcd and slot table."""
+    Every table holds O(sigma(n)) ints, 2 sigma(n) per gcd and slot table,
+    but rank (n ints) and meet (tau^2)."""
 
     def __init__(self, n: int):
         ds = [1]
@@ -116,8 +122,12 @@ class DivisorTable:
                     s[::d] = [self.offset[d]] * k
             self.gcd[g], self.slot[g] = tuple(t), tuple(s)
             self.moebius[g] = tuple((n // d, mu) for d, mu in _moebius_factors(n // g))
-        self.starts = np.zeros(n + 1, dtype=np.int64)
-        self.starts[list(ds)] = list(self.offset.values())
+        self.rank = np.zeros(n, dtype=np.int64)
+        for i, d in enumerate(ds):
+            self.rank[::d] = i
+        self.meet = self.rank[[[math.gcd(a, b) % n for b in ds] for a in ds]]
+        self.value = np.array(ds, dtype=np.int64)
+        self.starts = np.array(list(self.offset.values()), dtype=np.int64)
         self.widths = np.repeat(np.array(ds, dtype=np.int64), ds)
 
 

@@ -94,9 +94,17 @@ class FieldTable:
     zech_table[i] = log_g(1 - g^i), Zech's logarithm, with the same -1 at
     i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
     through these tables: x - y = x (1 - y/x).  zech_array is zech_table
-    twice over as a read-only int64 array of length 2N.  divisor_table is the
+    twice over as a read-only int64 array of length 2N, and exp_array and
+    log_array are exp_table and log_table as read-only int64 arrays.
+    divisor_table is the
     cyclo.DivisorTable of N = q - 1 (its divisors, row offsets, gcd tables and
     Moebius pairs, O(sigma(N)) ints), which every sum over characters reads.
+
+    The operations take element indices as ints, or as int64 columns (a
+    block of rows, one element per row, mixed freely with ints), and return
+    the same: a column holds the row-by-row results.  inv and div raise
+    ZeroInverse on a zero divisor in either form; inv0 is x^(q-2), 1/x with
+    0 at 0, for a side whose zero rows carry a zero weight.
     """
 
     def __init__(self, p: int, k: int):
@@ -174,12 +182,20 @@ class FieldTable:
         # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
         self.zech_array = np.array(self.zech_table * 2, dtype=np.int64)
         self.zech_array.flags.writeable = False
+        self.exp_array = np.array(exp, dtype=np.int64)
+        self.log_array = np.array(log, dtype=np.int64)
+        self.exp_array.flags.writeable = self.log_array.flags.writeable = False
         # the divisor lattice of N, which every count over characters reads
         self.divisor_table = DivisorTable(N)
 
     # -- arithmetic ------------------------------------------------------------
 
-    def sub(self, x: int, y: int) -> int:
+    def sub(self, x, y):
+        if type(x) is np.ndarray or type(y) is np.ndarray:
+            N, L = self.n_chars, self.log_array
+            z = self.zech_array[(L[y] - L[x]) % N]
+            r = np.where(z < 0, 0, self.exp_array[(L[x] + z) % N])
+            return np.where(y == 0, x, np.where(x == 0, self.neg(y), r))
         if y == 0:
             return x
         if x == 0:
@@ -188,26 +204,41 @@ class FieldTable:
         z = self.zech_table[(L[y] - L[x]) % N]
         return 0 if z < 0 else self.exp_table[(L[x] + z) % N]
 
-    def neg(self, x: int) -> int:
+    def neg(self, x):
+        if type(x) is np.ndarray:
+            return np.where(x == 0, 0, self.exp_array[(self.log_array[x] + self.log_neg1)
+                                                      % self.n_chars])
         if x == 0:
             return 0
         return self.exp_table[(self.log_table[x] + self.log_neg1) % self.n_chars]
 
-    def add(self, x: int, y: int) -> int:
+    def add(self, x, y):
         return self.sub(x, self.neg(y))
 
-    def mul(self, x: int, y: int) -> int:
+    def mul(self, x, y):
+        if type(x) is np.ndarray or type(y) is np.ndarray:
+            L = self.log_array
+            return np.where((x == 0) | (y == 0), 0,
+                            self.exp_array[(L[x] + L[y]) % self.n_chars])
         if x == 0 or y == 0:
             return 0
         N = self.q - 1
         return self.exp_table[(self.log_table[x] + self.log_table[y]) % N]
 
-    def inv(self, x: int) -> int:
+    def inv(self, x):
+        if x.all() if type(x) is np.ndarray else x != 0:
+            return self.inv0(x)
+        raise ZeroInverse()
+
+    def inv0(self, x):
+        """x^(q-2): 1/x, and 0 at x = 0."""
+        if type(x) is np.ndarray:
+            return np.where(x == 0, 0, self.exp_array[-self.log_array[x] % self.n_chars])
         if x == 0:
-            raise ZeroInverse()
+            return 0
         return self.exp_table[(-self.log_table[x]) % (self.q - 1)]
 
-    def div(self, x: int, y: int) -> int:
+    def div(self, x, y):
         return self.mul(x, self.inv(y))
 
     def dlog(self, x: int) -> int:

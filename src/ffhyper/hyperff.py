@@ -29,40 +29,46 @@ fixed slots, and the merged slot's Zech column) is built once per call and
 each u costs one pass pairing the two at a rotation.
 
 Both walks have two kernels with the same counts: a list loop (_fd_list,
-_beta_list), which serves one assignment below N = _ARRAY_MIN_N (sampled
-and boundary checks, replay and CLI eval on every gate field, N <= 12) and
-is the oracle of the tests, and int64 array passes (_fd_array,
-_beta_array), which serve one assignment from there and every block of
-rows (below); they read the field's doubled Zech array
-(FieldTable.zech_array), so a rotation by log x_j is one slice.  Array
-passes pay a fixed cost per call that the loop's cost per term repays from
-N = 36 or so (the F_D walk; the double walk from N = 20 or so, in a per-call
-table over q = 13..256, n <= 3); the crossover is the first N past that.  A
-slot's slice holds -1 where x_j u = 1, at most one i = -log x_j mod N per
-slot (_exponents builds the column and finds them): the F_D walk counts
-every i with np.bincount and takes back the count of each distinct dead i at
-its computed exponent, and the double walk keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so its
-memory does not grow with N^2.  Every character is reduced mod N before its
-product is added and the column once at the end, so no int64 entry exceeds
-(n + 2) N^2 (7N in the double walk's sums), and one assignment's counts
-become Python ints before any scaling.
+_beta_list), which serves one assignment below N = _ARRAY_MIN_N (boundary
+checks, replay and CLI eval on small fields) and is the oracle of the tests,
+and int64 array passes (_fd_array, _beta_array), which serve one assignment
+from there and every block of rows (below); they read the field's doubled
+Zech array (FieldTable.zech_array), so a rotation by log x_j is one slice
+(_zech_rot).  Array passes pay a fixed cost per call that the loop's cost
+per term repays from N = 36 or so (the F_D walk; the double walk from N = 20
+or so, in a per-call table over q = 13..256, n <= 3); the crossover is the
+first N past that.  A slot's rotation holds -1 where x_j u = 1, at most one
+i = -log x_j mod N per slot, and _exponents returns the dead mask of those
+terms with the exponent column: the F_D walk bincounts the column with its
+dead terms in one slot past the last, and the double walk keeps its dead
+marker 3N and bincounts blocks of at most _BLOCK pair sums, so its memory
+does not grow with N^2.  Every character is reduced mod N before its product
+is added and the column once at the end, so no int64 entry exceeds (n + 2)
+N^2 (7N in the double walk's sums), and one assignment's counts become
+Python ints before any scaling.
 
-A block of rows.  Exhaustive verification evaluates a side at one point
-tuple for R character rows at once: the characters come as equal-length
-int64 columns (an int where the side fixes one), and each kernel adds a
-leading row axis and returns an (R, N) array.  A term's exponent is linear
-in the characters, and its dead terms and slopes depend on the points alone,
-so _exponents builds an (R, N - 1) exponent matrix, _fd_array counts every
-row with one bincount of row N + e, _beta_array gathers (u, row, k) blocks
-into 7N slots per row, _conv gathers row-wise products, _addm and _mono_exp
-take columns, and a delta factor (_delta) is a 0/1 column.  The theta-sums'
-slopes, and so each term tuple's g, are fixed per point tuple; only e mod g
-moves with the row, so _coset_rows counts a chunk of tuples as one bincount
-of row sigma(N) + offset[g] + e mod g.  Every array holds at most about
-_BLOCK entries per block (the caller sizes the blocks; _beta_array,
-_coset_rows and _conv chunk their wider intermediates).  No int64 entry
-exceeds the side's total term weight, which the verifier bounds before it
-batches (identities._fits_int64).
+A block of rows.  Exhaustive verification, and sampled verification below
+N = _ARRAY_MIN_N, evaluate a side for R rows at once: every character and
+point slot comes as an equal-length int64 column (an int where the side
+fixes one), the field operations take columns, and each kernel, given its
+first character as a column, adds a leading row axis and returns an (R, N)
+array.  So _exponents gathers each
+row's rotation Z[log x_j + i] into an (R, N - 1) exponent matrix with a dead
+mask per row, a row with a zero point dead throughout (eps(x));
+_fd_array counts every row with one bincount of row N + e and takes a weight
+s per row; _beta_array gathers each (u, row)'s rotation of its row's merged
+column into 7N slots per row; _conv gathers row-wise products; _addm and
+_mono_exp take columns; and every case on a value is a 0/1 weight: a delta
+factor (_delta), [x = v] (_is), a monomial's eps weight, s = 0 for a walk
+that drops out.  _walk_terms lists (exponent, slope, weight) matrices, the
+slopes per row where a point or the twist enters them, so each term tuple's
+g varies by row: _coset_rows reads the index of gcd(m, N) from the divisor
+table (D.rank, joined across lists by D.meet) and counts a chunk of tuples
+as one bincount of row sigma(N) + offset[g] + e mod g.  Every array holds at
+most about _BLOCK entries per block (the caller sizes the blocks;
+_beta_array, _coset_rows and _conv chunk their wider intermediates).  No
+int64 entry exceeds the side's total term weight, which the verifier bounds
+before it batches (identities._fits_int64).
 
 General products (_conv) multiply the counts of two walks, so every
 operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
@@ -186,12 +192,31 @@ def _conv(a, b, N: int):
 
 
 def _nrows(*ms) -> int | None:
-    """R when any argument is an int64 column (a block of R character rows),
-    None when every one is an int (one assignment)."""
+    """R when any argument is an int64 column (a block of R rows), None when
+    every one is an int (one assignment)."""
     for m in ms:
-        if isinstance(m, np.ndarray):
+        if type(m) is np.ndarray:
             return len(m)
     return None
+
+
+def _down(m):
+    """A column as an (R, 1) column, rows down and positions across; an int
+    as itself."""
+    return m[:, None] if type(m) is np.ndarray else m
+
+
+def _row_slices(R: int, width: int):
+    """Slices of at most max(1, _BLOCK // width) of R rows: a kernel whose
+    per-row intermediate holds `width` entries takes its rows a slice at a
+    time, so that it holds about _BLOCK entries at most."""
+    step = max(1, _BLOCK // width)
+    return [slice(a, a + step) for a in range(0, R, step)]
+
+
+def _cut(m, rows: slice):
+    """The rows of a column, or an int as itself."""
+    return m[rows] if type(m) is np.ndarray else m
 
 
 def _zeros(N: int, R: int | None):
@@ -206,25 +231,40 @@ def _delta(m, N: int):
     return (m % N == 0) * 1
 
 
+def _is(x, v):
+    """[x = v] for a point x: 1 or 0, or a 0/1 column on a block."""
+    return (x == v) * 1
+
+
+def _log(f: FieldTable, x):
+    """log x, -1 at 0: an int, or a column on a block."""
+    return f.log_array[x] if type(x) is np.ndarray else f.log_table[x]
+
+
 def _addm(out, e, scale=1) -> None:
-    """out += scale * zeta^e; no-op when the monomial is zero.  On a block
-    (out an (R, N) array) e and scale may be columns, one entry per row."""
-    if e is None:
-        return
+    """out += scale * zeta^e.  On a block (out an (R, N) array) e and scale
+    may be columns, one entry per row."""
     if type(out) is list:
         out[e % len(out)] += scale
     else:
         out[np.arange(len(out)), e % out.shape[1]] += scale
 
 
-def _mono_exp(f: FieldTable, pairs) -> int | None:
-    """Exponent of a product of character values chi_m(x); None if any x is 0."""
-    e = 0
+def _mono_exp(f: FieldTable, pairs):
+    """(e, w): the exponent of a product of character values chi_m(x) and its
+    weight, 0 if any x is 0 and 1 otherwise (e is then any int).  On a block
+    both may be columns, one entry per row."""
+    N, L = f.n_chars, f.log_table
+    e, w = 0, 1
     for m, x in pairs:
-        if x == 0:
-            return None
-        e += (m % f.n_chars) * f.log_table[x]
-    return e
+        if type(x) is np.ndarray:
+            w = w * (x != 0)
+            e = e + m % N * f.log_array[x]
+        elif x == 0:
+            w = 0
+        else:
+            e = e + m % N * L[x]
+    return e, w
 
 
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
@@ -236,26 +276,27 @@ _ARRAY_MIN_N = 40
 _BLOCK = 1 << 15
 
 
-def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s: int = 1, out=None):
+def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
     """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
-    out is a fresh zero vector when None, and e0 = None (a zero prefactor)
-    adds nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u ->
-    u/(u-1) maps its terms one to one onto those of the binomial.  One
-    assignment's walk runs as a list loop below N = _ARRAY_MIN_N and as array
-    passes from there; a block of rows (A an int64 column, C, the B's and e0
-    columns or ints, out an (R, N) array) always runs as array passes."""
-    if f.n_chars >= _ARRAY_MIN_N or isinstance(mA, np.ndarray):
+    out is a fresh zero vector when None, and s = 0 (a zero weight) adds
+    nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u -> u/(u-1)
+    maps its terms one to one onto those of the binomial.  One assignment's
+    walk runs as a list loop below N = _ARRAY_MIN_N and as array passes from
+    there; a block of rows (A an int64 column; the other characters, the
+    points, e0 and s columns or ints; out an (R, N) array) always runs as
+    array passes."""
+    if f.n_chars >= _ARRAY_MIN_N or type(mA) is np.ndarray:
         return _fd_array(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
     return _fd_list(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
 
 
-def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s: int = 1,
+def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int = 0, s: int = 1,
              out: list[int] | None = None) -> list[int]:
     """_fd_vec as one loop over u, for one assignment."""
     N, Z = f.n_chars, f.zech_table
     if out is None:
         out = [0] * N
-    if e0 is None or 0 in xs:
+    if s == 0 or 0 in xs:
         return out
     mA %= N
     mAC = (mC - mA) % N
@@ -277,58 +318,77 @@ def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int | None = 0, s:
     return out
 
 
-def _exponents(f: FieldTable, e0, mA, mBs, mC, xs):
+def _zech_rot(f: FieldTable, x):
+    """Z[log x + i] at i = 1..N-1, log(1 - x u), with -1 at the one i where
+    x u = 1 (none when x = 1): a slice of the doubled Zech array for an int
+    x, and for a column an (R, N - 1) gather, a row per row, -1 across every
+    row where x = 0 (F_D carries eps(x), so each term of that row is dead)."""
+    N, Z2 = f.n_chars, f.zech_array
+    if type(x) is np.ndarray:
+        z = Z2[f.log_array[x][:, None] + np.arange(1, N)]
+        z[x == 0] = -1
+        return z
+    if x == 0:
+        return np.full(N - 1, -1)
+    lx = f.log_table[x]
+    return Z2[lx + 1:lx + N]
+
+
+def _exponents(f: FieldTable, e0, mA, mBs, mC, xs, R: int | None = None):
     """The walk's exponent column e0 + A i + (C - A) Z[i] - sum_j B_j
-    Z[log x_j + i] at i = 1..N-1, as int64 entries in [0, N), and the set of
-    its dead positions.  On a block (A an int64 column of R rows, the other
-    characters and e0 columns or ints) it is an (R, N - 1) matrix, a row per
-    character row; the dead positions depend on the points alone, so they are
-    every row's.  Each B-slot adds one rotated slice of the doubled Zech
-    array, which holds -1 at the one i where x_j g^i = 1 (none when x_j = 1):
-    that term is dead.  Every character is reduced mod N before its product
-    is added, so the sum stays below (n + 2) N^2, far inside int64, and is
-    reduced mod N once, at the end; the sums are formed in place."""
-    N, Z2, L = f.n_chars, f.zech_array, f.log_table
-    if isinstance(mA, np.ndarray):  # characters down as (R, 1) columns, positions across
-        e0, mA, mC, *mBs = (m[:, None] if isinstance(m, np.ndarray) else m
-                            for m in (e0, mA, mC, *mBs))
-    e = mA % N * np.arange(1, N)
+    Z[log x_j + i] at i = 1..N-1, as int64 entries in [0, N), and its dead
+    positions, where some factor 1 - x_j u = 0 kills the term (one per
+    slot, none where x_j = 1).  On a block of R rows (any argument may be a
+    column) both are (R, N - 1) matrices, a row per row, each B-slot adding
+    its rotation of the Zech array (_zech_rot), and the dead positions are a
+    mask, a row with x_j = 0 dead throughout.  Every character is reduced mod
+    N before its product is added, so the sum stays below (n + 2) N^2, far
+    inside int64, and is reduced mod N once, at the end; the sums are formed
+    in place."""
+    N, Z2 = f.n_chars, f.zech_array
+    if R is None:
+        e, dead = mA % N * np.arange(1, N), []
+    else:  # characters down as (R, 1) columns, positions across
+        e0, mA, mC, *mBs = map(_down, (e0, mA, mC, *mBs))
+        e, dead = np.empty((R, N - 1), dtype=np.int64), np.zeros((R, N - 1), dtype=bool)
+        np.multiply(mA % N, np.arange(1, N), out=e)
     e += (mC - mA) % N * Z2[1:N]
     e += e0 % N
-    dead = set()
     for mb, x in zip(mBs, xs):
-        lx = L[x]
-        e += -mb % N * Z2[lx + 1:lx + N]  # log(1 - x_j u); -1 where x_j u = 1
-        if lx:
-            dead.add(N - lx - 1)  # the position of i = N - lx
+        z = _zech_rot(f, x)
+        e += -mb % N * z
+        if R is not None:
+            dead |= z < 0
+        elif lx := f.log_table[x]:
+            dead.append(N - lx - 1)  # the position of i = N - lx
     e %= N
     return e, dead
 
 
-def _fd_array(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s: int = 1, out=None):
+def _fd_array(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
     """_fd_vec as int64 array passes: the exponent column is counted with one
-    bincount, and each distinct dead position, counted at its computed
-    exponent, is taken back.  On a block each row's exponents are offset by
-    N times its row, so one bincount counts every row, and the counts come
-    back as an (R, N) array.  The counts are scaled by s in int64, exact
-    while |s| (N - 1) < 2^63 (the callers' s is 1, -1 or q - 1), and added
-    into `out` in place in one pass."""
+    bincount, its dead terms in one slot past the last.  On a block each
+    row's exponents are offset by N times its row, so one bincount counts
+    every row, and the counts come back as an (R, N) array.  The counts are
+    scaled by s (a column on a block: one weight per row) in int64, exact
+    while |s| (N - 1) < 2^63 (the callers' s is 0, 1, -1 or q - 1 times a
+    0/1 weight), and added into `out` in place in one pass."""
     N = f.n_chars
-    if e0 is None or 0 in xs:
-        return _zeros(N, _nrows(mA, mC, *mBs)) if out is None else out
-    e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs)
-    R = None if e.ndim == 1 else len(e)
+    R = _nrows(mA)
+    if R is None and (s == 0 or 0 in xs):
+        return [0] * N if out is None else out
+    e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs, R)
+    slots = N * (R or 1)
     if R is not None:
         e += N * np.arange(R)[:, None]  # row r counts into slots rN .. rN + N - 1
-    counts = np.bincount(e.ravel(), minlength=N * (R or 1))
-    if R is not None:
-        e = e.T  # e[k]: position k of every row
-    for k in dead:
-        counts[e[k]] -= 1
-    if s != 1:
-        counts *= s
+        s = _down(s)
+    if mBs:  # with no B-slot no term is dead
+        e[dead] = slots
+    counts = np.bincount(e.ravel(), minlength=slots + 1)[:slots]
     if R is not None:
         counts = counts.reshape(R, N)
+    if isinstance(s, np.ndarray) or s != 1:
+        counts = counts * s
     if out is None:
         return counts.tolist() if R is None else counts
     if type(out) is not list:
@@ -343,7 +403,7 @@ def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
     x_m = u x_1 + (1-u) x_2, as a fresh list: one _fd_vec walk per u, done as
     one double walk, a list loop below N = _ARRAY_MIN_N and blocks of array
     passes from there and on a block of rows (A an int64 column)."""
-    if f.n_chars >= _ARRAY_MIN_N or isinstance(mA, np.ndarray):
+    if f.n_chars >= _ARRAY_MIN_N or type(mA) is np.ndarray:
         return _beta_array(f, mA, mBs, mC, xs)
     return _beta_list(f, mA, mBs, mC, xs)
 
@@ -402,78 +462,84 @@ def _beta_list(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
 def _beta_array(f: FieldTable, mA, mBs, mC, xs):
     """_beta_list as int64 array passes: b, z and c as columns, with the same
     dead marker D = 3N, for a block of R rows (one assignment is a block of
-    one row, returned as a list).  rows[l, r] is a read-only view of row r's
-    z(l..l + N-2), so the live u's rotated columns are one gather; a block of
-    at most _BLOCK pair sums at a time (at least one u) is bincounted into
-    the 7N slots of its row.  Every sum is below 7N."""
-    N, Z2, L = f.n_chars, f.zech_array, f.log_table
-    R = _nrows(mA, mC, *mBs)
-    if 0 in xs or N == 1:
+    one row, returned as a list).  Each row's z, doubled, is a stretch of
+    2N entries of one flat array, and rows[l] is a read-only view of the
+    N - 1 entries from l, so lm[u, r] (row r's log x_m at u, plus 2N r) picks
+    row r's rotated column, and the live u's of every row are one gather;
+    a u where x_m = 0, and every u of a row with a zero point, has c lifted
+    past the last row.  A block of at most _BLOCK pair sums at a time (at
+    least one u) is bincounted into the 7N slots of its row, and a block of
+    more than _BLOCK // 7N rows runs a slice of rows at a time.  Every live
+    sum is below 7N."""
+    N, Z2 = f.n_chars, f.zech_array
+    R = _nrows(mA)
+    if N == 1 or R is None and 0 in xs:
         return _zeros(N, R)
-    one = R is None
-    if one:
-        mA, mC, *mBs = (np.array([m], dtype=np.int64) for m in (mA, mC, *mBs))
-        R = 1
-    D = 3 * N
-    base, dead = _exponents(f, 0, mA, mBs[2:], mC, xs[2:])  # b(k) at k = 1..N-1, per row
-    base[:, list(dead)] = D
-    base += 7 * N * np.arange(R)[:, None]  # row r's sums land in its own 7N slots
-    col = (-(mBs[0] + mBs[1]) % N)[:, None] * Z2 % N
-    col[:, Z2 < 0] = D
-    rows = np.lib.stride_tricks.as_strided(col, (N + 1, R, N - 1),
-                                           (col.strides[1], col.strides[0], col.strides[1]),
-                                           writeable=False)
+    if R is not None and R > _BLOCK // (7 * N) > 0:
+        return np.concatenate([_beta_array(f, _cut(mA, s), [_cut(m, s) for m in mBs], _cut(mC, s),
+                                           [_cut(x, s) for x in xs])
+                               for s in _row_slices(R, 7 * N)])
+    one, R = R is None, R or 1
+    if not one:  # every character a column: each row has its own b and z
+        mA, mC, *mBs = (np.broadcast_to(m, R) for m in (mA, mC, *mBs))
     x1, x2 = xs[0], xs[1]
-    l2 = L[x2]
+    D = 3 * N
+    base, dead = _exponents(f, 0, mA, mBs[2:], mC, xs[2:], None if one else R)  # b(k), per row
+    base[dead] = D
+    if not one:
+        base += 7 * N * np.arange(R)[:, None]  # row r's sums land in its own 7N slots
+    col = _down(-(mBs[0] + mBs[1]) % N) * Z2 % N
+    col[..., Z2 < 0] = D
+    rows = np.lib.stride_tricks.as_strided(col.ravel(), (2 * N * R - N + 2, N - 1),
+                                           (col.strides[-1],) * 2, writeable=False)
     i = np.arange(1, N)
-    if x1 == x2:  # x_m = x_2 at every u
-        lm = np.full(N - 1, l2)
-    else:  # log x_m = l2 + Z[i + d]; x_m = 0 where that entry is -1
-        d = (L[f.sub(x2, x1)] - l2) % N
-        z = Z2[d + 1:d + N]
-        live = z >= 0
-        i, lm = i[live], (l2 + z[live]) % N
+    l2 = _log(f, x2)
+    # x_m = x_2 (1 - u (x_2 - x_1)/x_2): log x_m = l2 + Z[i + d], and x_m = 0
+    # where that Zech entry is -1; x_m = x_2 at every u where x_1 = x_2
+    z = Z2[i[:, None] + (_log(f, f.sub(x2, x1)) - l2) % N]  # (u, row)
+    lm = np.where(x1 == x2, l2, (l2 + z) % N) + 2 * N * np.arange(R)
     c = ((mA + mC) * f.log_neg1 % N + mBs[0] % N * i[:, None]
          + mBs[1] % N * Z2[i][:, None]) % N  # (u, row)
+    c[(z < 0) & (x1 != x2) | (x1 == 0) | (x2 == 0)] = 7 * N * R  # past the last row
     acc = np.zeros(7 * N * R, dtype=np.int64)  # pair sums c + b + z, dead ones at 3N and above
     step = max(1, _BLOCK // (R * (N - 1)))
     for j in range(0, len(i), step):
         block = rows[lm[j:j + step] + 1]
         block += base
         block += c[j:j + step, :, None]
-        acc += np.bincount(block.ravel(), minlength=7 * N * R)
+        acc += np.bincount(block.ravel(), minlength=7 * N * R)[:7 * N * R]
     acc = acc.reshape(R, 7 * N)
     out = acc[:, :N] + acc[:, N:2 * N] + acc[:, 2 * N:D]
     return out[0].tolist() if one else out
 
 
-def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
-                k: int = 0) -> list[tuple[int, int]]:
+def _walk_terms(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, k=0, w=True):
     """The terms of the F_D walk at the characters A chi^(theta dA), B_j
     chi^(theta dB_j), C chi^(theta dC), twisted by zeta^(theta k), as (e, d)
     pairs of exponent e + theta d.  A term's exponent is linear in the
     characters, so e is the walk's exponent at (A, B, C) and d its exponent
     at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
     (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.
-    A B-slot at slope 0 adds nothing to d and skips its product.
+    A B-slot at slope 0 adds nothing to d and skips its product.  w is a
+    weight on every term: False lists none.
 
-    On a block (A an int64 column of R rows) the terms are a pair of
-    arrays: the (R, T) exponents at the characters, a row per character row,
-    and the T slopes, which involve no character and so are every row's;
-    both are _exponents' (reduced mod N) without the dead positions."""
+    On a block (A an int64 column of R rows; the other characters, the
+    points, k and w columns or ints) the terms are a triple of arrays, each
+    (R, N - 1) or one row shared by every row: the exponents at the
+    characters, their slopes (which involve a point only through a B-slot at
+    a nonzero slope, and the twist k), and their weights, w where _exponents
+    finds the term alive and False where it is dead; exponents and slopes are
+    _exponents' (reduced mod N)."""
     N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
-    block = isinstance(mA, np.ndarray)
-    if 0 in xs:
-        if block:
-            return np.zeros((len(mA), 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-        return []
     e0, d0 = (mA + mC) * l1, (dA + dC) * l1 + k
-    if block:
-        e, dead = _exponents(f, e0, mA, mBs, mC, xs)
-        d, _ = _exponents(f, d0, dA, dBs, dC, xs)
-        live = np.ones(N - 1, dtype=bool)
-        live[list(dead)] = False
-        return e[:, live], d[live]
+    if type(mA) is np.ndarray:
+        e, dead = _exponents(f, e0, mA, mBs, mC, xs, len(mA))
+        sloped = [(db, x) for db, x in zip(dBs, xs, strict=True) if db]
+        d, _ = _exponents(f, d0, dA, [db for db, _ in sloped], dC, [x for _, x in sloped],
+                          len(mA))
+        return e, d, ~dead & _down(w)
+    if not w or 0 in xs:
+        return []
     mAC, dAC = mC - mA, dC - dA
     if not xs:  # no B-slot, so no term is zero
         return [(e0 + mA * i + mAC * Z[i], d0 + dA * i + dAC * Z[i]) for i in range(1, N)]
@@ -499,7 +565,7 @@ def _walk_terms(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int,
 _PASS_STEPS = 300
 
 
-def _coset_counts(D, terms, *factors) -> list[int]:
+def _coset_counts(D, terms, *factors):
     """sum over theta in Z_N^n of zeta^(e0 + sum_j e_j + sum_j theta_j
     (m0 + m_j)), over (e0, m0) in `terms` and one (e_j, m_j) from each of the
     n >= 1 lists `factors`, N = D.n for the divisor table D of N.  Summed over
@@ -512,8 +578,8 @@ def _coset_counts(D, terms, *factors) -> list[int]:
     fold at most D.squares states with the next list; _coset_moebius makes
     one pass per divisor and list, at _PASS_STEPS pair steps each.  The
     cheaper one runs, and _coset_moebius only while its int64 counts hold N
-    times the number of tuples.  The terms of a block of character rows (a
-    pair of arrays, from _walk_terms) are counted by _coset_rows."""
+    times the number of tuples.  The terms of a block of rows (triples of
+    arrays, from _walk_terms) are counted by _coset_rows."""
     if type(terms) is tuple:
         return _coset_rows(D, terms, *factors)
     count = _coset_direct
@@ -591,35 +657,57 @@ def _coset_moebius(D, terms, *factors) -> list[int]:
     return _tile(D, acc.tolist(), len(factors))
 
 
+def _term_cols(L):
+    """A list of terms as (E, M, W) matrices, each at least 2-D: a triple from
+    _walk_terms as it is, a list of (e, m) pairs (ints or columns) of weight 1."""
+    if type(L) is not tuple:
+        E, M = (np.stack(np.broadcast_arrays(*v), axis=-1) for v in zip(*L))
+        L = E, M, np.ones(len(L), dtype=bool)
+    return tuple(np.atleast_2d(a) for a in L)
+
+
 def _coset_rows(D, *lists) -> np.ndarray:
-    """_coset_counts for a block of R character rows, as an (R, N) array.
-    Each list is a pair (E, m) of an (R, T) exponent matrix and T slopes (a
-    later list of (e, m) pairs is one shared by every row).  The slopes involve no
-    character, so each tuple's g = gcd(m0 + m_1, .., m0 + m_n, N) is every
-    row's, and only e mod g moves with the row: a chunk of at most
+    """_coset_counts for a block of R rows, as an (R, N) array.  Each list is
+    a triple (E, M, W) of exponents, slopes and 0/1 weights, each an (R, T)
+    matrix or a row shared by every row (_walk_terms), or a list of (e, m)
+    pairs, ints or columns, of weight 1.  A tuple's g = gcd(m0 + m_1, ..,
+    m0 + m_n, N) is read from D: the index of gcd(m0 + m_j, N) from D.rank,
+    the indices of the n lists joined by D.meet.  A chunk of at most
     max(1, _BLOCK // R) tuples is one bincount of row sigma(N) + offset[g] +
-    e mod g, and, as in _tile, the row of g is scaled by g and tiled to
-    length N, and the whole is scaled by N^(n-1).  No int64 entry exceeds
-    N^n times the number of tuples."""
+    e mod g, a tuple of weight 0 counted past the last row, and, as in
+    _tile, the row of g is scaled by g and tiled to length N, and the whole
+    is scaled by N^(n-1); a block of more than _BLOCK // sigma(N) rows runs a
+    slice of rows at a time.  No int64 entry exceeds N^n times the number of
+    tuples."""
     N = D.n
-    cols = [L if type(L) is tuple else
-            (np.array([[e for e, _ in L]], dtype=np.int64),
-             np.array([m for _, m in L], dtype=np.int64)) for L in lists]
-    R = len(cols[0][0])
-    shape = tuple(len(m) for _, m in cols)
+    cols = [_term_cols(L) for L in lists]
+    R = max(len(a) for L in cols for a in L)
+    if R > _BLOCK // D.size > 0:
+        return np.concatenate([_coset_rows(D, *(tuple(a[s] if len(a) == R else a for a in L)
+                                                for L in cols))
+                               for s in _row_slices(R, D.size)])
+    shape = tuple(E.shape[1] for E, _, _ in cols)
     total = math.prod(shape)
     rows = D.size * np.arange(R)[:, None]
-    acc = np.zeros(R * D.size, dtype=np.int64)
+    past = R * D.size
+    acc = np.zeros(past + 1, dtype=np.int64)
     step = max(1, _BLOCK // R)
-    (E0, m0), *rest = cols
+    (E0, M0, W0), *rest = cols
     for a in range(0, total, step):
         k0, *ks = np.unravel_index(np.arange(a, min(a + step, total)), shape)
-        g, e = N, E0[:, k0]
-        for (E, m), k in zip(rest, ks):
-            g = np.gcd(g, m0[k0] + m[k])
+        g, e, w, m0 = None, E0[:, k0], W0[:, k0], M0[:, k0]
+        for (E, M, W), k in zip(rest, ks):
+            h = m0 + M[:, k]
+            h %= N
+            g = D.rank[h] if g is None else D.meet[g, D.rank[h]]
             e = e + E[:, k]
-        acc += np.bincount((D.starts[g] + e % g + rows).ravel(), minlength=R * D.size)
-    acc = acc.reshape(R, D.size) * D.widths
+            w = w & W[:, k]
+        e %= D.value[g]
+        e += D.starts[g]
+        i = e + rows
+        i[~np.broadcast_to(w, i.shape)] = past
+        acc += np.bincount(i.ravel(), minlength=past + 1)
+    acc = acc[:past].reshape(R, D.size) * D.widths
     out = sum(np.tile(acc[:, o:o + g], N // g) for g, o in D.offset.items())
     return out * N ** (len(lists) - 2)
 
@@ -679,36 +767,36 @@ def _tile(D, acc, n: int) -> list[int]:
     return out if scale == 1 else [scale * v for v in out]
 
 
-def _theta_sum(f: FieldTable, mA: int, mBs, mC: int, xs, dA: int, dBs, dC: int, b: int,
-               t: int) -> list[int]:
+def _theta_sum(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, b, t):
     """sum over theta of {chi^b theta choose theta} theta(t) F_D(A chi^(theta
     dA); B_j chi^(theta dB_j); C chi^(theta dC) | x): the walk's terms at the
     slope against the binomial factor's, twisted by theta log t, in one coset
-    count."""
-    if t == 0:
-        return _zeros(f.n_chars, _nrows(mA, mC, b, *mBs))  # every summand carries theta(0) = 0
+    count.  Every summand carries theta(0) = 0: the binomial's terms weigh
+    t != 0."""
+    if type(mA) is not np.ndarray and t == 0:
+        return [0] * f.n_chars
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
-                         _walk_terms(f, b, (), b, (), 1, (), 0, f.log_table[t]))
+                         _walk_terms(f, b, (), b, (), 1, (), 0, _log(f, t), t != 0))
 
 
-def _line_vec(f: FieldTable, ma: int, mb: int, x: int) -> list[int]:
+def _line_vec(f: FieldTable, ma, mb, x):
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
-    n = 0 walk at slope (1, 1), twisted by theta log x."""
-    if x == 0:
-        return _zeros(f.n_chars, _nrows(ma, mb))
-    return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1),
-                         [(0, f.log_table[x])])
+    n = 0 walk at slope (1, 1), weighing x != 0, twisted by theta log x."""
+    if type(ma) is not np.ndarray and x == 0:
+        return [0] * f.n_chars
+    return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1, 0, x != 0),
+                         [(0, _log(f, x))])
 
 
-def _charsum_vec(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
+def _charsum_vec(f: FieldTable, mA, mBs, mC, xs):
     """sum over chi_1..chi_n of {A chi^s choose C chi^s} prod_j {B_j chi_j
     choose chi_j} chi_j(x_j), s = sum_j chi_j: the n = 0 walk at slope (1, 1)
-    against the terms of each twisted binomial, one coset count over Z_N^n."""
-    if 0 in xs:
-        return _zeros(f.n_chars, _nrows(mA, mC, *mBs))
-    L = f.log_table
+    against the terms of each twisted binomial, one coset count over Z_N^n;
+    each binomial weighs x_j != 0."""
+    if type(mA) is not np.ndarray and 0 in xs:
+        return [0] * f.n_chars
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, (), mC, (), 1, (), 1),
-                         *(_walk_terms(f, mb, (), mb, (), 1, (), 0, L[x])
+                         *(_walk_terms(f, mb, (), mb, (), 1, (), 0, _log(f, x), x != 0)
                            for mb, x in zip(mBs, xs)))
 
 
@@ -844,49 +932,53 @@ def char_line_sum(A: Char, B: Char, x: int) -> CycInt:
 #         + [t = -1] (q-1) eps(x_1..x_n) sum_y C(y) prod_j B_j^-1(1-x_j y)
 
 
-def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
+def _genfn_lhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant):
     # theta's slope on (A, B_n, C): A theta (T41), B_n theta (T42), C theta^-1 (T43)
     dA, dB, dC = {"T41": (1, 0, 0), "T42": (0, 1, 0), "T43": (0, 0, -1)}[variant]
     b = mBs[-1] if variant == "T42" else mA - mC
     return _theta_sum(f, mA, mBs, mC, xs, dA, (0,) * (len(mBs) - 1) + (dB,), dC, b, t)
 
 
-def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant) -> list[int]:
+def _genfn_rhs_vec(f: FieldTable, mA, mBs, mC, xs, t, variant):
+    # Every case on t is a weight: [t = 1] (T42) and [t = -1] (T43) are 0/1
+    # factors, and a zero point or t gives its monomial weight 0.
     q = f.q
-    out = _zeros(f.n_chars, _nrows(mA, mC, *mBs))
+    out = _zeros(f.n_chars, _nrows(mA))
     # (q-1) eps(t) m(y) F_D(A; B; C | x scaled by y): y = (1-t)^-1 scales every
     # x_j with m = A (T41) or x_n alone with m = B_n (T42); y = 1 + t scales
     # every x_j with m = C (T43).  y = 0 (1 - t = 0 or 1 + t = 0) leaves it out.
     if variant == "T43":
         y, m = f.add(1, t), mC
     else:
-        y, m = (f.inv(f.sub(1, t)) if t != 1 else 0), (mA if variant == "T41" else mBs[-1])
-    e = _mono_exp(f, [(0, t), (m, y)])
-    if e is not None:
-        ys = [*xs[:-1], f.mul(xs[-1], y)] if variant == "T42" else [f.mul(x, y) for x in xs]
-        _fd_vec(f, mA, mBs, mC, ys, e0=e, s=q - 1, out=out)
+        y, m = f.inv0(f.sub(1, t)), (mA if variant == "T41" else mBs[-1])
+    e, w = _mono_exp(f, [(0, t), (m, y)])
+    ys = [*xs[:-1], f.mul(xs[-1], y)] if variant == "T42" else [f.mul(x, y) for x in xs]
+    _fd_vec(f, mA, mBs, mC, ys, e0=e, s=(q - 1) * w, out=out)
     eps = [(0, x) for x in xs]
 
     if variant == "T42":
         xn = xs[-1]
-        _addm(out, _mono_exp(f, [(-mBs[-1], f.neg(t)), (sum(mBs[:-1]) - mC, xn),
-                                 (mC - mA, f.sub(1, xn)), *eps[:-1],
-                                 *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))]),
-              -(q - 1))
-        if t == 1:
-            _fd_vec(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
-                    e0=_mono_exp(f, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
+        e, w = _mono_exp(f, [(-mBs[-1], f.neg(t)), (sum(mBs[:-1]) - mC, xn),
+                             (mC - mA, f.sub(1, xn)), *eps[:-1],
+                             *((-mb, f.sub(xn, x)) for mb, x in zip(mBs[:-1], xs[:-1]))])
+        _addm(out, e, -(q - 1) * w)
+        e, w = _mono_exp(f, [(-mBs[-1], f.neg(xn))])
+        _fd_vec(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
+                e0=e, s=(q - 1) * w * _is(t, 1), out=out)
         return out
 
     # T41 and T43: eps(x_1..x_n) prod_j B_j^-1(1 - x_j), times (A^-1 C)(-t)
     bx = [*eps, *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))]
-    _addm(out, _mono_exp(f, [(mC - mA, f.neg(t)), *bx]), -(q - 1))
-    if variant == "T43" and t == f.p - 1:
-        # sum over y != 0 of C(y) prod_j B_j^-1(1 - x_j y): the walk with A = C
-        # is its terms at y = u != 0, 1 (the walk's prefactor zeta^(2C log(-1))
-        # is 1), and y = 1 is one monomial
-        _fd_vec(f, mC, mBs, mC, xs, s=q - 1, out=out)
-        _addm(out, _mono_exp(f, bx), q - 1)
+    e, w = _mono_exp(f, [(mC - mA, f.neg(t)), *bx])
+    _addm(out, e, -(q - 1) * w)
+    if variant == "T43":
+        # [t = -1] sum over y != 0 of C(y) prod_j B_j^-1(1 - x_j y): the walk
+        # with A = C is its terms at y = u != 0, 1 (the walk's prefactor
+        # zeta^(2C log(-1)) is 1), and y = 1 is one monomial
+        at = _is(t, f.p - 1)
+        _fd_vec(f, mC, mBs, mC, xs, s=(q - 1) * at, out=out)
+        e, w = _mono_exp(f, bx)
+        _addm(out, e, (q - 1) * w * at)
     return out
 
 

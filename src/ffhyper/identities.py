@@ -17,10 +17,11 @@ output: failure entries and `replay`.
 Every side takes the field's shared table (ff_core.FieldTable, one per q for
 the process) and keeps no state between or within calls, so a report is a
 pure function of that table and its arguments.  Each side is written once:
-it takes one assignment's character exponents as ints and returns a fresh
-list, or a block's as equal-length int64 columns and returns an (R, N) array
-of the same rows (hyperff's kernels take both); a delta(A) term is a 0/1
-weight, so no side branches on a character value.  F_D is walked per
+it takes one assignment's character exponents and points as ints and
+returns a fresh list, or a block's as equal-length int64 columns and returns
+an (R, N) array of the same rows (hyperff's kernels and the field operations
+take both); a delta(A) term, a [x = v] case and a monomial's eps(x) are 0/1
+weights, so no side branches on a character or a point.  F_D is walked per
 value, each walk adding its signed, zeta-shifted term into the side's
 vector, and every binomial {A choose B} is the n = 0 walk; t3.ff-beta's
 u-sum of F_D walks is one double walk (hyperff._beta_vec); t3.ksum's
@@ -31,16 +32,18 @@ the terms of one walk over the characters; p2.prod and t3.ff-beta's
 right-hand side multiply walk counts (hyperff._conv).
 
 Modes:
-  exhaustive -- the product of the slot domains, with no check per assignment:
-                point tuples outermost, and at each one the character rows
-                in blocks, each side evaluated once per block and d * lhs =
-                rhs decided row by row in NumPy (_check_rows), with the
-                unequal rows passed to the row-batched vanishing test; one
-                assignment at a time in Python ints where the int64 bound
-                could fail (_fits_int64);
+  exhaustive -- the product of the slot domains, with no check per assignment,
+                in blocks of rows (_slot_blocks), each side evaluated once
+                per block and d * lhs = rhs decided row by row in NumPy
+                (_check_rows), with the unequal rows passed to the
+                row-batched vanishing test; one assignment at a time in
+                Python ints where the int64 bound could fail (_fits_int64);
   sampled    -- `count` seeded-uniform draws that satisfy the constraints
                 (gives up with SamplingGaveUp, naming the constraint that
-                rejected most draws, after 1000 * count + 1000 draws);
+                rejected most draws, after 1000 * count + 1000 draws); below
+                N = hyperff._ARRAY_MIN_N, where the int64 bound holds, the
+                accepted draws are decided in blocks of rows as exhaustive
+                mode's, and elsewhere one at a time in Python ints;
   boundary   -- the complement: only constraint-violating assignments, where
                 mismatches and evaluation errors are recorded, not failed on.
 
@@ -62,7 +65,7 @@ import numpy as np
 from . import charset, cyclo, ff_core, hyperff
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
-from .hyperff import _addm, _delta, _mono_exp
+from .hyperff import _addm, _delta, _is, _mono_exp
 
 DEFAULT_CAP = 10_000_000
 MODES = ("exhaustive", "sampled", "boundary")
@@ -141,8 +144,10 @@ def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
 
 
 # -- the identities -------------------------------------------------------------------
-# Slot layout unless noted: cs = (A, C, B_1..B_n), es = (x_1..x_n).  cs is one
-# assignment's ints or a block's int64 columns, one entry per row (see _run_one).
+# Slot layout unless noted: cs = (A, C, B_1..B_n), es = (x_1..x_n).  cs and es
+# are one assignment's ints or a block's int64 columns, one entry per row (see
+# _run_one); every case on a point is a 0/1 weight (hyperff._is, and the
+# weight w of a monomial's (e, w) from _mono_exp).
 
 
 def _zero(f, cs):
@@ -172,11 +177,10 @@ def _ffbeta_rhs(f, n, cs, es):
     m12 = -(Bs[0] + Bs[1])
     out = hyperff._conv(hyperff._fd_vec(f, m12, (), -Bs[0], ()), hyperff._fd_vec(f, A, Bs, C, es),
                         f.n_chars)
-    if x1 != 0 and x2 != 0:
-        e = _mono_exp(f, [(Bs[0], f.p - 1), (m12, f.sub(x1, x2))])
-        hyperff._fd_vec(f, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-1, out=out)
-    e = _mono_exp(f, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
-    return hyperff._fd_vec(f, A, Bs[2:], C, es[2:], e0=e, s=-1, out=out)
+    e, w = _mono_exp(f, [(Bs[0], f.p - 1), (m12, f.sub(x1, x2)), (0, x1), (0, x2)])
+    hyperff._fd_vec(f, A + m12, Bs[2:], C + m12, es[2:], e0=e, s=-w, out=out)
+    e, w = _mono_exp(f, [(Bs[0], x2), (Bs[1], f.neg(x1)), (m12, f.sub(x2, x1))])
+    return hyperff._fd_vec(f, A, Bs[2:], C, es[2:], e0=e, s=-w, out=out)
 
 
 _reg("t3.ff-beta", "beta-type u-convolution against F_D with the two lead B-slots merged",
@@ -204,12 +208,11 @@ def _epsred_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
     out = _zero(f, cs)
-    if xn != 0:
-        hyperff._fd_vec(f, A, Bs, C, es[:-1], out=out)
-    e = _mono_exp(f, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
-                      *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
-                      *((0, x) for x in es[:-1])])
-    _addm(out, e, -1)
+    hyperff._fd_vec(f, A, Bs, C, es[:-1], s=1 - _is(xn, 0), out=out)
+    e, w = _mono_exp(f, [(sum(Bs) - C, xn), (C - A, f.sub(1, xn)),
+                         *((-mb, f.sub(xn, x)) for mb, x in zip(Bs, es[:-1])),
+                         *((0, x) for x in es[:-1])])
+    _addm(out, e, -w)
     return out
 
 
@@ -226,14 +229,13 @@ def _ceqa_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
     out = _zero(f, cs)
-    e = _mono_exp(f, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
-                      *((0, x) for x in es)])
-    _addm(out, e, -1)
-    if xn != 0:
-        inv = f.inv(xn)
-        e = _mono_exp(f, [(Bs[-1], f.p - 1), (-A, xn)])
-        hyperff._fd_vec(f, A, Bs[:-1], A - Bs[-1], tuple(f.mul(x, inv) for x in es[:-1]),
-                        e0=e, out=out)
+    e, w = _mono_exp(f, [*((-mb, f.sub(1, x)) for mb, x in zip(Bs, es)),
+                         *((0, x) for x in es)])
+    _addm(out, e, -w)
+    inv = f.inv0(xn)
+    e, w = _mono_exp(f, [(Bs[-1], f.p - 1), (-A, xn)])  # weight 0 where x_n = 0
+    hyperff._fd_vec(f, A, Bs[:-1], A - Bs[-1], tuple(f.mul(x, inv) for x in es[:-1]),
+                    e0=e, s=w, out=out)
     return out
 
 
@@ -242,15 +244,15 @@ _reg("t4.c-eq-a", "C = A evaluation: the last B-slot is shifted out of C",
 
 
 def _oneminus_lhs(f, n, cs, es):
-    if 1 in es:
-        return _zero(f, cs)
-    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
+    w = math.prod(x != 1 for x in es)  # 0 where some x_j = 1
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es, s=w)
 
 
 def _oneminus_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    e = _mono_exp(f, [(sum(Bs), f.p - 1), *((0, x) for x in es)])
-    return hyperff._fd_vec(f, A, Bs, A + sum(Bs) - C, tuple(f.sub(1, x) for x in es), e0=e)
+    e, w = _mono_exp(f, [(sum(Bs), f.p - 1), *((0, x) for x in es)])
+    return hyperff._fd_vec(f, A, Bs, A + sum(Bs) - C, tuple(f.sub(1, x) for x in es),
+                           e0=e, s=w)
 
 
 _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
@@ -259,29 +261,32 @@ _reg("t4.one-minus-x", "x -> 1-x transformation with C -> A B_1..B_n C^-1",
 
 def _pfaff_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
-    e = _mono_exp(f, [(C, f.p - 1),
-                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
+    e, w = _mono_exp(f, [(C, f.p - 1),
+                         *((-mb, f.sub(1, x)) for mb, x in zip(Bs, es))])
     args = tuple(f.div(x, f.sub(x, 1)) for x in es)
-    return hyperff._fd_vec(f, C - A, Bs, C, args, e0=e)
+    return hyperff._fd_vec(f, C - A, Bs, C, args, e0=e, s=w)
 
 
 _reg("t4.pfaff", "x -> x/(x-1) transformation with A -> A^-1 C and a B-monomial prefactor",
      _t21_lhs, _pfaff_rhs, constraints=[("all x_j != 1", "elems", slice(None), 1)])
 
 
+def _distinct_last(es):
+    """[x_n differs from every x_j, j < n]: 1 or 0, or a 0/1 column."""
+    return math.prod(es[-1] != x for x in es[:-1])
+
+
 def _lastpivot_lhs(f, n, cs, es):
-    if es[-1] in es[:-1]:
-        return _zero(f, cs)
-    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es)
+    return hyperff._fd_vec(f, cs[0], cs[2:], cs[1], es, s=_distinct_last(es))
 
 
 def _lastpivot_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    e = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
+    e, w = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es[:-1])])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1]) + (f.mul(xn, d),)
-    return hyperff._fd_vec(f, A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
+    return hyperff._fd_vec(f, A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e, s=w)
 
 
 _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
@@ -290,21 +295,19 @@ _reg("t4.last-pivot", "pivot on the last point: x_j -> (x_n-x_j)/(x_n-1)",
 
 def _c35_lhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
-    if es[-1] in es[:-1]:
-        return _zero(f, cs)
-    return hyperff._fd_vec(f, A, Bs, sum(Bs), es)
+    return hyperff._fd_vec(f, A, Bs, sum(Bs), es, s=_distinct_last(es))
 
 
 def _c35_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     xn = es[-1]
-    e = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
+    e, w = _mono_exp(f, [(-A, f.sub(1, xn)), *((0, x) for x in es)])
     d = f.inv(f.sub(xn, 1))
     args = tuple(f.mul(f.sub(xn, x), d) for x in es[:-1])
-    out = hyperff._fd_vec(f, A, Bs[:-1], sum(Bs), args, e0=e)
-    e = _mono_exp(f, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                      *((0, f.sub(xn, x)) for x in es[:-1])])
-    _addm(out, e, -1)
+    out = hyperff._fd_vec(f, A, Bs[:-1], sum(Bs), args, e0=e, s=w)
+    e, w = _mono_exp(f, [*((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                         *((0, f.sub(xn, x)) for x in es[:-1])])
+    _addm(out, e, -w)
     return out
 
 
@@ -316,11 +319,11 @@ _reg("t4.reduce-c35", "C = B_1..B_n reduction dropping the last slot, minus a mo
 def _pivot2_rhs(f, n, cs, es):
     A, C, Bs = cs[0], cs[1], cs[2:]
     xn = es[-1]
-    e = _mono_exp(f, [(C, f.p - 1), (C - A - Bs[-1], f.sub(1, xn)),
-                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                      *((0, x) for x in es[:-1])])
+    e, w = _mono_exp(f, [(C, f.p - 1), (C - A - Bs[-1], f.sub(1, xn)),
+                         *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                         *((0, x) for x in es[:-1])])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1]) + (xn,)
-    return hyperff._fd_vec(f, C - A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e)
+    return hyperff._fd_vec(f, C - A, Bs[:-1] + (C - sum(Bs),), C, args, e0=e, s=w)
 
 
 _reg("t4.pivot2", "pivot with x_j -> (x_n-x_j)/(1-x_j) and A -> C A^-1",
@@ -331,15 +334,15 @@ def _c37_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     SB = sum(Bs)
     xn = es[-1]
-    e = _mono_exp(f, [(SB, f.p - 1), (SB - Bs[-1] - A, f.sub(1, xn)),
-                      *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
-                      *((0, x) for x in es)])
+    e, w = _mono_exp(f, [(SB, f.p - 1), (SB - Bs[-1] - A, f.sub(1, xn)),
+                         *((-mb, f.sub(1, x)) for mb, x in zip(Bs[:-1], es[:-1])),
+                         *((0, x) for x in es)])
     args = tuple(f.div(f.sub(xn, x), f.sub(1, x)) for x in es[:-1])
-    out = hyperff._fd_vec(f, SB - A, Bs[:-1], SB, args, e0=e)
-    e = _mono_exp(f, [(0, f.sub(xn, 1)),
-                      *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
-                      *((0, f.sub(xn, x)) for x in es[:-1])])
-    _addm(out, e, -1)
+    out = hyperff._fd_vec(f, SB - A, Bs[:-1], SB, args, e0=e, s=w)
+    e, w = _mono_exp(f, [(0, f.sub(xn, 1)),
+                         *((-mb, f.neg(x)) for mb, x in zip(Bs, es)),
+                         *((0, f.sub(xn, x)) for x in es[:-1])])
+    _addm(out, e, -w)
     return out
 
 
@@ -395,8 +398,10 @@ def _c62_rhs(f, n, cs, es):
     A, Bs = cs[0], cs[1:]
     x = es[0]
     SB = sum(Bs)
-    out = hyperff._fd_vec(f, A, (), SB, (), e0=_mono_exp(f, [(SB, f.p - 1), (-A, x)]))
-    _addm(out, _mono_exp(f, [(0, x), (-SB, f.sub(1, x))]), -1)
+    e, w = _mono_exp(f, [(SB, f.p - 1), (-A, x)])
+    out = hyperff._fd_vec(f, A, (), SB, (), e0=e, s=w)
+    e, w = _mono_exp(f, [(0, x), (-SB, f.sub(1, x))])
+    _addm(out, e, -w)
     return out
 
 
@@ -414,10 +419,11 @@ def _c63_rhs(f, n, cs, es):
     x = es[0]
     N = f.n_chars
     SB = sum(Bs)
-    out = hyperff._fd_vec(f, A, (), SB, (), e0=_mono_exp(f, [(0, x), (-A, f.sub(1, x))]))
-    _addm(out, _mono_exp(f, [(-SB, f.neg(x))]), -1)
-    if x == 1:
-        _addm(out, SB * f.log_neg1, (f.q - 1) * _delta(A, N))
+    e, w = _mono_exp(f, [(0, x), (-A, f.sub(1, x))])
+    out = hyperff._fd_vec(f, A, (), SB, (), e0=e, s=w)
+    e, w = _mono_exp(f, [(-SB, f.neg(x))])
+    _addm(out, e, -w)
+    _addm(out, SB * f.log_neg1, (f.q - 1) * _delta(A, N) * _is(x, 1))
     return out
 
 
@@ -510,7 +516,8 @@ def _binthm_lhs(f, n, cs, es):
 def _binthm_rhs(f, n, cs, es):
     A, x = cs[0], es[0]
     out = _zero(f, cs)
-    _addm(out, _mono_exp(f, [(0, x), (-A, f.sub(1, x))]), f.q - 1)
+    e, w = _mono_exp(f, [(0, x), (-A, f.sub(1, x))])
+    _addm(out, e, (f.q - 1) * w)
     return out
 
 
@@ -526,7 +533,8 @@ def _linesum_lhs(f, n, cs, es):
 def _linesum_rhs(f, n, cs, es):
     A, B, x = cs[0], cs[1], es[0]
     out = _zero(f, cs)
-    _addm(out, _mono_exp(f, [(-B, x), (B - A, f.sub(1, x))]), f.q - 1)
+    e, w = _mono_exp(f, [(-B, x), (B - A, f.sub(1, x))])
+    _addm(out, e, (f.q - 1) * w)
     return out
 
 
@@ -611,29 +619,34 @@ def _fits_int64(desc, f, n) -> bool:
     return (d + 1) * 4 * f.q ** (2 * n + 3) << len(cyclo._prime_divisors(N)) < _INT64_BOUND
 
 
-def _char_blocks(cdoms, N: int):
-    """The product of the character domains, in itertools.product order, as
-    blocks of int64 columns (one per character slot) of at most
-    max(1, _BLOCK // N) rows, so that no (R, N) side of a block holds more
-    than hyperff._BLOCK entries."""
-    doms = [np.array(d, dtype=np.int64) for d in cdoms]
+def _block_rows(N: int) -> int:
+    """Rows per block: at most max(1, _BLOCK // N), so that no (R, N) side
+    of a block holds more than hyperff._BLOCK entries."""
+    return max(1, hyperff._BLOCK // N)
+
+
+def _slot_blocks(doms, N: int):
+    """The product of the slot domains, in itertools.product order, as
+    blocks of int64 columns (one per slot) of at most _block_rows(N) rows."""
+    doms = [np.array(d, dtype=np.int64) for d in doms]
     sizes = [len(d) for d in doms]
     total = math.prod(sizes)
-    step = max(1, hyperff._BLOCK // N)
+    step = _block_rows(N)
     for a in range(0, total, step):
         idx = np.unravel_index(np.arange(a, min(a + step, total)), sizes)
         yield tuple(d[i] for d, i in zip(doms, idx))
 
 
-def _check_rows(desc, f, n, cols, es, corrupt: bool) -> list[dict]:
-    """_check for a block of character rows at one point tuple: each side
-    evaluated once for every row, as (R, N) raw vectors, d * lhs = rhs
-    decided row by row in NumPy, and the rows that differ entry by entry
-    passed to the row-batched cyclo.vanishes.  Returns the failure entries
-    of the rows that fail, built from each row's raw sides as _check's."""
-    shape = (len(cols[0]), f.n_chars)
-    lv = np.broadcast_to(desc.lhs(f, n, cols, es), shape)  # a side free of the rows is a list
-    rv = np.broadcast_to(desc.rhs(f, n, cols, es), shape)
+def _check_rows(desc, f, n, cs, es, corrupt: bool) -> list[dict]:
+    """_check for a block of rows, the character and point slots as int64
+    columns: each side evaluated once for every row, as (R, N) raw vectors,
+    d * lhs = rhs decided row by row in NumPy, and the rows that differ
+    entry by entry passed to the row-batched cyclo.vanishes.  Returns the
+    failure entries of the rows that fail, built from each row's raw sides
+    as _check's."""
+    shape = (len(cs[0]), f.n_chars)
+    lv = np.broadcast_to(desc.lhs(f, n, cs, es), shape)  # a side free of the rows is a list
+    rv = np.broadcast_to(desc.rhs(f, n, cs, es), shape)
     d = desc.den(f.q, n)
     if corrupt:
         rv = rv.copy()
@@ -643,8 +656,8 @@ def _check_rows(desc, f, n, cols, es, corrupt: bool) -> list[dict]:
     if not len(unequal):
         return []
     failed = unequal[~cyclo.vanishes(f.n_chars, diff[unequal])]
-    return [_fail_entry(desc, f, n, tuple(int(c[r]) for c in cols), es, lv[r].tolist(),
-                        rv[r].tolist()) for r in failed]
+    return [_fail_entry(desc, f, n, [int(c[r]) for c in cs], [int(x[r]) for x in es],
+                        lv[r].tolist(), rv[r].tolist()) for r in failed]
 
 
 def _canonical(desc, f, n, lv, rv) -> tuple[CycInt, CycInt]:
@@ -668,10 +681,15 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
     mismatches = undefined = None
 
     if mode == "sampled":
+        # the accepted draws go on in blocks of _block_rows(N) rows where one
+        # draw would run the list kernels and the int64 bound holds, and one
+        # at a time, in Python ints, elsewhere
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         nc, ne = desc.chars(n), desc.elems(n)
         attempts_cap = count * 1000 + 1000
         rejected: dict[str, int] = {}
+        batched = N < hyperff._ARRAY_MIN_N and _fits_int64(desc, f, n)
+        drawn = []
         while tested < count:
             if tested + excluded >= attempts_cap:
                 worst = max(rejected, key=rejected.get)
@@ -683,26 +701,34 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
                 excluded += 1
                 continue
             tested += 1
+            if batched:
+                drawn += cs
+                drawn += es
+                if len(drawn) == _block_rows(N) * (nc + ne) or tested == count:
+                    cols = np.array(drawn, dtype=np.int64).reshape(-1, nc + ne).T.copy()
+                    failures += _check_rows(desc, f, n, tuple(cols[:nc]), tuple(cols[nc:]),
+                                            corrupt_rhs)
+                    drawn = []
+                continue
             ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
             if not ok:
                 failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     elif mode == "exhaustive":
-        # the product of the slot domains: point tuples outermost, and at
-        # each one the character rows in blocks; past the int64 bound (or
-        # with no character slot) one assignment at a time, in Python ints
+        # the product of the slot domains in blocks of rows; past the int64
+        # bound one assignment at a time, in Python ints
         cdoms, edoms = desc.domains(q, n)
         admissible = math.prod(map(len, cdoms + edoms))
         tested, excluded = admissible, desc.slot_space(q, n) - admissible
-        batched = bool(cdoms) and _fits_int64(desc, f, n)
-        for es in itertools.product(*edoms):
-            if batched:
-                for cols in _char_blocks(cdoms, N):
-                    failures += _check_rows(desc, f, n, cols, es, corrupt_rhs)
-                continue
-            for cs in itertools.product(*cdoms):
-                ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
-                if not ok:
-                    failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
+        if cdoms and _fits_int64(desc, f, n):
+            for cols in _slot_blocks(cdoms + edoms, N):
+                failures += _check_rows(desc, f, n, cols[:len(cdoms)], cols[len(cdoms):],
+                                        corrupt_rhs)
+        else:
+            for es in itertools.product(*edoms):
+                for cs in itertools.product(*cdoms):
+                    ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
+                    if not ok:
+                        failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     else:
         # boundary mode walks the complement of the slot domains, only
         # constraint-violating assignments, and records mismatches and

@@ -312,3 +312,9 @@ def test_divisor_table_matches_definitions(n):
         assert D.slot[g] == tuple(D.offset[math.gcd(k, g)] for k in range(2 * g)), g
         want = {(h, _mu(h // g)) for h in ds if h % g == 0 and _mu(h // g)}
         assert len(D.moebius[g]) == len(want) and set(D.moebius[g]) == want, g
+    # the arrays a block of rows reads by divisor index
+    assert D.value.tolist() == ds and D.starts.tolist() == [D.offset[g] for g in ds]
+    assert D.widths.tolist() == [g for g in ds for _ in range(g)]
+    assert [ds[i] for i in D.rank.tolist()] == [math.gcd(k, n) for k in range(n)]
+    assert [[ds[i] for i in row] for row in D.meet.tolist()] == \
+        [[math.gcd(a, b) for b in ds] for a in ds]

@@ -604,14 +604,16 @@ def test_slot_domains_match_the_predicates_sampled(ident):
         assert _matches_oracle(desc, (7, 8, 9, 13), ("sampled",), seed=seed, count=20)
 
 
-def test_sampling_gives_up_as_the_predicates_did():
+def test_sampling_gives_up_as_the_predicates_did(monkeypatch):
     # at q = 2 the only character is eps, so every t3.ff-beta draw violates
-    # B1 != eps first
+    # B1 != eps first, in blocks of draws and one draw at a time alike
     desc = identities.get_identity("t3.ff-beta")
     got = _outcome(identities._run_one, desc, 2, 2, "sampled", count=3)
     assert got == _outcome(_oracle_run_one, desc, 2, 2, "sampled", count=3)
     assert got == ("SamplingGaveUp: sampling gave up after 4000 attempts with 0 of 3 "
                    "draws accepted; 4000 draws violated 'B1 != eps'")
+    monkeypatch.setattr(identities, "_INT64_BOUND", 1)
+    assert _outcome(identities._run_one, desc, 2, 2, "sampled", count=3) == got
 
 
 def test_a_wrong_slot_domain_is_caught(monkeypatch):
@@ -632,29 +634,34 @@ def test_a_wrong_slot_domain_is_caught(monkeypatch):
         assert not _matches_oracle(identities.get_identity(ident), (3,), ("exhaustive",))
 
 
-# -- the batched exhaustive engine against the per-assignment path -------------------
-# Exhaustive mode evaluates each side once per block of character rows at a
-# point tuple (identities._check_rows).  The per-assignment sides and _check,
-# which sampled mode, boundary mode and replay still run, and _oracle_run_one
-# above are the oracles.
+# -- the batched engine against the per-assignment path -------------------------------
+# Exhaustive mode, and sampled mode where one draw would run the list kernels,
+# evaluate each side once per block of rows, every character and point slot an
+# int64 column (identities._check_rows).  The per-assignment sides and _check,
+# which large fields, boundary mode, replay and the CLI run, and
+# _oracle_run_one above are the oracles.
+
+
+def _rows_match(desc, f, n, cs, es) -> bool:
+    """Every row of the block of columns (cs, es) is the per-call lhs and
+    rhs, entry for entry."""
+    shape = (len(cs[0]), f.n_chars)
+    lv = np.broadcast_to(desc.lhs(f, n, cs, es), shape)
+    rv = np.broadcast_to(desc.rhs(f, n, cs, es), shape)
+    for r in range(shape[0]):
+        row_cs, row_es = tuple(int(c[r]) for c in cs), tuple(int(x[r]) for x in es)
+        if (lv[r].tolist() != desc.lhs(f, n, row_cs, row_es) or
+                rv[r].tolist() != desc.rhs(f, n, row_cs, row_es)):
+            return False
+    return True
 
 
 def _block_rows_match(desc, f, n) -> bool:
-    """Every row of every block of `desc` at (f.q, n) is the per-call lhs and
-    rhs, entry for entry."""
-    N = f.n_chars
+    """Every row of every exhaustive block of `desc` at (f.q, n) is the
+    per-call lhs and rhs."""
     cdoms, edoms = desc.domains(f.q, n)
-    for es in itertools.product(*edoms):
-        for cols in identities._char_blocks(cdoms, N):
-            shape = (len(cols[0]), N)
-            lv = np.broadcast_to(desc.lhs(f, n, cols, es), shape)
-            rv = np.broadcast_to(desc.rhs(f, n, cols, es), shape)
-            for r in range(shape[0]):
-                cs = tuple(int(c[r]) for c in cols)
-                if (lv[r].tolist() != desc.lhs(f, n, cs, es) or
-                        rv[r].tolist() != desc.rhs(f, n, cs, es)):
-                    return False
-    return True
+    return all(_rows_match(desc, f, n, cols[:len(cdoms)], cols[len(cdoms):])
+               for cols in identities._slot_blocks(cdoms + edoms, f.n_chars))
 
 
 @pytest.mark.parametrize("ident", EXPECTED_IDS)
@@ -768,4 +775,119 @@ def test_batched_engine_mutants_are_caught(monkeypatch):
             "np.flatnonzero(diff.any(axis=1))[1:]"))
         assert reports() == want  # an honest report has no unequal row to drop
         assert reports(True) != want_corrupt
+    assert reports() == want and reports(True) == want_corrupt
+
+
+# -- the batched sampled engine against the per-draw path ----------------------------
+# Sampled mode passes its accepted draws on in blocks of at most
+# _BLOCK // N rows where one draw would run the list kernels (N <
+# _ARRAY_MIN_N) and the int64 bound holds; the per-draw path is the oracle.
+
+SAMPLED_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 37)
+
+
+def _biased_block(desc, f, n, k, rng):
+    """k admissible draws of `desc` at (f.q, n) as one block of columns, the
+    points often 0, 1, -1 or an earlier point, where the side's weights
+    change."""
+    rows = []
+    while len(rows) < k:
+        cs = tuple(rng.randrange(f.n_chars) for _ in range(desc.chars(n)))
+        es = []
+        for _ in range(desc.elems(n)):
+            pool = (0, 1, f.p - 1, *es)
+            es.append(rng.choice(pool) if rng.random() < 0.4 else rng.randrange(f.q))
+        if desc.violated(cs, tuple(es)) is None:
+            rows.append(cs + tuple(es))
+    cols = np.array(rows, dtype=np.int64).reshape(k, -1).T.copy()
+    return tuple(cols[:desc.chars(n)]), tuple(cols[desc.chars(n):])
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_sampled_block_rows_are_the_per_call_sides(ident):
+    desc = identities.get_identity(ident)
+    rng = random.Random(ident)
+    for q in SAMPLED_QS[4:]:
+        for n in range(desc.n_min, 3):
+            if desc.allows_n(n):
+                f = _field(q)
+                assert _rows_match(desc, f, n, *_biased_block(desc, f, n, 24, rng)), (q, n)
+
+
+def _sampled_reports(descs, qs, seeds, count, corrupt_rhs=False) -> list[str]:
+    return [_outcome(identities._run_one, desc, q, n, "sampled", seed=seed, count=count,
+                     corrupt_rhs=corrupt_rhs)
+            for desc in descs for q in qs for n in range(3) if desc.allows_n(n)
+            for seed in seeds]
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_batched_sampled_reports_are_the_per_draw_reports(monkeypatch, ident):
+    # every report byte for byte, honest and corrupt, against the same
+    # report forced one draw at a time by an int64 bound of 1
+    desc = identities.get_identity(ident)
+    calls = {"_check": 0, "_check_rows": 0}
+    for name in calls:
+        real = getattr(identities, name)
+        monkeypatch.setattr(identities, name, lambda *a, _n=name, _r=real: calls.update(
+            {_n: calls[_n] + 1}) or _r(*a))
+
+    def reports():
+        return [_sampled_reports([desc], SAMPLED_QS, (0, 1, 42), 16, corrupt)
+                for corrupt in (False, True)]
+
+    got = reports()
+    assert calls["_check"] == 0 and calls["_check_rows"] > 0
+    monkeypatch.setattr(identities, "_INT64_BOUND", 1)
+    assert reports() == got
+    assert calls["_check"] > 0
+
+
+def test_batched_sampled_memory_does_not_grow_with_the_count():
+    # draws are decided a block of at most _BLOCK // N rows at a time, so
+    # six blocks (q = 13: 2730 rows each) peak as one and a half do; a
+    # block of 64 rows is smaller than a full block, and peaks lower.  One
+    # untraced run first: what the first full block of a process allocates
+    # once (about 0.2 MB) is not part of the peak, as the shared table is not
+    ff_core.build_field(13, 1)
+    identities.verify("t2.1", [13], "sampled", n_list=[2], count=4096)
+    peaks = []
+    for count in (64, 4096, 16384):
+        tracemalloc.start()
+        (r,) = identities.verify("t2.1", [13], "sampled", n_list=[2], count=count)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert r.ok and r.tested == count
+    assert peaks[0] <= peaks[1] and abs(peaks[2] - peaks[1]) < 64 * 1024, peaks
+
+
+def test_batched_sampled_mutants_are_caught(monkeypatch):
+    cases = [(identities.get_identity(i), q, n) for i, q, n in
+             [("t4.pfaff", 13, 2), ("t4.c-eq-a", 11, 2), ("t2.1", 7, 1), ("t5.gf2", 5, 1),
+              ("t3.ff-beta", 9, 2)]]
+
+    def reports(corrupt_rhs=False):
+        return [_outcome(identities._run_one, desc, q, n, "sampled", seed=0, count=200,
+                         corrupt_rhs=corrupt_rhs) for desc, q, n in cases]
+
+    want = [_outcome(_oracle_run_one, desc, q, n, "sampled", seed=0, count=200)
+            for desc, q, n in cases]
+    want_corrupt = [_outcome(_oracle_run_one, desc, q, n, "sampled", seed=0, count=200,
+                             corrupt_rhs=True) for desc, q, n in cases]
+    assert reports() == want and reports(True) == want_corrupt
+    for module, name, old, new, corrupt in [
+        # the point columns rotated one row against the character columns
+        (identities, "_run_one", "tuple(cols[nc:])", "tuple(np.roll(cols[nc:], 1, axis=1))",
+         True),
+        # row 0's dead positions taken as every row's
+        (hyperff, "_exponents", "dead |= z < 0", "dead |= (z < 0)[:1] if z.ndim == 2 else z < 0",
+         False),
+        # eps(x): a row with a zero point walked as if the point were not 0
+        (hyperff, "_zech_rot", "z[x == 0] = -1", "pass", False),
+        # T42's [t = 1] weight inverted
+        (hyperff, "_genfn_rhs_vec", "* _is(t, 1)", "* (1 - _is(t, 1))", False),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, _mutated(module, name, old, new))
+            assert (reports(True) != want_corrupt) if corrupt else (reports() != want), name
     assert reports() == want and reports(True) == want_corrupt

@@ -432,6 +432,23 @@ def per_chi_ksum_rhs(f, n, cs, es):
     return out
 
 
+def mono_exp(f, pairs):
+    """The exponent of a product of character values chi_m(x), None if any
+    x is 0: the monomial of the sides before it carried a zero weight."""
+    e = 0
+    for m, x in pairs:
+        if x == 0:
+            return None
+        e += (m % f.n_chars) * f.log_table[x]
+    return e
+
+
+def addm(out, e, scale):
+    """out += scale zeta^e, nothing for a zero monomial (e None)."""
+    if e is not None:
+        hyperff._addm(out, e, scale)
+
+
 def loop_t43_rhs(f, mA, mBs, mC, xs, t):
     """The T43 right-hand side with its t = -1 term summed over y, one
     monomial per y, as _genfn_rhs_vec computed it before that term became
@@ -441,16 +458,14 @@ def loop_t43_rhs(f, mA, mBs, mC, xs, t):
     onept = f.add(1, t)
     if t != 0 and onept != 0:
         hyperff._fd_vec(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
-                        e0=hyperff._mono_exp(f, [(mC, onept)]), s=q - 1, out=out)
-    e = hyperff._mono_exp(f, [(mC - mA, f.neg(t)),
-                              *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
+                        e0=mono_exp(f, [(mC, onept)]), s=q - 1, out=out)
+    e = mono_exp(f, [(mC - mA, f.neg(t)), *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
     if all(x != 0 for x in xs):
-        hyperff._addm(out, e, -(q - 1))
+        addm(out, e, -(q - 1))
     if t == f.p - 1 and all(x != 0 for x in xs):
         for y in range(1, q):
-            e = hyperff._mono_exp(f, [(mC, y), *((-mb, f.sub(1, f.mul(x, y)))
-                                                 for mb, x in zip(mBs, xs))])
-            hyperff._addm(out, e, q - 1)
+            e = mono_exp(f, [(mC, y), *((-mb, f.sub(1, f.mul(x, y))) for mb, x in zip(mBs, xs))])
+            addm(out, e, q - 1)
     return out
 
 
@@ -460,7 +475,7 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
     one branch per variant, each with its own eps guards."""
     N, q = f.n_chars, f.q
     out = [0] * N
-    mono, addm, fd = hyperff._mono_exp, hyperff._addm, hyperff._fd_vec
+    mono, fd = mono_exp, hyperff._fd_vec
 
     if variant == "T41":
         if t != 0 and t != 1:  # eps(t), and chi_A(1-t) kills t = 1
@@ -683,7 +698,7 @@ def test_charsum_mutants_are_caught(monkeypatch):
 
     assert all_match()
     with monkeypatch.context() as m:  # the twist log x_j dropped
-        _mutate(m, "_charsum_vec", "1, (), 0, L[x])", "1, (), 0, 0)")
+        _mutate(m, "_charsum_vec", "1, (), 0, _log(f, x), x != 0)", "1, (), 0, 0, x != 0)")
         assert not all_match()
     with monkeypatch.context() as m:  # the gcd fold skipped: a state keeps its g
         _mutate(m, "_coset_direct", "h = G[r + m]", "h = G[0]")
@@ -804,9 +819,16 @@ def test_ksum_rhs_matches_per_chi_sampled(q):
 # -- the F_D walk adds into the caller's vector ------------------------------------------
 
 
+def _prefactor(e, s):
+    """The walk's keywords for a prefactor s zeta^e, e = None (a zero
+    monomial) being the weight s = 0."""
+    return dict(e0=0, s=0) if e is None else dict(e0=e, s=s)
+
+
 def _walk_matches(f, args, v, e, s):
+    """e = None is a zero prefactor: the walk runs at weight s = 0."""
     out = list(v)
-    got = hyperff._fd_vec(f, *args, e0=e, s=s, out=out)
+    got = hyperff._fd_vec(f, *args, **_prefactor(e, s), out=out)
     return got is out and got == rot_add(list(v), hyperff._fd_vec(f, *args), e, s)
 
 
@@ -1344,10 +1366,10 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
         _mutate(m, "_tile", "acc[o:o + g] * (N // g)", "acc[o:o + g] + [0] * (N - g)")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
-        _mutate(m, "_line_vec", "[(0, f.log_table[x])]", "[(0, 0)]")
+        _mutate(m, "_line_vec", "[(0, _log(f, x))]", "[(0, 0)]")
         assert all_match() == (False, True)
     with monkeypatch.context() as m:  # the twist dropped from the shared theta-sum
-        _mutate(m, "_theta_sum", "0, f.log_table[t])", "0, 0)")
+        _mutate(m, "_theta_sum", "0, _log(f, t), t != 0)", "0, 0, t != 0)")
         assert all_match() == (True, False)
     with monkeypatch.context() as m:  # theta(t) read as theta(1) in T41-T43 alone
         _mutate(m, "_genfn_lhs_vec", "dC, b, t)", "dC, b, 1)")
@@ -1396,7 +1418,7 @@ def test_t43_y_loop_mutant_is_caught(monkeypatch):
              for xs in itertools.product(range(5), repeat=1)]
     assert all(_t43_matches(f, *args) for args in cases)
     with monkeypatch.context() as m:  # the y = 1 monomial dropped
-        _mutate(m, "_genfn_rhs_vec", "_mono_exp(f, bx), q - 1)", "_mono_exp(f, bx), 0)")
+        _mutate(m, "_genfn_rhs_vec", "(q - 1) * w * at)", "0 * w * at)")
         assert not all(_t43_matches(f, *args) for args in cases)
 
 
@@ -1558,12 +1580,12 @@ ARRAY_QS = [7, 9, 16, 27, BELOW, ABOVE, 256, 1024, 4096]
 
 def _fd_walks_match(f, args, e0, s, v):
     """The array walk adds into the caller's vector as the list walk does,
-    and builds the same fresh vector without one."""
-    got, want = list(v), list(v)
-    same = hyperff._fd_array(f, *args, e0=e0, s=s, out=got) is got
-    hyperff._fd_list(f, *args, e0=e0, s=s, out=want)
+    and builds the same fresh vector without one (e0 = None: weight 0)."""
+    got, want, kw = list(v), list(v), _prefactor(e0, s)
+    same = hyperff._fd_array(f, *args, **kw, out=got) is got
+    hyperff._fd_list(f, *args, **kw, out=want)
     return same and got == want and \
-        hyperff._fd_array(f, *args, e0=e0, s=s) == hyperff._fd_list(f, *args, e0=e0, s=s)
+        hyperff._fd_array(f, *args, **kw) == hyperff._fd_list(f, *args, **kw)
 
 
 def _beta_walks_match(f, args):
@@ -1695,8 +1717,8 @@ def test_array_walk_mutants_are_caught(monkeypatch):
 
     assert all_match() == (True, True)
     for name, old, new, caught in [
-        ("_fd_array", "counts[e[k]] -= 1", "pass", (False, True)),  # dead term kept
-        ("_exponents", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
+        ("_fd_array", "e[dead] = slots", "pass", (False, True)),  # dead term kept
+        ("_zech_rot", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
         ("_fd_array", "out[:] = map(add, out, counts.tolist())", "out[:] = counts.tolist()",
          (False, True)),  # out replaced, not added to
         ("_beta_array", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
