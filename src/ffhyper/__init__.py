@@ -3,8 +3,9 @@
 Finite fields as lookup tables (ff_core), exact cyclotomic integers (cyclo),
 multiplicative characters (charset), the Lauricella F_D^(n) analogue and its
 relatives (hyperff), a verified-identity registry with an enumeration engine
-(identities), a floating-point classical counterpart (classical), and a CLI
-(cli).
+(identities) whose seeded samples are read as columns from the generator's
+word stream (sampling), a floating-point classical counterpart (classical),
+and a CLI (cli).
 """
 
 from .charset import Char, all_chars, delta_char, delta_elem

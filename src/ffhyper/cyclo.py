@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -94,6 +94,9 @@ class DivisorTable:
                of rows reads rank, meet, value and starts by arrays of indices)
     widths     int64 array of size slots: the g of each slot's row
 
+    rank, meet, value, starts and widths, which only a count of a block of
+    rows reads, are built on first use.
+
     Every table holds O(sigma(n)) ints, 2 sigma(n) per gcd and slot table,
     but rank (n ints) and meet (tau^2)."""
 
@@ -122,13 +125,30 @@ class DivisorTable:
                     s[::d] = [self.offset[d]] * k
             self.gcd[g], self.slot[g] = tuple(t), tuple(s)
             self.moebius[g] = tuple((n // d, mu) for d, mu in _moebius_factors(n // g))
-        self.rank = np.zeros(n, dtype=np.int64)
-        for i, d in enumerate(ds):
-            self.rank[::d] = i
-        self.meet = self.rank[[[math.gcd(a, b) % n for b in ds] for a in ds]]
-        self.value = np.array(ds, dtype=np.int64)
-        self.starts = np.array(list(self.offset.values()), dtype=np.int64)
-        self.widths = np.repeat(np.array(ds, dtype=np.int64), ds)
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        rank = np.zeros(self.n, dtype=np.int64)
+        for i, d in enumerate(self.divisors):
+            rank[::d] = i
+        return rank
+
+    @cached_property
+    def meet(self) -> np.ndarray:
+        ds = self.divisors
+        return self.rank[[[math.gcd(a, b) % self.n for b in ds] for a in ds]]
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        return np.array(self.divisors, dtype=np.int64)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.array(list(self.offset.values()), dtype=np.int64)
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        return np.repeat(self.value, self.divisors)
 
 
 def _series_pass(s: list[int], d: int, e: int) -> list[int]:

@@ -37,7 +37,7 @@ character sum into an exponent lookup.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -85,6 +85,12 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
             return tuple(mod)
 
 
+def _read_only(table) -> np.ndarray:
+    a = np.array(table, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
 class FieldTable:
     """F_q with exp, log and Zech-log tables.  Immutable after construction:
     `build_field` hands the same table of each (p, k) to every caller in the
@@ -95,8 +101,8 @@ class FieldTable:
     i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
     through these tables: x - y = x (1 - y/x).  zech_array is zech_table
     twice over as a read-only int64 array of length 2N, and exp_array and
-    log_array are exp_table and log_table as read-only int64 arrays.
-    divisor_table is the
+    log_array are exp_table and log_table as read-only int64 arrays, built
+    on first use.  divisor_table is the
     cyclo.DivisorTable of N = q - 1 (its divisors, row offsets, gcd tables and
     Moebius pairs, O(sigma(N)) ints), which every sum over characters reads.
 
@@ -180,13 +186,19 @@ class FieldTable:
                                 for v in exp[ln1:] + exp[:ln1])
         # the Zech table twice over, read-only, for hyperff's array walks:
         # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
-        self.zech_array = np.array(self.zech_table * 2, dtype=np.int64)
-        self.zech_array.flags.writeable = False
-        self.exp_array = np.array(exp, dtype=np.int64)
-        self.log_array = np.array(log, dtype=np.int64)
-        self.exp_array.flags.writeable = self.log_array.flags.writeable = False
+        self.zech_array = _read_only(self.zech_table * 2)
         # the divisor lattice of N, which every count over characters reads
         self.divisor_table = DivisorTable(N)
+
+    # only the field operations on columns read these, so a field whose
+    # assignments are all decided one at a time never builds them
+    @cached_property
+    def exp_array(self) -> np.ndarray:
+        return _read_only(self.exp_table)
+
+    @cached_property
+    def log_array(self) -> np.ndarray:
+        return _read_only(self.log_table)
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -40,10 +40,18 @@ Modes:
                 Python ints where the int64 bound could fail (_fits_int64);
   sampled    -- `count` seeded-uniform draws that satisfy the constraints
                 (gives up with SamplingGaveUp, naming the constraint that
-                rejected most draws, after 1000 * count + 1000 draws); below
+                rejected most draws, after 1000 * count + 1000 draws), each
+                slot one rng.randrange(N) or randrange(q); below
                 N = hyperff._ARRAY_MIN_N, where the int64 bound holds, the
                 accepted draws are decided in blocks of rows as exhaustive
-                mode's, and elsewhere one at a time in Python ints;
+                mode's, and elsewhere one at a time in Python ints.  The
+                blocks' draws are read as columns from rng's raw 32-bit
+                words, a chunk of them at a time (sampling.sample_columns),
+                and are exactly the randrange draws: randrange(m) keeps the
+                first k-bit value below m, k = m.bit_length(), and each
+                value is the top k bits of the next word; reading words
+                past the last draw is safe, as each report seeds its own
+                rng and drops it (the sampling module gives the details);
   boundary   -- the complement: only constraint-violating assignments, where
                 mismatches and evaluation errors are recorded, not failed on.
 
@@ -62,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import charset, cyclo, ff_core, hyperff
+from . import charset, cyclo, ff_core, hyperff, sampling
 from .cyclo import CycInt
 from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
 from .hyperff import _addm, _delta, _is, _mono_exp
@@ -681,38 +689,35 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
     mismatches = undefined = None
 
     if mode == "sampled":
-        # the accepted draws go on in blocks of _block_rows(N) rows where one
-        # draw would run the list kernels and the int64 bound holds, and one
-        # at a time, in Python ints, elsewhere
+        # where one draw would run the list kernels and the int64 bound holds,
+        # the draws come as columns (sampling.sample_columns) and are decided
+        # in blocks of _block_rows(N) rows; elsewhere one at a time, in ints
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         nc, ne = desc.chars(n), desc.elems(n)
-        attempts_cap = count * 1000 + 1000
-        rejected: dict[str, int] = {}
-        batched = N < hyperff._ARRAY_MIN_N and _fits_int64(desc, f, n)
-        drawn = []
-        while tested < count:
-            if tested + excluded >= attempts_cap:
-                worst = max(rejected, key=rejected.get)
-                raise SamplingGaveUp(attempts_cap, tested, count, worst, rejected[worst])
-            cs = tuple(rng.randrange(N) for _ in range(nc))
-            es = tuple(rng.randrange(q) for _ in range(ne))
-            if (name := desc.violated(cs, es)) is not None:
-                rejected[name] = rejected.get(name, 0) + 1
-                excluded += 1
-                continue
-            tested += 1
-            if batched:
-                drawn += cs
-                drawn += es
-                if len(drawn) == _block_rows(N) * (nc + ne) or tested == count:
-                    cols = np.array(drawn, dtype=np.int64).reshape(-1, nc + ne).T.copy()
-                    failures += _check_rows(desc, f, n, tuple(cols[:nc]), tuple(cols[nc:]),
+        if N < hyperff._ARRAY_MIN_N and _fits_int64(desc, f, n):
+            step = _block_rows(N)
+            for cols, tested, excluded, _ in sampling.sample_columns(rng, desc, q, n, count):
+                for a in range(0, cols.shape[1], step):
+                    block = cols[:, a:a + step]
+                    failures += _check_rows(desc, f, n, tuple(block[:nc]), tuple(block[nc:]),
                                             corrupt_rhs)
-                    drawn = []
-                continue
-            ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
-            if not ok:
-                failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
+        else:
+            attempts_cap = count * 1000 + 1000
+            rejected: dict[str, int] = {}
+            while tested < count:
+                if tested + excluded >= attempts_cap:
+                    worst = max(rejected, key=rejected.get)
+                    raise SamplingGaveUp(attempts_cap, tested, count, worst, rejected[worst])
+                cs = tuple(rng.randrange(N) for _ in range(nc))
+                es = tuple(rng.randrange(q) for _ in range(ne))
+                if (name := desc.violated(cs, es)) is not None:
+                    rejected[name] = rejected.get(name, 0) + 1
+                    excluded += 1
+                    continue
+                tested += 1
+                ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
+                if not ok:
+                    failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     elif mode == "exhaustive":
         # the product of the slot domains in blocks of rows; past the int64
         # bound one assignment at a time, in Python ints

@@ -398,6 +398,18 @@ def test_t21_verification_json_is_pinned(tmp_path):
         "3d4b0be9011809e28d1567d6fbb55db436b2beb36d31699063cfbc1496e38e06"
 
 
+def test_gate_verification_json_is_pinned(tmp_path):
+    # the default grid, all 352 reports (seed 42: 500 draws per sampled
+    # report), digest taken while each draw was one randrange call per slot
+    out = tmp_path / "gate.json"
+    proc = subprocess.run([sys.executable, VERIFY_SCRIPT, "--json", str(out)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_bytes())["reports"]) == 352
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "7625dacd815166fb5a7890f1aa881822ff79c2c8dd09d557f7f97c2e7c8b5046"
+
+
 def test_verification_script_json_is_byte_identical(tmp_path):
     # two runs of scripts/run_verification.py write the same bytes: no wall time
     outs = []

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffhyper import cyclo, errors, ff_core, hyperff, identities
+from ffhyper import cyclo, errors, ff_core, hyperff, identities, sampling
 
 ALL_IDS = [d.id for d in identities.list_identities()]
 
@@ -734,6 +734,160 @@ def test_exhaustive_memory_does_not_grow_with_the_rows():
     assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
+# -- the draws of a sample as columns against the per-draw loop -----------------------
+# Where sampled mode decides its draws in blocks of rows, it reads them from
+# the generator's raw 32-bit words (sampling.sample_columns).  The per-draw
+# randrange loop it replaced, which larger fields still run, is the oracle:
+# the same columns, counts and rejections, in the same order, or the same
+# SamplingGaveUp.
+
+
+def _loop_columns(rng, desc, q, n, count):
+    """Sampled mode's per-draw loop: (columns, tested, excluded, rejected)."""
+    N, nc, ne = q - 1, desc.chars(n), desc.elems(n)
+    cap = count * 1000 + 1000
+    tested = excluded = 0
+    rejected, drawn = {}, []
+    while tested < count:
+        if tested + excluded >= cap:
+            worst = max(rejected, key=rejected.get)
+            raise errors.SamplingGaveUp(cap, tested, count, worst, rejected[worst])
+        cs = tuple(rng.randrange(N) for _ in range(nc))
+        es = tuple(rng.randrange(q) for _ in range(ne))
+        if (name := desc.violated(cs, es)) is not None:
+            rejected[name] = rejected.get(name, 0) + 1
+            excluded += 1
+            continue
+        tested += 1
+        drawn.append(cs + es)
+    return np.array(drawn, dtype=np.int64).reshape(count, nc + ne).T, tested, excluded, rejected
+
+
+def _chunked_columns(rng, desc, q, n, count):
+    """sampling.sample_columns with its chunks joined, in the same form."""
+    chunks = list(sampling.sample_columns(rng, desc, q, n, count))
+    return (np.concatenate([c[0] for c in chunks], axis=1), *chunks[-1][1:])
+
+
+def _draw_outcome(sample, desc, q, n, seed, count):
+    """The columns, counts and rejections (in order) of a sample seeded as
+    _run_one seeds it, or the text of the SamplingGaveUp it raised."""
+    rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
+    try:
+        cols, tested, excluded, rejected = sample(rng, desc, q, n, count)
+    except errors.SamplingGaveUp as exc:
+        return str(exc)
+    return cols.tolist(), tested, excluded, list(rejected.items())
+
+
+def _draws_match(descs, qs, seeds, counts) -> bool:
+    return all(_draw_outcome(_chunked_columns, desc, q, n, seed, count) ==
+               _draw_outcome(_loop_columns, desc, q, n, seed, count)
+               for desc in descs for q in qs for n in range(3) if desc.allows_n(n)
+               for seed in seeds for count in counts)
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_sampled_columns_are_the_per_draw_loop(monkeypatch, ident):
+    # q = 2 gives up where a constraint forbids its one character (count 1:
+    # after 2000 draws) or accepts a draw of x = 0 alone; at q = 4, 8, 16, 32
+    # the characters (N = q - 1) take one bit fewer of each word than the
+    # points; a chunk of 7 words splits most draws, whose words are carried
+    # into the next chunk
+    desc = identities.get_identity(ident)
+    assert _draws_match([desc], (2,), (0, 1, 42), (1,))
+    assert _draws_match([desc], SAMPLED_QS[1:], (0, 1, 42), (1, 300))
+    monkeypatch.setattr(sampling, "_CHUNK_WORDS", 7)
+    assert _draws_match([desc], (2,), (0,), (1,))
+    assert _draws_match([desc], (3, 8, 13), (0, 1), (40,))
+
+
+def test_sampled_column_mutants_are_caught(monkeypatch):
+    # t3.ff-beta at q = 3 often violates both of its constraints at once;
+    # chunks of 64 words split some of the draws (a draw reads about 8 to 12
+    # words, so most draws still fit in a chunk whose carried words are lost)
+    monkeypatch.setattr(sampling, "_CHUNK_WORDS", 64)
+    descs = [identities.get_identity(i) for i in ("t3.ff-beta", "t4.pfaff", "t2.1")]
+    assert _draws_match(descs, (3, 8, 13), (0,), (40,))
+    for name, old, new in [
+        # each word shifted one bit too far
+        ("_chunk_draws", "words >> (32 - m.bit_length())", "words >> (33 - m.bit_length())"),
+        # each slot after the first searched from the word before its
+        # predecessor's, so a word the predecessor rejected is offered again
+        # (a slot past the chunk's end stays there)
+        ("_slot_words", "last = nxt[m][last + 1]",
+         "last = nxt[m][np.where(last < len(nxt[m]) - 2, np.maximum(last - 1, starts), last + 1)]"),
+        # the words of a draw cut by the chunk's end dropped
+        ("_chunk_draws", "words[s:].copy()", "words[:0]"),
+        # the last violated constraint counted instead of the first
+        ("sample_columns", "reversed(list(enumerate(desc.constraints)))",
+         "list(enumerate(desc.constraints))"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(sampling, name, _mutated(sampling, name, old, new))
+            assert not _draws_match(descs, (3, 8, 13), (0,), (40,)), old
+    assert _draws_match(descs, (3, 8, 13), (0,), (40,))
+
+
+def test_sampling_that_gives_up_runs_in_bounded_memory():
+    # at q = 2 every t3.ff-beta draw is rejected, and the draws are read a
+    # chunk of at most sampling._CHUNK_WORDS words at a time, so the 201,000
+    # draws of count 200 peak as the 4000 of count 3 do
+    desc, f = identities.get_identity("t3.ff-beta"), _field(2)
+    peaks = []
+    for count in (3, 3, 200):
+        tracemalloc.start()
+        with pytest.raises(errors.SamplingGaveUp, match=f"after {count * 1000 + 1000} attempts"):
+            identities._run_one(desc, f, 2, "sampled", 0, count, False)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 64 * 1024 and peaks[2] < 4 << 20, peaks
+
+
+# SHA-256 of the seeded (42) sampled reports of each identity with a corrupt
+# rhs, at the gate's sampled q = 7, 8, 9, 11, 13, every allowed n <= 2 and
+# count 50: every draw fails, so every draw's characters and points are
+# rendered.  Taken while each draw was one call of randrange per slot.
+CORRUPT_SAMPLED_PINS = {
+    "t2.1": "e399428b3f6cfbe637c555e80ea9b8784b162b94bf84a7603b0da5285b00bc72",
+    "t3.ff-beta": "212fc52d377897f894466968b168f8f6c368284107e88b23f50d91e77207d327",
+    "t3.ksum": "fb32d1badae73218156f355bca5154cbce94480c9eb045322512f9d274fc1b61",
+    "t4.eps-reduce": "f7fa75f847f3a8ddfcfb6b05d1f539565c16e3772d3762a8560697bdeb062329",
+    "t4.c-eq-a": "608b9847518d5240fadd29f66d0326fa42da72c331c0c1ffbce8e21ec90fc76e",
+    "t4.one-minus-x": "826a249b86079cbea42c3acc84647e5edd99b7af4063154f118c226f7513e4f4",
+    "t4.pfaff": "be0e36ae66943bbb8a18c1d3a370a9da1d5860fd94d8756cdf69635e5d64a8d9",
+    "t4.last-pivot": "e13008d2f24c1356f4e9389b8955e073969eeed7229e8598a4d68b9fca47008d",
+    "t4.reduce-c35": "f0837f90f6e1211dc3b86a5e83b807a0ebeb3c29d435f83571eedc519ce45aea",
+    "t4.pivot2": "db8f7d335e8348aedb586c88622a77e224a0b10b9fa7f94ac291beb82572daae",
+    "t4.reduce-c37": "bca531d3bb5d2837e5f65345c08fa8109d50ef101d0844f35a8684762375ba64",
+    "t4.eval-equal-x": "2e4169217e296e291aed461848c3c0c2091733b1273f3bddfef8f7e7bddbf868",
+    "t4.eval-xn1": "335f1814397f60912e65b4290335f145d72e3485399534a31b05ab947fd4d39c",
+    "t4.eval-all1": "23c49b66b6c4df6683a8d64015e3c3d3e800636e976e0c51046b398d33301cc9",
+    "t4.c62": "bb89843aa4865bacf2ad7e012a3152b5ae85399dcfdd0b88d9f84182764ea367",
+    "t4.c63": "acc1a2aaefb232d144e4e002d66e1a37c2666010c52edb0ebd3a8e91aec39ad7",
+    "t5.gf1": "1d134273295ef639f8fc9d63c8771fd326928ee146df81a42759644b7c64a6a6",
+    "t5.gf2": "25d033fbb6845545575744cfc059cd41c380cb4438b9554bcc9bd4f64bc229f4",
+    "t5.gf3": "6fe06f6d8c7793e4d1f6a57177ab0f5a302d1e2e80ef44057f073f0b7da2e0de",
+    "p2.f2": "59fd2553d43ef4aa351f5ff22290500c4b2a19c3784c4a9d9bdc78e933cd3e17",
+    "p2.f3": "2d9280da8d74f18b9d24935a89692d0270dcf589c9bc72a66555d94ebeb4369e",
+    "p2.f4-eps": "a282e061c530215e45c6a68d88fa968e9de8ec2ea88343ae3ad6956025c65453",
+    "p2.f4-self": "3c1270233cc1f2a33e2d5e664a001b007db29755846fe79534138eaa147952ee",
+    "p2.prod": "8b37e4ada0e311ffdcda4d056b74c5cad2818b99604fa3a892dbbf6344da1707",
+    "p2.binthm": "c9699111a4c64ed2a07c020cd4eef334e3eaaa4411f83ec853334c7afbdb69b5",
+    "p2.linesum": "2d332743fe1827df85ec89c0e888eae9394ec9d0e5c190ed890de61ba92291b0",
+}
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_corrupt_sampled_reports_are_pinned(ident):
+    desc = identities.get_identity(ident)
+    reports = identities.verify(ident, list(identities.GATE_SAMPLED_QS), mode="sampled",
+                                n_list=[n for n in (0, 1, 2) if desc.allows_n(n)], seed=42,
+                                count=50, corrupt_rhs=True)
+    assert all(len(r.failures) == r.tested == 50 for r in reports)
+    text = json.dumps([r.to_dict() for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == CORRUPT_SAMPLED_PINS[ident]
+
 def _mutated(module, name, old, new):
     """module.<name> compiled from its source with `old` replaced."""
     src = textwrap.dedent(inspect.getsource(getattr(module, name)))
@@ -844,11 +998,12 @@ def test_batched_sampled_reports_are_the_per_draw_reports(monkeypatch, ident):
 
 
 def test_batched_sampled_memory_does_not_grow_with_the_count():
-    # draws are decided a block of at most _BLOCK // N rows at a time, so
-    # six blocks (q = 13: 2730 rows each) peak as one and a half do; a
-    # block of 64 rows is smaller than a full block, and peaks lower.  One
-    # untraced run first: what the first full block of a process allocates
-    # once (about 0.2 MB) is not part of the peak, as the shared table is not
+    # draws are read a chunk of at most sampling._CHUNK_WORDS words (q =
+    # 13: about 1000 draws) and decided in blocks of at most _BLOCK // N
+    # rows, so 16 chunks peak as four do; 64 draws are fewer than a full
+    # chunk's, and peak lower.  One untraced run first: what the first full
+    # block of a process allocates once (about 0.2 MB) is not part of the
+    # peak, as the shared table is not
     ff_core.build_field(13, 1)
     identities.verify("t2.1", [13], "sampled", n_list=[2], count=4096)
     peaks = []
@@ -877,7 +1032,7 @@ def test_batched_sampled_mutants_are_caught(monkeypatch):
     assert reports() == want and reports(True) == want_corrupt
     for module, name, old, new, corrupt in [
         # the point columns rotated one row against the character columns
-        (identities, "_run_one", "tuple(cols[nc:])", "tuple(np.roll(cols[nc:], 1, axis=1))",
+        (identities, "_run_one", "tuple(block[nc:])", "tuple(np.roll(block[nc:], 1, axis=1))",
          True),
         # row 0's dead positions taken as every row's
         (hyperff, "_exponents", "dead |= z < 0", "dead |= (z < 0)[:1] if z.ndim == 2 else z < 0",
