@@ -3,8 +3,9 @@
 Finite fields as lookup tables (ff_core), exact cyclotomic integers (cyclo),
 multiplicative characters (charset), the Lauricella F_D^(n) analogue and its
 relatives (hyperff), a verified-identity registry with an enumeration engine
-(identities) whose seeded samples are read as columns from the generator's
-word stream (sampling), a floating-point classical counterpart (classical),
+(identities) whose seeded samples are drawn one at a time or read as
+columns from the generator's word stream (sampling), a floating-point
+classical counterpart (classical),
 and a CLI (cli).
 """
 

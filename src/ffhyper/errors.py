@@ -23,8 +23,11 @@ class TooLarge(FFHyperError):
 
 
 class ZeroInverse(FFHyperError):
-    def __init__(self):
+    """rows: on a column, the rows where the divisor is 0 (None for one value)."""
+
+    def __init__(self, rows=None):
         super().__init__("0 has no multiplicative inverse")
+        self.rows = rows
 
 
 class ZeroLog(FFHyperError):

@@ -184,7 +184,7 @@ class FieldTable:
         # 1 - g^i = 1 + g^(i + ln1), and + 1 changes digit 0 alone
         self.zech_table = tuple(log[v - (p - 1) if v % p == p - 1 else v + 1]
                                 for v in exp[ln1:] + exp[:ln1])
-        # the Zech table twice over, read-only, for hyperff's array walks:
+        # the Zech table twice over, read-only, for hyperff's walks:
         # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
         self.zech_array = _read_only(self.zech_table * 2)
         # the divisor lattice of N, which every count over characters reads
@@ -238,9 +238,9 @@ class FieldTable:
         return self.exp_table[(self.log_table[x] + self.log_table[y]) % N]
 
     def inv(self, x):
-        if x.all() if type(x) is np.ndarray else x != 0:
-            return self.inv0(x)
-        raise ZeroInverse()
+        if not (x.all() if type(x) is np.ndarray else x):
+            raise ZeroInverse(np.flatnonzero(x == 0) if type(x) is np.ndarray else None)
+        return self.inv0(x)
 
     def inv0(self, x):
         """x^(q-2): 1/x, and 0 at x = 0."""

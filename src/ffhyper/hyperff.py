@@ -28,47 +28,40 @@ point moves with u, so the rest of each inner walk (the base exponents and
 fixed slots, and the merged slot's Zech column) is built once per call and
 each u costs one pass pairing the two at a rotation.
 
-Both walks have two kernels with the same counts: a list loop (_fd_list,
-_beta_list), which serves one assignment below N = _ARRAY_MIN_N (boundary
-checks, replay and CLI eval on small fields) and is the oracle of the tests,
-and int64 array passes (_fd_array, _beta_array), which serve one assignment
-from there and every block of rows (below); they read the field's doubled
-Zech array (FieldTable.zech_array), so a rotation by log x_j is one slice
-(_zech_rot).  Array passes pay a fixed cost per call that the loop's cost
-per term repays from N = 36 or so (the F_D walk; the double walk from N = 20
-or so, in a per-call table over q = 13..256, n <= 3); the crossover is the
-first N past that.  A slot's rotation holds -1 where x_j u = 1, at most one
-i = -log x_j mod N per slot, and _exponents returns the dead mask of those
-terms with the exponent column: the F_D walk bincounts the column with its
-dead terms in one slot past the last, and the double walk keeps its dead
-marker 3N and bincounts blocks of at most _BLOCK pair sums, so its memory
-does not grow with N^2.  Every character is reduced mod N before its product
-is added and the column once at the end, so no int64 entry exceeds (n + 2)
-N^2 (7N in the double walk's sums), and one assignment's counts become
-Python ints before any scaling.
+Each walk is one kernel of int64 array passes, _fd_vec and _beta_vec, which
+serves one assignment and a block of rows (below) alike.  They read the
+field's doubled Zech array (FieldTable.zech_array), so a rotation by log x_j
+is one slice (_zech_rot).  A slot's rotation holds -1 where x_j u = 1, at
+most one i = -log x_j mod N per slot, and _exponents returns the dead
+positions of those terms with the exponent column: the F_D walk bincounts the
+column with its dead terms in one slot past the last, and the double walk
+keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so
+its memory does not grow with N^2.  Every character is reduced mod N before
+its product is added and the column once at the end, so no int64 entry
+exceeds (n + 2) N^2 (7N in the double walk's sums), and one assignment's
+counts become Python ints before any scaling.
 
-A block of rows.  Exhaustive verification, and sampled verification below
-N = _ARRAY_MIN_N, evaluate a side for R rows at once: every character and
-point slot comes as an equal-length int64 column (an int where the side
-fixes one), the field operations take columns, and each kernel, given its
-first character as a column, adds a leading row axis and returns an (R, N)
-array.  So _exponents gathers each
-row's rotation Z[log x_j + i] into an (R, N - 1) exponent matrix with a dead
-mask per row, a row with a zero point dead throughout (eps(x));
-_fd_array counts every row with one bincount of row N + e and takes a weight
-s per row; _beta_array gathers each (u, row)'s rotation of its row's merged
-column into 7N slots per row; _conv gathers row-wise products; _addm and
-_mono_exp take columns; and every case on a value is a 0/1 weight: a delta
-factor (_delta), [x = v] (_is), a monomial's eps weight, s = 0 for a walk
-that drops out.  _walk_terms lists (exponent, slope, weight) matrices, the
-slopes per row where a point or the twist enters them, so each term tuple's
-g varies by row: _coset_rows reads the index of gcd(m, N) from the divisor
-table (D.rank, joined across lists by D.meet) and counts a chunk of tuples
-as one bincount of row sigma(N) + offset[g] + e mod g.  Every array holds at
-most about _BLOCK entries per block (the caller sizes the blocks;
-_beta_array, _coset_rows and _conv chunk their wider intermediates).  No
-int64 entry exceeds the side's total term weight, which the verifier bounds
-before it batches (identities._fits_int64).
+A block of rows.  Exhaustive and boundary verification, and sampled
+verification below N = _ARRAY_MIN_N, evaluate a side for R rows at once:
+every character and point slot comes as an equal-length int64 column (an int
+where the side fixes one), the field operations take columns, and each
+kernel, given its first character as a column, adds a leading row axis and
+returns an (R, N) array.  So _exponents gathers each row's rotation
+Z[log x_j + i] into an (R, N - 1) exponent matrix with a dead mask per row, a
+row with a zero point dead throughout (eps(x)); _fd_vec counts every row with
+one bincount of row N + e and takes a weight s per row; _beta_vec gathers
+each (u, row)'s rotation of its row's merged column into 7N slots per row;
+_conv gathers row-wise products; _addm and _mono_exp take columns; and every
+case on a value is a 0/1 weight: a delta factor (_delta), [x = v] (_is), a
+monomial's eps weight, s = 0 for a walk that drops out.  _walk_terms lists
+(exponent, slope, weight) matrices, the slopes per row where a point or the
+twist enters them, so each term tuple's g varies by row: _coset_rows reads
+the index of gcd(m, N) from the divisor table (D.rank, joined across lists by
+D.meet) and counts a chunk of tuples as one bincount of row sigma(N) +
+offset[g] + e mod g.  Every array holds at most about _BLOCK entries per
+block (the caller sizes the blocks; _beta_vec, _coset_rows and _conv chunk
+their wider intermediates).  No int64 entry exceeds the side's total term
+weight, which the verifier bounds before it batches (identities._fits_int64).
 
 General products (_conv) multiply the counts of two walks, so every
 operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
@@ -269,53 +262,13 @@ def _mono_exp(f: FieldTable, pairs):
 
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
 
-# N = q - 1 from which _fd_vec and _beta_vec run as int64 array passes
+# N = q - 1 below which sampled mode decides its draws in blocks of rows
+# (identities._run_one), and from which one draw at a time; no kernel reads it
 _ARRAY_MIN_N = 40
-# pair sums per block of _beta_array's gather, and pairs per block of
-# _coset_moebius's joins, which bounds their memory
+# entries per array of a block: a side's rows per block (identities._block_rows)
+# and the chunks of _beta_vec's pair sums, _coset_rows's tuples, _conv's
+# products and _coset_moebius's joins, which bounds their memory
 _BLOCK = 1 << 15
-
-
-def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
-    """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
-    out is a fresh zero vector when None, and s = 0 (a zero weight) adds
-    nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u -> u/(u-1)
-    maps its terms one to one onto those of the binomial.  One assignment's
-    walk runs as a list loop below N = _ARRAY_MIN_N and as array passes from
-    there; a block of rows (A an int64 column; the other characters, the
-    points, e0 and s columns or ints; out an (R, N) array) always runs as
-    array passes."""
-    if f.n_chars >= _ARRAY_MIN_N or type(mA) is np.ndarray:
-        return _fd_array(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
-    return _fd_list(f, mA, mBs, mC, xs, e0=e0, s=s, out=out)
-
-
-def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int = 0, s: int = 1,
-             out: list[int] | None = None) -> list[int]:
-    """_fd_vec as one loop over u, for one assignment."""
-    N, Z = f.n_chars, f.zech_table
-    if out is None:
-        out = [0] * N
-    if s == 0 or 0 in xs:
-        return out
-    mA %= N
-    mAC = (mC - mA) % N
-    e0 += (mA + mC) * f.log_neg1
-    if not mBs:  # n = 0: no B-slot, so no term is zero
-        for i in range(1, N):
-            out[(e0 + mA * i + mAC * Z[i]) % N] += s
-        return out
-    slots = [(-mb % N, f.log_table[x]) for mb, x in zip(mBs, xs)]
-    for i in range(1, N):
-        e = e0 + mA * i + mAC * Z[i]
-        for mb, lx in slots:
-            z = Z[(lx + i) % N]  # log(1 - x_j u); -1 where x_j u = 1
-            if z < 0:
-                break
-            e += mb * z
-        else:
-            out[e % N] += s
-    return out
 
 
 def _zech_rot(f: FieldTable, x):
@@ -365,16 +318,19 @@ def _exponents(f: FieldTable, e0, mA, mBs, mC, xs, R: int | None = None):
     return e, dead
 
 
-def _fd_array(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
-    """_fd_vec as int64 array passes: the exponent column is counted with one
-    bincount, its dead terms in one slot past the last.  On a block each
-    row's exponents are offset by N times its row, so one bincount counts
-    every row, and the counts come back as an (R, N) array.  The counts are
-    scaled by s (a column on a block: one weight per row) in int64, exact
-    while |s| (N - 1) < 2^63 (the callers' s is 0, 1, -1 or q - 1 times a
-    0/1 weight), and added into `out` in place in one pass."""
-    N = f.n_chars
-    R = _nrows(mA)
+def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
+    """out += s zeta^e0 F_D, one walk over u adding s at each term's exponent;
+    out is a fresh zero vector when None, and s = 0 (a zero weight) adds
+    nothing.  At n = 0 the walk is {A choose C}: with no B-slot, u -> u/(u-1)
+    maps its terms one to one onto those of the binomial.  The exponent
+    column is counted with one bincount, its dead terms in one slot past the
+    last.  On a block of rows (A an int64 column; the other characters, the
+    points, e0 and s columns or ints; out an (R, N) array) each row's
+    exponents are offset by N times its row, so one bincount counts every
+    row, and the counts come back as an (R, N) array.  The counts are scaled
+    by s in int64, exact while |s| (N - 1) < 2^63 (the callers' s is 0, 1, -1
+    or q - 1 times a 0/1 weight), and added into `out` in place in one pass."""
+    N, R = f.n_chars, _nrows(mA)
     if R is None and (s == 0 or 0 in xs):
         return [0] * N if out is None else out
     e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs, R)
@@ -400,69 +356,19 @@ def _fd_array(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
 
 def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
     """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | x_m, x_3..),
-    x_m = u x_1 + (1-u) x_2, as a fresh list: one _fd_vec walk per u, done as
-    one double walk, a list loop below N = _ARRAY_MIN_N and blocks of array
-    passes from there and on a block of rows (A an int64 column)."""
-    if f.n_chars >= _ARRAY_MIN_N or type(mA) is np.ndarray:
-        return _beta_array(f, mA, mBs, mC, xs)
-    return _beta_list(f, mA, mBs, mC, xs)
-
-
-def _beta_list(f: FieldTable, mA: int, mBs, mC: int, xs) -> list[int]:
-    """_beta_vec as one loop over u.  Only x_m moves with u, so the term at
-    u = g^i, v = g^k has exponent c(i) + b(k) + z(log x_m + k), with
+    x_m = u x_1 + (1-u) x_2, as a fresh list (an (R, N) array on a block of
+    rows, A an int64 column): one _fd_vec walk per u, done as one double
+    walk.  Only x_m moves with u, so the term at u = g^i, v = g^k has
+    exponent c(i) + b(k) + z(log x_m + k), with
 
         b(k) = A k + (C - A) Z[k] - sum_{j>=3} B_j Z[log x_j + k]  (built once)
         z(k) = -(B_1 + B_2) Z[k]  (built once, doubled: a rotation is a slice)
-        c(i) = (A + C) log(-1) + B_1 i + B_2 Z[i]  (one per u).
+        c(i) = (A + C) log(-1) + B_1 i + B_2 Z[i]  (one per u),
 
-    A factor 1 - x v = 0 makes b(k) or z(k) dead: D = 3N lifts any sum with a
-    dead part to 3N or more, which no live sum (c, b, z each reduced mod N)
-    reaches."""
-    N, Z, L = f.n_chars, f.zech_table, f.log_table
-    if 0 in xs:
-        return [0] * N
-    D = 3 * N
-    mA %= N
-    mAC = (mC - mA) % N
-    fixed = [(-mb % N, L[x]) for mb, x in zip(mBs[2:], xs[2:])]
-    base = []  # b(k) at k = 1..N-1
-    for k in range(1, N):
-        b = mA * k + mAC * Z[k]
-        for mb, lx in fixed:
-            z = Z[(lx + k) % N]  # log(1 - x_j v); -1 where x_j v = 1
-            if z < 0:
-                base.append(D)
-                break
-            b += mb * z
-        else:
-            base.append(b % N)
-    mm = -(mBs[0] + mBs[1]) % N
-    col = [D if z < 0 else mm * z % N for z in Z] * 2
-    c0 = (mA + mC) * f.log_neg1
-    x1, x2 = xs[0], xs[1]
-    l2 = L[x2]
-    # x_m = x_2 (1 - u (x_2 - x_1)/x_2): log x_m = l2 + Z[i + d], and x_m = 0
-    # where that Zech entry is -1; x_m = x_2 at every u when x_1 = x_2
-    d = None if x1 == x2 else L[f.sub(x2, x1)] - l2
-    acc = [0] * (7 * N)  # pair sums c + b + z, dead ones at 3N and above
-    for i in range(1, N):
-        lm = l2
-        if d is not None:
-            z = Z[(i + d) % N]
-            if z < 0:
-                continue
-            lm = (l2 + z) % N
-        c = (c0 + mBs[0] * i + mBs[1] * Z[i]) % N
-        for e in map(add, base, col[lm + 1:lm + N]):
-            acc[c + e] += 1
-    return [a + b + c for a, b, c in zip(acc[:N], acc[N:2 * N], acc[2 * N:D])]
-
-
-def _beta_array(f: FieldTable, mA, mBs, mC, xs):
-    """_beta_list as int64 array passes: b, z and c as columns, with the same
-    dead marker D = 3N, for a block of R rows (one assignment is a block of
-    one row, returned as a list).  Each row's z, doubled, is a stretch of
+    as int64 columns.  A factor 1 - x v = 0 makes b(k) or z(k) dead: D = 3N
+    lifts any sum with a dead part to 3N or more, which no live sum (c, b, z
+    each reduced mod N) reaches.  One assignment is a block of one row,
+    returned as a list.  Each row's z, doubled, is a stretch of
     2N entries of one flat array, and rows[l] is a read-only view of the
     N - 1 entries from l, so lm[u, r] (row r's log x_m at u, plus 2N r) picks
     row r's rotated column, and the live u's of every row are one gather;
@@ -471,12 +377,11 @@ def _beta_array(f: FieldTable, mA, mBs, mC, xs):
     least one u) is bincounted into the 7N slots of its row, and a block of
     more than _BLOCK // 7N rows runs a slice of rows at a time.  Every live
     sum is below 7N."""
-    N, Z2 = f.n_chars, f.zech_array
-    R = _nrows(mA)
+    N, Z2, R = f.n_chars, f.zech_array, _nrows(mA)
     if N == 1 or R is None and 0 in xs:
         return _zeros(N, R)
     if R is not None and R > _BLOCK // (7 * N) > 0:
-        return np.concatenate([_beta_array(f, _cut(mA, s), [_cut(m, s) for m in mBs], _cut(mC, s),
+        return np.concatenate([_beta_vec(f, _cut(mA, s), [_cut(m, s) for m in mBs], _cut(mC, s),
                                            [_cut(x, s) for x in xs])
                                for s in _row_slices(R, 7 * N)])
     one, R = R is None, R or 1
@@ -521,7 +426,9 @@ def _walk_terms(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, k=0, w=Tr
     at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
     (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.
     A B-slot at slope 0 adds nothing to d and skips its product.  w is a
-    weight on every term: False lists none.
+    weight on every term: False lists none.  One assignment's terms are the
+    (e, d) pairs of _exponents' columns (reduced mod N) with the dead
+    positions dropped, in the order of u.
 
     On a block (A an int64 column of R rows; the other characters, the
     points, k and w columns or ints) the terms are a triple of arrays, each
@@ -530,34 +437,17 @@ def _walk_terms(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, k=0, w=Tr
     a nonzero slope, and the twist k), and their weights, w where _exponents
     finds the term alive and False where it is dead; exponents and slopes are
     _exponents' (reduced mod N)."""
-    N, Z, l1 = f.n_chars, f.zech_table, f.log_neg1
+    l1, R = f.log_neg1, _nrows(mA)
     e0, d0 = (mA + mC) * l1, (dA + dC) * l1 + k
-    if type(mA) is np.ndarray:
-        e, dead = _exponents(f, e0, mA, mBs, mC, xs, len(mA))
-        sloped = [(db, x) for db, x in zip(dBs, xs, strict=True) if db]
-        d, _ = _exponents(f, d0, dA, [db for db, _ in sloped], dC, [x for _, x in sloped],
-                          len(mA))
-        return e, d, ~dead & _down(w)
-    if not w or 0 in xs:
+    if R is None and (not w or 0 in xs):
         return []
-    mAC, dAC = mC - mA, dC - dA
-    if not xs:  # no B-slot, so no term is zero
-        return [(e0 + mA * i + mAC * Z[i], d0 + dA * i + dAC * Z[i]) for i in range(1, N)]
-    slots = [(-mb, -db, f.log_table[x]) for mb, db, x in zip(mBs, dBs, xs, strict=True)]
-    out = []
-    for i in range(1, N):
-        z = Z[i]
-        e, d = e0 + mA * i + mAC * z, d0 + dA * i + dAC * z
-        for mb, db, lx in slots:
-            z = Z[(lx + i) % N]  # log(1 - x_j u); -1 where x_j u = 1
-            if z < 0:
-                break
-            e += mb * z
-            if db:
-                d += db * z
-        else:
-            out.append((e, d))
-    return out
+    e, dead = _exponents(f, e0, mA, mBs, mC, xs, R)
+    sloped = [(db, x) for db, x in zip(dBs, xs, strict=True) if db]
+    d, _ = _exponents(f, d0, dA, [db for db, _ in sloped], dC, [x for _, x in sloped], R)
+    if R is not None:
+        return e, d, ~dead & _down(w)
+    e[dead] = -1  # below every live exponent, which _exponents puts in [0, N)
+    return [t for t in zip(e.tolist(), d.tolist()) if t[0] >= 0]
 
 
 # the cost of one _coset_moebius pass over a divisor and a list, in pair steps

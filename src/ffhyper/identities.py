@@ -36,24 +36,20 @@ Modes:
                 in blocks of rows (_slot_blocks), each side evaluated once
                 per block and d * lhs = rhs decided row by row in NumPy
                 (_check_rows), with the unequal rows passed to the
-                row-batched vanishing test; one assignment at a time in
-                Python ints where the int64 bound could fail (_fits_int64);
-  sampled    -- `count` seeded-uniform draws that satisfy the constraints
-                (gives up with SamplingGaveUp, naming the constraint that
-                rejected most draws, after 1000 * count + 1000 draws), each
-                slot one rng.randrange(N) or randrange(q); below
-                N = hyperff._ARRAY_MIN_N, where the int64 bound holds, the
-                accepted draws are decided in blocks of rows as exhaustive
-                mode's, and elsewhere one at a time in Python ints.  The
-                blocks' draws are read as columns from rng's raw 32-bit
-                words, a chunk of them at a time (sampling.sample_columns),
-                and are exactly the randrange draws: randrange(m) keeps the
-                first k-bit value below m, k = m.bit_length(), and each
-                value is the top k bits of the next word; reading words
-                past the last draw is safe, as each report seeds its own
-                rng and drops it (the sampling module gives the details);
-  boundary   -- the complement: only constraint-violating assignments, where
-                mismatches and evaluation errors are recorded, not failed on.
+                row-batched vanishing test; row by row in Python ints where
+                the int64 bound could fail (_fits_int64);
+  sampled    -- `count` seeded draws of one rng.randrange(N) or randrange(q)
+                per slot that satisfy the constraints (SamplingGaveUp after
+                1000 * count + 1000 draws); below N = hyperff._ARRAY_MIN_N,
+                where the int64 bound holds, read as columns from rng's raw
+                words and decided in blocks of rows as exhaustive mode's,
+                elsewhere one at a time in Python ints (sampling);
+  boundary   -- the complement: the rows of exhaustive mode's blocks over the
+                full slot ranges that violate a constraint, with mismatches
+                counted, not failed on.  A side that divides by zero raises
+                ZeroInverse naming its zero rows, exactly those that raise
+                one at a time (the sides are straight-line code); they are
+                undefined, and the block is decided again without them.
 
 Reports serialize to JSON with a fixed key order; wall time is zeroed unless
 timings are requested, so repeated runs are byte-identical.
@@ -61,7 +57,6 @@ timings are requested, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -72,7 +67,7 @@ import numpy as np
 
 from . import charset, cyclo, ff_core, hyperff, sampling
 from .cyclo import CycInt
-from .errors import CapExceeded, FFHyperError, SamplingGaveUp, UnknownIdentity
+from .errors import CapExceeded, UnknownIdentity, ZeroInverse
 from .hyperff import _addm, _delta, _is, _mono_exp
 
 DEFAULT_CAP = 10_000_000
@@ -128,6 +123,15 @@ class IdentityDescriptor:
             if value in (cs if kind == "chars" else es)[slots]:
                 return name
         return None
+
+    def first_violated(self, n: int, cols) -> np.ndarray:
+        """Per row of `cols` (an int64 column per slot, the characters first),
+        the index of the first constraint it violates, len(constraints) if none."""
+        nc, first = self.chars(n), np.full(len(cols[0]), len(self.constraints))
+        for i, (_, kind, slots, value) in reversed(list(enumerate(self.constraints))):
+            block = cols[:nc] if kind == "chars" else cols[nc:]
+            first[(np.asarray(block[slots]) == value).any(axis=0)] = i
+        return first
 
     def domains(self, q: int, n: int) -> tuple[list, list]:
         """Each character and element slot's admissible values at (q, n)."""
@@ -645,13 +649,26 @@ def _slot_blocks(doms, N: int):
         yield tuple(d[i] for d, i in zip(doms, idx))
 
 
-def _check_rows(desc, f, n, cs, es, corrupt: bool) -> list[dict]:
-    """_check for a block of rows, the character and point slots as int64
-    columns: each side evaluated once for every row, as (R, N) raw vectors,
-    d * lhs = rhs decided row by row in NumPy, and the rows that differ
-    entry by entry passed to the row-batched cyclo.vanishes.  Returns the
-    failure entries of the rows that fail, built from each row's raw sides
-    as _check's."""
+def _check_rows(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list[tuple]:
+    """_check for a block of rows (int64 columns): the failing rows as (row,
+    raw lhs, raw rhs), the sides as lists.  Batched, each side is evaluated
+    once for every row and the rows where d * lhs - rhs is nonzero pass to
+    the row-batched cyclo.vanishes; else (past the int64 bound) each row is
+    decided by _check in Python ints.  A side that divides by zero raises
+    ZeroInverse naming its zero rows (row by row: all, after the pass)."""
+    if not batched:
+        failed, zero = [], []
+        for r, row in enumerate(zip(*(c.tolist() for c in (*cs, *es)))):
+            try:
+                ok, lv, rv = _check(desc, f, n, row[:len(cs)], row[len(cs):], corrupt)
+            except ZeroInverse:
+                zero.append(r)
+                continue
+            if not ok:
+                failed.append((r, lv, rv))
+        if zero:
+            raise ZeroInverse(zero)
+        return failed
     shape = (len(cs[0]), f.n_chars)
     lv = np.broadcast_to(desc.lhs(f, n, cs, es), shape)  # a side free of the rows is a list
     rv = np.broadcast_to(desc.rhs(f, n, cs, es), shape)
@@ -661,11 +678,15 @@ def _check_rows(desc, f, n, cs, es, corrupt: bool) -> list[dict]:
         rv[:, 0] += d
     diff = d * lv - rv if d != 1 else lv - rv
     unequal = np.flatnonzero(diff.any(axis=1))
-    if not len(unequal):
-        return []
-    failed = unequal[~cyclo.vanishes(f.n_chars, diff[unequal])]
-    return [_fail_entry(desc, f, n, [int(c[r]) for c in cs], [int(x[r]) for x in es],
-                        lv[r].tolist(), rv[r].tolist()) for r in failed]
+    if len(unequal):
+        unequal = unequal[~cyclo.vanishes(f.n_chars, diff[unequal])]
+    return [(r, lv[r].tolist(), rv[r].tolist()) for r in unequal]
+
+
+def _failures(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list[dict]:
+    """The failure entries of a block of rows (_check_rows)."""
+    return [_fail_entry(desc, f, n, [int(c[r]) for c in cs], [int(x[r]) for x in es], lv, rv)
+            for r, lv, rv in _check_rows(desc, f, n, cs, es, corrupt, batched)]
 
 
 def _canonical(desc, f, n, lv, rv) -> tuple[CycInt, CycInt]:
@@ -689,68 +710,47 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
     mismatches = undefined = None
 
     if mode == "sampled":
-        # where one draw would run the list kernels and the int64 bound holds,
-        # the draws come as columns (sampling.sample_columns) and are decided
-        # in blocks of _block_rows(N) rows; elsewhere one at a time, in ints
+        # below _ARRAY_MIN_N, in the int64 bound: draws as columns, blocks of rows
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
-        nc, ne = desc.chars(n), desc.elems(n)
+        nc = desc.chars(n)
         if N < hyperff._ARRAY_MIN_N and _fits_int64(desc, f, n):
             step = _block_rows(N)
             for cols, tested, excluded, _ in sampling.sample_columns(rng, desc, q, n, count):
                 for a in range(0, cols.shape[1], step):
                     block = cols[:, a:a + step]
-                    failures += _check_rows(desc, f, n, tuple(block[:nc]), tuple(block[nc:]),
-                                            corrupt_rhs)
+                    failures += _failures(desc, f, n, tuple(block[:nc]), tuple(block[nc:]),
+                                          corrupt_rhs)
         else:
-            attempts_cap = count * 1000 + 1000
-            rejected: dict[str, int] = {}
-            while tested < count:
-                if tested + excluded >= attempts_cap:
-                    worst = max(rejected, key=rejected.get)
-                    raise SamplingGaveUp(attempts_cap, tested, count, worst, rejected[worst])
-                cs = tuple(rng.randrange(N) for _ in range(nc))
-                es = tuple(rng.randrange(q) for _ in range(ne))
-                if (name := desc.violated(cs, es)) is not None:
-                    rejected[name] = rejected.get(name, 0) + 1
-                    excluded += 1
-                    continue
-                tested += 1
+            for cs, es, tested, excluded in sampling.sample_draws(rng, desc, q, n, count):
                 ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
                 if not ok:
                     failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
-    elif mode == "exhaustive":
-        # the product of the slot domains in blocks of rows; past the int64
-        # bound one assignment at a time, in Python ints
-        cdoms, edoms = desc.domains(q, n)
-        admissible = math.prod(map(len, cdoms + edoms))
-        tested, excluded = admissible, desc.slot_space(q, n) - admissible
-        if cdoms and _fits_int64(desc, f, n):
-            for cols in _slot_blocks(cdoms + edoms, N):
-                failures += _check_rows(desc, f, n, cols[:len(cdoms)], cols[len(cdoms):],
-                                        corrupt_rhs)
-        else:
-            for es in itertools.product(*edoms):
-                for cs in itertools.product(*cdoms):
-                    ok, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
-                    if not ok:
-                        failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     else:
-        # boundary mode walks the complement of the slot domains, only
-        # constraint-violating assignments, and records mismatches and
-        # evaluation errors, never failing on them
+        # the product of the slot domains (exhaustive) or the rows of the full
+        # slot ranges that violate a constraint (boundary), in blocks of rows
         cdoms, edoms = desc.domains(q, n)
-        excluded, mismatches, undefined = math.prod(map(len, cdoms + edoms)), 0, 0
-        for cs in itertools.product(range(N), repeat=len(cdoms)):
-            for es in itertools.product(range(q), repeat=len(edoms)):
-                if desc.violated(cs, es) is None:
-                    continue
-                try:
-                    ok, _, _ = _check(desc, f, n, cs, es, corrupt_rhs)
-                except FFHyperError:
-                    undefined += 1
-                    continue
-                tested += 1
-                mismatches += not ok
+        nc, admissible = len(cdoms), math.prod(map(len, cdoms + edoms))
+        batched = _fits_int64(desc, f, n)
+        if mode == "exhaustive":
+            tested, excluded = admissible, desc.slot_space(q, n) - admissible
+            for cols in _slot_blocks(cdoms + edoms, N):
+                failures += _failures(desc, f, n, cols[:nc], cols[nc:], corrupt_rhs, batched)
+        else:
+            excluded, mismatches, undefined = admissible, 0, 0
+            full = [range(N)] * nc + [range(q)] * len(edoms)
+            for cols in _slot_blocks(full, N) if desc.constraints else ():
+                rows = np.flatnonzero(desc.first_violated(n, cols) < len(desc.constraints))
+                failed = []
+                while len(rows):  # the rows that divide by zero are undefined; the rest again
+                    block = tuple(c[rows] for c in cols)
+                    try:
+                        failed = _check_rows(desc, f, n, block[:nc], block[nc:], corrupt_rhs,
+                                             batched)
+                        break
+                    except ZeroInverse as exc:
+                        zero = exc.rows
+                        undefined, rows = undefined + len(zero), np.delete(rows, zero)
+                tested, mismatches = tested + len(rows), mismatches + len(failed)
 
     failures.sort(key=lambda d: (d["chars"], d["elems"]))
     return TheoremReport(

@@ -1,9 +1,10 @@
-"""Sampled mode's draws as int64 columns, read from the raw word stream of
-the report's random.Random (a Mersenne-Twister; Matsumoto and Nishimura,
-ACM TOMACS 8(1), 1998).
+"""Sampled mode's draws: one rng.randrange(N) or randrange(q) per slot, one
+draw at a time (sample_draws), or the same draws as int64 columns read from
+the raw word stream of the report's random.Random (sample_columns; a
+Mersenne-Twister, Matsumoto and Nishimura, ACM TOMACS 8(1), 1998).
 
-They are exactly the draws of one rng.randrange(N) or randrange(q) per slot,
-the per-draw loop that identities._run_one keeps for large fields: CPython's
+The columns are exactly sample_draws's draws, which identities._run_one
+takes for large fields and past the int64 bound: CPython's
 randrange(m) is getrandbits(k), k = m.bit_length(), drawn again while it is
 >= m; getrandbits(k) for k <= 32 is one 32-bit word >> (32 - k); and
 getrandbits(32 W), as 4 W little-endian bytes, is the next W words in order.
@@ -24,6 +25,27 @@ from .errors import SamplingGaveUp
 # Fresh Mersenne-Twister words per chunk of a sample at most: bounds the
 # memory of a sample that draws far more than it accepts.
 _CHUNK_WORDS = 1 << 13
+
+
+def sample_draws(rng: random.Random, desc, q: int, n: int, count: int):
+    """Draws of sampled mode one at a time, up to the `count`-th that violates
+    no constraint (desc.violated), each yielded with the running tested and
+    excluded counts; SamplingGaveUp after count * 1000 + 1000 draws, naming
+    the constraint that rejected most of them."""
+    nc, ne = desc.chars(n), desc.elems(n)
+    cap, tested, excluded, rejected = count * 1000 + 1000, 0, 0, {}
+    while tested < count:
+        if tested + excluded >= cap:
+            worst = max(rejected, key=rejected.get)
+            raise SamplingGaveUp(cap, tested, count, worst, rejected[worst])
+        cs = tuple(rng.randrange(q - 1) for _ in range(nc))
+        es = tuple(rng.randrange(q) for _ in range(ne))
+        if (name := desc.violated(cs, es)) is not None:
+            rejected[name] = rejected.get(name, 0) + 1
+            excluded += 1
+            continue
+        tested += 1
+        yield cs, es, tested, excluded
 
 
 def _slot_words(nxt, mods, starts):
@@ -72,10 +94,8 @@ def sample_columns(rng: random.Random, desc, q: int, n: int, count: int):
     each name's first rejection; raises SamplingGaveUp at the loop's attempt
     and with its text.  A draw that runs past a chunk's end carries its
     words into the next chunk; a draw's rejection is its first violated
-    constraint, as desc.violated's."""
-    N = q - 1
-    nc = desc.chars(n)
-    mods = [N] * nc + [q] * desc.elems(n)
+    constraint (desc.first_violated), as desc.violated's."""
+    mods = [q - 1] * desc.chars(n) + [q] * desc.elems(n)
     cap = count * 1000 + 1000
     # a chunk holds about 1.1 times the words that the rest of the sample
     # needs: a slot reads 2^k / m words per value, and a draw is accepted
@@ -91,11 +111,7 @@ def sample_columns(rng: random.Random, desc, q: int, n: int, count: int):
         size = min(_CHUNK_WORDS, int(1.1 * need) + 8 * len(mods))
         cols, carry = _chunk_draws(np.concatenate((carry, np.frombuffer(
             rng.getrandbits(32 * size).to_bytes(4 * size, "little"), "<u4"))), mods)
-        # the index of each draw's first violated constraint, len(constraints) if none
-        first = np.full(cols.shape[1], len(desc.constraints))
-        for i, (_, kind, slots, value) in reversed(list(enumerate(desc.constraints))):
-            block = cols[:nc] if kind == "chars" else cols[nc:]
-            first[(block[slots] == value).any(axis=0)] = i
+        first = desc.first_violated(n, cols)
         ok = first == len(desc.constraints)
         # cut at the count-th accepted draw or at the attempt cap
         cut = min(int(np.searchsorted(np.cumsum(ok), count - tested)) + 1, cols.shape[1],

@@ -13,12 +13,12 @@ second side to compare against:
 So a fault that hits both sides of an identity alike, which lhs = rhs cannot
 see, still breaks one of them.  Every side is checked at n <= 2 on small
 fields, Frobenius at every q = p^k <= 256 with k > 1, and Galois at the reach
-grid's q = 256, 1024 and 4096 on the sides built from walks alone, which run
-through the array walks there, and at q = 256 and 1024 on the theta-sum sides,
-which count by Moebius inversion there.  The negative controls show that each
-relation can fail: a character exponent made non-linear in the F_D walk (the
-list walk at q = 7, the array walk at q = 256) or in the walk's terms at a
-slope (q = 256) breaks Galois, and one Zech entry off by one, in a copy of the
+grid's q = 256, 1024 and 4096 on the sides built from walks alone, which
+sampled mode decides one draw at a time there, and at q = 256 and 1024 on the
+theta-sum sides, which count by Moebius inversion there.  The negative
+controls show that each relation can fail: a character exponent made
+non-linear in the F_D walk (at q = 7 and at q = 256) or in the walk's terms
+at a slope (q = 256) breaks Galois, and one Zech entry off by one, in a copy of the
 field table, breaks Frobenius and leaves Galois intact."""
 
 import copy
@@ -36,7 +36,7 @@ QS = (7, 9, 16, 25, 27, 64)
 # every q = p^k <= 256 with k > 1, where sigma is not the identity
 FROBENIUS_QS = [q for q in range(4, 257)
                 if len(ff_core._prime_divisors(q)) == 1 and ff_core.split_prime_power(q)[1] > 1]
-# the reach grid's fields, where every F_D walk and double walk runs as array passes
+# the reach grid's fields, past the N where sampled mode decides blocks of rows
 LARGE_QS = (256, 1024, 4096)
 DRAWS = 6
 
@@ -182,12 +182,12 @@ def test_a_non_linear_walk_exponent_breaks_galois(monkeypatch):
     u = 5  # the unit -1 mod 6
     cases = [c for c in _cases(f, 2) if c[0].id in ("t2.1", "t3.ksum", "t5.gf1")]
     assert all(_galois_holds(f, *c, u) for c in cases)
-    src = textwrap.dedent(inspect.getsource(hyperff._fd_list))
-    old = "e0 += (mA + mC) * f.log_neg1"
+    src = textwrap.dedent(inspect.getsource(hyperff._fd_vec))
+    old = "e0 + (mA + mC) * f.log_neg1"
     assert src.count(old) == 1
     ns = dict(vars(hyperff))
     exec(compile(src.replace(old, old + " + mA * mA"), hyperff.__file__, "exec"), ns)
-    monkeypatch.setattr(hyperff, "_fd_list", ns["_fd_list"])
+    monkeypatch.setattr(hyperff, "_fd_vec", ns["_fd_vec"])
     assert not all(_galois_holds(f, *c, u) for c in cases)
 
 
@@ -197,12 +197,12 @@ def test_a_non_linear_array_walk_exponent_breaks_galois_at_large_q(monkeypatch):
     descs = [identities.get_identity(i) for i in ("t4.pfaff", "t4.c63", "t3.ff-beta")]
     cases = list(_cases(f, 5, descs))
     assert all(_galois_holds(f, *c, u, WALK_SIDES[c[0].id]) for c in cases)
-    src = textwrap.dedent(inspect.getsource(hyperff._fd_array))
+    src = textwrap.dedent(inspect.getsource(hyperff._fd_vec))
     old = "e0 + (mA + mC) * f.log_neg1"
     assert src.count(old) == 1
     ns = dict(vars(hyperff))
     exec(compile(src.replace(old, old + " + mA * mA"), hyperff.__file__, "exec"), ns)
-    monkeypatch.setattr(hyperff, "_fd_array", ns["_fd_array"])
+    monkeypatch.setattr(hyperff, "_fd_vec", ns["_fd_vec"])
     assert not all(_galois_holds(f, *c, u, WALK_SIDES[c[0].id]) for c in cases)
 
 

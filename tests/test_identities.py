@@ -568,13 +568,13 @@ def _outcome(run, desc, q, n, mode, seed=0, count=0, corrupt_rhs=False) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _matches_oracle(desc, qs, modes, **kw) -> bool:
+def _matches_oracle(desc, qs, modes, n_max=2, **kw) -> bool:
     """Every report of `desc` at each q in `qs`, mode in `modes` and allowed
-    n <= 2 is the oracle's, byte for byte."""
+    n <= n_max is the oracle's, byte for byte."""
     return all(_outcome(identities._run_one, desc, q, n, mode, **kw) ==
                _outcome(_oracle_run_one, desc, q, n, mode, **kw)
                for q in qs for mode in modes
-               for n in range(desc.n_min, 3) if desc.allows_n(n))
+               for n in range(desc.n_min, n_max + 1) if desc.allows_n(n))
 
 
 def test_constraints_are_declared_data():
@@ -591,10 +591,50 @@ def test_constraints_are_declared_data():
 def test_slot_domains_match_the_predicates_exhaustively(ident):
     # exhaustive and boundary reports at q <= 5, q = 2 with its empty and
     # one-element domains included, and with a corrupt rhs at q <= 3, where
-    # every tested assignment is a failure entry
+    # every tested assignment is a failure entry (boundary: a mismatch), and
+    # boundary reports with a corrupt rhs at q = 4 and 5
     desc = identities.get_identity(ident)
     assert _matches_oracle(desc, (2, 3, 4, 5), ("exhaustive", "boundary"))
     assert _matches_oracle(desc, (2, 3), ("exhaustive", "boundary"), corrupt_rhs=True)
+    assert _matches_oracle(desc, (4, 5), ("boundary",), corrupt_rhs=True)
+
+
+@pytest.mark.parametrize("ident", [i for i in EXPECTED_IDS
+                                   if identities.get_identity(i).n_min <= 1])
+def test_boundary_reports_match_the_predicates_at_q7_to_9(ident):
+    # boundary mode walks the complement in blocks of rows; n <= 1
+    desc = identities.get_identity(ident)
+    assert _matches_oracle(desc, (7, 8, 9), ("boundary",), n_max=1)
+    assert _matches_oracle(desc, (7, 8, 9), ("boundary",), n_max=1, corrupt_rhs=True)
+
+
+def test_boundary_mutants_are_caught(monkeypatch):
+    # t4.pivot2 divides by 1 - x_j for j < n: at n = 3 a block of violating
+    # rows raises at x_1 = 1, then at x_2 = 1, and rows with only x_n = 1 are
+    # decided; a corrupt rhs makes every decided row a mismatch
+    cases = [(identities.get_identity(i), q, n)
+             for i, q, n in [("t4.pivot2", 3, 3), ("t4.pivot2", 5, 2), ("t4.reduce-c37", 4, 2),
+                             ("t5.gf1", 5, 1)]]
+
+    def reports():
+        return [_outcome(identities._run_one, desc, q, n, "boundary", corrupt_rhs=corrupt)
+                for desc, q, n in cases for corrupt in (False, True)]
+
+    want = [_outcome(_oracle_run_one, desc, q, n, "boundary", corrupt_rhs=corrupt)
+            for desc, q, n in cases for corrupt in (False, True)]
+    assert reports() == want
+    for old, new in [
+        # every row of a block that raises counted as undefined
+        ("zero = exc.rows", "zero = np.arange(len(rows))"),
+        # the rows left after the first zero site never decided
+        ("np.delete(rows, zero)", "np.delete(rows, zero); break"),
+        # the violation mask inverted: the admissible rows walked
+        ("< len(desc.constraints))", ">= len(desc.constraints))"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(identities, "_run_one", _mutated(identities, "_run_one", old, new))
+            assert reports() != want, old
+    assert reports() == want
 
 
 @pytest.mark.parametrize("ident", EXPECTED_IDS)
@@ -635,10 +675,10 @@ def test_a_wrong_slot_domain_is_caught(monkeypatch):
 
 
 # -- the batched engine against the per-assignment path -------------------------------
-# Exhaustive mode, and sampled mode where one draw would run the list kernels,
+# Exhaustive and boundary mode, and sampled mode below N = _ARRAY_MIN_N,
 # evaluate each side once per block of rows, every character and point slot an
 # int64 column (identities._check_rows).  The per-assignment sides and _check,
-# which large fields, boundary mode, replay and the CLI run, and
+# which sampled mode on large fields, replay and the CLI run, and
 # _oracle_run_one above are the oracles.
 
 
@@ -682,8 +722,8 @@ def test_block_rows_are_the_per_call_sides_at_q7_to_9(ident):
             assert _block_rows_match(desc, _field(q), n), (q, n)
 
 
-def _exhaustive_reports(idents, qs, corrupt_rhs=False) -> list[str]:
-    return [_outcome(identities._run_one, identities.get_identity(i), q, n, "exhaustive",
+def _exhaustive_reports(idents, qs, corrupt_rhs=False, mode="exhaustive") -> list[str]:
+    return [_outcome(identities._run_one, identities.get_identity(i), q, n, mode,
                      corrupt_rhs=corrupt_rhs)
             for i in idents for q in qs for n in range(3)
             if identities.get_identity(i).allows_n(n)]
@@ -711,13 +751,24 @@ def test_the_int64_bound_sends_a_report_to_python_ints(monkeypatch):
                     assert identities._fits_int64(desc, _field(q), n), (desc.id, q, n)
     assert not identities._fits_int64(identities.get_identity("t2.1"), _field(4096), 2)
     idents = ["t2.1", "t3.ksum", "p2.prod"]
-    want = _exhaustive_reports(idents, (3, 4)), _exhaustive_reports(idents, (3,), True)
+    # boundary mode too, with rows that divide by zero (t4.pivot2, t4.reduce-c35)
+    bounded = ["t4.pivot2", "t4.reduce-c35", "t5.gf1", "t3.ff-beta"]
     checks = []
     real = identities._check
-    monkeypatch.setattr(identities, "_INT64_BOUND", 1)
     monkeypatch.setattr(identities, "_check", lambda *a: checks.append(1) or real(*a))
-    assert (_exhaustive_reports(idents, (3, 4)), _exhaustive_reports(idents, (3,), True)) == want
-    assert checks
+
+    def reports(mode):
+        return [_exhaustive_reports(idents if mode == "exhaustive" else bounded, qs, corrupt,
+                                    mode) for qs, corrupt in [((3, 4), False), ((3,), True)]]
+
+    for mode in ("exhaustive", "boundary"):
+        want = reports(mode)
+        assert not checks, mode  # every row decided in blocks
+        with monkeypatch.context() as m:
+            m.setattr(identities, "_INT64_BOUND", 1)
+            assert reports(mode) == want
+        assert checks, mode  # every row decided by _check, in Python ints
+        checks.clear()
 
 
 def test_exhaustive_memory_does_not_grow_with_the_rows():
@@ -819,13 +870,15 @@ def test_sampled_column_mutants_are_caught(monkeypatch):
          "last = nxt[m][np.where(last < len(nxt[m]) - 2, np.maximum(last - 1, starts), last + 1)]"),
         # the words of a draw cut by the chunk's end dropped
         ("_chunk_draws", "words[s:].copy()", "words[:0]"),
-        # the last violated constraint counted instead of the first
-        ("sample_columns", "reversed(list(enumerate(desc.constraints)))",
-         "list(enumerate(desc.constraints))"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(sampling, name, _mutated(sampling, name, old, new))
             assert not _draws_match(descs, (3, 8, 13), (0,), (40,)), old
+    with monkeypatch.context() as m:  # the last violated constraint counted, not the first
+        m.setattr(identities.IdentityDescriptor, "first_violated", _mutated(
+            identities, "IdentityDescriptor.first_violated",
+            "reversed(list(enumerate(self.constraints)))", "list(enumerate(self.constraints))"))
+        assert not _draws_match(descs, (3, 8, 13), (0,), (40,))
     assert _draws_match(descs, (3, 8, 13), (0,), (40,))
 
 
@@ -889,12 +942,16 @@ def test_corrupt_sampled_reports_are_pinned(ident):
     assert hashlib.sha256(text.encode()).hexdigest() == CORRUPT_SAMPLED_PINS[ident]
 
 def _mutated(module, name, old, new):
-    """module.<name> compiled from its source with `old` replaced."""
-    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    """module.<name> (a dotted name reaches a method) compiled from its
+    source with `old` replaced, in the module's namespace."""
+    obj = module
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    src = textwrap.dedent(inspect.getsource(obj))
     assert src.count(old) == 1, (name, old)
     ns = dict(vars(module))
     exec(compile(src.replace(old, new), module.__file__, "exec"), ns)
-    return ns[name]
+    return ns[part]
 
 
 def test_batched_engine_mutants_are_caught(monkeypatch):

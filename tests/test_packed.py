@@ -27,17 +27,18 @@ every Jacobi sum, is compared with the Jacobi-sum loop it replaced
 q in {256, 1024, 4096}; the generating-function right-hand sides with their
 scaled-point term written once are compared with the per-variant code they
 replaced (per_variant_genfn_rhs); t3.ff-beta's double walk (_beta_vec) is
-compared with one _fd_vec walk per u (per_u_beta).  The array walks (_fd_array,
-_beta_array), which _fd_vec and _beta_vec run from N = _ARRAY_MIN_N, are
-compared with the list walks (_fd_list, _beta_list), each called directly.
+compared with one _fd_vec walk per u (per_u_beta).  The walks, int64 array
+passes (_fd_vec, _beta_vec, and _walk_terms's terms of one assignment), are
+compared with the list loops they replaced (_fd_list, _beta_list,
+_walk_terms_list, in walk_oracles.py), each called directly.
 Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
 of the direct count (its gcd fold, state reduction, scale, residues and
 tiling), of the Moebius count (the mu sign, a divisor skipped, the fold
 modulus, the join's sign, a histogram cell transposed, the last block), of
 the slopes and twists, of the packed width, of the T43 term, of the double
 walk (its rotation, fixed slots, dead markers and per-u exponent) and of the
-array walks (the dead term kept, a rotation off by one, `out` replaced, the
-last partial block dropped) show that the comparisons can fail."""
+walks (the dead term kept, a rotation off by one, `out` replaced, the last
+partial block dropped) show that the comparisons can fail."""
 
 import inspect
 import itertools
@@ -49,6 +50,7 @@ from math import gcd
 import pytest
 
 from ffhyper import charset, cyclo, ff_core, hyperff, identities
+from walk_oracles import _beta_list, _fd_list, _walk_terms_list
 
 
 def _field(q):
@@ -899,7 +901,7 @@ def test_n0_walk_is_the_binomial(q):
 
 @pytest.mark.parametrize("q", [256, 1024, 4096])
 def test_n0_walk_is_the_binomial_sampled(q):
-    # the array walk: every N here is past _ARRAY_MIN_N
+    # the large fields, every N here past _ARRAY_MIN_N
     f = _field(q)
     N = f.n_chars
     rng = random.Random(2000 + q)
@@ -910,15 +912,14 @@ def test_n0_walk_is_the_binomial_sampled(q):
 
 
 def test_n0_walk_without_its_prefactor_is_caught(monkeypatch):
-    # AC(-1) dropped from the list walk (q = 5) and from the array walk
-    # (q = 41, N = 40); in characteristic 2 log(-1) = 0, so odd q only
-    for q, name, old, new in [(5, "_fd_list", "e0 += (mA + mC) * f.log_neg1", "e0 += 0"),
-                              (41, "_fd_array", "e0 + (mA + mC) * f.log_neg1", "e0")]:
+    # AC(-1) dropped from the walk, at q = 5 and at q = 41 (N = 40); in
+    # characteristic 2 log(-1) = 0, so odd q only
+    for q in (5, 41):
         f = _field(q)
         pairs = list(itertools.product(range(f.n_chars), repeat=2))[::7]
         assert _n0_walks_match(f, pairs)
         with monkeypatch.context() as m:
-            _mutate(m, name, old, new)
+            _mutate(m, "_fd_vec", "e0 + (mA + mC) * f.log_neg1", "e0")
             assert not any(hyperff._fd_vec(f, mA, (), mC, ()) == binom_loop(f, mA, mC)
                            for mA, mC in pairs if (mA + mC) % 2)
             assert not _n0_walks_match(f, pairs)
@@ -987,6 +988,12 @@ def test_walk_terms_match_slot_codes_sampled(q):
             assert _binom_terms_match(f, b, k), (b, k)
 
 
+def _terms_are_the_list_loop(f, *args):
+    """_walk_terms lists _walk_terms_list's terms in the same order, mod N."""
+    N = f.n_chars
+    return _mod(N, hyperff._walk_terms(f, *args)) == _mod(N, _walk_terms_list(f, *args))
+
+
 def _slope_cases(f, n, rng, size):
     """Every (characters, points) at n, or `size` of them drawn with rng."""
     N, q = f.n_chars, f.q
@@ -998,8 +1005,8 @@ def _slope_cases(f, n, rng, size):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_walk_terms_at_every_slope_exhaustive(q):
     # every slope in {-1, 0, 1} per character, spread over theta, against one
-    # _fd_vec walk per theta; every character and point tuple at n <= 1, 12
-    # drawn ones per slope at n = 2
+    # _fd_vec walk per theta, and term by term against the list loop; every
+    # character and point tuple at n <= 1, 12 drawn ones per slope at n = 2
     f = _field(q)
     N = f.n_chars
     rng = random.Random(1600 + q)
@@ -1009,6 +1016,7 @@ def test_walk_terms_at_every_slope_exhaustive(q):
                 slope = (dA, dBs, dC, rng.randrange(N))
                 got = spread(N, hyperff._walk_terms(f, *args[:2], args[2], args[3], *slope))
                 assert got == per_theta_walks(f, *args, *slope), (args, slope)
+                assert _terms_are_the_list_loop(f, *args, *slope), (args, slope)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
@@ -1024,6 +1032,7 @@ def test_walk_terms_at_every_slope_sampled(q):
             slope = (dA, dBs, dC, rng.randrange(-N, 2 * N))
             got = spread(N, hyperff._walk_terms(f, *args, *slope))
             assert got == per_theta_walks(f, *args, *slope), (args, slope)
+            assert _terms_are_the_list_loop(f, *args, *slope), (args, slope)
 
 
 def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
@@ -1046,7 +1055,8 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
     for name, old, new, want in [
         # C-slope sign flipped: T43 puts C theta, not C theta^-1
         ("_genfn_lhs_vec", '"T43": (0, 0, -1)', '"T43": (0, 0, 1)', (True, False, True)),
-        ("_walk_terms", "d += db * z", "d += 0", (False, False, True)),  # B-slope dropped
+        ("_walk_terms", "[db for db, _ in sloped]", "[0 for db, _ in sloped]",
+         (False, False, True)),  # B-slope dropped
         ("_walk_terms", "* l1 + k", "* l1", (False, False, True)),  # twist k dropped
         ("_conv", ".bit_length()", ".bit_length() - 1", (True, True, False)),  # width short
     ]:
@@ -1553,63 +1563,59 @@ def test_beta_vec_mutants_are_caught(monkeypatch):
         """Every draw matches; a draw that raises does not match."""
         try:
             return all(hyperff._beta_vec(f, *args) == w for args, w in zip(cases, want))
-        except IndexError:
+        except (IndexError, ValueError):
             return False
 
     assert all_match()
     for old, new in [
-        ("col[lm + 1:lm + N]", "col[1:N]"),  # the merged column not rotated
-        ("zip(mBs[2:], xs[2:])", "zip(mBs[3:], xs[3:])"),  # fixed slot 3 dropped
-        ("D if z < 0 else mm * z % N", "mm * z % N"),  # the column's dead marker ignored
-        ("base.append(D)", "base.append(b % N)"),  # the base list's dead marker ignored
-        ("mBs[1] * Z[i]", "0"),  # B_2 Z[i] dropped from c
+        # the merged column not rotated
+        ("np.where(x1 == x2, l2, (l2 + z) % N)", "0 * z"),
+        ("mBs[2:], mC, xs[2:]", "mBs[3:], mC, xs[3:]"),  # fixed slot 3 dropped
+        ("col[..., Z2 < 0] = D", "pass"),  # the column's dead marker ignored
+        ("base[dead] = D", "pass"),  # the base's dead marker ignored
+        ("mBs[1] % N * Z2[i][:, None]", "0"),  # B_2 Z[i] dropped from c
     ]:
         with monkeypatch.context() as m:
-            _mutate(m, "_beta_list", old, new)
+            _mutate(m, "_beta_vec", old, new)
             assert not all_match(), (old, new)
     assert all_match()
 
 
-# -- the array walks against the list walks ---------------------------------------------
+# -- the walks against the list loops they replaced --------------------------------------
 
-# the two prime powers on either side of N = _ARRAY_MIN_N, where _fd_vec and
-# _beta_vec switch from the list walk to the array walk
+# the two prime powers on either side of N = _ARRAY_MIN_N, where sampled mode
+# stops deciding its draws in blocks of rows
 BELOW, ABOVE = 37, 41
 ARRAY_QS = [7, 9, 16, 27, BELOW, ABOVE, 256, 1024, 4096]
 
 
 def _fd_walks_match(f, args, e0, s, v):
-    """The array walk adds into the caller's vector as the list walk does,
-    and builds the same fresh vector without one (e0 = None: weight 0)."""
+    """The walk adds into the caller's vector as the list loop does, and
+    builds the same fresh vector without one (e0 = None: weight 0)."""
     got, want, kw = list(v), list(v), _prefactor(e0, s)
-    same = hyperff._fd_array(f, *args, **kw, out=got) is got
-    hyperff._fd_list(f, *args, **kw, out=want)
+    same = hyperff._fd_vec(f, *args, **kw, out=got) is got
+    _fd_list(f, *args, **kw, out=want)
     return same and got == want and \
-        hyperff._fd_array(f, *args, **kw) == hyperff._fd_list(f, *args, **kw)
+        hyperff._fd_vec(f, *args, **kw) == _fd_list(f, *args, **kw)
 
 
 def _beta_walks_match(f, args):
-    return hyperff._beta_array(f, *args) == hyperff._beta_list(f, *args)
+    return hyperff._beta_vec(f, *args) == _beta_list(f, *args)
 
 
 def test_the_gate_stays_on_the_list_walks():
-    assert hyperff._ARRAY_MIN_N > 12  # every gate field has N <= 12
+    # every gate field has N <= 12, so its sampled reports run in blocks of rows
+    assert hyperff._ARRAY_MIN_N > 12
     assert _field(BELOW).n_chars < hyperff._ARRAY_MIN_N <= _field(ABOVE).n_chars
     assert not any(len(cyclo._prime_divisors(q)) == 1 for q in range(BELOW + 1, ABOVE))
 
 
 @pytest.mark.parametrize("q", [BELOW, ABOVE])
-def test_fd_vec_and_beta_vec_switch_at_the_crossover(monkeypatch, q):
+def test_fd_vec_and_beta_vec_switch_at_the_crossover(q):
+    # one kernel on either side of N = _ARRAY_MIN_N, with the list loops' counts
     f = _field(q)
-    ran = []
-    for name in ("_fd_list", "_fd_array", "_beta_list", "_beta_array"):
-        real = getattr(hyperff, name)
-        monkeypatch.setattr(hyperff, name,
-                            lambda *a, _n=name, _r=real, **k: ran.append(_n) or _r(*a, **k))
-    hyperff._fd_vec(f, 1, (2,), 3, (4,))
-    hyperff._beta_vec(f, 1, (2, 3), 4, (5, 6))
-    kind = "array" if f.n_chars >= hyperff._ARRAY_MIN_N else "list"
-    assert ran == [f"_fd_{kind}", f"_beta_{kind}"]
+    assert hyperff._fd_vec(f, 1, (2,), 3, (4,)) == _fd_list(f, 1, (2,), 3, (4,))
+    assert hyperff._beta_vec(f, 1, (2, 3), 4, (5, 6)) == _beta_list(f, 1, (2, 3), 4, (5, 6))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1694,8 +1700,8 @@ def test_array_walks_at_the_edge_cases(q):
         assert _beta_walks_match(f, args), args
         for e0, s in [(0, 1), (None, 1), (-N - 1, -1), (2 * N + 3, q - 1)]:
             assert _fd_walks_match(f, args, e0, s, [rng.randint(-2, 2) for _ in range(N)]), args
-    assert hyperff._beta_array(f, *cases[4]) == [0] * N
-    assert hyperff._fd_array(f, *cases[4]) == [0] * N
+    assert hyperff._beta_vec(f, *cases[4]) == [0] * N
+    assert hyperff._fd_vec(f, *cases[4]) == [0] * N
 
 
 def test_array_walk_mutants_are_caught(monkeypatch):
@@ -1717,12 +1723,12 @@ def test_array_walk_mutants_are_caught(monkeypatch):
 
     assert all_match() == (True, True)
     for name, old, new, caught in [
-        ("_fd_array", "e[dead] = slots", "pass", (False, True)),  # dead term kept
+        ("_fd_vec", "e[dead] = slots", "pass", (False, True)),  # dead term kept
         ("_zech_rot", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
-        ("_fd_array", "out[:] = map(add, out, counts.tolist())", "out[:] = counts.tolist()",
+        ("_fd_vec", "out[:] = map(add, out, counts.tolist())", "out[:] = counts.tolist()",
          (False, True)),  # out replaced, not added to
-        ("_beta_array", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
-        ("_beta_array", "range(0, len(i), step)", "range(0, len(i) - step + 1, step)",
+        ("_beta_vec", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
+        ("_beta_vec", "range(0, len(i), step)", "range(0, len(i) - step + 1, step)",
          (True, False)),  # the last partial block dropped
     ]:
         with monkeypatch.context() as m:
