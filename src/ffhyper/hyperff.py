@@ -65,11 +65,12 @@ weight, which the verifier bounds before it batches (identities._fits_int64).
 
 General products (_conv) multiply the counts of two walks, so every
 operand is a nonnegative vector.  They are packed, not schoolbook (Kronecker
-substitution): a vector v becomes the integer sum_i v[i] 2^(w i), one exact
-big-int multiply convolves two of them, and the result is folded mod
-2^(w N) - 1 (slot i onto slot i mod N) and read off slot by slot.  The
-product's coefficients are nonnegative and sum to sum(a) sum(b), so the slot
-width w is that sum's bit length and no folded coefficient overflows.
+substitution): in slots of k whole bytes, int.from_bytes makes a vector v
+the integer sum_i v[i] 2^(8k i), one exact big-int multiply convolves two of
+them, the result is folded mod 2^(8kN) - 1 (slot i onto slot i mod N) and
+int.to_bytes reads its slots back.  The product's coefficients are >= 0 and
+sum to sum(a) sum(b), so k is that sum's byte length, at most 8 (a walk's
+counts sum to less than N, so their products stay below N^2).
 
 The generating functions, the k-sum, the character line sum and the
 character-sum form of F_D are sums over characters of walk terms.  A term's
@@ -130,47 +131,13 @@ from .ff_core import FieldTable
 
 # -- group-ring vector helpers --------------------------------------------------
 
-# Slots per Horner or shift-and-mask run in _pack and _slots; longer vectors
-# are halved, which keeps their big-int work near-linear in the length.
-_RUN = 32
-
-
-def _pack(v, w: int) -> int:
-    """Kronecker substitution: sum_i v[i] 2^(w i)."""
-    n = len(v)
-    if n > _RUN:
-        m = n // 2
-        return _pack(v[:m], w) + (_pack(v[m:], w) << (w * m))
-    P = 0
-    for x in reversed(v):
-        P = (P << w) + x
-    return P
-
-
-def _slots(G: int, w: int, n: int) -> list[int]:
-    """The n w-bit slots of G >= 0."""
-    if n > _RUN:
-        m = n // 2
-        return _slots(G & ((1 << (w * m)) - 1), w, m) + _slots(G >> (w * m), w, n - m)
-    mask = (1 << w) - 1
-    return [G >> (w * i) & mask for i in range(n)]
-
-
-def _unpack(P: int, w: int, N: int) -> list[int]:
-    """The group-ring vector of a packed value P = sum_i r_i 2^(w i), every
-    r_i >= 0: entry j is the sum of r_i over i = j mod N.  Exact when every
-    entry is below 2^w."""
-    k = w * N
-    M = (1 << k) - 1  # 2^k = 1 mod M: folding slots mod N is reducing P mod M
-    while P > M:
-        P = (P & M) + (P >> k)
-    return _slots(P, w, N)
-
 
 def _conv(a, b, N: int):
     """Cyclic convolution of two length-N count vectors (entries >= 0): one
-    packed multiply.  The product's coefficients are >= 0 and sum to
-    sum(a) sum(b), so slots of that sum's bit length hold each of them.
+    packed multiply (General products, above), each operand the integer of
+    the low k bytes of its <u8 entries, k the byte length of sum(a) sum(b).
+    An entry outside [0, 2^64) or a sum(a) sum(b) of 2^64 or more is a
+    ValueError.
 
     On a block (both operands (R, N) arrays) row r of the product is
     sum_j a[r, j] b[r, i - j], gathered through an N x N index table for at
@@ -180,8 +147,23 @@ def _conv(a, b, N: int):
         step = max(1, _BLOCK // (N * N))
         return np.concatenate([(a[r:r + step, :, None] * b[r:r + step][:, back]).sum(axis=1)
                                for r in range(0, max(1, len(a)), step)])
-    w = (sum(a) * sum(b)).bit_length()
-    return _unpack(_pack(a, w) * _pack(b, w), w, N)
+    try:
+        a8, b8 = np.array(a, dtype="<u8"), np.array(b, dtype="<u8")
+    except OverflowError:
+        raise ValueError("_conv takes counts in [0, 2^64)") from None
+    bound = sum(a) * sum(b)
+    if bound >> 64:
+        raise ValueError(f"_conv's bound sum(a) sum(b) = {bound} is not below 2^64")
+    k = -(-bound.bit_length() // 8)
+    A, B = (int.from_bytes(v.view(np.uint8).reshape(N, 8)[:, :k].tobytes(), "little")
+            for v in (a8, b8))
+    P, bits = A * B, 8 * k * N
+    M = (1 << bits) - 1  # 2^bits = 1 mod M: folding slots mod N is reducing P mod M
+    while P > M:
+        P = (P & M) + (P >> bits)
+    out = np.zeros((N, 8), dtype=np.uint8)
+    out[:, :k] = np.frombuffer(P.to_bytes(k * N, "little"), dtype=np.uint8).reshape(N, k)
+    return out.view("<u8").ravel().tolist()
 
 
 def _nrows(*ms) -> int | None:

@@ -85,6 +85,18 @@ def _chunk_draws(words, mods):
     return cols.reshape(len(mods), len(starts)), words[s:].copy()
 
 
+def _accept_rate(desc, mods, nc: int) -> float:
+    """The share of draws (slots of moduli `mods`, the nc characters first)
+    that violate no constraint: per slot, its modulus less the distinct
+    values below it that the constraint entries forbid there."""
+    forbidden = [set() for _ in mods]
+    for _, kind, slots, value in desc.constraints:
+        for i in (range(nc) if kind == "chars" else range(nc, len(mods)))[slots]:
+            forbidden[i].add(value)
+    live = math.prod(m - sum(0 <= v < m for v in f) for m, f in zip(mods, forbidden))
+    return live / math.prod(mods)
+
+
 def sample_columns(rng: random.Random, desc, q: int, n: int, count: int):
     """The draws of sampled mode's per-draw loop, up to its `count`-th
     accepted one, read from rng's raw 32-bit words a chunk of at most
@@ -101,8 +113,7 @@ def sample_columns(rng: random.Random, desc, q: int, n: int, count: int):
     # needs: a slot reads 2^k / m words per value, and a draw is accepted
     # with the probability of landing in every slot's domain
     per_draw = sum((1 << m.bit_length()) / m for m in mods)
-    cdoms, edoms = desc.domains(q, n)
-    accept = math.prod(map(len, cdoms + edoms)) / desc.slot_space(q, n)
+    accept = _accept_rate(desc, mods, desc.chars(n))
     tested = excluded = 0
     rejected: dict[str, int] = {}
     carry = np.empty(0, dtype=np.uint32)

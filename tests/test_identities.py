@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import random
 import textwrap
 import tracemalloc
@@ -880,6 +881,41 @@ def test_sampled_column_mutants_are_caught(monkeypatch):
             "reversed(list(enumerate(self.constraints)))", "list(enumerate(self.constraints))"))
         assert not _draws_match(descs, (3, 8, 13), (0,), (40,))
     assert _draws_match(descs, (3, 8, 13), (0,), (40,))
+
+
+def _domains_rate(desc, q, n):
+    """The acceptance rate as sample_columns took it before: the product of
+    the slot domains' sizes over the slot space."""
+    cdoms, edoms = desc.domains(q, n)
+    return math.prod(map(len, cdoms + edoms)) / desc.slot_space(q, n)
+
+
+def test_accept_rate_is_the_domains_ratio(monkeypatch):
+    # the rate read from the constraint entries is the domains' ratio at
+    # every identity, q in 2..13, 64 and 4096 and n <= 2; so the chunks a
+    # sample is read in, and its draws, are those of the domains' rate
+    for desc in map(identities.get_identity, EXPECTED_IDS):
+        for q, n in itertools.product((*range(2, 14), 64, 4096), range(3)):
+            if desc.allows_n(n):
+                mods = [q - 1] * desc.chars(n) + [q] * desc.elems(n)
+                assert (sampling._accept_rate(desc, mods, desc.chars(n)) ==
+                        _domains_rate(desc, q, n)), (desc.id, q, n)
+
+    def chunks(desc, q, n):
+        rng = random.Random(f"7:{desc.id}:{q}:{n}")
+        try:
+            return [(c.tolist(), *rest)
+                    for c, *rest in sampling.sample_columns(rng, desc, q, n, 30)]
+        except errors.SamplingGaveUp as exc:
+            return str(exc)
+
+    cases = [(desc, q, n) for desc in map(identities.get_identity, EXPECTED_IDS)
+             for q in (2, 3, 8, 13, 37) for n in range(3) if desc.allows_n(n)]
+    for desc, q, n in cases:
+        got = chunks(desc, q, n)
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "_accept_rate", lambda *_: _domains_rate(desc, q, n))
+            assert chunks(desc, q, n) == got, (desc.id, q, n)
 
 
 def test_sampling_that_gives_up_runs_in_bounded_memory():

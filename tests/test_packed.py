@@ -2,7 +2,9 @@
 slope and the coset-count kernel in hyperff.
 
 Each fast path is compared with the loop it replaced, kept here as the
-oracle: the schoolbook cyclic convolution of count vectors, the literal
+oracle: the schoolbook cyclic convolution of count vectors, the packer at
+any bit width that the whole-byte product replaced (_pack, _unpack,
+packed_conv; the packed oracles below use it too), the literal
 N^n-term character sum, the character sum with one packed binomial per key
 (packed_charsum) and with one packed binomial family per factor
 (family_charsum, which the coset count replaced), the per-theta
@@ -35,10 +37,11 @@ Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
 of the direct count (its gcd fold, state reduction, scale, residues and
 tiling), of the Moebius count (the mu sign, a divisor skipped, the fold
 modulus, the join's sign, a histogram cell transposed, the last block), of
-the slopes and twists, of the packed width, of the T43 term, of the double
-walk (its rotation, fixed slots, dead markers and per-u exponent) and of the
-walks (the dead term kept, a rotation off by one, `out` replaced, the last
-partial block dropped) show that the comparisons can fail."""
+the slopes and twists, of the slot width (one byte short), of the T43
+term, of the double walk (its rotation, fixed slots, dead markers and per-u
+exponent) and of the walks (the dead term kept, a rotation off by one, `out`
+replaced, the last partial block dropped) show that the comparisons can
+fail."""
 
 import inspect
 import itertools
@@ -78,6 +81,50 @@ def school_conv(a, b, N):
                 if y:
                     out[(i + j) % N] += x * y
     return out
+
+
+# Slots per Horner or shift-and-mask run in _pack and _slots; longer vectors
+# are halved, which keeps their big-int work near-linear in the length.
+_RUN = 32
+
+
+def _pack(v, w: int) -> int:
+    """Kronecker substitution at any slot width w: sum_i v[i] 2^(w i)."""
+    n = len(v)
+    if n > _RUN:
+        m = n // 2
+        return _pack(v[:m], w) + (_pack(v[m:], w) << (w * m))
+    P = 0
+    for x in reversed(v):
+        P = (P << w) + x
+    return P
+
+
+def _slots(G: int, w: int, n: int) -> list[int]:
+    """The n w-bit slots of G >= 0."""
+    if n > _RUN:
+        m = n // 2
+        return _slots(G & ((1 << (w * m)) - 1), w, m) + _slots(G >> (w * m), w, n - m)
+    mask = (1 << w) - 1
+    return [G >> (w * i) & mask for i in range(n)]
+
+
+def _unpack(P: int, w: int, N: int) -> list[int]:
+    """The group-ring vector of a packed value P = sum_i r_i 2^(w i), every
+    r_i >= 0: entry j is the sum of r_i over i = j mod N.  Exact when every
+    entry is below 2^w."""
+    k = w * N
+    M = (1 << k) - 1  # 2^k = 1 mod M: folding slots mod N is reducing P mod M
+    while P > M:
+        P = (P & M) + (P >> k)
+    return _slots(P, w, N)
+
+
+def packed_conv(a, b, N):
+    """The product as hyperff._conv packed it before whole-byte slots: slots
+    of the bit length of sum(a) sum(b), at any width."""
+    w = (sum(a) * sum(b)).bit_length()
+    return _unpack(_pack(a, w) * _pack(b, w), w, N)
 
 
 def jacobi_loop(f, ma, mb, e0=0):
@@ -187,7 +234,7 @@ def width(bound):
 
 def binom_packed(f, ma, mb, w):
     """{A choose B} packed at slot width w, one binomial at a time."""
-    return hyperff._pack(binom_vec(f, ma, mb), w)
+    return _pack(binom_vec(f, ma, mb), w)
 
 
 def binom_sum(f, keys, Vs, k, w):
@@ -199,7 +246,7 @@ def binom_sum(f, keys, Vs, k, w):
     for c, ((ma, mb), V) in enumerate(zip(keys, Vs)):
         if V:
             acc += (binom_packed(f, ma, mb, w) << (w * (c * k % N))) * V
-    return hyperff._unpack(acc, w, N)
+    return _unpack(acc, w, N)
 
 
 def packed_charsum(f, mA, mBs, mC, xs):
@@ -242,7 +289,7 @@ def family_charsum(f, mA, mBs, mC, xs):
         nz = [(c, v) for c, v in enumerate(W) if v]
         W = [sum(v * P[(s - c) % N] for c, v in nz) for s in range(N)]
     F = binom_family(f, mA - mC, w)
-    return hyperff._unpack(sum(F[(mC + s) % N] * v for s, v in enumerate(W) if v), w, N)
+    return _unpack(sum(F[(mC + s) % N] * v for s, v in enumerate(W) if v), w, N)
 
 
 def pair_coset_counts(N, terms, shifts):
@@ -304,7 +351,7 @@ def binom_vec_sum(f, keys, vecs, k):
     """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
     term's l1 is at most (N - 1) l1(vecs[c])."""
     w = width((f.n_chars - 1) * sum(chain.from_iterable(vecs)))
-    return binom_sum(f, keys, [hyperff._pack(v, w) for v in vecs], k, w)
+    return binom_sum(f, keys, [_pack(v, w) for v in vecs], k, w)
 
 
 def rows_theta_sum(f, mA, mBs, mC, xs, slot, b, k):
@@ -519,13 +566,20 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
 # -- the packing layer --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", range(1, 13))
 def test_conv_matches_schoolbook_exhaustive(N):
-    # every pair of count vectors with entries 0..2
-    vecs = list(itertools.product((0, 1, 2), repeat=N))
+    # against schoolbook and the any-width packer: up to N = 4 every pair of
+    # count vectors with entries 0..2; from N = 5 every vector with entries
+    # 0..2 (0..1 from N = 6) against itself, its reversal, a unit vector, the
+    # all-twos vector and a fixed vector of small counts
+    vecs = [list(a) for a in itertools.product((0, 1, 2) if N <= 5 else (0, 1), repeat=N)]
+    rng = random.Random(70 + N)
+    unit = [0] * N
+    unit[rng.randrange(N)] = 1
+    fixed = [unit, [2] * N, [rng.randrange(4) for _ in range(N)]]
     for a in vecs:
-        for b in vecs:
-            assert hyperff._conv(a, b, N) == school_conv(a, b, N), (a, b)
+        for b in vecs if N <= 4 else [a, a[::-1], *fixed]:
+            assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N), (a, b)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 33, 63, 255, 1023, 4095])
@@ -542,33 +596,76 @@ def test_conv_matches_schoolbook_sampled(N):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 12, 63])
 def test_conv_near_and_beyond_2_63(N):
-    rng = random.Random(63 + N)
-    for top in (2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 64 + 7, 2 ** 200):
-        a = [rng.randint(top // 2, top) for _ in range(N)]
-        b = [rng.choice((0, 1, 2)) for _ in range(N)]
-        b[0] = 1
-        assert hyperff._conv(a, b, N) == school_conv(a, b, N)
-        assert hyperff._conv(a, a, N) == school_conv(a, a, N)
-    one = [0] * N
-    one[0] = 1
-    big = [2 ** 63] * N
-    assert hyperff._conv(big, one, N) == big
+    # slots are at most 8 bytes: an entry of 2^64 or more, a negative entry
+    # or a bound sum(a) sum(b) of 2^64 or more is refused, with a zero
+    # operand too; a bound of 2^64 - 1 is not
+    one = [1] + [0] * (N - 1)
+    zero = [0] * N
+    for top in (2 ** 64, 2 ** 64 + 7, 2 ** 200):
+        for a, b in (([top] + zero[1:], one), (one, [top] + zero[1:]), ([top] * N, zero)):
+            with pytest.raises(ValueError, match=r"2\^64"):
+                hyperff._conv(a, b, N)
+    for a, b in (([-1] + one[1:], one), (one, [0] * (N - 1) + [-1]), ([-5] * N, zero)):
+        with pytest.raises(ValueError, match=r"2\^64"):
+            hyperff._conv(a, b, N)
+    for a, b in (([2 ** 32] * N, [2 ** 32] + zero[1:]), ([2 ** 63] + zero[1:], [2] + zero[1:])):
+        with pytest.raises(ValueError, match=r"2\^64"):
+            hyperff._conv(a, b, N)
+    top = [2 ** 64 - 1] + zero[1:]
+    assert hyperff._conv(top, one, N) == top
+    if N > 1:
+        a = [2 ** 31] + [0] * (N - 2) + [2 ** 31]
+        b = [2 ** 31 - 1] + [0] * (N - 2) + [2 ** 31]
+        assert sum(a) * sum(b) == 2 ** 64 - 2 ** 32
+        assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 64, 256])
+@pytest.mark.parametrize("N", [1, 2])
+def test_conv_at_every_byte_edge(N):
+    # bounds of 2^(8k) - 1 (k bytes) and 2^(8k) (k + 1 bytes), k = 1..7, each
+    # reached by one coefficient: bound times 1 and the factors 2^(4k) -+ 1
+    # and 2^(4k) 2^(4k), at every pair of slots; a bound split over both
+    # slots; a zero operand gives the zero vector
+    zero = [0] * N
+    for k in range(1, 8):
+        h = 2 ** (4 * k)
+        for bound, x, y in ((h * h - 1, h - 1, h + 1), (h * h, h, h)):
+            for (u, v), i, j in itertools.product(((bound, 1), (x, y)), range(N), range(N)):
+                a, b, want = zero.copy(), zero.copy(), zero.copy()
+                a[i], b[j], want[(i + j) % N] = u, v, bound
+                assert hyperff._conv(a, b, N) == want == packed_conv(a, b, N)
+                assert hyperff._conv(a, zero, N) == hyperff._conv(zero, b, N) == zero
+            a = [bound // 3, bound - bound // 3][:N] if N == 2 else [bound]
+            for j in range(N):
+                b = zero.copy()
+                b[j] = 1
+                assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N)
+    assert hyperff._conv(zero, zero, N) == zero
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 64, 256, 1024, 4096])
 def test_conv_of_walk_histograms_matches_schoolbook(q):
     # the operands _conv gets: binomial and F_D vectors, as in p2.prod and
-    # t3.ff-beta's right-hand side
+    # t3.ff-beta's right-hand side, against schoolbook up to N = 1023 and
+    # the any-width packer at every N; slots are one byte up to q = 17, two
+    # at q = 64 and 256, three at q = 1024 and 4096.  The trivial binomial,
+    # every count at one exponent, squared reaches the bound (q - 2)^2
     f = _field(q)
     N = f.n_chars
     rng = random.Random(1400 + q)
-    for _ in range(2 if q == 256 else 6):
+    trivial = binom_vec(f, 0, 0)
+    pairs = [(trivial, trivial)]
+    for _ in range({256: 2, 1024: 2, 4096: 3}.get(q, 6)):
         m = [rng.randrange(N) for _ in range(5)]
         xs = tuple(rng.randrange(1, q) for _ in range(2))
         a = binom_vec(f, m[0], m[1])
-        b = hyperff._fd_vec(f, m[2], m[3:], m[4], xs)
-        assert hyperff._conv(a, b, N) == school_conv(a, b, N)
-        assert hyperff._conv(a, a, N) == school_conv(a, a, N)
+        pairs += [(a, hyperff._fd_vec(f, m[2], m[3:], m[4], xs)), (a, a)]
+    for a, b in pairs:
+        got = hyperff._conv(a, b, N)
+        assert got == packed_conv(a, b, N)
+        if N <= 1023:
+            assert got == school_conv(a, b, N)
+    assert hyperff._conv(trivial, trivial, N)[0] == (q - 2) ** 2
 
 
 def test_round_trip_at_the_width_edge():
@@ -577,9 +674,9 @@ def test_round_trip_at_the_width_edge():
         w = width(bound)
         assert bound < 2 ** w
         for v in ([bound, 0, bound], [bound] * 5, [bound] * 70):
-            assert hyperff._unpack(hyperff._pack(v, w), w, len(v)) == v
+            assert _unpack(_pack(v, w), w, len(v)) == v
             if bound > 1:  # (a zero width holds only zeros)
-                assert hyperff._unpack(hyperff._pack(v, w - 1), w - 1, len(v)) != v
+                assert _unpack(_pack(v, w - 1), w - 1, len(v)) != v
 
 
 def test_unpack_folds_every_wrap():
@@ -590,7 +687,7 @@ def test_unpack_folds_every_wrap():
         raw = [rng.randint(0, 1000) for _ in range(4 * N + 1)]
         want = [sum(raw[i::N]) for i in range(N)]
         w = width(sum(raw))
-        assert hyperff._unpack(hyperff._pack(raw, w), w, N) == want
+        assert _unpack(_pack(raw, w), w, N) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13, 64])
@@ -1041,6 +1138,10 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
              for xs in [(2, 3), (4, 2)]]
     operands = [(binom_vec(f, a, b), hyperff._fd_vec(f, *args))
                 for (a, b), args in zip(itertools.product(range(4), repeat=2), draws[::8])]
+    # q = 5's products fit one byte; at q = 64 the trivial binomial squared
+    # puts 62^2 at one exponent, which needs two
+    trivial = binom_vec(_field(64), 0, 0)
+    operands += [(trivial, trivial), (trivial, binom_vec(_field(64), 5, 9))]
 
     def matches():
         """(terms match the slot codes and binomials, theta-sums match the
@@ -1049,7 +1150,8 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
                 all(_binom_terms_match(f, b, k) for b in range(4) for k in range(1, 4)),
                 all(_theta_sums_match(f, 5, 2, (cs[0], cs[2], *cs[1]), cs[3])
                     for cs in draws[::4]),
-                all(hyperff._conv(a, b, 4) == school_conv(a, b, 4) for a, b in operands))
+                all(hyperff._conv(a, b, len(a)) == school_conv(a, b, len(a))
+                    for a, b in operands))
 
     assert matches() == (True, True, True)
     for name, old, new, want in [
@@ -1058,7 +1160,9 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
         ("_walk_terms", "[db for db, _ in sloped]", "[0 for db, _ in sloped]",
          (False, False, True)),  # B-slope dropped
         ("_walk_terms", "* l1 + k", "* l1", (False, False, True)),  # twist k dropped
-        ("_conv", ".bit_length()", ".bit_length() - 1", (True, True, False)),  # width short
+        # slots one byte short
+        ("_conv", "-(-bound.bit_length() // 8)", "-(-bound.bit_length() // 8) - 1",
+         (True, True, False)),
     ]:
         with monkeypatch.context() as m:
             _mutate(m, name, old, new)
