@@ -42,11 +42,11 @@ exceeds (n + 2) N^2 (7N in the double walk's sums), and one assignment's
 counts become Python ints before any scaling.
 
 A block of rows.  Exhaustive and boundary verification, and sampled
-verification below N = _ARRAY_MIN_N, evaluate a side for R rows at once:
-every character and point slot comes as an equal-length int64 column (an int
-where the side fixes one), the field operations take columns, and each
-kernel, given its first character as a column, adds a leading row axis and
-returns an (R, N) array.  So _exponents gathers each row's rotation
+verification below N = identities._ARRAY_MIN_N, evaluate a side for R rows at
+once: every character and point slot comes as an equal-length int64 column
+(an int where the side fixes one), the field operations take columns, and
+each kernel, given its first character as a column, adds a leading row axis
+and returns an (R, N) array.  So _exponents gathers each row's rotation
 Z[log x_j + i] into an (R, N - 1) exponent matrix with a dead mask per row, a
 row with a zero point dead throughout (eps(x)); _fd_vec counts every row with
 one bincount of row N + e and takes a weight s per row; _beta_vec gathers
@@ -244,9 +244,6 @@ def _mono_exp(f: FieldTable, pairs):
 
 # -- the sums, over exponents: u = g^i and 1 - u = g^Z[i] -------------------------
 
-# N = q - 1 below which sampled mode decides its draws in blocks of rows
-# (identities._run_one), and from which one draw at a time; no kernel reads it
-_ARRAY_MIN_N = 40
 # entries per array of a block: a side's rows per block (identities._block_rows)
 # and the chunks of _beta_vec's pair sums, _coset_rows's tuples, _conv's
 # products and _coset_moebius's joins, which bounds their memory

@@ -8,8 +8,8 @@ length-(q-1) integer vector indexed by power of zeta_{q-1}.  The denominator
 d(q, n) is a rational integer carried by the descriptor (1 for most
 identities), so no side divides.  Each domain constraint is data, (name,
 kind, slots, value): the character exponents (kind "chars") or elements
-("elems") at the slice `slots` may not take `value`, so every slot has a
-domain of admissible values.  The engine walks or samples assignments and
+("elems") at the slice `slots` may not take `value`, and an assignment that
+violates none is admissible.  The engine walks or samples assignments and
 decides d * lhs = rhs exactly with the vanishing test cyclo.vanishes.
 Canonical CycInt values (reduction modulo Phi_{q-1}) are built only for
 output: failure entries and `replay`.
@@ -32,24 +32,26 @@ the terms of one walk over the characters; p2.prod and t3.ff-beta's
 right-hand side multiply walk counts (hyperff._conv).
 
 Modes:
-  exhaustive -- the product of the slot domains, with no check per assignment,
-                in blocks of rows (_slot_blocks), each side evaluated once
-                per block and d * lhs = rhs decided row by row in NumPy
-                (_check_rows), with the unequal rows passed to the
-                row-batched vanishing test; row by row in Python ints where
-                the int64 bound could fail (_fits_int64);
+  exhaustive -- the full slot ranges in blocks of rows (_slot_blocks), each
+                row split by the first constraint it violates
+                (first_violated), and the rows that violate none decided:
+                each side evaluated once per block and d * lhs = rhs decided
+                row by row in NumPy (_check_rows), with the unequal rows
+                passed to the row-batched vanishing test; row by row in
+                Python ints where the int64 bound could fail (_fits_int64);
   sampled    -- `count` seeded draws of one rng.randrange(N) or randrange(q)
                 per slot that satisfy the constraints (SamplingGaveUp after
-                1000 * count + 1000 draws); below N = hyperff._ARRAY_MIN_N,
-                where the int64 bound holds, read as columns from rng's raw
-                words and decided in blocks of rows as exhaustive mode's,
-                elsewhere one at a time in Python ints (sampling);
-  boundary   -- the complement: the rows of exhaustive mode's blocks over the
-                full slot ranges that violate a constraint, with mismatches
-                counted, not failed on.  A side that divides by zero raises
-                ZeroInverse naming its zero rows, exactly those that raise
-                one at a time (the sides are straight-line code); they are
-                undefined, and the block is decided again without them.
+                1000 * count + 1000 draws); below N = _ARRAY_MIN_N, where
+                the int64 bound holds, read as columns from rng's raw words
+                and decided in blocks of rows as exhaustive mode's, elsewhere
+                one at a time in Python ints (sampling);
+  boundary   -- the complement: the rows of the same blocks that violate a
+                constraint (none without constraints), decided as
+                exhaustive mode's, with mismatches counted, not failed on.
+                A side that divides by zero raises ZeroInverse naming its
+                zero rows, exactly those that raise one at a time (the sides
+                are straight-line code); they are undefined, and the rest of
+                the block is decided again without them.
 
 Reports serialize to JSON with a fixed key order; wall time is zeroed unless
 timings are requested, so repeated runs are byte-identical.
@@ -132,15 +134,6 @@ class IdentityDescriptor:
             block = cols[:nc] if kind == "chars" else cols[nc:]
             first[(np.asarray(block[slots]) == value).any(axis=0)] = i
         return first
-
-    def domains(self, q: int, n: int) -> tuple[list, list]:
-        """Each character and element slot's admissible values at (q, n)."""
-        doms = {"chars": [range(q - 1)] * self.chars(n), "elems": [range(q)] * self.elems(n)}
-        for _, kind, slots, value in self.constraints:
-            d = doms[kind]
-            for i in range(len(d))[slots]:
-                d[i] = [v for v in d[i] if v != value]
-        return doms["chars"], doms["elems"]
 
 
 _REGISTRY: dict[str, IdentityDescriptor] = {}
@@ -612,6 +605,9 @@ def _check(desc, f, n, cs, es, corrupt: bool):
     return cyclo.vanishes(f.n_chars, [a - b for a, b in zip(dl, rv)]), lv, rv
 
 
+# N = q - 1 below which sampled mode decides its draws in blocks of rows, and
+# from which one draw at a time (_run_one)
+_ARRAY_MIN_N = 40
 # Largest magnitude that a block's int64 entries, and the vanishing test's
 # passes over its rows, may reach (see _fits_int64).
 _INT64_BOUND = 2**62
@@ -637,16 +633,14 @@ def _block_rows(N: int) -> int:
     return max(1, hyperff._BLOCK // N)
 
 
-def _slot_blocks(doms, N: int):
-    """The product of the slot domains, in itertools.product order, as
-    blocks of int64 columns (one per slot) of at most _block_rows(N) rows."""
-    doms = [np.array(d, dtype=np.int64) for d in doms]
-    sizes = [len(d) for d in doms]
+def _slot_blocks(sizes, N: int):
+    """Every row of the slot ranges 0..size-1, in itertools.product order, as
+    blocks of int64 columns (one per slot; an index is its own value) of at
+    most _block_rows(N) rows."""
     total = math.prod(sizes)
     step = _block_rows(N)
     for a in range(0, total, step):
-        idx = np.unravel_index(np.arange(a, min(a + step, total)), sizes)
-        yield tuple(d[i] for d, i in zip(doms, idx))
+        yield np.unravel_index(np.arange(a, min(a + step, total)), sizes)
 
 
 def _check_rows(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list[tuple]:
@@ -713,7 +707,7 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
         # below _ARRAY_MIN_N, in the int64 bound: draws as columns, blocks of rows
         rng = random.Random(f"{seed}:{desc.id}:{q}:{n}")
         nc = desc.chars(n)
-        if N < hyperff._ARRAY_MIN_N and _fits_int64(desc, f, n):
+        if N < _ARRAY_MIN_N and _fits_int64(desc, f, n):
             step = _block_rows(N)
             for cols, tested, excluded, _ in sampling.sample_columns(rng, desc, q, n, count):
                 for a in range(0, cols.shape[1], step):
@@ -726,31 +720,33 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
                 if not ok:
                     failures.append(_fail_entry(desc, f, n, cs, es, lv, rv))
     else:
-        # the product of the slot domains (exhaustive) or the rows of the full
-        # slot ranges that violate a constraint (boundary), in blocks of rows
-        cdoms, edoms = desc.domains(q, n)
-        nc, admissible = len(cdoms), math.prod(map(len, cdoms + edoms))
+        # the full slot ranges in blocks of rows, each row split by the first
+        # constraint it violates: exhaustive mode decides the rows that violate
+        # none, boundary mode the rest (none where there are no constraints)
+        boundary, k, nc = mode == "boundary", len(desc.constraints), desc.chars(n)
+        mismatches = undefined = 0 if boundary else None
         batched = _fits_int64(desc, f, n)
-        if mode == "exhaustive":
-            tested, excluded = admissible, desc.slot_space(q, n) - admissible
-            for cols in _slot_blocks(cdoms + edoms, N):
-                failures += _failures(desc, f, n, cols[:nc], cols[nc:], corrupt_rhs, batched)
-        else:
-            excluded, mismatches, undefined = admissible, 0, 0
-            full = [range(N)] * nc + [range(q)] * len(edoms)
-            for cols in _slot_blocks(full, N) if desc.constraints else ():
-                rows = np.flatnonzero(desc.first_violated(n, cols) < len(desc.constraints))
-                failed = []
-                while len(rows):  # the rows that divide by zero are undefined; the rest again
-                    block = tuple(c[rows] for c in cols)
-                    try:
-                        failed = _check_rows(desc, f, n, block[:nc], block[nc:], corrupt_rhs,
-                                             batched)
-                        break
-                    except ZeroInverse as exc:
-                        zero = exc.rows
-                        undefined, rows = undefined + len(zero), np.delete(rows, zero)
-                tested, mismatches = tested + len(rows), mismatches + len(failed)
+        for cols in _slot_blocks([N] * nc + [q] * desc.elems(n), N) if k or not boundary else ():
+            first = desc.first_violated(n, cols)
+            rows = np.flatnonzero(first < k if boundary else first == k)
+            # a side takes no block of zero rows; in boundary mode the rows that
+            # divide by zero are undefined, and the rest are decided again
+            while len(rows):
+                block = cols if len(rows) == len(first) else tuple(c[rows] for c in cols)
+                try:
+                    if boundary:
+                        mismatches += len(_check_rows(desc, f, n, block[:nc], block[nc:],
+                                                      corrupt_rhs, batched))
+                    else:
+                        failures += _failures(desc, f, n, block[:nc], block[nc:], corrupt_rhs,
+                                              batched)
+                    break
+                except ZeroInverse as exc:
+                    if not boundary:
+                        raise
+                    undefined, rows = undefined + len(exc.rows), np.delete(rows, exc.rows)
+            tested += len(rows)
+        excluded = desc.slot_space(q, n) - tested - (undefined or 0)
 
     failures.sort(key=lambda d: (d["chars"], d["elems"]))
     return TheoremReport(

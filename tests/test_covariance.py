@@ -124,7 +124,7 @@ WALK_SIDES = {**{d.id: ("lhs", "rhs") for d in identities.list_identities()
 @pytest.mark.parametrize("q", LARGE_QS)
 def test_every_walk_side_is_galois_covariant_at_large_q(q):
     f = _field(q)
-    assert f.n_chars >= hyperff._ARRAY_MIN_N
+    assert f.n_chars >= identities._ARRAY_MIN_N
     rng = random.Random(q)
     descs = [identities.get_identity(i) for i in WALK_SIDES]
     for desc, n, cs, es in _cases(f, 4, descs):

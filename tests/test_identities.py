@@ -497,6 +497,17 @@ PREDICATES = {
 }
 
 
+def _domains(desc, q, n) -> tuple[list, list]:
+    """Each character and element slot's admissible values at (q, n): its
+    full range less every value a constraint entry forbids there."""
+    doms = {"chars": [range(q - 1)] * desc.chars(n), "elems": [range(q)] * desc.elems(n)}
+    for _, kind, slots, value in desc.constraints:
+        d = doms[kind]
+        for i in range(len(d))[slots]:
+            d[i] = [v for v in d[i] if v != value]
+    return doms["chars"], doms["elems"]
+
+
 def _oracle_run_one(desc, f, n, mode, seed, count, corrupt_rhs):
     """The engine loop over predicates, as it was before the slot domains."""
     N, q = f.n_chars, f.q
@@ -626,11 +637,11 @@ def test_boundary_mutants_are_caught(monkeypatch):
     assert reports() == want
     for old, new in [
         # every row of a block that raises counted as undefined
-        ("zero = exc.rows", "zero = np.arange(len(rows))"),
+        ("len(exc.rows), np.delete(rows, exc.rows)", "len(rows), rows[:0]"),
         # the rows left after the first zero site never decided
-        ("np.delete(rows, zero)", "np.delete(rows, zero); break"),
-        # the violation mask inverted: the admissible rows walked
-        ("< len(desc.constraints))", ">= len(desc.constraints))"),
+        ("np.delete(rows, exc.rows)", "np.delete(rows, exc.rows); break"),
+        # the split inverted: the admissible rows walked
+        ("first < k if boundary", "first == k if boundary"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(identities, "_run_one", _mutated(identities, "_run_one", old, new))
@@ -666,13 +677,30 @@ def test_a_wrong_slot_domain_is_caught(monkeypatch):
         assert _matches_oracle(desc, (3, 4), (mode,), **kw)
         assert not _matches_oracle(shifted, (3, 4), (mode,), **kw)
 
-    # a domain builder that keeps each forbidden value
-    def full(self, q, n):
-        return [range(q - 1)] * self.chars(n), [range(q)] * self.elems(n)
+    # the split of a block's rows by their first violated constraint mutated
+    def differs(desc, qs, mode):
+        try:
+            return not _matches_oracle(desc, qs, (mode,), n_max=3)
+        except ValueError:  # a side evaluated on a block of no rows
+            return True
 
-    monkeypatch.setattr(identities.IdentityDescriptor, "domains", full)
-    for ident in PREDICATES:
-        assert not _matches_oracle(identities.get_identity(ident), (3,), ("exhaustive",))
+    pivot2 = identities.get_identity("t4.pivot2")
+    assert _matches_oracle(pivot2, (3,), ("boundary",), n_max=3)
+    for old, new, cases in [
+        # exhaustive mode decides the violating rows too
+        ("first == k", "first <= k", [(identities.get_identity(i), (3,), "exhaustive")
+                                      for i in PREDICATES]),
+        # a block with no selected row decided: at q = 2 every t3.ff-beta row
+        # violates B1 != eps
+        ("while len(rows):", "while True:", [(desc, (2,), "exhaustive")]),
+        # the undefined rows counted as excluded too (t4.pivot2 divides by
+        # 1 - x_j, j < n)
+        (" - (undefined or 0)", "", [(pivot2, (3,), "boundary")]),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(identities, "_run_one", _mutated(identities, "_run_one", old, new))
+            for case in cases:
+                assert differs(*case), (old, case[0].id)
 
 
 # -- the batched engine against the per-assignment path -------------------------------
@@ -698,11 +726,13 @@ def _rows_match(desc, f, n, cs, es) -> bool:
 
 
 def _block_rows_match(desc, f, n) -> bool:
-    """Every row of every exhaustive block of `desc` at (f.q, n) is the
-    per-call lhs and rhs."""
-    cdoms, edoms = desc.domains(f.q, n)
-    return all(_rows_match(desc, f, n, cols[:len(cdoms)], cols[len(cdoms):])
-               for cols in identities._slot_blocks(cdoms + edoms, f.n_chars))
+    """Every row of the product of the slot domains of `desc` at (f.q, n), in
+    blocks of rows as the engine sizes them, is the per-call lhs and rhs."""
+    cdoms, edoms = _domains(desc, f.q, n)
+    doms = [np.array(d, dtype=np.int64) for d in cdoms + edoms]
+    blocks = (tuple(d[i] for d, i in zip(doms, idx))
+              for idx in identities._slot_blocks([len(d) for d in doms], f.n_chars))
+    return all(_rows_match(desc, f, n, cols[:len(cdoms)], cols[len(cdoms):]) for cols in blocks)
 
 
 @pytest.mark.parametrize("ident", EXPECTED_IDS)
@@ -770,6 +800,27 @@ def test_the_int64_bound_sends_a_report_to_python_ints(monkeypatch):
             assert reports(mode) == want
         assert checks, mode  # every row decided by _check, in Python ints
         checks.clear()
+
+
+def test_real_inputs_past_the_int64_bound_run_row_by_row(monkeypatch):
+    # at q = 2, n = 28 and 30 these identities fail the int64 bound under the
+    # default cap; their one or two rows are decided one at a time by _check
+    checks = []
+    real = identities._check
+    monkeypatch.setattr(identities, "_check", lambda *a: checks.append(1) or real(*a))
+    runs = list(itertools.product(("exhaustive", "boundary"), (False, True)))
+    for ident in ("t4.eval-all1", "t4.eval-equal-x", "t4.c62", "t4.c63"):
+        desc = identities.get_identity(ident)
+        for n in (28, 30):
+            assert not identities._fits_int64(desc, _field(2), n), (ident, n)
+            got = [_outcome(identities._run_one, desc, 2, n, mode, corrupt_rhs=corrupt)
+                   for mode, corrupt in runs]
+            # each row twice (exhaustive, honest and corrupt); no constraint to violate
+            assert len(checks) == 2 * desc.slot_space(2, n), (ident, n)
+            assert got == [_outcome(_oracle_run_one, desc, 2, n, mode, corrupt_rhs=corrupt)
+                           for mode, corrupt in runs], (ident, n)
+            assert '"failures": []' in got[0] and '"failures": []' not in got[1]
+            checks.clear()
 
 
 def test_exhaustive_memory_does_not_grow_with_the_rows():
@@ -886,7 +937,7 @@ def test_sampled_column_mutants_are_caught(monkeypatch):
 def _domains_rate(desc, q, n):
     """The acceptance rate as sample_columns took it before: the product of
     the slot domains' sizes over the slot space."""
-    cdoms, edoms = desc.domains(q, n)
+    cdoms, edoms = _domains(desc, q, n)
     return math.prod(map(len, cdoms + edoms)) / desc.slot_space(q, n)
 
 

@@ -1005,7 +1005,7 @@ def test_n0_walk_is_the_binomial_sampled(q):
     m = rng.randrange(1, N)
     pairs = [(0, 0), (0, m), (m, 0), (m, m), (m, N - m), (N // 2, N // 2)]
     pairs += [(rng.randrange(N), rng.randrange(N)) for _ in range(40)]
-    assert N >= hyperff._ARRAY_MIN_N and _n0_walks_match(f, pairs)
+    assert N >= identities._ARRAY_MIN_N and _n0_walks_match(f, pairs)
 
 
 def test_n0_walk_without_its_prefactor_is_caught(monkeypatch):
@@ -1709,8 +1709,8 @@ def _beta_walks_match(f, args):
 
 def test_the_gate_stays_on_the_list_walks():
     # every gate field has N <= 12, so its sampled reports run in blocks of rows
-    assert hyperff._ARRAY_MIN_N > 12
-    assert _field(BELOW).n_chars < hyperff._ARRAY_MIN_N <= _field(ABOVE).n_chars
+    assert identities._ARRAY_MIN_N > 12
+    assert _field(BELOW).n_chars < identities._ARRAY_MIN_N <= _field(ABOVE).n_chars
     assert not any(len(cyclo._prime_divisors(q)) == 1 for q in range(BELOW + 1, ABOVE))
 
 
