@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import cyclo
 from .cyclo import CycInt
 from .errors import FieldMismatch
-from .ff_core import FieldTable
+from .ff_core import FieldTable, _check_points
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,7 @@ class Char:
 
 
 def eval(c: Char, x: int) -> CycInt:
+    _check_points(c.field.q, (x,), "x")
     n = c.field.n_chars
     if x == 0:
         return cyclo.zero(n)
@@ -71,4 +72,5 @@ def delta_char(c: Char) -> CycInt:
 
 
 def delta_elem(f: FieldTable, x: int) -> CycInt:
+    _check_points(f.q, (x,), "x")
     return cyclo.from_int(f.n_chars, 1 if x == 0 else 0)

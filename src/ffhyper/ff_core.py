@@ -16,17 +16,18 @@ Both choices are deterministic, so character labels and discrete logs are
 reproducible across runs and machines.
 
 `build_field` is the one field cache: one FieldTable per (p, k) asked for,
-built on first use and shared for the rest of the process, so never mutate one.
+shared for the rest of the process, so never mutate one.
 
-The tables are built in index space: a few integer operations per entry, and
-no polynomial product past the generator's order test.  Multiplication by g is
-F_p-linear, so its table T[a] = index(a g) follows from T[0] = 0: when p does
-not divide a, a = (a - 1) + 1 and T[a] = T[a - 1] + g, one digit change per
-nonzero digit of g; otherwise a = x (a / p), and T[a] is T[a / p] shifted up
-one digit with its top digit t reduced by x^k = -(m_0 + ... + m_{k-1} x^{k-1}).
-Then g^j = T[g^(j-1)].  Zech's logarithm follows from the same exp table:
-1 - g^i = 1 + g^(i + log(-1)), and adding 1 changes digit 0 alone, from d to
-d + 1, or to 0 when d = p - 1 (Lidl & Niederreiter, Finite Fields, ch. 10).
+Every table follows from one k x k matrix over Z_p, the companion matrix X of
+the modulus m: row j holds the digits of x^(j+1) mod m, so a row of digits
+times X is the digits of x times that element (Lidl & Niederreiter, Finite
+Fields, ch. 2).  The element g has the matrix G = sum of g_i X^i, so
+T[a] = index(digits(a) G mod p) is the multiply-by-g table; g is the
+generator iff G^(N/l) != I for every prime l | N = q - 1, and
+g^(h + j) = T^h[g^j] gives the exp table in log2(N) doublings of T.  Zech's
+logarithm follows from the exp table: 1 - g^i = 1 + g^(i + log(-1)), and
+adding 1 changes digit 0 alone, from d to d + 1, or to 0 when d = p - 1
+(ibid., ch. 10).
 
 After construction, arithmetic uses three tables and no digit arithmetic:
 exp/log for products, and Zech's logarithm Z(i) = log(1 - g^i) for sums, since
@@ -37,7 +38,7 @@ character sum into an exponent lookup.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,15 +64,6 @@ def _pmod(a: list[int], mod: list[int], p: int) -> list[int]:
     return out + [0] * (k - len(out))
 
 
-def _pmul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pmod(out, mod, p)
-
-
 def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
     """The first monic degree-k polynomial over Z_p, in lexicographic order of
     (a_{k-1}, ..., a_0), that leaves a nonzero remainder on division by every
@@ -85,10 +77,25 @@ def _smallest_modulus(p: int, k: int) -> tuple[int, ...]:
             return tuple(mod)
 
 
-def _read_only(table) -> np.ndarray:
-    a = np.array(table, dtype=np.int64)
-    a.flags.writeable = False
-    return a
+def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e over Z_p, by square-and-multiply: int64 holds every entry of a
+    product while k p^2 < 2^63."""
+    r = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            r = r @ a % p
+        a = a @ a % p
+        e >>= 1
+    return r
+
+
+def _check_points(q: int, points, name: str) -> None:
+    """Every point (the argument `name`) must be an integer 0 <= x < q."""
+    for x in points:
+        if type(x) is not int:  # a bool is no element
+            raise ValueError(f"{name} must be an integer, got {x!r}")
+        if not 0 <= x < q:
+            raise ValueError(f"element index {x} out of range for q={q}")
 
 
 class FieldTable:
@@ -101,8 +108,8 @@ class FieldTable:
     i = 0 where 1 - g^0 = 0; log_neg1 = log_g(-1).  Every operation works
     through these tables: x - y = x (1 - y/x).  zech_array is zech_table
     twice over as a read-only int64 array of length 2N, and exp_array and
-    log_array are exp_table and log_table as read-only int64 arrays, built
-    on first use.  divisor_table is the
+    log_array are exp_table and log_table as read-only int64 arrays: the
+    arrays the tables are built in.  divisor_table is the
     cyclo.DivisorTable of N = q - 1 (its divisors, row offsets, gcd tables and
     Moebius pairs, O(sigma(N)) ints), which every sum over characters reads.
 
@@ -117,88 +124,49 @@ class FieldTable:
         self.p = p
         self.k = k
         self.q = q = p**k
-        self.n_chars = q - 1  # order of F_q*, also the root-of-unity order
+        self.n_chars = N = q - 1  # order of F_q*, also the root-of-unity order
         self.modulus = _smallest_modulus(p, k)
 
-        powers = tuple(p**i for i in range(k))
-
-        def digits(i: int) -> list[int]:
-            return [(i // pw) % p for pw in powers]
-
-        def index(dv: list[int]) -> int:
-            return sum(d * pw for d, pw in zip(dv, powers))
-
-        mod = list(self.modulus)
-
-        def mul_raw(a: int, b: int) -> int:
-            if a == 0 or b == 0:
-                return 0
-            return index(_pmul_mod(digits(a), digits(b), mod, p))
-
-        N = q - 1
+        powers = np.array([p**i for i in range(k)], dtype=np.int64)
+        X = np.eye(k, k, 1, dtype=np.int64)  # row j: x^(j+1) = x * x^j for j < k - 1
+        X[-1] = [-m % p for m in self.modulus[:k]]  # x^k = -(m_0 + ... + m_{k-1} x^{k-1})
+        Xs = np.array(list(itertools.accumulate([X] * (k - 1), lambda a, b: a @ b % p,
+                                                initial=np.eye(k, dtype=np.int64))))
+        Xs = Xs.reshape(k, k * k)  # row i: X^i
         fac = _prime_divisors(N)
-
-        def order_is_full(g: int) -> bool:
-            def powm(a: int, e: int) -> int:
-                r = 1
-                while e:
-                    if e & 1:
-                        r = mul_raw(r, a)
-                    a = mul_raw(a, a)
-                    e >>= 1
-                return r
-
-            # g^N = 1 for every nonzero g (Lagrange), so only N / ell is tested
-            return all(powm(g, N // ell) != 1 for ell in fac)
-
-        self.generator = g = next(g for g in range(1, q) if order_is_full(g))
-
-        def add(y: int, terms: list[tuple[int, int]], s: int) -> int:
-            """y + s * (sum of c x^i over terms (p^i, c)): one digit per term."""
-            for pw, c in terms:
-                d = y // pw % p
-                y += ((d + s * c) % p - d) * pw
-            return y
-
-        g_terms = [(pw, c) for pw, c in zip(powers, digits(g)) if c]
-        mod_terms = [(pw, m) for pw, m in zip(powers, mod) if m]
-        top = powers[-1]
-        T = [0] * q  # T[a] = index(a g), built by linearity in a
-        for a in range(1, q):
-            if a % p:  # a = (a - 1) + 1, so T[a] = T[a - 1] + g
-                T[a] = add(T[a - 1], g_terms, 1)
-            else:  # a = x (a / p): shift T[a / p] up one digit; its top digit t
-                y = T[a // p]  # comes back as x^k t = -t (m_0 + ... + m_{k-1} x^{k-1})
-                t = y // top
-                T[a] = add((y - t * top) * p, mod_terms, -t)
-
-        exp = [1] * N
-        for j in range(1, N):
-            exp[j] = T[exp[j - 1]]
-        log = [-1] * q
-        for j, v in enumerate(exp):
-            log[v] = j
-        self.exp_table = tuple(exp)
-        self.log_table = tuple(log)
-        self.log_neg1 = ln1 = log[p - 1]  # -1 has base-p digits (p-1, 0, ..., 0)
+        # each g with its matrix G = sum of g_i X^i
+        candidates = ((g, (g // powers % p @ Xs % p).reshape(k, k)) for g in range(1, q))
+        # g^N = 1 for every nonzero g (Lagrange), so only N / ell is tested;
+        # row 0 of G^e is the digits of g^e
+        self.generator, G = next((g, G) for g, G in candidates
+                                 if all(_matpow(G, N // ell, p)[0] @ powers != 1 for ell in fac))
+        # T[a] = index(a g), in k chunks of rows: each digits block has about q entries
+        a, step = np.arange(q), -(-q // k)
+        T = np.concatenate([a[i:i + step, None] // powers % p @ G % p @ powers
+                            for i in range(0, q, step)])
+        exp = np.ones(N, dtype=np.int64)
+        h = 1
+        while h < N:  # T is multiplication by g^h: it maps g^0..g^(h-1) to g^h..g^(2h-1)
+            exp[h:2 * h] = T[exp[:min(h, N - h)]]
+            T, h = T[T], 2 * h
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(N)
+        self.log_neg1 = ln1 = int(log[p - 1])  # -1 has base-p digits (p-1, 0, ..., 0)
         # 1 - g^i = 1 + g^(i + ln1), and + 1 changes digit 0 alone
-        self.zech_table = tuple(log[v - (p - 1) if v % p == p - 1 else v + 1]
-                                for v in exp[ln1:] + exp[:ln1])
-        # the Zech table twice over, read-only, for hyperff's walks:
-        # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N]
-        self.zech_array = _read_only(self.zech_table * 2)
+        v = np.concatenate([exp[ln1:], exp[:ln1]])
+        zech = log[np.where(v % p == p - 1, v - (p - 1), v + 1)]
+        self.exp_table = tuple(exp.tolist())
+        self.log_table = tuple(log.tolist())
+        self.zech_table = tuple(zech.tolist())
+        # read-only, for the operations on columns and hyperff's walks:
+        # Z[(l + i) mod N] at i = 1..N-1 is the slice [l + 1 : l + N] of the
+        # Zech table twice over
+        self.exp_array, self.log_array = exp, log
+        self.zech_array = np.concatenate([zech, zech])
+        for table in (exp, log, self.zech_array):
+            table.flags.writeable = False
         # the divisor lattice of N, which every count over characters reads
         self.divisor_table = DivisorTable(N)
-
-    # only the field operations on columns read these, so a field whose
-    # assignments are all decided one at a time never builds them
-    @cached_property
-    def exp_array(self) -> np.ndarray:
-        return _read_only(self.exp_table)
-
-    @cached_property
-    def log_array(self) -> np.ndarray:
-        return _read_only(self.log_table)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -254,6 +222,7 @@ class FieldTable:
         return self.mul(x, self.inv(y))
 
     def dlog(self, x: int) -> int:
+        _check_points(self.q, (x,), "x")
         if x == 0:
             raise ZeroLog()
         return self.log_table[x]

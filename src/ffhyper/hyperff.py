@@ -127,7 +127,7 @@ from . import cyclo
 from .charset import Char
 from .cyclo import CycInt
 from .errors import DomainViolation, FieldMismatch
-from .ff_core import FieldTable
+from .ff_core import FieldTable, _check_points
 
 # -- group-ring vector helpers --------------------------------------------------
 
@@ -670,15 +670,6 @@ def _charsum_vec(f: FieldTable, mA, mBs, mC, xs):
 
 
 # -- public types ----------------------------------------------------------------
-
-
-def _check_points(q: int, points, name: str) -> None:
-    """Every point (the argument `name`) must be an integer 0 <= x < q."""
-    for x in points:
-        if type(x) is not int:  # a bool is no element
-            raise ValueError(f"{name} must be an integer, got {x!r}")
-        if not 0 <= x < q:
-            raise ValueError(f"element index {x} out of range for q={q}")
 
 
 def _same_field(*chars: Char, points=(), name="x") -> FieldTable:

@@ -806,7 +806,7 @@ def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
     es = tuple(assignment["elems"])
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
-    hyperff._check_points(q, es, "elems entry")
+    ff_core._check_points(q, es, "elems entry")
     equal, lv, rv = _check(desc, f, n, cs, es, corrupt_rhs)
     lc, rc = _canonical(desc, f, n, lv, rv)
     return lc, rc, equal

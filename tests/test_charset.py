@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from ffhyper import charset, cyclo, errors, ff_core
@@ -103,6 +106,38 @@ def test_delta_helpers():
     assert charset.delta_char(charset.Char(f, 2)).is_zero()
     assert charset.delta_elem(f, 0) == cyclo.one(4)
     assert charset.delta_elem(f, 3).is_zero()
+
+
+F8 = ff_core.build_field(2, 3)
+ELEMENT_ENTRY_POINTS = [F8.dlog, charset.Char(F8, 1),
+                        lambda x: charset.eval(charset.Char(F8, 3), x),
+                        lambda x: charset.delta_elem(F8, x)]
+
+
+@pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS, ids=["dlog", "Char", "eval", "delta_elem"])
+@pytest.mark.parametrize("x, message", [
+    (-1, "element index -1 out of range for q=8"),
+    (-3, "element index -3 out of range for q=8"),
+    (8, "element index 8 out of range for q=8"),
+    (True, "x must be an integer, got True"),
+    (np.int64(3), f"x must be an integer, got {np.int64(3)!r}"),
+])
+def test_element_entry_points_refuse_what_is_no_element_index(entry, x, message):
+    # negative indexing, an index past q, a bool and a NumPy integer used to
+    # be read as some element, or raise a bare IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        entry(x)
+
+
+def test_element_entry_points_on_element_indices():
+    with pytest.raises(errors.ZeroLog):
+        F8.dlog(0)
+    assert [F8.dlog(x) for x in range(1, 8)] == list(F8.log_table[1:])
+    assert charset.Char(F8, 1)(0).is_zero()
+    for x in range(1, 8):
+        assert charset.Char(F8, 1)(x) == cyclo.zeta_pow(7, F8.log_table[x])
+        assert charset.eval(charset.Char(F8, 3), x) == cyclo.zeta_pow(7, 3 * F8.log_table[x])
+    assert [charset.delta_elem(F8, x) == cyclo.one(7) for x in range(8)] == [True] + [False] * 7
 
 
 def test_field_mismatch():

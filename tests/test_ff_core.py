@@ -190,8 +190,26 @@ def test_zech_table():
             assert f.exp_table[f.zech_table[i]] == one_minus
 
 
-# -- the table construction that index-space building replaced, as oracle: a
+def test_arrays_are_the_tables_read_only():
+    # the operations on columns and the array walks read these, never the tuples
+    for f in FIELDS + [ff_core.build_field(2, 12), ff_core.build_field(4093, 1)]:
+        for arr, table in ((f.exp_array, f.exp_table), (f.log_array, f.log_table),
+                           (f.zech_array, f.zech_table * 2)):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+            assert arr.tolist() == list(table)
+
+
+# -- the table construction that the companion matrix replaced, as oracle: a
 # polynomial product per exp entry and a digit-wise 1 - x per Zech entry --------
+
+
+def _oracle_pmul_mod(a, b, mod, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return ff_core._pmod(out, mod, p)
 
 
 def oracle_tables(p, k):
@@ -208,7 +226,7 @@ def oracle_tables(p, k):
     def mul_raw(a, b):
         if a == 0 or b == 0:
             return 0
-        return index(ff_core._pmul_mod(digits(a), digits(b), mod, p))
+        return index(_oracle_pmul_mod(digits(a), digits(b), mod, p))
 
     def powm(a, e):
         r = 1
@@ -242,7 +260,7 @@ def tables_match_oracle(q):
     p, k = ff_core.split_prime_power(q)
     try:
         f = ff_core.FieldTable(p, k)
-    except IndexError:
+    except (IndexError, StopIteration):  # an index past q, or no generator found
         return False
     return ((f.generator, f.exp_table, f.log_table, f.zech_table, f.log_neg1)
             == oracle_tables(p, k))
@@ -287,33 +305,56 @@ MUTANT_QS = [4, 8, 9, 25, 27, 49]  # odd p and k >= 2 too, where +m and -m diffe
 
 
 def test_table_mutants_are_caught(monkeypatch):
+    with monkeypatch.context() as m:  # the companion row x^k = +m instead of -m
+        _mutate(m, "[-m % p for m in", "[m % p for m in")
+        assert not all(tables_match_oracle(q) for q in MUTANT_QS)
     with monkeypatch.context() as m:  # + 1 on digit 0 without the wrap at p - 1
-        _mutate(m, "v - (p - 1) if v % p == p - 1 else v + 1", "v + 1")
+        _mutate(m, "np.where(v % p == p - 1, v - (p - 1), v + 1)", "v + 1")
         assert not all(tables_match_oracle(q) for q in MUTANT_QS)
-    with monkeypatch.context() as m:  # x^k reduced by +m instead of -m
-        _mutate(m, "mod_terms, -t)", "mod_terms, t)")
-        assert not all(tables_match_oracle(q) for q in MUTANT_QS)
-    with monkeypatch.context() as m:  # T[a] = T[a - 1] + g for every a
-        _mutate(m, "if a % p:", "if True:")
+    with monkeypatch.context() as m:  # the order test raises G to N, not N / ell
+        _mutate(m, "_matpow(G, N // ell, p)", "_matpow(G, N, p)")
         assert not all(tables_match_oracle(q) for q in MUTANT_QS)
     assert all(tables_match_oracle(q) for q in MUTANT_QS)
 
 
+class _CountedMatrix(np.ndarray):
+    """An int64 matrix that counts every matrix product it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatrix.products += 1
+        out = getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+        return out.view(_CountedMatrix) if isinstance(out, np.ndarray) else out
+
+
 def test_cold_build_makes_only_the_order_tests_products(monkeypatch):
-    # at most generator * (omega(N) + 1) order tests of 2 * bit_length(N)
+    # at most generator * omega(N) order tests of 2 * bit_length(N) matrix
     # products each; one product per exp entry would be N = 4095
-    calls = 0
-    pmul_mod = ff_core._pmul_mod
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return pmul_mod(*args)
-
-    monkeypatch.setattr(ff_core, "_pmul_mod", counted)
+    matpow = ff_core._matpow
+    monkeypatch.setattr(ff_core, "_matpow",
+                        lambda a, e, p: np.asarray(matpow(a.view(_CountedMatrix), e, p)))
+    _CountedMatrix.products = 0
     f = ff_core.FieldTable(2, 12)
+    assert f.exp_table == ff_core.build_field(2, 12).exp_table
     N = f.n_chars
-    assert 0 < calls <= f.generator * (len(cyclo._prime_divisors(N)) + 1) * 2 * N.bit_length()
+    assert 0 < _CountedMatrix.products <= (f.generator * len(cyclo._prime_divisors(N))
+                                           * 2 * N.bit_length())
+
+
+@pytest.mark.parametrize("q, digest", [
+    (8192, "46142c3306e5b449efb76b61e5c224210bce8ab3a282274f257b5346f7cb534c"),
+    (16384, "1740af3b090717a28603966e149b99763cade4d141a36f2ed3e183e07a515fba"),
+    (65536, "41c211ced9a7541d79de9ff731cfca92562b6b1ae6a9ebdcfc43dae214a030e7"),
+    (65537, "3036bbf80cd97f05aa79f002da11c6c8982a4425ca625fadb97fb8eaeb8722aa"),
+])
+def test_tables_are_pinned_past_the_default_cap(q, digest):
+    # SHA-256 over repr((modulus, generator, exp_table, log_table, zech_table)),
+    # taken from the index-space construction that the companion matrix replaced
+    f = ff_core.FieldTable(*ff_core.split_prime_power(q))
+    tables = (f.modulus, f.generator, f.exp_table, f.log_table, f.zech_table)
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest
 
 
 # -- Rabin's irreducibility test, the modulus search trial division replaced,
