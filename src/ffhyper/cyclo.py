@@ -76,29 +76,22 @@ class DivisorTable:
     divisors   the divisors of n, ascending
     offset     offset[g]: where the row of divisor g starts in a flat
                accumulator of size = sigma(n) slots, the rows ascending by g
-    gcd        gcd[g]: the tuple gcd(k, g) at 0 <= k < 2g, for each divisor g
-               (gcd[n] is gcd(k, n)); each is a slice sieve over the divisors
-               of g, ascending, so the last divisor to mark k is gcd(k, g)
-    slot       slot[g]: offset[gcd(k, g)] at 0 <= k < 2g, by the same sieve
     moebius    moebius[g]: the pairs (h, mu(h/g)) over g | h | n with
                mu(h/g) != 0, from _moebius_factors(n/g): its pair (d, mu)
-               is h = n/d
-    squares    the sum of g^2 over the divisors: the most states (g, r mod g,
-               x mod g) a fold of the count can keep
+               is h = n/d (read by the Moebius count)
     rank       int64 array of length n: the index in divisors of gcd(k, n),
-               0 <= k < n, by the same sieve
+               0 <= k < n, a slice sieve over the divisors, ascending, so
+               the last divisor to mark k is gcd(k, n)
     meet       int64 array of shape (tau, tau), tau the number of divisors:
                the index of gcd(divisors[a], divisors[b]) at [a, b]
     value      int64 array: the divisors, by index
-    starts     int64 array: offset[g] by the index of g (a count of a block
-               of rows reads rank, meet, value and starts by arrays of indices)
+    starts     int64 array: offset[g] by the index of g (hyperff._coset_rows
+               reads rank, meet, value and starts by arrays of indices)
     widths     int64 array of size slots: the g of each slot's row
 
-    rank, meet, value, starts and widths, which only a count of a block of
-    rows reads, are built on first use.
-
-    Every table holds O(sigma(n)) ints, 2 sigma(n) per gcd and slot table,
-    but rank (n ints) and meet (tau^2)."""
+    rank, meet, value, starts and widths, which only hyperff._coset_rows
+    reads, are built on first use.  Every table holds O(sigma(n))
+    ints, but rank (n ints) and meet (tau^2)."""
 
     def __init__(self, n: int):
         ds = [1]
@@ -112,19 +105,7 @@ class DivisorTable:
         self.divisors = ds = tuple(sorted(ds))
         self.offset = dict(zip(ds, itertools.accumulate(ds[:-1], initial=0)))
         self.size = sum(ds)
-        self.squares = sum(d * d for d in ds)
-        self.gcd, self.slot, self.moebius = {}, {}, {}
-        for g in ds:
-            t, s = [1] * (2 * g), [0] * (2 * g)
-            for d in ds[1:]:
-                if d > g:
-                    break
-                if g % d == 0:
-                    k = len(range(0, 2 * g, d))
-                    t[::d] = [d] * k
-                    s[::d] = [self.offset[d]] * k
-            self.gcd[g], self.slot[g] = tuple(t), tuple(s)
-            self.moebius[g] = tuple((n // d, mu) for d, mu in _moebius_factors(n // g))
+        self.moebius = {g: tuple((n // d, mu) for d, mu in _moebius_factors(n // g)) for g in ds}
 
     @cached_property
     def rank(self) -> np.ndarray:

@@ -110,8 +110,9 @@ class FieldTable:
     twice over as a read-only int64 array of length 2N, and exp_array and
     log_array are exp_table and log_table as read-only int64 arrays: the
     arrays the tables are built in.  divisor_table is the
-    cyclo.DivisorTable of N = q - 1 (its divisors, row offsets, gcd tables and
-    Moebius pairs, O(sigma(N)) ints), which every sum over characters reads.
+    cyclo.DivisorTable of N = q - 1 (its divisors, row offsets and Moebius
+    pairs, O(sigma(N)) ints, and its gcd indices, built on first use), which
+    every sum over characters reads.
 
     The operations take element indices as ints, or as int64 columns (a
     block of rows, one element per row, mixed freely with ints), and return

@@ -32,8 +32,8 @@ Each walk is one kernel of int64 array passes, _fd_vec and _beta_vec, which
 serves one assignment and a block of rows (below) alike.  They read the
 field's doubled Zech array (FieldTable.zech_array), so a rotation by log x_j
 is one slice (_zech_rot).  A slot's rotation holds -1 where x_j u = 1, at
-most one i = -log x_j mod N per slot, and _exponents returns the dead
-positions of those terms with the exponent column: the F_D walk bincounts the
+most one i = -log x_j mod N per slot, and _exponents returns the dead mask
+of those terms with the exponent column: the F_D walk bincounts the
 column with its dead terms in one slot past the last, and the double walk
 keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so
 its memory does not grow with N^2.  Every character is reduced mod N before
@@ -53,7 +53,7 @@ one bincount of row N + e and takes a weight s per row; _beta_vec gathers
 each (u, row)'s rotation of its row's merged column into 7N slots per row;
 _conv gathers row-wise products; _addm and _mono_exp take columns; and every
 case on a value is a 0/1 weight: a delta factor (_delta), [x = v] (_is), a
-monomial's eps weight, s = 0 for a walk that drops out.  _walk_terms lists
+monomial's eps weight, s = 0 for a walk that drops out.  _walk_terms gives
 (exponent, slope, weight) matrices, the slopes per row where a point or the
 twist enters them, so each term tuple's g varies by row: _coset_rows reads
 the index of gcd(m, N) from the divisor table (D.rank, joined across lists by
@@ -75,38 +75,44 @@ counts sum to less than N, so their products stay below N^2).
 The generating functions, the k-sum, the character line sum and the
 character-sum form of F_D are sums over characters of walk terms.  A term's
 exponent is linear in the characters, so with chi^theta_j entering the
-characters at a slope it is e + sum_j theta_j m_j; _walk_terms lists the
-pairs (e, m) of one walk at one slope, a binomial factor {chi^b theta choose
-theta} being the n = 0 walk at (b, b) with slope (1, 0).  The T41-T43
-left-hand sides and the k-sum's right-hand side are one theta-sum,
+characters at a slope it is e + sum_j theta_j m_j; _walk_terms gives the
+terms of one walk at one slope as a triple (E, M, W) of exponents e, slopes
+m and 0/1 weights, a dead term weighing 0, and a binomial factor {chi^b
+theta choose theta} is the n = 0 walk at (b, b) with slope (1, 0).  The
+T41-T43 left-hand sides and the k-sum's right-hand side are one theta-sum,
 _theta_sum: sum over theta of {chi^b theta choose theta} theta(t) times the
-F_D walk at a slope, one slope per variant.  Summed over theta in
-Z_N^n, such a term is N^(n-1) g at every exponent = e mod g, g = gcd(m_1, ..,
-m_n, N), so _coset_counts counts the term tuples by (g, e mod g), into one
-flat accumulator of sigma(N) slots with a row per divisor g, and forms no row
-per character.  It reads the field's divisor table (FieldTable.divisor_table,
-a cyclo.DivisorTable: the divisors of N, their row offsets, a gcd table per
-divisor and mu(h/g) for g | h | N, built once per field) and counts one of
-two ways, with the same integers:
+F_D walk at a slope, one slope per variant.  Summed over theta in Z_N^n, such
+a term is N^(n-1) g at every exponent = e mod g, g = gcd(m_1, .., m_n, N),
+so _coset_counts counts the live term tuples by (g, e mod g), into one flat
+accumulator of sigma(N) slots with a row per divisor g, and forms no row per
+character.  It reads the field's divisor table (FieldTable.divisor_table, a
+cyclo.DivisorTable: the divisors of N, their row offsets, the index of
+gcd(k, N) and mu(h/g) for g | h | N, built once per field).  A block of rows
+is counted by _coset_rows; one assignment one of two ways, with the same
+integers:
 
-  _coset_direct   folds the lists one at a time into states (g, m0 mod g,
-                  e mod g): |T| |F_1| pair steps, then at most sum g^2 states
-                  per later list;
+  _coset_rows     as a block of one row: a chunk of tuples is one bincount
+                  at offset[g] + e mod g, each tuple's g read by index
+                  (D.rank, joined across lists by D.meet), a dead tuple
+                  counted past the end; |T| |F_1| .. |F_n| tuple steps;
   _coset_moebius  counts, for each h | N, the tuples whose slopes h divides,
-                  by e mod h (D_h: the lists joined on m mod h in NumPy, as
-                  h x h histograms for small h and as buckets for large h,
-                  about min(h^3, |T| |F| / h) pairs at n = 1), and takes the
-                  row of g as sum over g | h | N of mu(h/g) D_h folded mod g:
-                  Moebius inversion on the divisor lattice of N (Apostol,
-                  Introduction to Analytic Number Theory, ch. 2; Rota 1964).
+                  by e mod h (D_h: the live pairs of the lists joined on m
+                  mod h in NumPy, as h x h histograms for small h and as
+                  buckets for large h, about min(h^3, |T| |F| / h) pairs at
+                  n = 1), and takes the row of g as sum over g | h | N of
+                  mu(h/g) D_h folded mod g: Moebius inversion on the divisor
+                  lattice of N (Apostol, Introduction to Analytic Number
+                  Theory, ch. 2; Rota 1964).
 
-The cost rule compares the direct count's pair steps, from the list lengths,
-with _PASS_STEPS steps per divisor and list for the Moebius passes; the
-constant comes from a per-call table of both counts over q = 5..256, n = 1
-and 2.  So every gate field (N <= 12) counts directly, and the theta-sums of
-large fields by inversion, where the direct count's N^2 (n = 1) or N^3
-(t2.1 at n = 2) pair steps would dominate.  Both count the same tuples in
-Z[Z_N]; neither uses a relation of Z[zeta_N].
+The cost rule sends one assignment to _coset_moebius when its tuples number
+more than _PASS_STEPS per divisor and list: from a per-call table of both
+counts, one row was faster at 320 tuples per divisor and list and Moebius
+inversion at 610.  So every gate field (N <= 12) and every line sum up to
+q = 4096 counts one row, and the theta-sums of large fields count by
+inversion, where the N^2 (n = 1) or N^3 (t2.1 at n = 2) tuples would
+dominate.  Where N times the tuples reaches 2^63 (t2.1 at q = 64, n = 9 has
+62^10 tuples) the Moebius counts are Python ints.  Both count the same tuples
+in Z[Z_N]; neither uses a relation of Z[zeta_N].
 
 Every sum takes the field's shared FieldTable and keeps no state between or
 within calls: the public ops (one assignment each) reduce modulo Phi_N to a
@@ -269,30 +275,28 @@ def _zech_rot(f: FieldTable, x):
 def _exponents(f: FieldTable, e0, mA, mBs, mC, xs, R: int | None = None):
     """The walk's exponent column e0 + A i + (C - A) Z[i] - sum_j B_j
     Z[log x_j + i] at i = 1..N-1, as int64 entries in [0, N), and its dead
-    positions, where some factor 1 - x_j u = 0 kills the term (one per
-    slot, none where x_j = 1).  On a block of R rows (any argument may be a
-    column) both are (R, N - 1) matrices, a row per row, each B-slot adding
-    its rotation of the Zech array (_zech_rot), and the dead positions are a
-    mask, a row with x_j = 0 dead throughout.  Every character is reduced mod
-    N before its product is added, so the sum stays below (n + 2) N^2, far
-    inside int64, and is reduced mod N once, at the end; the sums are formed
-    in place."""
+    mask, True where some factor 1 - x_j u = 0 kills the term (one position
+    per slot, none where x_j = 1, every one where x_j = 0).  On a block of R
+    rows (any argument may be a column) both are (R, N - 1) matrices, a row
+    per row, each B-slot adding its rotation of the Zech array (_zech_rot).
+    Every character is reduced mod N before its product is added, so the sum
+    stays below (n + 2) N^2, far inside int64, and is reduced mod N once, at
+    the end; the sums are formed in place."""
     N, Z2 = f.n_chars, f.zech_array
-    if R is None:
-        e, dead = mA % N * np.arange(1, N), []
-    else:  # characters down as (R, 1) columns, positions across
+    if R is not None:  # characters down as (R, 1) columns, positions across
         e0, mA, mC, *mBs = map(_down, (e0, mA, mC, *mBs))
-        e, dead = np.empty((R, N - 1), dtype=np.int64), np.zeros((R, N - 1), dtype=bool)
-        np.multiply(mA % N, np.arange(1, N), out=e)
+    e = np.empty((N - 1,) if R is None else (R, N - 1), dtype=np.int64)
+    np.multiply(mA % N, np.arange(1, N), out=e)
+    dead = np.zeros(e.shape, dtype=bool)
     e += (mC - mA) % N * Z2[1:N]
     e += e0 % N
     for mb, x in zip(mBs, xs):
         z = _zech_rot(f, x)
         e += -mb % N * z
-        if R is not None:
+        if R is not None or x == 0:
             dead |= z < 0
         elif lx := f.log_table[x]:
-            dead.append(N - lx - 1)  # the position of i = N - lx
+            dead[N - lx - 1] = True  # the position of i = N - lx
     e %= N
     return e, dead
 
@@ -399,157 +403,112 @@ def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
 
 def _walk_terms(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, k=0, w=True):
     """The terms of the F_D walk at the characters A chi^(theta dA), B_j
-    chi^(theta dB_j), C chi^(theta dC), twisted by zeta^(theta k), as (e, d)
-    pairs of exponent e + theta d.  A term's exponent is linear in the
-    characters, so e is the walk's exponent at (A, B, C) and d its exponent
-    at the slope (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope
-    (1, 0) is {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.
-    A B-slot at slope 0 adds nothing to d and skips its product.  w is a
-    weight on every term: False lists none.  One assignment's terms are the
-    (e, d) pairs of _exponents' columns (reduced mod N) with the dead
-    positions dropped, in the order of u.
+    chi^(theta dB_j), C chi^(theta dC), twisted by zeta^(theta k), each of
+    exponent e + theta d.  A term's exponent is linear in the characters, so
+    e is the walk's exponent at (A, B, C) and d its exponent at the slope
+    (dA, dB, dC), plus k.  At n = 0 the walk at (b, b) with slope (1, 0) is
+    {chi^b theta choose theta} = {chi^(b + theta) choose chi^b}.  A B-slot at
+    slope 0 adds nothing to d and skips its product.
 
-    On a block (A an int64 column of R rows; the other characters, the
-    points, k and w columns or ints) the terms are a triple of arrays, each
-    (R, N - 1) or one row shared by every row: the exponents at the
-    characters, their slopes (which involve a point only through a B-slot at
-    a nonzero slope, and the twist k), and their weights, w where _exponents
-    finds the term alive and False where it is dead; exponents and slopes are
-    _exponents' (reduced mod N)."""
+    The terms are a triple (E, M, W) of arrays in the order of u: the
+    exponents e and slopes d (_exponents', reduced mod N) and the weights, w
+    where _exponents finds the term alive and False where it is dead (w =
+    False weighs every term 0).  One assignment's are (N - 1,) arrays; a
+    block's (A an int64 column of R rows; the other characters, the points,
+    k and w columns or ints) are (R, N - 1) matrices, a row per row, the
+    slopes involving a point only through a B-slot at a nonzero slope, and
+    the twist k."""
     l1, R = f.log_neg1, _nrows(mA)
     e0, d0 = (mA + mC) * l1, (dA + dC) * l1 + k
-    if R is None and (not w or 0 in xs):
-        return []
     e, dead = _exponents(f, e0, mA, mBs, mC, xs, R)
     sloped = [(db, x) for db, x in zip(dBs, xs, strict=True) if db]
     d, _ = _exponents(f, d0, dA, [db for db, _ in sloped], dC, [x for _, x in sloped], R)
-    if R is not None:
-        return e, d, ~dead & _down(w)
-    e[dead] = -1  # below every live exponent, which _exponents puts in [0, N)
-    return [t for t in zip(e.tolist(), d.tolist()) if t[0] >= 0]
+    return e, d, ~dead & _down(w)
 
 
-# the cost of one _coset_moebius pass over a divisor and a list, in pair steps
-# of _coset_direct
-_PASS_STEPS = 300
+# the cost of one _coset_moebius pass over a divisor and a list, in tuples of
+# a one-row _coset_rows count
+_PASS_STEPS = 500
 
 
 def _coset_counts(D, terms, *factors):
     """sum over theta in Z_N^n of zeta^(e0 + sum_j e_j + sum_j theta_j
-    (m0 + m_j)), over (e0, m0) in `terms` and one (e_j, m_j) from each of the
-    n >= 1 lists `factors`, N = D.n for the divisor table D of N.  Summed over
-    theta, such a tuple is N^(n-1) g at every exponent = e mod g, e = e0 +
-    sum_j e_j and g = gcd(m0 + m_1, .., m0 + m_n, N): both counts add g per
-    tuple to the row of its g in D's flat accumulator, at e mod g, and _tile
-    spreads the rows.
+    (m0 + m_j)), over the live terms (e0, m0) of `terms` and one live (e_j,
+    m_j) from each of the n >= 1 lists `factors`, N = D.n for the divisor
+    table D of N.  Each list is a triple (E, M, W) of exponents, slopes and
+    0/1 weights (_walk_terms; a factor may be a triple of ints, or of ints
+    and columns on a block).  Summed over theta, such a tuple is N^(n-1) g
+    at every exponent = e mod g, e = e0 + sum_j e_j and g = gcd(m0 + m_1,
+    .., m0 + m_n, N).
 
-    The cost rule: _coset_direct pairs |T| terms with |F_1|, and each later
-    fold at most D.squares states with the next list; _coset_moebius makes
-    one pass per divisor and list, at _PASS_STEPS pair steps each.  The
-    cheaper one runs, and _coset_moebius only while its int64 counts hold N
-    times the number of tuples.  The terms of a block of rows (triples of
-    arrays, from _walk_terms) are counted by _coset_rows."""
-    if type(terms) is tuple:
+    A block of rows (the terms (R, N - 1) matrices) is counted by
+    _coset_rows.  One assignment (the terms (N - 1,) arrays) is counted one
+    of two ways, with the same integers: as a block of one row by
+    _coset_rows, returned as a list, or by _coset_moebius on its live pairs,
+    which makes one pass per divisor and list.  The cost rule sends it to
+    _coset_moebius when its tuples number more than _PASS_STEPS per divisor
+    and list.  A one-row count stays inside int64: the rule caps the tuples,
+    and an entry is at most N^(L-1) times the tuples over L = n + 1 lists;
+    where that reaches 2^63 (at N = 2, each list one term, for n >= 63) the
+    count is _coset_moebius's too."""
+    if np.ndim(terms[0]) == 2:
         return _coset_rows(D, terms, *factors)
-    count = _coset_direct
-    steps, states, tuples = 0, len(terms), len(terms)
-    for fac in factors:
-        steps += states * len(fac)
-        tuples *= len(fac)
-        states = min(tuples, D.squares)
-    if steps > _PASS_STEPS * len(D.divisors) * (len(factors) + 1) and D.n * tuples < 2**63:
-        count = _coset_moebius
-    return count(D, terms, *factors)
+    lists = (terms, *factors)
+    tuples = math.prod(np.size(E) for E, _, _ in lists)
+    if tuples > _PASS_STEPS * len(D.divisors) * len(lists) or D.n ** len(factors) * tuples >> 63:
+        return _coset_moebius(D, *lists)
+    return _coset_rows(D, *lists)[0].tolist()
 
 
-def _coset_direct(D, terms, *factors) -> list[int]:
-    """_coset_counts tuple by tuple.  A partial tuple is kept as its state
-    (g, m0 mod g, e mod g): as g | N, gcd(g, m0 + m) = gcd(g, (m0 mod g) +
-    (m mod g)), one entry of D.gcd[g].  Factors 1..n-1 fold the states,
-    counted per state; the last adds g times each state's count to the row
-    of its final g, at e mod g, from D.slot[g].  A fold keeps no state twice,
-    so it leaves at most sum over g | N of g^2 (D.squares) of them."""
+def _coset_moebius(D, *lists) -> list[int]:
+    """_coset_counts of one assignment by Moebius inversion on the divisor
+    lattice of N, over the live (e, m) pairs of each list (those of weight
+    1).  For each h | N, D_h[r] counts the tuples with h | m0 + m_j for
+    every j and e = r mod h: the lists joined on m mod h (_join), a fresh
+    list first merged into an h x h histogram over (m mod h, e mod h) when
+    that is shorter (_merge).  A small h joins histograms, about h^3 pairs
+    at n = 1; a large h joins buckets, about |T| |F| / h.  As [gcd(m, N) =
+    g] = sum over g | h | gcd(m, N) of mu(h/g), the row of g is the sum over
+    g | h | N of mu(h/g) D_h folded mod g (D.moebius[g]), times g.
+    Exponents and slopes (walk exponents, far inside int64) are reduced mod N
+    first.  No count exceeds N times the number of live tuples: the counts
+    are int64 below 2^63 and Python ints (object arrays) from there."""
     N = D.n
-    *middle, last = factors
-    states = {N: [(m0 % N, e0, 1) for e0, m0 in terms]}  # g -> [(m0 mod g, e, count)]
-    for fac in middle:
-        counts = {}
-        for g, R in states.items():
-            G = D.gcd[g]
-            for e, m in fac:
-                m %= g
-                for r, x, c in R:
-                    h = G[r + m]
-                    key = (h, r % h, (x + e) % h)
-                    counts[key] = counts.get(key, 0) + c
-        states = {}
-        for (h, r, x), c in counts.items():
-            states.setdefault(h, []).append((r, x, c))
-    acc = [0] * D.size
-    for g, R in states.items():
-        G, S = D.gcd[g], D.slot[g]
-        for e, m in last:
-            m %= g
-            for r, x, c in R:
-                k = r + m
-                h = G[k]
-                acc[S[k] + (x + e) % h] += c * h
-    return _tile(D, acc, len(factors))
-
-
-def _coset_moebius(D, terms, *factors) -> list[int]:
-    """_coset_counts by Moebius inversion on the divisor lattice of N.  For
-    each h | N, D_h[r] counts the tuples with h | m0 + m_j for every j and
-    e = r mod h: the lists joined on m mod h (_join), a fresh list first
-    merged into an h x h histogram over (m mod h, e mod h) when that is
-    shorter (_merge).  A small h joins histograms, about h^3 pairs at n = 1;
-    a large h joins buckets, about |T| |F| / h.  As [gcd(m, N) = g] =
-    sum over g | h | gcd(m, N) of mu(h/g), the row of g is the sum over g | h
-    | N of mu(h/g) D_h folded mod g (D.moebius[g]), times g.  Exponents and
-    slopes (walk exponents, far inside int64) are reduced mod N first; no
-    int64 count exceeds N times the number of tuples, which the caller keeps
-    below 2^63."""
-    N = D.n
-    T, *Fs = (np.array(L, dtype=np.int64).reshape(-1, 2) % N for L in (terms, *factors))
+    T, *Fs = (np.column_stack([a[W] % N for a in np.broadcast_arrays(E, M)])
+              for E, M, W in lists)
+    tuples = math.prod(len(L) for L in (T, *Fs))
+    dtype = np.int64 if N * tuples < 2**63 else object
     count = {}  # h -> D_h
     for h in D.divisors:
-        state = _merge(h, T[:, 1] % h, T[:, 0] % h)
+        a, x, c = _merge(h, T[:, 1] % h, T[:, 0] % h)
+        state = a, x, c.astype(dtype)
         for F in Fs[:-1]:
             state = _join(h, *state, F, last=False)
         count[h] = _join(h, *state, Fs[-1], last=True)
-    acc = np.zeros(D.size, dtype=np.int64)
+    acc = np.zeros(D.size, dtype=dtype)
     for g in D.divisors:
         row = acc[D.offset[g]:D.offset[g] + g]
         for h, mu in D.moebius[g]:
             row += mu * count[h].reshape(-1, g).sum(axis=0)
         row *= g
-    return _tile(D, acc.tolist(), len(factors))
-
-
-def _term_cols(L):
-    """A list of terms as (E, M, W) matrices, each at least 2-D: a triple from
-    _walk_terms as it is, a list of (e, m) pairs (ints or columns) of weight 1."""
-    if type(L) is not tuple:
-        E, M = (np.stack(np.broadcast_arrays(*v), axis=-1) for v in zip(*L))
-        L = E, M, np.ones(len(L), dtype=bool)
-    return tuple(np.atleast_2d(a) for a in L)
+    return _tile(D, acc.tolist(), len(Fs))
 
 
 def _coset_rows(D, *lists) -> np.ndarray:
     """_coset_counts for a block of R rows, as an (R, N) array.  Each list is
     a triple (E, M, W) of exponents, slopes and 0/1 weights, each an (R, T)
-    matrix or a row shared by every row (_walk_terms), or a list of (e, m)
-    pairs, ints or columns, of weight 1.  A tuple's g = gcd(m0 + m_1, ..,
-    m0 + m_n, N) is read from D: the index of gcd(m0 + m_j, N) from D.rank,
-    the indices of the n lists joined by D.meet.  A chunk of at most
-    max(1, _BLOCK // R) tuples is one bincount of row sigma(N) + offset[g] +
-    e mod g, a tuple of weight 0 counted past the last row, and, as in
-    _tile, the row of g is scaled by g and tiled to length N, and the whole
-    is scaled by N^(n-1); a block of more than _BLOCK // sigma(N) rows runs a
-    slice of rows at a time.  No int64 entry exceeds N^n times the number of
+    matrix, a row (T,) shared by every row, or an int (one term shared by
+    every row), as at least 2-D arrays.  A tuple's g = gcd(m0 + m_1, .., m0
+    + m_n, N) is read from D: the index of gcd(m0 + m_j, N) from D.rank, the
+    indices of the n lists joined by D.meet.  A chunk of at most max(1,
+    _BLOCK // R) tuples is one bincount of row sigma(N) + offset[g] + e mod
+    g, a tuple of weight 0 counted past the last row, and, as in _tile, the
+    row of g is scaled by g and tiled to length N, and the whole is scaled
+    by N^(n-1); a block of more than _BLOCK // sigma(N) rows runs a slice of
+    rows at a time.  No int64 entry exceeds N^n times the number of
     tuples."""
     N = D.n
-    cols = [_term_cols(L) for L in lists]
+    cols = [tuple(np.atleast_2d(a) for a in L) for L in lists]
     R = max(len(a) for L in cols for a in L)
     if R > _BLOCK // D.size > 0:
         return np.concatenate([_coset_rows(D, *(tuple(a[s] if len(a) == R else a for a in L)
@@ -573,11 +532,12 @@ def _coset_rows(D, *lists) -> np.ndarray:
             w = w & W[:, k]
         e %= D.value[g]
         e += D.starts[g]
-        i = e + rows
-        i[~np.broadcast_to(w, i.shape)] = past
+        i = np.where(w, e + rows, past)
         acc += np.bincount(i.ravel(), minlength=past + 1)
     acc = acc[:past].reshape(R, D.size) * D.widths
-    out = sum(np.tile(acc[:, o:o + g], N // g) for g, o in D.offset.items())
+    out = np.zeros((R, N), dtype=np.int64)
+    for g, o in D.offset.items():  # the row of g added to each stretch of g exponents
+        out.reshape(R, N // g, g)[...] += acc[:, None, o:o + g]
     return out * N ** (len(lists) - 2)
 
 
@@ -607,7 +567,7 @@ def _join(h, a, x, c, F, last: bool):
     start = np.cumsum(size) - size
     rep = size[a]
     listed = not last and h * h >= rep.sum()
-    out = [(a[:0], x[:0], c[:0])] if listed else np.zeros(h if last else h * h, dtype=np.int64)
+    out = [(a[:0], x[:0], c[:0])] if listed else np.zeros(h if last else h * h, dtype=c.dtype)
     step = max(1, _BLOCK // max(1, int(size.max())))
     for s in range(0, len(a), step):
         r = rep[s:s + step]
@@ -654,7 +614,7 @@ def _line_vec(f: FieldTable, ma, mb, x):
     if type(ma) is not np.ndarray and x == 0:
         return [0] * f.n_chars
     return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1, 0, x != 0),
-                         [(0, _log(f, x))])
+                         (0, _down(_log(f, x)), True))
 
 
 def _charsum_vec(f: FieldTable, mA, mBs, mC, xs):

@@ -10,16 +10,21 @@ N^n-term character sum, the character sum with one packed binomial per key
 (family_charsum, which the coset count replaced), the per-theta
 generating-function sum, the per-chi k-sum, the per-y sum of T43's t = -1
 term, and the rotate-and-add of a fresh F_D vector for the walk that adds
-into the caller's vector.  The walk's terms at a slope (_walk_terms) are
-compared with the slot-coded F_D terms and the Jacobi-form binomial terms
-they replaced (fd_terms, binom_terms), and at every slope in {-1, 0, 1} per
-character with one _fd_vec walk per theta (per_theta_walks).  The sums over
-characters count the terms of one walk (_coset_counts), by one of two counts
-over the field's divisor table, each called directly against the state count
-it replaced (state_coset_counts): at every N <= 64, at N in {255, 1023, 4092,
-4095}, at n = 1, 2 and 3, with empty lists and with every slope agreeing mod a
-prime of N; a dispatch test pins the cost rule's choice.  The paths they
-replaced stay here as oracles: the pair loop that counted one factor
+into the caller's vector.  The live entries of the walk's terms at a slope
+(_walk_terms' (E, M, W) triple) are compared with the slot-coded F_D terms
+and the Jacobi-form binomial terms they replaced (fd_terms, binom_terms), and
+at every slope in {-1, 0, 1} per character with one _fd_vec walk per theta
+(per_theta_walks).  The sums over characters count the terms of one walk
+(_coset_counts).  One assignment is counted one of two ways over the field's
+divisor table, as a block of one row (_coset_rows) or by Moebius inversion
+(_coset_moebius); each is called directly, on (e, m) pair lists made triples
+with two dead terms each (triple), against the state count it replaced
+(state_coset_counts): at every N <= 64, at N in {255, 1023, 4092, 4095}, at
+n = 1, 2 and 3, with empty lists and with every slope agreeing mod a prime of
+N.  The character-sum form past the int64 count bound (N times the tuples at
+least 2^63, where the Moebius count keeps Python ints) is compared with the
+state count too, and two dispatch tests pin the cost rule's choice.  The
+paths they replaced stay here as oracles: the pair loop that counted one factor
 (pair_coset_counts), the literal sum over Z_N^n, the N rows of one-pass F_D
 values (_fd_rows, itself checked against one _fd_vec walk per theta), the
 packed per-theta binomial sum over those rows (binom_vec_sum), and the line
@@ -34,9 +39,10 @@ passes (_fd_vec, _beta_vec, and _walk_terms's terms of one assignment), are
 compared with the list loops they replaced (_fd_list, _beta_list,
 _walk_terms_list, in walk_oracles.py), each called directly.
 Exhaustive over every character tuple at q <= 5, sampled at larger q; mutants
-of the direct count (its gcd fold, state reduction, scale, residues and
-tiling), of the Moebius count (the mu sign, a divisor skipped, the fold
-modulus, the join's sign, a histogram cell transposed, the last block), of
+of the one-row count (the result read from the wrong axis, its scale,
+residues and tiling), of the Moebius count (dead terms counted, int64 counts
+past the bound, the mu sign, a divisor skipped, the fold modulus, the join's
+sign, a histogram cell transposed, the last block, the scale), of
 the slopes and twists, of the slot width (one byte short), of the T43
 term, of the double walk (its rotation, fixed slots, dead markers and per-u
 exponent) and of the walks (the dead term kept, a rotation off by one, `out`
@@ -50,6 +56,7 @@ import textwrap
 from itertools import chain
 from math import gcd
 
+import numpy as np
 import pytest
 
 from ffhyper import charset, cyclo, ff_core, hyperff, identities
@@ -347,6 +354,37 @@ def state_coset_counts(N, terms, *factors):
     return out
 
 
+def triple(pairs):
+    """One assignment's (E, M, W) terms from a list of (e, m) pairs, each of
+    weight 1, followed by two dead terms (weight 0) that a count must skip."""
+    E, M = (np.array([p[i] for p in pairs] + [1, 2], dtype=np.int64) for i in (0, 1))
+    return E, M, np.arange(len(E)) < len(pairs)
+
+
+def live_terms(terms):
+    """The (e, m) pairs of one assignment's (E, M, W) terms of weight 1, in
+    order."""
+    return [(e, m) for e, m, w in zip(*(a.tolist() for a in terms)) if w]
+
+
+def run_count(name, D, *pairs):
+    """One assignment's count by hyperff.<name>, the one-row _coset_rows or
+    _coset_moebius, of pair lists made triples, as a list."""
+    out = getattr(hyperff, name)(D, *map(triple, pairs))
+    return out[0].tolist() if name == "_coset_rows" else out
+
+
+def charsum_oracle(f, mA, mBs, mC, xs):
+    """The character-sum form as the state count of the list loop's terms:
+    the n = 0 walk at slope (1, 1) against each twisted binomial's."""
+    N, L = f.n_chars, f.log_table
+    if 0 in xs:
+        return [0] * N
+    return state_coset_counts(N, _walk_terms_list(f, mA, (), mC, (), 1, (), 1),
+                              *(_walk_terms_list(f, mb, (), mb, (), 1, (), 0, L[x])
+                                for mb, x in zip(mBs, xs)))
+
+
 def binom_vec_sum(f, keys, vecs, k):
     """sum_c zeta^(c k) {keys[c]} vecs[c] for length-N vectors vecs[c]; each
     term's l1 is at most (N - 1) l1(vecs[c])."""
@@ -402,10 +440,10 @@ SLOT_SLOPES = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, -1), "AC": (1, 0, 1)}
 
 
 def slot_terms(f, mA, mBs, mC, xs, slot):
-    """hyperff._walk_terms at the slope of a slot code."""
+    """The live terms of hyperff._walk_terms at the slope of a slot code."""
     dA, dB, dC = SLOT_SLOPES[slot]
     dBs = (0,) * (len(mBs) - 1) + (dB,) if mBs else ()
-    return hyperff._walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC)
+    return live_terms(hyperff._walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC))
 
 
 def spread(N, terms):
@@ -745,21 +783,30 @@ def test_charsum_matches_literal_sampled(q):
             assert hyperff._charsum_vec(f, *args) == literal_charsum(f, *args), args
 
 
-@pytest.mark.parametrize("n", [12, 13, 14])
-def test_charsum_beyond_2_63_equals_scaled_fd(n):
+@pytest.mark.parametrize("q, n", [(7, 12), (7, 13), (7, 14), (7, 26), (64, 9), (3, 70)],
+                         ids=["12", "13", "14", "7-26", "64-9", "3-70"])
+def test_charsum_beyond_2_63_equals_scaled_fd(q, n):
     # at q = 7 the coefficients pass 2^63 at n = 14; the character sum still
-    # equals N^n F_D in Z[zeta_6]
-    f = _field(7)
+    # equals N^n F_D in Z[zeta_6].  The other draws pass the counts' int64
+    # bounds, and there the sum is also the state count of the list loop's
+    # terms: at q = 7, n = 26 (6^27 tuples) and q = 64, n = 9 (62^10) N times
+    # the tuples passes 2^63, so the Moebius count keeps Python ints; at q = 3
+    # every list is one term, and N^n times the tuples passes 2^63 from
+    # n = 63, where a count of one row would overflow
+    f = _field(q)
     N = f.n_chars
     rng = random.Random(700 + n)
-    for _ in range(3):
+    for _ in range(1 if q == 64 else 3):
         mA, mC = rng.randrange(N), rng.randrange(N)
         mBs = tuple(rng.randrange(N) for _ in range(n))
-        xs = tuple(rng.randrange(1, 7) for _ in range(n))
+        xs = tuple(rng.randrange(1, q) for _ in range(n))
         cs = hyperff._charsum_vec(f, mA, mBs, mC, xs)
         fd = hyperff._fd_vec(f, mA, mBs, mC, xs)
         assert cyclo.vanishes(N, [N ** n * a - b for a, b in zip(fd, cs)])
-        assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
+        if q == 7 and n <= 14:
+            assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
+        else:
+            assert cs == charsum_oracle(f, mA, mBs, mC, xs)
 
 
 def _charsum_draw(rng, q, n):
@@ -782,33 +829,38 @@ def test_charsum_matches_packed_oracle_sampled(q):
 
 
 def test_charsum_mutants_are_caught(monkeypatch):
-    # n = 1, 2 and 3 draws at q = 7, where N = 6 has the divisors 2 and 3
+    # n = 1, 2 and 3 draws at q = 7, where N = 6 has the divisors 2 and 3,
+    # each a block of one row; and n = 26 draws, counted by Moebius inversion
     rng = random.Random(5)
-    cases = [_charsum_draw(rng, 7, n) for n in (1, 2, 3) * 8]
+    small = [_charsum_draw(rng, 7, n) for n in (1, 2, 3) * 8]
+    large = [_charsum_draw(rng, 7, 26) for _ in range(2)]
     f = _field(7)
-    want = [family_charsum(f, *args) for args in cases]
+    want = [[family_charsum(f, *args) for args in cases] for cases in (small, large)]
 
     def all_match():
-        """Every draw matches; a draw that raises does not match."""
+        """(every small draw matches, every large draw matches); a draw that
+        raises does not match."""
         try:
-            return all(hyperff._charsum_vec(f, *args) == w for args, w in zip(cases, want))
-        except IndexError:
-            return False
+            return tuple(all(hyperff._charsum_vec(f, *args) == w for args, w in zip(cases, ws))
+                         for cases, ws in zip((small, large), want))
+        except (IndexError, ValueError):
+            return (False, False)
 
-    assert all_match()
-    with monkeypatch.context() as m:  # the twist log x_j dropped
-        _mutate(m, "_charsum_vec", "1, (), 0, _log(f, x), x != 0)", "1, (), 0, 0, x != 0)")
-        assert not all_match()
-    with monkeypatch.context() as m:  # the gcd fold skipped: a state keeps its g
-        _mutate(m, "_coset_direct", "h = G[r + m]", "h = G[0]")
-        assert not all_match()
-    with monkeypatch.context() as m:  # m0 mod g not reduced when g drops to h
-        _mutate(m, "_coset_direct", "key = (h, r % h, (x + e) % h)", "key = (h, r, (x + e) % h)")
-        assert not all_match()
-    with monkeypatch.context() as m:  # the scale N^(n-1) taken as N^n
-        _mutate(m, "_tile", "N ** (n - 1)", "N ** n")
-        assert not all_match()
-    assert all_match()
+    assert all_match() == (True, True)
+    for name, old, new, caught in [
+        # the twist log x_j dropped
+        ("_charsum_vec", "1, (), 0, _log(f, x), x != 0)", "1, (), 0, 0, x != 0)", (False, False)),
+        # the one-row result read down its first column, not along its row
+        ("_coset_counts", "_coset_rows(D, *lists)[0]", "_coset_rows(D, *lists)[:, 0]",
+         (False, True)),
+        # the scale N^(n-1) taken as N^n, in either count
+        ("_coset_rows", "N ** (len(lists) - 2)", "N ** (len(lists) - 1)", (False, True)),
+        ("_tile", "N ** (n - 1)", "N ** n", (True, False)),
+    ]:
+        with monkeypatch.context() as m:
+            _mutate(m, name, old, new)
+            assert all_match() == caught, (name, old, new)
+    assert all_match() == (True, True)
 
 
 # -- one-pass F_D rows -------------------------------------------------------------------
@@ -1054,7 +1106,7 @@ def _terms_match_slot_codes(f, args):
 def _binom_terms_match(f, b, k):
     """The n = 0 walk at (b, b), slope (1, 0), twist k lists binom_terms's terms."""
     N = f.n_chars
-    return _mod(N, hyperff._walk_terms(f, b, (), b, (), 1, (), 0, k)) == \
+    return _mod(N, live_terms(hyperff._walk_terms(f, b, (), b, (), 1, (), 0, k))) == \
         _mod(N, binom_terms(f, b, k))
 
 
@@ -1086,9 +1138,11 @@ def test_walk_terms_match_slot_codes_sampled(q):
 
 
 def _terms_are_the_list_loop(f, *args):
-    """_walk_terms lists _walk_terms_list's terms in the same order, mod N."""
+    """The live entries of _walk_terms's triple are _walk_terms_list's terms
+    in the same order, mod N."""
     N = f.n_chars
-    return _mod(N, hyperff._walk_terms(f, *args)) == _mod(N, _walk_terms_list(f, *args))
+    return _mod(N, live_terms(hyperff._walk_terms(f, *args))) == \
+        _mod(N, _walk_terms_list(f, *args))
 
 
 def _slope_cases(f, n, rng, size):
@@ -1111,7 +1165,7 @@ def test_walk_terms_at_every_slope_exhaustive(q):
         for dA, dC, *dBs in itertools.product((-1, 0, 1), repeat=n + 2):
             for args in _slope_cases(f, n, rng, 12 if n == 2 else None):
                 slope = (dA, dBs, dC, rng.randrange(N))
-                got = spread(N, hyperff._walk_terms(f, *args[:2], args[2], args[3], *slope))
+                got = spread(N, live_terms(hyperff._walk_terms(f, *args, *slope)))
                 assert got == per_theta_walks(f, *args, *slope), (args, slope)
                 assert _terms_are_the_list_loop(f, *args, *slope), (args, slope)
 
@@ -1127,7 +1181,7 @@ def test_walk_terms_at_every_slope_sampled(q):
                     rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)))
             dA, dC, *dBs = (rng.randint(-2, 2) for _ in range(n + 2))
             slope = (dA, dBs, dC, rng.randrange(-N, 2 * N))
-            got = spread(N, hyperff._walk_terms(f, *args, *slope))
+            got = spread(N, live_terms(hyperff._walk_terms(f, *args, *slope)))
             assert got == per_theta_walks(f, *args, *slope), (args, slope)
             assert _terms_are_the_list_loop(f, *args, *slope), (args, slope)
 
@@ -1181,14 +1235,15 @@ def test_coset_counts_match_literal_theta_sum(N):
     span = 5 * N + 3
     for size in (0, 1, 7, 40):
         terms = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(size)]
-        assert hyperff._coset_counts(D, terms, [(0, 0)]) == literal_theta_sum(N, terms)
+        assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])) == \
+            literal_theta_sum(N, terms)
         shifts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3)]
-        assert hyperff._coset_counts(D, terms, shifts) == \
+        assert hyperff._coset_counts(D, triple(terms), triple(shifts)) == \
             literal_theta_sum(N, terms, shifts) == pair_coset_counts(N, terms, shifts)
     # every slope class at once: m = 0 (g = N), every divisor of N, units
     terms = [(rng.randrange(N), m) for m in range(N)]
-    assert hyperff._coset_counts(D, terms, [(0, 0)]) == literal_theta_sum(N, terms) == \
-        pair_coset_counts(N, terms, [(0, 0)])
+    assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])) == \
+        literal_theta_sum(N, terms) == pair_coset_counts(N, terms, [(0, 0)])
 
 
 def _kernel_lists(rng, N, size, span, residue=None):
@@ -1213,11 +1268,12 @@ def test_coset_counts_match_literal_multi_theta_sum(N):
         for residue in (None, 0, 1):
             terms = _kernel_lists(rng, N, 4, span, residue)
             factors = [_kernel_lists(rng, N, 3, span, residue) for _ in range(n)]
-            assert hyperff._coset_counts(D, terms, *factors) == \
+            assert hyperff._coset_counts(D, *map(triple, (terms, *factors))) == \
                 literal_multi_theta_sum(N, terms, *factors), (n, residue)
 
 
-COUNTS = ("_coset_direct", "_coset_moebius")
+# the two counts of one assignment, each called by run_count
+COUNTS = ("_coset_rows", "_coset_moebius")
 
 
 def _count_lists(rng, N, sizes, p=None):
@@ -1258,7 +1314,7 @@ def test_both_counts_match_the_state_oracle_exhaustive(N):
                                                  3: (6, 5, 5, 5)}):
         want = state_coset_counts(N, terms, *factors)
         for name in COUNTS:
-            assert getattr(hyperff, name)(D, terms, *factors) == want, (name, len(factors))
+            assert run_count(name, D, terms, *factors) == want, (name, len(factors))
 
 
 @pytest.mark.parametrize("N", [255, 1023, 4092, 4095])
@@ -1269,7 +1325,7 @@ def test_both_counts_match_the_state_oracle_sampled(N):
                                                  3: (30, 12, 12, 12)}):
         want = state_coset_counts(N, terms, *factors)
         for name in COUNTS:
-            assert getattr(hyperff, name)(D, terms, *factors) == want, (name, len(factors))
+            assert run_count(name, D, terms, *factors) == want, (name, len(factors))
 
 
 def test_counts_of_a_single_list_slope_class():
@@ -1281,8 +1337,8 @@ def test_counts_of_a_single_list_slope_class():
     terms = [(rng.randrange(N), N * rng.randint(-3, 3)) for _ in range(20)]
     shifts = [(rng.randrange(N), N * rng.randint(-3, 3)) for _ in range(9)]
     want = literal_theta_sum(N, terms, shifts)
-    assert hyperff._coset_direct(D, terms, shifts) == want
-    assert hyperff._coset_moebius(D, terms, shifts) == want
+    for name in COUNTS:
+        assert run_count(name, D, terms, shifts) == want, name
 
 
 def _theta_sides(f, n, rng):
@@ -1298,18 +1354,24 @@ def _theta_sides(f, n, rng):
     hyperff._charsum_vec(f, cs[0], cs[2:], cs[1], es)
 
 
-@pytest.mark.parametrize("qs, ns, path", [
-    ((3, 4, 5, 7, 8, 9, 11, 13), (1, 2), "_coset_direct"),  # every gate field
-    ((1024, 4096), (1,), "_coset_moebius"),
-])
-def test_cost_rule_picks_the_count(monkeypatch, qs, ns, path):
-    # the cost rule keeps every gate field on the direct count and sends the
-    # theta-sums of large fields through Moebius inversion
+def _record_counts(monkeypatch):
+    """The names of the counts that run, in order, as a list that grows."""
     used = []
     for name in COUNTS:
         count = getattr(hyperff, name)
         monkeypatch.setattr(hyperff, name,
                             lambda *a, _n=name, _c=count: used.append(_n) or _c(*a))
+    return used
+
+
+@pytest.mark.parametrize("qs, ns, path", [
+    ((3, 4, 5, 7, 8, 9, 11, 13), (1, 2), "_coset_rows"),  # every gate field
+    ((1024, 4096), (1,), "_coset_moebius"),
+])
+def test_cost_rule_picks_the_count(monkeypatch, qs, ns, path):
+    # the cost rule counts one assignment on every gate field as a block of
+    # one row, and the theta-sums of large fields by Moebius inversion
+    used = _record_counts(monkeypatch)
     rng = random.Random(23)
     for q in qs:
         f = _field(q)
@@ -1317,17 +1379,37 @@ def test_cost_rule_picks_the_count(monkeypatch, qs, ns, path):
             for _ in range(3 if q < 1024 else 1):
                 _theta_sides(f, n, rng)
     assert used and set(used) == {path}
-    # the line sum pairs its N - 1 terms with one shift: direct at any q
+    # the line sum pairs its N - 1 terms with one twist: one row at any q <= 4096
     used.clear()
     for q in qs:
         hyperff._line_vec(_field(q), 1, 2, q - 1)
-    assert used == ["_coset_direct"] * len(qs)
+    assert used == ["_coset_rows"] * len(qs)
+
+
+@pytest.mark.parametrize("q, n, path", [
+    (64, 1, "_coset_rows"), (13, 3, "_coset_moebius"), (27, 2, "_coset_moebius"),
+])
+def test_cost_rule_at_the_measured_crossover(monkeypatch, q, n, path):
+    # t2.1's character-sum form counts (N - 1)^(n+1) tuples over n + 1 lists:
+    # 320 per divisor and list at q = 64, n = 1, where one row was measured
+    # faster, and 610 at q = 13, n = 3 and 1302 at q = 27, n = 2, where
+    # Moebius inversion was
+    used = _record_counts(monkeypatch)
+    hyperff._charsum_vec(_field(q), *_charsum_draw(random.Random(q), q, n))
+    assert used == [path]
 
 
 def _moebius_cases():
+    """Random lists at N = 6, 12, 30 and 60, and 27 lists of 5 terms at N = 6
+    whose exponents and slopes are all 0 mod N: each of the 5^27 tuples has g
+    = N and e = 0 mod N, so the row of N holds N 5^27 >= 2^63 at 0 and the
+    counts are Python ints."""
     rng = random.Random(29)
+    past = [[(6 * rng.randint(-2, 2), 6 * rng.randint(-2, 2)) for _ in range(5)]
+            for _ in range(27)]
     return [(N, cyclo.DivisorTable(N), *lists) for N in (6, 12, 30, 60)
-            for lists in _count_cases(rng, N, {1: (40, 40), 2: (12, 8, 8)})]
+            for lists in _count_cases(rng, N, {1: (40, 40), 2: (12, 8, 8)})] + \
+        [(6, cyclo.DivisorTable(6), *past)]
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
@@ -1336,7 +1418,7 @@ def test_moebius_count_in_small_blocks(monkeypatch, block):
     # the same tuples as one block
     monkeypatch.setattr(hyperff, "_BLOCK", block)
     for N, D, terms, *factors in _moebius_cases():
-        assert hyperff._coset_moebius(D, terms, *factors) == \
+        assert run_count("_coset_moebius", D, terms, *factors) == \
             state_coset_counts(N, terms, *factors), (N, len(factors))
 
 
@@ -1347,13 +1429,15 @@ def test_moebius_count_mutants_are_caught(monkeypatch):
     def all_match():
         """Every case matches; a case that raises does not match."""
         try:
-            return all(hyperff._coset_moebius(D, terms, *factors) == w
+            return all(run_count("_coset_moebius", D, terms, *factors) == w
                        for (N, D, terms, *factors), w in zip(cases, want))
         except (IndexError, ValueError, KeyError):
             return False
 
     assert all_match()
     for name, old, new in [
+        ("_coset_moebius", "a[W] % N", "a % N"),  # dead terms counted: W ignored
+        ("_coset_moebius", "else object", "else np.int64"),  # int64 counts past 2^63 wrap
         ("_coset_moebius", "row += mu *", "row -= mu *"),  # the mu sign flipped
         ("_coset_moebius", "D.moebius[g]:", "D.moebius[g][1:]:"),  # the divisor h = g skipped
         ("_coset_moebius", ".reshape(-1, g)", ".reshape(g, -1)"),  # folded mod h/g, not g
@@ -1468,19 +1552,19 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
         try:
             return (all(hyperff._line_vec(f, ma, mb, x) == want for ma, mb, x, want in lines),
                     all(_theta_sums_match(f, 5, 1, cs, es) for cs, es in _q5_cases()))
-        except IndexError:
+        except (IndexError, ValueError):
             return (False, False)
 
     assert all_match() == (True, True)
     with monkeypatch.context() as m:  # the residue taken mod N instead of mod g: where
         # g < N it spills into a later row of the flat accumulator, or past its end
-        _mutate(m, "_coset_direct", "S[k] + (x + e) % h", "S[k] + (x + e) % N")
+        _mutate(m, "_coset_rows", "e %= D.value[g]", "e %= N")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # each count put at one exponent, not spread by g
-        _mutate(m, "_tile", "acc[o:o + g] * (N // g)", "acc[o:o + g] + [0] * (N - g)")
+        _mutate(m, "_coset_rows", "out.reshape(R, N // g, g)[...] +=", "out[:, :g] +=")
         assert all_match() == (False, False)
     with monkeypatch.context() as m:  # the twist dropped from the line sum's slope
-        _mutate(m, "_line_vec", "[(0, _log(f, x))]", "[(0, 0)]")
+        _mutate(m, "_line_vec", "(0, _down(_log(f, x)), True)", "(0, 0, True)")
         assert all_match() == (False, True)
     with monkeypatch.context() as m:  # the twist dropped from the shared theta-sum
         _mutate(m, "_theta_sum", "0, _log(f, t), t != 0)", "0, 0, t != 0)")
