@@ -193,26 +193,21 @@ def vanishes(n: int, vec):
     the product vanishes at exactly the non-primitive n-th roots of unity, and
     x^n - 1 is squarefree, so the product is divisible by x^n - 1 iff v
     vanishes at the primitive ones (de Bruijn 1953; Lam & Leung 2000).  Each
-    factor is one cyclic shift-and-subtract, O(n).
+    factor is one cyclic shift-and-subtract, O(n), a pass over every row.
 
-    An (R, n) int64 array is R vectors: the same passes run along axis 1 and
-    the answer is a boolean array, one per row.  Each pass at most doubles
-    the largest magnitude, so the caller keeps 2^omega(n) times the rows'
-    largest |entry| below 2^62; past that, pass each row as a list of ints.
+    An (R, n) array is R vectors and the answer a boolean array, one per
+    row; a length-n array or sequence (read as an object row of Python ints)
+    is one row and the answer a bool.  Each pass at most doubles the largest
+    magnitude, so int64 rows need 2^omega(n) times it below 2^62.
     """
-    if isinstance(vec, np.ndarray) and vec.ndim == 2:
-        if vec.shape[1] != n:
-            raise ValueError(f"expected rows of length {n}, got length {vec.shape[1]}")
-        for p in _prime_divisors(n):
-            vec = np.roll(vec, n // p, axis=1) - vec
-        return ~vec.any(axis=1)
-    v = list(vec)
-    if len(v) != n:
-        raise ValueError(f"expected a length-{n} vector, got length {len(v)}")
+    rows = np.atleast_2d(vec if isinstance(vec, np.ndarray) else np.array(list(vec), dtype=object))
+    if rows.shape[1] != n:
+        raise ValueError(f"expected rows of length {n}, got length {rows.shape[1]}")
     for p in _prime_divisors(n):
         s = n // p
-        v = [a - b for a, b in zip(v[-s:] + v[:-s], v)]
-    return not any(v)
+        rows = np.concatenate((rows[:, -s:], rows[:, :-s]), axis=1) - rows
+    zero = ~(rows != 0).any(axis=1)
+    return zero if np.ndim(vec) == 2 else bool(zero[0])
 
 
 @dataclass(frozen=True)
@@ -250,8 +245,10 @@ def from_int(n: int, m: int) -> CycInt:
 
 
 def from_coeffs(n: int, coeffs) -> CycInt:
-    """CycInt from an arbitrary-length power-basis coefficient sequence."""
-    return CycInt(n, _reduce(list(coeffs), n))
+    """CycInt from an arbitrary-length power-basis coefficient sequence or
+    1-D array (its entries read as Python ints)."""
+    coeffs = coeffs.tolist() if isinstance(coeffs, np.ndarray) else list(coeffs)
+    return CycInt(n, _reduce(coeffs, n))
 
 
 def div_exact(a: CycInt, d: int) -> CycInt:

@@ -39,7 +39,7 @@ keeps its dead marker 3N and bincounts blocks of at most _BLOCK pair sums, so
 its memory does not grow with N^2.  Every character is reduced mod N before
 its product is added and the column once at the end, so no int64 entry
 exceeds (n + 2) N^2 (7N in the double walk's sums), and one assignment's
-counts become Python ints before any scaling.
+side is the length-N int64 row that a block would give it.
 
 A block of rows.  Exhaustive and boundary verification, and sampled
 verification below N = identities._ARRAY_MIN_N, evaluate a side for R rows at
@@ -110,14 +110,14 @@ counts, one row was faster at 320 tuples per divisor and list and Moebius
 inversion at 610.  So every gate field (N <= 12) and every line sum up to
 q = 4096 counts one row, and the theta-sums of large fields count by
 inversion, where the N^2 (n = 1) or N^3 (t2.1 at n = 2) tuples would
-dominate.  Where N times the tuples reaches 2^63 (t2.1 at q = 64, n = 9 has
-62^10 tuples) the Moebius counts are Python ints.  Both count the same tuples
-in Z[Z_N]; neither uses a relation of Z[zeta_N].
+dominate.  Where N^n times the tuples reaches 2^63 (t2.1 at q = 64 from n =
+5) the Moebius counts are Python ints, the only sides in object rows.  Both
+count the same tuples in Z[Z_N]; neither uses a relation of Z[zeta_N].
 
 Every sum takes the field's shared FieldTable and keeps no state between or
 within calls: the public ops (one assignment each) reduce modulo Phi_N to a
 canonical CycInt once, at the end; the verifier never reduces: it decides
-equality of fresh raw vectors with cyclo.vanishes and builds canonical form
+equality of fresh raw rows with cyclo.vanishes and builds canonical form
 only for output.
 """
 
@@ -125,7 +125,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
@@ -139,27 +138,29 @@ from .ff_core import FieldTable, _check_points
 
 
 def _conv(a, b, N: int):
-    """Cyclic convolution of two length-N count vectors (entries >= 0): one
-    packed multiply (General products, above), each operand the integer of
-    the low k bytes of its <u8 entries, k the byte length of sum(a) sum(b).
-    An entry outside [0, 2^64) or a sum(a) sum(b) of 2^64 or more is a
+    """Cyclic convolution of two length-N count vectors (entries >= 0), as an
+    int64 row: one packed multiply (General products, above), each operand
+    the integer of the low k bytes of its <i8 entries, k the byte length of
+    sum(a) sum(b).  A negative entry or a sum(a) sum(b) of 2^63 or more is a
     ValueError.
 
     On a block (both operands (R, N) arrays) row r of the product is
     sum_j a[r, j] b[r, i - j], gathered through an N x N index table for at
     most _BLOCK // N^2 rows at a time; each entry is at most sum(a) sum(b)."""
-    if isinstance(a, np.ndarray):
+    if np.ndim(a) == 2:
         back = (np.arange(N) - np.arange(N)[:, None]) % N  # back[j, i] = i - j mod N
         step = max(1, _BLOCK // (N * N))
         return np.concatenate([(a[r:r + step, :, None] * b[r:r + step][:, back]).sum(axis=1)
                                for r in range(0, max(1, len(a)), step)])
     try:
-        a8, b8 = np.array(a, dtype="<u8"), np.array(b, dtype="<u8")
+        a8, b8 = np.ascontiguousarray(a, "<i8"), np.ascontiguousarray(b, "<i8")
     except OverflowError:
-        raise ValueError("_conv takes counts in [0, 2^64)") from None
-    bound = sum(a) * sum(b)
-    if bound >> 64:
-        raise ValueError(f"_conv's bound sum(a) sum(b) = {bound} is not below 2^64")
+        raise ValueError("_conv takes counts in [0, 2^63)") from None
+    # an int64 sum is exact below 2^32 per entry (N < 2^31)
+    bound = math.prod(sum(v.tolist()) if v.max() >> 32 else int(v.sum()) for v in (a8, b8))
+    if bound >> 63 or min(a8.min(), b8.min()) < 0:
+        raise ValueError(f"_conv takes counts in [0, 2^63) with sum(a) sum(b) = {bound} "
+                         "below 2^63")
     k = -(-bound.bit_length() // 8)
     A, B = (int.from_bytes(v.view(np.uint8).reshape(N, 8)[:, :k].tobytes(), "little")
             for v in (a8, b8))
@@ -169,7 +170,7 @@ def _conv(a, b, N: int):
         P = (P & M) + (P >> bits)
     out = np.zeros((N, 8), dtype=np.uint8)
     out[:, :k] = np.frombuffer(P.to_bytes(k * N, "little"), dtype=np.uint8).reshape(N, k)
-    return out.view("<u8").ravel().tolist()
+    return out.view("<i8").ravel()
 
 
 def _nrows(*ms) -> int | None:
@@ -201,9 +202,9 @@ def _cut(m, rows: slice):
 
 
 def _zeros(N: int, R: int | None):
-    """A fresh zero side: a length-N list, or an (R, N) int64 array for a
-    block of R rows."""
-    return [0] * N if R is None else np.zeros((R, N), dtype=np.int64)
+    """A fresh zero side: a length-N int64 row, or an (R, N) int64 array for
+    a block of R rows."""
+    return np.zeros(N if R is None else (R, N), dtype=np.int64)
 
 
 def _delta(m, N: int):
@@ -223,12 +224,11 @@ def _log(f: FieldTable, x):
 
 
 def _addm(out, e, scale=1) -> None:
-    """out += scale * zeta^e.  On a block (out an (R, N) array) e and scale
-    may be columns, one entry per row."""
-    if type(out) is list:
-        out[e % len(out)] += scale
-    else:
-        out[np.arange(len(out)), e % out.shape[1]] += scale
+    """out += scale * zeta^e, in place.  One assignment's side is one row; on
+    a block (out an (R, N) array) e and scale may be columns, one entry per
+    row."""
+    rows = out.reshape(-1, out.shape[-1])
+    rows[np.arange(len(rows)), e % rows.shape[1]] += scale
 
 
 def _mono_exp(f: FieldTable, pairs):
@@ -315,7 +315,7 @@ def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
     or q - 1 times a 0/1 weight), and added into `out` in place in one pass."""
     N, R = f.n_chars, _nrows(mA)
     if R is None and (s == 0 or 0 in xs):
-        return [0] * N if out is None else out
+        return _zeros(N, R) if out is None else out
     e, dead = _exponents(f, e0 + (mA + mC) * f.log_neg1, mA, mBs, mC, xs, R)
     slots = N * (R or 1)
     if R is not None:
@@ -328,19 +328,13 @@ def _fd_vec(f: FieldTable, mA, mBs, mC, xs, *, e0=0, s=1, out=None):
         counts = counts.reshape(R, N)
     if isinstance(s, np.ndarray) or s != 1:
         counts = counts * s
-    if out is None:
-        return counts.tolist() if R is None else counts
-    if type(out) is not list:
-        out += counts
-        return out
-    out[:] = map(add, out, counts.tolist())
-    return out
+    return counts if out is None else np.add(out, counts, out=out)
 
 
 def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
     """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | x_m, x_3..),
-    x_m = u x_1 + (1-u) x_2, as a fresh list (an (R, N) array on a block of
-    rows, A an int64 column): one _fd_vec walk per u, done as one double
+    x_m = u x_1 + (1-u) x_2, as a fresh int64 row (an (R, N) array on a block
+    of rows, A an int64 column): one _fd_vec walk per u, done as one double
     walk.  Only x_m moves with u, so the term at u = g^i, v = g^k has
     exponent c(i) + b(k) + z(log x_m + k), with
 
@@ -351,7 +345,7 @@ def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
     as int64 columns.  A factor 1 - x v = 0 makes b(k) or z(k) dead: D = 3N
     lifts any sum with a dead part to 3N or more, which no live sum (c, b, z
     each reduced mod N) reaches.  One assignment is a block of one row,
-    returned as a list.  Each row's z, doubled, is a stretch of
+    returned as its row.  Each row's z, doubled, is a stretch of
     2N entries of one flat array, and rows[l] is a read-only view of the
     N - 1 entries from l, so lm[u, r] (row r's log x_m at u, plus 2N r) picks
     row r's rotated column, and the live u's of every row are one gather;
@@ -398,7 +392,7 @@ def _beta_vec(f: FieldTable, mA, mBs, mC, xs):
         acc += np.bincount(block.ravel(), minlength=7 * N * R)[:7 * N * R]
     acc = acc.reshape(R, 7 * N)
     out = acc[:, :N] + acc[:, N:2 * N] + acc[:, 2 * N:D]
-    return out[0].tolist() if one else out
+    return out[0] if one else out
 
 
 def _walk_terms(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, k=0, w=True):
@@ -443,8 +437,8 @@ def _coset_counts(D, terms, *factors):
 
     A block of rows (the terms (R, N - 1) matrices) is counted by
     _coset_rows.  One assignment (the terms (N - 1,) arrays) is counted one
-    of two ways, with the same integers: as a block of one row by
-    _coset_rows, returned as a list, or by _coset_moebius on its live pairs,
+    of two ways, with the same integers, into a length-N row: as a block of
+    one row by _coset_rows, or by _coset_moebius on its live pairs,
     which makes one pass per divisor and list.  The cost rule sends it to
     _coset_moebius when its tuples number more than _PASS_STEPS per divisor
     and list.  A one-row count stays inside int64: the rule caps the tuples,
@@ -457,10 +451,10 @@ def _coset_counts(D, terms, *factors):
     tuples = math.prod(np.size(E) for E, _, _ in lists)
     if tuples > _PASS_STEPS * len(D.divisors) * len(lists) or D.n ** len(factors) * tuples >> 63:
         return _coset_moebius(D, *lists)
-    return _coset_rows(D, *lists)[0].tolist()
+    return _coset_rows(D, *lists)[0]
 
 
-def _coset_moebius(D, *lists) -> list[int]:
+def _coset_moebius(D, *lists) -> np.ndarray:
     """_coset_counts of one assignment by Moebius inversion on the divisor
     lattice of N, over the live (e, m) pairs of each list (those of weight
     1).  For each h | N, D_h[r] counts the tuples with h | m0 + m_j for
@@ -471,13 +465,13 @@ def _coset_moebius(D, *lists) -> list[int]:
     g] = sum over g | h | gcd(m, N) of mu(h/g), the row of g is the sum over
     g | h | N of mu(h/g) D_h folded mod g (D.moebius[g]), times g.
     Exponents and slopes (walk exponents, far inside int64) are reduced mod N
-    first.  No count exceeds N times the number of live tuples: the counts
-    are int64 below 2^63 and Python ints (object arrays) from there."""
+    first.  No count, scaled by N^(n-1) (_tile), exceeds N^n times the live
+    tuples: the counts are int64 below 2^63 and Python ints from there."""
     N = D.n
     T, *Fs = (np.column_stack([a[W] % N for a in np.broadcast_arrays(E, M)])
               for E, M, W in lists)
     tuples = math.prod(len(L) for L in (T, *Fs))
-    dtype = np.int64 if N * tuples < 2**63 else object
+    dtype = np.int64 if N ** len(Fs) * tuples < 2**63 else object
     count = {}  # h -> D_h
     for h in D.divisors:
         a, x, c = _merge(h, T[:, 1] % h, T[:, 0] % h)
@@ -491,7 +485,7 @@ def _coset_moebius(D, *lists) -> list[int]:
         for h, mu in D.moebius[g]:
             row += mu * count[h].reshape(-1, g).sum(axis=0)
         row *= g
-    return _tile(D, acc.tolist(), len(Fs))
+    return _tile(D, acc, len(Fs))
 
 
 def _coset_rows(D, *lists) -> np.ndarray:
@@ -586,14 +580,12 @@ def _join(h, a, x, c, F, last: bool):
     return nz // h, nz % h, out[nz]
 
 
-def _tile(D, acc, n: int) -> list[int]:
-    """The length-N vector of the rows in acc, the row of g holding g times
-    its counts: each row tiled N/g times, summed over the divisors g of N and
-    scaled by N^(n-1)."""
+def _tile(D, acc, n: int) -> np.ndarray:
+    """The length-N row of the rows in acc, the row of g holding g times its
+    counts: each row tiled N/g times, summed over the divisors g of N and
+    scaled by N^(n-1), in acc's dtype."""
     N = D.n
-    out = list(map(sum, zip(*[acc[o:o + g] * (N // g) for g, o in D.offset.items()])))
-    scale = N ** (n - 1)
-    return out if scale == 1 else [scale * v for v in out]
+    return sum(np.tile(acc[o:o + g], N // g) for g, o in D.offset.items()) * N ** (n - 1)
 
 
 def _theta_sum(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, b, t):
@@ -603,7 +595,7 @@ def _theta_sum(f: FieldTable, mA, mBs, mC, xs, dA: int, dBs, dC: int, b, t):
     count.  Every summand carries theta(0) = 0: the binomial's terms weigh
     t != 0."""
     if type(mA) is not np.ndarray and t == 0:
-        return [0] * f.n_chars
+        return _zeros(f.n_chars, None)
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, mBs, mC, xs, dA, dBs, dC),
                          _walk_terms(f, b, (), b, (), 1, (), 0, _log(f, t), t != 0))
 
@@ -612,7 +604,7 @@ def _line_vec(f: FieldTable, ma, mb, x):
     """sum over theta of chi^theta(x) {A chi^theta choose B chi^theta}: the
     n = 0 walk at slope (1, 1), weighing x != 0, twisted by theta log x."""
     if type(ma) is not np.ndarray and x == 0:
-        return [0] * f.n_chars
+        return _zeros(f.n_chars, None)
     return _coset_counts(f.divisor_table, _walk_terms(f, ma, (), mb, (), 1, (), 1, 0, x != 0),
                          (0, _down(_log(f, x)), True))
 
@@ -623,7 +615,7 @@ def _charsum_vec(f: FieldTable, mA, mBs, mC, xs):
     against the terms of each twisted binomial, one coset count over Z_N^n;
     each binomial weighs x_j != 0."""
     if type(mA) is not np.ndarray and 0 in xs:
-        return [0] * f.n_chars
+        return _zeros(f.n_chars, None)
     return _coset_counts(f.divisor_table, _walk_terms(f, mA, (), mC, (), 1, (), 1),
                          *(_walk_terms(f, mb, (), mb, (), 1, (), 0, _log(f, x), x != 0)
                            for mb, x in zip(mBs, xs)))

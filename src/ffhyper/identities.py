@@ -18,9 +18,9 @@ Every side takes the field's shared table (ff_core.FieldTable, one per q for
 the process) and keeps no state between or within calls, so a report is a
 pure function of that table and its arguments.  Each side is written once:
 it takes one assignment's character exponents and points as ints and
-returns a fresh list, or a block's as equal-length int64 columns and returns
-an (R, N) array of the same rows (hyperff's kernels and the field operations
-take both); a delta(A) term, a [x = v] case and a monomial's eps(x) are 0/1
+returns a fresh length-N int64 row, or a block's as equal-length int64
+columns and returns an (R, N) array of the same rows (hyperff's kernels and
+the field operations take both); a delta(A) term, a [x = v] case and a monomial's eps(x) are 0/1
 weights, so no side branches on a character or a point.  F_D is walked per
 value, each walk adding its signed, zeta-shifted term into the side's
 vector, and every binomial {A choose B} is the n = 0 walk; t3.ff-beta's
@@ -37,14 +37,15 @@ Modes:
                 (first_violated), and the rows that violate none decided:
                 each side evaluated once per block and d * lhs = rhs decided
                 row by row in NumPy (_check_rows), with the unequal rows
-                passed to the row-batched vanishing test; row by row in
-                Python ints where the int64 bound could fail (_fits_int64);
+                passed to the row-batched vanishing test; one row at a time
+                (_check) where the block's int64 bound could fail
+                (_fits_int64);
   sampled    -- `count` seeded draws of one rng.randrange(N) or randrange(q)
                 per slot that satisfy the constraints (SamplingGaveUp after
                 1000 * count + 1000 draws); below N = _ARRAY_MIN_N, where
                 the int64 bound holds, read as columns from rng's raw words
                 and decided in blocks of rows as exhaustive mode's, elsewhere
-                one at a time in Python ints (sampling);
+                one at a time (sampling; _check);
   boundary   -- the complement: the rows of the same blocks that violate a
                 constraint (none without constraints), decided as
                 exhaustive mode's, with mismatches counted, not failed on.
@@ -156,7 +157,7 @@ def _reg(id, note, lhs, rhs, *, n_min=1, n_max=None,
 
 
 def _zero(f, cs):
-    """A fresh zero side for the characters cs: a list, or one row per row of a block."""
+    """A fresh zero side for the characters cs: a row, or one per row of a block."""
     return hyperff._zeros(f.n_chars, hyperff._nrows(*cs))
 
 
@@ -592,33 +593,44 @@ class TheoremReport:
 
 
 def _check(desc, f, n, cs, es, corrupt: bool):
-    """Decide d * lhs = rhs; returns (equal?, lhs, rhs) with the raw sides.
-    `corrupt` adds d to the rhs, a fresh list, i.e. 1 to rhs / d."""
-    lv = desc.lhs(f, n, cs, es)
-    rv = desc.rhs(f, n, cs, es)
+    """Decide d * lhs = rhs for one assignment as a block of one row
+    (_unequal); returns (equal?, lhs, rhs), the raw sides as rows, int64
+    where 2^omega(N) (d max|lhs| + max|rhs| + d) < _INT64_BOUND and object
+    rows of Python ints past that.  `corrupt` adds d to this call's rhs."""
+    lv, rv = desc.lhs(f, n, cs, es), desc.rhs(f, n, cs, es)
     d = desc.den(f.q, n)
+    top = d * int(abs(lv).max()) + int(abs(rv).max()) + d
+    dtype = np.int64 if top << len(cyclo._prime_divisors(f.n_chars)) < _INT64_BOUND else object
+    lv, rv = lv.astype(dtype, copy=False), rv.astype(dtype, copy=False)
+    return not len(_unequal(f, d, lv[None], rv[None], corrupt)), lv, rv
+
+
+def _unequal(f, d, lv, rv, corrupt: bool) -> np.ndarray:
+    """The decision step of _check and _check_rows: the rows r of fresh (R, N)
+    sides where d lv[r] = rv[r] fails in Z[zeta_N], `corrupt` first adding d
+    to rv at zeta^0 in place; d lv - rv's nonzero rows go to cyclo.vanishes."""
     if corrupt:
-        rv[0] += d
-    dl = [d * x for x in lv] if d != 1 else lv
-    if dl == rv:
-        return True, lv, rv
-    return cyclo.vanishes(f.n_chars, [a - b for a, b in zip(dl, rv)]), lv, rv
+        rv[:, 0] += d
+    diff = d * lv - rv
+    rows = np.flatnonzero((diff != 0).any(axis=1))
+    return rows[~cyclo.vanishes(f.n_chars, diff[rows])]
 
 
 # N = q - 1 below which sampled mode decides its draws in blocks of rows, and
 # from which one draw at a time (_run_one)
 _ARRAY_MIN_N = 40
-# Largest magnitude that a block's int64 entries, and the vanishing test's
-# passes over its rows, may reach (see _fits_int64).
+# Largest magnitude that int64 sides, and the vanishing test's passes over
+# them, may reach (_fits_int64 for a block, _check for one assignment).
 _INT64_BOUND = 2**62
 
 
 def _fits_int64(desc, f, n) -> bool:
-    """Whether a block of (q, n) stays inside _INT64_BOUND.  Every side is a
-    signed sum of terms whose total weight is at most 3 q^(2n+3): a walk
-    weighs |s| (N - 1) <= q N, the character-sum form N^n per term tuple,
-    (N - 1)^(n+1) tuples, a theta-sum N^3, a double walk or a product of
-    two walks N^2, a monomial q.  That bounds every partial sum of a
+    """Whether a block of (q, n) stays inside _INT64_BOUND, a bound for
+    blocks only (_check reads one assignment's from its sides).  Every side
+    is a signed sum of terms whose total weight is at most 3 q^(2n+3): a
+    walk weighs |s| (N - 1) <= q N, the character-sum form N^n per term
+    tuple, (N - 1)^(n+1) tuples, a theta-sum N^3, a double walk or a product
+    of two walks N^2, a monomial q.  That bounds every partial sum of a
     kernel, and it bounds d lhs - rhs (a corrupt rhs adds d) by (d + 1) 4
     q^(2n+3); each of the vanishing test's omega(N) passes at most doubles
     it.  Where this holds, raw entries and the passes stay below 2^62."""
@@ -645,11 +657,10 @@ def _slot_blocks(sizes, N: int):
 
 def _check_rows(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list[tuple]:
     """_check for a block of rows (int64 columns): the failing rows as (row,
-    raw lhs, raw rhs), the sides as lists.  Batched, each side is evaluated
-    once for every row and the rows where d * lhs - rhs is nonzero pass to
-    the row-batched cyclo.vanishes; else (past the int64 bound) each row is
-    decided by _check in Python ints.  A side that divides by zero raises
-    ZeroInverse naming its zero rows (row by row: all, after the pass)."""
+    raw lhs, raw rhs).  Batched, each side is evaluated once for every row
+    and decided by _unequal; else (past the int64 bound) each row is
+    decided by _check.  A side that divides by zero raises ZeroInverse
+    naming its zero rows (row by row: all, after the pass)."""
     if not batched:
         failed, zero = [], []
         for r, row in enumerate(zip(*(c.tolist() for c in (*cs, *es)))):
@@ -663,18 +674,8 @@ def _check_rows(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list
         if zero:
             raise ZeroInverse(zero)
         return failed
-    shape = (len(cs[0]), f.n_chars)
-    lv = np.broadcast_to(desc.lhs(f, n, cs, es), shape)  # a side free of the rows is a list
-    rv = np.broadcast_to(desc.rhs(f, n, cs, es), shape)
-    d = desc.den(f.q, n)
-    if corrupt:
-        rv = rv.copy()
-        rv[:, 0] += d
-    diff = d * lv - rv if d != 1 else lv - rv
-    unequal = np.flatnonzero(diff.any(axis=1))
-    if len(unequal):
-        unequal = unequal[~cyclo.vanishes(f.n_chars, diff[unequal])]
-    return [(r, lv[r].tolist(), rv[r].tolist()) for r in unequal]
+    lv, rv = desc.lhs(f, n, cs, es), desc.rhs(f, n, cs, es)
+    return [(r, lv[r], rv[r]) for r in _unequal(f, desc.den(f.q, n), lv, rv, corrupt)]
 
 
 def _failures(desc, f, n, cs, es, corrupt: bool, batched: bool = True) -> list[dict]:

@@ -87,14 +87,15 @@ def _frob(f, x):
 
 def _galois_holds(f, desc, n, cs, es, u, sides=("lhs", "rhs")):
     ucs = tuple(u * c % f.n_chars for c in cs)
-    return all(side(f, n, ucs, es) == _moved(side(f, n, cs, es), u)
+    return all(side(f, n, ucs, es).tolist() == _moved(side(f, n, cs, es).tolist(), u)
                for side in (getattr(desc, s) for s in sides))
 
 
 def _frobenius_holds(f, desc, n, cs, es):
     pcs = tuple(f.p * c % f.n_chars for c in cs)
     ses = tuple(_frob(f, x) for x in es)
-    return all(side(f, n, cs, ses) == side(f, n, pcs, es) for side in (desc.lhs, desc.rhs))
+    return all(side(f, n, cs, ses).tolist() == side(f, n, pcs, es).tolist()
+               for side in (desc.lhs, desc.rhs))
 
 
 def _unit(rng, N):

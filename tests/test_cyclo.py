@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffhyper import cyclo, errors
+from walk_oracles import _list_vanishes
 
 PHI = {
     1: (-1, 1),
@@ -222,6 +224,29 @@ def test_vanishes_matches_reduce_oracle(n):
         # negative control: one perturbed coefficient breaks a vanishing sum
         zero[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
         assert not cyclo.vanishes(n, zero)
+
+
+@pytest.mark.parametrize("n", [2, 6, 12, 63, 255, 4095])
+def test_vanishes_matches_the_list_loop(n):
+    # the row passes against the list loop they replaced, on vanishing sums,
+    # dense vectors and both scaled by 2^70 with one entry moved: each as a
+    # list (one object row), an int64 row where it fits, an (R, n) int64
+    # block and an (R, n) object block
+    rng = random.Random(f"rows:{n}")
+    vecs = []
+    for _ in range(3):
+        for v in (_vanishing_vec(rng, n), [rng.randint(-3, 3) for _ in range(n)]):
+            big = [c * 2 ** 70 for c in v]
+            big[rng.randrange(n)] += rng.choice((-1, 1))
+            vecs += [v, [c * 2 ** 70 for c in v], big]
+    want = [_list_vanishes(n, v) for v in vecs]
+    assert any(want) and not all(want)
+    assert [cyclo.vanishes(n, v) for v in vecs] == want
+    small = [i for i, v in enumerate(vecs) if max(map(abs, v)) < 2 ** 40]
+    block = np.array([vecs[i] for i in small], dtype=np.int64)
+    assert cyclo.vanishes(n, block).tolist() == [want[i] for i in small]
+    assert [cyclo.vanishes(n, row) for row in block] == [want[i] for i in small]
+    assert cyclo.vanishes(n, np.array(vecs, dtype=object)).tolist() == want
 
 
 def test_vanishes_rejects_wrong_length():

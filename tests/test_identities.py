@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ffhyper import cyclo, errors, ff_core, hyperff, identities, sampling
+from walk_oracles import _list_vanishes
 
 ALL_IDS = [d.id for d in identities.list_identities()]
 
@@ -208,13 +209,18 @@ def _cases():
                 yield desc, f, desc.n_min, cs, es
 
 
-def _sides_are_fresh_lists():
+def _sides_are_fresh_rows():
+    """Each side, called twice, is a length-N int64 row both times, with the
+    same entries, and no two of the four rows share memory."""
     for desc, f, n, cs, es in _cases():
         sides = [side(f, n, cs, es) for side in (desc.lhs, desc.rhs) for _ in range(2)]
-        if not all(type(v) is list and len(v) == f.n_chars for v in sides):
+        if not all(type(v) is np.ndarray and v.shape == (f.n_chars,) and v.dtype == np.int64
+                   for v in sides):
             return False
         l1, l2, r1, r2 = sides
-        if l1 != l2 or r1 != r2 or len({id(v) for v in sides}) != 4:
+        if l1.tolist() != l2.tolist() or r1.tolist() != r2.tolist():
+            return False
+        if any(np.shares_memory(a, b) for a, b in itertools.combinations(sides, 2)):
             return False
     return True
 
@@ -229,9 +235,9 @@ def _corrupt_then_honest_checks():
     return True
 
 
-def test_every_side_is_a_fresh_list():
-    # every identity side, p2.f2-f4 included, is a length-N list of its own
-    assert _sides_are_fresh_lists()
+def test_every_side_is_a_fresh_row():
+    # every identity side, p2.f2-f4 included, is a length-N int64 row of its own
+    assert _sides_are_fresh_rows()
 
 
 def test_a_corrupt_check_leaves_the_next_honest_check_alone():
@@ -240,8 +246,8 @@ def test_a_corrupt_check_leaves_the_next_honest_check_alone():
 
 
 def test_a_cached_binomial_list_is_caught(monkeypatch):
-    # an n = 0 walk that hands out one memoized list per binomial (A, B)
-    # shares that list between calls: both checks above must see it
+    # an n = 0 walk that hands out one memoized row per binomial (A, B)
+    # shares that row between calls: both checks above must see it
     honest = hyperff._fd_vec
     memo = {}
 
@@ -253,13 +259,13 @@ def test_a_cached_binomial_list_is_caught(monkeypatch):
             memo[key] = honest(f, ma, mBs, mb, xs)
         return memo[key]
 
-    assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
+    assert _sides_are_fresh_rows() and _corrupt_then_honest_checks()
     with monkeypatch.context() as m:
         m.setattr(hyperff, "_fd_vec", cached)
-        assert not _sides_are_fresh_lists()
+        assert not _sides_are_fresh_rows()
         memo.clear()
         assert not _corrupt_then_honest_checks()
-    assert _sides_are_fresh_lists() and _corrupt_then_honest_checks()
+    assert _sides_are_fresh_rows() and _corrupt_then_honest_checks()
 
 
 def test_failure_replay_round_trip():
@@ -399,7 +405,7 @@ RAW_SIDE_PINS = {
 
 def _raw_side(fn, f, n, cs, es) -> str:
     try:
-        return repr(list(fn(f, n, cs, es)))
+        return repr(fn(f, n, cs, es).tolist())
     except Exception as exc:  # the exception's type is pinned too
         return type(exc).__name__
 
@@ -508,8 +514,28 @@ def _domains(desc, q, n) -> tuple[list, list]:
     return doms["chars"], doms["elems"]
 
 
+def _list_decide(f, d, lv, rv) -> bool:
+    """d * lv = rv in Z[zeta_N] for lists of Python ints, as identities._check
+    decided it before its sides were rows: equal lists, else the list loop
+    of the vanishing test on d * lv - rv."""
+    dl = [d * x for x in lv] if d != 1 else lv
+    return dl == rv or _list_vanishes(f.n_chars, [a - b for a, b in zip(dl, rv)])
+
+
+def _list_check(desc, f, n, cs, es, corrupt: bool):
+    """identities._check on lists of Python ints, the oracle of its shared
+    decision step: (equal?, lhs, rhs), the rhs with d added at zeta^0 when
+    corrupt."""
+    lv, rv = desc.lhs(f, n, cs, es).tolist(), desc.rhs(f, n, cs, es).tolist()
+    d = desc.den(f.q, n)
+    if corrupt:
+        rv[0] += d
+    return _list_decide(f, d, lv, rv), lv, rv
+
+
 def _oracle_run_one(desc, f, n, mode, seed, count, corrupt_rhs):
-    """The engine loop over predicates, as it was before the slot domains."""
+    """The engine loop over predicates, as it was before the slot domains,
+    deciding each assignment by the list check."""
     N, q = f.n_chars, f.q
     nc, ne = desc.chars(n), desc.elems(n)
     tested = excluded = 0
@@ -539,7 +565,7 @@ def _oracle_run_one(desc, f, n, mode, seed, count, corrupt_rhs):
                 excluded += 1
                 continue
             tested += 1
-            ok, lv, rv = identities._check(desc, f, n, cs, es, corrupt_rhs)
+            ok, lv, rv = _list_check(desc, f, n, cs, es, corrupt_rhs)
             if not ok:
                 failures.append(identities._fail_entry(desc, f, n, cs, es, lv, rv))
     else:
@@ -553,12 +579,12 @@ def _oracle_run_one(desc, f, n, mode, seed, count, corrupt_rhs):
                     continue
                 if not boundary:
                     tested += 1
-                    ok, lv, rv = identities._check(desc, f, n, cs, es, corrupt_rhs)
+                    ok, lv, rv = _list_check(desc, f, n, cs, es, corrupt_rhs)
                     if not ok:
                         failures.append(identities._fail_entry(desc, f, n, cs, es, lv, rv))
                     continue
                 try:
-                    ok, _, _ = identities._check(desc, f, n, cs, es, corrupt_rhs)
+                    ok, _, _ = _list_check(desc, f, n, cs, es, corrupt_rhs)
                 except errors.FFHyperError:
                     undefined += 1
                     continue
@@ -719,8 +745,8 @@ def _rows_match(desc, f, n, cs, es) -> bool:
     rv = np.broadcast_to(desc.rhs(f, n, cs, es), shape)
     for r in range(shape[0]):
         row_cs, row_es = tuple(int(c[r]) for c in cs), tuple(int(x[r]) for x in es)
-        if (lv[r].tolist() != desc.lhs(f, n, row_cs, row_es) or
-                rv[r].tolist() != desc.rhs(f, n, row_cs, row_es)):
+        if (lv[r].tolist() != desc.lhs(f, n, row_cs, row_es).tolist() or
+                rv[r].tolist() != desc.rhs(f, n, row_cs, row_es).tolist()):
             return False
     return True
 
@@ -821,6 +847,90 @@ def test_real_inputs_past_the_int64_bound_run_row_by_row(monkeypatch):
                            for mode, corrupt in runs], (ident, n)
             assert '"failures": []' in got[0] and '"failures": []' not in got[1]
             checks.clear()
+
+
+# -- one decision step against the list check -----------------------------------------
+# _check decides one assignment as a block of one row by the step that
+# _check_rows uses (identities._unequal), in int64 where its own sides bound
+# the vanishing test's passes below 2^62 and in object rows past that.  The
+# list check it replaced is the oracle; _oracle_run_one decides by it too, so
+# every report compared with _oracle_run_one above compares the step's
+# verdicts and failure entries on blocks.
+
+# one assignment past the block's int64 bound (identities._fits_int64 fails)
+PAST_BOUND = [*((i, 4096, 2) for i in EXPECTED_IDS if i.startswith("t4.")),
+              ("t3.ff-beta", 256, 2), ("t2.1", 64, 5), ("t2.1", 64, 6), ("t2.1", 64, 9),
+              ("t2.1", 7, 26)]
+
+
+def _decisions_match(desc, f, n, cs, es) -> bool:
+    """_check's verdicts and failure entry at (cs, es), honest and corrupt,
+    are the list decisions of the sides it returns."""
+    d = desc.den(f.q, n)
+    ok, lv, rv = identities._check(desc, f, n, cs, es, False)
+    lv, rv = lv.tolist(), rv.tolist()
+    bad = [rv[0] + d, *rv[1:]]
+    ok2, lv2, rv2 = identities._check(desc, f, n, cs, es, True)
+    if (ok, ok2, lv2.tolist(), rv2.tolist()) != \
+            (_list_decide(f, d, lv, rv), _list_decide(f, d, lv, bad), lv, bad):
+        return False
+    return ok2 or identities._fail_entry(desc, f, n, cs, es, lv2, rv2) == \
+        identities._fail_entry(desc, f, n, cs, es, lv, bad)
+
+
+@pytest.mark.parametrize("ident", EXPECTED_IDS)
+def test_one_assignment_decisions_match_the_list_check_exhaustive(ident):
+    # every admissible assignment at q <= 5 and n <= 2, but the t5 identities
+    # at n = 2 on q <= 4 (32 000 assignments each at q = 5, whose blocks are
+    # compared with the oracle above)
+    desc = identities.get_identity(ident)
+    for q in (2, 3, 4, 5):
+        f = _field(q)
+        for n in range(desc.n_min, 2 if q == 5 and ident.startswith("t5.") else 3):
+            if desc.allows_n(n):
+                for cs in itertools.product(range(f.n_chars), repeat=desc.chars(n)):
+                    for es in itertools.product(range(q), repeat=desc.elems(n)):
+                        if desc.violated(cs, es) is None:
+                            assert _decisions_match(desc, f, n, cs, es), (q, n, cs, es)
+
+
+def _sampled_match(ident, q, n, count) -> bool:
+    """Sampled reports of `ident` at (q, n), honest and corrupt, are the
+    oracle's: the same draws decided by the list check."""
+    desc = identities.get_identity(ident)
+    return all(_outcome(identities._run_one, desc, q, n, "sampled", count=count,
+                        corrupt_rhs=corrupt) ==
+               _outcome(_oracle_run_one, desc, q, n, "sampled", count=count, corrupt_rhs=corrupt)
+               for corrupt in (False, True))
+
+
+@pytest.mark.parametrize("q", [64, 256, 1024, 4096])
+def test_sampled_decisions_match_the_list_check(q):
+    # every identity at its least n and n = 1, two draws each at q >= 1024
+    count = 2 if q >= 1024 else 6
+    for desc in identities.list_identities():
+        for n in sorted({desc.n_min, max(desc.n_min, 1)}):
+            assert _sampled_match(desc.id, q, n, count), (desc.id, n)
+
+
+@pytest.mark.parametrize("ident, q, n", PAST_BOUND)
+def test_decisions_past_the_int64_bound_match_the_list_check(ident, q, n):
+    assert not identities._fits_int64(identities.get_identity(ident), _field(q), n)
+    assert _sampled_match(ident, q, n, 2)
+
+
+def test_deciding_every_assignment_in_int64_is_caught(monkeypatch):
+    # at t2.1, q = 7, n = 26 the denominator 6^26 and the character sum pass
+    # int64: one assignment decided in int64 regardless of its sides is not
+    # the list check's report (it wraps or raises)
+    assert _sampled_match("t2.1", 7, 26, 2)
+    monkeypatch.setattr(identities, "_check", _mutated(identities, "_check", "else object",
+                                                       "else np.int64"))
+    try:
+        caught = not _sampled_match("t2.1", 7, 26, 2)
+    except OverflowError:
+        caught = True
+    assert caught
 
 
 def test_exhaustive_memory_does_not_grow_with_the_rows():
@@ -1068,9 +1178,9 @@ def test_batched_engine_mutants_are_caught(monkeypatch):
         assert _outcome(identities._run_one, bad, 5, 0, "exhaustive") != \
             _outcome(_oracle_run_one, prod, 5, 0, "exhaustive")
     with monkeypatch.context() as m:  # the first unequal row of a block dropped
-        m.setattr(identities, "_check_rows", _mutated(
-            identities, "_check_rows", "np.flatnonzero(diff.any(axis=1))",
-            "np.flatnonzero(diff.any(axis=1))[1:]"))
+        m.setattr(identities, "_unequal", _mutated(
+            identities, "_unequal", "np.flatnonzero((diff != 0).any(axis=1))",
+            "np.flatnonzero((diff != 0).any(axis=1))[1:]"))
         assert reports() == want  # an honest report has no unequal row to drop
         assert reports(True) != want_corrupt
     assert reports() == want and reports(True) == want_corrupt

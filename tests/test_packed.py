@@ -152,8 +152,8 @@ def binom_loop(f, ma, mb):
 
 
 def binom_vec(f, ma, mb):
-    """{chi^ma choose chi^mb}: the n = 0 walk."""
-    return hyperff._fd_vec(f, ma, (), mb, ())
+    """{chi^ma choose chi^mb}: the n = 0 walk, as a list."""
+    return hyperff._fd_vec(f, ma, (), mb, ()).tolist()
 
 
 def literal_charsum(f, mA, mBs, mC, xs):
@@ -181,26 +181,28 @@ def per_theta_genfn_lhs(f, mA, mBs, mC, xs, t, variant):
     for th in range(N):
         if variant == "T41":
             term = school_conv(binom_vec(f, mA - mC + th, th),
-                               hyperff._fd_vec(f, mA + th, mBs, mC, xs), N)
+                               hyperff._fd_vec(f, mA + th, mBs, mC, xs).tolist(), N)
         elif variant == "T42":
             term = school_conv(binom_vec(f, mBs[-1] + th, th),
-                               hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs), N)
+                               hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC,
+                                               xs).tolist(), N)
         else:
             term = school_conv(binom_vec(f, mA - mC + th, th),
-                               hyperff._fd_vec(f, mA, mBs, mC - th, xs), N)
+                               hyperff._fd_vec(f, mA, mBs, mC - th, xs).tolist(), N)
         rot_add(out, term, th * f.log_table[t])
     return out
 
 
 def fd_with_theta(f, mA, mBs, mC, xs, slot, th):
-    """_fd_vec with chi^theta put in one slot, as _fd_rows's row theta."""
+    """_fd_vec with chi^theta put in one slot, as _fd_rows's row theta (a
+    list)."""
     if slot == "A":
-        return hyperff._fd_vec(f, mA + th, mBs, mC, xs)
+        return hyperff._fd_vec(f, mA + th, mBs, mC, xs).tolist()
     if slot == "B":
-        return hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs)
+        return hyperff._fd_vec(f, mA, (*mBs[:-1], mBs[-1] + th), mC, xs).tolist()
     if slot == "C":
-        return hyperff._fd_vec(f, mA, mBs, mC - th, xs)
-    return hyperff._fd_vec(f, mA + th, mBs, mC + th, xs)  # "AC"
+        return hyperff._fd_vec(f, mA, mBs, mC - th, xs).tolist()
+    return hyperff._fd_vec(f, mA + th, mBs, mC + th, xs).tolist()  # "AC"
 
 
 def _fd_rows(f, mA, mBs, mC, xs, slot):
@@ -363,15 +365,16 @@ def triple(pairs):
 
 def live_terms(terms):
     """The (e, m) pairs of one assignment's (E, M, W) terms of weight 1, in
-    order."""
-    return [(e, m) for e, m, w in zip(*(a.tolist() for a in terms)) if w]
+    order; an int is one term."""
+    cols = np.broadcast_arrays(*map(np.atleast_1d, terms))
+    return [(e, m) for e, m, w in zip(*(a.tolist() for a in cols)) if w]
 
 
 def run_count(name, D, *pairs):
     """One assignment's count by hyperff.<name>, the one-row _coset_rows or
     _coset_moebius, of pair lists made triples, as a list."""
     out = getattr(hyperff, name)(D, *map(triple, pairs))
-    return out[0].tolist() if name == "_coset_rows" else out
+    return (out[0] if name == "_coset_rows" else out).tolist()
 
 
 def charsum_oracle(f, mA, mBs, mC, xs):
@@ -475,7 +478,7 @@ def per_theta_line_vecs(f, ma, mb):
     from N separate n = 0 walks: each is taken once and, for each x, the one
     for theta is rotated by theta log x."""
     N = f.n_chars
-    walks = [hyperff._fd_vec(f, ma + th, (), mb + th, ()) for th in range(N)]
+    walks = [hyperff._fd_vec(f, ma + th, (), mb + th, ()).tolist() for th in range(N)]
 
     def at(x):
         out = [0] * N
@@ -541,7 +544,7 @@ def loop_t43_rhs(f, mA, mBs, mC, xs, t):
     monomial per y, as _genfn_rhs_vec computed it before that term became
     one walk plus the y = 1 monomial."""
     N, q = f.n_chars, f.q
-    out = [0] * N
+    out = np.zeros(N, dtype=np.int64)
     onept = f.add(1, t)
     if t != 0 and onept != 0:
         hyperff._fd_vec(f, mA, mBs, mC, [f.mul(x, onept) for x in xs],
@@ -553,7 +556,7 @@ def loop_t43_rhs(f, mA, mBs, mC, xs, t):
         for y in range(1, q):
             e = mono_exp(f, [(mC, y), *((-mb, f.sub(1, f.mul(x, y))) for mb, x in zip(mBs, xs))])
             addm(out, e, q - 1)
-    return out
+    return out.tolist()
 
 
 def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
@@ -561,7 +564,7 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
     the scaled-point F_D term and the T41/T43 monomial were written once:
     one branch per variant, each with its own eps guards."""
     N, q = f.n_chars, f.q
-    out = [0] * N
+    out = np.zeros(N, dtype=np.int64)
     mono, fd = mono_exp, hyperff._fd_vec
 
     if variant == "T41":
@@ -572,7 +575,7 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
         e = mono(f, [(mC - mA, f.neg(t)), *((-mb, f.sub(1, x)) for mb, x in zip(mBs, xs))])
         if all(x != 0 for x in xs):
             addm(out, e, -(q - 1))
-        return out
+        return out.tolist()
 
     if variant == "T42":
         xn = xs[-1]
@@ -586,7 +589,7 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
         if t == 1 and xn != 0:
             fd(f, mA - mBs[-1], mBs[:-1], mC - mBs[-1], xs[:-1],
                e0=mono(f, [(-mBs[-1], f.neg(xn))]), s=q - 1, out=out)
-        return out
+        return out.tolist()
 
     onept = f.add(1, t)
     if t != 0 and onept != 0:
@@ -598,7 +601,7 @@ def per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, variant):
     if t == f.p - 1 and all(x != 0 for x in xs):
         fd(f, mC, mBs, mC, xs, s=q - 1, out=out)
         addm(out, mono(f, [(-mb, f.sub(1, x)) for mb, x in zip(mBs, xs)]), q - 1)
-    return out
+    return out.tolist()
 
 
 # -- the packing layer --------------------------------------------------------------
@@ -617,7 +620,8 @@ def test_conv_matches_schoolbook_exhaustive(N):
     fixed = [unit, [2] * N, [rng.randrange(4) for _ in range(N)]]
     for a in vecs:
         for b in vecs if N <= 4 else [a, a[::-1], *fixed]:
-            assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N), (a, b)
+            assert hyperff._conv(a, b, N).tolist() == school_conv(a, b, N) == \
+                packed_conv(a, b, N), (a, b)
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 8, 12, 33, 63, 255, 1023, 4095])
@@ -629,33 +633,37 @@ def test_conv_matches_schoolbook_sampled(N):
             b = [rng.randint(0, span) for _ in range(N)]
             if N > 1023:  # keep the schoolbook oracle to N x 16 products
                 b = [v if i % (N // 16) == 0 else 0 for i, v in enumerate(b)]
-            assert hyperff._conv(a, b, N) == school_conv(a, b, N)
+            assert hyperff._conv(a, b, N).tolist() == school_conv(a, b, N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 12, 63])
 def test_conv_near_and_beyond_2_63(N):
-    # slots are at most 8 bytes: an entry of 2^64 or more, a negative entry
-    # or a bound sum(a) sum(b) of 2^64 or more is refused, with a zero
-    # operand too; a bound of 2^64 - 1 is not
+    # slots are at most 8 bytes and the product is an int64 row: an entry of
+    # 2^63 or more, a negative entry or a bound sum(a) sum(b) of 2^63 or
+    # more is refused, with a zero operand too, and so is a sum that passes
+    # int64 itself (two entries of 2^62); a bound of 2^63 - 1 is not
     one = [1] + [0] * (N - 1)
     zero = [0] * N
-    for top in (2 ** 64, 2 ** 64 + 7, 2 ** 200):
+    for top in (2 ** 63, 2 ** 63 + 7, 2 ** 64, 2 ** 200):
         for a, b in (([top] + zero[1:], one), (one, [top] + zero[1:]), ([top] * N, zero)):
-            with pytest.raises(ValueError, match=r"2\^64"):
+            with pytest.raises(ValueError, match=r"2\^63"):
                 hyperff._conv(a, b, N)
     for a, b in (([-1] + one[1:], one), (one, [0] * (N - 1) + [-1]), ([-5] * N, zero)):
-        with pytest.raises(ValueError, match=r"2\^64"):
+        with pytest.raises(ValueError, match=r"2\^63"):
             hyperff._conv(a, b, N)
-    for a, b in (([2 ** 32] * N, [2 ** 32] + zero[1:]), ([2 ** 63] + zero[1:], [2] + zero[1:])):
-        with pytest.raises(ValueError, match=r"2\^64"):
+    over = [([2 ** 32] * N, [2 ** 31] + zero[1:]), ([2 ** 62] + zero[1:], [2] + zero[1:])]
+    if N > 1:
+        over += [([2 ** 62] * 2 + zero[2:], one), (one, [2 ** 62] * 2 + zero[2:])]
+    for a, b in over:
+        with pytest.raises(ValueError, match=r"2\^63"):
             hyperff._conv(a, b, N)
-    top = [2 ** 64 - 1] + zero[1:]
-    assert hyperff._conv(top, one, N) == top
+    top = [2 ** 63 - 1] + zero[1:]
+    assert hyperff._conv(top, one, N).tolist() == top
     if N > 1:
         a = [2 ** 31] + [0] * (N - 2) + [2 ** 31]
-        b = [2 ** 31 - 1] + [0] * (N - 2) + [2 ** 31]
-        assert sum(a) * sum(b) == 2 ** 64 - 2 ** 32
-        assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N)
+        b = [2 ** 30 - 1] + [0] * (N - 2) + [2 ** 30]
+        assert sum(a) * sum(b) == 2 ** 63 - 2 ** 32
+        assert hyperff._conv(a, b, N).tolist() == school_conv(a, b, N) == packed_conv(a, b, N)
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -671,14 +679,16 @@ def test_conv_at_every_byte_edge(N):
             for (u, v), i, j in itertools.product(((bound, 1), (x, y)), range(N), range(N)):
                 a, b, want = zero.copy(), zero.copy(), zero.copy()
                 a[i], b[j], want[(i + j) % N] = u, v, bound
-                assert hyperff._conv(a, b, N) == want == packed_conv(a, b, N)
-                assert hyperff._conv(a, zero, N) == hyperff._conv(zero, b, N) == zero
+                assert hyperff._conv(a, b, N).tolist() == want == packed_conv(a, b, N)
+                assert hyperff._conv(a, zero, N).tolist() == \
+                    hyperff._conv(zero, b, N).tolist() == zero
             a = [bound // 3, bound - bound // 3][:N] if N == 2 else [bound]
             for j in range(N):
                 b = zero.copy()
                 b[j] = 1
-                assert hyperff._conv(a, b, N) == school_conv(a, b, N) == packed_conv(a, b, N)
-    assert hyperff._conv(zero, zero, N) == zero
+                assert hyperff._conv(a, b, N).tolist() == school_conv(a, b, N) == \
+                    packed_conv(a, b, N)
+    assert hyperff._conv(zero, zero, N).tolist() == zero
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 64, 256, 1024, 4096])
@@ -697,9 +707,9 @@ def test_conv_of_walk_histograms_matches_schoolbook(q):
         m = [rng.randrange(N) for _ in range(5)]
         xs = tuple(rng.randrange(1, q) for _ in range(2))
         a = binom_vec(f, m[0], m[1])
-        pairs += [(a, hyperff._fd_vec(f, m[2], m[3:], m[4], xs)), (a, a)]
+        pairs += [(a, hyperff._fd_vec(f, m[2], m[3:], m[4], xs).tolist()), (a, a)]
     for a, b in pairs:
-        got = hyperff._conv(a, b, N)
+        got = hyperff._conv(a, b, N).tolist()
         assert got == packed_conv(a, b, N)
         if N <= 1023:
             assert got == school_conv(a, b, N)
@@ -749,7 +759,7 @@ def test_charsum_matches_literal_exhaustive(q):
         for ms in itertools.product(range(N), repeat=n + 2):
             for xs in itertools.product(range(q), repeat=n):
                 args = (ms[0], ms[2:], ms[1], xs)
-                got = hyperff._charsum_vec(f, *args)
+                got = hyperff._charsum_vec(f, *args).tolist()
                 assert got == literal_charsum(f, *args) == packed_charsum(f, *args), args
 
 
@@ -768,7 +778,7 @@ def test_charsum_matches_family_oracle_exhaustive(q):
                 pts = itertools.product(range(q), repeat=n)
             for xs in pts:
                 args = (ms[0], ms[2:], ms[1], xs)
-                assert hyperff._charsum_vec(f, *args) == family_charsum(f, *args), args
+                assert hyperff._charsum_vec(f, *args).tolist() == family_charsum(f, *args), args
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
@@ -780,7 +790,7 @@ def test_charsum_matches_literal_sampled(q):
         for _ in range(4 if q == 64 else 10):
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), tuple(rng.randrange(1, q) for _ in range(n)))
-            assert hyperff._charsum_vec(f, *args) == literal_charsum(f, *args), args
+            assert hyperff._charsum_vec(f, *args).tolist() == literal_charsum(f, *args), args
 
 
 @pytest.mark.parametrize("q, n", [(7, 12), (7, 13), (7, 14), (7, 26), (64, 9), (3, 70)],
@@ -800,8 +810,8 @@ def test_charsum_beyond_2_63_equals_scaled_fd(q, n):
         mA, mC = rng.randrange(N), rng.randrange(N)
         mBs = tuple(rng.randrange(N) for _ in range(n))
         xs = tuple(rng.randrange(1, q) for _ in range(n))
-        cs = hyperff._charsum_vec(f, mA, mBs, mC, xs)
-        fd = hyperff._fd_vec(f, mA, mBs, mC, xs)
+        cs = hyperff._charsum_vec(f, mA, mBs, mC, xs).tolist()
+        fd = hyperff._fd_vec(f, mA, mBs, mC, xs).tolist()
         assert cyclo.vanishes(N, [N ** n * a - b for a, b in zip(fd, cs)])
         if q == 7 and n <= 14:
             assert max(map(abs, cs)) > 2 ** {12: 56, 13: 60, 14: 63}[n]
@@ -824,7 +834,7 @@ def test_charsum_matches_packed_oracle_sampled(q):
     for n in (1, 2, 3):
         for _ in range(2 if q == 64 else 8):
             args = _charsum_draw(rng, q, n)
-            got = hyperff._charsum_vec(f, *args)
+            got = hyperff._charsum_vec(f, *args).tolist()
             assert got == family_charsum(f, *args) == packed_charsum(f, *args), args
 
 
@@ -841,7 +851,8 @@ def test_charsum_mutants_are_caught(monkeypatch):
         """(every small draw matches, every large draw matches); a draw that
         raises does not match."""
         try:
-            return tuple(all(hyperff._charsum_vec(f, *args) == w for args, w in zip(cases, ws))
+            return tuple(all(hyperff._charsum_vec(f, *args).tolist() == w
+                             for args, w in zip(cases, ws))
                          for cases, ws in zip((small, large), want))
         except (IndexError, ValueError):
             return (False, False)
@@ -928,7 +939,8 @@ def test_genfn_lhs_matches_per_theta_exhaustive(q):
     for n in (1, 2):
         # every character tuple; every point at n = 1, three per tuple at n = 2
         for args in _genfn_cases(q, n, rng, None if n == 1 else 3):
-            assert hyperff._genfn_lhs_vec(f, *args) == per_theta_genfn_lhs(f, *args), args
+            assert hyperff._genfn_lhs_vec(f, *args).tolist() == \
+                per_theta_genfn_lhs(f, *args), args
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13, 64])
@@ -941,7 +953,8 @@ def test_genfn_lhs_matches_per_theta_sampled(q):
             args = (rng.randrange(N), tuple(rng.randrange(N) for _ in range(n)),
                     rng.randrange(N), tuple(rng.randrange(q) for _ in range(n)),
                     rng.randrange(q), rng.choice(("T41", "T42", "T43")))
-            assert hyperff._genfn_lhs_vec(f, *args) == per_theta_genfn_lhs(f, *args), args
+            assert hyperff._genfn_lhs_vec(f, *args).tolist() == \
+                per_theta_genfn_lhs(f, *args), args
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -951,7 +964,7 @@ def test_ksum_rhs_matches_per_chi_exhaustive(q):
     for n in (1, 2):
         for cs in itertools.product(range(N), repeat=n + 2):
             for es in itertools.product(range(q), repeat=n):
-                assert identities._ksum_rhs(f, n, cs, es) == \
+                assert identities._ksum_rhs(f, n, cs, es).tolist() == \
                     per_chi_ksum_rhs(f, n, cs, es), (cs, es)
 
 
@@ -964,7 +977,7 @@ def test_ksum_rhs_matches_per_chi_sampled(q):
         for _ in range(4 if q == 64 else 12):
             cs = tuple(rng.randrange(N) for _ in range(n + 2))
             es = tuple(rng.randrange(q) for _ in range(n))
-            assert identities._ksum_rhs(f, n, cs, es) == per_chi_ksum_rhs(f, n, cs, es)
+            assert identities._ksum_rhs(f, n, cs, es).tolist() == per_chi_ksum_rhs(f, n, cs, es)
 
 
 # -- the F_D walk adds into the caller's vector ------------------------------------------
@@ -978,9 +991,9 @@ def _prefactor(e, s):
 
 def _walk_matches(f, args, v, e, s):
     """e = None is a zero prefactor: the walk runs at weight s = 0."""
-    out = list(v)
+    out = np.array(v, dtype=np.int64)
     got = hyperff._fd_vec(f, *args, **_prefactor(e, s), out=out)
-    return got is out and got == rot_add(list(v), hyperff._fd_vec(f, *args), e, s)
+    return got is out and got.tolist() == rot_add(list(v), hyperff._fd_vec(f, *args), e, s)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1022,7 +1035,8 @@ def test_fd_walk_negative_control():
 
     def mutated(args, e, de, ds):
         want = rot_add(list(v), hyperff._fd_vec(f, *args), e, 2)
-        return hyperff._fd_vec(f, *args, e0=e + de, s=2 + ds, out=list(v)) == want
+        out = np.array(v, dtype=np.int64)
+        return hyperff._fd_vec(f, *args, e0=e + de, s=2 + ds, out=out).tolist() == want
 
     assert all(mutated(args, e, 0, 0) for args, e in cases)
     assert not all(mutated(args, e, 1, 0) for args, e in cases)
@@ -1036,7 +1050,7 @@ def _n0_walks_match(f, pairs):
     """At each (A, C): the n = 0 walk is binom_loop's {A choose C}, and
     jacobi(A, C) is jacobi_loop's J(A, C)."""
     N = f.n_chars
-    return all(hyperff._fd_vec(f, mA, (), mC, ()) == binom_loop(f, mA, mC) and
+    return all(hyperff._fd_vec(f, mA, (), mC, ()).tolist() == binom_loop(f, mA, mC) and
                hyperff.jacobi(charset.Char(f, mA), charset.Char(f, mC)) ==
                cyclo.from_coeffs(N, jacobi_loop(f, mA, mC)) for mA, mC in pairs)
 
@@ -1069,7 +1083,7 @@ def test_n0_walk_without_its_prefactor_is_caught(monkeypatch):
         assert _n0_walks_match(f, pairs)
         with monkeypatch.context() as m:
             _mutate(m, "_fd_vec", "e0 + (mA + mC) * f.log_neg1", "e0")
-            assert not any(hyperff._fd_vec(f, mA, (), mC, ()) == binom_loop(f, mA, mC)
+            assert not any(hyperff._fd_vec(f, mA, (), mC, ()).tolist() == binom_loop(f, mA, mC)
                            for mA, mC in pairs if (mA + mC) % 2)
             assert not _n0_walks_match(f, pairs)
         assert _n0_walks_match(f, pairs)
@@ -1190,7 +1204,7 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
     f = _field(5)
     draws = [(ms[0], ms[2:], ms[1], xs) for ms in itertools.product(range(4), repeat=4)
              for xs in [(2, 3), (4, 2)]]
-    operands = [(binom_vec(f, a, b), hyperff._fd_vec(f, *args))
+    operands = [(binom_vec(f, a, b), hyperff._fd_vec(f, *args).tolist())
                 for (a, b), args in zip(itertools.product(range(4), repeat=2), draws[::8])]
     # q = 5's products fit one byte; at q = 64 the trivial binomial squared
     # puts 62^2 at one exponent, which needs two
@@ -1204,7 +1218,7 @@ def test_walk_terms_and_conv_mutants_are_caught(monkeypatch):
                 all(_binom_terms_match(f, b, k) for b in range(4) for k in range(1, 4)),
                 all(_theta_sums_match(f, 5, 2, (cs[0], cs[2], *cs[1]), cs[3])
                     for cs in draws[::4]),
-                all(hyperff._conv(a, b, len(a)) == school_conv(a, b, len(a))
+                all(hyperff._conv(a, b, len(a)).tolist() == school_conv(a, b, len(a))
                     for a, b in operands))
 
     assert matches() == (True, True, True)
@@ -1235,14 +1249,14 @@ def test_coset_counts_match_literal_theta_sum(N):
     span = 5 * N + 3
     for size in (0, 1, 7, 40):
         terms = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(size)]
-        assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])) == \
+        assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])).tolist() == \
             literal_theta_sum(N, terms)
         shifts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(3)]
-        assert hyperff._coset_counts(D, triple(terms), triple(shifts)) == \
+        assert hyperff._coset_counts(D, triple(terms), triple(shifts)).tolist() == \
             literal_theta_sum(N, terms, shifts) == pair_coset_counts(N, terms, shifts)
     # every slope class at once: m = 0 (g = N), every divisor of N, units
     terms = [(rng.randrange(N), m) for m in range(N)]
-    assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])) == \
+    assert hyperff._coset_counts(D, triple(terms), triple([(0, 0)])).tolist() == \
         literal_theta_sum(N, terms) == pair_coset_counts(N, terms, [(0, 0)])
 
 
@@ -1268,7 +1282,7 @@ def test_coset_counts_match_literal_multi_theta_sum(N):
         for residue in (None, 0, 1):
             terms = _kernel_lists(rng, N, 4, span, residue)
             factors = [_kernel_lists(rng, N, 3, span, residue) for _ in range(n)]
-            assert hyperff._coset_counts(D, *map(triple, (terms, *factors))) == \
+            assert hyperff._coset_counts(D, *map(triple, (terms, *factors))).tolist() == \
                 literal_multi_theta_sum(N, terms, *factors), (n, residue)
 
 
@@ -1431,7 +1445,7 @@ def test_moebius_count_mutants_are_caught(monkeypatch):
         try:
             return all(run_count("_coset_moebius", D, terms, *factors) == w
                        for (N, D, terms, *factors), w in zip(cases, want))
-        except (IndexError, ValueError, KeyError):
+        except (IndexError, ValueError, KeyError, OverflowError):
             return False
 
     assert all_match()
@@ -1461,7 +1475,7 @@ def test_line_vec_matches_per_theta_walks_exhaustive(q):
     for ma, mb in itertools.product(range(f.n_chars), repeat=2):
         want = per_theta_line_vecs(f, ma, mb)
         for x in range(q):
-            assert hyperff._line_vec(f, ma, mb, x) == want(x), (ma, mb, x)
+            assert hyperff._line_vec(f, ma, mb, x).tolist() == want(x), (ma, mb, x)
 
 
 @pytest.mark.parametrize("q", [64, 256, 1024])
@@ -1470,7 +1484,7 @@ def test_line_vec_matches_per_theta_walks_sampled(q):
     rng = random.Random(700 + q)
     for _ in range({64: 12, 256: 4, 1024: 1}[q]):
         ma, mb, x = rng.randrange(f.n_chars), rng.randrange(f.n_chars), rng.randrange(1, q)
-        assert hyperff._line_vec(f, ma, mb, x) == per_theta_line_vecs(f, ma, mb)(x), \
+        assert hyperff._line_vec(f, ma, mb, x).tolist() == per_theta_line_vecs(f, ma, mb)(x), \
             (ma, mb, x)
 
 
@@ -1498,9 +1512,9 @@ def _theta_sums_match(f, q, n, cs, es):
     for variant in GENFN_SLOTS:
         for t in range(q):
             args = (mA, mBs, mC, es, t, variant)
-            if hyperff._genfn_lhs_vec(f, *args) != _genfn_oracle(f, *args):
+            if hyperff._genfn_lhs_vec(f, *args).tolist() != _genfn_oracle(f, *args):
                 return False
-    return identities._ksum_rhs(f, n, cs, es) == _ksum_oracle(f, n, cs, es)
+    return identities._ksum_rhs(f, n, cs, es).tolist() == _ksum_oracle(f, n, cs, es)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1524,8 +1538,8 @@ def test_theta_sums_match_rows_oracle_sampled(q):
             t = rng.randrange(q)
             for variant in GENFN_SLOTS:
                 args = (cs[0], cs[2:], cs[1], es, t, variant)
-                assert hyperff._genfn_lhs_vec(f, *args) == _genfn_oracle(f, *args), args
-            assert identities._ksum_rhs(f, n, cs, es) == _ksum_oracle(f, n, cs, es)
+                assert hyperff._genfn_lhs_vec(f, *args).tolist() == _genfn_oracle(f, *args), args
+            assert identities._ksum_rhs(f, n, cs, es).tolist() == _ksum_oracle(f, n, cs, es)
 
 
 def _mutate(monkeypatch, name, old, new, module=hyperff):
@@ -1550,7 +1564,8 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
         """(every line sum matches, every theta-sum matches); a side that
         raises does not match."""
         try:
-            return (all(hyperff._line_vec(f, ma, mb, x) == want for ma, mb, x, want in lines),
+            return (all(hyperff._line_vec(f, ma, mb, x).tolist() == want
+                        for ma, mb, x, want in lines),
                     all(_theta_sums_match(f, 5, 1, cs, es) for cs, es in _q5_cases()))
         except (IndexError, ValueError):
             return (False, False)
@@ -1583,7 +1598,7 @@ def test_theta_sum_mutants_are_caught(monkeypatch):
 
 def _t43_matches(f, mA, mBs, mC, xs):
     t = f.p - 1
-    return hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, "T43") == \
+    return hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, "T43").tolist() == \
         loop_t43_rhs(f, mA, mBs, mC, xs, t)
 
 
@@ -1624,7 +1639,7 @@ def test_t43_y_loop_mutant_is_caught(monkeypatch):
 
 
 def _genfn_rhs_match(f, mA, mBs, mC, xs, t):
-    return all(hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, v) ==
+    return all(hyperff._genfn_rhs_vec(f, mA, mBs, mC, xs, t, v).tolist() ==
                per_variant_genfn_rhs(f, mA, mBs, mC, xs, t, v) for v in GENFN_SLOTS)
 
 
@@ -1675,21 +1690,21 @@ def per_u_beta(f, mA, mBs, mC, xs):
     """sum over u of B_1(u) B_2(1-u) F_D^(n-1)(A; B_1 B_2, B_3..; C | u x_1 +
     (1-u) x_2, x_3..): one _fd_vec walk per u, the loop _beta_vec replaced."""
     N, Z = f.n_chars, f.zech_table
-    out = [0] * N
+    out = np.zeros(N, dtype=np.int64)
     x1, x2 = xs[0], xs[1]
     if x1 == 0 or x2 == 0:
-        return out
+        return out.tolist()
     E, l1, l2 = f.exp_table, f.log_table[x1], f.log_table[x2]
     merged = (mBs[0] + mBs[1], *mBs[2:])
     for i in range(1, N):  # u = g^i, 1 - u = g^Z[i]; u = 0 and u = 1 give 0
         xm = f.add(E[(i + l1) % N], E[(Z[i] + l2) % N])  # u x1 + (1-u) x2
         hyperff._fd_vec(f, mA, merged, mC, (xm, *xs[2:]), e0=mBs[0] * i + mBs[1] * Z[i],
                         out=out)
-    return out
+    return out.tolist()
 
 
 def _beta_matches(f, args):
-    return hyperff._beta_vec(f, *args) == per_u_beta(f, *args)
+    return hyperff._beta_vec(f, *args).tolist() == per_u_beta(f, *args)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1737,7 +1752,7 @@ def test_beta_vec_edge_cases(q):
         ]
         for args in cases:
             assert _beta_matches(f, args), args
-        assert hyperff._beta_vec(f, *cases[4]) == [0] * N
+        assert hyperff._beta_vec(f, *cases[4]).tolist() == [0] * N
 
 
 def test_beta_vec_mutants_are_caught(monkeypatch):
@@ -1750,7 +1765,7 @@ def test_beta_vec_mutants_are_caught(monkeypatch):
     def all_match():
         """Every draw matches; a draw that raises does not match."""
         try:
-            return all(hyperff._beta_vec(f, *args) == w for args, w in zip(cases, want))
+            return all(hyperff._beta_vec(f, *args).tolist() == w for args, w in zip(cases, want))
         except (IndexError, ValueError):
             return False
 
@@ -1780,15 +1795,15 @@ ARRAY_QS = [7, 9, 16, 27, BELOW, ABOVE, 256, 1024, 4096]
 def _fd_walks_match(f, args, e0, s, v):
     """The walk adds into the caller's vector as the list loop does, and
     builds the same fresh vector without one (e0 = None: weight 0)."""
-    got, want, kw = list(v), list(v), _prefactor(e0, s)
+    got, want, kw = np.array(v, dtype=np.int64), list(v), _prefactor(e0, s)
     same = hyperff._fd_vec(f, *args, **kw, out=got) is got
     _fd_list(f, *args, **kw, out=want)
-    return same and got == want and \
-        hyperff._fd_vec(f, *args, **kw) == _fd_list(f, *args, **kw)
+    return same and got.tolist() == want and \
+        hyperff._fd_vec(f, *args, **kw).tolist() == _fd_list(f, *args, **kw)
 
 
 def _beta_walks_match(f, args):
-    return hyperff._beta_vec(f, *args) == _beta_list(f, *args)
+    return hyperff._beta_vec(f, *args).tolist() == _beta_list(f, *args)
 
 
 def test_the_gate_stays_on_the_list_walks():
@@ -1802,8 +1817,9 @@ def test_the_gate_stays_on_the_list_walks():
 def test_fd_vec_and_beta_vec_switch_at_the_crossover(q):
     # one kernel on either side of N = _ARRAY_MIN_N, with the list loops' counts
     f = _field(q)
-    assert hyperff._fd_vec(f, 1, (2,), 3, (4,)) == _fd_list(f, 1, (2,), 3, (4,))
-    assert hyperff._beta_vec(f, 1, (2, 3), 4, (5, 6)) == _beta_list(f, 1, (2, 3), 4, (5, 6))
+    assert hyperff._fd_vec(f, 1, (2,), 3, (4,)).tolist() == _fd_list(f, 1, (2,), 3, (4,))
+    assert hyperff._beta_vec(f, 1, (2, 3), 4, (5, 6)).tolist() == \
+        _beta_list(f, 1, (2, 3), 4, (5, 6))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -1888,8 +1904,8 @@ def test_array_walks_at_the_edge_cases(q):
         assert _beta_walks_match(f, args), args
         for e0, s in [(0, 1), (None, 1), (-N - 1, -1), (2 * N + 3, q - 1)]:
             assert _fd_walks_match(f, args, e0, s, [rng.randint(-2, 2) for _ in range(N)]), args
-    assert hyperff._beta_vec(f, *cases[4]) == [0] * N
-    assert hyperff._fd_vec(f, *cases[4]) == [0] * N
+    assert hyperff._beta_vec(f, *cases[4]).tolist() == [0] * N
+    assert hyperff._fd_vec(f, *cases[4]).tolist() == [0] * N
 
 
 def test_array_walk_mutants_are_caught(monkeypatch):
@@ -1913,8 +1929,9 @@ def test_array_walk_mutants_are_caught(monkeypatch):
     for name, old, new, caught in [
         ("_fd_vec", "e[dead] = slots", "pass", (False, True)),  # dead term kept
         ("_zech_rot", "Z2[lx + 1:lx + N]", "Z2[lx:lx + N - 1]", (False, False)),  # rotation - 1
-        ("_fd_vec", "out[:] = map(add, out, counts.tolist())", "out[:] = counts.tolist()",
-         (False, True)),  # out replaced, not added to
+        # out replaced, not added to
+        ("_fd_vec", "np.add(out, counts, out=out)", "np.copyto(out, counts) or out",
+         (False, True)),
         ("_beta_vec", "rows[lm[j:j + step] + 1]", "rows[lm[j:j + step]]", (True, False)),
         ("_beta_vec", "range(0, len(i), step)", "range(0, len(i) - step + 1, step)",
          (True, False)),  # the last partial block dropped
@@ -1923,3 +1940,78 @@ def test_array_walk_mutants_are_caught(monkeypatch):
             _mutate(m, name, old, new)
             assert all_match() == caught, (name, old, new)
     assert all_match() == (True, True)
+
+
+# -- one assignment past the block's int64 bound: every side exact -----------------------
+# Where identities._fits_int64 fails, one assignment is still evaluated as
+# int64 rows, and as object rows only where a Moebius count can reach 2^63.
+# Each side's .tolist() is compared with the same side evaluated by the
+# Python-int oracles: the list walks (_fd_list, _beta_list), schoolbook
+# products and the state count of the walks' live terms, on lists.
+
+# every t4 identity at q = 4096, n = 2, t3.ff-beta at q = 256, n = 2 and t2.1
+# at q = 64, n = 5, 6, 9 and q = 7, n = 26
+PAST_BOUND = [*((d.id, 4096, 2) for d in identities.list_identities()
+                if d.id.startswith("t4.")),
+              ("t3.ff-beta", 256, 2), ("t2.1", 64, 5), ("t2.1", 64, 6), ("t2.1", 64, 9),
+              ("t2.1", 7, 26)]
+
+
+def _list_addm(out, e, scale=1):
+    out[e % len(out)] += scale
+
+
+def _list_kernels(m):
+    """hyperff's side kernels replaced, on the monkeypatch context m, by
+    loops over lists of Python ints."""
+    m.setattr(hyperff, "_zeros", lambda N, R: [0] * N)
+    m.setattr(hyperff, "_addm", _list_addm)
+    m.setattr(identities, "_addm", _list_addm)
+    m.setattr(hyperff, "_fd_vec", _fd_list)
+    m.setattr(hyperff, "_beta_vec", _beta_list)
+    m.setattr(hyperff, "_conv", school_conv)
+    m.setattr(hyperff, "_coset_counts",
+              lambda D, *lists: state_coset_counts(D.n, *map(live_terms, lists)))
+
+
+def _past_bound_draws(ident, q, n, k=2):
+    desc = identities.get_identity(ident)
+    rng = random.Random(f"{ident}:{q}:{n}")
+    draws = []
+    while len(draws) < k:
+        cs = tuple(rng.randrange(q - 1) for _ in range(desc.chars(n)))
+        es = tuple(rng.randrange(q) for _ in range(desc.elems(n)))
+        if desc.violated(cs, es) is None:
+            draws.append((cs, es))
+    return desc, draws
+
+
+def _sides_are_exact(monkeypatch, ident, q, n) -> list:
+    """The oracle's sides at each draw of (ident, q, n), as lists, or None
+    where a side's .tolist() is not the oracle's."""
+    desc, draws = _past_bound_draws(ident, q, n)
+    f = _field(q)
+    got = [[side(f, n, cs, es).tolist() for side in (desc.lhs, desc.rhs)] for cs, es in draws]
+    with monkeypatch.context() as m:
+        _list_kernels(m)
+        want = [[side(f, n, cs, es) for side in (desc.lhs, desc.rhs)] for cs, es in draws]
+    return want if got == want else None
+
+
+@pytest.mark.parametrize("ident, q, n", PAST_BOUND)
+def test_one_assignment_past_the_int64_bound_is_exact(monkeypatch, ident, q, n):
+    assert not identities._fits_int64(identities.get_identity(ident), _field(q), n)
+    assert _sides_are_exact(monkeypatch, ident, q, n) is not None
+
+
+def test_the_int64_moebius_rule_without_the_scale_is_caught(monkeypatch):
+    # the dtype rule N * tuples < 2^63, which leaves out _tile's scale
+    # N^(n-1), keeps t2.1 at q = 64, n = 6 in int64, whose rhs needs more
+    # than 63 bits: it wraps, by a multiple of 2^64 at every exponent alike
+    want = _sides_are_exact(monkeypatch, "t2.1", 64, 6)
+    assert want is not None
+    assert max(abs(v) for _, rhs in want for v in rhs).bit_length() > 63
+    with monkeypatch.context() as m:
+        _mutate(m, "_coset_moebius", "N ** len(Fs) * tuples < 2**63",
+                "N * tuples < 2**63")
+        assert _sides_are_exact(m, "t2.1", 64, 6) is None

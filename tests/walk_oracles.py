@@ -4,11 +4,27 @@ tests' oracles: the F_D walk (_fd_list), t3.ff-beta's double walk
 Python loop over u = g^i, 1 - u = g^Z[i], for one assignment.  hyperff's
 _fd_vec, _beta_vec and _walk_terms, which build the same counts and terms
 from the exponent column of _exponents as int64 array passes, are compared
-with them in test_packed.py and test_covariance.py."""
+with them in test_packed.py and test_covariance.py.  The vanishing test's
+loop over a list of Python ints (_list_vanishes), which cyclo.vanishes's
+row passes replaced, is the oracle of test_cyclo.py and of the list check
+in test_identities.py."""
 
 from operator import add
 
+from ffhyper import cyclo
 from ffhyper.ff_core import FieldTable
+
+
+def _list_vanishes(n: int, vec) -> bool:
+    """cyclo.vanishes on one length-n vector as a loop over a list of Python
+    ints: one cyclic shift-and-subtract per prime p | n."""
+    v = list(vec)
+    if len(v) != n:
+        raise ValueError(f"expected a length-{n} vector, got length {len(v)}")
+    for p in cyclo._prime_divisors(n):
+        s = n // p
+        v = [a - b for a, b in zip(v[-s:] + v[:-s], v)]
+    return not any(v)
 
 
 def _fd_list(f: FieldTable, mA: int, mBs, mC: int, xs, *, e0: int = 0, s: int = 1,
