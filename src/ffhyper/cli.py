@@ -21,8 +21,8 @@ import os
 import sys
 
 from . import classical, cyclo, ff_core, hyperff, identities
-from .charset import Char
 from .errors import FFHyperError, TooLarge, UnknownIdentity
+from .hyperff import Char
 
 SCHEMA = "ffhyper/1"
 

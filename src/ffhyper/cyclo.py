@@ -1,24 +1,25 @@
-"""Exact arithmetic in Z[zeta_n], the ring of cyclotomic integers.
+"""Canonical values in Z[zeta_n], the ring of cyclotomic integers, and the
+exact zero test that decides every identity.
 
-Character values and all hypergeometric character sums over F_q live here with
-n = q-1.  Elements are kept in canonical form: the residue modulo the n-th
-cyclotomic polynomial Phi_n, on the power basis 1, z, ..., z^(phi(n)-1).  Two
-elements of the same order are equal iff their coefficient tuples are equal.
+Character values and all hypergeometric character sums over F_q live in
+Z[zeta_n] with n = q-1.  A CycInt is the canonical form of a value, built
+only to print or return it: the residue modulo the n-th cyclotomic
+polynomial Phi_n, on the power basis 1, z, ..., z^(phi(n)-1).  Two values of
+the same order are equal iff their coefficient tuples are equal.
 Coefficients are Python ints, hence never overflow.  Phi_n is the Moebius
-product of the binomials x^d - 1 over the divisors d of n (Lidl & Niederreiter,
-Finite Fields, ch. 2-3), built as a power series with one linear pass per
-factor; its order has no limit of its own, the field size caps it.
-Reduction mod Phi_n runs through the same 2^omega(n) factors: quotient and
-remainder come from power-series products and quotients by 1 - x^d, each one
-linear pass, so a length-L reduction costs O(2^omega(n) * L) additions, not the
-O((L - phi(n)) * phi(n)) of long division.
+product of the binomials x^d - 1 over the divisors d of n (Lidl &
+Niederreiter, Finite Fields, ch. 2-3), and reduction mod Phi_n runs through
+those 2^omega(n) factors without building Phi_n: quotient and remainder come
+from power-series products and quotients by 1 - x^d, each one linear pass,
+so a length-L reduction costs O(2^omega(n) * L) additions, not the
+O((L - phi(n)) * phi(n)) of long division.  Its order has no limit of its
+own; the field size caps it.
 
 Deciding equality does not need canonical form: `vanishes` tests whether a
 group-ring vector (a sum of n-th roots of unity) is zero in O(omega(n) * n),
 so every theorem check is an exact yes/no with no tolerance, and canonical
 reduction is left to values that are printed or returned.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InexactDivision, OrderMismatch
+from .errors import InexactDivision
 
 
 @lru_cache(maxsize=None)
@@ -143,20 +144,6 @@ def _series_pass(s: list[int], d: int, e: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low to high: (-1)^(sum mu) P with
-    P = prod_{d | n} (1 - x^d)^mu(n/d), one `_series_pass` per Moebius factor.
-    P is a polynomial of degree phi(n), so its power series mod x^(phi(n)+1)
-    is P itself (see `_reduce` for the sign)."""
-    factors = _moebius_factors(n)
-    s = [1] + [0] * _totient(n)
-    for d, mu in factors:
-        s = _series_pass(s, d, mu)
-    sign = (-1) ** sum(mu for _, mu in factors)
-    return tuple(sign * c for c in s)
-
-
 def _reduce(coeffs: list[int], n: int) -> tuple[int, ...]:
     """The residue of sum_i coeffs[i] * x^i mod Phi_n, as phi(n) coefficients.
 
@@ -212,36 +199,12 @@ def vanishes(n: int, vec):
 
 @dataclass(frozen=True)
 class CycInt:
+    """A canonical value of Z[zeta_order], for output: str() renders it."""
     order: int
     coeffs: tuple[int, ...]  # canonical, length phi(order)
 
-    def __add__(self, other: "CycInt") -> "CycInt":
-        return add(self, other)
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return add(self, neg(other))
-
-    def __mul__(self, other: "CycInt") -> "CycInt":
-        return mul(self, other)
-
-    def __neg__(self) -> "CycInt":
-        return neg(self)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self) -> str:
         return render(self)
-
-
-def _check_orders(a: CycInt, b: CycInt) -> None:
-    if a.order != b.order:
-        raise OrderMismatch(a.order, b.order)
-
-
-def from_int(n: int, m: int) -> CycInt:
-    deg = _totient(n)
-    return CycInt(n, _reduce([m] + [0] * (deg - 1), n))
 
 
 def from_coeffs(n: int, coeffs) -> CycInt:
@@ -256,50 +219,6 @@ def div_exact(a: CycInt, d: int) -> CycInt:
     if any(c % d for c in a.coeffs):
         raise InexactDivision(d)
     return CycInt(a.order, tuple(c // d for c in a.coeffs))
-
-
-def zero(n: int) -> CycInt:
-    return from_int(n, 0)
-
-
-def one(n: int) -> CycInt:
-    return from_int(n, 1)
-
-
-def zeta_pow(n: int, j: int) -> CycInt:
-    j %= n
-    return CycInt(n, _reduce([0] * j + [1], n))
-
-
-def add(a: CycInt, b: CycInt) -> CycInt:
-    _check_orders(a, b)
-    return CycInt(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def neg(a: CycInt) -> CycInt:
-    return CycInt(a.order, tuple(-x for x in a.coeffs))
-
-
-def mul(a: CycInt, b: CycInt) -> CycInt:
-    _check_orders(a, b)
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                out[i + j] += x * y
-    return CycInt(a.order, _reduce(out, a.order))
-
-
-def embed(a: CycInt, multiple_order: int) -> CycInt:
-    """Map zeta_n to zeta_m^(m/n); a ring homomorphism Z[zeta_n] -> Z[zeta_m]."""
-    m = multiple_order
-    if m % a.order != 0:
-        raise OrderMismatch(a.order, m)
-    step = m // a.order
-    out = [0] * ((len(a.coeffs) - 1) * step + 1)
-    for i, x in enumerate(a.coeffs):
-        out[i * step] += x
-    return CycInt(m, _reduce(out, m))
 
 
 def render(a: CycInt) -> str:

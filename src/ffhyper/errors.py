@@ -30,16 +30,6 @@ class ZeroInverse(FFHyperError):
         self.rows = rows
 
 
-class ZeroLog(FFHyperError):
-    def __init__(self):
-        super().__init__("discrete log of 0 is undefined")
-
-
-class OrderMismatch(FFHyperError):
-    def __init__(self, a, b):
-        super().__init__(f"cyclotomic orders differ: {a} vs {b}")
-
-
 class FieldMismatch(FFHyperError):
     def __init__(self):
         super().__init__("operands belong to different fields")
@@ -59,9 +49,13 @@ class UnknownIdentity(FFHyperError):
 
 
 class CapExceeded(FFHyperError):
-    def __init__(self, size, cap):
+    """size: the number of assignments, or None where it is only known to be
+    at least 2^bits (too many to count cheaply)."""
+
+    def __init__(self, size, cap, bits=None):
+        count = f"at least 2^{bits}" if size is None else size
         super().__init__(
-            f"exhaustive domain has {size} assignments, above the cap {cap}; "
+            f"exhaustive domain has {count} assignments, above the cap {cap}; "
             "use sampled mode"
         )
         self.size = size

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import DivisorTable, _prime_divisors
-from .errors import NotPrime, TooLarge, ZeroInverse, ZeroLog
+from .errors import NotPrime, TooLarge, ZeroInverse
 
 DEFAULT_MAX_Q = 4096
 
@@ -221,12 +221,6 @@ class FieldTable:
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
-
-    def dlog(self, x: int) -> int:
-        _check_points(self.q, (x,), "x")
-        if x == 0:
-            raise ZeroLog()
-        return self.log_table[x]
 
     def __eq__(self, other):
         return (

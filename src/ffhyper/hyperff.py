@@ -114,6 +114,13 @@ dominate.  Where N^n times the tuples reaches 2^63 (t2.1 at q = 64 from n =
 5) the Moebius counts are Python ints, the only sides in object rows.  Both
 count the same tuples in Z[Z_N]; neither uses a relation of Z[zeta_N].
 
+Characters are labelled by exponent: chi_m sends the field's generator g
+to zeta_N^m, so chi_0 is the trivial character eps, and a Char is the
+record (field, m) that the public ops take.  Pitfall worth repeating: every
+character is extended to all of F_q by chi(0) = 0, eps included.  The
+factors eps(x_1 ... x_n) above rely on this; the common textbook convention
+eps(0) = 1 would silently change results.
+
 Every sum takes the field's shared FieldTable and keeps no state between or
 within calls: the public ops (one assignment each) reduce modulo Phi_N to a
 canonical CycInt once, at the end; the verifier never reduces: it decides
@@ -129,7 +136,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cyclo
-from .charset import Char
 from .cyclo import CycInt
 from .errors import DomainViolation, FieldMismatch
 from .ff_core import FieldTable, _check_points
@@ -622,6 +628,21 @@ def _charsum_vec(f: FieldTable, mA, mBs, mC, xs):
 
 
 # -- public types ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Char:
+    """The character chi_m of `field`: an integer exponent m, read mod q - 1."""
+    field: FieldTable
+    m: int
+
+    def __post_init__(self):
+        if type(self.m) is not int:  # a bool is no exponent
+            raise ValueError(f"character exponent must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", self.m % self.field.n_chars)
+
+    def __repr__(self):
+        return f"chi_{self.m}[q={self.field.q}]"
 
 
 def _same_field(*chars: Char, points=(), name="x") -> FieldTable:

@@ -68,12 +68,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import charset, cyclo, ff_core, hyperff, sampling
+from . import cyclo, ff_core, hyperff, sampling
 from .cyclo import CycInt
 from .errors import CapExceeded, UnknownIdentity, ZeroInverse
-from .hyperff import _addm, _delta, _is, _mono_exp
+from .hyperff import Char, _addm, _delta, _is, _mono_exp
 
 DEFAULT_CAP = 10_000_000
+_EXACT_BITS = 64  # CapExceeded gives the exact size of every slot space below 2^64
 MODES = ("exhaustive", "sampled", "boundary")
 DEFAULT_SAMPLES = 500
 
@@ -758,6 +759,30 @@ def _run_one(desc, f: ff_core.FieldTable, n: int, mode: str, seed: int, count: i
         mismatches=mismatches, undefined=undefined)
 
 
+def _listed(name: str, values) -> list:
+    """The entries of an iterable argument, or a ValueError naming it."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list, got {values!r}") from None
+    return list(entries)
+
+
+def _check_cap(desc: IdentityDescriptor, q: int, n: int, cap: int) -> None:
+    """CapExceeded where the slot space (q - 1)^c q^e at (q, n) passes cap,
+    decided without building a number far past it (at n = 10^7 it has
+    millions of digits).  With low = c (bits(q - 1) - 1) + e (bits(q) - 1),
+    the space is between 2^low and 4^low: where low reaches both _EXACT_BITS
+    and the bits of cap it is past cap, and the message gives 2^low;
+    elsewhere it is counted exactly, in at most 2 max(_EXACT_BITS, bits(cap))
+    bits."""
+    c, e = desc.chars(n), desc.elems(n)
+    low = c * ((q - 1).bit_length() - 1) + e * (q.bit_length() - 1)
+    size = None if low >= max(_EXACT_BITS, cap.bit_length()) else desc.slot_space(q, n)
+    if size is None or size > cap:
+        raise CapExceeded(size, cap, low)
+
+
 def _check_n(desc: IdentityDescriptor, n: int) -> None:
     if type(n) is not int:
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -780,31 +805,34 @@ def verify(ident: str, q_list, mode: str = "exhaustive", n_list=None,
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    if n_list is None:
-        n_list = (desc.n_min,)
+    n_list = (desc.n_min,) if n_list is None else _listed("n_list", n_list)
     for n in n_list:
         _check_n(desc, n)
-    fields = [_field_for_q(q, max_q) for q in q_list]
+    fields = [_field_for_q(q, max_q) for q in _listed("q_list", q_list)]
     if mode != "sampled":
         for f in fields:
             for n in n_list:
-                size = desc.slot_space(f.q, n)
-                if size > cap:
-                    raise CapExceeded(size, cap)
+                _check_cap(desc, f.q, n, cap)
     return [_run_one(desc, f, n, mode, seed, count, corrupt_rhs)
             for f in fields for n in n_list]
 
 
 def replay(ident: str, assignment: dict, corrupt_rhs: bool = False):
-    """Re-run one stored assignment; returns (lhs, rhs, equal?).  Every entry
+    """Re-run one stored assignment, a dict with q, n and the lists chars
+    and elems (a failure entry); returns (lhs, rhs, equal?).  Every entry
     is an integer; character exponents are read mod q - 1, and elements must
     be indices 0 <= x < q."""
     desc = get_identity(ident)
+    if not isinstance(assignment, dict):
+        raise ValueError(f"assignment must be a dict, got {type(assignment).__name__}")
+    for key in ("q", "n", "chars", "elems"):
+        if key not in assignment:
+            raise ValueError(f"assignment has no {key!r} entry")
     q, n = assignment["q"], assignment["n"]
     _check_n(desc, n)
     f = _field_for_q(q)
-    cs = tuple(charset.Char(f, c).m for c in assignment["chars"])
-    es = tuple(assignment["elems"])
+    cs = tuple(Char(f, c).m for c in _listed("chars", assignment["chars"]))
+    es = tuple(_listed("elems", assignment["elems"]))
     if len(cs) != desc.chars(n) or len(es) != desc.elems(n):
         raise ValueError("assignment shape does not match identity arity")
     ff_core._check_points(q, es, "elems entry")

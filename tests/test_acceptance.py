@@ -7,9 +7,10 @@ import json
 import random
 import time
 
-from ffhyper import charset, classical, cli, cyclo, ff_core, hyperff, identities
+from ffhyper import Char, classical, cli, cyclo, ff_core, hyperff, identities
 from ffhyper.identities import GATE_EXHAUSTIVE_QS as EXHAUSTIVE_QS
 from ffhyper.identities import GATE_SAMPLED_QS as SAMPLED_QS
+from ring_oracles import add, char_value, from_int, mul
 
 
 def _report(capfd, name: str, ok: bool, detail: str = "") -> None:
@@ -64,30 +65,28 @@ def test_criterion_3_spot_values(capfd):
     for q in (5, 7, 9):
         f = _field(q)
         for m in range(f.n_chars):
-            want = cyclo.from_int(f.n_chars, -1 + (q - 1 if m == 0 else 0))
-            bad += hyperff.binom(charset.Char(f, m), charset.Char(f, 0)) != want
-    # 2F1 at x = 1: A(-1) {B choose ~A C}, all characters at q=5
+            want = from_int(f.n_chars, -1 + (q - 1 if m == 0 else 0))
+            bad += hyperff.binom(Char(f, m), Char(f, 0)) != want
+    # 2F1 at x = 1: A(-1) {B choose A^-1 C}, all characters at q=5
     f5 = _field(5)
     neg1 = f5.neg(1)
     for ma in range(4):
         for mb in range(4):
             for mc in range(4):
-                A, B, C = (charset.Char(f5, m) for m in (ma, mb, mc))
+                A, B, C = (Char(f5, m) for m in (ma, mb, mc))
                 lhs = hyperff.gauss_2f1(A, B, C, 1)
-                rhs = cyclo.mul(charset.eval(A, neg1),
-                                hyperff.binom(B, ~A * C))
+                rhs = mul(char_value(f5, ma, neg1), hyperff.binom(B, Char(f5, mc - ma)))
                 bad += lhs != rhs
-    # F_D at the all-ones point: (B1 B2)(-1) {A choose ~B1 ~B2 C}, q=5 n=2
+    # F_D at the all-ones point: (B1 B2)(-1) {A choose B1^-1 B2^-1 C}, q=5 n=2
     for ma in range(4):
         for m1 in range(4):
             for m2 in range(4):
                 for mc in range(4):
-                    A, B1, B2, C = (charset.Char(f5, m)
-                                    for m in (ma, m1, m2, mc))
+                    A, B1, B2, C = (Char(f5, m) for m in (ma, m1, m2, mc))
                     inst = hyperff.FdInstance(A, (B1, B2), C, (1, 1))
                     lhs = hyperff.lauricella_def(inst)
-                    rhs = cyclo.mul(charset.eval(B1 * B2, neg1),
-                                    hyperff.binom(A, ~B1 * ~B2 * C))
+                    rhs = mul(char_value(f5, m1 + m2, neg1),
+                              hyperff.binom(A, Char(f5, mc - m1 - m2)))
                     bad += lhs != rhs
     _report(capfd, "spot values: binomial at eps, 2F1 at x=1, F_D at all-ones",
             bad == 0, f"{bad} mismatches")
@@ -124,11 +123,11 @@ def test_criterion_5_infrastructure(capfd):
             a, b, c = (cyclo.from_coeffs(
                 order, [rng.randint(-9, 9) for _ in range(order)])
                 for _ in range(3))
-            ring_ok &= a + b == b + a
-            ring_ok &= a * b == b * a
-            ring_ok &= (a + b) + c == a + (b + c)
-            ring_ok &= (a * b) * c == a * (b * c)
-            ring_ok &= a * (b + c) == a * b + a * c
+            ring_ok &= add(a, b) == add(b, a)
+            ring_ok &= mul(a, b) == mul(b, a)
+            ring_ok &= add(add(a, b), c) == add(a, add(b, c))
+            ring_ok &= mul(mul(a, b), c) == mul(a, mul(b, c))
+            ring_ok &= mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
     # character orthogonality, exhaustive over every prime power q <= 64
     orth_ok = True
@@ -141,16 +140,16 @@ def test_criterion_5_infrastructure(capfd):
             continue
         f = ff_core.build_field(p, k)
         N = f.n_chars
-        for ch in charset.all_chars(f):
-            s = cyclo.zero(N)
+        for m in range(N):
+            s = from_int(N, 0)
             for x in range(q):
-                s = s + charset.eval(ch, x)
-            orth_ok &= s == cyclo.from_int(N, N if ch.is_trivial else 0)
+                s = add(s, char_value(f, m, x))
+            orth_ok &= s == from_int(N, N if m == 0 else 0)
         for x in range(q):
-            s = cyclo.zero(N)
-            for ch in charset.all_chars(f):
-                s = s + charset.eval(ch, x)
-            orth_ok &= s == cyclo.from_int(N, N if x == 1 else 0)
+            s = from_int(N, 0)
+            for m in range(N):
+                s = add(s, char_value(f, m, x))
+            orth_ok &= s == from_int(N, N if x == 1 else 0)
         q += 1
 
     # negative control: a corrupted right-hand side must fail loudly

@@ -1,9 +1,14 @@
+"""Multiplicative characters chi_m: the Char record of hyperff, the value
+chi_m(x) = zeta_{q-1}^(m log x) of the ring_oracles at every element index,
+and the public ops' refusal of what is no element index."""
+
 import re
 
 import numpy as np
 import pytest
 
-from ffhyper import charset, cyclo, errors, ff_core
+from ffhyper import Char, errors, ff_core, hyperff
+from ring_oracles import add, char_value, from_int, mul, zeta_pow
 
 PRIME_POWERS_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
                    31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -17,104 +22,85 @@ def test_zero_maps_to_zero_for_every_character():
     # including the trivial character: chi(0) = 0, not 1
     for q in (4, 5, 7, 9):
         f = _field(q)
-        for c in charset.all_chars(f):
-            assert charset.eval(c, 0).is_zero()
-        eps = charset.Char(f, 0)
-        assert eps.is_trivial
-        assert charset.eval(eps, 0).is_zero()
-        assert charset.eval(eps, 1) == cyclo.one(f.n_chars)
+        for m in range(f.n_chars):
+            assert char_value(f, m, 0) == from_int(f.n_chars, 0)
+        assert char_value(f, 0, 1) == from_int(f.n_chars, 1)
 
 
 def test_orthogonality_all_prime_powers_up_to_64():
     for q in PRIME_POWERS_64:
         f = _field(q)
         N = f.n_chars
-        for c in charset.all_chars(f):
-            s = cyclo.zero(N)
+        for m in range(N):
+            s = from_int(N, 0)
             for x in range(q):
-                s = s + charset.eval(c, x)
-            want = cyclo.from_int(N, N if c.is_trivial else 0)
-            assert s == want, (q, c.m)
+                s = add(s, char_value(f, m, x))
+            assert s == from_int(N, N if m == 0 else 0), (q, m)
         for x in range(q):
-            s = cyclo.zero(N)
-            for c in charset.all_chars(f):
-                s = s + charset.eval(c, x)
-            want = cyclo.from_int(N, N if x == 1 else 0)
-            assert s == want, (q, x)
+            s = from_int(N, 0)
+            for m in range(N):
+                s = add(s, char_value(f, m, x))
+            assert s == from_int(N, N if x == 1 else 0), (q, x)
 
 
 def test_multiplicativity():
     for q in (5, 8, 9):
         f = _field(q)
-        for c in charset.all_chars(f):
+        for m in range(f.n_chars):
             for x in range(q):
                 for y in range(q):
-                    assert charset.eval(c, f.mul(x, y)) == \
-                        cyclo.mul(charset.eval(c, x), charset.eval(c, y))
+                    assert char_value(f, m, f.mul(x, y)) == \
+                        mul(char_value(f, m, x), char_value(f, m, y))
 
 
 def test_group_structure():
+    # characters multiply by adding exponents mod q - 1
     f = _field(7)
-    a, b = charset.Char(f, 2), charset.Char(f, 5)
-    assert charset.product(a, b).m == 1  # 7 mod 6
-    assert (a * b).m == 1
-    assert charset.inverse(a).m == 4
-    assert (~a).m == 4
-    assert (a * ~a).is_trivial
+    a, b = Char(f, 2), Char(f, 5)
+    assert Char(f, a.m + b.m).m == 1  # 7 mod 6
+    assert Char(f, -a.m).m == 4
     for x in range(1, 7):
-        assert charset.eval(a, x) * charset.eval(~a, x) == cyclo.one(6)
+        assert mul(char_value(f, a.m, x), char_value(f, b.m, x)) == char_value(f, 1, x)
+        assert mul(char_value(f, a.m, x), char_value(f, -a.m, x)) == from_int(6, 1)
 
 
 def test_exponent_normalization():
     f = _field(5)
-    assert charset.Char(f, 7).m == 3
-    assert charset.Char(f, -1).m == 3
-    assert charset.Char(f, 4).m == 0
-    assert charset.Char(f, 7) == charset.Char(f, -1)
+    assert Char(f, 7).m == 3
+    assert Char(f, -1).m == 3
+    assert Char(f, 4).m == 0
+    assert Char(f, 7) == Char(f, -1)
+    assert repr(Char(f, 7)) == "chi_3[q=5]"
 
 
 @pytest.mark.parametrize("m", [1.5, 2.0, True])
 def test_a_character_exponent_must_be_an_integer(m):
     # 1.5 is no character, and True is not chi_1
     with pytest.raises(ValueError) as info:
-        charset.Char(_field(5), m)
+        Char(_field(5), m)
     assert str(info.value) == f"character exponent must be an integer, got {m!r}"
-
-
-def test_all_chars():
-    for q in (3, 4, 9):
-        f = _field(q)
-        cs = charset.all_chars(f)
-        assert len(cs) == q - 1
-        assert [c.m for c in cs] == list(range(q - 1))
 
 
 def test_quadratic_character():
     # on a prime field the exponent-(q-1)/2 character is the Legendre symbol
     f = _field(7)
-    phi = charset.Char(f, 3)
     squares = sorted({f.mul(x, x) for x in range(1, 7)})
     assert squares == [1, 2, 4]
     for x in range(1, 7):
         want = 1 if x in squares else -1
-        assert charset.eval(phi, x) == cyclo.from_int(6, want)
-
-
-def test_delta_helpers():
-    f = _field(5)
-    assert charset.delta_char(charset.Char(f, 0)) == cyclo.one(4)
-    assert charset.delta_char(charset.Char(f, 2)).is_zero()
-    assert charset.delta_elem(f, 0) == cyclo.one(4)
-    assert charset.delta_elem(f, 3).is_zero()
+        assert char_value(f, 3, x) == from_int(6, want)
 
 
 F8 = ff_core.build_field(2, 3)
-ELEMENT_ENTRY_POINTS = [F8.dlog, charset.Char(F8, 1),
-                        lambda x: charset.eval(charset.Char(F8, 3), x),
-                        lambda x: charset.delta_elem(F8, x)]
+A8, B8, C8 = Char(F8, 1), Char(F8, 3), Char(F8, 2)
+ELEMENT_ENTRY_POINTS = [lambda x: hyperff.gauss_2f1(A8, B8, C8, x),
+                        lambda x: hyperff.appell_f1(A8, B8, B8, C8, x, 1),
+                        lambda x: hyperff.char_line_sum(A8, B8, x),
+                        lambda x: hyperff.FdInstance(A8, (B8,), C8, (x,))]
 
 
-@pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS, ids=["dlog", "Char", "eval", "delta_elem"])
+@pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS,
+                         ids=["gauss_2f1", "appell_f1", "char_line_sum", "FdInstance"])
 @pytest.mark.parametrize("x, message", [
     (-1, "element index -1 out of range for q=8"),
     (-3, "element index -3 out of range for q=8"),
@@ -130,18 +116,20 @@ def test_element_entry_points_refuse_what_is_no_element_index(entry, x, message)
 
 
 def test_element_entry_points_on_element_indices():
-    with pytest.raises(errors.ZeroLog):
-        F8.dlog(0)
-    assert [F8.dlog(x) for x in range(1, 8)] == list(F8.log_table[1:])
-    assert charset.Char(F8, 1)(0).is_zero()
+    # every index 0 <= x < q is taken, and at x = 0 chi(0) = 0 makes the
+    # eps(x)-weighted sums vanish
+    for entry in ELEMENT_ENTRY_POINTS:
+        for x in range(8):
+            entry(x)
+    assert hyperff.gauss_2f1(A8, B8, C8, 0) == from_int(7, 0)
+    assert hyperff.char_line_sum(A8, B8, 0) == from_int(7, 0)
     for x in range(1, 8):
-        assert charset.Char(F8, 1)(x) == cyclo.zeta_pow(7, F8.log_table[x])
-        assert charset.eval(charset.Char(F8, 3), x) == cyclo.zeta_pow(7, 3 * F8.log_table[x])
-    assert [charset.delta_elem(F8, x) == cyclo.one(7) for x in range(8)] == [True] + [False] * 7
+        assert char_value(F8, 1, x) == zeta_pow(7, F8.log_table[x])
+        assert char_value(F8, 3, x) == zeta_pow(7, 3 * F8.log_table[x])
 
 
 def test_field_mismatch():
-    a = charset.Char(_field(5), 1)
-    b = charset.Char(_field(7), 1)
+    a = Char(_field(5), 1)
+    b = Char(_field(7), 1)
     with pytest.raises(errors.FieldMismatch):
-        charset.product(a, b)
+        hyperff.jacobi(a, b)

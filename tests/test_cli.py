@@ -152,6 +152,18 @@ def test_verify_rejects_a_cap_below_one(capsys, cap, mode):
     assert (code, out, err) == (2, "", f"error: cap must be a positive integer, got {cap}\n")
 
 
+@pytest.mark.parametrize("n", ["5000", "6000", "10000000"])
+def test_verify_names_the_cap_of_a_slot_space_far_past_it(capsys, n):
+    # a domain error naming the cap, not Python's 4300-digit conversion limit
+    # (a usage error) or a number of thousands of digits
+    code, out, err = run(capsys, "verify", "--id", "t4.pfaff", "--q", "3", "--n", n)
+    assert (code, out) == (3, "")
+    assert err == (f"domain error: CapExceeded: exhaustive domain has at least "
+                   f"2^{2 * int(n) + 2} assignments, above the cap 10000000; "
+                   "use sampled mode\n")
+    assert len(err) < 200
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run(capsys, "verify", "--id", "p2.linesum", "--q", "5",
                        "--format", "text")

@@ -6,12 +6,14 @@ import json
 import math
 import random
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffhyper import cyclo, errors, ff_core, hyperff, identities, sampling
+from ring_oracles import add, from_int
 from walk_oracles import _list_vanishes
 
 ALL_IDS = [d.id for d in identities.list_identities()]
@@ -125,9 +127,12 @@ def _field(q):
      "sampled mode needs an integer count >= 1, got True"),
     ([3, 4], dict(cap=True), ValueError, "cap must be a positive integer, got True"),
     ([3, 4], dict(mode="sampled", seed=1.5), ValueError, "seed must be an integer, got 1.5"),
+    (5, dict(), ValueError, "q_list must be a list, got 5"),
+    ([5], dict(n_list=1), ValueError, "n_list must be a list, got 1"),
 ], ids=["n", "mode", "prime-power", "cap", "slot-cap-negative", "slot-cap-zero-boundary",
         "slot-cap-zero-sampled", "slot-cap-float", "count-float", "count-inf", "n-float",
-        "n-str", "q-float", "n-bool", "count-bool", "cap-bool", "seed-float"])
+        "n-str", "q-float", "n-bool", "count-bool", "cap-bool", "seed-float", "q_list-int",
+        "n_list-int"])
 def test_verify_checks_the_whole_request_before_any_report(monkeypatch, q_list, kwargs,
                                                            error, message):
     runs = []
@@ -155,6 +160,46 @@ def test_slot_space_cap_is_checked_before_any_report(monkeypatch, mode):
     # sampled mode draws a count, not the slot space: the cap does not apply
     identities.verify("t2.1", [3, 5], mode="sampled", n_list=[1, 2], cap=1000)
     assert len(runs) == 4
+
+
+CAP_QS = [2, 3, 4, 5, 7, 8, 9, 16, 17, 256, 4096]
+CAPS = [1, 2, 1000, 10**7, 2**63, 2**64, 2**65, 2**200]
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_the_cap_check_agrees_with_the_exact_slot_space(monkeypatch, cap):
+    # the bit-length bounds decide as the exact comparison, give the exact
+    # size wherever it is below 2^64, and otherwise a 2^bits between cap and it
+    monkeypatch.setattr(identities, "_run_one", lambda *a, **k: None)
+    desc = identities.get_identity("t4.pfaff")
+    for q in CAP_QS:
+        for n in range(1, 41):
+            size = desc.slot_space(q, n)
+            if size <= cap:
+                identities.verify("t4.pfaff", [q], n_list=[n], cap=cap)
+                continue
+            with pytest.raises(errors.CapExceeded) as info:
+                identities.verify("t4.pfaff", [q], n_list=[n], cap=cap)
+            got = info.value
+            assert got.cap == cap and (got.size == size or got.size is None), (q, n)
+            if size < 2**64:
+                assert got.size == size, (q, n)
+            if got.size is None:
+                bits = int(str(got).split("at least 2^")[1].split()[0])
+                assert cap < 2**bits <= size, (q, n)
+
+
+def test_the_cap_check_builds_no_number_far_past_the_cap():
+    # 2^(n + 2) 3^n at n = 2^31 has about 1.7 billion digits: the check
+    # decides from bit lengths and names the cap in a short message (the CLI
+    # test takes n = 5000, 6000 and 10^7)
+    t0 = time.perf_counter()
+    with pytest.raises(errors.CapExceeded) as info:
+        identities.verify("t4.pfaff", [3], n_list=[2**31])
+    assert time.perf_counter() - t0 < 1.0
+    assert info.value.size is None and info.value.cap == identities.DEFAULT_CAP
+    assert str(info.value) == (f"exhaustive domain has at least 2^{2**32 + 2} assignments, "
+                               f"above the cap {identities.DEFAULT_CAP}; use sampled mode")
 
 
 def test_sampled_memory_does_not_grow_with_the_count():
@@ -282,7 +327,7 @@ def test_failure_replay_round_trip():
         assert not equal2
         assert str(lhs) == str(lhs2) == bad["lhs"]
         assert str(rhs2) == bad["rhs"]
-        assert rhs2 == rhs + cyclo.one(4)
+        assert rhs2 == add(rhs, from_int(4, 1))
 
 
 @pytest.mark.parametrize("elems", [[7], [-3], [5], [-1]])
@@ -303,6 +348,8 @@ def test_replay_rejects_out_of_range_points(elems):
     ("chars", [0, 1.7, 2], "character exponent must be an integer, got 1.7"),
     ("elems", [2.0], "elems entry must be an integer, got 2.0"),
     ("elems", [True], "elems entry must be an integer, got True"),
+    ("elems", 3, "elems must be a list, got 3"),
+    ("chars", 4, "chars must be a list, got 4"),
 ])
 def test_replay_rejects_non_integer_entries(key, value, message):
     # no entry is truncated or read as an integer: 5.9 is not q = 5
@@ -313,6 +360,10 @@ def test_replay_rejects_non_integer_entries(key, value, message):
 
 
 def test_replay_validates_shape():
+    with pytest.raises(ValueError, match="^assignment has no 'elems' entry$"):
+        identities.replay("t2.1", {"q": 5, "n": 1, "chars": [0, 1, 2]})
+    with pytest.raises(ValueError, match="^assignment must be a dict, got list$"):
+        identities.replay("t2.1", [5, 1, [0, 1, 2], [2]])
     with pytest.raises(ValueError):
         identities.replay("t2.1", {"q": 5, "n": 1, "chars": [1], "elems": [2]})
     with pytest.raises(ValueError):

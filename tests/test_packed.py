@@ -59,7 +59,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from ffhyper import charset, cyclo, ff_core, hyperff, identities
+from ffhyper import Char, cyclo, ff_core, hyperff, identities
 from walk_oracles import _beta_list, _fd_list, _walk_terms_list
 
 
@@ -1051,7 +1051,7 @@ def _n0_walks_match(f, pairs):
     jacobi(A, C) is jacobi_loop's J(A, C)."""
     N = f.n_chars
     return all(hyperff._fd_vec(f, mA, (), mC, ()).tolist() == binom_loop(f, mA, mC) and
-               hyperff.jacobi(charset.Char(f, mA), charset.Char(f, mC)) ==
+               hyperff.jacobi(Char(f, mA), Char(f, mC)) ==
                cyclo.from_coeffs(N, jacobi_loop(f, mA, mC)) for mA, mC in pairs)
 
 
